@@ -8,8 +8,40 @@
 
 use bench::{ablation, e1, e10, e11, e13, e14, e15, e2, e3, e4, e5, e6, e7, e8, e9};
 
+/// Every experiment id the binary accepts, besides the `quick` flag.
+const IDS: &[&str] = &[
+    "e1",
+    "e2",
+    "e3",
+    "e4",
+    "e5",
+    "e6",
+    "e7",
+    "e8",
+    "e9",
+    "e10",
+    "e11",
+    "e13",
+    "e14",
+    "e15",
+    "ablations",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let unknown: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "quick" && !IDS.contains(a))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "unknown experiment id(s): {}; known: quick, {}",
+            unknown.join(", "),
+            IDS.join(", ")
+        );
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "quick");
     let want = |name: &str| {
         args.is_empty() || args.iter().all(|a| a == "quick") || args.iter().any(|a| a == name)

@@ -37,6 +37,7 @@
 
 use std::time::Instant;
 
+use crate::common::{hub, ship};
 use mddsm_broker::journal;
 use mddsm_broker::monitor::MonitorSet;
 use mddsm_broker::{
@@ -47,8 +48,8 @@ use mddsm_meta::Model;
 use mddsm_sim::fault::{
     random_corruption_campaign, ComponentTarget, CorruptionCampaignConfig, FaultDriver,
 };
-use mddsm_sim::resource::{args, Args, Outcome};
-use mddsm_sim::{LatencyModel, ResourceHub, SimDuration};
+use mddsm_sim::resource::args;
+use mddsm_sim::SimDuration;
 
 /// Journal snapshot cadence (entries between snapshots) — also the
 /// rollback granularity after a quarantine.
@@ -78,23 +79,6 @@ pub const INVARIANTS: &[&str] = &[
 /// The invariant-violating mutations the campaign draws from; each one
 /// violates exactly one of [`MONITORS`].
 pub const CORRUPTIONS: &[(&str, &str)] = &[("opens", "-7"), ("opens", "-1"), ("tier", "gamma")];
-
-fn hub(seed: u64) -> ResourceHub {
-    let mut h = ResourceHub::new(seed);
-    h.register(
-        "sim.alpha",
-        LatencyModel::fixed_ms(3),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h.register(
-        "sim.beta",
-        LatencyModel::fixed_ms(5),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h
-}
 
 /// The E10 broker model: the E9 tier flip-flop (routing depends on the
 /// runtime model, so a corrupted model visibly changes behaviour), with
@@ -138,21 +122,6 @@ pub enum Variant {
     Monitored,
     /// Monitored primary plus a standby observing the shipped journal.
     Replicated,
-}
-
-/// Ships every not-yet-shipped journal line to the standby observer, in
-/// order. The observer checks each record in-stream as it applies it.
-fn ship(broker: &GenericBroker, standby: &mut Option<Standby>, shipped: &mut usize) {
-    let Some(sb) = standby.as_mut() else {
-        return;
-    };
-    let text = std::str::from_utf8(broker.journal_bytes().expect("journaling on"))
-        .expect("journal is UTF-8");
-    for line in text.lines().skip(*shipped) {
-        sb.receive(*shipped as u64, line, broker.epoch())
-            .expect("shipping is healthy");
-        *shipped += 1;
-    }
 }
 
 /// Routes the campaign's `CorruptState` events out of the fault driver.
@@ -293,7 +262,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         // The violating write (and its latch) reaches the wire before the
         // control plane reacts — the standby must detect it from the
         // record stream alone.
-        ship(&broker, &mut standby, &mut shipped);
+        ship(&broker, standby.as_mut(), &mut shipped);
 
         supervisor.heartbeat("a", t);
         if i % SUPERVISE_EVERY == 0 {
@@ -307,7 +276,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                     // Ship the rolled-back snapshot, then resume the
                     // observer: its next verdicts start from the repaired
                     // state, like the primary's.
-                    ship(&broker, &mut standby, &mut shipped);
+                    ship(&broker, standby.as_mut(), &mut shipped);
                     if let Some(sb) = standby.as_mut() {
                         standby_trips += sb.monitor_trips().len() as u64;
                         sb.clear_monitor_trips();
@@ -331,7 +300,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
             Err(e) => panic!("unexpected refusal: {e}"),
         }
         broker.advance_clock(period);
-        ship(&broker, &mut standby, &mut shipped);
+        ship(&broker, standby.as_mut(), &mut shipped);
     }
 
     let journal_bytes = broker.journal_bytes().expect("journaling on");

@@ -24,9 +24,10 @@
 //!   journal shipping (E9). Recovery compares the local journal against
 //!   the mirror: interior damage, acked torn tails, and clean drops all
 //!   trigger [`SupervisorDecision::RepairJournal`] and an anti-entropy
-//!   heal ([`recover_with_anti_entropy`]) that restores the journal
-//!   byte-identically. The shipping ack runs ahead of the local fsync,
-//!   which is exactly why the mirror can see a clean drop the disk hides.
+//!   heal ([`recover_with_quorum`] over the one standby) that restores
+//!   the journal byte-identically. The shipping ack runs ahead of the
+//!   local fsync, which is exactly why the mirror can see a clean drop
+//!   the disk hides.
 //!
 //! Expected on every seed: the self-healing configuration detects **100%**
 //! of effective injections and loses **zero** committed updates, healed
@@ -39,13 +40,14 @@
 //!
 //! [`BrokerError::JournalDamaged`]: mddsm_broker::BrokerError::JournalDamaged
 //! [`SupervisorDecision::RepairJournal`]: mddsm_broker::SupervisorDecision::RepairJournal
-//! [`recover_with_anti_entropy`]: mddsm_broker::replication::recover_with_anti_entropy
+//! [`recover_with_quorum`]: mddsm_broker::replication::recover_with_quorum
 
 use std::time::Instant;
 
+use crate::common::{ship, store_hub};
 use mddsm_broker::journal;
 use mddsm_broker::{
-    recover_with_anti_entropy, repair_journal, BrokerError, BrokerModelBuilder, GenericBroker,
+    recover_with_quorum, repair_journal, BrokerError, BrokerModelBuilder, GenericBroker,
     RestartPolicy, Standby, Supervisor, SupervisorDecision,
 };
 use mddsm_meta::Model;
@@ -53,8 +55,8 @@ use mddsm_sim::fault::{
     drop_tail_records, flip_bit, random_storage_campaign, tear_tail, truncate_newest_snapshot,
     ComponentTarget, FaultDriver, StorageCampaignConfig,
 };
-use mddsm_sim::resource::{args, Args, Outcome};
-use mddsm_sim::{LatencyModel, ResourceHub, SimDuration, SimTime};
+use mddsm_sim::resource::args;
+use mddsm_sim::{SimDuration, SimTime};
 
 /// Journal snapshot cadence (entries between snapshots). Low enough that
 /// campaigns regularly damage journals that contain snapshot records.
@@ -63,17 +65,6 @@ pub const SNAPSHOT_EVERY: u64 = 16;
 /// The recovery-time invariants — deliberately mild, so a silently
 /// corrupted naive journal *replays* rather than being caught by luck.
 pub const INVARIANTS: &[&str] = &["self.count = null or self.count >= 0"];
-
-fn hub(seed: u64) -> ResourceHub {
-    let mut h = ResourceHub::new(seed);
-    h.register(
-        "sim.store",
-        LatencyModel::fixed_ms(3),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h
-}
 
 /// The E13 broker model: a phase flip-flop plus a counter, so journals
 /// carry both string and integer writes (both damage targets) and the
@@ -141,20 +132,6 @@ impl ComponentTarget for StorageSink {
     }
     fn truncate_snapshot(&mut self, _component: &str) {
         self.0.push(StorageFault::Snap);
-    }
-}
-
-/// Ships every not-yet-shipped journal line to the standby mirror.
-fn ship(broker: &GenericBroker, standby: &mut Option<Standby>, shipped: &mut usize) {
-    let Some(sb) = standby.as_mut() else {
-        return;
-    };
-    let text = std::str::from_utf8(broker.journal_bytes().expect("journaling on"))
-        .expect("journal is UTF-8");
-    for line in text.lines().skip(*shipped) {
-        sb.receive(*shipped as u64, line, broker.epoch())
-            .expect("shipping is healthy");
-        *shipped += 1;
     }
 }
 
@@ -313,7 +290,7 @@ fn apply_storage_fault(
     let preflight = journal::replay(&damaged);
 
     if let Some(sb) = standby {
-        // Self-healing: the same damage criterion recover_with_anti_entropy
+        // Self-healing: the same damage criterion recover_with_quorum
         // applies — typed damage, or a mirror that extends past the local
         // journal's intact prefix.
         let reason = match &preflight {
@@ -360,7 +337,7 @@ fn apply_storage_fault(
             }
         }
         let (recovered, report, repair) =
-            recover_with_anti_entropy(model, hub, &damaged, INVARIANTS, sb)
+            recover_with_quorum(model, hub, &damaged, INVARIANTS, &[sb])
                 .expect("anti-entropy recovery succeeds");
         if repair.is_some() {
             run.repairs += 1;
@@ -408,7 +385,7 @@ fn apply_storage_fault(
 /// Runs one configuration over the campaign generated by `seed`.
 pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E13Run {
     let model = e13_broker_model();
-    let mut broker = GenericBroker::from_model(&model, hub(seed)).expect("E13 model valid");
+    let mut broker = GenericBroker::from_model(&model, store_hub(seed)).expect("E13 model valid");
     broker.enable_journal_with(SNAPSHOT_EVERY, variant != Variant::Naive);
 
     let horizon = SimDuration::from_millis(calls * period_ms);
@@ -423,7 +400,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
     let mut standby: Option<Standby> = None;
     let mut shipped = 0usize;
     if variant == Variant::SelfHealing {
-        supervisor.designate_standby("a", "b");
+        supervisor.designate_replica_set("a", &["b"]);
         standby = Some(Standby::new("b"));
     }
 
@@ -464,7 +441,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
             // A repair replaces the journal with the healed (pristine)
             // bytes, so the shipped cursor still lines up; recovery notes
             // appended after it ship like any other record.
-            ship(&broker, &mut standby, &mut shipped);
+            ship(&broker, standby.as_mut(), &mut shipped);
         }
 
         supervisor.heartbeat("a", now);
@@ -481,7 +458,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         }
         broker.advance_clock(period);
         now = now + period;
-        ship(&broker, &mut standby, &mut shipped);
+        ship(&broker, standby.as_mut(), &mut shipped);
     }
 
     let journal_bytes = broker.journal_bytes().expect("journaling on");
@@ -612,7 +589,7 @@ pub struct HotpathCost {
 /// byte-identical across machines.
 pub fn hotpath_cost(calls: u64, reps: u64) -> HotpathCost {
     fn one(model: &Model, calls: u64, seed: u64, framed: bool) -> u128 {
-        let mut b = GenericBroker::from_model(model, hub(seed)).expect("E13 model valid");
+        let mut b = GenericBroker::from_model(model, store_hub(seed)).expect("E13 model valid");
         b.enable_journal_with(SNAPSHOT_EVERY, framed);
         let t0 = Instant::now();
         for i in 0..calls {

@@ -34,6 +34,7 @@
 //! [`SupervisorDecision::RollbackUpgrade`]: mddsm_broker::SupervisorDecision::RollbackUpgrade
 //! [`recover_versioned`]: mddsm_broker::recover_versioned
 
+use crate::common::{ship, store_hub};
 use mddsm_broker::journal;
 use mddsm_broker::{
     recover_versioned, repair_journal, BrokerError, BrokerModelBuilder, GenericBroker, LiveUpgrade,
@@ -44,8 +45,8 @@ use mddsm_sim::fault::{
     drop_tail_records, random_upgrade_campaign, tear_tail, ComponentTarget, FaultDriver,
     UpgradeCampaignConfig,
 };
-use mddsm_sim::resource::{args, Args, Outcome};
-use mddsm_sim::{LatencyModel, ResourceHub, SimDuration, SimTime};
+use mddsm_sim::resource::args;
+use mddsm_sim::{SimDuration, SimTime};
 
 /// Journal snapshot cadence (entries between snapshots).
 pub const SNAPSHOT_EVERY: u64 = 24;
@@ -67,17 +68,6 @@ pub const RESTART_US: u64 = 80_000;
 
 /// Recovery-time invariants, shared by every model version.
 pub const INVARIANTS: &[&str] = &["self.count = null or self.count >= 0"];
-
-fn hub(seed: u64) -> ResourceHub {
-    let mut h = ResourceHub::new(seed);
-    h.register(
-        "sim.store",
-        LatencyModel::fixed_ms(3),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h
-}
 
 fn base(name: &str) -> BrokerModelBuilder {
     BrokerModelBuilder::new(name)
@@ -278,18 +268,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Ships every not-yet-shipped journal line to the standby mirror.
-fn ship(broker: &GenericBroker, standby: &mut Standby, shipped: &mut usize) {
-    let text = std::str::from_utf8(broker.journal_bytes().expect("journaling on"))
-        .expect("journal is UTF-8");
-    for line in text.lines().skip(*shipped) {
-        standby
-            .receive(*shipped as u64, line, broker.epoch())
-            .expect("shipping is healthy");
-        *shipped += 1;
-    }
-}
-
 /// The named model-version table built as cutovers assign versions.
 struct VersionTable(Vec<(u64, String, Model)>);
 
@@ -340,7 +318,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
     let mut table = VersionTable(vec![(1, "v1".to_owned(), v1.clone())]);
     let mut live_name = "v1".to_owned();
 
-    let mut broker = GenericBroker::from_model(&v1, hub(seed)).expect("E14 model valid");
+    let mut broker = GenericBroker::from_model(&v1, store_hub(seed)).expect("E14 model valid");
     broker.enable_journal_with(SNAPSHOT_EVERY, true);
 
     let mut supervisor = Supervisor::new(
@@ -461,7 +439,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                         // No monitor watches the poisoned key under the
                         // current model: silent corruption. Still ship the
                         // journaled write so the mirror stays a prefix.
-                        ship(&broker, &mut standby, &mut shipped);
+                        ship(&broker, Some(&mut standby), &mut shipped);
                         continue;
                     }
                     run.monitor_trips += trips.len() as u64;
@@ -532,7 +510,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                     }
                 }
             }
-            ship(&broker, &mut standby, &mut shipped);
+            ship(&broker, Some(&mut standby), &mut shipped);
         }
 
         supervisor.heartbeat("a", now);
@@ -638,7 +616,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
 
         broker.advance_clock(period);
         now = now + period;
-        ship(&broker, &mut standby, &mut shipped);
+        ship(&broker, Some(&mut standby), &mut shipped);
     }
 
     // An upgrade still in flight at the horizon: a shadow phase leaves no

@@ -40,6 +40,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::common::{applied_updates, drain, hub};
 use mddsm_broker::journal::{self, JournalRecord};
 use mddsm_broker::monitor;
 use mddsm_broker::replication::reconcile;
@@ -54,8 +55,8 @@ use mddsm_sim::fault::{
     ComponentTarget, FaultDriver, QuorumCampaignConfig,
 };
 use mddsm_sim::net::{Link, Network};
-use mddsm_sim::resource::{args, Args, Outcome};
-use mddsm_sim::{LatencyModel, ResourceHub, SimDuration, SimTime};
+use mddsm_sim::resource::args;
+use mddsm_sim::{SimDuration, SimTime};
 
 /// Virtual cost of bringing a promoted or restarted broker up (µs).
 pub const RESTART_PENALTY_US: u64 = 5_000;
@@ -85,23 +86,6 @@ pub const INVARIANTS: &[&str] = &[
     "self.served_alpha = null or self.served_alpha >= 0",
     "self.served_beta = null or self.served_beta >= 0",
 ];
-
-fn hub(seed: u64) -> ResourceHub {
-    let mut h = ResourceHub::new(seed);
-    h.register(
-        "sim.alpha",
-        LatencyModel::fixed_ms(3),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h.register(
-        "sim.beta",
-        LatencyModel::fixed_ms(5),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h
-}
 
 /// The E15 broker model: the E9 tier flip-flop (routing depends on
 /// journaled state, so lost history visibly diverges the command trace),
@@ -337,42 +321,6 @@ fn is_cut(net: &Network, node: &str, members: &[String]) -> bool {
         .all(|m| !net.is_up(node, m) || !net.is_up(m, node))
 }
 
-/// Sum of the serve counters — how many committed updates the runtime
-/// model actually holds.
-fn applied_updates(broker: &GenericBroker) -> u64 {
-    (broker.state().int("served_alpha").unwrap_or(0)
-        + broker.state().int("served_beta").unwrap_or(0)) as u64
-}
-
-/// Ships until a quorum of lanes is fully acknowledged or `rounds`
-/// timeouts elapse; rounds are spaced one ack timeout apart so each
-/// retries what the previous one lost.
-fn qdrain(
-    rep: &mut QuorumReplicator,
-    broker: &GenericBroker,
-    net: &Network,
-    standbys: &mut BTreeMap<String, Standby>,
-    from_us: u64,
-    rounds: u64,
-) -> bool {
-    for k in 0..rounds {
-        let now = SimTime::from_micros(from_us + k * ACK_TIMEOUT_US);
-        let mut peers: Vec<&mut Standby> = standbys.values_mut().collect();
-        rep.tick(
-            now,
-            broker.epoch(),
-            net,
-            broker.journal_bytes().expect("journaling on"),
-            &mut peers,
-        )
-        .expect("replication tick is healthy");
-        if rep.quorum_synced() {
-            return true;
-        }
-    }
-    false
-}
-
 /// Rebuilds a replica's mirror after damage or downtime: keep it when it
 /// is intact and still a prefix of the authoritative history, heal it by
 /// anti-entropy from the freshest quorum source otherwise, and fall back
@@ -544,7 +492,8 @@ pub fn run_variant(
     let mut prop_shadow: BTreeMap<String, String> = BTreeMap::new();
     let mut property_trips = 0u64;
 
-    let crashed = |sup: &Supervisor, node: &str| sup.state().int(&format!("crashed_{node}")) == Some(1);
+    let crashed =
+        |sup: &Supervisor, node: &str| sup.state().int(&format!("crashed_{node}")) == Some(1);
 
     for i in 0..calls {
         let t = broker.now();
@@ -616,8 +565,7 @@ pub fn run_variant(
                                 continue;
                             }
                             run.storage_faults += 1;
-                            let pristine =
-                                broker.journal_bytes().expect("journaling on").to_vec();
+                            let pristine = broker.journal_bytes().expect("journaling on").to_vec();
                             let damaged = apply_storage(&pristine, &kind);
                             if damaged == pristine {
                                 run.harmless += 1;
@@ -672,8 +620,7 @@ pub fn run_variant(
                                             .expect("E15 model valid");
                                             fresh.enable_journal(SNAPSHOT_EVERY);
                                             run.restarts += 1;
-                                            run.committed_lost =
-                                                run.committed_lost.max(committed);
+                                            run.committed_lost = run.committed_lost.max(committed);
                                             (fresh, RESTART_PENALTY_US)
                                         }
                                     }
@@ -712,8 +659,7 @@ pub fn run_variant(
                                 run.harmless += 1;
                                 continue;
                             }
-                            let auth =
-                                broker.journal_bytes().expect("journaling on").to_vec();
+                            let auth = broker.journal_bytes().expect("journaling on").to_vec();
                             let epoch = supervisor.epoch();
                             let revived = {
                                 let sources: Vec<&Standby> = standbys
@@ -870,7 +816,8 @@ pub fn run_variant(
                 let detect_us = t.as_micros() - fault_at.take().unwrap_or_else(|| t.as_micros());
                 fo_times_us.push(detect_us + RESTART_PENALTY_US);
                 retrans_retired += rep.retransmits();
-                rep = QuorumReplicator::new(cfg_for(&members, quorum, &primary_node), &primary_node);
+                rep =
+                    QuorumReplicator::new(cfg_for(&members, quorum, &primary_node), &primary_node);
                 resync_survivors(&mut standbys, &broker, epoch, &mut run.standby_resyncs);
             }
 
@@ -977,13 +924,14 @@ pub fn run_variant(
 
         // Commit gate: the primary refuses calls it could not
         // quorum-commit — fewer than `quorum - 1` lanes can catch up.
-        if !qdrain(
+        if !drain(
             &mut rep,
             &broker,
             &net,
-            &mut standbys,
+            &mut standbys.values_mut().collect::<Vec<_>>(),
             t.as_micros(),
             DRAIN_ROUNDS,
+            ACK_TIMEOUT_US,
         ) {
             run.rejected += 1;
             broker.advance_clock(period);
@@ -1000,13 +948,14 @@ pub fn run_variant(
                 if ok {
                     run.served += 1;
                 }
-                let acked = qdrain(
+                let acked = drain(
                     &mut rep,
                     &broker,
                     &net,
-                    &mut standbys,
+                    &mut standbys.values_mut().collect::<Vec<_>>(),
                     broker.now().as_micros(),
                     DRAIN_ROUNDS,
+                    ACK_TIMEOUT_US,
                 );
                 if ok && acked {
                     committed += 1;
@@ -1444,4 +1393,3 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }
-

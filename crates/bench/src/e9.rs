@@ -5,9 +5,11 @@
 //! the local journal. E9 removes the assumption that the journal survives
 //! the fault: the node itself dies or is cut off. The primary
 //! ([`GenericBroker`] on node `a`) ships its journal over the simulated
-//! [`Network`] to a hot [`Standby`] on node `b`; the [`Supervisor`]
-//! detects a crashed or partitioned primary and promotes the standby,
-//! which fences the old primary behind a journaled epoch. A seeded
+//! [`Network`] to a hot [`Standby`] on node `b` — the model declares a
+//! one-peer replica set with quorum 2, run by a [`QuorumReplicator`]. The
+//! [`Supervisor`] detects a crashed or partitioned primary and promotes
+//! the standby, which fences the old primary behind a journaled epoch. A
+//! seeded
 //! crash/partition/loss-spike campaign
 //! ([`mddsm_sim::fault::random_failover_campaign`]) targets node `a`
 //! while a steady call stream runs whose routing depends on the runtime
@@ -37,18 +39,19 @@
 
 use std::collections::BTreeMap;
 
+use crate::common::{applied_updates, drain, hub};
 use mddsm_broker::journal::{self, JournalRecord};
 use mddsm_broker::monitor;
 use mddsm_broker::replication::reconcile;
 use mddsm_broker::{
-    BrokerModelBuilder, GenericBroker, ReplicationConfig, Replicator, RestartPolicy, Standby,
+    BrokerModelBuilder, GenericBroker, QuorumReplicator, ReplicaSetConfig, RestartPolicy, Standby,
     Supervisor, SupervisorDecision,
 };
 use mddsm_meta::Model;
 use mddsm_sim::fault::{random_failover_campaign, FailoverCampaignConfig, FaultDriver};
 use mddsm_sim::net::{Link, Network};
-use mddsm_sim::resource::{args, Args, Outcome};
-use mddsm_sim::{LatencyModel, ResourceHub, SimDuration, SimTime};
+use mddsm_sim::resource::args;
+use mddsm_sim::SimDuration;
 
 /// Virtual cost of bringing a promoted or restarted broker up (µs).
 pub const RESTART_PENALTY_US: u64 = 5_000;
@@ -75,27 +78,11 @@ pub const INVARIANTS: &[&str] = &[
     "self.served_beta = null or self.served_beta >= 0",
 ];
 
-fn hub(seed: u64) -> ResourceHub {
-    let mut h = ResourceHub::new(seed);
-    h.register(
-        "sim.alpha",
-        LatencyModel::fixed_ms(3),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h.register(
-        "sim.beta",
-        LatencyModel::fixed_ms(5),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h
-}
-
 /// The E9 broker model: the E7 tier flip-flop (routing depends on
 /// journaled state, so losing the journal visibly diverges the command
-/// trace), plus — for the replicated configurations — a
-/// `ReplicationManager` declaring the standby and the shipping mode.
+/// trace), plus — for the replicated configurations, with `mode`
+/// `"Async"` or `"AckWindowed"` — a one-peer `ReplicaSet` with quorum 2
+/// declaring the standby `b` and its shipping mode.
 pub fn e9_broker_model(mode: Option<&str>) -> Model {
     let b = BrokerModelBuilder::new("e9")
         .call_handler("h", "op")
@@ -120,7 +107,7 @@ pub fn e9_broker_model(mode: Option<&str>) -> Model {
         );
     match mode {
         Some(m) => b
-            .replication("b", m, WINDOW_RECORDS, ACK_TIMEOUT_US, 64)
+            .replica_set(2, &[("b", m, WINDOW_RECORDS, ACK_TIMEOUT_US)])
             .build(),
         None => b.build(),
     }
@@ -206,45 +193,11 @@ fn other(node: &str) -> &'static str {
     }
 }
 
-fn cfg_to(base: &ReplicationConfig, standby_node: &str) -> ReplicationConfig {
+/// The model's one-peer set with its standby moved to `standby_node`.
+fn cfg_to(base: &ReplicaSetConfig, standby_node: &str) -> ReplicaSetConfig {
     let mut c = base.clone();
-    c.standby_node = standby_node.to_owned();
+    c.peers[0].node = standby_node.to_owned();
     c
-}
-
-/// Ships until the standby acknowledged everything or `rounds` timeouts
-/// elapse; rounds are spaced one ack timeout apart so each retries what
-/// the previous one lost. Returns whether the replica is caught up.
-fn drain(
-    rep: &mut Replicator,
-    standby: &mut Standby,
-    broker: &GenericBroker,
-    net: &Network,
-    from_us: u64,
-    rounds: u64,
-) -> bool {
-    for k in 0..rounds {
-        let now = SimTime::from_micros(from_us + k * ACK_TIMEOUT_US);
-        rep.tick(
-            now,
-            broker.epoch(),
-            net,
-            broker.journal_bytes().expect("journaling on"),
-            standby,
-        )
-        .expect("replication tick is healthy");
-        if rep.synced() {
-            return true;
-        }
-    }
-    false
-}
-
-/// Sum of the serve counters — how many committed updates the runtime
-/// model actually holds.
-fn applied_updates(broker: &GenericBroker) -> u64 {
-    (broker.state().int("served_alpha").unwrap_or(0)
-        + broker.state().int("served_beta").unwrap_or(0)) as u64
 }
 
 /// Runs one configuration over the campaign generated by `seed`.
@@ -256,7 +209,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
     };
     let model = e9_broker_model(mode);
     let replicated = mode.is_some();
-    let base_cfg = ReplicationConfig::from_model(&model).expect("replication manager conforms");
+    let base_cfg = ReplicaSetConfig::from_model(&model).expect("replica set conforms");
 
     let mut broker = GenericBroker::from_model(&model, hub(seed)).expect("E9 model valid");
     broker.enable_journal(SNAPSHOT_EVERY);
@@ -276,14 +229,14 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         },
     );
     let mut standby: Option<Standby> = None;
-    let mut rep: Option<Replicator> = None;
+    let mut rep: Option<QuorumReplicator> = None;
     if replicated {
         let cfg = base_cfg
             .clone()
-            .expect("replicated model declares a manager");
-        supervisor.designate_standby("a", "b");
+            .expect("replicated model declares a replica set");
+        supervisor.designate_replica_set("a", &["b"]);
         standby = Some(Standby::new("b"));
-        rep = Some(Replicator::new(cfg, "a"));
+        rep = Some(QuorumReplicator::new(cfg, "a"));
     }
 
     let net = Network::new(Link::default(), seed ^ 0x5eed);
@@ -331,7 +284,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
     let mut fault_at: Option<u64> = None;
     // A partitioned-out old primary (with its replicator and the promoted
     // standby shell that now acts as its fence), parked until the heal.
-    let mut parked: Option<(GenericBroker, Replicator, Standby)> = None;
+    let mut parked: Option<(GenericBroker, QuorumReplicator, Standby)> = None;
 
     for i in 0..calls {
         let t = broker.now();
@@ -469,7 +422,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                 if let Some(r) = rep.take() {
                     retrans_retired += r.retransmits();
                 }
-                rep = Some(Replicator::new(
+                rep = Some(QuorumReplicator::new(
                     cfg_to(base_cfg.as_ref().expect("replicated"), &sb_node),
                     &primary_node,
                 ));
@@ -490,9 +443,15 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                             .expect("journaling on")
                             .to_vec();
                         let r = stale_rep
-                            .tick(t, stale_broker.epoch(), &net, &stale_bytes, &mut fence)
+                            .tick(
+                                t,
+                                stale_broker.epoch(),
+                                &net,
+                                &stale_bytes,
+                                &mut [&mut fence],
+                            )
                             .expect("stale tick is healthy");
-                        if r.fenced.is_some() {
+                        if r.fenced > 0 {
                             fenced_events += 1;
                         }
                         retrans_retired += stale_rep.retransmits();
@@ -511,11 +470,11 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                     }
                 }
                 supervisor.rejoin("a", t);
-                supervisor.designate_standby(&primary_node, "a");
+                supervisor.designate_replica_set(&primary_node, &["a"]);
                 let mut nsb = Standby::new("a");
                 nsb.fence(supervisor.epoch());
                 standby = Some(nsb);
-                rep = Some(Replicator::new(
+                rep = Some(QuorumReplicator::new(
                     cfg_to(base_cfg.as_ref().expect("replicated"), "a"),
                     &primary_node,
                 ));
@@ -545,7 +504,15 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         // commit — no standby, or a standby it cannot catch up.
         if variant == Variant::AckWindowed {
             let caught_up = match (rep.as_mut(), standby.as_mut()) {
-                (Some(r), Some(s)) => drain(r, s, &broker, &net, t.as_micros(), DRAIN_ROUNDS),
+                (Some(r), Some(s)) => drain(
+                    r,
+                    &broker,
+                    &net,
+                    &mut [s],
+                    t.as_micros(),
+                    DRAIN_ROUNDS,
+                    ACK_TIMEOUT_US,
+                ),
                 _ => false,
             };
             if !caught_up {
@@ -582,7 +549,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                         broker.epoch(),
                         &net,
                         broker.journal_bytes().expect("journaling on"),
-                        s,
+                        &mut [s],
                     )
                     .expect("replication tick is healthy");
                 }
@@ -590,7 +557,15 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
             Variant::AckWindowed => {
                 let rp = rep.as_mut().expect("gate passed");
                 let s = standby.as_mut().expect("gate passed");
-                let acked = drain(rp, s, &broker, &net, broker.now().as_micros(), DRAIN_ROUNDS);
+                let acked = drain(
+                    rp,
+                    &broker,
+                    &net,
+                    &mut [s],
+                    broker.now().as_micros(),
+                    DRAIN_ROUNDS,
+                    ACK_TIMEOUT_US,
+                );
                 if ok && acked {
                     committed += 1;
                     committed_actions.push(r.action.clone());

@@ -28,6 +28,7 @@
 
 pub mod ablation;
 pub mod artifacts;
+mod common;
 pub mod e1;
 pub mod e10;
 pub mod e11;

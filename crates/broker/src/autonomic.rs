@@ -177,11 +177,13 @@ impl AutonomicManager {
 }
 
 /// The standard autonomic rules for a replicated broker, expressed over
-/// the replicator's OCL-addressable metrics (`repl_lag`, `repl_fenced`):
-/// raise `repl_lag_alert` and emit `replicationLagging` once the unacked
-/// window reaches `lag_alert` records, clear it (emitting
-/// `replicationCaughtUp`) when the standby catches back up, and surface a
-/// fenced stale primary as a `staleEpochFenced` event. Run these against
+/// the [`crate::QuorumReplicator`]'s OCL-addressable metrics (`repl_lag`,
+/// `repl_fenced`). The rules raise `repl_lag_alert` and emit
+/// `replicationLagging` once the unacked journal lines, summed over every
+/// lane, reach `lag_alert` records; for a hot standby (the one-peer set)
+/// that is its single lane's lag. They clear the alert (emitting
+/// `replicationCaughtUp`) when every peer has caught back up, and surface
+/// a fenced stale primary as a `staleEpochFenced` event. Run them against
 /// the replicator's metrics state, not the journaled runtime model.
 pub fn replication_rules(lag_alert: i64) -> Result<Vec<AutonomicRule>> {
     let rule = |symptom: &str, condition: &str, steps: &[&str]| -> Result<AutonomicRule> {

@@ -1258,8 +1258,8 @@ impl GenericBroker {
     /// record, the truncation is journaled as a `Note`, and recovery
     /// continues — the report carries `torn_records_dropped`. Interior
     /// damage is the typed [`BrokerError::JournalDamaged`]; see
-    /// [`crate::replication::recover_with_anti_entropy`] for the standby
-    /// repair path.
+    /// [`crate::replication::recover_with_quorum`] for the replica repair
+    /// path.
     pub fn recover(
         model: &Model,
         hub: ResourceHub,

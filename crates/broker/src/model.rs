@@ -26,10 +26,10 @@ pub const BROKER_METAMODEL: &str = "mddsm.broker";
 pub fn broker_metamodel() -> Metamodel {
     MetamodelBuilder::new(BROKER_METAMODEL)
         .enumeration("HandlerKind", ["Call", "Event"])
-        // Journal-shipping discipline of a `ReplicationManager`: `Async`
+        // Journal-shipping discipline of a `ReplicaNode` lane: `Async`
         // ships best-effort (one attempt per tick, no delivery guarantee);
         // `AckWindowed` keeps an in-flight window and retransmits until the
-        // standby acknowledges, so commit implies replicated.
+        // replica acknowledges, so commit implies replicated.
         .enumeration("ShipMode", ["Async", "AckWindowed"])
         .class("BrokerLayer", |c| {
             c.attr("name", DataType::Str)
@@ -68,25 +68,11 @@ pub fn broker_metamodel() -> Metamodel {
                 .contains("classes", "AdmissionClass", Multiplicity::MANY)
                 .contains("modes", "BrownoutMode", Multiplicity::MANY)
         })
-        .class("ReplicationManager", |c| {
-            c.extends("Manager")
-                // Simulated-network node the hot standby listens on.
-                .attr("standby", DataType::Str)
-                .attr("mode", DataType::Enum("ShipMode".into()))
-                // AckWindowed: max unacknowledged journal records in flight.
-                .attr_default("windowRecords", DataType::Int, Value::from(32))
-                // AckWindowed: virtual time before an unacked batch is
-                // retransmitted (go-back-N from the acked cursor).
-                .attr_default("ackTimeoutUs", DataType::Int, Value::from(10_000))
-                // Lag (records shipped but unacked) at which the standard
-                // replication autonomic rule raises `repl_lag_alert`
-                // (0 = no alert).
-                .attr_default("lagAlertRecords", DataType::Int, Value::from(0))
-        })
         // A replica *set*: N independently-shipped peers with a declared
         // quorum. A journal record is durable once the quorum-th largest
         // per-peer acked LSN reaches it (counting the primary's own copy),
-        // so any majority of nodes holds every committed update.
+        // so any majority of nodes holds every committed update. A hot
+        // standby is the one-peer set with quorum 2.
         .class("ReplicaSet", |c| {
             c.extends("Manager")
                 // Nodes (replicas + primary) that must hold a record before
@@ -101,7 +87,10 @@ pub fn broker_metamodel() -> Metamodel {
             c.attr("name", DataType::Str)
                 .attr("node", DataType::Str)
                 .attr("mode", DataType::Enum("ShipMode".into()))
+                // AckWindowed: max unacknowledged journal records in flight.
                 .attr_default("windowRecords", DataType::Int, Value::from(32))
+                // Virtual time before an unacked batch is retransmitted
+                // (go-back-N from the acked cursor).
                 .attr_default("ackTimeoutUs", DataType::Int, Value::from(10_000))
         })
         .class("MonitorManager", |c| {
@@ -304,9 +293,7 @@ pub struct BrokerModelBuilder {
     // Created lazily on the first admission-class or brownout-mode
     // declaration, so models without overload control stay lean.
     admission_mgr: Option<ObjectId>,
-    // Created lazily by `replication`, so unreplicated models stay lean.
-    replication_mgr: Option<ObjectId>,
-    // Created lazily by `replica_set`.
+    // Created lazily by `replica_set`, so unreplicated models stay lean.
     replica_set_mgr: Option<ObjectId>,
     // Created lazily by `monitor`, so unmonitored models stay lean.
     monitor_mgr: Option<ObjectId>,
@@ -340,7 +327,6 @@ impl BrokerModelBuilder {
             resource_mgr,
             state_mgr: state,
             admission_mgr: None,
-            replication_mgr: None,
             replica_set_mgr: None,
             monitor_mgr: None,
         }
@@ -600,43 +586,6 @@ impl BrokerModelBuilder {
         self
     }
 
-    /// Declares journal replication to a hot standby: the engine's journal
-    /// is shipped over the simulated network to node `standby` and applied
-    /// there record-by-record. `mode` is `"Async"` (best-effort) or
-    /// `"AckWindowed"` (at most `window_records` unacked records in flight,
-    /// retransmitted after `ack_timeout_us` of virtual time).
-    /// `lag_alert_records` arms the standard `repl_lag_alert` autonomic
-    /// symptom (0 disables it).
-    pub fn replication(
-        mut self,
-        standby: &str,
-        mode: &str,
-        window_records: u64,
-        ack_timeout_us: u64,
-        lag_alert_records: u64,
-    ) -> Self {
-        let m = match self.replication_mgr {
-            Some(m) => m,
-            None => {
-                let m = self.model.create("ReplicationManager");
-                self.model.set_attr(m, "name", Value::from("replication"));
-                self.model.add_ref(self.layer, "managers", m);
-                self.replication_mgr = Some(m);
-                m
-            }
-        };
-        self.model.set_attr(m, "standby", Value::from(standby));
-        self.model
-            .set_attr(m, "mode", Value::enumeration("ShipMode", mode));
-        self.model
-            .set_attr(m, "windowRecords", Value::from(window_records as i64));
-        self.model
-            .set_attr(m, "ackTimeoutUs", Value::from(ack_timeout_us as i64));
-        self.model
-            .set_attr(m, "lagAlertRecords", Value::from(lag_alert_records as i64));
-        self
-    }
-
     /// Declares a quorum-replicated replica set: each `(node, mode,
     /// window_records, ack_timeout_us)` entry adds one peer with its own
     /// shipping lane (`mode` is `"Async"` or `"AckWindowed"`, per-lane
@@ -891,31 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn replicated_models_conform_and_the_manager_is_lazy() {
-        let mm = broker_metamodel();
-        let plain = BrokerModelBuilder::new("p").build();
-        assert_eq!(plain.all_of_class("ReplicationManager").len(), 0);
-
-        let model = BrokerModelBuilder::new("rep")
-            .replication("b", "AckWindowed", 16, 8_000, 24)
-            .build();
-        conformance::check(&model, &mm).unwrap();
-        let mgrs = model.all_of_class("ReplicationManager");
-        assert_eq!(mgrs.len(), 1);
-        assert_eq!(model.attr_str(mgrs[0], "standby"), Some("b"));
-
-        // Re-declaring retunes the same manager instead of adding another.
-        let retuned = BrokerModelBuilder::new("rep2")
-            .replication("b", "Async", 16, 8_000, 0)
-            .replication("c", "AckWindowed", 8, 4_000, 12)
-            .build();
-        conformance::check(&retuned, &mm).unwrap();
-        let mgrs = retuned.all_of_class("ReplicationManager");
-        assert_eq!(mgrs.len(), 1);
-        assert_eq!(retuned.attr_str(mgrs[0], "standby"), Some("c"));
-    }
-
-    #[test]
     fn replica_set_models_conform_and_redeclaring_replaces_membership() {
         let mm = broker_metamodel();
         let plain = BrokerModelBuilder::new("p").build();
@@ -924,10 +848,7 @@ mod tests {
         let model = BrokerModelBuilder::new("rs")
             .replica_set(
                 2,
-                &[
-                    ("b", "AckWindowed", 16, 8_000),
-                    ("c", "Async", 32, 10_000),
-                ],
+                &[("b", "AckWindowed", 16, 8_000), ("c", "Async", 32, 10_000)],
             )
             .build();
         conformance::check(&model, &mm).unwrap();

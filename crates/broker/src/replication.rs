@@ -1,32 +1,42 @@
-//! Replicated models@runtime: journal shipping to a hot standby.
+//! Replicated models@runtime: journal shipping to a model-defined replica
+//! set.
 //!
 //! The primary's write-ahead journal (see [`crate::journal`]) already
 //! captures every runtime-model mutation, so replication is journal
-//! shipping: a [`Replicator`] on the primary streams journal lines over
-//! the simulated [`Network`] to a [`Standby`] on another node, which
-//! applies each record into its own [`StateManager`] *and* keeps a
-//! byte-for-byte mirror of the journal — promotion is then just the
-//! normal crash-recovery path ([`GenericBroker::recover`]) run over the
-//! mirrored bytes.
+//! shipping: a [`QuorumReplicator`] on the primary streams journal lines
+//! over the simulated [`Network`] to one [`Standby`] per peer the model's
+//! `ReplicaSet` declares. Each standby applies every record into its own
+//! [`StateManager`] *and* keeps a byte-for-byte mirror of the journal —
+//! promotion is then just the normal crash-recovery path
+//! ([`GenericBroker::recover`]) run over the mirrored bytes.
 //!
-//! Shipping is go-back-N with a cumulative ack: the standby acknowledges
-//! the count of contiguous lines received, the primary retransmits from
-//! that cursor after an ack timeout. Two model-declared disciplines
+//! A hot standby is the smallest replica set: one peer with quorum 2. A
+//! record commits once the primary and its standby both hold it, so
+//! [`QuorumReplicator::quorum_synced`] and [`QuorumReplicator::synced`]
+//! coincide. Larger sets commit at the quorum-th largest acknowledged LSN
+//! and survive any minority failure.
+//!
+//! Every peer has its own go-back-N lane with a cumulative ack: the
+//! standby acknowledges the count of contiguous lines received, and the
+//! primary retransmits from that cursor after an ack timeout. A lane never
+//! re-sends a line below its peer's ack. Two model-declared disciplines
 //! ([`ShipMode`]) share the machinery:
 //!
 //! * `Async` — ship everything pending each tick, best effort. The
 //!   primary commits locally without waiting, so records not yet
 //!   acknowledged at failover are lost.
-//! * `AckWindowed` — at most `window_records` unacknowledged lines in
-//!   flight; the caller gates commit on [`Replicator::synced`], so a
-//!   committed update is by construction on the standby.
+//! * `AckWindowed` — at most `windowRecords` unacknowledged lines in
+//!   flight; the caller gates commit on
+//!   [`QuorumReplicator::quorum_synced`], so a committed update is by
+//!   construction on a quorum of nodes.
 //!
 //! Split brain is prevented by *epoch fencing*: promotion appends a
-//! journaled epoch record, and the standby (or the promoted primary)
+//! journaled epoch record, and a standby (or the promoted primary)
 //! refuses shipped records from an older epoch with the typed
 //! [`BrokerError::StaleEpoch`]. A healed stale primary is reconciled by
 //! diffing the two journals and replaying the authoritative suffix
-//! through recovery ([`reconcile`]).
+//! through recovery ([`reconcile`]). A damaged journal is healed from the
+//! freshest peer's mirror ([`recover_with_quorum`]).
 
 use crate::engine::{GenericBroker, RecoveryReport};
 use crate::journal::{self, CommandKind, JournalRecord};
@@ -37,330 +47,16 @@ use mddsm_meta::model::Model;
 use mddsm_sim::net::{Network, SendOutcome};
 use mddsm_sim::resource::ResourceHub;
 use mddsm_sim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-/// Journal-shipping discipline (the `ShipMode` enumeration of the
-/// Fig. 6 metamodel extension).
+/// Journal-shipping discipline of one replica-set lane (the `ShipMode`
+/// enumeration of the Fig. 6 metamodel extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShipMode {
     /// Best-effort: ship everything pending, commit without waiting.
     Async,
     /// Windowed with retransmission: commit implies replicated.
     AckWindowed,
-}
-
-/// Compiled replication parameters of a broker model's
-/// `ReplicationManager` (all model-defined).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicationConfig {
-    /// Simulated-network node the standby listens on.
-    pub standby_node: String,
-    /// Shipping discipline.
-    pub mode: ShipMode,
-    /// `AckWindowed`: max unacknowledged journal lines in flight.
-    pub window_records: u64,
-    /// Virtual time before an unacked batch is retransmitted.
-    pub ack_timeout: SimDuration,
-    /// Lag at which the standard autonomic rule alerts (0 = off).
-    pub lag_alert_records: u64,
-}
-
-impl ReplicationConfig {
-    /// Compiles the `ReplicationManager` of a broker model; `None` when
-    /// the model declares no replication.
-    pub fn from_model(model: &Model) -> Result<Option<Self>> {
-        let Some(&mgr) = model.all_of_class("ReplicationManager").first() else {
-            return Ok(None);
-        };
-        let standby_node = model
-            .attr_str(mgr, "standby")
-            .ok_or_else(|| {
-                BrokerError::InvalidModel("ReplicationManager needs a standby node".into())
-            })?
-            .to_owned();
-        let mode = match model.attr(mgr, "mode").and_then(|v| v.as_enum_literal()) {
-            Some("Async") => ShipMode::Async,
-            Some("AckWindowed") => ShipMode::AckWindowed,
-            other => {
-                return Err(BrokerError::InvalidModel(format!(
-                    "ReplicationManager has bad mode {other:?}"
-                )))
-            }
-        };
-        let int = |name: &str, default: i64| model.attr_int(mgr, name).unwrap_or(default).max(0);
-        Ok(Some(ReplicationConfig {
-            standby_node,
-            mode,
-            window_records: int("windowRecords", 32) as u64,
-            ack_timeout: SimDuration::from_micros(int("ackTimeoutUs", 10_000) as u64),
-            lag_alert_records: int("lagAlertRecords", 0) as u64,
-        }))
-    }
-}
-
-/// What one [`Replicator::tick`] did.
-#[derive(Debug, Clone, Default)]
-pub struct ShipReport {
-    /// Journal lines attempted on the wire this tick.
-    pub shipped: u64,
-    /// Lines newly covered by the standby's cumulative ack.
-    pub newly_acked: u64,
-    /// Attempts that re-sent a line already shipped before (go-back-N).
-    pub retransmitted: u64,
-    /// Virtual link time both legs consumed (the caller charges it).
-    pub latency: SimDuration,
-    /// Set when the receiver fenced us: we shipped under a stale epoch.
-    pub fenced: Option<BrokerError>,
-}
-
-/// The primary-side shipping engine. Reads new lines from the primary's
-/// journal bytes, keeps the in-flight window, retransmits on ack
-/// timeout, and exposes its health OCL-addressably through a small
-/// (non-journaled) metrics [`StateManager`]:
-///
-/// | key | meaning |
-/// |---|---|
-/// | `repl_lag` | journal lines enqueued but not yet acked |
-/// | `repl_acked_lsn` | newest state LSN known applied on the standby |
-/// | `repl_epoch` | epoch the replicator currently ships under |
-/// | `repl_retransmits` | ack-timeout go-backs so far |
-/// | `repl_fenced` | times a receiver refused us as stale |
-///
-/// [`crate::autonomic::replication_rules`] are written over these keys.
-#[derive(Debug)]
-pub struct Replicator {
-    cfg: ReplicationConfig,
-    node: String,
-    epoch: u64,
-    /// Bytes of the primary journal already ingested into the outbox.
-    read_offset: usize,
-    /// Unacked lines: `(seq, state LSN the line commits, framed line)`.
-    outbox: VecDeque<(u64, Option<u64>, String)>,
-    next_seq: u64,
-    acked_seq: u64,
-    /// Lines below this were attempted since the last go-back.
-    shipped_high: u64,
-    /// High-water mark of every attempt ever (detects retransmissions).
-    ever_shipped: u64,
-    last_ship: Option<SimTime>,
-    acked_lsn: u64,
-    retransmit_events: u64,
-    fenced_count: u64,
-    metrics: StateManager,
-}
-
-impl Replicator {
-    /// Creates a replicator for a primary living on network node `node`.
-    pub fn new(cfg: ReplicationConfig, node: &str) -> Self {
-        let mut metrics = StateManager::new();
-        metrics.set_int("repl_lag", 0);
-        metrics.set_int("repl_acked_lsn", 0);
-        metrics.set_int("repl_epoch", 1);
-        metrics.set_int("repl_retransmits", 0);
-        metrics.set_int("repl_fenced", 0);
-        Replicator {
-            cfg,
-            node: node.to_owned(),
-            epoch: 1,
-            read_offset: 0,
-            outbox: VecDeque::new(),
-            next_seq: 0,
-            acked_seq: 0,
-            shipped_high: 0,
-            ever_shipped: 0,
-            last_ship: None,
-            acked_lsn: 0,
-            retransmit_events: 0,
-            fenced_count: 0,
-            metrics,
-        }
-    }
-
-    /// Compiles the model's `ReplicationManager` and builds the
-    /// replicator; `None` when the model declares no replication.
-    pub fn from_model(model: &Model, node: &str) -> Result<Option<Self>> {
-        Ok(ReplicationConfig::from_model(model)?.map(|cfg| Self::new(cfg, node)))
-    }
-
-    /// The compiled configuration.
-    pub fn config(&self) -> &ReplicationConfig {
-        &self.cfg
-    }
-
-    /// Journal lines enqueued but not yet acknowledged.
-    pub fn lag(&self) -> u64 {
-        self.next_seq - self.acked_seq
-    }
-
-    /// `true` once every ingested journal line is acknowledged.
-    pub fn synced(&self) -> bool {
-        self.lag() == 0
-    }
-
-    /// Newest state LSN known applied on the standby.
-    pub fn acked_lsn(&self) -> u64 {
-        self.acked_lsn
-    }
-
-    /// Ack-timeout go-back events so far.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmit_events
-    }
-
-    /// The OCL-addressable metrics model (see the type docs for keys).
-    pub fn metrics(&self) -> &StateManager {
-        &self.metrics
-    }
-
-    /// Mutable metrics access — the autonomic manager ticks its
-    /// replication rules against this state.
-    pub fn metrics_mut(&mut self) -> &mut StateManager {
-        &mut self.metrics
-    }
-
-    /// One shipping cycle at virtual instant `now`, under fencing epoch
-    /// `epoch` (the primary's [`GenericBroker::epoch`]): ingests new
-    /// journal bytes, goes back to the acked cursor when the ack timeout
-    /// expired, ships the window, and processes synchronous acks.
-    ///
-    /// Corrupt journal lines surface as errors; being *fenced* by the
-    /// receiver is reported in-band ([`ShipReport::fenced`]) because the
-    /// replicator itself is healthy — its primary is just stale.
-    pub fn tick(
-        &mut self,
-        now: SimTime,
-        epoch: u64,
-        net: &Network,
-        journal_bytes: &[u8],
-        standby: &mut Standby,
-    ) -> Result<ShipReport> {
-        self.epoch = epoch;
-        self.ingest(journal_bytes)?;
-        let mut report = ShipReport::default();
-
-        // Ack timeout: go back to the cumulative-ack cursor.
-        if self.acked_seq < self.shipped_high {
-            if let Some(t) = self.last_ship {
-                if now.since(t) >= self.cfg.ack_timeout {
-                    self.shipped_high = self.acked_seq;
-                    self.retransmit_events += 1;
-                    self.metrics
-                        .set_int("repl_retransmits", self.retransmit_events as i64);
-                }
-            }
-        }
-
-        let window_end = match self.cfg.mode {
-            ShipMode::Async => self.next_seq,
-            ShipMode::AckWindowed => self.acked_seq + self.cfg.window_records,
-        }
-        .min(self.next_seq);
-
-        let batch: Vec<(u64, String)> = self
-            .outbox
-            .iter()
-            .filter(|(seq, _, _)| *seq >= self.shipped_high && *seq < window_end)
-            .map(|(seq, _, line)| (*seq, line.clone()))
-            .collect();
-
-        for (seq, line) in batch {
-            if seq < self.ever_shipped {
-                report.retransmitted += 1;
-            }
-            self.shipped_high = seq + 1;
-            self.ever_shipped = self.ever_shipped.max(self.shipped_high);
-            self.last_ship = Some(now);
-            report.shipped += 1;
-            let SendOutcome::Scheduled(out) = net.transmit(&self.node, &self.cfg.standby_node)
-            else {
-                // Data leg dropped: the rest of the batch would arrive as
-                // a gap and be refused anyway — wait for the ack timeout.
-                break;
-            };
-            report.latency = report.latency.saturating_add(out);
-            match standby.receive(seq, &line, self.epoch) {
-                Err(e @ BrokerError::StaleEpoch { .. }) => {
-                    self.fenced_count += 1;
-                    self.metrics
-                        .set_int("repl_fenced", self.fenced_count as i64);
-                    report.fenced = Some(e);
-                    break;
-                }
-                Err(e) => return Err(e),
-                Ok(received) => {
-                    // Ack leg: the cumulative ack only counts when it
-                    // makes it back.
-                    if let SendOutcome::Scheduled(back) =
-                        net.transmit(&self.cfg.standby_node, &self.node)
-                    {
-                        report.latency = report.latency.saturating_add(back);
-                        if received > self.acked_seq {
-                            report.newly_acked += received - self.acked_seq;
-                            self.advance_ack(received);
-                        }
-                    }
-                }
-            }
-        }
-
-        self.metrics.set_int("repl_lag", self.lag() as i64);
-        self.metrics
-            .set_int("repl_acked_lsn", self.acked_lsn as i64);
-        self.metrics.set_int("repl_epoch", self.epoch as i64);
-        Ok(report)
-    }
-
-    /// Drops journal history the standby has acknowledged:
-    /// [`GenericBroker::truncate_journal_to`] at the acked LSN, with the
-    /// replicator's read cursor shifted to match the rewritten bytes.
-    /// Returns the bytes reclaimed.
-    pub fn truncate_primary(&mut self, broker: &mut GenericBroker) -> usize {
-        let reclaimed = broker.truncate_journal_to(self.acked_lsn);
-        // The cut prefix was fully ingested (it is acked), so the cursor
-        // shifts left by exactly the reclaimed byte count.
-        self.read_offset = self.read_offset.saturating_sub(reclaimed);
-        reclaimed
-    }
-
-    fn advance_ack(&mut self, received: u64) {
-        while let Some((seq, lsn, _)) = self.outbox.front() {
-            if *seq >= received {
-                break;
-            }
-            if let Some(lsn) = lsn {
-                self.acked_lsn = self.acked_lsn.max(*lsn);
-            }
-            self.outbox.pop_front();
-        }
-        self.acked_seq = received;
-    }
-
-    /// Ingests complete journal lines appended since the last tick.
-    fn ingest(&mut self, journal_bytes: &[u8]) -> Result<()> {
-        while let Some(nl) = journal_bytes[self.read_offset..]
-            .iter()
-            .position(|&b| b == b'\n')
-        {
-            let end = self.read_offset + nl;
-            let line = std::str::from_utf8(&journal_bytes[self.read_offset..end])
-                .map_err(|e| BrokerError::RecoveryDiverged(format!("journal is not UTF-8: {e}")))?
-                .to_owned();
-            self.read_offset = end + 1;
-            if line.is_empty() {
-                continue;
-            }
-            let lsn = match journal::parse_line(&line)? {
-                JournalRecord::Op(op) => Some(op.lsn()),
-                JournalRecord::OpCoalesced { op, .. } => Some(op.lsn()),
-                JournalRecord::Upgrade { ops, .. } => ops.last().map(|op| op.lsn()),
-                JournalRecord::Snapshot { state, .. } => Some(state.version),
-                _ => None,
-            };
-            self.outbox.push_back((self.next_seq, lsn, line));
-            self.next_seq += 1;
-        }
-        Ok(())
-    }
 }
 
 /// One member of a model-defined replica set: the node it listens on and
@@ -402,9 +98,7 @@ impl ReplicaSetConfig {
         for &r in model.refs(mgr, "replicas") {
             let node = model
                 .attr_str(r, "node")
-                .ok_or_else(|| {
-                    BrokerError::InvalidModel("ReplicaNode needs a node name".into())
-                })?
+                .ok_or_else(|| BrokerError::InvalidModel("ReplicaNode needs a node name".into()))?
                 .to_owned();
             if !seen.insert(node.clone()) {
                 return Err(BrokerError::InvalidModel(format!(
@@ -435,7 +129,11 @@ impl ReplicaSetConfig {
         }
         let total = peers.len() as u64 + 1;
         let declared = model.attr_int(mgr, "quorum").unwrap_or(0).max(0) as u64;
-        let quorum = if declared == 0 { total / 2 + 1 } else { declared };
+        let quorum = if declared == 0 {
+            total / 2 + 1
+        } else {
+            declared
+        };
         if quorum < 1 || quorum > total {
             return Err(BrokerError::InvalidModel(format!(
                 "ReplicaSet quorum {quorum} is outside 1..={total}"
@@ -498,11 +196,12 @@ pub struct QuorumShipReport {
 /// record at or below the commit LSN is held by at least `quorum` nodes,
 /// so it survives any minority failure.
 ///
-/// Unlike [`Replicator`], the outbox keeps the *full* shipped history
-/// (lines are never popped on ack), so a peer that lost its mirror can be
-/// re-shipped from sequence 0 with [`QuorumReplicator::reset_peer`].
+/// The outbox keeps the *full* shipped history (lines are never popped on
+/// ack), so a peer that lost its mirror can be re-shipped from sequence 0
+/// with [`QuorumReplicator::reset_peer`].
 ///
-/// Health is OCL-addressable through the metrics [`StateManager`]:
+/// Health is OCL-addressable through the metrics [`StateManager`];
+/// [`crate::autonomic::replication_rules`] are written over these keys:
 ///
 /// | key | meaning |
 /// |---|---|
@@ -711,7 +410,9 @@ impl QuorumReplicator {
                     ShipMode::AckWindowed => lane.acked_seq + lane.cfg.window_records,
                 }
                 .min(self.next_seq);
-                (lane.shipped_high, end)
+                // Never re-send below the peer's cumulative ack: a replica
+                // rebuilt from a mirror can ack past what this lane shipped.
+                (lane.shipped_high.max(lane.acked_seq), end)
             };
 
             let batch: Vec<(u64, String)> = self
@@ -746,9 +447,7 @@ impl QuorumReplicator {
                     }
                     Err(e) => return Err(e),
                     Ok(received) => {
-                        if let SendOutcome::Scheduled(back) =
-                            net.transmit(&peer_node, &self.node)
-                        {
+                        if let SendOutcome::Scheduled(back) = net.transmit(&peer_node, &self.node) {
                             report.latency = report.latency.saturating_add(back);
                             // A survivor of an earlier primary can re-ack
                             // a cursor past this stream's head; cap it.
@@ -903,9 +602,8 @@ impl Standby {
             if body.is_empty() {
                 continue;
             }
-            let line = std::str::from_utf8(body).map_err(|e| {
-                BrokerError::RecoveryDiverged(format!("mirror is not UTF-8: {e}"))
-            })?;
+            let line = std::str::from_utf8(body)
+                .map_err(|e| BrokerError::RecoveryDiverged(format!("mirror is not UTF-8: {e}")))?;
             // Pass the standby's *current* epoch so embedded Epoch
             // records (which raise it) keep the replay admissible.
             let (seq, e) = (sb.received, sb.epoch);
@@ -1227,59 +925,6 @@ pub fn repair_journal(local: &[u8], standby: &Standby) -> Result<(Vec<u8>, Journ
     Ok((healed, report))
 }
 
-/// Recovery with the anti-entropy fallback: ordinary
-/// [`GenericBroker::recover`] when the journal is clean or merely torn
-/// *and* the standby holds nothing beyond it; otherwise the journal is
-/// first healed from the mirror with [`repair_journal`] and recovery runs
-/// over the healed bytes. Repair triggers on:
-///
-/// * interior [`BrokerError::JournalDamaged`] — bit-rot the mirror can
-///   replace;
-/// * a torn tail that cut below what the standby already applied
-///   (acknowledged records must never be lost);
-/// * a mirror that extends past the local journal's intact prefix — a
-///   *clean* tail loss (unsynced writes dropped by a power cut) leaves no
-///   torn marker and may drop only command records (which carry no LSN),
-///   so it is only visible by comparing against the mirror.
-///
-/// The repair provenance is journaled as a `Note` on the recovered
-/// instance.
-pub fn recover_with_anti_entropy(
-    model: &Model,
-    hub: ResourceHub,
-    journal_bytes: &[u8],
-    invariants: &[&str],
-    standby: &Standby,
-) -> Result<(GenericBroker, RecoveryReport, Option<JournalRepair>)> {
-    let mirror = standby.journal_bytes();
-    let needs_repair = match journal::replay(journal_bytes) {
-        Err(BrokerError::JournalDamaged { .. }) => true,
-        Err(e) => return Err(e),
-        Ok(r) => {
-            let intact = match &r.torn {
-                Some(t) => &journal_bytes[..t.offset as usize],
-                None => journal_bytes,
-            };
-            (mirror.len() > intact.len() && mirror.starts_with(intact))
-                || r.state.version() < standby.applied_lsn()
-        }
-    };
-    if !needs_repair {
-        let (broker, report) = GenericBroker::recover(model, hub, journal_bytes, invariants)?;
-        return Ok((broker, report, None));
-    }
-    let (healed, repair) = repair_journal(journal_bytes, standby)?;
-    let (mut broker, report) = GenericBroker::recover(model, hub, &healed, invariants)?;
-    broker.journal_note(&format!(
-        "anti-entropy repair from standby {}: {} common line(s), {} fetched, {} kept from tail",
-        standby.node(),
-        repair.common_lines,
-        repair.fetched_lines,
-        repair.kept_tail_lines
-    ));
-    Ok((broker, report, Some(repair)))
-}
-
 /// Picks the freshest anti-entropy source from a replica set: the
 /// standby with the largest applied LSN, ties broken by the longest
 /// mirror (most lines received), then by slice order — deterministic, so
@@ -1302,11 +947,27 @@ pub fn select_repair_source<'a>(candidates: &[&'a Standby]) -> Option<&'a Standb
     best
 }
 
-/// [`recover_with_anti_entropy`] generalized to a replica set: the
-/// freshest reachable peer ([`select_repair_source`]) serves as the
-/// repair source instead of "the standby". Errs when `peers` is empty —
-/// with no mirror in reach, the caller falls back to plain recovery or
-/// quarantine.
+/// Recovery with the anti-entropy fallback over a replica set: the
+/// freshest reachable peer ([`select_repair_source`]) is the repair
+/// source. Ordinary [`GenericBroker::recover`] runs when the journal is
+/// clean or merely torn *and* the source holds nothing beyond it;
+/// otherwise the journal is first healed from the source's mirror with
+/// [`repair_journal`] and recovery runs over the healed bytes. Repair
+/// triggers on:
+///
+/// * interior [`BrokerError::JournalDamaged`] — bit-rot the mirror can
+///   replace;
+/// * a torn tail that cut below what the source already applied
+///   (acknowledged records must never be lost);
+/// * a mirror that extends past the local journal's intact prefix — a
+///   *clean* tail loss (unsynced writes dropped by a power cut) leaves no
+///   torn marker and may drop only command records (which carry no LSN),
+///   so it is only visible by comparing against the mirror.
+///
+/// The repair provenance is journaled as a `Note` on the recovered
+/// instance. A hot standby passes its one standby. Errs when `peers` is
+/// empty — with no mirror in reach, the caller falls back to plain
+/// recovery or quarantine.
 pub fn recover_with_quorum(
     model: &Model,
     hub: ResourceHub,
@@ -1319,7 +980,33 @@ pub fn recover_with_quorum(
             "quorum recovery needs at least one reachable replica mirror".to_owned(),
         )
     })?;
-    recover_with_anti_entropy(model, hub, journal_bytes, invariants, source)
+    let mirror = source.journal_bytes();
+    let needs_repair = match journal::replay(journal_bytes) {
+        Err(BrokerError::JournalDamaged { .. }) => true,
+        Err(e) => return Err(e),
+        Ok(r) => {
+            let intact = match &r.torn {
+                Some(t) => &journal_bytes[..t.offset as usize],
+                None => journal_bytes,
+            };
+            (mirror.len() > intact.len() && mirror.starts_with(intact))
+                || r.state.version() < source.applied_lsn()
+        }
+    };
+    if !needs_repair {
+        let (broker, report) = GenericBroker::recover(model, hub, journal_bytes, invariants)?;
+        return Ok((broker, report, None));
+    }
+    let (healed, repair) = repair_journal(journal_bytes, source)?;
+    let (mut broker, report) = GenericBroker::recover(model, hub, &healed, invariants)?;
+    broker.journal_note(&format!(
+        "anti-entropy repair from standby {}: {} common line(s), {} fetched, {} kept from tail",
+        source.node(),
+        repair.common_lines,
+        repair.fetched_lines,
+        repair.kept_tail_lines
+    ));
+    Ok((broker, report, Some(repair)))
 }
 
 #[cfg(test)]
@@ -1337,86 +1024,75 @@ mod tests {
         h
     }
 
-    fn model() -> Model {
+    /// The counter model, replicated to `lanes` under `quorum`.
+    fn replicated(quorum: u64, lanes: &[(&str, &str, u64, u64)]) -> Model {
         BrokerModelBuilder::new("rep")
             .call_handler("inc", "inc")
             .action("inc", "doInc", "ctr", "inc", &[], None, &["count=+1"])
             .bind_resource("ctr", "sim.ctr")
-            .replication("b", "AckWindowed", 4, 5_000, 8)
+            .replica_set(quorum, lanes)
             .build()
+    }
+
+    /// A replica set over `peers`, every lane ack-windowed (window 4).
+    fn quorum_model(quorum: u64, peers: &[&str]) -> Model {
+        let lanes: Vec<(&str, &str, u64, u64)> = peers
+            .iter()
+            .map(|n| (*n, "AckWindowed", 4, 5_000))
+            .collect();
+        replicated(quorum, &lanes)
+    }
+
+    /// A hot standby: the one-peer set `b` with quorum 2.
+    fn model() -> Model {
+        quorum_model(2, &["b"])
     }
 
     fn net() -> Network {
         Network::new(Link::default(), 99)
     }
 
-    fn primary() -> GenericBroker {
-        let mut b = GenericBroker::from_model(&model(), hub()).unwrap();
+    fn primary(m: &Model) -> GenericBroker {
+        let mut b = GenericBroker::from_model(m, hub()).unwrap();
         b.enable_journal(SNAPSHOT_EVERY);
         b
     }
 
-    /// Ships until synced or `rounds` timeouts elapse; returns the tick
-    /// count used.
+    /// Ships until every peer is synced or `rounds` timeouts elapse.
     fn drain(
-        rep: &mut Replicator,
+        rep: &mut QuorumReplicator,
         net: &Network,
         broker: &GenericBroker,
-        standby: &mut Standby,
+        peers: &mut [&mut Standby],
         rounds: u32,
-    ) -> u32 {
-        let step = rep.config().ack_timeout;
+    ) {
+        let step = SimDuration::from_micros(5_000);
         let mut now = SimTime::ZERO;
-        for tick in 0..rounds {
+        for _ in 0..rounds {
             let bytes = broker.journal_bytes().unwrap();
-            rep.tick(now, broker.epoch(), net, bytes, standby).unwrap();
+            rep.tick(now, broker.epoch(), net, bytes, peers).unwrap();
             if rep.synced() {
-                return tick + 1;
+                return;
             }
             now = now + step;
-        }
-        rounds
-    }
-
-    #[test]
-    fn config_compiles_from_the_model() {
-        assert!(
-            ReplicationConfig::from_model(&BrokerModelBuilder::new("p").build())
-                .unwrap()
-                .is_none()
-        );
-        let cfg = ReplicationConfig::from_model(&model()).unwrap().unwrap();
-        assert_eq!(
-            cfg,
-            ReplicationConfig {
-                standby_node: "b".into(),
-                mode: ShipMode::AckWindowed,
-                window_records: 4,
-                ack_timeout: SimDuration::from_micros(5_000),
-                lag_alert_records: 8,
-            }
-        );
-        // A ReplicationManager without a standby node is an invalid model.
-        let mut broken = Model::new(crate::model::BROKER_METAMODEL);
-        broken.create("ReplicationManager");
-        match ReplicationConfig::from_model(&broken) {
-            Err(BrokerError::InvalidModel(m)) => assert!(m.contains("standby"), "{m}"),
-            other => panic!("expected InvalidModel, got {other:?}"),
         }
     }
 
     #[test]
     fn journal_ships_and_the_standby_tracks_the_primary() {
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+        let m = model();
+        let mut broker = primary(&m);
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut standby = Standby::new("b");
         let net = net();
 
         for _ in 0..10 {
             broker.call("inc", &args(&[])).unwrap();
-            drain(&mut rep, &net, &broker, &mut standby, 4);
+            drain(&mut rep, &net, &broker, &mut [&mut standby], 4);
         }
-        assert!(rep.synced());
+        // One peer under quorum 2: synced and quorum-synced coincide.
+        assert!(rep.synced() && rep.quorum_synced());
+        assert_eq!(rep.quorum(), 2);
         assert_eq!(rep.lag(), 0);
         assert_eq!(rep.metrics().int("repl_lag"), Some(0));
         // The standby's live model matches the primary's, and the mirror
@@ -1427,14 +1103,16 @@ mod tests {
             "standby diverged"
         );
         assert_eq!(standby.journal_bytes(), broker.journal_bytes().unwrap());
-        assert_eq!(rep.acked_lsn(), broker.state().version());
+        assert_eq!(rep.acked_lsn("b"), broker.state().version());
+        assert_eq!(rep.commit_lsn(), broker.state().version());
         assert_eq!(standby.state().int("count"), Some(10));
     }
 
     #[test]
     fn lossy_links_retransmit_until_the_standby_converges() {
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+        let m = model();
+        let mut broker = primary(&m);
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut standby = Standby::new("b");
         let net = net();
         net.set_link_loss("a", "b", 0.5);
@@ -1443,7 +1121,7 @@ mod tests {
         for _ in 0..20 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        drain(&mut rep, &net, &broker, &mut standby, 400);
+        drain(&mut rep, &net, &broker, &mut [&mut standby], 400);
         assert!(rep.synced(), "never converged under loss");
         assert!(rep.retransmits() > 0, "0.5 loss must force retransmission");
         assert_eq!(
@@ -1456,8 +1134,9 @@ mod tests {
 
     #[test]
     fn the_ack_window_bounds_what_goes_on_the_wire() {
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+        let m = model();
+        let mut broker = primary(&m);
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut standby = Standby::new("b");
         let net = net();
         net.partition_node("b");
@@ -1465,23 +1144,25 @@ mod tests {
         for _ in 0..20 {
             broker.call("inc", &args(&[])).unwrap();
         }
+        let window = rep.config().peers[0].window_records;
         let bytes = broker.journal_bytes().unwrap().to_vec();
         let r = rep
-            .tick(SimTime::ZERO, 1, &net, &bytes, &mut standby)
+            .tick(SimTime::ZERO, 1, &net, &bytes, &mut [&mut standby])
             .unwrap();
         // Go-back-N stops a batch on the first dropped leg, so at most
         // one line hits a partitioned wire — and never more than the
         // window even on healthy ones.
-        assert!(r.shipped <= rep.config().window_records);
-        assert!(rep.lag() > rep.config().window_records);
+        assert!(r.shipped <= window);
+        assert!(rep.lag() > window);
         assert_eq!(standby.received(), 0);
+        assert_eq!(rep.commit_lsn(), 0, "nothing commits without the standby");
     }
 
     #[test]
     fn promotion_fences_the_stale_primary() {
         let m = model();
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&m, "a").unwrap().unwrap();
+        let mut broker = primary(&m);
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut standby = Standby::new("b");
         let net = net();
 
@@ -1489,7 +1170,7 @@ mod tests {
         for _ in 0..5 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        drain(&mut rep, &net, &broker, &mut standby, 4);
+        drain(&mut rep, &net, &broker, &mut [&mut standby], 4);
         net.partition_node("a");
         // The stranded primary keeps serving (split brain in the making).
         broker.call("inc", &args(&[])).unwrap();
@@ -1509,15 +1190,11 @@ mod tests {
                 broker.epoch(),
                 &net,
                 &bytes,
-                &mut standby,
+                &mut [&mut standby],
             )
             .unwrap();
-        match r.fenced {
-            Some(BrokerError::StaleEpoch { got, current }) => {
-                assert_eq!((got, current), (1, 2));
-            }
-            other => panic!("stale primary must be fenced, got {other:?}"),
-        }
+        assert_eq!(r.fenced, 1, "the stale primary must be fenced");
+        assert_eq!(rep.fenced(), 1);
         assert_eq!(rep.metrics().int("repl_fenced"), Some(1));
         // Direct receive refuses with the typed error too, and applies
         // nothing.
@@ -1538,15 +1215,15 @@ mod tests {
     #[test]
     fn reconcile_discards_the_stale_suffix_and_rebuilds() {
         let m = model();
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&m, "a").unwrap().unwrap();
+        let mut broker = primary(&m);
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut standby = Standby::new("b");
         let net = net();
 
         for _ in 0..4 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        drain(&mut rep, &net, &broker, &mut standby, 4);
+        drain(&mut rep, &net, &broker, &mut [&mut standby], 4);
         // Partition; both sides write: the primary's writes are doomed.
         net.partition_node("a");
         broker.call("inc", &args(&[])).unwrap();
@@ -1579,15 +1256,16 @@ mod tests {
 
     #[test]
     fn truncation_keeps_the_ship_cursor_consistent() {
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+        let m = model();
+        let mut broker = primary(&m);
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut standby = Standby::new("b");
         let net = net();
 
         for _ in 0..SNAPSHOT_EVERY + 2 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        drain(&mut rep, &net, &broker, &mut standby, 8);
+        drain(&mut rep, &net, &broker, &mut [&mut standby], 8);
         assert!(rep.synced());
         let reclaimed = rep.truncate_primary(&mut broker);
         assert!(
@@ -1599,7 +1277,7 @@ mod tests {
         for _ in 0..3 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        drain(&mut rep, &net, &broker, &mut standby, 8);
+        drain(&mut rep, &net, &broker, &mut [&mut standby], 8);
         assert!(rep.synced());
         assert_eq!(broker.state().first_divergence(standby.state()), None);
         assert_eq!(
@@ -1619,13 +1297,14 @@ mod tests {
     /// A fully-synced primary/standby pair plus a pristine copy of the
     /// primary's journal bytes, after `calls` increments.
     fn synced_pair(calls: u32) -> (GenericBroker, Standby, Vec<u8>) {
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+        let m = model();
+        let mut broker = primary(&m);
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut standby = Standby::new("b");
         let net = net();
         for _ in 0..calls {
             broker.call("inc", &args(&[])).unwrap();
-            drain(&mut rep, &net, &broker, &mut standby, 4);
+            drain(&mut rep, &net, &broker, &mut [&mut standby], 4);
         }
         assert!(rep.synced());
         let pristine = broker.journal_bytes().unwrap().to_vec();
@@ -1660,7 +1339,7 @@ mod tests {
         // End-to-end: recovery with the anti-entropy fallback rebuilds the
         // exact pre-damage state and journals the repair provenance.
         let (recovered, _report, rep) =
-            recover_with_anti_entropy(&m, hub(), &damaged, &[], &standby).unwrap();
+            recover_with_quorum(&m, hub(), &damaged, &[], &[&standby]).unwrap();
         assert_eq!(rep.as_ref(), Some(&repair));
         assert_eq!(recovered.state().int("count"), Some(6));
         assert_eq!(recovered.state().first_divergence(standby.state()), None);
@@ -1701,7 +1380,7 @@ mod tests {
         assert!(standby.applied_lsn() > t.last_lsn, "acked past the tear");
         // The anti-entropy path refuses to lose it: heal from the mirror.
         let (recovered, report, rep) =
-            recover_with_anti_entropy(&m, hub(), torn, &[], &standby).unwrap();
+            recover_with_quorum(&m, hub(), torn, &[], &[&standby]).unwrap();
         assert!(rep.is_some(), "ack-window check must force a repair");
         assert_eq!(report.torn_records_dropped, 0);
         assert_eq!(recovered.state().int("count"), Some(5), "no committed loss");
@@ -1725,7 +1404,7 @@ mod tests {
             .map_or(0, |i| i + 1);
         let torn = &bytes[..last_line_start + 3];
         let (recovered, report, rep) =
-            recover_with_anti_entropy(&m, hub(), torn, &[], &standby).unwrap();
+            recover_with_quorum(&m, hub(), torn, &[], &[&standby]).unwrap();
         assert!(rep.is_none(), "unacked tear needs no standby round-trip");
         assert_eq!(report.torn_records_dropped, 1);
         // The unacked in-flight record is (correctly) gone; everything
@@ -1748,7 +1427,7 @@ mod tests {
         let r = journal::replay(clipped).unwrap();
         assert!(r.torn.is_none(), "a clean cut leaves no torn marker");
         let (recovered, _report, rep) =
-            recover_with_anti_entropy(&m, hub(), clipped, &[], &standby).unwrap();
+            recover_with_quorum(&m, hub(), clipped, &[], &[&standby]).unwrap();
         assert!(rep.is_some(), "the mirror comparison must force a repair");
         assert_eq!(recovered.state().int("count"), Some(4));
         let jb = recovered.journal_bytes().unwrap();
@@ -1792,7 +1471,7 @@ mod tests {
             "every readable local-only line survives the repair"
         );
         let (recovered, _report, rep) =
-            recover_with_anti_entropy(&m, hub(), &damaged, &[], &standby).unwrap();
+            recover_with_quorum(&m, hub(), &damaged, &[], &[&standby]).unwrap();
         assert!(rep.is_some());
         assert_eq!(recovered.state().int("count"), Some(4));
     }
@@ -1839,47 +1518,6 @@ mod tests {
         assert_eq!(repair.source_node, "b");
     }
 
-    // ----- quorum replica sets -----
-
-    fn quorum_model(quorum: u64, peers: &[&str]) -> Model {
-        let lanes: Vec<(&str, &str, u64, u64)> = peers
-            .iter()
-            .map(|n| (*n, "AckWindowed", 4, 5_000))
-            .collect();
-        BrokerModelBuilder::new("qrep")
-            .call_handler("inc", "inc")
-            .action("inc", "doInc", "ctr", "inc", &[], None, &["count=+1"])
-            .bind_resource("ctr", "sim.ctr")
-            .replica_set(quorum, &lanes)
-            .build()
-    }
-
-    fn quorum_primary(m: &Model) -> GenericBroker {
-        let mut b = GenericBroker::from_model(m, hub()).unwrap();
-        b.enable_journal(SNAPSHOT_EVERY);
-        b
-    }
-
-    /// Ships until every peer is synced or `rounds` timeouts elapse.
-    fn qdrain(
-        rep: &mut QuorumReplicator,
-        net: &Network,
-        broker: &GenericBroker,
-        peers: &mut [&mut Standby],
-        rounds: u32,
-    ) {
-        let step = SimDuration::from_micros(5_000);
-        let mut now = SimTime::ZERO;
-        for _ in 0..rounds {
-            let bytes = broker.journal_bytes().unwrap();
-            rep.tick(now, broker.epoch(), net, bytes, peers).unwrap();
-            if rep.synced() {
-                return;
-            }
-            now = now + step;
-        }
-    }
-
     #[test]
     fn replica_set_config_compiles_and_validates() {
         assert!(
@@ -1899,12 +1537,75 @@ mod tests {
             Err(BrokerError::InvalidModel(msg)) => assert!(msg.contains("quorum"), "{msg}"),
             other => panic!("expected InvalidModel, got {other:?}"),
         }
+        // A hot standby is a one-peer set: its majority is both nodes.
+        let cfg = ReplicaSetConfig::from_model(&quorum_model(0, &["b"]))
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            cfg,
+            ReplicaSetConfig {
+                quorum: 2,
+                peers: vec![ReplicaPeer {
+                    node: "b".into(),
+                    mode: ShipMode::AckWindowed,
+                    window_records: 4,
+                    ack_timeout: SimDuration::from_micros(5_000),
+                }],
+            }
+        );
+        // A replica without a node name is an invalid model.
+        let mut broken = model();
+        let node = broken.all_of_class("ReplicaNode")[0];
+        broken.unset_attr(node, "node");
+        match ReplicaSetConfig::from_model(&broken) {
+            Err(BrokerError::InvalidModel(m)) => assert!(m.contains("node name"), "{m}"),
+            other => panic!("expected InvalidModel, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_lane_never_reships_below_its_peers_ack() {
+        // A replica rebuilt from a mirror acks its whole history on the
+        // first line a fresh lane ships to it. The lane must resume at
+        // that ack instead of re-sending everything below it.
+        let m = replicated(2, &[("b", "AckWindowed", 32, 5_000)]);
+        let mut broker = primary(&m);
+        while broker
+            .journal_bytes()
+            .unwrap()
+            .split(|&b| b == b'\n')
+            .count()
+            <= 226
+        {
+            broker.call("inc", &args(&[])).unwrap();
+        }
+        let bytes = broker.journal_bytes().unwrap().to_vec();
+        assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 226);
+        let mut standby = Standby::from_mirror("b", &bytes, 1).unwrap();
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
+        let net = net();
+        let r0 = rep
+            .tick(SimTime::ZERO, 1, &net, &bytes, &mut [&mut standby])
+            .unwrap();
+        assert_eq!(r0.newly_acked, 226, "the first re-ack covers the mirror");
+        assert!(rep.synced());
+        let r1 = rep
+            .tick(
+                SimTime::from_micros(1),
+                1,
+                &net,
+                &bytes,
+                &mut [&mut standby],
+            )
+            .unwrap();
+        assert_eq!(r1.shipped, 0, "nothing below the ack goes back on the wire");
+        assert_eq!(standby.journal_bytes(), &bytes[..]);
     }
 
     #[test]
     fn commit_lsn_is_the_quorum_th_largest_acked() {
         let m = quorum_model(2, &["b", "c"]);
-        let mut broker = quorum_primary(&m);
+        let mut broker = primary(&m);
         let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut b = Standby::new("b");
         let mut c = Standby::new("c");
@@ -1915,7 +1616,7 @@ mod tests {
         for _ in 0..6 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(!rep.synced(), "c can never ack through a partition");
         assert!(rep.quorum_synced(), "primary + b are a quorum");
         assert_eq!(rep.commit_lsn(), broker.state().version());
@@ -1928,8 +1629,7 @@ mod tests {
         );
         // Every committed LSN is on b byte-for-byte (the safety claim).
         let committed =
-            journal::prefix_through_lsn(broker.journal_bytes().unwrap(), rep.commit_lsn())
-                .unwrap();
+            journal::prefix_through_lsn(broker.journal_bytes().unwrap(), rep.commit_lsn()).unwrap();
         assert!(b.journal_bytes().starts_with(committed));
     }
 
@@ -1939,7 +1639,7 @@ mod tests {
         // not advance the commit point — and truncation must not drop
         // history below what the quorum holds.
         let m = quorum_model(3, &["b", "c"]);
-        let mut broker = quorum_primary(&m);
+        let mut broker = primary(&m);
         let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut b = Standby::new("b");
         let mut c = Standby::new("c");
@@ -1948,7 +1648,7 @@ mod tests {
         for _ in 0..SNAPSHOT_EVERY + 2 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert_eq!(rep.acked_lsn("b"), broker.state().version());
         assert_eq!(rep.commit_lsn(), 0, "2 holders < quorum 3: nothing commits");
         assert_eq!(
@@ -1958,7 +1658,7 @@ mod tests {
         );
         // Heal c: the full set converges and the commit point catches up.
         net.heal_node("c");
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(rep.synced());
         assert_eq!(rep.commit_lsn(), broker.state().version());
         assert!(
@@ -1967,7 +1667,7 @@ mod tests {
         );
         // Shipping continues seamlessly over the rewritten journal.
         broker.call("inc", &args(&[])).unwrap();
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(rep.synced());
         assert_eq!(broker.state().first_divergence(b.state()), None);
         assert_eq!(broker.state().first_divergence(c.state()), None);
@@ -1976,7 +1676,7 @@ mod tests {
     #[test]
     fn reset_peer_reships_the_full_history_to_a_fresh_mirror() {
         let m = quorum_model(2, &["b", "c"]);
-        let mut broker = quorum_primary(&m);
+        let mut broker = primary(&m);
         let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut b = Standby::new("b");
         let mut c = Standby::new("c");
@@ -1984,7 +1684,7 @@ mod tests {
         for _ in 0..5 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(rep.synced());
         let commit_before = rep.commit_lsn();
         // c loses its disk: revive it empty and rewind its lane.
@@ -1996,7 +1696,7 @@ mod tests {
             commit_before,
             "the commit point is monotone across a rewind"
         );
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(rep.synced());
         assert_eq!(c.journal_bytes(), broker.journal_bytes().unwrap());
         assert_eq!(broker.state().first_divergence(c.state()), None);
@@ -2005,7 +1705,7 @@ mod tests {
     #[test]
     fn one_fenced_lane_does_not_stop_the_others() {
         let m = quorum_model(2, &["b", "c"]);
-        let mut broker = quorum_primary(&m);
+        let mut broker = primary(&m);
         let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut b = Standby::new("b");
         let mut c = Standby::new("c");
@@ -2018,7 +1718,13 @@ mod tests {
         }
         let bytes = broker.journal_bytes().unwrap().to_vec();
         let r = rep
-            .tick(SimTime::ZERO, broker.epoch(), &net, &bytes, &mut [&mut b, &mut c])
+            .tick(
+                SimTime::ZERO,
+                broker.epoch(),
+                &net,
+                &bytes,
+                &mut [&mut b, &mut c],
+            )
             .unwrap();
         assert!(r.fenced >= 1, "c must fence the stale primary");
         assert!(b.received() > 0, "b's lane is unaffected");
@@ -2041,7 +1747,7 @@ mod tests {
     #[test]
     fn the_freshest_replica_serves_as_the_quorum_repair_source() {
         let m = quorum_model(2, &["b", "c"]);
-        let mut broker = quorum_primary(&m);
+        let mut broker = primary(&m);
         let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
         let mut b = Standby::new("b");
         let mut c = Standby::new("c");
@@ -2049,13 +1755,13 @@ mod tests {
         for _ in 0..4 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         // c falls behind: two more calls ship to b only.
         net.partition_node("c");
         for _ in 0..2 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(b.applied_lsn() > c.applied_lsn());
         let src = select_repair_source(&[&c, &b]).expect("two candidates");
         assert_eq!(src.node(), "b", "the freshest mirror wins");

@@ -291,10 +291,11 @@ fn overload_interleavings_replay_to_exact_state_and_mode() {
 }
 
 /// Any seeded interleaving of crash, stall, heal, and partition events
-/// against a supervised primary/standby group yields exactly one promoted
-/// primary per epoch: epochs are unique and strictly increasing, every
-/// promotion names exactly one component, and a failed-over component
-/// produces no further decisions until it rejoins.
+/// against a supervised primary and its hot standby (a one-member replica
+/// set) yields exactly one promoted primary per epoch: epochs are unique
+/// and strictly increasing, every promotion names exactly one component,
+/// and a failed-over component produces no further decisions until it
+/// rejoins.
 #[test]
 fn failover_interleavings_yield_one_primary_per_epoch() {
     use mddsm_broker::supervisor::{RestartPolicy, Supervisor, SupervisorDecision};
@@ -314,7 +315,7 @@ fn failover_interleavings_yield_one_primary_per_epoch() {
             },
         );
         let mut primary = "a".to_string();
-        sup.designate_standby("a", "b");
+        sup.designate_replica_set("a", &["b"]);
 
         let mut t_us = 0u64;
         let mut seen_epochs = BTreeSet::new();
@@ -340,7 +341,7 @@ fn failover_interleavings_yield_one_primary_per_epoch() {
                 for n in NODES {
                     if sup.awaiting_rejoin(n) {
                         sup.rejoin(n, now);
-                        sup.designate_standby(&primary, n);
+                        sup.designate_replica_set(&primary, &[n]);
                         break;
                     }
                 }

@@ -52,10 +52,7 @@ fn counter_model(members: &[String], quorum: u64) -> mddsm_meta::Model {
 /// The replica a quorum election would promote: reachable (not crashed,
 /// not partitioned from the set) with the longest applied prefix,
 /// first-wins on ties — the supervisor's rule.
-fn elect<'a>(
-    standbys: &'a BTreeMap<String, Standby>,
-    down: &[String],
-) -> Option<&'a Standby> {
+fn elect<'a>(standbys: &'a BTreeMap<String, Standby>, down: &[String]) -> Option<&'a Standby> {
     standbys
         .values()
         .filter(|s| !down.contains(&s.node().to_string()))
@@ -116,11 +113,9 @@ fn run_schedule(seed: u64, n: usize, quorum: u64, rounds: u64) {
                 down.push(victim);
             }
         }
-        if rng.chance(0.30) {
-            if !down.is_empty() {
-                let i = rng.range(0, down.len() as u64) as usize;
-                down.remove(i);
-            }
+        if rng.chance(0.30) && !down.is_empty() {
+            let i = rng.range(0, down.len() as u64) as usize;
+            down.remove(i);
         }
 
         // A client call, then shipping ticks to the reachable replicas.
@@ -150,11 +145,9 @@ fn run_schedule(seed: u64, n: usize, quorum: u64, rounds: u64) {
         // the quorum commit LSN — must survive byte-identically on the
         // replica an election over the reachable set would pick.
         let commit = rep.commit_lsn();
-        let committed = journal::prefix_through_lsn(
-            broker.journal_bytes().expect("journaling on"),
-            commit,
-        )
-        .expect("commit lsn is inside the primary's journal");
+        let committed =
+            journal::prefix_through_lsn(broker.journal_bytes().expect("journaling on"), commit)
+                .expect("commit lsn is inside the primary's journal");
         let winner = elect(&standbys, &down).expect("a majority is reachable");
         elections += 1;
         assert!(
@@ -201,8 +194,7 @@ fn committed_slices_never_change_under_later_growth() {
     for seed in 0..6u64 {
         let members: Vec<String> = (0..3).map(|i| format!("n{i}")).collect();
         let model = counter_model(&members, 2);
-        let mut broker =
-            GenericBroker::from_model(&model, hub(seed)).expect("model valid");
+        let mut broker = GenericBroker::from_model(&model, hub(seed)).expect("model valid");
         broker.enable_journal(8);
         let mut pinned: Vec<(u64, Vec<u8>)> = Vec::new();
         for round in 0..40u64 {

@@ -1342,7 +1342,9 @@ pub fn random_quorum_campaign(name: &str, seed: u64, cfg: &QuorumCampaignConfig)
             break;
         }
         let at = SimTime::from_micros(t);
-        let down = rng.exponential(cfg.mean_downtime.as_micros() as f64).max(1.0) as u64;
+        let down = rng
+            .exponential(cfg.mean_downtime.as_micros() as f64)
+            .max(1.0) as u64;
         let heal_us = t.saturating_add(down).min(horizon - 1).max(t + 1);
         let heal_at = SimTime::from_micros(heal_us);
         let idx = rng.range(0, n as u64) as usize;
@@ -2210,7 +2212,10 @@ mod tests {
 
     #[test]
     fn random_quorum_campaigns_stay_inside_the_minority_budget() {
-        let nodes: Vec<String> = ["a", "b", "c", "d", "e"].iter().map(|s| s.to_string()).collect();
+        let nodes: Vec<String> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let cfg = QuorumCampaignConfig {
             nodes: nodes.clone(),
             corruptions: vec![("tier".into(), "gamma".into())],
@@ -2284,7 +2289,10 @@ mod tests {
                 }
             }
             // Every partition heals before the horizon.
-            assert!(partitioned.is_empty(), "seed {seed} leaves a partition open");
+            assert!(
+                partitioned.is_empty(),
+                "seed {seed} leaves a partition open"
+            );
         }
         assert!(
             max_partitioned <= 2,
