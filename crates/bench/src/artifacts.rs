@@ -1,13 +1,77 @@
-//! Validation of the `BENCH_*.json` artifacts the experiments emit.
+//! Writing and validation of the `BENCH_*.json` artifacts the experiments
+//! emit.
 //!
-//! CI regenerates the artifacts (`experiments -- quick`) and then runs the
-//! `check_artifacts` binary, which uses this module to verify that every
-//! `BENCH_*.json` in the working directory parses as JSON and carries the
-//! keys downstream tooling relies on. The parser is hand-rolled and
-//! deliberately minimal (objects, arrays, strings, numbers, booleans,
-//! null) — the workspace is dependency-free by design, so no serde.
+//! Every experiment renders its artifact through the small writer below
+//! ([`document`], [`row`], [`campaign_row`], [`rows`], [`array()`]), so all
+//! artifacts share one layout: one top-level key per line, one inline row
+//! per run. CI regenerates the artifacts (`experiments -- quick`) and then
+//! runs the `check_artifacts` binary, which uses this module to verify
+//! that every `BENCH_*.json` in the working directory parses as JSON and
+//! carries the keys downstream tooling relies on. Writer and parser are
+//! hand-rolled and deliberately minimal (objects, arrays, strings,
+//! numbers, booleans, null) — the workspace is dependency-free by design,
+//! so no serde.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Display};
+
+/// Named values of one JSON object, in output order.
+pub type Fields<'a> = [(&'a str, &'a dyn Display)];
+
+/// A float rendered with a fixed number of decimals (`Fixed(x, 3)` is
+/// `{x:.3}`).
+pub struct Fixed(pub f64, pub usize);
+
+impl Display for Fixed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:.*}", self.1, self.0)
+    }
+}
+
+/// A JSON string literal (quoted, with `"` and `\` escaped).
+pub struct Str<'a>(pub &'a str);
+
+impl Display for Str<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let escaped = self.0.replace('\\', "\\\\").replace('"', "\\\"");
+        write!(f, "\"{escaped}\"")
+    }
+}
+
+fn pairs(fields: &Fields) -> Vec<String> {
+    fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect()
+}
+
+/// An inline object: `{"k": v, "k2": v2}`.
+pub fn row(fields: &Fields) -> String {
+    format!("{{{}}}", pairs(fields).join(", "))
+}
+
+/// A campaign row: the seed and the first run on one line, every further
+/// run on its own line.
+pub fn campaign_row(seed: u64, runs: &Fields) -> String {
+    format!("{{\"seed\": {seed}, {}}}", pairs(runs).join(",\n     "))
+}
+
+/// An inline array: `[1, 3, 7]`.
+pub fn array<T: Display>(items: &[T]) -> String {
+    let items: Vec<String> = items.iter().map(T::to_string).collect();
+    format!("[{}]", items.join(", "))
+}
+
+/// An array of rows, one per line, nested one level below the document.
+pub fn rows(rows: &[String]) -> String {
+    let rows: Vec<String> = rows.iter().map(|r| format!("    {r}")).collect();
+    format!("[\n{}\n  ]", rows.join(",\n"))
+}
+
+/// The top-level document: one key per line, newline-terminated.
+pub fn document(fields: &Fields) -> String {
+    format!("{{\n  {}\n}}\n", pairs(fields).join(",\n  "))
+}
 
 /// A parsed JSON value (just enough for artifact checking).
 #[derive(Debug, Clone, PartialEq)]
@@ -414,6 +478,28 @@ mod tests {
         assert_eq!(check_artifact("BENCH_e14.json", &e14).unwrap(), "e14");
         let e15 = crate::e15::run(&[3], 120, 20).to_json();
         assert_eq!(check_artifact("BENCH_e15.json", &e15).unwrap(), "e15");
+    }
+
+    #[test]
+    fn the_writer_renders_the_artifact_layout_and_parses_back() {
+        let run = row(&[("n", &3u64), ("ok", &true), ("ms", &Fixed(1.23456, 3))]);
+        assert_eq!(run, "{\"n\": 3, \"ok\": true, \"ms\": 1.235}");
+        let c = campaign_row(7, &[("a", &run), ("b", &run)]);
+        assert_eq!(
+            c,
+            format!("{{\"seed\": 7, \"a\": {run},\n     \"b\": {run}}}")
+        );
+        let doc = document(&[
+            ("experiment", &Str("e0")),
+            ("seeds", &array(&[1, 3])),
+            ("note", &Str("say \"hi\"\\")),
+            ("campaigns", &rows(&[c.clone(), c])),
+        ]);
+        assert!(doc.starts_with("{\n  \"experiment\": \"e0\",\n  \"seeds\": [1, 3],\n"));
+        assert!(doc.ends_with("}}\n  ]\n}\n"));
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("note").and_then(Json::as_str), Some("say \"hi\"\\"));
+        assert!(matches!(v.get("campaigns"), Some(Json::Arr(items)) if items.len() == 2));
     }
 
     #[test]

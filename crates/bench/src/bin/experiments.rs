@@ -97,6 +97,15 @@ fn main() {
     }
 }
 
+/// Writes one `BENCH_*.json` artifact into the working directory and
+/// reports where it went.
+fn write_artifact(name: &str, json: &str) {
+    match std::fs::write(name, json) {
+        Ok(()) => println!("  artifact: {name}"),
+        Err(e) => println!("  artifact: {name} not written: {e}"),
+    }
+}
+
 fn run_e6(quick: bool) {
     println!("E6 — fault recovery under seeded fault campaigns");
     println!("-------------------------------------------------");
@@ -117,10 +126,7 @@ fn run_e6(quick: bool) {
             v.mean_call_ms
         );
     }
-    match std::fs::write("BENCH_e6.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e6.json"),
-        Err(e) => println!("  artifact: BENCH_e6.json not written: {e}"),
-    }
+    write_artifact("BENCH_e6.json", &r.to_json());
     println!(
         "\n  expectation: the resilience model (retry+breaker+fallback) lifts the\n               success-rate and cuts recovery time on the same campaign\n  measured: success {:.1}% -> {:.1}%; mean recovery {:.1} ms -> {:.1} ms\n",
         r.baseline.success_rate * 100.0,
@@ -171,10 +177,7 @@ fn run_e7(quick: bool) {
             "diverged (state lost)"
         }
     );
-    match std::fs::write("BENCH_e7.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e7.json"),
-        Err(e) => println!("  artifact: BENCH_e7.json not written: {e}"),
-    }
+    write_artifact("BENCH_e7.json", &r.to_json());
     println!(
         "\n  expectation: snapshot+journal recovery replays the middleware to the\n               exact pre-crash model, so the recovered command trace is\n               byte-identical to an uncrashed run; naive restarts lose\n               runtime state and diverge\n  measured: supervised identical={} over {} recoveries; naive identical={}\n",
         r.supervised_trace_identical, r.supervised.restarts, r.naive_trace_identical
@@ -221,10 +224,7 @@ fn run_e8(quick: bool) {
             "LOST"
         }
     );
-    match std::fs::write("BENCH_e8.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e8.json"),
-        Err(e) => println!("  artifact: BENCH_e8.json not written: {e}"),
-    }
+    write_artifact("BENCH_e8.json", &r.to_json());
     println!(
         "\n  expectation: model-defined admission keeps admitted work fresh and the\n               declared brownout mode trades fidelity for capacity, so both\n               beat FIFO on goodput and deadline misses under the same spike\n  measured: goodput {:.1} -> {:.1} -> {:.1} /s; miss {:.1}% -> {:.1}% -> {:.1}%\n",
         r.naive.goodput_per_s,
@@ -281,10 +281,7 @@ fn run_e9(quick: bool) {
         r.replays_consistent,
         r.one_primary_per_epoch
     );
-    match std::fs::write("BENCH_e9.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e9.json"),
-        Err(e) => println!("  artifact: BENCH_e9.json not written: {e}"),
-    }
+    write_artifact("BENCH_e9.json", &r.to_json());
     println!(
         "\n  expectation: ack-windowed shipping never loses a committed update and\n               its committed trace survives every failover byte-for-byte;\n               async shipping loses the partition window's commits; the\n               healed stale primary is fenced by epoch and reconciled\n  measured: ack lost=0:{} diverged=0:{}; async loss observed:{}\n",
         r.ack_zero_lost, r.ack_zero_divergence, r.async_loss_observed
@@ -340,21 +337,18 @@ fn run_e10(quick: bool) {
     );
     println!(
         "  hot path: {:.0} ns/call unarmed vs {:.0} ns/call armed — {:+.0} ns/call ({:+.2}% of the raw in-memory path; <1% of any ms-scale resource call)",
-        cost.unarmed_ns_per_call,
-        cost.armed_ns_per_call,
-        cost.armed_ns_per_call - cost.unarmed_ns_per_call,
+        cost.off_ns_per_call,
+        cost.on_ns_per_call,
+        cost.on_ns_per_call - cost.off_ns_per_call,
         cost.pct
     );
-    match std::fs::write("BENCH_e10.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e10.json"),
-        Err(e) => println!("  artifact: BENCH_e10.json not written: {e}"),
-    }
+    write_artifact("BENCH_e10.json", &r.to_json());
     println!(
         "\n  expectation: compiled in-stream monitors catch every injected\n               invariant violation on the violating write itself — before\n               any divergent command executes — on the primary and on the\n               standby's shipped journal, at small hot-path cost; the\n               unmonitored broker keeps executing against the corrupt model\n  measured: caught-all={} zero-divergence={} standby-matches={} overhead={:+.0} ns/call ({:+.2}%)\n",
         r.monitors_caught_all,
         r.zero_divergence_monitored,
         r.standby_caught_all,
-        cost.armed_ns_per_call - cost.unarmed_ns_per_call,
+        cost.on_ns_per_call - cost.off_ns_per_call,
         r.overhead_pct.unwrap_or(0.0)
     );
 }
@@ -397,10 +391,7 @@ fn run_e11(quick: bool) {
     if !missed.is_empty() {
         println!("  MISSED: {missed:?}");
     }
-    match std::fs::write("BENCH_e11.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e11.json"),
-        Err(e) => println!("  artifact: BENCH_e11.json not written: {e}"),
-    }
+    write_artifact("BENCH_e11.json", &r.to_json());
     println!(
         "\n  expectation: the load-time analyzer detects >=95% of seeded model\n               mutations (dangling references, reserved-key writes, type\n               clashes, dead rules, vacuous monitors, new write conflicts)\n               with zero error-level diagnostics on the unmutated models\n  measured: detection={:.1}% false-positives={}\n",
         r.detection_rate * 100.0,
@@ -462,15 +453,12 @@ fn run_e13(quick: bool) {
     );
     println!(
         "  hot path: {:.0} ns/call unframed vs {:.0} ns/call framed — {:+.0} ns/call ({:+.2}% of the raw in-memory path; acceptance <=5%)",
-        cost.unframed_ns_per_call,
-        cost.framed_ns_per_call,
-        cost.framed_ns_per_call - cost.unframed_ns_per_call,
+        cost.off_ns_per_call,
+        cost.on_ns_per_call,
+        cost.on_ns_per_call - cost.off_ns_per_call,
         cost.pct
     );
-    match std::fs::write("BENCH_e13.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e13.json"),
-        Err(e) => println!("  artifact: BENCH_e13.json not written: {e}"),
-    }
+    write_artifact("BENCH_e13.json", &r.to_json());
     println!(
         "\n  expectation: per-record CRC framing detects every byte-altering storage\n               fault; the standby mirror additionally catches clean tail drops\n               and heals the journal byte-identically, losing zero committed\n               updates, at a few percent of the raw append path; the naive\n               journal silently loses committed records on the same campaigns\n  measured: detects-all={} zero-loss={} byte-identical={} framing-overhead={:+.2}%\n",
         r.self_healing_detected_all,
@@ -527,10 +515,7 @@ fn run_e14(quick: bool) {
         r.goodput_live,
         r.goodput_stw
     );
-    match std::fs::write("BENCH_e14.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e14.json"),
-        Err(e) => println!("  artifact: BENCH_e14.json not written: {e}"),
-    }
+    write_artifact("BENCH_e14.json", &r.to_json());
     println!(
         "\n  expectation: every seeded upgrade campaign ends on one consistent committed\n               version (cutover or rollback) with zero committed updates lost;\n               crash-mid-upgrade recovery is byte-identical to a replay and\n               never yields a hybrid model; serving through upgrades beats the\n               stop-the-world restart baseline on goodput\n  measured: consistent={} zero-loss={} byte-identical={} goodput {:.4} live vs {:.4} stw\n",
         r.all_consistent,
@@ -592,10 +577,7 @@ fn run_e15(quick: bool) {
         r.one_primary_per_epoch,
         r.upgrades_propagated
     );
-    match std::fs::write("BENCH_e15.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e15.json"),
-        Err(e) => println!("  artifact: BENCH_e15.json not written: {e}"),
-    }
+    write_artifact("BENCH_e15.json", &r.to_json());
     println!(
         "\n  expectation: a model-defined replica set with majority commit loses zero\n               quorum-committed updates and shows zero committed-trace\n               divergence under composed chaos with any minority faulty,\n               while quorum-elected failover keeps serving through faults\n               that leave the single-standby baseline unavailable\n  measured: zero-loss={} zero-divergence={} unavailable {} (quorum) vs {} (baseline)\n",
         r.quorum_zero_lost, r.quorum_zero_divergence, r.unavailable_quorum, r.unavailable_baseline

@@ -30,23 +30,20 @@
 //! model, the standby's verdicts match the primary's, and the surviving
 //! journals replay byte-identically. The unmonitored broker measurably
 //! executes divergent commands. Hot-path cost of a clean (no-violation)
-//! run is measured wall-clock by [`hotpath_overhead_pct`] — the only
+//! run is measured wall-clock by [`hotpath_cost`] — the only
 //! non-deterministic number, kept out of the seeded results.
 //!
 //! [`BrokerError::MonitorTripped`]: mddsm_broker::BrokerError::MonitorTripped
+//! [`Supervisor`]: mddsm_broker::Supervisor
 
-use std::time::Instant;
-
-use crate::common::{hub, ship};
-use mddsm_broker::journal;
+use crate::artifacts::{array, campaign_row, document, row, rows, Fixed, Str};
+use crate::common::{campaign_supervisor, hub, replay_consistent, ship};
+use crate::micro::{self, HotpathCost};
 use mddsm_broker::monitor::MonitorSet;
-use mddsm_broker::{
-    BrokerError, BrokerModelBuilder, GenericBroker, RestartPolicy, Standby, Supervisor,
-    SupervisorDecision,
-};
+use mddsm_broker::{BrokerError, BrokerModelBuilder, GenericBroker, Standby, SupervisorDecision};
 use mddsm_meta::Model;
 use mddsm_sim::fault::{
-    random_corruption_campaign, ComponentTarget, CorruptionCampaignConfig, FaultDriver,
+    random_corruption_campaign, CorruptionCampaignConfig, FaultAction, FaultDriver,
 };
 use mddsm_sim::resource::args;
 use mddsm_sim::SimDuration;
@@ -124,20 +121,8 @@ pub enum Variant {
     Replicated,
 }
 
-/// Routes the campaign's `CorruptState` events out of the fault driver.
-#[derive(Default)]
-struct CorruptionSink(Vec<(String, String)>);
-
-impl ComponentTarget for CorruptionSink {
-    fn crash_component(&mut self, _: &str) {}
-    fn stall_component(&mut self, _: &str) {}
-    fn corrupt_state(&mut self, _component: &str, key: &str, value: &str) {
-        self.0.push((key.to_owned(), value.to_owned()));
-    }
-}
-
 /// Metrics of one configuration under one campaign.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct E10Run {
     /// Calls issued.
     pub calls: u64,
@@ -186,14 +171,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
     let oracle = MonitorSet::from_invariants(INVARIANTS).expect("oracle invariants parse");
 
     let horizon = SimDuration::from_millis(calls * period_ms);
-    let mut supervisor = Supervisor::new(
-        &["a"],
-        RestartPolicy {
-            max_restarts: 10_000,
-            window: SimDuration::from_millis(1),
-            stall_after: SimDuration::from_millis(4 * calls * period_ms),
-        },
-    );
+    let mut supervisor = campaign_supervisor(&["a"], horizon);
     let mut standby: Option<Standby> = None;
     let mut shipped = 0usize;
     if variant == Variant::Replicated {
@@ -216,45 +194,35 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         },
     );
     let mut driver = FaultDriver::from_model(&campaign).expect("campaign conforms");
-    let mut sink = CorruptionSink::default();
 
     let period = SimDuration::from_millis(period_ms);
-    let mut served = 0u64;
-    let mut injected = 0u64;
-    let mut caught = 0u64;
-    let mut masked = 0u64;
-    let mut missed = 0u64;
-    let mut refused_latched = 0u64;
-    let mut quarantines = 0u64;
-    let mut rollbacks = 0u64;
-    let mut divergent_commands = 0u64;
-    let mut standby_trips = 0u64;
+    let mut run = E10Run {
+        calls,
+        ..E10Run::default()
+    };
 
     for i in 0..calls {
         let t = broker.now();
 
         // Deliver due corruption events straight into the runtime model;
         // the monitors (when armed) see each write in-stream.
-        while let Some(te) = driver.next_at() {
-            if te > t {
-                break;
-            }
-            driver.advance_full(te, broker.hub_mut(), None, Some(&mut sink));
-        }
-        for (key, value) in sink.0.drain(..) {
-            injected += 1;
+        for action in driver.advance_to(t, broker.hub_mut(), None) {
+            let FaultAction::CorruptState { key, value, .. } = action else {
+                continue;
+            };
+            run.injected += 1;
             let was_latched = broker.monitor_latched();
             let trips = broker.corrupt_state(&key, &value);
             if !trips.is_empty() {
-                caught += 1;
+                run.caught += 1;
                 for trip in &trips {
                     supervisor.note_monitor_trip("a", &trip.monitor);
                 }
             } else if has_monitors {
                 if was_latched {
-                    masked += 1;
+                    run.masked += 1;
                 } else {
-                    missed += 1;
+                    run.missed += 1;
                 }
             }
         }
@@ -268,17 +236,17 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         if i % SUPERVISE_EVERY == 0 {
             for d in supervisor.tick(t).expect("symptoms evaluate") {
                 if let SupervisorDecision::Quarantine { .. } = d {
-                    quarantines += 1;
+                    run.quarantines += 1;
                     broker
                         .rollback_to_snapshot()
                         .expect("a verified snapshot exists");
-                    rollbacks += 1;
+                    run.rollbacks += 1;
                     // Ship the rolled-back snapshot, then resume the
                     // observer: its next verdicts start from the repaired
                     // state, like the primary's.
                     ship(&broker, standby.as_mut(), &mut shipped);
                     if let Some(sb) = standby.as_mut() {
-                        standby_trips += sb.monitor_trips().len() as u64;
+                        run.standby_trips += sb.monitor_trips().len() as u64;
                         sb.clear_monitor_trips();
                     }
                 }
@@ -290,42 +258,26 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         match broker.call("op", &args(&[("n", &n)])) {
             Ok(r) => {
                 if r.outcome.is_ok() {
-                    served += 1;
+                    run.served += 1;
                 }
                 if violated_before {
-                    divergent_commands += 1;
+                    run.divergent_commands += 1;
                 }
             }
-            Err(BrokerError::MonitorTripped { .. }) => refused_latched += 1,
+            Err(BrokerError::MonitorTripped { .. }) => run.refused_latched += 1,
             Err(e) => panic!("unexpected refusal: {e}"),
         }
         broker.advance_clock(period);
         ship(&broker, standby.as_mut(), &mut shipped);
     }
 
-    let journal_bytes = broker.journal_bytes().expect("journaling on");
-    let replayed = journal::replay(journal_bytes).expect("journal replays");
-    let replay_consistent = broker.state().first_divergence(&replayed.state).is_none();
-
-    E10Run {
-        calls,
-        served,
-        injected,
-        caught,
-        masked,
-        missed,
-        refused_latched,
-        quarantines,
-        rollbacks,
-        divergent_commands,
-        standby_trips: standby_trips
-            + standby
-                .as_ref()
-                .map_or(0, |s| s.monitor_trips().len() as u64),
-        journal_bytes: journal_bytes.len() as u64,
-        state_version: broker.state().version(),
-        replay_consistent,
-    }
+    run.standby_trips += standby
+        .as_ref()
+        .map_or(0, |s| s.monitor_trips().len() as u64);
+    run.journal_bytes = broker.journal_bytes().map_or(0, |b| b.len() as u64);
+    run.state_version = broker.state().version();
+    run.replay_consistent = replay_consistent(&broker);
+    run
 }
 
 /// All three configurations over one campaign seed.
@@ -379,13 +331,13 @@ pub struct E10Result {
     /// configuration, on every seed.
     pub replays_consistent: bool,
     /// Wall-clock hot-path overhead of armed monitors on a clean run
-    /// (percent; measured separately by [`hotpath_overhead_pct`], `None`
+    /// (percent; measured separately by [`hotpath_cost`], `None`
     /// in deterministic runs).
     pub overhead_pct: Option<f64>,
 }
 
 /// Runs E10 across `seeds`. Deterministic in the seeds; the wall-clock
-/// overhead is *not* measured here (see [`hotpath_overhead_pct`]).
+/// overhead is *not* measured here (see [`hotpath_cost`]).
 pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E10Result {
     let campaigns: Vec<E10Campaign> = seeds
         .iter()
@@ -424,148 +376,82 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E10Result {
     }
 }
 
-/// Wall-clock hot-path cost of armed monitors (see [`hotpath_cost`]).
-#[derive(Debug, Clone, Copy)]
-pub struct HotpathCost {
-    /// Nanoseconds per clean call, monitors unarmed.
-    pub unarmed_ns_per_call: f64,
-    /// Nanoseconds per clean call, monitors armed.
-    pub armed_ns_per_call: f64,
-    /// Relative overhead of arming, percent of the unarmed call.
-    pub pct: f64,
-}
-
-/// Wall-clock hot-path cost of armed monitors: minima over `reps`
-/// interleaved clean runs (no corruption) of `calls` calls each, armed
-/// vs unarmed, same journaling. The per-side *minimum* is the least
-/// preemption-contaminated estimate of the true cost (standard
-/// microbenchmark practice). Positive percent = monitors cost time.
-/// These are the only wall-clock numbers in E10 and are kept out of the
-/// seeded results so those stay byte-identical across machines. The
-/// percentage is relative to the raw in-memory call path (a few µs);
-/// against any real resource latency the absolute ns/call figure is the
-/// honest one.
+/// Wall-clock hot-path cost of armed monitors, through the shared
+/// [`micro::hotpath_cost`] protocol: clean runs (no corruption) of `calls`
+/// calls each, unarmed (off) vs armed (on), same journaling. Positive
+/// percent = monitors cost time. These are the only wall-clock numbers in
+/// E10 and are kept out of the seeded results so those stay
+/// byte-identical across machines. The percentage is relative to the raw
+/// in-memory call path (a few µs); against any real resource latency the
+/// absolute ns/call figure is the honest one.
 pub fn hotpath_cost(calls: u64, reps: u64) -> HotpathCost {
-    fn one(model: &Model, calls: u64, seed: u64) -> u128 {
-        let mut b = GenericBroker::from_model(model, hub(seed)).expect("E10 model valid");
+    let (unarmed, armed) = (e10_broker_model(false), e10_broker_model(true));
+    micro::hotpath_cost(calls, reps, |on, rep| {
+        let model = if on { &armed } else { &unarmed };
+        let mut b = GenericBroker::from_model(model, hub(rep)).expect("E10 model valid");
         b.enable_journal(SNAPSHOT_EVERY);
-        let t0 = Instant::now();
-        for i in 0..calls {
-            let n = i.to_string();
-            let r = b.call("op", &args(&[("n", &n)])).expect("clean call");
-            assert!(r.outcome.is_ok());
-        }
-        t0.elapsed().as_nanos()
-    }
-    let unarmed = e10_broker_model(false);
-    let armed = e10_broker_model(true);
-    let mut off: Vec<u128> = Vec::new();
-    let mut on: Vec<u128> = Vec::new();
-    for r in 0..reps.max(1) {
-        off.push(one(&unarmed, calls, r));
-        on.push(one(&armed, calls, r));
-    }
-    let (m_off, m_on) = (
-        off.iter().copied().min().unwrap_or(0),
-        on.iter().copied().min().unwrap_or(0),
-    );
-    let per = |total: u128| total as f64 / calls.max(1) as f64;
-    HotpathCost {
-        unarmed_ns_per_call: per(m_off),
-        armed_ns_per_call: per(m_on),
-        pct: if m_off == 0 {
-            0.0
-        } else {
-            (m_on as f64 - m_off as f64) / m_off as f64 * 100.0
-        },
-    }
-}
-
-/// The percentage component of [`hotpath_cost`] alone.
-pub fn hotpath_overhead_pct(calls: u64, reps: u64) -> f64 {
-    hotpath_cost(calls, reps).pct
+        b
+    })
 }
 
 fn json_run(r: &E10Run) -> String {
-    format!(
-        concat!(
-            "{{\"calls\": {}, \"served\": {}, \"injected\": {}, \"caught\": {}, ",
-            "\"masked\": {}, \"missed\": {}, \"refused_latched\": {}, ",
-            "\"quarantines\": {}, \"rollbacks\": {}, \"divergent_commands\": {}, ",
-            "\"standby_trips\": {}, \"journal_bytes\": {}, \"state_version\": {}, ",
-            "\"replay_consistent\": {}}}"
-        ),
-        r.calls,
-        r.served,
-        r.injected,
-        r.caught,
-        r.masked,
-        r.missed,
-        r.refused_latched,
-        r.quarantines,
-        r.rollbacks,
-        r.divergent_commands,
-        r.standby_trips,
-        r.journal_bytes,
-        r.state_version,
-        r.replay_consistent,
-    )
+    row(&[
+        ("calls", &r.calls),
+        ("served", &r.served),
+        ("injected", &r.injected),
+        ("caught", &r.caught),
+        ("masked", &r.masked),
+        ("missed", &r.missed),
+        ("refused_latched", &r.refused_latched),
+        ("quarantines", &r.quarantines),
+        ("rollbacks", &r.rollbacks),
+        ("divergent_commands", &r.divergent_commands),
+        ("standby_trips", &r.standby_trips),
+        ("journal_bytes", &r.journal_bytes),
+        ("state_version", &r.state_version),
+        ("replay_consistent", &r.replay_consistent),
+    ])
 }
 
 impl E10Result {
-    /// Renders the `BENCH_e10.json` artifact (hand-rolled: the workspace
-    /// is dependency-free by design). Deterministic in the seeds except
-    /// for `overhead_pct`, when set.
+    /// Renders the `BENCH_e10.json` artifact. Deterministic in the seeds
+    /// except for `overhead_pct`, when set.
     pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let overhead = match self.overhead_pct {
-            Some(p) => format!("{p:.2}"),
-            None => "null".to_owned(),
-        };
-        let campaigns = self
+        let campaigns: Vec<String> = self
             .campaigns
             .iter()
             .map(|c| {
-                format!(
-                    concat!(
-                        "    {{\"seed\": {}, \"unmonitored\": {},\n",
-                        "     \"monitored\": {},\n     \"replicated\": {}}}"
-                    ),
+                campaign_row(
                     c.seed,
-                    json_run(&c.unmonitored),
-                    json_run(&c.monitored),
-                    json_run(&c.replicated),
+                    &[
+                        ("unmonitored", &json_run(&c.unmonitored)),
+                        ("monitored", &json_run(&c.monitored)),
+                        ("replicated", &json_run(&c.replicated)),
+                    ],
                 )
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e10\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n  \"supervise_every\": {},\n",
-                "  \"unmonitored_divergence_observed\": {},\n",
-                "  \"monitors_caught_all\": {},\n  \"zero_divergence_monitored\": {},\n",
-                "  \"standby_caught_all\": {},\n  \"replays_consistent\": {},\n",
-                "  \"overhead_pct\": {},\n  \"campaigns\": [\n{}\n  ]\n}}\n"
+            .collect();
+        let overhead = self
+            .overhead_pct
+            .map_or("null".to_owned(), |p| Fixed(p, 2).to_string());
+        document(&[
+            ("experiment", &Str("e10")),
+            ("seed", &self.seeds.first().copied().unwrap_or(0)),
+            ("seeds", &array(&self.seeds)),
+            ("calls", &self.calls),
+            ("period_ms", &self.period_ms),
+            ("supervise_every", &SUPERVISE_EVERY),
+            (
+                "unmonitored_divergence_observed",
+                &self.unmonitored_divergence_observed,
             ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.calls,
-            self.period_ms,
-            SUPERVISE_EVERY,
-            self.unmonitored_divergence_observed,
-            self.monitors_caught_all,
-            self.zero_divergence_monitored,
-            self.standby_caught_all,
-            self.replays_consistent,
-            overhead,
-            campaigns,
-        )
+            ("monitors_caught_all", &self.monitors_caught_all),
+            ("zero_divergence_monitored", &self.zero_divergence_monitored),
+            ("standby_caught_all", &self.standby_caught_all),
+            ("replays_consistent", &self.replays_consistent),
+            ("overhead_pct", &overhead),
+            ("campaigns", &rows(&campaigns)),
+        ])
     }
 }
 
@@ -646,7 +532,7 @@ mod tests {
 
     #[test]
     fn overhead_probe_yields_a_finite_number() {
-        let pct = hotpath_overhead_pct(60, 3);
+        let pct = hotpath_cost(60, 3).pct;
         assert!(pct.is_finite());
     }
 

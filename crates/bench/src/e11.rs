@@ -27,6 +27,7 @@
 //!
 //! [`BrokerError::AnalysisRejected`]: mddsm_broker::BrokerError::AnalysisRejected
 
+use crate::artifacts::{array, document, row, rows, Fixed, Str};
 use mddsm_broker::analysis::analyze;
 use mddsm_meta::analysis::AnalysisReport;
 use mddsm_meta::{Model, Value};
@@ -415,60 +416,47 @@ pub fn run(seeds: &[u64], draws_per_model: usize) -> E11Result {
 }
 
 impl E11Result {
-    /// Renders the `BENCH_e11.json` artifact (hand-rolled: the workspace
-    /// is dependency-free by design). Deterministic in the seeds.
+    /// Renders the `BENCH_e11.json` artifact. Deterministic in the seeds.
     pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let baselines = self
+        let baselines: Vec<String> = self
             .baselines
             .iter()
             .map(|b| {
-                format!(
-                    concat!(
-                        "    {{\"model\": \"{}\", \"errors\": {}, \"warnings\": {}, ",
-                        "\"footprints\": {}, \"conflicts\": {}}}"
-                    ),
-                    b.model, b.errors, b.warnings, b.footprints, b.conflicts
-                )
+                row(&[
+                    ("model", &Str(&b.model)),
+                    ("errors", &b.errors),
+                    ("warnings", &b.warnings),
+                    ("footprints", &b.footprints),
+                    ("conflicts", &b.conflicts),
+                ])
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let trials = self
+            .collect();
+        let trials: Vec<String> = self
             .trials
             .iter()
             .map(|t| {
-                format!(
-                    concat!(
-                        "    {{\"seed\": {}, \"model\": \"{}\", \"mutation\": \"{}\", ",
-                        "\"new_diagnostics\": {}, \"new_conflicts\": {}, \"detected\": {}}}"
-                    ),
-                    t.seed, t.model, t.mutation, t.new_diagnostics, t.new_conflicts, t.detected
-                )
+                row(&[
+                    ("seed", &t.seed),
+                    ("model", &Str(&t.model)),
+                    ("mutation", &Str(&t.mutation)),
+                    ("new_diagnostics", &t.new_diagnostics),
+                    ("new_conflicts", &t.new_conflicts),
+                    ("detected", &t.detected),
+                ])
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e11\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"draws_per_model\": {},\n  \"trials_run\": {},\n  \"detected\": {},\n",
-                "  \"detection_rate\": {:.4},\n  \"false_positives\": {},\n",
-                "  \"baselines\": [\n{}\n  ],\n  \"trials\": [\n{}\n  ]\n}}\n"
-            ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.draws_per_model,
-            self.trials.len(),
-            self.detected,
-            self.detection_rate,
-            self.false_positives,
-            baselines,
-            trials,
-        )
+            .collect();
+        document(&[
+            ("experiment", &Str("e11")),
+            ("seed", &self.seeds.first().copied().unwrap_or(0)),
+            ("seeds", &array(&self.seeds)),
+            ("draws_per_model", &self.draws_per_model),
+            ("trials_run", &self.trials.len()),
+            ("detected", &self.detected),
+            ("detection_rate", &Fixed(self.detection_rate, 4)),
+            ("false_positives", &self.false_positives),
+            ("baselines", &rows(&baselines)),
+            ("trials", &rows(&trials)),
+        ])
     }
 }
 

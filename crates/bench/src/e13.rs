@@ -35,26 +35,23 @@
 //! configuration detects all *byte* damage (clean drops excepted, by
 //! construction), and the naive configuration measurably loses committed
 //! records. CRC framing cost on the clean journal append path is measured
-//! wall-clock by [`hotpath_overhead_pct`] — the only non-deterministic
+//! wall-clock by [`hotpath_cost`] — the only non-deterministic
 //! number, kept out of the seeded results.
 //!
 //! [`BrokerError::JournalDamaged`]: mddsm_broker::BrokerError::JournalDamaged
 //! [`SupervisorDecision::RepairJournal`]: mddsm_broker::SupervisorDecision::RepairJournal
 //! [`recover_with_quorum`]: mddsm_broker::replication::recover_with_quorum
 
-use std::time::Instant;
-
-use crate::common::{ship, store_hub};
+use crate::artifacts::{array, campaign_row, document, row, rows, Fixed, Str};
+use crate::common::{campaign_supervisor, replay_consistent, ship, store_hub};
+use crate::micro::{self, HotpathCost};
 use mddsm_broker::journal;
 use mddsm_broker::{
-    recover_with_quorum, repair_journal, BrokerError, BrokerModelBuilder, GenericBroker,
-    RestartPolicy, Standby, Supervisor, SupervisorDecision,
+    recover_with_quorum, repair_journal, BrokerError, BrokerModelBuilder, GenericBroker, Standby,
+    Supervisor, SupervisorDecision,
 };
 use mddsm_meta::Model;
-use mddsm_sim::fault::{
-    drop_tail_records, flip_bit, random_storage_campaign, tear_tail, truncate_newest_snapshot,
-    ComponentTarget, FaultDriver, StorageCampaignConfig,
-};
+use mddsm_sim::fault::{random_storage_campaign, FaultAction, FaultDriver, StorageCampaignConfig};
 use mddsm_sim::resource::args;
 use mddsm_sim::{SimDuration, SimTime};
 
@@ -105,38 +102,8 @@ pub enum Variant {
     SelfHealing,
 }
 
-/// One storage-fault event as delivered by the campaign driver.
-#[derive(Debug, Clone, Copy)]
-enum StorageFault {
-    Torn(u64),
-    Flip(u64),
-    Drop(u64),
-    Snap,
-}
-
-/// Routes the campaign's storage events out of the fault driver.
-#[derive(Default)]
-struct StorageSink(Vec<StorageFault>);
-
-impl ComponentTarget for StorageSink {
-    fn crash_component(&mut self, _: &str) {}
-    fn stall_component(&mut self, _: &str) {}
-    fn torn_write(&mut self, _component: &str, bytes: u64) {
-        self.0.push(StorageFault::Torn(bytes));
-    }
-    fn bit_flip(&mut self, _component: &str, offset: u64) {
-        self.0.push(StorageFault::Flip(offset));
-    }
-    fn drop_unsynced(&mut self, _component: &str, records: u64) {
-        self.0.push(StorageFault::Drop(records));
-    }
-    fn truncate_snapshot(&mut self, _component: &str) {
-        self.0.push(StorageFault::Snap);
-    }
-}
-
 /// Metrics of one configuration under one campaign.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct E13Run {
     /// Calls issued.
     pub calls: u64,
@@ -193,35 +160,6 @@ pub struct E13Run {
     pub replay_consistent: bool,
 }
 
-impl E13Run {
-    fn new(calls: u64) -> Self {
-        E13Run {
-            calls,
-            served: 0,
-            faults: 0,
-            harmless: 0,
-            torn_faults: 0,
-            flip_faults: 0,
-            drop_faults: 0,
-            snap_faults: 0,
-            detected: 0,
-            silent_byte: 0,
-            silent_drop: 0,
-            torn_recoveries: 0,
-            repairs: 0,
-            repair_decisions: 0,
-            quarantines: 0,
-            manual_restores: 0,
-            committed_lost: 0,
-            repairs_byte_identical: true,
-            repairs_state_identical: true,
-            journal_bytes: 0,
-            state_version: 0,
-            replay_consistent: false,
-        }
-    }
-}
-
 /// The pre-damage observables a recovery is judged against.
 struct PreFault {
     version: u64,
@@ -245,39 +183,32 @@ impl PreFault {
     }
 }
 
-/// Damages the journal, crashes the broker, and recovers it the way the
-/// variant can: plain replay (naive/checksummed, with a manual backup
-/// restore when replay refuses) or the anti-entropy path (self-healing).
+/// Damages the journal with a storage `fault`, crashes the broker, and
+/// recovers it the way the variant can: plain replay (naive/checksummed,
+/// with a manual backup restore when replay refuses) or the anti-entropy
+/// path (self-healing). Any other action leaves the broker untouched.
 #[allow(clippy::too_many_lines)]
 fn apply_storage_fault(
     broker: GenericBroker,
-    fault: StorageFault,
+    fault: &FaultAction,
     model: &Model,
     run: &mut E13Run,
     standby: Option<&Standby>,
     supervisor: &mut Supervisor,
     now: SimTime,
 ) -> GenericBroker {
-    run.faults += 1;
     let pristine = broker.journal_bytes().expect("journaling on").to_vec();
-    let damaged = match fault {
-        StorageFault::Torn(bytes) => {
-            run.torn_faults += 1;
-            tear_tail(&pristine, bytes)
-        }
-        StorageFault::Flip(offset) => {
-            run.flip_faults += 1;
-            flip_bit(&pristine, offset)
-        }
-        StorageFault::Drop(records) => {
-            run.drop_faults += 1;
-            drop_tail_records(&pristine, records)
-        }
-        StorageFault::Snap => {
-            run.snap_faults += 1;
-            truncate_newest_snapshot(&pristine)
-        }
+    let Some(damaged) = fault.damage(&pristine) else {
+        return broker;
     };
+    run.faults += 1;
+    match fault {
+        FaultAction::TornWrite { .. } => run.torn_faults += 1,
+        FaultAction::BitFlip { .. } => run.flip_faults += 1,
+        FaultAction::DropUnsynced { .. } => run.drop_faults += 1,
+        _ => run.snap_faults += 1,
+    }
+    let is_drop = matches!(fault, FaultAction::DropUnsynced { .. });
     if damaged == pristine {
         run.harmless += 1;
         return broker;
@@ -330,7 +261,7 @@ fn apply_storage_fault(
         } else {
             // Effective damage that nothing saw — counted so the 100%
             // detection verdict would fail loudly.
-            if matches!(fault, StorageFault::Drop(_)) {
+            if is_drop {
                 run.silent_drop += 1;
             } else {
                 run.silent_byte += 1;
@@ -361,7 +292,7 @@ fn apply_storage_fault(
             if report.torn_records_dropped > 0 {
                 run.detected += 1;
                 run.torn_recoveries += 1;
-            } else if matches!(fault, StorageFault::Drop(_)) {
+            } else if is_drop {
                 run.silent_drop += 1;
             } else {
                 run.silent_byte += 1;
@@ -389,14 +320,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
     broker.enable_journal_with(SNAPSHOT_EVERY, variant != Variant::Naive);
 
     let horizon = SimDuration::from_millis(calls * period_ms);
-    let mut supervisor = Supervisor::new(
-        &["a", "b"],
-        RestartPolicy {
-            max_restarts: 10_000,
-            window: SimDuration::from_millis(1),
-            stall_after: SimDuration::from_millis(4 * calls * period_ms),
-        },
-    );
+    let mut supervisor = campaign_supervisor(&["a", "b"], horizon);
     let mut standby: Option<Standby> = None;
     let mut shipped = 0usize;
     if variant == Variant::SelfHealing {
@@ -415,23 +339,21 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         },
     );
     let mut driver = FaultDriver::from_model(&campaign).expect("campaign conforms");
-    let mut sink = StorageSink::default();
 
     let period = SimDuration::from_millis(period_ms);
     let mut now = SimTime::ZERO;
-    let mut run = E13Run::new(calls);
+    let mut run = E13Run {
+        calls,
+        repairs_byte_identical: true,
+        repairs_state_identical: true,
+        ..E13Run::default()
+    };
 
     for i in 0..calls {
-        while let Some(te) = driver.next_at() {
-            if te > now {
-                break;
-            }
-            driver.advance_full(te, broker.hub_mut(), None, Some(&mut sink));
-        }
-        for fault in sink.0.drain(..) {
+        for fault in driver.advance_to(now, broker.hub_mut(), None) {
             broker = apply_storage_fault(
                 broker,
-                fault,
+                &fault,
                 &model,
                 &mut run,
                 standby.as_ref(),
@@ -461,10 +383,8 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         ship(&broker, standby.as_mut(), &mut shipped);
     }
 
-    let journal_bytes = broker.journal_bytes().expect("journaling on");
-    let replayed = journal::replay(journal_bytes).expect("final journal replays");
-    run.replay_consistent = broker.state().first_divergence(&replayed.state).is_none();
-    run.journal_bytes = journal_bytes.len() as u64;
+    run.replay_consistent = replay_consistent(&broker);
+    run.journal_bytes = broker.journal_bytes().map_or(0, |b| b.len() as u64);
     run.state_version = broker.state().version();
     run
 }
@@ -523,13 +443,13 @@ pub struct E13Result {
     /// configuration, on every seed.
     pub replays_consistent: bool,
     /// Wall-clock CRC-framing overhead on the clean journal append path
-    /// (percent; measured separately by [`hotpath_overhead_pct`], `None`
+    /// (percent; measured separately by [`hotpath_cost`], `None`
     /// in deterministic runs).
     pub overhead_pct: Option<f64>,
 }
 
 /// Runs E13 across `seeds`. Deterministic in the seeds; the wall-clock
-/// framing overhead is *not* measured here (see [`hotpath_overhead_pct`]).
+/// framing overhead is *not* measured here (see [`hotpath_cost`]).
 pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E13Result {
     let campaigns: Vec<E13Campaign> = seeds
         .iter()
@@ -568,159 +488,88 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E13Result {
     }
 }
 
-/// Wall-clock cost of CRC framing on the clean append path (see
-/// [`hotpath_cost`]).
-#[derive(Debug, Clone, Copy)]
-pub struct HotpathCost {
-    /// Nanoseconds per clean call, legacy unframed journal.
-    pub unframed_ns_per_call: f64,
-    /// Nanoseconds per clean call, CRC32-framed journal.
-    pub framed_ns_per_call: f64,
-    /// Relative cost of framing, percent of the unframed call.
-    pub pct: f64,
-}
-
-/// Wall-clock cost of CRC32 framing: minima over `reps` interleaved clean
-/// runs (no faults) of `calls` calls each, framed vs unframed, same
-/// model and snapshot cadence. The per-side *minimum* is the least
-/// preemption-contaminated estimate (standard microbenchmark practice).
-/// Positive percent = framing costs time. These are the only wall-clock
-/// numbers in E13 and are kept out of the seeded results so those stay
-/// byte-identical across machines.
+/// Wall-clock cost of CRC32 framing, through the shared
+/// [`micro::hotpath_cost`] protocol: clean runs (no faults) of `calls`
+/// calls each, unframed (off) vs framed (on), same model and snapshot
+/// cadence. Positive percent = framing costs time. These are the only
+/// wall-clock numbers in E13 and are kept out of the seeded results so
+/// those stay byte-identical across machines.
 pub fn hotpath_cost(calls: u64, reps: u64) -> HotpathCost {
-    fn one(model: &Model, calls: u64, seed: u64, framed: bool) -> u128 {
-        let mut b = GenericBroker::from_model(model, store_hub(seed)).expect("E13 model valid");
-        b.enable_journal_with(SNAPSHOT_EVERY, framed);
-        let t0 = Instant::now();
-        for i in 0..calls {
-            let n = i.to_string();
-            let r = b.call("op", &args(&[("n", &n)])).expect("clean call");
-            assert!(r.outcome.is_ok());
-        }
-        t0.elapsed().as_nanos()
-    }
     let model = e13_broker_model();
-    let mut legacy: Vec<u128> = Vec::new();
-    let mut framed: Vec<u128> = Vec::new();
-    for r in 0..reps.max(1) {
-        legacy.push(one(&model, calls, r, false));
-        framed.push(one(&model, calls, r, true));
-    }
-    let (m_off, m_on) = (
-        legacy.iter().copied().min().unwrap_or(0),
-        framed.iter().copied().min().unwrap_or(0),
-    );
-    let per = |total: u128| total as f64 / calls.max(1) as f64;
-    HotpathCost {
-        unframed_ns_per_call: per(m_off),
-        framed_ns_per_call: per(m_on),
-        pct: if m_off == 0 {
-            0.0
-        } else {
-            (m_on as f64 - m_off as f64) / m_off as f64 * 100.0
-        },
-    }
-}
-
-/// The percentage component of [`hotpath_cost`] alone.
-pub fn hotpath_overhead_pct(calls: u64, reps: u64) -> f64 {
-    hotpath_cost(calls, reps).pct
+    micro::hotpath_cost(calls, reps, |framed, rep| {
+        let mut b = GenericBroker::from_model(&model, store_hub(rep)).expect("E13 model valid");
+        b.enable_journal_with(SNAPSHOT_EVERY, framed);
+        b
+    })
 }
 
 fn json_run(r: &E13Run) -> String {
-    format!(
-        concat!(
-            "{{\"calls\": {}, \"served\": {}, \"faults\": {}, \"harmless\": {}, ",
-            "\"torn_faults\": {}, \"flip_faults\": {}, \"drop_faults\": {}, ",
-            "\"snap_faults\": {}, \"detected\": {}, \"silent_byte\": {}, ",
-            "\"silent_drop\": {}, \"torn_recoveries\": {}, \"repairs\": {}, ",
-            "\"repair_decisions\": {}, \"quarantines\": {}, \"manual_restores\": {}, ",
-            "\"committed_lost\": {}, \"repairs_byte_identical\": {}, ",
-            "\"repairs_state_identical\": {}, \"journal_bytes\": {}, ",
-            "\"state_version\": {}, \"replay_consistent\": {}}}"
-        ),
-        r.calls,
-        r.served,
-        r.faults,
-        r.harmless,
-        r.torn_faults,
-        r.flip_faults,
-        r.drop_faults,
-        r.snap_faults,
-        r.detected,
-        r.silent_byte,
-        r.silent_drop,
-        r.torn_recoveries,
-        r.repairs,
-        r.repair_decisions,
-        r.quarantines,
-        r.manual_restores,
-        r.committed_lost,
-        r.repairs_byte_identical,
-        r.repairs_state_identical,
-        r.journal_bytes,
-        r.state_version,
-        r.replay_consistent,
-    )
+    row(&[
+        ("calls", &r.calls),
+        ("served", &r.served),
+        ("faults", &r.faults),
+        ("harmless", &r.harmless),
+        ("torn_faults", &r.torn_faults),
+        ("flip_faults", &r.flip_faults),
+        ("drop_faults", &r.drop_faults),
+        ("snap_faults", &r.snap_faults),
+        ("detected", &r.detected),
+        ("silent_byte", &r.silent_byte),
+        ("silent_drop", &r.silent_drop),
+        ("torn_recoveries", &r.torn_recoveries),
+        ("repairs", &r.repairs),
+        ("repair_decisions", &r.repair_decisions),
+        ("quarantines", &r.quarantines),
+        ("manual_restores", &r.manual_restores),
+        ("committed_lost", &r.committed_lost),
+        ("repairs_byte_identical", &r.repairs_byte_identical),
+        ("repairs_state_identical", &r.repairs_state_identical),
+        ("journal_bytes", &r.journal_bytes),
+        ("state_version", &r.state_version),
+        ("replay_consistent", &r.replay_consistent),
+    ])
 }
 
 impl E13Result {
-    /// Renders the `BENCH_e13.json` artifact (hand-rolled: the workspace
-    /// is dependency-free by design). Deterministic in the seeds except
-    /// for `overhead_pct`, when set.
+    /// Renders the `BENCH_e13.json` artifact. Deterministic in the seeds
+    /// except for `overhead_pct`, when set.
     pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let overhead = match self.overhead_pct {
-            Some(p) => format!("{p:.2}"),
-            None => "null".to_owned(),
-        };
-        let campaigns = self
+        let campaigns: Vec<String> = self
             .campaigns
             .iter()
             .map(|c| {
-                format!(
-                    concat!(
-                        "    {{\"seed\": {}, \"naive\": {},\n",
-                        "     \"checksummed\": {},\n     \"self_healing\": {}}}"
-                    ),
+                campaign_row(
                     c.seed,
-                    json_run(&c.naive),
-                    json_run(&c.checksummed),
-                    json_run(&c.self_healing),
+                    &[
+                        ("naive", &json_run(&c.naive)),
+                        ("checksummed", &json_run(&c.checksummed)),
+                        ("self_healing", &json_run(&c.self_healing)),
+                    ],
                 )
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e13\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n  \"snapshot_every\": {},\n",
-                "  \"naive_loss_observed\": {},\n",
-                "  \"checksummed_detects_byte_damage\": {},\n",
-                "  \"self_healing_detected_all\": {},\n",
-                "  \"self_healing_zero_loss\": {},\n",
-                "  \"repairs_byte_identical\": {},\n  \"replays_consistent\": {},\n",
-                "  \"overhead_pct\": {},\n  \"campaigns\": [\n{}\n  ]\n}}\n"
+            .collect();
+        let overhead = self
+            .overhead_pct
+            .map_or("null".to_owned(), |p| Fixed(p, 2).to_string());
+        document(&[
+            ("experiment", &Str("e13")),
+            ("seed", &self.seeds.first().copied().unwrap_or(0)),
+            ("seeds", &array(&self.seeds)),
+            ("calls", &self.calls),
+            ("period_ms", &self.period_ms),
+            ("snapshot_every", &SNAPSHOT_EVERY),
+            ("naive_loss_observed", &self.naive_loss_observed),
+            (
+                "checksummed_detects_byte_damage",
+                &self.checksummed_detects_byte_damage,
             ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.calls,
-            self.period_ms,
-            SNAPSHOT_EVERY,
-            self.naive_loss_observed,
-            self.checksummed_detects_byte_damage,
-            self.self_healing_detected_all,
-            self.self_healing_zero_loss,
-            self.repairs_byte_identical,
-            self.replays_consistent,
-            overhead,
-            campaigns,
-        )
+            ("self_healing_detected_all", &self.self_healing_detected_all),
+            ("self_healing_zero_loss", &self.self_healing_zero_loss),
+            ("repairs_byte_identical", &self.repairs_byte_identical),
+            ("replays_consistent", &self.replays_consistent),
+            ("overhead_pct", &overhead),
+            ("campaigns", &rows(&campaigns)),
+        ])
     }
 }
 
@@ -819,7 +668,7 @@ mod tests {
 
     #[test]
     fn framing_probe_yields_a_finite_number() {
-        let pct = hotpath_overhead_pct(60, 3);
+        let pct = hotpath_cost(60, 3).pct;
         assert!(pct.is_finite());
     }
 

@@ -34,17 +34,15 @@
 //! [`SupervisorDecision::RollbackUpgrade`]: mddsm_broker::SupervisorDecision::RollbackUpgrade
 //! [`recover_versioned`]: mddsm_broker::recover_versioned
 
-use crate::common::{ship, store_hub};
+use crate::artifacts::{array, campaign_row, document, row, rows, Fixed, Str};
+use crate::common::{campaign_supervisor, ship, store_hub};
 use mddsm_broker::journal;
 use mddsm_broker::{
     recover_versioned, repair_journal, BrokerError, BrokerModelBuilder, GenericBroker, LiveUpgrade,
-    RestartPolicy, Standby, Supervisor, SupervisorDecision, UpgradePhase,
+    Standby, SupervisorDecision, UpgradePhase,
 };
 use mddsm_meta::Model;
-use mddsm_sim::fault::{
-    drop_tail_records, random_upgrade_campaign, tear_tail, ComponentTarget, FaultDriver,
-    UpgradeCampaignConfig,
-};
+use mddsm_sim::fault::{random_upgrade_campaign, FaultAction, FaultDriver, UpgradeCampaignConfig};
 use mddsm_sim::resource::args;
 use mddsm_sim::{SimDuration, SimTime};
 
@@ -134,42 +132,8 @@ pub enum Variant {
     StopTheWorld,
 }
 
-/// One campaign event as delivered by the fault driver.
-#[derive(Debug, Clone)]
-enum CampaignEvent {
-    Upgrade(String),
-    Crash,
-    Corrupt(String, String),
-    Torn(u64),
-    Drop(u64),
-}
-
-/// Routes the campaign's events out of the fault driver.
-#[derive(Default)]
-struct EventSink(Vec<CampaignEvent>);
-
-impl ComponentTarget for EventSink {
-    fn crash_component(&mut self, _: &str) {
-        self.0.push(CampaignEvent::Crash);
-    }
-    fn stall_component(&mut self, _: &str) {}
-    fn corrupt_state(&mut self, _component: &str, key: &str, value: &str) {
-        self.0
-            .push(CampaignEvent::Corrupt(key.to_owned(), value.to_owned()));
-    }
-    fn torn_write(&mut self, _component: &str, bytes: u64) {
-        self.0.push(CampaignEvent::Torn(bytes));
-    }
-    fn drop_unsynced(&mut self, _component: &str, records: u64) {
-        self.0.push(CampaignEvent::Drop(records));
-    }
-    fn begin_upgrade(&mut self, _component: &str, candidate: &str) {
-        self.0.push(CampaignEvent::Upgrade(candidate.to_owned()));
-    }
-}
-
 /// Metrics of one variant under one campaign.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct E14Run {
     /// Calls issued.
     pub calls: u64,
@@ -225,39 +189,6 @@ pub struct E14Run {
     pub goodput: f64,
     /// 99th-percentile served-call latency (virtual µs).
     pub p99_us: u64,
-}
-
-impl E14Run {
-    fn new(calls: u64) -> Self {
-        E14Run {
-            calls,
-            served: 0,
-            dropped: 0,
-            refused_calls: 0,
-            upgrades_pushed: 0,
-            upgrades_skipped: 0,
-            gate_refused: 0,
-            shadow_refused: 0,
-            cutovers: 0,
-            committed: 0,
-            rolled_back: 0,
-            aborted_by_crash: 0,
-            crash_committed: 0,
-            crashes: 0,
-            corruptions: 0,
-            monitor_trips: 0,
-            snapshot_rollbacks: 0,
-            storage_faults: 0,
-            harmless: 0,
-            committed_lost: 0,
-            repairs_byte_identical: true,
-            replays_byte_identical: true,
-            final_version: 0,
-            consistent_final: false,
-            goodput: 0.0,
-            p99_us: 0,
-        }
-    }
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -321,18 +252,11 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
     let mut broker = GenericBroker::from_model(&v1, store_hub(seed)).expect("E14 model valid");
     broker.enable_journal_with(SNAPSHOT_EVERY, true);
 
-    let mut supervisor = Supervisor::new(
-        &["a"],
-        RestartPolicy {
-            max_restarts: 10_000,
-            window: SimDuration::from_millis(1),
-            stall_after: SimDuration::from_millis(4 * calls * period_ms),
-        },
-    );
+    let horizon = SimDuration::from_millis(calls * period_ms);
+    let mut supervisor = campaign_supervisor(&["a"], horizon);
     let mut standby = Standby::new("b");
     let mut shipped = 0usize;
 
-    let horizon = SimDuration::from_millis(calls * period_ms);
     let campaign = random_upgrade_campaign(
         "e14",
         seed,
@@ -349,25 +273,23 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         },
     );
     let mut driver = FaultDriver::from_model(&campaign).expect("campaign conforms");
-    let mut sink = EventSink::default();
 
     let period = SimDuration::from_millis(period_ms);
     let mut now = SimTime::ZERO;
     let mut busy_until = SimTime::ZERO;
-    let mut run = E14Run::new(calls);
+    let mut run = E14Run {
+        calls,
+        repairs_byte_identical: true,
+        replays_byte_identical: true,
+        ..E14Run::default()
+    };
     let mut upgrade: Option<(String, LiveUpgrade)> = None;
     let mut latencies: Vec<u64> = Vec::with_capacity(calls as usize);
 
     for i in 0..calls {
-        while let Some(te) = driver.next_at() {
-            if te > now {
-                break;
-            }
-            driver.advance_full(te, broker.hub_mut(), None, Some(&mut sink));
-        }
-        for ev in sink.0.drain(..) {
-            match ev {
-                CampaignEvent::Upgrade(candidate) => {
+        for action in driver.advance_to(now, broker.hub_mut(), None) {
+            match action {
+                FaultAction::BeginUpgrade { candidate, .. } => {
                     run.upgrades_pushed += 1;
                     if upgrade.is_some() || candidate == live_name {
                         run.upgrades_skipped += 1;
@@ -415,7 +337,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                         }
                     }
                 }
-                CampaignEvent::Crash => {
+                FaultAction::CrashComponent { .. } => {
                     run.crashes += 1;
                     let bytes = broker.journal_bytes().expect("journaling on").to_vec();
                     let (recovered, v) = crash_and_recover(broker, &bytes, &table, &mut run);
@@ -432,7 +354,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                         _ => {}
                     }
                 }
-                CampaignEvent::Corrupt(key, value) => {
+                FaultAction::CorruptState { key, value, .. } => {
                     run.corruptions += 1;
                     let trips = broker.corrupt_state(&key, &value);
                     if trips.is_empty() {
@@ -482,13 +404,10 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                         run.snapshot_rollbacks += 1;
                     }
                 }
-                CampaignEvent::Torn(n) | CampaignEvent::Drop(n) => {
+                storage if storage.is_storage() => {
                     run.storage_faults += 1;
                     let pristine = broker.journal_bytes().expect("journaling on").to_vec();
-                    let damaged = match ev {
-                        CampaignEvent::Torn(_) => tear_tail(&pristine, n),
-                        _ => drop_tail_records(&pristine, n),
-                    };
+                    let damaged = storage.damage(&pristine).expect("storage actions damage");
                     if damaged == pristine {
                         run.harmless += 1;
                         continue;
@@ -509,6 +428,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                         _ => {}
                     }
                 }
+                _ => continue,
             }
             ship(&broker, Some(&mut standby), &mut shipped);
         }
@@ -724,97 +644,67 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E14Result {
 }
 
 fn json_run(r: &E14Run) -> String {
-    format!(
-        concat!(
-            "{{\"calls\": {}, \"served\": {}, \"dropped\": {}, \"refused_calls\": {}, ",
-            "\"upgrades_pushed\": {}, \"upgrades_skipped\": {}, \"gate_refused\": {}, ",
-            "\"shadow_refused\": {}, \"cutovers\": {}, \"committed\": {}, ",
-            "\"rolled_back\": {}, \"aborted_by_crash\": {}, \"crash_committed\": {}, ",
-            "\"crashes\": {}, \"corruptions\": {}, \"monitor_trips\": {}, ",
-            "\"snapshot_rollbacks\": {}, \"storage_faults\": {}, \"harmless\": {}, ",
-            "\"committed_lost\": {}, \"repairs_byte_identical\": {}, ",
-            "\"replays_byte_identical\": {}, \"final_version\": {}, ",
-            "\"consistent_final\": {}, \"goodput\": {:.4}, \"p99_us\": {}}}"
-        ),
-        r.calls,
-        r.served,
-        r.dropped,
-        r.refused_calls,
-        r.upgrades_pushed,
-        r.upgrades_skipped,
-        r.gate_refused,
-        r.shadow_refused,
-        r.cutovers,
-        r.committed,
-        r.rolled_back,
-        r.aborted_by_crash,
-        r.crash_committed,
-        r.crashes,
-        r.corruptions,
-        r.monitor_trips,
-        r.snapshot_rollbacks,
-        r.storage_faults,
-        r.harmless,
-        r.committed_lost,
-        r.repairs_byte_identical,
-        r.replays_byte_identical,
-        r.final_version,
-        r.consistent_final,
-        r.goodput,
-        r.p99_us,
-    )
+    row(&[
+        ("calls", &r.calls),
+        ("served", &r.served),
+        ("dropped", &r.dropped),
+        ("refused_calls", &r.refused_calls),
+        ("upgrades_pushed", &r.upgrades_pushed),
+        ("upgrades_skipped", &r.upgrades_skipped),
+        ("gate_refused", &r.gate_refused),
+        ("shadow_refused", &r.shadow_refused),
+        ("cutovers", &r.cutovers),
+        ("committed", &r.committed),
+        ("rolled_back", &r.rolled_back),
+        ("aborted_by_crash", &r.aborted_by_crash),
+        ("crash_committed", &r.crash_committed),
+        ("crashes", &r.crashes),
+        ("corruptions", &r.corruptions),
+        ("monitor_trips", &r.monitor_trips),
+        ("snapshot_rollbacks", &r.snapshot_rollbacks),
+        ("storage_faults", &r.storage_faults),
+        ("harmless", &r.harmless),
+        ("committed_lost", &r.committed_lost),
+        ("repairs_byte_identical", &r.repairs_byte_identical),
+        ("replays_byte_identical", &r.replays_byte_identical),
+        ("final_version", &r.final_version),
+        ("consistent_final", &r.consistent_final),
+        ("goodput", &Fixed(r.goodput, 4)),
+        ("p99_us", &r.p99_us),
+    ])
 }
 
 impl E14Result {
-    /// Renders the `BENCH_e14.json` artifact (hand-rolled: the workspace
-    /// is dependency-free by design). Deterministic in the seeds.
+    /// Renders the `BENCH_e14.json` artifact. Deterministic in the seeds.
     pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let campaigns = self
+        let campaigns: Vec<String> = self
             .campaigns
             .iter()
             .map(|c| {
-                format!(
-                    "    {{\"seed\": {}, \"live\": {},\n     \"stw\": {}}}",
+                campaign_row(
                     c.seed,
-                    json_run(&c.live),
-                    json_run(&c.stw),
+                    &[("live", &json_run(&c.live)), ("stw", &json_run(&c.stw))],
                 )
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e14\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n  \"snapshot_every\": {},\n",
-                "  \"shadow_calls\": {},\n  \"probation_ticks\": {},\n",
-                "  \"restart_us\": {},\n",
-                "  \"all_consistent\": {},\n  \"zero_committed_lost\": {},\n",
-                "  \"replays_byte_identical\": {},\n  \"live_goodput_wins\": {},\n",
-                "  \"goodput_live\": {:.4},\n  \"goodput_stw\": {:.4},\n",
-                "  \"campaigns\": [\n{}\n  ]\n}}\n"
-            ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.calls,
-            self.period_ms,
-            SNAPSHOT_EVERY,
-            SHADOW_CALLS,
-            PROBATION_TICKS,
-            RESTART_US,
-            self.all_consistent,
-            self.zero_committed_lost,
-            self.replays_byte_identical,
-            self.live_goodput_wins,
-            self.goodput_live,
-            self.goodput_stw,
-            campaigns,
-        )
+            .collect();
+        document(&[
+            ("experiment", &Str("e14")),
+            ("seed", &self.seeds.first().copied().unwrap_or(0)),
+            ("seeds", &array(&self.seeds)),
+            ("calls", &self.calls),
+            ("period_ms", &self.period_ms),
+            ("snapshot_every", &SNAPSHOT_EVERY),
+            ("shadow_calls", &SHADOW_CALLS),
+            ("probation_ticks", &PROBATION_TICKS),
+            ("restart_us", &RESTART_US),
+            ("all_consistent", &self.all_consistent),
+            ("zero_committed_lost", &self.zero_committed_lost),
+            ("replays_byte_identical", &self.replays_byte_identical),
+            ("live_goodput_wins", &self.live_goodput_wins),
+            ("goodput_live", &Fixed(self.goodput_live, 4)),
+            ("goodput_stw", &Fixed(self.goodput_stw, 4)),
+            ("campaigns", &rows(&campaigns)),
+        ])
     }
 }
 

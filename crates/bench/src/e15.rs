@@ -40,28 +40,25 @@
 
 use std::collections::BTreeMap;
 
-use crate::common::{applied_updates, drain, hub};
-use mddsm_broker::journal::{self, JournalRecord};
+use crate::artifacts::{array, campaign_row, document, row, rows, Fixed, Str};
+use crate::common::{
+    applied_updates, campaign_supervisor, clock_to, divergent_commits, drain, fence_stale, hub,
+    mean_max_ms, promote, reconcile_stale, recovery_penalty_us, replay_consistent,
+};
 use mddsm_broker::monitor;
-use mddsm_broker::replication::reconcile;
 use mddsm_broker::{
     recover_with_quorum, repair_journal, select_repair_source, BrokerModelBuilder, GenericBroker,
-    QuorumReplicator, ReplicaPeer, ReplicaSetConfig, RestartPolicy, ShipMode, Standby, Supervisor,
+    QuorumReplicator, ReplicaPeer, ReplicaSetConfig, ShipMode, Standby, Supervisor,
     SupervisorDecision,
 };
 use mddsm_meta::Model;
-use mddsm_sim::fault::{
-    drop_tail_records, flip_bit, random_quorum_campaign, tear_tail, truncate_newest_snapshot,
-    ComponentTarget, FaultDriver, QuorumCampaignConfig,
-};
+use mddsm_sim::fault::{random_quorum_campaign, FaultAction, FaultDriver, QuorumCampaignConfig};
 use mddsm_sim::net::{Link, Network};
 use mddsm_sim::resource::args;
 use mddsm_sim::{SimDuration, SimTime};
 
-/// Virtual cost of bringing a promoted or restarted broker up (µs).
-pub const RESTART_PENALTY_US: u64 = 5_000;
-/// Virtual cost of replaying one journal entry during promotion (µs).
-pub const REPLAY_COST_PER_ENTRY_US: u64 = 20;
+pub use crate::common::{REPLAY_COST_PER_ENTRY_US, RESTART_PENALTY_US};
+
 /// Journal snapshot cadence (entries between snapshots).
 pub const SNAPSHOT_EVERY: u64 = 24;
 /// Calls between supervisor monitoring cycles.
@@ -126,80 +123,8 @@ pub fn e15_broker_model(members: &[&str], quorum: u64) -> Model {
         .build()
 }
 
-/// One storage-fault flavor, as delivered by the campaign.
-#[derive(Debug, Clone)]
-enum StorageKind {
-    Torn(u64),
-    Flip(u64),
-    Drop(u64),
-    TruncSnap,
-}
-
-fn apply_storage(bytes: &[u8], kind: &StorageKind) -> Vec<u8> {
-    match kind {
-        StorageKind::Torn(n) => tear_tail(bytes, *n),
-        StorageKind::Flip(off) => flip_bit(bytes, *off),
-        StorageKind::Drop(n) => drop_tail_records(bytes, *n),
-        StorageKind::TruncSnap => truncate_newest_snapshot(bytes),
-    }
-}
-
-/// One campaign event routed out of the fault driver.
-#[derive(Debug, Clone)]
-enum ChaosEvent {
-    Crash(String),
-    Corrupt(String, String),
-    Storage(String, StorageKind),
-    Upgrade(String),
-}
-
-/// Routes middleware-level campaign events out of the fault driver;
-/// network faults go straight to the [`Network`].
-#[derive(Default)]
-struct ChaosSink(Vec<ChaosEvent>);
-
-impl ComponentTarget for ChaosSink {
-    fn crash_component(&mut self, component: &str) {
-        self.0.push(ChaosEvent::Crash(component.to_owned()));
-    }
-    fn stall_component(&mut self, _: &str) {}
-    fn corrupt_state(&mut self, _component: &str, key: &str, value: &str) {
-        // State corruption always lands on whichever node serves as
-        // primary when the event fires.
-        self.0
-            .push(ChaosEvent::Corrupt(key.to_owned(), value.to_owned()));
-    }
-    fn torn_write(&mut self, component: &str, bytes: u64) {
-        self.0.push(ChaosEvent::Storage(
-            component.to_owned(),
-            StorageKind::Torn(bytes),
-        ));
-    }
-    fn bit_flip(&mut self, component: &str, offset: u64) {
-        self.0.push(ChaosEvent::Storage(
-            component.to_owned(),
-            StorageKind::Flip(offset),
-        ));
-    }
-    fn drop_unsynced(&mut self, component: &str, records: u64) {
-        self.0.push(ChaosEvent::Storage(
-            component.to_owned(),
-            StorageKind::Drop(records),
-        ));
-    }
-    fn truncate_snapshot(&mut self, component: &str) {
-        self.0.push(ChaosEvent::Storage(
-            component.to_owned(),
-            StorageKind::TruncSnap,
-        ));
-    }
-    fn begin_upgrade(&mut self, _component: &str, candidate: &str) {
-        self.0.push(ChaosEvent::Upgrade(candidate.to_owned()));
-    }
-}
-
 /// Metrics of one configuration under one campaign.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct E15Run {
     /// Members this configuration instantiates (primary first).
     pub members: u64,
@@ -384,27 +309,15 @@ pub fn run_variant(
     calls: u64,
     period_ms: u64,
 ) -> E15Run {
+    let model = e15_broker_model(members, quorum);
+    let horizon = SimDuration::from_millis(calls * period_ms);
+    let mut supervisor = campaign_supervisor(members, horizon);
+    supervisor.designate_replica_set(members[0], &members[1..]);
     let members: Vec<String> = members.iter().map(|n| (*n).to_string()).collect();
-    let model = e15_broker_model(
-        &members.iter().map(String::as_str).collect::<Vec<_>>(),
-        quorum,
-    );
     let mut primary_node = members[0].clone();
 
     let mut broker = GenericBroker::from_model(&model, hub(seed)).expect("E15 model valid");
     broker.enable_journal(SNAPSHOT_EVERY);
-
-    let horizon = SimDuration::from_millis(calls * period_ms);
-    let member_strs: Vec<&str> = members.iter().map(String::as_str).collect();
-    let mut supervisor = Supervisor::new(
-        &member_strs,
-        RestartPolicy {
-            max_restarts: 10_000,
-            window: SimDuration::from_millis(1),
-            stall_after: SimDuration::from_millis(4 * calls * period_ms),
-        },
-    );
-    supervisor.designate_replica_set(&primary_node, &member_strs[1..]);
     let mut standbys: BTreeMap<String, Standby> = members[1..]
         .iter()
         .map(|n| (n.clone(), Standby::new(n)))
@@ -428,55 +341,14 @@ pub fn run_variant(
         },
     );
     let mut driver = FaultDriver::from_model(&campaign).expect("campaign conforms");
-    let mut sink = ChaosSink::default();
 
     let period = SimDuration::from_millis(period_ms);
     let mut run = E15Run {
         members: members.len() as u64,
         quorum,
         calls,
-        served: 0,
-        committed: 0,
-        rejected: 0,
-        failed_dead: 0,
-        uncertain: 0,
-        unavailable: 0,
-        failovers: 0,
-        restarts: 0,
-        replica_revivals: 0,
-        anti_entropy_repairs: 0,
-        standby_resyncs: 0,
-        rejoins: 0,
-        fenced_events: 0,
-        reconciles: 0,
-        discarded_stale_lines: 0,
-        crashes: 0,
-        corruptions: 0,
-        monitor_trips: 0,
-        snapshot_rollbacks: 0,
-        storage_faults: 0,
-        harmless: 0,
-        upgrades_pushed: 0,
-        upgrades_applied: 0,
-        upgrades_skipped: 0,
-        upgrades_propagated: true,
-        committed_lost: 0,
-        divergent_commits: 0,
-        mean_failover_ms: 0.0,
-        max_failover_ms: 0.0,
-        retransmits: 0,
-        commit_lsn: 0,
-        journal_bytes: 0,
-        served_counters: (0, 0),
-        state_version: 0,
-        net_delivered: 0,
-        net_lost: 0,
-        net_partitioned: 0,
-        replay_consistent: false,
-        escalated: false,
-        one_primary_per_epoch: true,
+        ..E15Run::default()
     };
-    let mut committed = 0u64;
     let mut committed_actions: Vec<String> = Vec::new();
     let mut retrans_retired = 0u64;
     let mut fo_times_us: Vec<u64> = Vec::new();
@@ -499,35 +371,37 @@ pub fn run_variant(
         let t = broker.now();
 
         // Deliver due fault events at their exact instants so detection
-        // delay is measured from the true fault time.
+        // delay is measured from the true fault time. Network faults are
+        // already applied by the driver.
         while let Some(te) = driver.next_at() {
             if te > t {
                 break;
             }
-            driver.advance_full(te, broker.hub_mut(), Some(&net), Some(&mut sink));
-            for ev in sink.0.drain(..) {
-                match ev {
-                    ChaosEvent::Crash(node) => {
-                        if !members.contains(&node) {
+            for action in driver.advance_to(te, broker.hub_mut(), Some(&net)) {
+                match &action {
+                    FaultAction::CrashComponent { component: node } => {
+                        if !members.contains(node) {
                             continue;
                         }
                         run.crashes += 1;
-                        ComponentTarget::crash_component(&mut supervisor, &node);
-                        if node != primary_node {
-                            if let Some(sb) = standbys.remove(&node) {
+                        supervisor.crash_component(node);
+                        if *node != primary_node {
+                            if let Some(sb) = standbys.remove(node) {
                                 dead_mirrors.insert(node.clone(), sb.journal_bytes().to_vec());
                             }
                         } else if fault_at.is_none() {
                             fault_at = Some(te.as_micros());
                         }
                     }
-                    ChaosEvent::Corrupt(key, value) => {
+                    // State corruption always lands on whichever node
+                    // serves as primary when the event fires.
+                    FaultAction::CorruptState { key, value, .. } => {
                         if crashed(&supervisor, &primary_node) {
                             continue;
                         }
                         run.corruptions += 1;
                         let before = applied_updates(&broker);
-                        let trips = broker.corrupt_state(&key, &value);
+                        let trips = broker.corrupt_state(key, value);
                         if !trips.is_empty() {
                             run.monitor_trips += trips.len() as u64;
                             // Quarantine: roll the runtime model back to
@@ -539,34 +413,44 @@ pub fn run_variant(
                                 .expect("a trip-free snapshot exists");
                             run.snapshot_rollbacks += 1;
                             let after = applied_updates(&broker);
-                            committed = committed.saturating_sub(before.saturating_sub(after));
+                            run.committed =
+                                run.committed.saturating_sub(before.saturating_sub(after));
                         }
                     }
-                    ChaosEvent::Upgrade(candidate) => {
-                        if !crashed(&supervisor, &primary_node) {
-                            run.upgrades_pushed += 1;
-                            if broker.monitor_latched() {
-                                run.upgrades_skipped += 1;
-                            } else {
-                                let next = broker.model_version() + 1;
-                                match broker.commit_upgrade(next, &candidate, &mut |_| {}) {
-                                    Ok(_) => run.upgrades_applied += 1,
-                                    Err(_) => run.upgrades_skipped += 1,
-                                }
+                    FaultAction::BeginUpgrade { candidate, .. }
+                        if !crashed(&supervisor, &primary_node) =>
+                    {
+                        run.upgrades_pushed += 1;
+                        if broker.monitor_latched() {
+                            run.upgrades_skipped += 1;
+                        } else {
+                            let next = broker.model_version() + 1;
+                            match broker.commit_upgrade(next, candidate, &mut |_| {}) {
+                                Ok(_) => run.upgrades_applied += 1,
+                                Err(_) => run.upgrades_skipped += 1,
                             }
                         }
                     }
-                    ChaosEvent::Storage(node, kind) => {
-                        if !members.contains(&node) {
+                    FaultAction::TornWrite {
+                        component: node, ..
+                    }
+                    | FaultAction::BitFlip {
+                        component: node, ..
+                    }
+                    | FaultAction::DropUnsynced {
+                        component: node, ..
+                    }
+                    | FaultAction::TruncateSnapshot { component: node } => {
+                        if !members.contains(node) {
                             continue;
                         }
-                        if node == primary_node {
-                            if crashed(&supervisor, &node) {
+                        if *node == primary_node {
+                            if crashed(&supervisor, node) {
                                 continue;
                             }
                             run.storage_faults += 1;
                             let pristine = broker.journal_bytes().expect("journaling on").to_vec();
-                            let damaged = apply_storage(&pristine, &kind);
+                            let damaged = action.damage(&pristine).expect("storage damages");
                             if damaged == pristine {
                                 run.harmless += 1;
                                 continue;
@@ -584,62 +468,43 @@ pub fn run_variant(
                                 INVARIANTS,
                                 &sources,
                             );
-                            drop(sources);
                             let (mut next, penalty) = match recovered {
                                 Ok((b, report, repair)) => {
                                     if repair.is_some() {
                                         run.anti_entropy_repairs += 1;
                                     }
-                                    let p = RESTART_PENALTY_US
-                                        + REPLAY_COST_PER_ENTRY_US
-                                            * (report.ops_replayed + report.commands_replayed);
-                                    (b, p)
+                                    (b, recovery_penalty_us(&report))
                                 }
-                                Err(_) => {
-                                    // No reachable mirror: plain recovery
-                                    // over the damaged bytes, else a
-                                    // fresh model (history gone).
-                                    match GenericBroker::recover(
-                                        &model,
-                                        hub(seed ^ 0xd15c),
-                                        &damaged,
-                                        INVARIANTS,
-                                    ) {
-                                        Ok((b, report)) => {
-                                            let p = RESTART_PENALTY_US
-                                                + REPLAY_COST_PER_ENTRY_US
-                                                    * (report.ops_replayed
-                                                        + report.commands_replayed);
-                                            (b, p)
-                                        }
-                                        Err(_) => {
-                                            let mut fresh = GenericBroker::from_model(
-                                                &model,
-                                                hub(seed ^ 0xf0e5),
-                                            )
-                                            .expect("E15 model valid");
-                                            fresh.enable_journal(SNAPSHOT_EVERY);
-                                            run.restarts += 1;
-                                            run.committed_lost = run.committed_lost.max(committed);
-                                            (fresh, RESTART_PENALTY_US)
-                                        }
+                                // No reachable mirror: plain recovery over
+                                // the damaged bytes, else a fresh model
+                                // (history gone).
+                                Err(_) => match GenericBroker::recover(
+                                    &model,
+                                    hub(seed ^ 0xd15c),
+                                    &damaged,
+                                    INVARIANTS,
+                                ) {
+                                    Ok((b, report)) => (b, recovery_penalty_us(&report)),
+                                    Err(_) => {
+                                        let mut fresh =
+                                            GenericBroker::from_model(&model, hub(seed ^ 0xf0e5))
+                                                .expect("E15 model valid");
+                                        fresh.enable_journal(SNAPSHOT_EVERY);
+                                        run.restarts += 1;
+                                        run.committed_lost = run.committed_lost.max(run.committed);
+                                        (fresh, RESTART_PENALTY_US)
                                     }
-                                }
+                                },
                             };
                             next.set_snapshot_every(SNAPSHOT_EVERY);
                             if next.epoch() < epoch {
                                 next.adopt_epoch(epoch);
                             }
-                            let target = te.as_micros() + penalty;
-                            if target > next.now().as_micros() {
-                                next.advance_clock(SimDuration::from_micros(
-                                    target - next.now().as_micros(),
-                                ));
-                            }
+                            clock_to(&mut next, te.as_micros() + penalty);
                             broker = next;
                             run.committed_lost = run
                                 .committed_lost
-                                .max(committed.saturating_sub(applied_updates(&broker)));
+                                .max(run.committed.saturating_sub(applied_updates(&broker)));
                             retrans_retired += rep.retransmits();
                             rep = QuorumReplicator::new(
                                 cfg_for(&members, quorum, &primary_node),
@@ -651,10 +516,10 @@ pub fn run_variant(
                                 epoch,
                                 &mut run.standby_resyncs,
                             );
-                        } else if let Some(sb) = standbys.get(&node) {
+                        } else if let Some(sb) = standbys.get(node) {
                             run.storage_faults += 1;
                             let pristine = sb.journal_bytes().to_vec();
-                            let damaged = apply_storage(&pristine, &kind);
+                            let damaged = action.damage(&pristine).expect("storage damages");
                             if damaged == pristine {
                                 run.harmless += 1;
                                 continue;
@@ -664,11 +529,11 @@ pub fn run_variant(
                             let revived = {
                                 let sources: Vec<&Standby> = standbys
                                     .iter()
-                                    .filter(|(n, _)| **n != node)
+                                    .filter(|(n, _)| *n != node)
                                     .map(|(_, s)| s)
                                     .collect();
                                 rebuild_standby(
-                                    &node,
+                                    node,
                                     &damaged,
                                     &auth,
                                     &sources,
@@ -680,16 +545,17 @@ pub fn run_variant(
                             // The rebuilt mirror may be shorter than the
                             // lane's cumulative ack; rewind the lane so
                             // the retained outbox re-ships from 0.
-                            rep.reset_peer(&node);
+                            rep.reset_peer(node);
                             standbys.insert(node.clone(), revived);
-                        } else if let Some(bytes) = dead_mirrors.get_mut(&node) {
+                        } else if let Some(bytes) = dead_mirrors.get_mut(node) {
                             // The replica is down; the damage lands on
                             // its durable mirror and is discovered at
                             // revival.
                             run.storage_faults += 1;
-                            *bytes = apply_storage(bytes, &kind);
+                            *bytes = action.damage(bytes).expect("storage damages");
                         }
                     }
+                    _ => {}
                 }
             }
             // A freshly-applied partition opens the RTO window.
@@ -763,29 +629,25 @@ pub fn run_variant(
                     // it was deposed. Park it for fencing at the heal.
                     (hub(seed ^ (0x9e00 + epoch)), Some(dead))
                 };
-                let (mut promoted, report) = sb
-                    .promote(epoch, &model, promoted_hub, INVARIANTS)
-                    .expect("promotion recovers from the mirror");
-                promoted.set_snapshot_every(SNAPSHOT_EVERY);
-                let penalty_us = RESTART_PENALTY_US
-                    + REPLAY_COST_PER_ENTRY_US * (report.ops_replayed + report.commands_replayed);
-                let target_us = t.as_micros() + penalty_us;
-                if target_us > promoted.now().as_micros() {
-                    promoted.advance_clock(SimDuration::from_micros(
-                        target_us - promoted.now().as_micros(),
-                    ));
-                }
-                let old_primary = primary_node.clone();
+                let (promoted, penalty_us) = promote(
+                    &mut sb,
+                    epoch,
+                    &model,
+                    promoted_hub,
+                    INVARIANTS,
+                    SNAPSHOT_EVERY,
+                    t,
+                );
                 let old_rep = std::mem::replace(
                     &mut rep,
                     QuorumReplicator::new(cfg_for(&members, quorum, &promoted_to), &promoted_to),
                 );
+                let old_primary = std::mem::replace(&mut primary_node, promoted_to);
                 broker = promoted;
-                primary_node = promoted_to;
                 run.failovers += 1;
                 run.committed_lost = run
                     .committed_lost
-                    .max(committed.saturating_sub(applied_updates(&broker)));
+                    .max(run.committed.saturating_sub(applied_updates(&broker)));
                 let detect_us = t.as_micros() - fault_at.take().unwrap_or_else(|| t.as_micros());
                 fo_times_us.push(detect_us + penalty_us);
                 match stale {
@@ -812,7 +674,7 @@ pub fn run_variant(
                 fresh.advance_clock(SimDuration::from_micros(t.as_micros() + RESTART_PENALTY_US));
                 broker = fresh;
                 run.restarts += 1;
-                run.committed_lost = run.committed_lost.max(committed);
+                run.committed_lost = run.committed_lost.max(run.committed);
                 let detect_us = t.as_micros() - fault_at.take().unwrap_or_else(|| t.as_micros());
                 fo_times_us.push(detect_us + RESTART_PENALTY_US);
                 retrans_retired += rep.retransmits();
@@ -861,41 +723,28 @@ pub fn run_variant(
                 .cloned()
                 .collect();
             for old in healed {
-                if let Some((stale_broker, mut stale_rep, pnode)) = parked.take() {
+                if let Some((stale, mut stale_rep, pnode)) = parked.take() {
                     if pnode != old {
-                        parked = Some((stale_broker, stale_rep, pnode));
-                    } else if crashed(&supervisor, &old) {
-                        // A later crash took the parked journal with it;
-                        // nothing left to fence or reconcile.
-                        retrans_retired += stale_rep.retransmits();
+                        parked = Some((stale, stale_rep, pnode));
                     } else {
-                        let stale_bytes = stale_broker
-                            .journal_bytes()
-                            .expect("journaling on")
-                            .to_vec();
-                        let r = {
+                        // Unless a later crash took the parked journal
+                        // with it, leaving nothing to fence or reconcile.
+                        if !crashed(&supervisor, &old) {
                             let mut peers: Vec<&mut Standby> = standbys.values_mut().collect();
-                            stale_rep
-                                .tick(t, stale_broker.epoch(), &net, &stale_bytes, &mut peers)
-                                .expect("stale tick is healthy")
-                        };
-                        if r.fenced > 0 {
-                            run.fenced_events += 1;
+                            if fence_stale(&stale, &mut stale_rep, &net, t, &mut peers) {
+                                run.fenced_events += 1;
+                            }
+                            run.reconciles += 1;
+                            run.discarded_stale_lines += reconcile_stale(
+                                &broker,
+                                &primary_node,
+                                &stale,
+                                &model,
+                                INVARIANTS,
+                                seed,
+                            );
                         }
                         retrans_retired += stale_rep.retransmits();
-                        let auth = broker.journal_bytes().expect("journaling on").to_vec();
-                        let (_, rr) = reconcile(
-                            &auth,
-                            &stale_bytes,
-                            &primary_node,
-                            &model,
-                            hub(seed ^ 0xace),
-                            INVARIANTS,
-                        )
-                        .expect("reconciliation rebuilds from the authoritative journal");
-                        debug_assert_eq!(rr.source_node, primary_node);
-                        run.reconciles += 1;
-                        run.discarded_stale_lines += rr.discarded_stale_lines as u64;
                     }
                 }
                 supervisor.rejoin(&old, t);
@@ -958,7 +807,7 @@ pub fn run_variant(
                     ACK_TIMEOUT_US,
                 );
                 if ok && acked {
-                    committed += 1;
+                    run.committed += 1;
                     committed_actions.push(r.action.clone());
                 } else if ok {
                     // Executed but not quorum-acknowledged: the client
@@ -1010,37 +859,15 @@ pub fn run_variant(
     // Post-campaign command-trace divergence: every action acknowledged
     // as quorum-committed must still appear, in order, in the surviving
     // journal.
-    let journal_bytes = broker.journal_bytes().expect("journaling on");
-    let mut trace: Vec<String> = Vec::new();
-    for line in std::str::from_utf8(journal_bytes)
-        .expect("journal is UTF-8")
-        .lines()
-    {
-        if let JournalRecord::Command {
-            action, ok: true, ..
-        } = journal::parse_line(line).expect("surviving journal parses")
-        {
-            trace.push(action);
-        }
-    }
-    let mut j = 0usize;
-    for a in &committed_actions {
-        match trace[j..].iter().position(|x| x == a) {
-            Some(p) => j += p + 1,
-            None => run.divergent_commits += 1,
-        }
-    }
-
-    let replayed = journal::replay(journal_bytes).expect("surviving journal replays");
-    run.replay_consistent = broker.state().first_divergence(&replayed.state).is_none();
-    run.committed = committed;
+    run.divergent_commits = divergent_commits(&broker, &committed_actions);
+    run.replay_consistent = replay_consistent(&broker);
     run.unavailable = run.rejected + run.failed_dead;
     run.retransmits = retrans_retired + rep.retransmits();
     if let Some((_, r, _)) = parked.as_ref() {
         run.retransmits += r.retransmits();
     }
     run.commit_lsn = rep.commit_lsn();
-    run.journal_bytes = journal_bytes.len() as u64;
+    run.journal_bytes = broker.journal_bytes().map_or(0, |b| b.len() as u64);
     run.served_counters = (
         broker.state().int("served_alpha").unwrap_or(0),
         broker.state().int("served_beta").unwrap_or(0),
@@ -1051,12 +878,7 @@ pub fn run_variant(
         run.net_lost += s.lost;
         run.net_partitioned += s.partitioned;
     }
-    run.mean_failover_ms = if fo_times_us.is_empty() {
-        0.0
-    } else {
-        fo_times_us.iter().sum::<u64>() as f64 / fo_times_us.len() as f64 / 1000.0
-    };
-    run.max_failover_ms = fo_times_us.iter().max().copied().unwrap_or(0) as f64 / 1000.0;
+    (run.mean_failover_ms, run.max_failover_ms) = mean_max_ms(&fo_times_us);
     run.one_primary_per_epoch = property_trips == 0;
     run
 }
@@ -1182,126 +1004,92 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E15Result {
 }
 
 fn json_run(r: &E15Run) -> String {
-    format!(
-        concat!(
-            "{{\"members\": {}, \"quorum\": {}, \"calls\": {}, \"served\": {}, ",
-            "\"committed\": {}, \"rejected\": {}, \"failed_dead\": {}, \"uncertain\": {}, ",
-            "\"unavailable\": {}, \"failovers\": {}, \"restarts\": {}, ",
-            "\"replica_revivals\": {}, \"anti_entropy_repairs\": {}, ",
-            "\"standby_resyncs\": {}, \"rejoins\": {}, \"fenced_events\": {}, ",
-            "\"reconciles\": {}, \"discarded_stale_lines\": {}, \"crashes\": {}, ",
-            "\"corruptions\": {}, \"monitor_trips\": {}, \"snapshot_rollbacks\": {}, ",
-            "\"storage_faults\": {}, \"harmless\": {}, \"upgrades_pushed\": {}, ",
-            "\"upgrades_applied\": {}, \"upgrades_skipped\": {}, ",
-            "\"upgrades_propagated\": {}, \"committed_lost\": {}, ",
-            "\"divergent_commits\": {}, \"mean_failover_ms\": {:.3}, ",
-            "\"max_failover_ms\": {:.3}, \"retransmits\": {}, \"commit_lsn\": {}, ",
-            "\"journal_bytes\": {}, \"served_alpha\": {}, \"served_beta\": {}, ",
-            "\"state_version\": {}, \"net_delivered\": {}, \"net_lost\": {}, ",
-            "\"net_partitioned\": {}, \"replay_consistent\": {}, \"escalated\": {}, ",
-            "\"one_primary_per_epoch\": {}}}"
-        ),
-        r.members,
-        r.quorum,
-        r.calls,
-        r.served,
-        r.committed,
-        r.rejected,
-        r.failed_dead,
-        r.uncertain,
-        r.unavailable,
-        r.failovers,
-        r.restarts,
-        r.replica_revivals,
-        r.anti_entropy_repairs,
-        r.standby_resyncs,
-        r.rejoins,
-        r.fenced_events,
-        r.reconciles,
-        r.discarded_stale_lines,
-        r.crashes,
-        r.corruptions,
-        r.monitor_trips,
-        r.snapshot_rollbacks,
-        r.storage_faults,
-        r.harmless,
-        r.upgrades_pushed,
-        r.upgrades_applied,
-        r.upgrades_skipped,
-        r.upgrades_propagated,
-        r.committed_lost,
-        r.divergent_commits,
-        r.mean_failover_ms,
-        r.max_failover_ms,
-        r.retransmits,
-        r.commit_lsn,
-        r.journal_bytes,
-        r.served_counters.0,
-        r.served_counters.1,
-        r.state_version,
-        r.net_delivered,
-        r.net_lost,
-        r.net_partitioned,
-        r.replay_consistent,
-        r.escalated,
-        r.one_primary_per_epoch,
-    )
+    row(&[
+        ("members", &r.members),
+        ("quorum", &r.quorum),
+        ("calls", &r.calls),
+        ("served", &r.served),
+        ("committed", &r.committed),
+        ("rejected", &r.rejected),
+        ("failed_dead", &r.failed_dead),
+        ("uncertain", &r.uncertain),
+        ("unavailable", &r.unavailable),
+        ("failovers", &r.failovers),
+        ("restarts", &r.restarts),
+        ("replica_revivals", &r.replica_revivals),
+        ("anti_entropy_repairs", &r.anti_entropy_repairs),
+        ("standby_resyncs", &r.standby_resyncs),
+        ("rejoins", &r.rejoins),
+        ("fenced_events", &r.fenced_events),
+        ("reconciles", &r.reconciles),
+        ("discarded_stale_lines", &r.discarded_stale_lines),
+        ("crashes", &r.crashes),
+        ("corruptions", &r.corruptions),
+        ("monitor_trips", &r.monitor_trips),
+        ("snapshot_rollbacks", &r.snapshot_rollbacks),
+        ("storage_faults", &r.storage_faults),
+        ("harmless", &r.harmless),
+        ("upgrades_pushed", &r.upgrades_pushed),
+        ("upgrades_applied", &r.upgrades_applied),
+        ("upgrades_skipped", &r.upgrades_skipped),
+        ("upgrades_propagated", &r.upgrades_propagated),
+        ("committed_lost", &r.committed_lost),
+        ("divergent_commits", &r.divergent_commits),
+        ("mean_failover_ms", &Fixed(r.mean_failover_ms, 3)),
+        ("max_failover_ms", &Fixed(r.max_failover_ms, 3)),
+        ("retransmits", &r.retransmits),
+        ("commit_lsn", &r.commit_lsn),
+        ("journal_bytes", &r.journal_bytes),
+        ("served_alpha", &r.served_counters.0),
+        ("served_beta", &r.served_counters.1),
+        ("state_version", &r.state_version),
+        ("net_delivered", &r.net_delivered),
+        ("net_lost", &r.net_lost),
+        ("net_partitioned", &r.net_partitioned),
+        ("replay_consistent", &r.replay_consistent),
+        ("escalated", &r.escalated),
+        ("one_primary_per_epoch", &r.one_primary_per_epoch),
+    ])
 }
 
 impl E15Result {
-    /// Renders the `BENCH_e15.json` artifact (hand-rolled: the workspace
-    /// is dependency-free by design). Deterministic in the seeds.
+    /// Renders the `BENCH_e15.json` artifact. Deterministic in the seeds.
     pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let campaigns = self
+        let campaigns: Vec<String> = self
             .campaigns
             .iter()
             .map(|c| {
-                format!(
-                    concat!(
-                        "    {{\"seed\": {}, \"baseline3\": {},\n",
-                        "     \"quorum3\": {},\n     \"baseline5\": {},\n",
-                        "     \"quorum5\": {}}}"
-                    ),
+                campaign_row(
                     c.seed,
-                    json_run(&c.baseline3),
-                    json_run(&c.quorum3),
-                    json_run(&c.baseline5),
-                    json_run(&c.quorum5),
+                    &[
+                        ("baseline3", &json_run(&c.baseline3)),
+                        ("quorum3", &json_run(&c.quorum3)),
+                        ("baseline5", &json_run(&c.baseline5)),
+                        ("quorum5", &json_run(&c.quorum5)),
+                    ],
                 )
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e15\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n  \"supervise_every\": {},\n",
-                "  \"quorum_zero_lost\": {},\n  \"quorum_zero_divergence\": {},\n",
-                "  \"availability_strictly_better\": {},\n  \"replays_consistent\": {},\n",
-                "  \"one_primary_per_epoch\": {},\n  \"upgrades_propagated\": {},\n",
-                "  \"unavailable_quorum\": {},\n  \"unavailable_baseline\": {},\n",
-                "  \"campaigns\": [\n{}\n  ]\n}}\n"
+            .collect();
+        document(&[
+            ("experiment", &Str("e15")),
+            ("seed", &self.seeds.first().copied().unwrap_or(0)),
+            ("seeds", &array(&self.seeds)),
+            ("calls", &self.calls),
+            ("period_ms", &self.period_ms),
+            ("supervise_every", &SUPERVISE_EVERY),
+            ("quorum_zero_lost", &self.quorum_zero_lost),
+            ("quorum_zero_divergence", &self.quorum_zero_divergence),
+            (
+                "availability_strictly_better",
+                &self.availability_strictly_better,
             ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.calls,
-            self.period_ms,
-            SUPERVISE_EVERY,
-            self.quorum_zero_lost,
-            self.quorum_zero_divergence,
-            self.availability_strictly_better,
-            self.replays_consistent,
-            self.one_primary_per_epoch,
-            self.upgrades_propagated,
-            self.unavailable_quorum,
-            self.unavailable_baseline,
-            campaigns,
-        )
+            ("replays_consistent", &self.replays_consistent),
+            ("one_primary_per_epoch", &self.one_primary_per_epoch),
+            ("upgrades_propagated", &self.upgrades_propagated),
+            ("unavailable_quorum", &self.unavailable_quorum),
+            ("unavailable_baseline", &self.unavailable_baseline),
+            ("campaigns", &rows(&campaigns)),
+        ])
     }
 }
 

@@ -16,6 +16,7 @@
 //! Everything runs in virtual time, so a fixed seed reproduces the exact
 //! trace byte-for-byte — the integration suite relies on that.
 
+use crate::artifacts::{document, row, Fixed, Str};
 use mddsm_broker::{BrokerModelBuilder, GenericBroker, Resilience};
 use mddsm_meta::Model;
 use mddsm_sim::fault::{random_campaign, CampaignConfig, FaultDriver};
@@ -186,38 +187,28 @@ pub fn run(seed: u64, calls: u64, period_ms: u64) -> E6Result {
 }
 
 fn json_run(r: &E6Run) -> String {
-    format!(
-        concat!(
-            "{{\"calls\": {}, \"succeeded\": {}, \"success_rate\": {:.4}, ",
-            "\"recoveries\": {}, \"mean_recovery_ms\": {:.3}, ",
-            "\"max_recovery_ms\": {:.3}, \"mean_call_ms\": {:.3}}}"
-        ),
-        r.calls,
-        r.succeeded,
-        r.success_rate,
-        r.recoveries,
-        r.mean_recovery_ms,
-        r.max_recovery_ms,
-        r.mean_call_ms,
-    )
+    row(&[
+        ("calls", &r.calls),
+        ("succeeded", &r.succeeded),
+        ("success_rate", &Fixed(r.success_rate, 4)),
+        ("recoveries", &r.recoveries),
+        ("mean_recovery_ms", &Fixed(r.mean_recovery_ms, 3)),
+        ("max_recovery_ms", &Fixed(r.max_recovery_ms, 3)),
+        ("mean_call_ms", &Fixed(r.mean_call_ms, 3)),
+    ])
 }
 
 impl E6Result {
-    /// Renders the `BENCH_e6.json` artifact (hand-rolled: the workspace is
-    /// dependency-free by design).
+    /// Renders the `BENCH_e6.json` artifact.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e6\",\n  \"seed\": {},\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n",
-                "  \"baseline\": {},\n  \"resilient\": {}\n}}\n"
-            ),
-            self.seed,
-            self.calls,
-            self.period_ms,
-            json_run(&self.baseline),
-            json_run(&self.resilient),
-        )
+        document(&[
+            ("experiment", &Str("e6")),
+            ("seed", &self.seed),
+            ("calls", &self.calls),
+            ("period_ms", &self.period_ms),
+            ("baseline", &json_run(&self.baseline)),
+            ("resilient", &json_run(&self.resilient)),
+        ])
     }
 }
 

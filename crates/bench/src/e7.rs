@@ -23,18 +23,18 @@
 //! penalty plus a per-replayed-entry cost. A fixed seed therefore
 //! reproduces `BENCH_e7.json` byte-for-byte.
 
+use crate::artifacts::{document, row, Fixed, Str};
+use crate::common::{deliver, hub, mean_max_ms, recovery_penalty_us};
 use mddsm_broker::{
     BrokerModelBuilder, GenericBroker, RestartPolicy, Supervisor, SupervisorDecision,
 };
 use mddsm_meta::Model;
 use mddsm_sim::fault::{random_crash_campaign, CrashCampaignConfig, FaultDriver};
-use mddsm_sim::resource::{args, Args, Outcome};
-use mddsm_sim::{LatencyModel, ResourceHub, SimDuration};
+use mddsm_sim::resource::args;
+use mddsm_sim::SimDuration;
 
-/// Virtual cost of bringing a fresh broker process up (µs).
-pub const RESTART_PENALTY_US: u64 = 5_000;
-/// Virtual cost of replaying one journal entry during recovery (µs).
-pub const REPLAY_COST_PER_ENTRY_US: u64 = 20;
+pub use crate::common::{REPLAY_COST_PER_ENTRY_US, RESTART_PENALTY_US};
+
 /// Journal snapshot cadence (entries between snapshots).
 pub const SNAPSHOT_EVERY: u64 = 32;
 
@@ -44,23 +44,6 @@ pub const INVARIANTS: &[&str] = &[
     "self.served_alpha = null or self.served_alpha >= 0",
     "self.served_beta = null or self.served_beta >= 0",
 ];
-
-fn hub(seed: u64) -> ResourceHub {
-    let mut h = ResourceHub::new(seed);
-    h.register(
-        "sim.alpha",
-        LatencyModel::fixed_ms(3),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h.register(
-        "sim.beta",
-        LatencyModel::fixed_ms(5),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h
-}
 
 /// The E7 broker model: routing alternates between `sim.alpha` and
 /// `sim.beta` through a `tier` state variable flipped by state effects —
@@ -184,7 +167,9 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                 if te > t {
                     break;
                 }
-                driver.advance_full(te, broker.hub_mut(), None, Some(&mut supervisor));
+                for action in driver.advance_to(te, broker.hub_mut(), None) {
+                    deliver(&mut supervisor, &action);
+                }
                 if fault_at.is_none()
                     && (supervisor.state().int("crashed_broker") == Some(1)
                         || supervisor.state().int("wedged_broker") == Some(1))
@@ -239,9 +224,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                         recovered.set_snapshot_every(SNAPSHOT_EVERY);
                         replayed_ops += report.ops_replayed;
                         replayed_commands += report.commands_replayed;
-                        penalty_us = RESTART_PENALTY_US
-                            + REPLAY_COST_PER_ENTRY_US
-                                * (report.ops_replayed + report.commands_replayed);
+                        penalty_us = recovery_penalty_us(&report);
                         recovered.advance_clock(SimDuration::from_micros(penalty_us));
                         broker = recovered;
                     }
@@ -272,11 +255,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         broker.advance_clock(SimDuration::from_millis(period_ms));
     }
 
-    let mean_rto_ms = if rtos_us.is_empty() {
-        0.0
-    } else {
-        rtos_us.iter().sum::<u64>() as f64 / rtos_us.len() as f64 / 1000.0
-    };
+    let (mean_rto_ms, max_rto_ms) = mean_max_ms(&rtos_us);
     E7Run {
         calls,
         succeeded,
@@ -287,7 +266,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         replayed_ops,
         replayed_commands,
         mean_rto_ms,
-        max_rto_ms: rtos_us.iter().max().copied().unwrap_or(0) as f64 / 1000.0,
+        max_rto_ms,
         journal_bytes: broker.journal_bytes().map_or(0, |b| b.len() as u64),
         trace: broker.hub().command_trace(),
         served: (
@@ -340,52 +319,41 @@ pub fn run(seed: u64, calls: u64, period_ms: u64) -> E7Result {
 }
 
 fn json_run(r: &E7Run) -> String {
-    format!(
-        concat!(
-            "{{\"calls\": {}, \"succeeded\": {}, \"crashes\": {}, \"stalls\": {}, ",
-            "\"restarts\": {}, \"escalated\": {}, \"replayed_ops\": {}, ",
-            "\"replayed_commands\": {}, \"mean_rto_ms\": {:.3}, \"max_rto_ms\": {:.3}, ",
-            "\"journal_bytes\": {}, \"served_alpha\": {}, \"served_beta\": {}, ",
-            "\"state_version\": {}}}"
-        ),
-        r.calls,
-        r.succeeded,
-        r.crashes,
-        r.stalls,
-        r.restarts,
-        r.escalated,
-        r.replayed_ops,
-        r.replayed_commands,
-        r.mean_rto_ms,
-        r.max_rto_ms,
-        r.journal_bytes,
-        r.served.0,
-        r.served.1,
-        r.state_version,
-    )
+    row(&[
+        ("calls", &r.calls),
+        ("succeeded", &r.succeeded),
+        ("crashes", &r.crashes),
+        ("stalls", &r.stalls),
+        ("restarts", &r.restarts),
+        ("escalated", &r.escalated),
+        ("replayed_ops", &r.replayed_ops),
+        ("replayed_commands", &r.replayed_commands),
+        ("mean_rto_ms", &Fixed(r.mean_rto_ms, 3)),
+        ("max_rto_ms", &Fixed(r.max_rto_ms, 3)),
+        ("journal_bytes", &r.journal_bytes),
+        ("served_alpha", &r.served.0),
+        ("served_beta", &r.served.1),
+        ("state_version", &r.state_version),
+    ])
 }
 
 impl E7Result {
-    /// Renders the `BENCH_e7.json` artifact (hand-rolled: the workspace is
-    /// dependency-free by design). Deterministic in the seed.
+    /// Renders the `BENCH_e7.json` artifact. Deterministic in the seed.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e7\",\n  \"seed\": {},\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n",
-                "  \"supervised_trace_identical\": {},\n",
-                "  \"naive_trace_identical\": {},\n",
-                "  \"baseline\": {},\n  \"supervised\": {},\n  \"naive\": {}\n}}\n"
+        document(&[
+            ("experiment", &Str("e7")),
+            ("seed", &self.seed),
+            ("calls", &self.calls),
+            ("period_ms", &self.period_ms),
+            (
+                "supervised_trace_identical",
+                &self.supervised_trace_identical,
             ),
-            self.seed,
-            self.calls,
-            self.period_ms,
-            self.supervised_trace_identical,
-            self.naive_trace_identical,
-            json_run(&self.baseline),
-            json_run(&self.supervised),
-            json_run(&self.naive),
-        )
+            ("naive_trace_identical", &self.naive_trace_identical),
+            ("baseline", &json_run(&self.baseline)),
+            ("supervised", &json_run(&self.supervised)),
+            ("naive", &json_run(&self.naive)),
+        ])
     }
 }
 

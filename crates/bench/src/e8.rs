@@ -32,6 +32,7 @@
 //! Everything runs on the virtual clock from a fixed seed, so repeated
 //! runs reproduce `BENCH_e8.json` byte-for-byte.
 
+use crate::artifacts::{document, row, Fixed, Str};
 use mddsm_broker::{AdmittedOutcome, BrokerModelBuilder, CallMeta, GenericBroker};
 use mddsm_meta::Model;
 use mddsm_sim::resource::{args, Args, Outcome};
@@ -463,57 +464,41 @@ pub fn run(seed: u64, horizon_ms: u64) -> E8Result {
 }
 
 fn json_run(r: &E8Run) -> String {
-    format!(
-        concat!(
-            "{{\"arrivals\": {}, \"executed\": {}, \"timely\": {}, \"late\": {}, ",
-            "\"shed\": {}, \"dropped\": {}, \"deferrals\": {}, ",
-            "\"goodput_per_s\": {:.1}, \"miss_rate\": {:.4}, ",
-            "\"p99_latency_ms\": {:.3}, \"brownout_transitions\": {}, ",
-            "\"final_mode\": \"{}\", \"state_version\": {}}}"
-        ),
-        r.arrivals,
-        r.executed,
-        r.timely,
-        r.late,
-        r.shed,
-        r.dropped,
-        r.deferrals,
-        r.goodput_per_s,
-        r.miss_rate,
-        r.p99_latency_ms,
-        r.brownout_transitions,
-        r.final_mode,
-        r.state_version,
-    )
+    row(&[
+        ("arrivals", &r.arrivals),
+        ("executed", &r.executed),
+        ("timely", &r.timely),
+        ("late", &r.late),
+        ("shed", &r.shed),
+        ("dropped", &r.dropped),
+        ("deferrals", &r.deferrals),
+        ("goodput_per_s", &Fixed(r.goodput_per_s, 1)),
+        ("miss_rate", &Fixed(r.miss_rate, 4)),
+        ("p99_latency_ms", &Fixed(r.p99_latency_ms, 3)),
+        ("brownout_transitions", &r.brownout_transitions),
+        ("final_mode", &Str(&r.final_mode)),
+        ("state_version", &r.state_version),
+    ])
 }
 
 impl E8Result {
-    /// Renders the `BENCH_e8.json` artifact (hand-rolled: the workspace is
-    /// dependency-free by design). Deterministic in the seed.
+    /// Renders the `BENCH_e8.json` artifact. Deterministic in the seed.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e8\",\n  \"seed\": {},\n",
-                "  \"horizon_ms\": {},\n  \"spike_factor\": {:.1},\n",
-                "  \"spike_start_ms\": {},\n  \"spike_end_ms\": {},\n",
-                "  \"shed_beats_naive\": {},\n  \"brownout_beats_naive\": {},\n",
-                "  \"crash_trace_identical\": {},\n",
-                "  \"recovered_mode_matches\": {},\n",
-                "  \"naive\": {},\n  \"shed\": {},\n  \"brownout\": {}\n}}\n"
-            ),
-            self.seed,
-            self.horizon_ms,
-            self.spike_factor,
-            self.spike_start_ms,
-            self.spike_end_ms,
-            self.shed_beats_naive,
-            self.brownout_beats_naive,
-            self.crash_trace_identical,
-            self.recovered_mode_matches,
-            json_run(&self.naive),
-            json_run(&self.shed),
-            json_run(&self.brownout),
-        )
+        document(&[
+            ("experiment", &Str("e8")),
+            ("seed", &self.seed),
+            ("horizon_ms", &self.horizon_ms),
+            ("spike_factor", &Fixed(self.spike_factor, 1)),
+            ("spike_start_ms", &self.spike_start_ms),
+            ("spike_end_ms", &self.spike_end_ms),
+            ("shed_beats_naive", &self.shed_beats_naive),
+            ("brownout_beats_naive", &self.brownout_beats_naive),
+            ("crash_trace_identical", &self.crash_trace_identical),
+            ("recovered_mode_matches", &self.recovered_mode_matches),
+            ("naive", &json_run(&self.naive)),
+            ("shed", &json_run(&self.shed)),
+            ("brownout", &json_run(&self.brownout)),
+        ])
     }
 }
 

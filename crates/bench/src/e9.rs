@@ -36,16 +36,21 @@
 //! every seed; async shows measurable loss under partition; no-replica
 //! loses everything at each crash. Everything is virtual-time and seeded,
 //! so `BENCH_e9.json` reproduces byte-for-byte.
+//!
+//! [`Supervisor`]: mddsm_broker::Supervisor
+//! [`BrokerError::StaleEpoch`]: mddsm_broker::BrokerError::StaleEpoch
 
 use std::collections::BTreeMap;
 
-use crate::common::{applied_updates, drain, hub};
-use mddsm_broker::journal::{self, JournalRecord};
+use crate::artifacts::{array, campaign_row, document, row, rows, Fixed, Str};
+use crate::common::{
+    applied_updates, campaign_supervisor, deliver, divergent_commits, drain, fence_stale, hub,
+    mean_max_ms, promote, reconcile_stale, replay_consistent,
+};
 use mddsm_broker::monitor;
-use mddsm_broker::replication::reconcile;
 use mddsm_broker::{
-    BrokerModelBuilder, GenericBroker, QuorumReplicator, ReplicaSetConfig, RestartPolicy, Standby,
-    Supervisor, SupervisorDecision,
+    BrokerModelBuilder, GenericBroker, QuorumReplicator, ReplicaSetConfig, Standby,
+    SupervisorDecision,
 };
 use mddsm_meta::Model;
 use mddsm_sim::fault::{random_failover_campaign, FailoverCampaignConfig, FaultDriver};
@@ -53,10 +58,8 @@ use mddsm_sim::net::{Link, Network};
 use mddsm_sim::resource::args;
 use mddsm_sim::SimDuration;
 
-/// Virtual cost of bringing a promoted or restarted broker up (µs).
-pub const RESTART_PENALTY_US: u64 = 5_000;
-/// Virtual cost of replaying one journal entry during promotion (µs).
-pub const REPLAY_COST_PER_ENTRY_US: u64 = 20;
+pub use crate::common::{REPLAY_COST_PER_ENTRY_US, RESTART_PENALTY_US};
+
 /// Journal snapshot cadence (entries between snapshots).
 pub const SNAPSHOT_EVERY: u64 = 32;
 /// Calls between supervisor monitoring cycles — the control plane is
@@ -125,7 +128,7 @@ pub enum Variant {
 }
 
 /// Metrics of one configuration under one campaign.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct E9Run {
     /// Calls issued.
     pub calls: u64,
@@ -148,7 +151,8 @@ pub struct E9Run {
     /// Times the failed-over node healed and rejoined as the new standby.
     pub rejoins: u64,
     /// Stale-epoch refusals observed when a healed stale primary tried to
-    /// ship its divergent journal ([`BrokerError::StaleEpoch`]).
+    /// ship its divergent journal
+    /// ([`BrokerError::StaleEpoch`](mddsm_broker::BrokerError::StaleEpoch)).
     pub fenced_events: u64,
     /// Journal reconciliations run for healed stale primaries.
     pub reconciles: u64,
@@ -216,18 +220,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
     let mut primary_node = "a".to_owned();
 
     let horizon = SimDuration::from_millis(calls * period_ms);
-    // Liveness comes from the crash/partition flags the campaign raises,
-    // not heartbeat staleness, so the stall deadline is parked beyond the
-    // horizon; the 1 ms restart window keeps a partitioned standby's
-    // repeated restart decisions from ever escalating.
-    let mut supervisor = Supervisor::new(
-        &["a", "b"],
-        RestartPolicy {
-            max_restarts: 10_000,
-            window: SimDuration::from_millis(1),
-            stall_after: SimDuration::from_millis(4 * calls * period_ms),
-        },
-    );
+    let mut supervisor = campaign_supervisor(&["a", "b"], horizon);
     let mut standby: Option<Standby> = None;
     let mut rep: Option<QuorumReplicator> = None;
     if replicated {
@@ -256,22 +249,12 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
     let mut driver = FaultDriver::from_model(&campaign).expect("campaign conforms");
 
     let period = SimDuration::from_millis(period_ms);
-    let mut served = 0u64;
-    let mut committed = 0u64;
+    let mut run = E9Run {
+        calls,
+        ..E9Run::default()
+    };
     let mut committed_actions: Vec<String> = Vec::new();
-    let mut rejected = 0u64;
-    let mut failed_dead = 0u64;
-    let mut uncertain = 0u64;
-    let mut failovers = 0u64;
-    let mut restarts = 0u64;
-    let mut standby_resyncs = 0u64;
-    let mut rejoins = 0u64;
-    let mut fenced_events = 0u64;
-    let mut reconciles = 0u64;
-    let mut discarded_stale_lines = 0u64;
-    let mut committed_lost = 0u64;
     let mut retrans_retired = 0u64;
-    let mut escalated = false;
     let mut fo_times_us: Vec<u64> = Vec::new();
     // The shipped `onePrimaryPerEpoch` temporal property, observed online
     // against the supervisor's runtime model during the campaign
@@ -295,7 +278,9 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
             if te > t {
                 break;
             }
-            driver.advance_full(te, broker.hub_mut(), Some(&net), Some(&mut supervisor));
+            for action in driver.advance_to(te, broker.hub_mut(), Some(&net)) {
+                deliver(&mut supervisor, &action);
+            }
             let crashed = supervisor.state().int("crashed_a") == Some(1);
             // The campaign only ever faults node `a`; a fault opens an RTO
             // window only while `a` holds the primary role.
@@ -325,7 +310,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
             let mut sb_reset = false;
             for d in supervisor.tick(t).expect("liveness symptoms evaluate") {
                 match d {
-                    SupervisorDecision::Escalate { .. } => escalated = true,
+                    SupervisorDecision::Escalate { .. } => run.escalated = true,
                     SupervisorDecision::Failover {
                         component,
                         standby: promoted_to,
@@ -376,21 +361,20 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                     // promoted side starts from its own node's resources.
                     (hub(seed ^ (0x9e00 + epoch)), Some(dead))
                 };
-                let (mut promoted, report) = sb
-                    .promote(epoch, &model, promoted_hub, INVARIANTS)
-                    .expect("promotion recovers from the mirror");
-                promoted.set_snapshot_every(SNAPSHOT_EVERY);
-                let penalty_us = RESTART_PENALTY_US
-                    + REPLAY_COST_PER_ENTRY_US * (report.ops_replayed + report.commands_replayed);
-                let target_us = t.as_micros() + penalty_us;
-                let now_us = promoted.now().as_micros();
-                if target_us > now_us {
-                    promoted.advance_clock(SimDuration::from_micros(target_us - now_us));
-                }
+                let (promoted, penalty_us) = promote(
+                    &mut sb,
+                    epoch,
+                    &model,
+                    promoted_hub,
+                    INVARIANTS,
+                    SNAPSHOT_EVERY,
+                    t,
+                );
                 broker = promoted;
-                failovers += 1;
-                committed_lost =
-                    committed_lost.max(committed.saturating_sub(applied_updates(&broker)));
+                run.failovers += 1;
+                run.committed_lost = run
+                    .committed_lost
+                    .max(run.committed.saturating_sub(applied_updates(&broker)));
                 let detect_us = t.as_micros() - fault_at.take().unwrap_or_else(|| t.as_micros());
                 fo_times_us.push(detect_us + penalty_us);
                 primary_node = promoted_to;
@@ -408,8 +392,8 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                 fresh.enable_journal(SNAPSHOT_EVERY);
                 fresh.advance_clock(SimDuration::from_micros(t.as_micros() + RESTART_PENALTY_US));
                 broker = fresh;
-                restarts += 1;
-                committed_lost = committed_lost.max(committed);
+                run.restarts += 1;
+                run.committed_lost = run.committed_lost.max(run.committed);
                 let detect_us = t.as_micros() - fault_at.take().unwrap_or_else(|| t.as_micros());
                 fo_times_us.push(detect_us + RESTART_PENALTY_US);
             }
@@ -426,48 +410,30 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                     cfg_to(base_cfg.as_ref().expect("replicated"), &sb_node),
                     &primary_node,
                 ));
-                standby_resyncs += 1;
+                run.standby_resyncs += 1;
             }
 
             // A failed-over node that is reachable again rejoins: fence
             // its stale journal, reconcile, and re-arm it as the standby.
             if replicated && supervisor.awaiting_rejoin("a") && net.is_up("a", "b") {
-                if let Some((stale_broker, mut stale_rep, mut fence)) = parked.take() {
-                    if supervisor.state().int("crashed_a") == Some(1) {
-                        // A later crash took the parked journal with it;
-                        // nothing left to fence or reconcile.
-                        retrans_retired += stale_rep.retransmits();
-                    } else {
-                        let stale_bytes = stale_broker
-                            .journal_bytes()
-                            .expect("journaling on")
-                            .to_vec();
-                        let r = stale_rep
-                            .tick(
-                                t,
-                                stale_broker.epoch(),
-                                &net,
-                                &stale_bytes,
-                                &mut [&mut fence],
-                            )
-                            .expect("stale tick is healthy");
-                        if r.fenced > 0 {
-                            fenced_events += 1;
+                if let Some((stale, mut stale_rep, mut fence)) = parked.take() {
+                    // Unless a later crash took the parked journal with
+                    // it, leaving nothing to fence or reconcile.
+                    if supervisor.state().int("crashed_a") != Some(1) {
+                        if fence_stale(&stale, &mut stale_rep, &net, t, &mut [&mut fence]) {
+                            run.fenced_events += 1;
                         }
-                        retrans_retired += stale_rep.retransmits();
-                        let auth = broker.journal_bytes().expect("journaling on").to_vec();
-                        let (_, rr) = reconcile(
-                            &auth,
-                            &stale_bytes,
+                        run.reconciles += 1;
+                        run.discarded_stale_lines += reconcile_stale(
+                            &broker,
                             &primary_node,
+                            &stale,
                             &model,
-                            hub(seed ^ 0xace),
                             INVARIANTS,
-                        )
-                        .expect("reconciliation rebuilds from the authoritative journal");
-                        reconciles += 1;
-                        discarded_stale_lines += rr.discarded_stale_lines as u64;
+                            seed,
+                        );
                     }
+                    retrans_retired += stale_rep.retransmits();
                 }
                 supervisor.rejoin("a", t);
                 supervisor.designate_replica_set(&primary_node, &["a"]);
@@ -478,7 +444,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                     cfg_to(base_cfg.as_ref().expect("replicated"), "a"),
                     &primary_node,
                 ));
-                rejoins += 1;
+                run.rejoins += 1;
             }
 
             // Online temporal-property check (the shipped
@@ -495,7 +461,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
 
         // A crashed-but-undetected primary serves nothing.
         if supervisor.state().int(&format!("crashed_{primary_node}")) == Some(1) {
-            failed_dead += 1;
+            run.failed_dead += 1;
             broker.advance_clock(period);
             continue;
         }
@@ -516,7 +482,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                 _ => false,
             };
             if !caught_up {
-                rejected += 1;
+                run.rejected += 1;
                 broker.advance_clock(period);
                 continue;
             }
@@ -528,21 +494,14 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
             .expect("handler accepts op");
         let ok = r.outcome.is_ok();
         if ok {
-            served += 1;
+            run.served += 1;
         }
-        match variant {
-            Variant::NoReplica => {
-                if ok {
-                    committed += 1;
-                    committed_actions.push(r.action.clone());
-                }
-            }
+        // Only the ack-windowed primary waits for the standby before it
+        // acknowledges a commit.
+        let acked = match variant {
+            Variant::NoReplica => true,
             Variant::AsyncShip => {
                 // AP: commit first, ship when the network allows.
-                if ok {
-                    committed += 1;
-                    committed_actions.push(r.action.clone());
-                }
                 if let (Some(rp), Some(s)) = (rep.as_mut(), standby.as_mut()) {
                     rp.tick(
                         broker.now(),
@@ -553,102 +512,50 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                     )
                     .expect("replication tick is healthy");
                 }
+                true
             }
-            Variant::AckWindowed => {
-                let rp = rep.as_mut().expect("gate passed");
-                let s = standby.as_mut().expect("gate passed");
-                let acked = drain(
-                    rp,
-                    &broker,
-                    &net,
-                    &mut [s],
-                    broker.now().as_micros(),
-                    DRAIN_ROUNDS,
-                    ACK_TIMEOUT_US,
-                );
-                if ok && acked {
-                    committed += 1;
-                    committed_actions.push(r.action.clone());
-                } else if ok {
-                    // Executed but unacknowledged: the client is told
-                    // "uncertain", never "committed" — so it can never be
-                    // committed-but-lost.
-                    uncertain += 1;
-                }
-            }
+            Variant::AckWindowed => drain(
+                rep.as_mut().expect("gate passed"),
+                &broker,
+                &net,
+                &mut [standby.as_mut().expect("gate passed")],
+                broker.now().as_micros(),
+                DRAIN_ROUNDS,
+                ACK_TIMEOUT_US,
+            ),
+        };
+        if ok && acked {
+            run.committed += 1;
+            committed_actions.push(r.action.clone());
+        } else if ok {
+            // Executed but unacknowledged: the client is told
+            // "uncertain", never "committed" — so it can never be
+            // committed-but-lost.
+            run.uncertain += 1;
         }
         broker.advance_clock(period);
     }
 
     // Post-failover command-trace divergence: every action acknowledged as
     // committed must still appear, in order, in the surviving journal.
-    let journal_bytes = broker.journal_bytes().expect("journaling on");
-    let mut trace: Vec<String> = Vec::new();
-    for line in std::str::from_utf8(journal_bytes)
-        .expect("journal is UTF-8")
-        .lines()
-    {
-        if let JournalRecord::Command {
-            action, ok: true, ..
-        } = journal::parse_line(line).expect("surviving journal parses")
-        {
-            trace.push(action);
-        }
-    }
-    let mut j = 0usize;
-    let mut divergent_commits = 0u64;
-    for a in &committed_actions {
-        match trace[j..].iter().position(|x| x == a) {
-            Some(p) => j += p + 1,
-            None => divergent_commits += 1,
-        }
-    }
-
-    let replayed = journal::replay(journal_bytes).expect("surviving journal replays");
-    let replay_consistent = broker.state().first_divergence(&replayed.state).is_none();
-
-    let mut retransmits = retrans_retired;
+    run.divergent_commits = divergent_commits(&broker, &committed_actions);
+    run.replay_consistent = replay_consistent(&broker);
+    run.retransmits = retrans_retired;
     if let Some(r) = rep.as_ref() {
-        retransmits += r.retransmits();
+        run.retransmits += r.retransmits();
     }
     if let Some((_, r, _)) = parked.as_ref() {
-        retransmits += r.retransmits();
+        run.retransmits += r.retransmits();
     }
-
-    let mean_failover_ms = if fo_times_us.is_empty() {
-        0.0
-    } else {
-        fo_times_us.iter().sum::<u64>() as f64 / fo_times_us.len() as f64 / 1000.0
-    };
-    E9Run {
-        calls,
-        served,
-        committed,
-        rejected,
-        failed_dead,
-        uncertain,
-        failovers,
-        restarts,
-        standby_resyncs,
-        rejoins,
-        fenced_events,
-        reconciles,
-        discarded_stale_lines,
-        committed_lost,
-        divergent_commits,
-        mean_failover_ms,
-        max_failover_ms: fo_times_us.iter().max().copied().unwrap_or(0) as f64 / 1000.0,
-        retransmits,
-        journal_bytes: journal_bytes.len() as u64,
-        served_counters: (
-            broker.state().int("served_alpha").unwrap_or(0),
-            broker.state().int("served_beta").unwrap_or(0),
-        ),
-        state_version: broker.state().version(),
-        replay_consistent,
-        escalated,
-        one_primary_per_epoch: property_trips == 0,
-    }
+    (run.mean_failover_ms, run.max_failover_ms) = mean_max_ms(&fo_times_us);
+    run.journal_bytes = broker.journal_bytes().map_or(0, |b| b.len() as u64);
+    run.served_counters = (
+        broker.state().int("served_alpha").unwrap_or(0),
+        broker.state().int("served_beta").unwrap_or(0),
+    );
+    run.state_version = broker.state().version();
+    run.one_primary_per_epoch = property_trips == 0;
+    run
 }
 
 /// All three configurations over one campaign seed.
@@ -736,94 +643,66 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E9Result {
 }
 
 fn json_run(r: &E9Run) -> String {
-    format!(
-        concat!(
-            "{{\"calls\": {}, \"served\": {}, \"committed\": {}, \"rejected\": {}, ",
-            "\"failed_dead\": {}, \"uncertain\": {}, \"failovers\": {}, \"restarts\": {}, ",
-            "\"standby_resyncs\": {}, \"rejoins\": {}, \"fenced_events\": {}, ",
-            "\"reconciles\": {}, \"discarded_stale_lines\": {}, \"committed_lost\": {}, ",
-            "\"divergent_commits\": {}, \"mean_failover_ms\": {:.3}, ",
-            "\"max_failover_ms\": {:.3}, \"retransmits\": {}, \"journal_bytes\": {}, ",
-            "\"served_alpha\": {}, \"served_beta\": {}, \"state_version\": {}, ",
-            "\"replay_consistent\": {}, \"escalated\": {}, ",
-            "\"one_primary_per_epoch\": {}}}"
-        ),
-        r.calls,
-        r.served,
-        r.committed,
-        r.rejected,
-        r.failed_dead,
-        r.uncertain,
-        r.failovers,
-        r.restarts,
-        r.standby_resyncs,
-        r.rejoins,
-        r.fenced_events,
-        r.reconciles,
-        r.discarded_stale_lines,
-        r.committed_lost,
-        r.divergent_commits,
-        r.mean_failover_ms,
-        r.max_failover_ms,
-        r.retransmits,
-        r.journal_bytes,
-        r.served_counters.0,
-        r.served_counters.1,
-        r.state_version,
-        r.replay_consistent,
-        r.escalated,
-        r.one_primary_per_epoch,
-    )
+    row(&[
+        ("calls", &r.calls),
+        ("served", &r.served),
+        ("committed", &r.committed),
+        ("rejected", &r.rejected),
+        ("failed_dead", &r.failed_dead),
+        ("uncertain", &r.uncertain),
+        ("failovers", &r.failovers),
+        ("restarts", &r.restarts),
+        ("standby_resyncs", &r.standby_resyncs),
+        ("rejoins", &r.rejoins),
+        ("fenced_events", &r.fenced_events),
+        ("reconciles", &r.reconciles),
+        ("discarded_stale_lines", &r.discarded_stale_lines),
+        ("committed_lost", &r.committed_lost),
+        ("divergent_commits", &r.divergent_commits),
+        ("mean_failover_ms", &Fixed(r.mean_failover_ms, 3)),
+        ("max_failover_ms", &Fixed(r.max_failover_ms, 3)),
+        ("retransmits", &r.retransmits),
+        ("journal_bytes", &r.journal_bytes),
+        ("served_alpha", &r.served_counters.0),
+        ("served_beta", &r.served_counters.1),
+        ("state_version", &r.state_version),
+        ("replay_consistent", &r.replay_consistent),
+        ("escalated", &r.escalated),
+        ("one_primary_per_epoch", &r.one_primary_per_epoch),
+    ])
 }
 
 impl E9Result {
-    /// Renders the `BENCH_e9.json` artifact (hand-rolled: the workspace is
-    /// dependency-free by design). Deterministic in the seeds.
+    /// Renders the `BENCH_e9.json` artifact. Deterministic in the seeds.
     pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let campaigns = self
+        let campaigns: Vec<String> = self
             .campaigns
             .iter()
             .map(|c| {
-                format!(
-                    concat!(
-                        "    {{\"seed\": {}, \"no_replica\": {},\n",
-                        "     \"async_ship\": {},\n     \"ack_ship\": {}}}"
-                    ),
+                campaign_row(
                     c.seed,
-                    json_run(&c.no_replica),
-                    json_run(&c.async_ship),
-                    json_run(&c.ack_ship),
+                    &[
+                        ("no_replica", &json_run(&c.no_replica)),
+                        ("async_ship", &json_run(&c.async_ship)),
+                        ("ack_ship", &json_run(&c.ack_ship)),
+                    ],
                 )
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e9\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n  \"supervise_every\": {},\n",
-                "  \"ack_zero_lost\": {},\n  \"ack_zero_divergence\": {},\n",
-                "  \"async_loss_observed\": {},\n  \"replays_consistent\": {},\n",
-                "  \"one_primary_per_epoch\": {},\n",
-                "  \"campaigns\": [\n{}\n  ]\n}}\n"
-            ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.calls,
-            self.period_ms,
-            SUPERVISE_EVERY,
-            self.ack_zero_lost,
-            self.ack_zero_divergence,
-            self.async_loss_observed,
-            self.replays_consistent,
-            self.one_primary_per_epoch,
-            campaigns,
-        )
+            .collect();
+        document(&[
+            ("experiment", &Str("e9")),
+            ("seed", &self.seeds.first().copied().unwrap_or(0)),
+            ("seeds", &array(&self.seeds)),
+            ("calls", &self.calls),
+            ("period_ms", &self.period_ms),
+            ("supervise_every", &SUPERVISE_EVERY),
+            ("ack_zero_lost", &self.ack_zero_lost),
+            ("ack_zero_divergence", &self.ack_zero_divergence),
+            ("async_loss_observed", &self.async_loss_observed),
+            ("replays_consistent", &self.replays_consistent),
+            ("one_primary_per_epoch", &self.one_primary_per_epoch),
+            ("campaigns", &rows(&campaigns)),
+        ])
     }
 }
 

@@ -20,7 +20,6 @@
 use crate::state::StateManager;
 use crate::{BrokerError, Result};
 use mddsm_meta::constraint;
-use mddsm_sim::fault::ComponentTarget;
 use mddsm_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -161,7 +160,7 @@ pub struct Supervisor {
     replica_sets: BTreeMap<String, Vec<String>>,
     /// Components failed over and awaiting [`Supervisor::rejoin`].
     awaiting_rejoin: Vec<String>,
-    /// Forced failovers queued by [`ComponentTarget::failover_to`].
+    /// Forced failovers queued by [`Supervisor::failover_to`].
     forced: Vec<(String, String)>,
     /// Fencing epoch; bumped by every promotion.
     epoch: u64,
@@ -592,20 +591,31 @@ impl Supervisor {
     }
 }
 
-impl ComponentTarget for Supervisor {
-    fn crash_component(&mut self, component: &str) {
+/// The middleware-level fault events a campaign delivers to supervised
+/// components (`CrashComponent`, `StallComponent` and `FailoverTo` actions
+/// returned by the fault driver).
+impl Supervisor {
+    /// The named component dies abruptly (in-memory state lost): the next
+    /// [`Supervisor::tick`] sees it crashed. Unknown names are ignored.
+    pub fn crash_component(&mut self, component: &str) {
         if self.components.iter().any(|c| c == component) {
             self.state.set_int(&key("crashed", component), 1);
         }
     }
 
-    fn stall_component(&mut self, component: &str) {
+    /// The named component wedges: alive but making no progress, so its
+    /// heartbeats stop and staleness detection catches it. Unknown names
+    /// are ignored.
+    pub fn stall_component(&mut self, component: &str) {
         if self.components.iter().any(|c| c == component) {
             self.state.set_int(&key("wedged", component), 1);
         }
     }
 
-    fn failover_to(&mut self, component: &str, standby: &str) {
+    /// Queues a forced failover: `component` must hand its primary role to
+    /// `standby` on the next tick. Ignored unless both are known and
+    /// distinct.
+    pub fn failover_to(&mut self, component: &str, standby: &str) {
         if self.known(component) && self.known(standby) && component != standby {
             self.forced.push((component.to_owned(), standby.to_owned()));
         }

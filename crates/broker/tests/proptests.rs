@@ -299,7 +299,6 @@ fn overload_interleavings_replay_to_exact_state_and_mode() {
 #[test]
 fn failover_interleavings_yield_one_primary_per_epoch() {
     use mddsm_broker::supervisor::{RestartPolicy, Supervisor, SupervisorDecision};
-    use mddsm_sim::fault::ComponentTarget;
     use mddsm_sim::{SimDuration, SimTime};
     use std::collections::BTreeSet;
 

@@ -9,8 +9,7 @@
 //!
 //! Load spikes are fault-plan events: [`FaultPlanBuilder::load_spike`]
 //! multiplies a class's arrival rate from an instant on, and
-//! [`FaultPlanBuilder::load_normal`] restores the baseline
-//! ([`FaultPlanBuilder`](crate::fault::FaultPlanBuilder)). The generator
+//! [`FaultPlanBuilder::load_normal`] restores the baseline. The generator
 //! consumes those events in two ways, mirroring the two [`FaultDriver`]
 //! styles:
 //!
@@ -18,16 +17,20 @@
 //!   load events into a complete, time-sorted arrival schedule up to a
 //!   horizon — what the E8 harness replays against each middleware variant
 //!   so all variants face the byte-identical workload.
-//! * **Online**: the generator implements [`ComponentTarget`], so a
-//!   [`FaultDriver`](crate::fault::FaultDriver) can steer its live
-//!   multipliers as virtual time advances.
+//! * **Online**: a [`FaultDriver`] returns the due load events as virtual
+//!   time advances, and the caller steers the live multipliers with
+//!   [`ArrivalGenerator::set_multiplier`].
 //!
 //! Determinism: each class draws from its own [`SimRng`] seeded
 //! `seed ^ (index + 1)`, so adding a class never perturbs the streams of
 //! the classes before it, and the same seed always yields the identical
 //! schedule.
+//!
+//! [`FaultPlanBuilder::load_spike`]: crate::fault::FaultPlanBuilder::load_spike
+//! [`FaultPlanBuilder::load_normal`]: crate::fault::FaultPlanBuilder::load_normal
+//! [`FaultDriver`]: crate::fault::FaultDriver
 
-use crate::fault::{ComponentTarget, FaultAction, FaultPlan};
+use crate::fault::{FaultAction, FaultPlan};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -56,7 +59,8 @@ pub struct Arrival {
 pub struct ArrivalGenerator {
     classes: Vec<ArrivalClass>,
     seed: u64,
-    /// Live per-class rate multipliers, steered via [`ComponentTarget`].
+    /// Live per-class rate multipliers, steered via
+    /// [`ArrivalGenerator::set_multiplier`].
     live: Vec<f64>,
 }
 
@@ -176,19 +180,6 @@ impl ArrivalGenerator {
     }
 }
 
-/// Lets a [`FaultDriver`](crate::fault::FaultDriver) steer the generator's
-/// live multipliers online; crash/stall events do not concern arrivals.
-impl ComponentTarget for ArrivalGenerator {
-    fn crash_component(&mut self, _component: &str) {}
-    fn stall_component(&mut self, _component: &str) {}
-    fn load_spike(&mut self, class: &str, factor: f64) {
-        self.set_multiplier(class, factor);
-    }
-    fn load_normal(&mut self, class: &str) {
-        self.set_multiplier(class, 1.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,11 +268,20 @@ mod tests {
         let mut driver = FaultDriver::from_model(&plan_model).unwrap();
         let mut hub = ResourceHub::new(0);
         let mut gen = generator();
+        let mut steer = |gen: &mut ArrivalGenerator, now: SimTime| {
+            for action in driver.advance_to(now, &mut hub, None) {
+                match action {
+                    FaultAction::LoadSpike { class, factor } => gen.set_multiplier(&class, factor),
+                    FaultAction::LoadNormal { class } => gen.set_multiplier(&class, 1.0),
+                    other => panic!("unexpected action {other:?}"),
+                }
+            }
+        };
         assert_eq!(gen.multiplier("batch"), 1.0);
-        driver.advance_full(SimTime::from_millis(10), &mut hub, None, Some(&mut gen));
+        steer(&mut gen, SimTime::from_millis(10));
         assert_eq!(gen.multiplier("batch"), 3.0);
         assert_eq!(gen.multiplier("interactive"), 1.0);
-        driver.advance_full(SimTime::from_millis(20), &mut hub, None, Some(&mut gen));
+        steer(&mut gen, SimTime::from_millis(20));
         assert_eq!(gen.multiplier("batch"), 1.0);
     }
 

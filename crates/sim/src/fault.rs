@@ -12,8 +12,11 @@
 //! Two execution styles mirror the crate's two usage styles:
 //!
 //! * **Synchronous-with-cost**: call [`FaultDriver::advance_to`] with the
-//!   current virtual time before each resource invocation; all due events
-//!   are applied to the [`ResourceHub`] (and optionally a [`Network`]).
+//!   current virtual time before each resource invocation. It applies the
+//!   due resource events to the [`ResourceHub`] and the due network events
+//!   to a [`Network`], when one is supplied. It returns the due
+//!   middleware-level [`FaultAction`]s (component crashes, load changes,
+//!   storage damage, ...) in plan order, for the caller to act on.
 //! * **Event-driven**: [`schedule_network_events`] registers the
 //!   network-affecting events of a plan as [`Simulator`] events.
 
@@ -167,8 +170,8 @@ pub enum FaultAction {
     },
     /// Multiply the arrival rate of a workload class — the overload
     /// campaigns of experiment E8. Unlike the other kinds, this targets
-    /// neither a resource nor the network: it is delivered to the
-    /// [`ComponentTarget`] (typically an arrival generator).
+    /// neither a resource nor the network: the driver returns it to the
+    /// caller (typically to steer an arrival generator).
     LoadSpike {
         /// Workload class whose arrivals spike.
         class: String,
@@ -181,8 +184,8 @@ pub enum FaultAction {
         class: String,
     },
     /// Force a failover: the named middleware component hands its primary
-    /// role to `standby`. Delivered to the [`ComponentTarget`] like the
-    /// other middleware events — the supervisor (or harness) decides what
+    /// role to `standby`. Returned by the driver like the other
+    /// middleware events — the supervisor (or harness) decides what
     /// promotion actually means.
     FailoverTo {
         /// Component currently holding the primary role.
@@ -245,7 +248,7 @@ pub enum FaultAction {
         /// Middleware component asked to upgrade.
         component: String,
         /// Name of the candidate model to upgrade to (resolved by the
-        /// harness's [`ComponentTarget`]).
+        /// harness).
         candidate: String,
     },
 }
@@ -296,46 +299,20 @@ impl FaultAction {
                 | FaultAction::TruncateSnapshot { .. }
         )
     }
-}
 
-/// Receiver of middleware-level fault events: whatever supervises (or
-/// embodies) middleware components implements this so a [`FaultDriver`]
-/// can kill or wedge them. Resource and network faults never reach it.
-pub trait ComponentTarget {
-    /// The named component dies abruptly (in-memory state lost).
-    fn crash_component(&mut self, component: &str);
-    /// The named component wedges: alive but making no progress.
-    fn stall_component(&mut self, component: &str);
-    /// The arrival rate of workload class `class` is multiplied by
-    /// `factor`. Default no-op so supervisors that only care about
-    /// crash/stall events need not handle load.
-    fn load_spike(&mut self, _class: &str, _factor: f64) {}
-    /// Workload class `class` returns to its baseline arrival rate.
-    /// Default no-op, like [`ComponentTarget::load_spike`].
-    fn load_normal(&mut self, _class: &str) {}
-    /// The named component must hand its primary role to `standby`.
-    /// Default no-op so targets without replication need not handle it.
-    fn failover_to(&mut self, _component: &str, _standby: &str) {}
-    /// One variable of the component's runtime model is overwritten with
-    /// a corrupt value. Default no-op so targets without runtime
-    /// verification need not handle it.
-    fn corrupt_state(&mut self, _component: &str, _key: &str, _value: &str) {}
-    /// The final record of the component's durable journal is torn: only
-    /// its first `bytes` bytes reach disk. Default no-op so targets
-    /// without durable storage need not handle storage faults.
-    fn torn_write(&mut self, _component: &str, _bytes: u64) {}
-    /// One bit of the component's durable journal flips at `offset`
-    /// (reduced modulo the journal length). Default no-op.
-    fn bit_flip(&mut self, _component: &str, _offset: u64) {}
-    /// The last `records` complete journal records vanish (unsynced
-    /// writes lost to a power cut). Default no-op.
-    fn drop_unsynced(&mut self, _component: &str, _records: u64) {}
-    /// The newest snapshot record is cut short on disk. Default no-op.
-    fn truncate_snapshot(&mut self, _component: &str) {}
-    /// The component must begin a live hot-upgrade to the candidate
-    /// model named `candidate`. Default no-op so targets without model
-    /// evolution need not handle it.
-    fn begin_upgrade(&mut self, _component: &str, _candidate: &str) {}
+    /// The journal bytes a storage action leaves behind when it strikes
+    /// `bytes`, through the matching transform ([`tear_tail`],
+    /// [`flip_bit`], [`drop_tail_records`] or [`truncate_newest_snapshot`]).
+    /// `None` for every action that is not a storage fault.
+    pub fn damage(&self, bytes: &[u8]) -> Option<Vec<u8>> {
+        match self {
+            FaultAction::TornWrite { bytes: keep, .. } => Some(tear_tail(bytes, *keep)),
+            FaultAction::BitFlip { offset, .. } => Some(flip_bit(bytes, *offset)),
+            FaultAction::DropUnsynced { records, .. } => Some(drop_tail_records(bytes, *records)),
+            FaultAction::TruncateSnapshot { .. } => Some(truncate_newest_snapshot(bytes)),
+            _ => None,
+        }
+    }
 }
 
 /// A compiled fault event: an action at a virtual-time instant.
@@ -978,8 +955,8 @@ pub fn random_corruption_campaign(name: &str, seed: u64, cfg: &CorruptionCampaig
 // -- Storage-fault byte transforms ------------------------------------------
 //
 // Pure functions over newline-delimited journal bytes: the fault driver
-// delivers a storage event to the harness's `ComponentTarget`, and the
-// harness applies the matching transform to the bytes it holds. Keeping
+// returns a storage event to the harness, which applies the matching
+// transform to the bytes it holds (`FaultAction::damage`). Keeping
 // them here (not in the broker) keeps the damage model independent of the
 // journal's record grammar — these functions know only about lines.
 
@@ -1403,10 +1380,10 @@ pub fn random_quorum_campaign(name: &str, seed: u64, cfg: &QuorumCampaignConfig)
 /// virtual time advances.
 ///
 /// The driver keeps a cursor into the time-sorted event list; each call to
-/// [`FaultDriver::advance_to`] applies every event due at or before `now`.
-/// Resource events need a [`ResourceHub`]; network events are applied to
-/// the [`Network`] when one is supplied and are skipped (but still counted
-/// as applied) otherwise.
+/// [`FaultDriver::advance_to`] consumes every event due at or before `now`.
+/// Resource events are applied to the [`ResourceHub`]; network events are
+/// applied to the [`Network`] when one is supplied and are skipped
+/// otherwise. Middleware-level events are returned to the caller.
 #[derive(Debug, Clone)]
 pub struct FaultDriver {
     events: Vec<FaultEvent>,
@@ -1427,45 +1404,31 @@ impl FaultDriver {
         Ok(Self::new(&FaultPlan::from_model(model)?))
     }
 
-    /// Events not yet applied.
+    /// Events not yet consumed.
     pub fn remaining(&self) -> usize {
         self.events.len() - self.next
     }
 
-    /// Applies every event due at or before `now`; returns how many fired.
-    /// Middleware-level events are skipped (but counted) — use
-    /// [`FaultDriver::advance_full`] to deliver them.
+    /// Consumes every event due at or before `now`: resource and network
+    /// actions are applied here, and the middleware-level actions (every
+    /// other kind) are returned in plan order for the caller to act on.
     pub fn advance_to(
         &mut self,
         now: SimTime,
         hub: &mut ResourceHub,
         net: Option<&Network>,
-    ) -> usize {
-        self.advance_full(now, hub, net, None)
-    }
-
-    /// Like [`FaultDriver::advance_to`], but also delivers middleware
-    /// crash/stall events to `target` when one is supplied.
-    pub fn advance_full(
-        &mut self,
-        now: SimTime,
-        hub: &mut ResourceHub,
-        net: Option<&Network>,
-        mut target: Option<&mut dyn ComponentTarget>,
-    ) -> usize {
-        let mut fired = 0;
+    ) -> Vec<FaultAction> {
+        let mut due = Vec::new();
         while let Some(e) = self.events.get(self.next) {
             if e.at > now {
                 break;
             }
-            match target {
-                Some(ref mut t) => apply_action(&e.action, hub, net, Some(&mut **t)),
-                None => apply_action(&e.action, hub, net, None),
+            if !apply_action(&e.action, hub, net) {
+                due.push(e.action.clone());
             }
             self.next += 1;
-            fired += 1;
         }
-        fired
+        due
     }
 
     /// The firing instant of the next pending event, if any — lets a
@@ -1475,12 +1438,9 @@ impl FaultDriver {
     }
 }
 
-fn apply_action(
-    action: &FaultAction,
-    hub: &mut ResourceHub,
-    net: Option<&Network>,
-    target: Option<&mut dyn ComponentTarget>,
-) {
+/// Applies a resource or network action to the substrate. Returns `false`,
+/// untouched, for the middleware-level actions only a harness can apply.
+fn apply_action(action: &FaultAction, hub: &mut ResourceHub, net: Option<&Network>) -> bool {
     match action {
         FaultAction::Crash { resource } => {
             hub.set_healthy(resource, false);
@@ -1517,69 +1477,9 @@ fn apply_action(
                 n.heal_node(node);
             }
         }
-        FaultAction::CrashComponent { component } => {
-            if let Some(t) = target {
-                t.crash_component(component);
-            }
-        }
-        FaultAction::StallComponent { component } => {
-            if let Some(t) = target {
-                t.stall_component(component);
-            }
-        }
-        FaultAction::LoadSpike { class, factor } => {
-            if let Some(t) = target {
-                t.load_spike(class, *factor);
-            }
-        }
-        FaultAction::LoadNormal { class } => {
-            if let Some(t) = target {
-                t.load_normal(class);
-            }
-        }
-        FaultAction::FailoverTo { component, standby } => {
-            if let Some(t) = target {
-                t.failover_to(component, standby);
-            }
-        }
-        FaultAction::CorruptState {
-            component,
-            key,
-            value,
-        } => {
-            if let Some(t) = target {
-                t.corrupt_state(component, key, value);
-            }
-        }
-        FaultAction::TornWrite { component, bytes } => {
-            if let Some(t) = target {
-                t.torn_write(component, *bytes);
-            }
-        }
-        FaultAction::BitFlip { component, offset } => {
-            if let Some(t) = target {
-                t.bit_flip(component, *offset);
-            }
-        }
-        FaultAction::DropUnsynced { component, records } => {
-            if let Some(t) = target {
-                t.drop_unsynced(component, *records);
-            }
-        }
-        FaultAction::TruncateSnapshot { component } => {
-            if let Some(t) = target {
-                t.truncate_snapshot(component);
-            }
-        }
-        FaultAction::BeginUpgrade {
-            component,
-            candidate,
-        } => {
-            if let Some(t) = target {
-                t.begin_upgrade(component, candidate);
-            }
-        }
+        _ => return false,
     }
+    true
 }
 
 /// Schedules the *network-affecting* events of a plan on a [`Simulator`],
@@ -1597,7 +1497,7 @@ pub fn schedule_network_events(sim: &mut Simulator, plan: &FaultPlan, net: &Netw
         sim.schedule_at(e.at, move |_| {
             // Network-only actions never touch the hub.
             let mut unused = ResourceHub::new(0);
-            apply_action(&action, &mut unused, Some(&net), None);
+            apply_action(&action, &mut unused, Some(&net));
         });
         scheduled += 1;
     }
@@ -1678,20 +1578,20 @@ mod tests {
             .build();
         let mut driver = FaultDriver::from_model(&model).unwrap();
         let mut hub = hub();
-        assert_eq!(
-            driver.advance_to(SimTime::from_millis(5), &mut hub, None),
-            0
-        );
+        // Resource events are applied to the hub, never returned.
+        assert!(driver
+            .advance_to(SimTime::from_millis(5), &mut hub, None)
+            .is_empty());
+        assert_eq!(driver.remaining(), 2);
         assert!(hub.is_healthy("svc"));
-        assert_eq!(
-            driver.advance_to(SimTime::from_millis(10), &mut hub, None),
-            1
-        );
+        assert!(driver
+            .advance_to(SimTime::from_millis(10), &mut hub, None)
+            .is_empty());
+        assert_eq!(driver.remaining(), 1);
         assert!(!hub.is_healthy("svc"));
-        assert_eq!(
-            driver.advance_to(SimTime::from_millis(100), &mut hub, None),
-            1
-        );
+        assert!(driver
+            .advance_to(SimTime::from_millis(100), &mut hub, None)
+            .is_empty());
         assert!(hub.is_healthy("svc"));
         assert_eq!(driver.remaining(), 0);
     }
@@ -1752,23 +1652,8 @@ mod tests {
         );
     }
 
-    #[derive(Default)]
-    struct Recorder {
-        crashed: Vec<String>,
-        stalled: Vec<String>,
-    }
-
-    impl ComponentTarget for Recorder {
-        fn crash_component(&mut self, component: &str) {
-            self.crashed.push(component.to_owned());
-        }
-        fn stall_component(&mut self, component: &str) {
-            self.stalled.push(component.to_owned());
-        }
-    }
-
     #[test]
-    fn component_events_reach_the_component_target() {
+    fn component_events_are_returned_in_plan_order() {
         let model = FaultPlanBuilder::new("p")
             .crash_component(SimTime::from_millis(10), "broker")
             .stall_component(SimTime::from_millis(20), "controller")
@@ -1783,17 +1668,24 @@ mod tests {
         let mut driver = FaultDriver::new(&plan);
         assert_eq!(driver.next_at(), Some(SimTime::from_millis(10)));
         let mut hub = hub();
-        let mut rec = Recorder::default();
-        let fired = driver.advance_full(SimTime::from_millis(25), &mut hub, None, Some(&mut rec));
-        assert_eq!(fired, 2);
-        assert_eq!(rec.crashed, vec!["broker".to_string()]);
-        assert_eq!(rec.stalled, vec!["controller".to_string()]);
-        assert!(hub.is_healthy("svc"));
-        // Without a target, component events are skipped but still counted.
+        let due = driver.advance_to(SimTime::from_millis(25), &mut hub, None);
         assert_eq!(
-            driver.advance_to(SimTime::from_millis(30), &mut hub, None),
-            1
+            due,
+            vec![
+                FaultAction::CrashComponent {
+                    component: "broker".into()
+                },
+                FaultAction::StallComponent {
+                    component: "controller".into()
+                },
+            ]
         );
+        assert_eq!(driver.remaining(), 1);
+        assert!(hub.is_healthy("svc"));
+        // The resource event is applied to the hub and never returned.
+        assert!(driver
+            .advance_to(SimTime::from_millis(30), &mut hub, None)
+            .is_empty());
         assert!(!hub.is_healthy("svc"));
         assert_eq!(driver.next_at(), None);
     }
@@ -1820,17 +1712,7 @@ mod tests {
     }
 
     #[test]
-    fn failover_events_reach_the_component_target() {
-        #[derive(Default)]
-        struct Promotions(Vec<(String, String)>);
-        impl ComponentTarget for Promotions {
-            fn crash_component(&mut self, _: &str) {}
-            fn stall_component(&mut self, _: &str) {}
-            fn failover_to(&mut self, component: &str, standby: &str) {
-                self.0.push((component.to_owned(), standby.to_owned()));
-            }
-        }
-
+    fn failover_events_are_returned_to_the_caller() {
         let model = FaultPlanBuilder::new("p")
             .failover_to(SimTime::from_millis(10), "broker.a", "broker.b")
             .build();
@@ -1840,11 +1722,12 @@ mod tests {
 
         let mut driver = FaultDriver::new(&plan);
         let mut hub = hub();
-        let mut promos = Promotions::default();
-        driver.advance_full(SimTime::from_millis(10), &mut hub, None, Some(&mut promos));
         assert_eq!(
-            promos.0,
-            vec![("broker.a".to_string(), "broker.b".to_string())]
+            driver.advance_to(SimTime::from_millis(10), &mut hub, None),
+            vec![FaultAction::FailoverTo {
+                component: "broker.a".into(),
+                standby: "broker.b".into(),
+            }]
         );
 
         // A FailoverTo without a standby peer does not compile.
@@ -1903,18 +1786,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_state_events_reach_the_component_target() {
-        #[derive(Default)]
-        struct Corruptions(Vec<(String, String, String)>);
-        impl ComponentTarget for Corruptions {
-            fn crash_component(&mut self, _: &str) {}
-            fn stall_component(&mut self, _: &str) {}
-            fn corrupt_state(&mut self, component: &str, key: &str, value: &str) {
-                self.0
-                    .push((component.to_owned(), key.to_owned(), value.to_owned()));
-            }
-        }
-
+    fn corrupt_state_events_are_returned_to_the_caller() {
         let model = FaultPlanBuilder::new("p")
             .corrupt_state(SimTime::from_millis(10), "broker.a", "opens", "-7")
             .build();
@@ -1925,15 +1797,13 @@ mod tests {
 
         let mut driver = FaultDriver::new(&plan);
         let mut hub = hub();
-        let mut rec = Corruptions::default();
-        driver.advance_full(SimTime::from_millis(10), &mut hub, None, Some(&mut rec));
         assert_eq!(
-            rec.0,
-            vec![(
-                "broker.a".to_string(),
-                "opens".to_string(),
-                "-7".to_string()
-            )]
+            driver.advance_to(SimTime::from_millis(10), &mut hub, None),
+            vec![FaultAction::CorruptState {
+                component: "broker.a".into(),
+                key: "opens".into(),
+                value: "-7".into(),
+            }]
         );
 
         // A CorruptState without a `key=value` peer does not compile.
@@ -1995,26 +1865,7 @@ mod tests {
     }
 
     #[test]
-    fn storage_events_reach_the_component_target() {
-        #[derive(Default)]
-        struct Store(Vec<String>);
-        impl ComponentTarget for Store {
-            fn crash_component(&mut self, _: &str) {}
-            fn stall_component(&mut self, _: &str) {}
-            fn torn_write(&mut self, c: &str, bytes: u64) {
-                self.0.push(format!("tear {c} {bytes}"));
-            }
-            fn bit_flip(&mut self, c: &str, offset: u64) {
-                self.0.push(format!("flip {c} {offset}"));
-            }
-            fn drop_unsynced(&mut self, c: &str, records: u64) {
-                self.0.push(format!("drop {c} {records}"));
-            }
-            fn truncate_snapshot(&mut self, c: &str) {
-                self.0.push(format!("snap {c}"));
-            }
-        }
-
+    fn storage_events_are_returned_with_their_damage() {
         let model = FaultPlanBuilder::new("p")
             .torn_write(SimTime::from_millis(10), "broker.a", 7)
             .bit_flip(SimTime::from_millis(20), "broker.a", 12345)
@@ -2028,17 +1879,39 @@ mod tests {
 
         let mut driver = FaultDriver::new(&plan);
         let mut hub = hub();
-        let mut store = Store::default();
-        driver.advance_full(SimTime::from_millis(40), &mut hub, None, Some(&mut store));
+        let due = driver.advance_to(SimTime::from_millis(40), &mut hub, None);
+        let c = || "broker.a".to_string();
         assert_eq!(
-            store.0,
+            due,
             vec![
-                "tear broker.a 7".to_string(),
-                "flip broker.a 12345".to_string(),
-                "drop broker.a 2".to_string(),
-                "snap broker.a".to_string(),
+                FaultAction::TornWrite {
+                    component: c(),
+                    bytes: 7
+                },
+                FaultAction::BitFlip {
+                    component: c(),
+                    offset: 12345
+                },
+                FaultAction::DropUnsynced {
+                    component: c(),
+                    records: 2
+                },
+                FaultAction::TruncateSnapshot { component: c() },
             ]
         );
+        // Each storage action damages bytes through its transform; no
+        // other action does.
+        let journal = b"v1 00000000 snap a=1 b=2\nv1 00000000 cmd x\n";
+        assert_eq!(due[0].damage(journal), Some(tear_tail(journal, 7)));
+        assert_eq!(due[1].damage(journal), Some(flip_bit(journal, 12345)));
+        assert_eq!(due[2].damage(journal), Some(drop_tail_records(journal, 2)));
+        assert_eq!(
+            due[3].damage(journal),
+            Some(truncate_newest_snapshot(journal))
+        );
+        assert_ne!(due[3].damage(journal).unwrap(), journal.to_vec());
+        let crash = FaultAction::CrashComponent { component: c() };
+        assert_eq!(crash.damage(journal), None);
 
         // A storage event with a malformed parameter does not compile.
         let mut bad = FaultPlanBuilder::new("p").build();

@@ -36,7 +36,7 @@ pub mod time;
 
 pub use arrival::{Arrival, ArrivalClass, ArrivalGenerator};
 pub use engine::Simulator;
-pub use fault::{ComponentTarget, FaultDriver, FaultPlan, FaultPlanBuilder};
+pub use fault::{FaultDriver, FaultPlan, FaultPlanBuilder};
 pub use latency::LatencyModel;
 pub use mutate::MutationDeck;
 pub use resource::{Invocation, Outcome, ResourceHub};

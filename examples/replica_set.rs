@@ -18,7 +18,6 @@ use bench::e15::{e15_broker_model, INVARIANTS, NODES3};
 use mddsm::broker::replication::Standby;
 use mddsm::broker::supervisor::Supervisor;
 use mddsm::broker::{GenericBroker, QuorumReplicator, RestartPolicy};
-use mddsm::sim::fault::ComponentTarget;
 use mddsm::sim::net::{Link, Network};
 use mddsm::sim::resource::{args, Args, Outcome};
 use mddsm::sim::{LatencyModel, ResourceHub, SimDuration};
@@ -82,7 +81,7 @@ fn main() {
     // quorum-committed prefix.
     let mut supervisor = Supervisor::new(NODES3, RestartPolicy::default());
     supervisor.designate_replica_set("a", &["b", "c"]);
-    ComponentTarget::crash_component(&mut supervisor, "a");
+    supervisor.crash_component("a");
     for sb in &standbys {
         supervisor.note_replica_lsn(sb.node(), sb.applied_lsn());
     }
