@@ -109,6 +109,16 @@ pub enum BrokerError {
         /// What failed verification.
         why: String,
     },
+    /// A replicator was handed a journal shorter than the bytes it has
+    /// already ingested — e.g. one a recovery cut back to its intact
+    /// prefix while the replicator kept its read cursor. Nothing is
+    /// shipped or changed; the caller rebuilds the replicator.
+    JournalBehindCursor {
+        /// Journal bytes the replicator had already ingested.
+        cursor: u64,
+        /// Length of the journal it was handed.
+        len: u64,
+    },
     /// Split-brain fence: a journal record arrived from an epoch older
     /// than the receiver's — a stale primary kept writing after a standby
     /// was promoted, and its writes are refused.
@@ -172,6 +182,10 @@ impl std::fmt::Display for BrokerError {
             BrokerError::JournalDamaged { lsn, offset, why } => write!(
                 f,
                 "journal damaged after lsn {lsn} (byte offset {offset}): {why}"
+            ),
+            BrokerError::JournalBehindCursor { cursor, len } => write!(
+                f,
+                "journal of {len} byte(s) ends before the replication cursor at byte {cursor}"
             ),
             BrokerError::StaleEpoch { got, current } => write!(
                 f,

@@ -19,7 +19,11 @@
 //! Every peer has its own go-back-N lane with a cumulative ack: the
 //! standby acknowledges the count of contiguous lines received, and the
 //! primary retransmits from that cursor after an ack timeout. A lane never
-//! re-sends a line below its peer's ack. Two model-declared disciplines
+//! re-sends a line below its peer's ack. The primary's outbox is indexed by
+//! sequence number and keeps the full history, for
+//! [`QuorumReplicator::reset_peer`]; a lane ships the slice from its cursor
+//! to its window end, so a tick costs O(lines ingested + lines shipped)
+//! whatever the history length. Two model-declared disciplines
 //! ([`ShipMode`]) share the machinery:
 //!
 //! * `Async` — ship everything pending each tick, best effort. The
@@ -196,9 +200,12 @@ pub struct QuorumShipReport {
 /// record at or below the commit LSN is held by at least `quorum` nodes,
 /// so it survives any minority failure.
 ///
-/// The outbox keeps the *full* shipped history (lines are never popped on
-/// ack), so a peer that lost its mirror can be re-shipped from sequence 0
-/// with [`QuorumReplicator::reset_peer`].
+/// The outbox is indexed by sequence number and keeps the *full* shipped
+/// history (lines are never popped on ack), so a peer that lost its mirror
+/// can be re-shipped from sequence 0 with [`QuorumReplicator::reset_peer`].
+/// Each lane ships the outbox slice from its cursor to its window end, so
+/// a [`QuorumReplicator::tick`] costs O(lines ingested + lines shipped)
+/// whatever the length of the retained history.
 ///
 /// Health is OCL-addressable through the metrics [`StateManager`];
 /// [`crate::autonomic::replication_rules`] are written over these keys:
@@ -216,13 +223,12 @@ pub struct QuorumShipReport {
 pub struct QuorumReplicator {
     cfg: ReplicaSetConfig,
     node: String,
-    epoch: u64,
     /// Bytes of the primary journal already ingested into the outbox.
     read_offset: usize,
-    /// Full shipped history: `outbox[seq] = (seq, state LSN, framed
-    /// line)` — indexed by sequence number, never trimmed.
-    outbox: Vec<(u64, Option<u64>, String)>,
-    next_seq: u64,
+    /// Full shipped history, indexed by sequence number: `outbox[seq] =
+    /// (state LSN, framed line)`. Never trimmed; its length is the next
+    /// sequence number to assign.
+    outbox: Vec<(Option<u64>, String)>,
     /// Newest state LSN the primary's own journal holds.
     head_lsn: u64,
     lanes: Vec<PeerLane>,
@@ -246,10 +252,8 @@ impl QuorumReplicator {
         QuorumReplicator {
             cfg,
             node: node.to_owned(),
-            epoch: 1,
             read_offset: 0,
             outbox: Vec::new(),
-            next_seq: 0,
             head_lsn: 0,
             lanes,
             commit_lsn: 0,
@@ -279,17 +283,22 @@ impl QuorumReplicator {
         self.commit_lsn
     }
 
+    /// Sequence number the next ingested journal line gets.
+    fn next_seq(&self) -> u64 {
+        self.outbox.len() as u64
+    }
+
     /// Journal lines enqueued but unacked, summed over every lane.
     pub fn lag(&self) -> u64 {
         self.lanes
             .iter()
-            .map(|l| self.next_seq.saturating_sub(l.acked_seq))
+            .map(|l| self.next_seq().saturating_sub(l.acked_seq))
             .sum()
     }
 
     /// `true` once *every* peer acknowledged every ingested line.
     pub fn synced(&self) -> bool {
-        self.lanes.iter().all(|l| l.acked_seq >= self.next_seq)
+        self.lanes.iter().all(|l| l.acked_seq >= self.next_seq())
     }
 
     /// `true` once enough peers acknowledged everything that the whole
@@ -298,7 +307,7 @@ impl QuorumReplicator {
         let holders = 1 + self
             .lanes
             .iter()
-            .filter(|l| l.acked_seq >= self.next_seq)
+            .filter(|l| l.acked_seq >= self.next_seq())
             .count() as u64;
         holders >= self.cfg.quorum
     }
@@ -376,6 +385,10 @@ impl QuorumReplicator {
     /// lane whose node has no standby in the slice is simply skipped
     /// (the node is down — its lane retries next tick). A lane fenced by
     /// its receiver is counted and **does not** stop the other lanes.
+    ///
+    /// A journal shorter than the bytes already ingested (say, one a
+    /// recovery cut back to its intact prefix) is refused with
+    /// [`BrokerError::JournalBehindCursor`] before anything changes.
     pub fn tick(
         &mut self,
         now: SimTime,
@@ -384,85 +397,71 @@ impl QuorumReplicator {
         journal_bytes: &[u8],
         peers: &mut [&mut Standby],
     ) -> Result<QuorumShipReport> {
-        self.epoch = epoch;
         self.ingest(journal_bytes)?;
         let mut report = QuorumShipReport::default();
+        let next_seq = self.next_seq();
+        let QuorumReplicator {
+            node,
+            lanes,
+            outbox,
+            ..
+        } = self;
 
-        for i in 0..self.lanes.len() {
-            let peer_node = self.lanes[i].cfg.node.clone();
-            let Some(standby) = peers.iter_mut().find(|s| s.node() == peer_node) else {
+        for lane in lanes.iter_mut() {
+            let Some(standby) = peers.iter_mut().find(|s| s.node() == lane.cfg.node) else {
                 continue;
             };
-
-            let (from, window_end) = {
-                let lane = &mut self.lanes[i];
-                // Ack timeout: go back to this lane's cumulative cursor.
-                if lane.acked_seq < lane.shipped_high {
-                    if let Some(t) = lane.last_ship {
-                        if now.since(t) >= lane.cfg.ack_timeout {
-                            lane.shipped_high = lane.acked_seq;
-                            lane.retransmit_events += 1;
-                        }
+            // Ack timeout: go back to this lane's cumulative cursor.
+            if lane.acked_seq < lane.shipped_high {
+                if let Some(t) = lane.last_ship {
+                    if now.since(t) >= lane.cfg.ack_timeout {
+                        lane.shipped_high = lane.acked_seq;
+                        lane.retransmit_events += 1;
                     }
                 }
-                let end = match lane.cfg.mode {
-                    ShipMode::Async => self.next_seq,
-                    ShipMode::AckWindowed => lane.acked_seq + lane.cfg.window_records,
-                }
-                .min(self.next_seq);
-                // Never re-send below the peer's cumulative ack: a replica
-                // rebuilt from a mirror can ack past what this lane shipped.
-                (lane.shipped_high.max(lane.acked_seq), end)
-            };
+            }
+            let window_end = match lane.cfg.mode {
+                ShipMode::Async => next_seq,
+                ShipMode::AckWindowed => lane.acked_seq + lane.cfg.window_records,
+            }
+            .min(next_seq);
+            // Never re-send below the peer's cumulative ack: a replica
+            // rebuilt from a mirror can ack past what this lane shipped.
+            let from = lane.shipped_high.max(lane.acked_seq).min(window_end);
 
-            let batch: Vec<(u64, String)> = self
-                .outbox
-                .iter()
-                .filter(|(seq, _, _)| *seq >= from && *seq < window_end)
-                .map(|(seq, _, line)| (*seq, line.clone()))
-                .collect();
-
-            for (seq, line) in batch {
-                {
-                    let lane = &mut self.lanes[i];
-                    if seq < lane.ever_shipped {
-                        report.retransmitted += 1;
-                    }
-                    lane.shipped_high = seq + 1;
-                    lane.ever_shipped = lane.ever_shipped.max(lane.shipped_high);
-                    lane.last_ship = Some(now);
+            for (seq, (_, line)) in (from..).zip(&outbox[from as usize..window_end as usize]) {
+                if seq < lane.ever_shipped {
+                    report.retransmitted += 1;
                 }
+                lane.shipped_high = seq + 1;
+                lane.ever_shipped = lane.ever_shipped.max(lane.shipped_high);
+                lane.last_ship = Some(now);
                 report.shipped += 1;
-                let SendOutcome::Scheduled(out) = net.transmit(&self.node, &peer_node) else {
+                let SendOutcome::Scheduled(out) = net.transmit(node, &lane.cfg.node) else {
                     // Data leg dropped: the rest of this lane's batch
                     // would arrive as a gap — wait for the ack timeout.
                     break;
                 };
                 report.latency = report.latency.saturating_add(out);
-                match standby.receive(seq, &line, self.epoch) {
+                match standby.receive(seq, line, epoch) {
                     Err(BrokerError::StaleEpoch { .. }) => {
-                        self.lanes[i].fenced_count += 1;
+                        lane.fenced_count += 1;
                         report.fenced += 1;
                         break;
                     }
                     Err(e) => return Err(e),
                     Ok(received) => {
-                        if let SendOutcome::Scheduled(back) = net.transmit(&peer_node, &self.node) {
+                        if let SendOutcome::Scheduled(back) = net.transmit(&lane.cfg.node, node) {
                             report.latency = report.latency.saturating_add(back);
                             // A survivor of an earlier primary can re-ack
                             // a cursor past this stream's head; cap it.
-                            let received = received.min(self.next_seq);
-                            let prev = self.lanes[i].acked_seq;
-                            if received > prev {
-                                report.newly_acked += received - prev;
-                                let mut lsn_max = self.lanes[i].acked_lsn;
-                                for s in prev..received {
-                                    if let Some(lsn) = self.outbox[s as usize].1 {
-                                        lsn_max = lsn_max.max(lsn);
-                                    }
+                            let received = received.min(next_seq);
+                            if received > lane.acked_seq {
+                                report.newly_acked += received - lane.acked_seq;
+                                let acked = &outbox[lane.acked_seq as usize..received as usize];
+                                for lsn in acked.iter().filter_map(|(lsn, _)| *lsn) {
+                                    lane.acked_lsn = lane.acked_lsn.max(lsn);
                                 }
-                                let lane = &mut self.lanes[i];
-                                lane.acked_lsn = lsn_max;
                                 lane.acked_seq = received;
                             }
                         }
@@ -476,7 +475,7 @@ impl QuorumReplicator {
         self.metrics.set_int("repl_lag", self.lag() as i64);
         self.metrics
             .set_int("repl_commit_lsn", self.commit_lsn as i64);
-        self.metrics.set_int("repl_epoch", self.epoch as i64);
+        self.metrics.set_int("repl_epoch", epoch as i64);
         self.metrics
             .set_int("repl_retransmits", self.retransmits() as i64);
         self.metrics.set_int("repl_fenced", self.fenced() as i64);
@@ -509,19 +508,21 @@ impl QuorumReplicator {
 
     /// Ingests complete journal lines appended since the last tick.
     fn ingest(&mut self, journal_bytes: &[u8]) -> Result<()> {
-        while let Some(nl) = journal_bytes[self.read_offset..]
-            .iter()
-            .position(|&b| b == b'\n')
-        {
-            let end = self.read_offset + nl;
-            let line = std::str::from_utf8(&journal_bytes[self.read_offset..end])
-                .map_err(|e| BrokerError::RecoveryDiverged(format!("journal is not UTF-8: {e}")))?
-                .to_owned();
-            self.read_offset = end + 1;
+        let Some(mut pending) = journal_bytes.get(self.read_offset..) else {
+            return Err(BrokerError::JournalBehindCursor {
+                cursor: self.read_offset as u64,
+                len: journal_bytes.len() as u64,
+            });
+        };
+        while let Some(nl) = pending.iter().position(|&b| b == b'\n') {
+            let line = std::str::from_utf8(&pending[..nl])
+                .map_err(|e| BrokerError::RecoveryDiverged(format!("journal is not UTF-8: {e}")))?;
+            self.read_offset += nl + 1;
+            pending = &pending[nl + 1..];
             if line.is_empty() {
                 continue;
             }
-            let lsn = match journal::parse_line(&line)? {
+            let lsn = match journal::parse_line(line)? {
                 JournalRecord::Op(op) => Some(op.lsn()),
                 JournalRecord::OpCoalesced { op, .. } => Some(op.lsn()),
                 JournalRecord::Upgrade { ops, .. } => ops.last().map(|op| op.lsn()),
@@ -531,8 +532,7 @@ impl QuorumReplicator {
             if let Some(lsn) = lsn {
                 self.head_lsn = self.head_lsn.max(lsn);
             }
-            self.outbox.push((self.next_seq, lsn, line));
-            self.next_seq += 1;
+            self.outbox.push((lsn, line.to_owned()));
         }
         Ok(())
     }
@@ -703,39 +703,40 @@ impl Standby {
         if seq != self.received {
             return Ok(self.received);
         }
+        let record = journal::parse_line(line)?;
         // The key the record wrote, for the in-stream monitor check below
         // (`None` = nothing watched changed; a snapshot restore can change
         // anything, so it re-checks the full watched set).
-        let mut dirty_key: Option<String> = None;
+        let mut dirty_key: Option<&str> = None;
         let mut dirty_all = false;
-        match journal::parse_line(line)? {
+        match &record {
             JournalRecord::Op(op) => {
-                self.state.apply_op(&op)?;
-                dirty_key = Some(op.key().to_owned());
+                self.state.apply_op(op)?;
+                dirty_key = Some(op.key());
             }
             JournalRecord::OpCoalesced { first_lsn, op } => {
-                self.state.apply_coalesced(first_lsn, &op)?;
-                dirty_key = Some(op.key().to_owned());
+                self.state.apply_coalesced(*first_lsn, op)?;
+                dirty_key = Some(op.key());
             }
             JournalRecord::Command { clock_us, kind, .. } => {
-                self.clock_us = clock_us;
+                self.clock_us = *clock_us;
                 match kind {
                     CommandKind::Call => self.calls += 1,
                     CommandKind::Event => self.events += 1,
                 }
             }
-            JournalRecord::Clock { clock_us } => self.clock_us = clock_us,
-            JournalRecord::Epoch { epoch } => self.epoch = self.epoch.max(epoch),
+            JournalRecord::Clock { clock_us } => self.clock_us = *clock_us,
+            JournalRecord::Epoch { epoch } => self.epoch = self.epoch.max(*epoch),
             JournalRecord::Snapshot {
                 state,
                 clock_us,
                 calls,
                 events,
             } => {
-                self.state.restore(&state);
-                self.clock_us = clock_us;
-                self.calls = calls;
-                self.events = events;
+                self.state.restore(state);
+                self.clock_us = *clock_us;
+                self.calls = *calls;
+                self.events = *events;
                 dirty_all = true;
             }
             JournalRecord::Upgrade { version, ops, .. } => {
@@ -744,10 +745,10 @@ impl Standby {
                 // promotion after this point serves the new model. The
                 // migrations may touch any watched key, so the monitor
                 // check below re-scans the full watched set.
-                for op in &ops {
+                for op in ops {
                     self.state.apply_op(op)?;
                 }
-                self.model_version = version;
+                self.model_version = *version;
                 dirty_all = true;
             }
             JournalRecord::Note { .. } => {}
@@ -755,8 +756,8 @@ impl Standby {
         if let Some(monitors) = &self.monitors {
             if dirty_key.is_some() || dirty_all {
                 let watched;
-                let dirty: Vec<&str> = match &dirty_key {
-                    Some(k) => vec![k.as_str()],
+                let dirty: Vec<&str> = match dirty_key {
+                    Some(k) => vec![k],
                     None => {
                         watched = monitors.watched_keys();
                         watched.iter().map(String::as_str).collect()
@@ -1730,6 +1731,124 @@ mod tests {
         assert!(b.received() > 0, "b's lane is unaffected");
         assert_eq!(c.received(), 0);
         assert_eq!(rep.fenced(), r.fenced);
+    }
+
+    #[test]
+    fn a_journal_shorter_than_the_ingest_cursor_is_refused_unchanged() {
+        // Regression: a caller that keeps its replicator across a recovery
+        // which dropped a torn tail hands `tick` a journal shorter than
+        // what was already ingested; slicing at the cursor panicked.
+        let m = quorum_model(2, &["b", "c"]);
+        let mut broker = primary(&m);
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
+        let (mut b, mut c) = (Standby::new("b"), Standby::new("c"));
+        let net = net();
+        for _ in 0..3 {
+            broker.call("inc", &args(&[])).unwrap();
+        }
+        let bytes = broker.journal_bytes().unwrap().to_vec();
+        rep.tick(SimTime::ZERO, 1, &net, &bytes, &mut [&mut b, &mut c])
+            .unwrap();
+        let before = (rep.lag(), rep.commit_lsn(), net.stats(), b.received());
+        let short = &bytes[..bytes.len() / 2];
+        match rep.tick(
+            SimTime::from_millis(50),
+            2,
+            &net,
+            short,
+            &mut [&mut b, &mut c],
+        ) {
+            Err(BrokerError::JournalBehindCursor { cursor, len }) => {
+                assert_eq!((cursor, len), (bytes.len() as u64, short.len() as u64));
+            }
+            other => panic!("expected JournalBehindCursor, got {other:?}"),
+        }
+        assert_eq!(
+            (rep.lag(), rep.commit_lsn(), net.stats(), b.received()),
+            before
+        );
+        assert_eq!(rep.metrics().int("repl_epoch"), Some(1));
+        // The full journal still ships on from the untouched cursor.
+        broker.call("inc", &args(&[])).unwrap();
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 8);
+        assert!(rep.synced());
+        assert_eq!(b.journal_bytes(), broker.journal_bytes().unwrap());
+    }
+
+    #[test]
+    fn wire_behaviour_is_pinned_on_a_lossy_mixed_set() {
+        // A 3-node set over ~20 % lossy legs, one `Async` and one
+        // `AckWindowed` lane; mid-run c loses its disk (`reset_peer`) and
+        // d joins empty (`add_peer`). The figures pin the wire behaviour:
+        // each leg draws from the network's seeded RNG, so any change to
+        // what goes on the wire, or in which order, moves at least one.
+        let m = replicated(
+            2,
+            &[("b", "Async", 0, 4_000), ("c", "AckWindowed", 4, 5_000)],
+        );
+        let mut broker = primary(&m);
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
+        let net = Network::new(
+            Link {
+                loss: 0.2,
+                ..Link::default()
+            },
+            31,
+        );
+        let (mut b, mut c) = (Standby::new("b"), Standby::new("c"));
+        let mut d: Option<Standby> = None;
+        // (shipped, newly_acked, retransmitted, latency µs, fenced), summed.
+        let mut sum = (0u64, 0u64, 0u64, 0u64, 0u64);
+        let mut now = SimTime::ZERO;
+        let mut ticks = 0u32;
+        for i in 0..600 {
+            if i < 60 {
+                broker.call("inc", &args(&[])).unwrap();
+            }
+            if i == 20 {
+                c = Standby::new("c");
+                assert!(rep.reset_peer("c"));
+            }
+            if i == 35 {
+                rep.add_peer(ReplicaPeer {
+                    node: "d".into(),
+                    mode: ShipMode::AckWindowed,
+                    window_records: 8,
+                    ack_timeout: SimDuration::from_micros(5_000),
+                });
+                d = Some(Standby::new("d"));
+            }
+            if i >= 60 && rep.synced() {
+                break;
+            }
+            let mut peers: Vec<&mut Standby> = vec![&mut b, &mut c];
+            peers.extend(d.as_mut());
+            let bytes = broker.journal_bytes().unwrap();
+            let r = rep
+                .tick(now, broker.epoch(), &net, bytes, &mut peers)
+                .unwrap();
+            sum.0 += r.shipped;
+            sum.1 += r.newly_acked;
+            sum.2 += r.retransmitted;
+            sum.3 += r.latency.as_micros();
+            sum.4 += r.fenced;
+            assert_eq!(r.commit_lsn, rep.commit_lsn());
+            ticks += 1;
+            now = now + SimDuration::from_micros(2_500);
+        }
+        assert!(rep.synced(), "the set never converged");
+        let s = net.stats();
+        assert_eq!(
+            (ticks, sum, (s.delivered, s.lost, s.partitioned)),
+            (522, (2_853, 420, 2_445, 4_119_000, 0), (4_119, 1_006, 0)),
+        );
+        assert_eq!((rep.retransmits(), rep.commit_lsn()), (106, 60));
+        let journal = broker.journal_bytes().unwrap();
+        let d = d.unwrap();
+        for sb in [&b, &c, &d] {
+            assert_eq!(sb.journal_bytes(), journal, "{} mirror", sb.node());
+            assert_eq!(broker.state().first_divergence(sb.state()), None);
+        }
     }
 
     #[test]

@@ -142,9 +142,36 @@ impl StateManager {
         &self.pending
     }
 
+    /// Stores `value` in `key`'s slot, overwriting an existing slot in
+    /// place: rewriting a variable allocates neither a key nor a slot.
+    fn put(&mut self, key: &str, value: Value) {
+        let Ok(obj) = self.model.object_mut(self.state_obj) else {
+            return;
+        };
+        match obj.attrs.get_mut(key) {
+            Some(slot) => {
+                slot.clear();
+                slot.push(value);
+            }
+            None => {
+                obj.attrs.insert(key.to_owned(), vec![value]);
+            }
+        }
+    }
+
+    /// Applies `op`'s write to the state object; the version is the
+    /// caller's to advance.
+    fn write(&mut self, op: &StateOp) {
+        match op {
+            StateOp::SetStr { key, value, .. } => self.put(key, Value::from(value.as_str())),
+            StateOp::SetInt { key, value, .. } => self.put(key, Value::from(*value)),
+            StateOp::Unset { key, .. } => self.model.unset_attr(self.state_obj, key),
+        }
+    }
+
     /// Sets a string variable.
     pub fn set_str(&mut self, key: &str, value: &str) {
-        self.model.set_attr(self.state_obj, key, Value::from(value));
+        self.put(key, Value::from(value));
         self.version += 1;
         if self.recording {
             self.pending.push(StateOp::SetStr {
@@ -157,7 +184,7 @@ impl StateManager {
 
     /// Sets an integer variable.
     pub fn set_int(&mut self, key: &str, value: i64) {
-        self.model.set_attr(self.state_obj, key, Value::from(value));
+        self.put(key, Value::from(value));
         self.version += 1;
         if self.recording {
             self.pending.push(StateOp::SetInt {
@@ -249,19 +276,7 @@ impl StateManager {
                 self.version
             )));
         }
-        match op {
-            StateOp::SetStr { key, value, .. } => {
-                self.model
-                    .set_attr(self.state_obj, key, Value::from(value.as_str()));
-            }
-            StateOp::SetInt { key, value, .. } => {
-                self.model
-                    .set_attr(self.state_obj, key, Value::from(*value));
-            }
-            StateOp::Unset { key, .. } => {
-                self.model.unset_attr(self.state_obj, key);
-            }
-        }
+        self.write(op);
         self.version = op.lsn();
         Ok(())
     }
@@ -280,19 +295,7 @@ impl StateManager {
                 self.version
             )));
         }
-        match op {
-            StateOp::SetStr { key, value, .. } => {
-                self.model
-                    .set_attr(self.state_obj, key, Value::from(value.as_str()));
-            }
-            StateOp::SetInt { key, value, .. } => {
-                self.model
-                    .set_attr(self.state_obj, key, Value::from(*value));
-            }
-            StateOp::Unset { key, .. } => {
-                self.model.unset_attr(self.state_obj, key);
-            }
-        }
+        self.write(op);
         self.version = op.lsn();
         Ok(())
     }

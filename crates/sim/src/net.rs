@@ -62,9 +62,45 @@ pub struct Network {
     inner: Rc<RefCell<NetworkInner>>,
 }
 
+/// Directed-pair table keyed `from → to`, so a lookup borrows both names
+/// instead of building an owned key. Iterates in (from, to) order.
+type PairMap<V> = BTreeMap<String, BTreeMap<String, V>>;
+
+/// The `from → to` entry of `map`, if any.
+fn pair<'m, V>(map: &'m PairMap<V>, from: &str, to: &str) -> Option<&'m V> {
+    map.get(from)?.get(to)
+}
+
+/// The `from → to` slot of `map`, created by `make` on first use (the only
+/// time the names are copied).
+fn pair_slot<'m, V>(
+    map: &'m mut PairMap<V>,
+    from: &str,
+    to: &str,
+    make: impl FnOnce() -> V,
+) -> &'m mut V {
+    if !map.contains_key(from) {
+        map.insert(from.to_owned(), BTreeMap::new());
+    }
+    let row = map.get_mut(from).expect("row inserted above");
+    if !row.contains_key(to) {
+        row.insert(to.to_owned(), make());
+    }
+    row.get_mut(to).expect("slot inserted above")
+}
+
+/// Every value of `map` whose pair has `node` at either end.
+fn touching<'m, V>(map: &'m mut PairMap<V>, node: &'m str) -> impl Iterator<Item = &'m mut V> {
+    map.iter_mut().flat_map(move |(from, row)| {
+        row.iter_mut()
+            .filter(move |(to, _)| from == node || *to == node)
+            .map(|(_, v)| v)
+    })
+}
+
 struct NetworkInner {
     default_link: Link,
-    links: BTreeMap<(String, String), Link>,
+    links: PairMap<Link>,
     /// Nodes currently cut off from everyone. Tracked at node level so a
     /// partition also severs pairs that never had a configured link (those
     /// would otherwise fall back to the default link and sail through).
@@ -73,7 +109,7 @@ struct NetworkInner {
     stats: NetStats,
     /// Per-directed-pair breakdown of `stats`, so failure analysis can
     /// attribute loss to a specific link (E15 quorum campaigns).
-    link_stats: BTreeMap<(String, String), NetStats>,
+    link_stats: PairMap<NetStats>,
 }
 
 impl NetworkInner {
@@ -81,16 +117,10 @@ impl NetworkInner {
     /// and [`Network::transmit`] go through here so down links, partitions,
     /// and random loss are accounted identically regardless of entry point.
     fn attempt(&mut self, from: &str, to: &str) -> SendOutcome {
-        let link = self
-            .links
-            .get(&(from.to_owned(), to.to_owned()))
-            .cloned()
-            .unwrap_or_else(|| self.default_link.clone());
-        let per_link = self
-            .link_stats
-            .entry((from.to_owned(), to.to_owned()))
-            .or_default();
-        if !link.up || self.partitioned.contains(from) || self.partitioned.contains(to) {
+        let cut = self.partitioned.contains(from) || self.partitioned.contains(to);
+        let per_link = pair_slot(&mut self.link_stats, from, to, NetStats::default);
+        let link = pair(&self.links, from, to).unwrap_or(&self.default_link);
+        if !link.up || cut {
             self.stats.partitioned += 1;
             per_link.partitioned += 1;
             return SendOutcome::Dropped;
@@ -127,31 +157,25 @@ impl Network {
         self.inner
             .borrow_mut()
             .links
-            .insert((from.into(), to.into()), link);
+            .entry(from.into())
+            .or_default()
+            .insert(to.into(), link);
     }
 
     /// Brings a directed link up or down (creating it from the default if
     /// it was not configured).
     pub fn set_link_up(&self, from: &str, to: &str, up: bool) {
-        let mut inner = self.inner.borrow_mut();
-        let default = inner.default_link.clone();
-        let link = inner
-            .links
-            .entry((from.into(), to.into()))
-            .or_insert_with(|| default);
-        link.up = up;
+        let inner = &mut *self.inner.borrow_mut();
+        let default = &inner.default_link;
+        pair_slot(&mut inner.links, from, to, || default.clone()).up = up;
     }
 
     /// Sets the loss probability of the directed link `from -> to`
     /// (creating it from the default if it was not configured).
     pub fn set_link_loss(&self, from: &str, to: &str, loss: f64) {
-        let mut inner = self.inner.borrow_mut();
-        let default = inner.default_link.clone();
-        let link = inner
-            .links
-            .entry((from.into(), to.into()))
-            .or_insert_with(|| default);
-        link.loss = loss.clamp(0.0, 1.0);
+        let inner = &mut *self.inner.borrow_mut();
+        let default = &inner.default_link;
+        pair_slot(&mut inner.links, from, to, || default.clone()).loss = loss.clamp(0.0, 1.0);
     }
 
     /// Takes the directed link `from -> to` down. Equivalent to
@@ -171,8 +195,8 @@ impl Network {
             return 0;
         }
         let mut n = 0;
-        for ((from, to), link) in inner.links.iter_mut() {
-            if (from == node || to == node) && link.up {
+        for link in touching(&mut inner.links, node) {
+            if link.up {
                 link.up = false;
                 n += 1;
             }
@@ -187,8 +211,8 @@ impl Network {
             return 0;
         }
         let mut n = 0;
-        for ((from, to), link) in inner.links.iter_mut() {
-            if (from == node || to == node) && !link.up {
+        for link in touching(&mut inner.links, node) {
+            if !link.up {
                 link.up = true;
                 n += 1;
             }
@@ -203,10 +227,7 @@ impl Network {
         if inner.partitioned.contains(from) || inner.partitioned.contains(to) {
             return false;
         }
-        inner
-            .links
-            .get(&(from.to_owned(), to.to_owned()))
-            .map_or(inner.default_link.up, |l| l.up)
+        pair(&inner.links, from, to).map_or(inner.default_link.up, |l| l.up)
     }
 
     /// Current delivery statistics.
@@ -218,10 +239,7 @@ impl Network {
     /// attempt accounted in [`Network::stats`] is also accounted here
     /// under its (from, to) pair; a pair never attempted reads as zeros.
     pub fn link_stats(&self, from: &str, to: &str) -> NetStats {
-        self.inner
-            .borrow()
-            .link_stats
-            .get(&(from.to_owned(), to.to_owned()))
+        pair(&self.inner.borrow().link_stats, from, to)
             .copied()
             .unwrap_or_default()
     }
@@ -229,12 +247,14 @@ impl Network {
     /// All directed pairs that ever attempted a message, with their
     /// per-link statistics, in deterministic (from, to) order.
     pub fn link_stats_all(&self) -> Vec<((String, String), NetStats)> {
-        self.inner
-            .borrow()
-            .link_stats
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
+        let inner = self.inner.borrow();
+        let mut all = Vec::new();
+        for (from, row) in &inner.link_stats {
+            for (to, stats) in row {
+                all.push(((from.clone(), to.clone()), *stats));
+            }
+        }
+        all
     }
 
     /// Attempts one message `from -> to` *synchronously*: samples the link
@@ -458,6 +478,43 @@ mod tests {
             all.iter().map(|(_, s)| s.partitioned).sum::<u64>(),
             total.partitioned
         );
+
+        // Node names that prefix each other (`a`, `ab`, `b`): pairs list
+        // in (from, to) tuple order, and partitioning `a` leaves `ab`'s
+        // own links alone.
+        let (_sim, net) = setup();
+        for (from, to) in [
+            ("b", "a"),
+            ("ab", "b"),
+            ("a", "ab"),
+            ("ab", "a"),
+            ("a", "b"),
+        ] {
+            net.set_link(from, to, Link::default());
+            assert!(matches!(net.transmit(from, to), SendOutcome::Scheduled(_)));
+        }
+        net.set_link_down("b", "ab");
+        let order: Vec<(String, String)> =
+            net.link_stats_all().into_iter().map(|(k, _)| k).collect();
+        let pairs = [
+            ("a", "ab"),
+            ("a", "b"),
+            ("ab", "a"),
+            ("ab", "b"),
+            ("b", "a"),
+        ];
+        assert_eq!(order, pairs.map(|(f, t)| (f.to_owned(), t.to_owned())));
+        assert_eq!(net.link_stats("ab", "b").delivered, 1);
+        assert_eq!(net.link_stats("b", "ab"), NetStats::default());
+        assert_eq!(net.partition_node("a"), 4);
+        assert!(!net.is_up("ab", "a") && !net.is_up("a", "ab") && !net.is_up("b", "a"));
+        assert!(net.is_up("ab", "b") && !net.is_up("b", "ab"));
+        assert_eq!(net.heal_node("a"), 4);
+        assert_eq!(net.partition_node("ab"), 3);
+        assert!(net.is_up("a", "b") && !net.is_up("ab", "b"));
+        // Healing `ab` also lifts the link taken down by hand.
+        assert_eq!(net.heal_node("ab"), 4);
+        assert!(net.is_up("b", "ab"));
     }
 
     #[test]
