@@ -352,7 +352,6 @@ pub fn required_keys(experiment: &str) -> &'static [&'static str] {
             "zero_divergence_monitored",
             "standby_caught_all",
             "replays_consistent",
-            "overhead_pct",
             "campaigns",
         ],
         "e13" => &[
@@ -366,7 +365,6 @@ pub fn required_keys(experiment: &str) -> &'static [&'static str] {
             "self_healing_zero_loss",
             "repairs_byte_identical",
             "replays_consistent",
-            "overhead_pct",
             "campaigns",
         ],
         "e14" => &[

@@ -29,16 +29,15 @@
 //! of injected violations, **zero** commands execute against a violated
 //! model, the standby's verdicts match the primary's, and the surviving
 //! journals replay byte-identically. The unmonitored broker measurably
-//! executes divergent commands. Hot-path cost of a clean (no-violation)
-//! run is measured wall-clock by [`hotpath_cost`] — the only
-//! non-deterministic number, kept out of the seeded results.
+//! executes divergent commands. The artifact holds only seeded numbers:
+//! the monitors' hot-path cost is perfbench's traced
+//! `broker.monitor.ns_per_call`.
 //!
 //! [`BrokerError::MonitorTripped`]: mddsm_broker::BrokerError::MonitorTripped
 //! [`Supervisor`]: mddsm_broker::Supervisor
 
-use crate::artifacts::{array, campaign_row, document, row, rows, Fixed, Str};
+use crate::artifacts::{array, campaign_row, document, row, rows, Str};
 use crate::common::{campaign_supervisor, hub, replay_consistent, ship};
-use crate::micro::{self, HotpathCost};
 use mddsm_broker::monitor::MonitorSet;
 use mddsm_broker::{BrokerError, BrokerModelBuilder, GenericBroker, Standby, SupervisorDecision};
 use mddsm_meta::Model;
@@ -330,14 +329,9 @@ pub struct E10Result {
     /// Every journal replays to the live runtime model, in every
     /// configuration, on every seed.
     pub replays_consistent: bool,
-    /// Wall-clock hot-path overhead of armed monitors on a clean run
-    /// (percent; measured separately by [`hotpath_cost`], `None`
-    /// in deterministic runs).
-    pub overhead_pct: Option<f64>,
 }
 
-/// Runs E10 across `seeds`. Deterministic in the seeds; the wall-clock
-/// overhead is *not* measured here (see [`hotpath_cost`]).
+/// Runs E10 across `seeds`. Deterministic in the seeds.
 pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E10Result {
     let campaigns: Vec<E10Campaign> = seeds
         .iter()
@@ -372,26 +366,7 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E10Result {
         zero_divergence_monitored,
         standby_caught_all,
         replays_consistent,
-        overhead_pct: None,
     }
-}
-
-/// Wall-clock hot-path cost of armed monitors, through the shared
-/// [`micro::hotpath_cost`] protocol: clean runs (no corruption) of `calls`
-/// calls each, unarmed (off) vs armed (on), same journaling. Positive
-/// percent = monitors cost time. These are the only wall-clock numbers in
-/// E10 and are kept out of the seeded results so those stay
-/// byte-identical across machines. The percentage is relative to the raw
-/// in-memory call path (a few µs); against any real resource latency the
-/// absolute ns/call figure is the honest one.
-pub fn hotpath_cost(calls: u64, reps: u64) -> HotpathCost {
-    let (unarmed, armed) = (e10_broker_model(false), e10_broker_model(true));
-    micro::hotpath_cost(calls, reps, |on, rep| {
-        let model = if on { &armed } else { &unarmed };
-        let mut b = GenericBroker::from_model(model, hub(rep)).expect("E10 model valid");
-        b.enable_journal(SNAPSHOT_EVERY);
-        b
-    })
 }
 
 fn json_run(r: &E10Run) -> String {
@@ -414,8 +389,7 @@ fn json_run(r: &E10Run) -> String {
 }
 
 impl E10Result {
-    /// Renders the `BENCH_e10.json` artifact. Deterministic in the seeds
-    /// except for `overhead_pct`, when set.
+    /// Renders the `BENCH_e10.json` artifact. Deterministic in the seeds.
     pub fn to_json(&self) -> String {
         let campaigns: Vec<String> = self
             .campaigns
@@ -431,9 +405,6 @@ impl E10Result {
                 )
             })
             .collect();
-        let overhead = self
-            .overhead_pct
-            .map_or("null".to_owned(), |p| Fixed(p, 2).to_string());
         document(&[
             ("experiment", &Str("e10")),
             ("seed", &self.seeds.first().copied().unwrap_or(0)),
@@ -449,7 +420,6 @@ impl E10Result {
             ("zero_divergence_monitored", &self.zero_divergence_monitored),
             ("standby_caught_all", &self.standby_caught_all),
             ("replays_consistent", &self.replays_consistent),
-            ("overhead_pct", &overhead),
             ("campaigns", &rows(&campaigns)),
         ])
     }
@@ -531,17 +501,8 @@ mod tests {
     }
 
     #[test]
-    fn overhead_probe_yields_a_finite_number() {
-        let pct = hotpath_cost(60, 3).pct;
-        assert!(pct.is_finite());
-    }
-
-    #[test]
     fn json_artifact_is_well_formed_enough() {
-        let mut r = run(&[3], 120, 20);
-        assert!(r.to_json().contains("\"overhead_pct\": null"));
-        r.overhead_pct = Some(0.42);
-        let j = r.to_json();
+        let j = run(&[3], 120, 20).to_json();
         assert!(j.contains("\"experiment\": \"e10\""));
         for key in [
             "\"monitors_caught_all\"",
@@ -549,7 +510,6 @@ mod tests {
             "\"standby_caught_all\"",
             "\"unmonitored_divergence_observed\"",
             "\"replays_consistent\"",
-            "\"overhead_pct\": 0.42",
             "\"campaigns\"",
             "\"divergent_commands\"",
             "\"standby_trips\"",

@@ -34,21 +34,20 @@
 //! journals are byte-identical to the undamaged ones, the checksummed
 //! configuration detects all *byte* damage (clean drops excepted, by
 //! construction), and the naive configuration measurably loses committed
-//! records. CRC framing cost on the clean journal append path is measured
-//! wall-clock by [`hotpath_cost`] — the only non-deterministic
-//! number, kept out of the seeded results.
+//! records. The artifact holds only seeded numbers: the cost of CRC
+//! framing on the append path is the substrate bench's
+//! `journal_append_1k_records_{unframed,framed}` pair.
 //!
 //! [`BrokerError::JournalDamaged`]: mddsm_broker::BrokerError::JournalDamaged
 //! [`SupervisorDecision::RepairJournal`]: mddsm_broker::SupervisorDecision::RepairJournal
 //! [`recover_with_quorum`]: mddsm_broker::replication::recover_with_quorum
 
-use crate::artifacts::{array, campaign_row, document, row, rows, Fixed, Str};
+use crate::artifacts::{array, campaign_row, document, row, rows, Str};
 use crate::common::{campaign_supervisor, replay_consistent, ship, store_hub};
-use crate::micro::{self, HotpathCost};
 use mddsm_broker::journal;
 use mddsm_broker::{
-    recover_with_quorum, repair_journal, BrokerError, BrokerModelBuilder, GenericBroker, Standby,
-    Supervisor, SupervisorDecision,
+    recover_with_quorum, repair_journal, repair_needed, BrokerError, BrokerModelBuilder,
+    GenericBroker, Standby, Supervisor, SupervisorDecision,
 };
 use mddsm_meta::Model;
 use mddsm_sim::fault::{random_storage_campaign, FaultAction, FaultDriver, StorageCampaignConfig};
@@ -221,28 +220,10 @@ fn apply_storage_fault(
     let preflight = journal::replay(&damaged);
 
     if let Some(sb) = standby {
-        // Self-healing: the same damage criterion recover_with_quorum
-        // applies — typed damage, or a mirror that extends past the local
-        // journal's intact prefix.
-        let reason = match &preflight {
-            Err(BrokerError::JournalDamaged { lsn, offset, why }) => Some(format!(
-                "journal damaged at lsn {lsn}, byte {offset}: {why}"
-            )),
-            Err(e) => panic!("unexpected replay refusal: {e}"),
-            Ok(r) => {
-                let intact = match &r.torn {
-                    Some(t) => &damaged[..t.offset as usize],
-                    None => &damaged[..],
-                };
-                let mirror = sb.journal_bytes();
-                let gap = (mirror.len() > intact.len() && mirror.starts_with(intact))
-                    || r.state.version() < sb.applied_lsn();
-                gap.then(|| "acknowledged records missing from the journal tail".to_owned())
-            }
-        };
-        if let Some(reason) = &reason {
+        // Self-healing: the damage test recover_with_quorum applies.
+        if let Some(reason) = repair_needed(&damaged, &preflight, sb) {
             run.detected += 1;
-            supervisor.note_journal_damage("a", reason);
+            supervisor.note_journal_damage("a", &reason);
             for d in supervisor.tick(now).expect("symptoms evaluate") {
                 match d {
                     SupervisorDecision::RepairJournal { .. } => run.repair_decisions += 1,
@@ -442,14 +423,9 @@ pub struct E13Result {
     /// Every final journal replays to the live runtime model, in every
     /// configuration, on every seed.
     pub replays_consistent: bool,
-    /// Wall-clock CRC-framing overhead on the clean journal append path
-    /// (percent; measured separately by [`hotpath_cost`], `None`
-    /// in deterministic runs).
-    pub overhead_pct: Option<f64>,
 }
 
-/// Runs E13 across `seeds`. Deterministic in the seeds; the wall-clock
-/// framing overhead is *not* measured here (see [`hotpath_cost`]).
+/// Runs E13 across `seeds`. Deterministic in the seeds.
 pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E13Result {
     let campaigns: Vec<E13Campaign> = seeds
         .iter()
@@ -484,23 +460,7 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E13Result {
         self_healing_zero_loss,
         repairs_byte_identical,
         replays_consistent,
-        overhead_pct: None,
     }
-}
-
-/// Wall-clock cost of CRC32 framing, through the shared
-/// [`micro::hotpath_cost`] protocol: clean runs (no faults) of `calls`
-/// calls each, unframed (off) vs framed (on), same model and snapshot
-/// cadence. Positive percent = framing costs time. These are the only
-/// wall-clock numbers in E13 and are kept out of the seeded results so
-/// those stay byte-identical across machines.
-pub fn hotpath_cost(calls: u64, reps: u64) -> HotpathCost {
-    let model = e13_broker_model();
-    micro::hotpath_cost(calls, reps, |framed, rep| {
-        let mut b = GenericBroker::from_model(&model, store_hub(rep)).expect("E13 model valid");
-        b.enable_journal_with(SNAPSHOT_EVERY, framed);
-        b
-    })
 }
 
 fn json_run(r: &E13Run) -> String {
@@ -531,8 +491,7 @@ fn json_run(r: &E13Run) -> String {
 }
 
 impl E13Result {
-    /// Renders the `BENCH_e13.json` artifact. Deterministic in the seeds
-    /// except for `overhead_pct`, when set.
+    /// Renders the `BENCH_e13.json` artifact. Deterministic in the seeds.
     pub fn to_json(&self) -> String {
         let campaigns: Vec<String> = self
             .campaigns
@@ -548,9 +507,6 @@ impl E13Result {
                 )
             })
             .collect();
-        let overhead = self
-            .overhead_pct
-            .map_or("null".to_owned(), |p| Fixed(p, 2).to_string());
         document(&[
             ("experiment", &Str("e13")),
             ("seed", &self.seeds.first().copied().unwrap_or(0)),
@@ -567,7 +523,6 @@ impl E13Result {
             ("self_healing_zero_loss", &self.self_healing_zero_loss),
             ("repairs_byte_identical", &self.repairs_byte_identical),
             ("replays_consistent", &self.replays_consistent),
-            ("overhead_pct", &overhead),
             ("campaigns", &rows(&campaigns)),
         ])
     }
@@ -667,17 +622,8 @@ mod tests {
     }
 
     #[test]
-    fn framing_probe_yields_a_finite_number() {
-        let pct = hotpath_cost(60, 3).pct;
-        assert!(pct.is_finite());
-    }
-
-    #[test]
     fn json_artifact_is_well_formed_enough() {
-        let mut r = run(&[3], 120, 20);
-        assert!(r.to_json().contains("\"overhead_pct\": null"));
-        r.overhead_pct = Some(0.42);
-        let j = r.to_json();
+        let j = run(&[3], 120, 20).to_json();
         assert!(j.contains("\"experiment\": \"e13\""));
         for key in [
             "\"naive_loss_observed\"",
@@ -686,7 +632,6 @@ mod tests {
             "\"self_healing_zero_loss\"",
             "\"repairs_byte_identical\"",
             "\"replays_consistent\"",
-            "\"overhead_pct\": 0.42",
             "\"campaigns\"",
             "\"committed_lost\"",
             "\"silent_drop\"",

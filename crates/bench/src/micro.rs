@@ -6,64 +6,8 @@
 //! spent, and report the median per-iteration latency. Use the
 //! `experiments` binary for the paper-style tables; these benches exist to
 //! watch for regressions in the per-call prices behind E2/E3.
-//!
-//! [`hotpath_cost`] is the one protocol the experiments use for their
-//! wall-clock hot-path figures (the `overhead_pct` of E10 and E13).
 
 use std::time::{Duration, Instant};
-
-use mddsm_broker::GenericBroker;
-use mddsm_sim::resource::args;
-
-/// Wall-clock cost of a broker feature on the clean call path (see
-/// [`hotpath_cost`]).
-#[derive(Debug, Clone, Copy)]
-pub struct HotpathCost {
-    /// Nanoseconds per clean call, feature off.
-    pub off_ns_per_call: f64,
-    /// Nanoseconds per clean call, feature on.
-    pub on_ns_per_call: f64,
-    /// Relative cost of the feature, percent of the call with it off.
-    pub pct: f64,
-}
-
-/// Wall-clock cost of a broker feature: minima over `reps` interleaved
-/// clean runs of `calls` `op` calls each, on brokers set up by
-/// `setup(on, rep)` with the feature off, then on. The per-side *minimum*
-/// is the least preemption-contaminated estimate of the true cost
-/// (standard microbenchmark practice). Positive percent = the feature
-/// costs time. Set-up is not timed.
-pub fn hotpath_cost(
-    calls: u64,
-    reps: u64,
-    setup: impl Fn(bool, u64) -> GenericBroker,
-) -> HotpathCost {
-    let time = |on: bool, rep: u64| {
-        let mut b = setup(on, rep);
-        let t0 = Instant::now();
-        for i in 0..calls {
-            let n = i.to_string();
-            let r = b.call("op", &args(&[("n", &n)])).expect("clean call");
-            assert!(r.outcome.is_ok());
-        }
-        t0.elapsed().as_nanos()
-    };
-    let (mut off, mut on) = (u128::MAX, u128::MAX);
-    for rep in 0..reps.max(1) {
-        off = off.min(time(false, rep));
-        on = on.min(time(true, rep));
-    }
-    let per = |total: u128| total as f64 / calls.max(1) as f64;
-    HotpathCost {
-        off_ns_per_call: per(off),
-        on_ns_per_call: per(on),
-        pct: if off == 0 {
-            0.0
-        } else {
-            (on as f64 - off as f64) / off as f64 * 100.0
-        },
-    }
-}
 
 /// Target measurement time per benchmark.
 const MEASURE_BUDGET: Duration = Duration::from_millis(400);

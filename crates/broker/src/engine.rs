@@ -11,7 +11,7 @@ use crate::admission::{AdmissionController, AdmissionDecision, CallMeta, ShedRea
 use crate::autonomic::{
     parse_step, AutonomicManager, AutonomicRule, BrownoutController, BrownoutTransition,
 };
-use crate::journal::{self, CommandKind, Journal, JournalRecord, MemorySink};
+use crate::journal::{self, CommandKind, Journal, JournalRecord};
 use crate::model::{broker_metamodel, Resilience, BROKER_METAMODEL};
 use crate::monitor::{MonitorSet, MonitorTrip, TRIP_COUNTER_KEY};
 use crate::state::StateManager;
@@ -21,6 +21,34 @@ use mddsm_meta::model::Model;
 use mddsm_sim::resource::{Args, Outcome};
 use mddsm_sim::{ResourceHub, SimDuration, SimTime};
 use std::collections::BTreeMap;
+
+/// `(name, property)` of every monitor a broker model declares.
+pub(crate) fn monitor_specs(model: &Model) -> Vec<(String, String)> {
+    model
+        .all_of_class("Monitor")
+        .into_iter()
+        .map(|m| {
+            (
+                model.attr_str(m, "name").unwrap_or_default().to_owned(),
+                model.attr_str(m, "property").unwrap_or_default().to_owned(),
+            )
+        })
+        .collect()
+}
+
+/// `name -> parsed expression` for every policy a broker model declares.
+pub(crate) fn policy_exprs(model: &Model) -> Result<BTreeMap<String, Expr>> {
+    let mut out = BTreeMap::new();
+    for p in model.all_of_class("Policy") {
+        let name = model.attr_str(p, "name").unwrap_or_default().to_owned();
+        let src = model.attr_str(p, "expression").unwrap_or_default();
+        let expr = constraint::parse(src).map_err(|e| {
+            BrokerError::InvalidModel(format!("policy `{name}` failed to parse: {e}"))
+        })?;
+        out.insert(name, expr);
+    }
+    Ok(out)
+}
 
 /// Maximum fallback chain length (fallback of fallback of …).
 const MAX_FALLBACK_DEPTH: usize = 4;
@@ -282,16 +310,7 @@ impl GenericBroker {
             });
         }
 
-        // Policies.
-        let mut policies = BTreeMap::new();
-        for p in model.all_of_class("Policy") {
-            let pname = model.attr_str(p, "name").unwrap_or_default().to_owned();
-            let src = model.attr_str(p, "expression").unwrap_or_default();
-            let expr = constraint::parse(src).map_err(|e| {
-                BrokerError::InvalidModel(format!("policy `{pname}` failed to parse: {e}"))
-            })?;
-            policies.insert(pname, expr);
-        }
+        let policies = policy_exprs(model)?;
 
         // Resource bindings.
         let bindings = model
@@ -354,23 +373,11 @@ impl GenericBroker {
         // Runtime monitors: every model-declared `Monitor` is compiled
         // once, up front — a broken property surfaces as a deployment-time
         // `MonitorParse`, not a latent recovery surprise.
-        let monitor_specs: Vec<(String, String)> = model
-            .all_of_class("Monitor")
-            .into_iter()
-            .map(|mo| {
-                (
-                    model.attr_str(mo, "name").unwrap_or_default().to_owned(),
-                    model
-                        .attr_str(mo, "property")
-                        .unwrap_or_default()
-                        .to_owned(),
-                )
-            })
-            .collect();
-        let monitors = if monitor_specs.is_empty() {
+        let specs = monitor_specs(model);
+        let monitors = if specs.is_empty() {
             None
         } else {
-            Some(MonitorSet::compile(&monitor_specs)?)
+            Some(MonitorSet::compile(&specs)?)
         };
 
         // Load-time static analysis (after the legacy checks above, so
@@ -926,17 +933,8 @@ impl GenericBroker {
         })?;
         let _ = self.state.take_ops();
         self.state.restore(&state);
-        let version = self.state.version();
-        let rec = JournalRecord::Snapshot {
-            state: self.state.snapshot(),
-            clock_us: self.clock_us,
-            calls: self.calls,
-            events: self.events,
-        };
-        if let Some(j) = self.journal.as_mut() {
-            j.record(&rec);
-        }
-        Ok(version)
+        self.journal_snapshot();
+        Ok(self.state.version())
     }
 
     /// The compiled monitor set, when the model declares monitors.
@@ -973,7 +971,7 @@ impl GenericBroker {
 
     // -- Write-ahead journaling + crash recovery ---------------------------
 
-    /// Turns on write-ahead journaling over a fresh in-memory sink, taking
+    /// Turns on write-ahead journaling into a fresh journal, taking
     /// an initial full snapshot (so replay always has a base even when the
     /// state was already mutated) and then a new snapshot every
     /// `snapshot_every` journal entries. Records are CRC-framed.
@@ -986,7 +984,7 @@ impl GenericBroker {
     /// (the default elsewhere), `false` writes the legacy unframed format
     /// — the naive baseline E13 measures against.
     pub fn enable_journal_with(&mut self, snapshot_every: u64, framed: bool) {
-        let mut j = Journal::over(Box::new(MemorySink::new()), snapshot_every);
+        let mut j = Journal::in_memory(snapshot_every);
         j.set_framed(framed);
         // Deployment-time analysis warnings go into the durable stream
         // first, so a post-mortem always sees what the analyzer flagged.
@@ -995,14 +993,9 @@ impl GenericBroker {
                 text: format!("analysis {w}"),
             });
         }
-        j.record(&JournalRecord::Snapshot {
-            state: self.state.snapshot(),
-            clock_us: self.clock_us,
-            calls: self.calls,
-            events: self.events,
-        });
-        self.state.record_ops(true);
         self.journal = Some(j);
+        self.journal_snapshot();
+        self.state.record_ops(true);
     }
 
     /// The journal's full byte contents — what survives a crash. `None`
@@ -1110,15 +1103,7 @@ impl GenericBroker {
         // WAL order: everything the old model wrote lands before the
         // pre-upgrade checkpoint.
         self.journal_state_ops();
-        let pre = JournalRecord::Snapshot {
-            state: self.state.snapshot(),
-            clock_us: self.clock_us,
-            calls: self.calls,
-            events: self.events,
-        };
-        if let Some(j) = self.journal.as_mut() {
-            j.record(&pre);
-        }
+        self.journal_snapshot();
         self.state.record_ops(true);
         mutate(&mut self.state);
         let ops = self.state.take_ops();
@@ -1131,15 +1116,7 @@ impl GenericBroker {
             j.record(&up);
         }
         self.model_version = model_version;
-        let post = JournalRecord::Snapshot {
-            state: self.state.snapshot(),
-            clock_us: self.clock_us,
-            calls: self.calls,
-            events: self.events,
-        };
-        if let Some(j) = self.journal.as_mut() {
-            j.record(&post);
-        }
+        self.journal_snapshot();
         Ok(self.state.version())
     }
 
@@ -1224,18 +1201,21 @@ impl GenericBroker {
     /// Takes a periodic snapshot when the journal's policy says one is due,
     /// bounding how much tail the next recovery has to replay.
     fn maybe_snapshot(&mut self) {
-        let due = self.journal.as_ref().is_some_and(Journal::snapshot_due);
-        if !due {
-            return;
+        if self.journal.as_ref().is_some_and(Journal::snapshot_due) {
+            self.journal_snapshot();
         }
-        let snap = JournalRecord::Snapshot {
-            state: self.state.snapshot(),
-            clock_us: self.clock_us,
-            calls: self.calls,
-            events: self.events,
-        };
+    }
+
+    /// Journals a full snapshot of the state under the current clock and
+    /// call/event counters (a no-op when journaling is off).
+    fn journal_snapshot(&mut self) {
         if let Some(j) = self.journal.as_mut() {
-            j.record(&snap);
+            j.record(&JournalRecord::Snapshot {
+                state: self.state.snapshot(),
+                clock_us: self.clock_us,
+                calls: self.calls,
+                events: self.events,
+            });
         }
     }
 
@@ -1249,9 +1229,9 @@ impl GenericBroker {
     /// evaluates to `false` (journal-level divergence — LSN gaps, corrupt
     /// records — is still [`BrokerError::RecoveryDiverged`]).
     ///
-    /// The recovered broker journals into a sink pre-loaded with the old
-    /// bytes and appends a fresh snapshot, so a later crash replays only a
-    /// short tail.
+    /// The recovered broker journals after the old bytes, in their
+    /// dialect, and appends a fresh snapshot, so a later crash replays only
+    /// a short tail.
     ///
     /// A torn tail (crash mid-append left the final record(s) unreadable)
     /// is self-healing: the journal is truncated to the last complete
@@ -1289,15 +1269,12 @@ impl GenericBroker {
         // Resume journaling over the inherited history — cut at the torn
         // tail first, so the unreadable garbage never survives into the
         // resumed journal — and checkpoint the recovered state
-        // immediately. The resumed journal keeps its history's dialect
-        // (framed vs legacy) so the byte stream stays self-consistent.
+        // immediately.
         let mut inherited = journal_bytes.to_vec();
         if let Some(t) = &recovered.torn {
             inherited.truncate(t.offset as usize);
         }
-        let framed = inherited.is_empty() || journal::is_framed(&inherited);
-        let mut j = Journal::over(Box::new(MemorySink::with_bytes(inherited)), 0);
-        j.set_framed(framed);
+        let mut j = Journal::resume(inherited, 0);
         if let Some(t) = &recovered.torn {
             j.record(&JournalRecord::Note {
                 text: format!(
@@ -1306,14 +1283,9 @@ impl GenericBroker {
                 ),
             });
         }
-        j.record(&JournalRecord::Snapshot {
-            state: broker.state.snapshot(),
-            clock_us: broker.clock_us,
-            calls: broker.calls,
-            events: broker.events,
-        });
-        broker.state.record_ops(true);
         broker.journal = Some(j);
+        broker.journal_snapshot();
+        broker.state.record_ops(true);
 
         let report = RecoveryReport {
             ops_replayed: recovered.ops_replayed,

@@ -39,13 +39,13 @@
 //!    migration-touched keys are restored.
 
 use crate::admission::AdmissionController;
-use crate::engine::{GenericBroker, RecoveryReport};
+use crate::engine::{monitor_specs, policy_exprs, GenericBroker, RecoveryReport};
 use crate::journal;
 use crate::monitor::{owner_key, period_key, trip_key, MonitorSet, TRIP_COUNTER_KEY};
 use crate::state::{SnapValue, StateManager};
 use crate::supervisor::Supervisor;
 use crate::{BrokerError, Result};
-use mddsm_meta::constraint::{self, Expr};
+use mddsm_meta::constraint::Expr;
 use mddsm_meta::diff::{diff, Change, ChangeList, DiffOptions};
 use mddsm_meta::model::Model;
 use mddsm_sim::ResourceHub;
@@ -153,33 +153,6 @@ fn refused(stage: &str, reasons: Vec<String>) -> BrokerError {
         stage: stage.to_owned(),
         reasons,
     }
-}
-
-/// `(name, property)` of every declared monitor in a model.
-fn monitor_specs(model: &Model) -> Vec<(String, String)> {
-    model
-        .all_of_class("Monitor")
-        .into_iter()
-        .map(|m| {
-            (
-                model.attr_str(m, "name").unwrap_or_default().to_owned(),
-                model.attr_str(m, "property").unwrap_or_default().to_owned(),
-            )
-        })
-        .collect()
-}
-
-/// `name -> parsed expression` for every policy in a model.
-fn policy_exprs(model: &Model) -> Result<BTreeMap<String, Expr>> {
-    let mut out = BTreeMap::new();
-    for p in model.all_of_class("Policy") {
-        let name = model.attr_str(p, "name").unwrap_or_default().to_owned();
-        let src = model.attr_str(p, "expression").unwrap_or_default();
-        let expr = constraint::parse(src)
-            .map_err(|e| BrokerError::InvalidModel(format!("policy `{name}`: {e}")))?;
-        out.insert(name, expr);
-    }
-    Ok(out)
 }
 
 /// The current value of `key` in `state`, captured for rollback.

@@ -4,11 +4,16 @@
 //! to be usable for recovery; this module applies it to the Fig. 6
 //! `StateManager`. Every primitive mutation of the runtime model (an LSN'd
 //! [`StateOp`]) and every executed broker command is appended to a
-//! [`Journal`] behind a pluggable [`JournalSink`]; every `snapshot_every`
-//! appended entries the journal takes a full [`StateSnapshot`]. Recovery
+//! [`Journal`], which owns its bytes; every `snapshot_every` appended
+//! entries the journal takes a full [`StateSnapshot`]. Recovery
 //! ([`replay`]) restores the newest snapshot and replays the tail,
 //! refusing with [`BrokerError::RecoveryDiverged`] on LSN gaps or corrupt
 //! records.
+//!
+//! Records are applied in one place, the crate's `Applier`: recovery's
+//! [`replay`] and the hot standby ([`crate::replication::Standby`]) both
+//! call it, so a record means the same thing to a recovering primary and
+//! to a replica. The LSN a record pins is [`JournalRecord::lsn`].
 //!
 //! The record format is a dependency-free framed text format: one record
 //! per line, fields separated by single spaces, each field percent-escaped
@@ -30,55 +35,6 @@
 
 use crate::state::{SnapValue, StateManager, StateOp, StateSnapshot};
 use crate::{BrokerError, Result};
-
-/// Where journal bytes go. The default [`MemorySink`] is `Vec<u8>`-backed;
-/// a durable deployment would put a file or replicated log behind this.
-/// (`Send + Sync` so journaled brokers still fit the component factory.)
-pub trait JournalSink: Send + Sync {
-    /// Appends one framed record (including its trailing newline).
-    fn append(&mut self, record: &[u8]);
-    /// The full journal contents, oldest record first.
-    fn bytes(&self) -> &[u8];
-    /// Replaces the sink's entire contents (journal compaction). Sinks
-    /// that cannot rewrite history return `false` and keep their bytes —
-    /// which is what the default does.
-    fn replace(&mut self, bytes: Vec<u8>) -> bool {
-        let _ = bytes;
-        false
-    }
-}
-
-/// An in-memory, `Vec<u8>`-backed sink.
-#[derive(Debug, Clone, Default)]
-pub struct MemorySink {
-    buf: Vec<u8>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A sink pre-loaded with existing journal bytes (recovery continues
-    /// appending to the history it was rebuilt from).
-    pub fn with_bytes(bytes: Vec<u8>) -> Self {
-        MemorySink { buf: bytes }
-    }
-}
-
-impl JournalSink for MemorySink {
-    fn append(&mut self, record: &[u8]) {
-        self.buf.extend_from_slice(record);
-    }
-    fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-    fn replace(&mut self, bytes: Vec<u8>) -> bool {
-        self.buf = bytes;
-        true
-    }
-}
 
 /// What kind of engine entry point produced a command record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,6 +129,20 @@ pub enum JournalRecord {
         /// Events handled so far.
         events: u64,
     },
+}
+
+impl JournalRecord {
+    /// The newest state LSN this record pins down: an op's LSN (the last
+    /// of a coalesced run), an upgrade's last migration op, a snapshot's
+    /// version. `None` for records that carry no LSN.
+    pub fn lsn(&self) -> Option<u64> {
+        match self {
+            JournalRecord::Op(op) | JournalRecord::OpCoalesced { op, .. } => Some(op.lsn()),
+            JournalRecord::Upgrade { ops, .. } => ops.last().map(StateOp::lsn),
+            JournalRecord::Snapshot { state, .. } => Some(state.version),
+            _ => None,
+        }
+    }
 }
 
 // -- Framing ----------------------------------------------------------------
@@ -298,13 +268,6 @@ fn payload_into(line: &mut String, rec: &JournalRecord) {
     }
 }
 
-fn frame(rec: &JournalRecord) -> String {
-    let mut line = String::with_capacity(48);
-    payload_into(&mut line, rec);
-    line.push('\n');
-    line
-}
-
 // -- CRC32 record frames -----------------------------------------------------
 
 /// Versioned frame-header tag. Bumped if the frame layout ever changes;
@@ -390,14 +353,6 @@ fn push_framed(out: &mut String, payload: &str) {
     out.push('\n');
 }
 
-/// Wraps one framed payload line (no trailing newline) in the versioned
-/// CRC frame: `v1 <crc32-hex> <payload>`.
-fn frame_checked(payload: &str) -> String {
-    let mut line = String::with_capacity(payload.len() + 14);
-    push_framed(&mut line, payload);
-    line
-}
-
 /// Splits a line into its record payload, verifying the CRC when the line
 /// carries a `v1` frame; legacy (unframed) lines pass through untouched.
 /// The error is a human-readable reason, not a [`BrokerError`], so callers
@@ -444,9 +399,9 @@ pub fn line_payload(line: &str) -> &str {
 }
 
 /// Whether the journal's first non-empty line is CRC-framed — how
-/// recovery decides which dialect to resume appending in, so a resumed
-/// journal stays internally consistent with its history.
-pub fn is_framed(bytes: &[u8]) -> bool {
+/// [`Journal::resume`] decides which dialect to resume appending in, so a
+/// resumed journal stays internally consistent with its history.
+fn is_framed(bytes: &[u8]) -> bool {
     bytes
         .split(|&b| b == b'\n')
         .find(|l| !l.is_empty())
@@ -468,21 +423,11 @@ pub fn prefix_through_lsn(bytes: &[u8], lsn: u64) -> Result<&[u8]> {
     let mut offset = 0usize;
     for raw in bytes.split_inclusive(|&b| b == b'\n') {
         offset += raw.len();
-        let body = match raw.last() {
-            Some(b'\n') => &raw[..raw.len() - 1],
-            _ => raw,
-        };
+        let body = raw.strip_suffix(b"\n").unwrap_or(raw);
         let reached = std::str::from_utf8(body)
             .ok()
-            .and_then(|line| parse_line(line).ok())
-            .map_or(0, |rec| match rec {
-                JournalRecord::Op(op) => op.lsn(),
-                JournalRecord::OpCoalesced { op, .. } => op.lsn(),
-                JournalRecord::Upgrade { ops, .. } => ops.last().map_or(0, StateOp::lsn),
-                JournalRecord::Snapshot { state, .. } => state.version,
-                _ => 0,
-            });
-        if reached >= lsn {
+            .and_then(|line| parse_line(line).ok()?.lsn());
+        if reached.is_some_and(|r| r >= lsn) {
             return Ok(&bytes[..offset]);
         }
     }
@@ -612,7 +557,10 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
 /// newline included — the unit the replication layer ships over the
 /// network.
 pub fn frame_record(rec: &JournalRecord) -> String {
-    frame(rec)
+    let mut line = String::with_capacity(48);
+    payload_into(&mut line, rec);
+    line.push('\n');
+    line
 }
 
 /// Frames `rec` under the versioned CRC32 frame (`v1 <crc32-hex>
@@ -621,7 +569,9 @@ pub fn frame_record(rec: &JournalRecord) -> String {
 pub fn frame_record_checked(rec: &JournalRecord) -> String {
     let mut payload = String::with_capacity(48);
     payload_into(&mut payload, rec);
-    frame_checked(&payload)
+    let mut line = String::with_capacity(payload.len() + 14);
+    push_framed(&mut line, &payload);
+    line
 }
 
 /// Parses one line (without its trailing newline) back into a
@@ -634,10 +584,10 @@ pub fn parse_line(line: &str) -> Result<JournalRecord> {
 
 // -- The journal ------------------------------------------------------------
 
-/// A write-ahead journal over a pluggable sink, with automatic periodic
+/// A write-ahead journal that owns its bytes, with automatic periodic
 /// snapshots.
 pub struct Journal {
-    sink: Box<dyn JournalSink>,
+    bytes: Vec<u8>,
     snapshot_every: u64,
     since_snapshot: u64,
     entries: u64,
@@ -657,27 +607,30 @@ impl std::fmt::Debug for Journal {
             .field("snapshot_every", &self.snapshot_every)
             .field("entries", &self.entries)
             .field("snapshots", &self.snapshots)
-            .field("bytes", &self.sink.bytes().len())
+            .field("bytes", &self.bytes.len())
             .finish()
     }
 }
 
 impl Journal {
-    /// A journal over a fresh in-memory sink; a snapshot is taken every
+    /// An empty, CRC-framed journal; a snapshot is taken every
     /// `snapshot_every` appended entries (0 disables periodic snapshots).
     pub fn in_memory(snapshot_every: u64) -> Self {
-        Self::over(Box::new(MemorySink::new()), snapshot_every)
+        Self::resume(Vec::new(), snapshot_every)
     }
 
-    /// A journal over any sink.
-    pub fn over(sink: Box<dyn JournalSink>, snapshot_every: u64) -> Self {
+    /// A journal that appends after inherited `bytes` (recovery continues
+    /// the history it was rebuilt from) in their dialect: CRC-framed when
+    /// their first record is, or when there is none; legacy otherwise. The
+    /// resumed byte stream thus stays internally consistent.
+    pub fn resume(bytes: Vec<u8>, snapshot_every: u64) -> Self {
         Journal {
-            sink,
+            framed: bytes.is_empty() || is_framed(&bytes),
+            bytes,
             snapshot_every,
             since_snapshot: 0,
             entries: 0,
             snapshots: 0,
-            framed: true,
             payload_buf: String::new(),
             line_buf: String::new(),
         }
@@ -707,7 +660,7 @@ impl Journal {
             self.line_buf.push_str(&self.payload_buf);
             self.line_buf.push('\n');
         }
-        self.sink.append(self.line_buf.as_bytes());
+        self.bytes.extend_from_slice(self.line_buf.as_bytes());
         if matches!(rec, JournalRecord::Snapshot { .. }) {
             self.snapshots += 1;
             self.since_snapshot = 0;
@@ -739,7 +692,7 @@ impl Journal {
 
     /// The full journal bytes (oldest record first).
     pub fn bytes(&self) -> &[u8] {
-        self.sink.bytes()
+        &self.bytes
     }
 
     /// Compacts the journal down to the newest snapshot at or below `lsn`
@@ -747,11 +700,11 @@ impl Journal {
     /// snapshot is dropped — replay from it still covers every op the
     /// replica has not acknowledged. The newest epoch fence in the dropped
     /// prefix is retained so fencing survives compaction. Returns the
-    /// bytes reclaimed (0 when no snapshot qualifies or the sink cannot
-    /// rewrite history). `entries()`/`snapshots()` remain lifetime
-    /// counters and are not rewound.
+    /// bytes reclaimed (0 when no snapshot qualifies).
+    /// `entries()`/`snapshots()` remain lifetime counters and are not
+    /// rewound.
     pub fn truncate_to(&mut self, lsn: u64) -> usize {
-        let bytes = self.sink.bytes();
+        let bytes = &self.bytes;
         let Ok(text) = std::str::from_utf8(bytes) else {
             return 0;
         };
@@ -787,10 +740,132 @@ impl Journal {
         }
         kept.extend_from_slice(&bytes[cut..]);
         let reclaimed = bytes.len() - kept.len();
-        if self.sink.replace(kept) {
-            reclaimed
-        } else {
-            0
+        self.bytes = kept;
+        reclaimed
+    }
+}
+
+// -- Applying records ---------------------------------------------------------
+
+/// The runtime model journal records rebuild: the state plus what the
+/// journal records beside it. [`replay`] and the hot standby
+/// ([`crate::replication::Standby`]) both apply records through
+/// [`Applier::apply`], so a record means the same thing to recovery and
+/// to a replica.
+#[derive(Debug)]
+pub(crate) struct Applier {
+    /// The rebuilt state.
+    pub(crate) state: StateManager,
+    /// Virtual clock (µs) after the newest applied record.
+    pub(crate) clock_us: u64,
+    /// Calls handled so far.
+    pub(crate) calls: u64,
+    /// Events handled so far.
+    pub(crate) events: u64,
+    /// The highest epoch fence applied (1 until one is).
+    pub(crate) epoch: u64,
+    /// The runtime-model version the newest `Upgrade` record put live (1
+    /// until one is applied).
+    pub(crate) model_version: u64,
+}
+
+impl Default for Applier {
+    fn default() -> Self {
+        Applier {
+            state: StateManager::new(),
+            clock_us: 0,
+            calls: 0,
+            events: 0,
+            epoch: 1,
+            model_version: 1,
+        }
+    }
+}
+
+/// The state keys one applied record may have changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Touched<'a> {
+    /// None: a command, clock, epoch or note record.
+    Nothing,
+    /// The one key an `op` or `opc` record wrote.
+    Key(&'a str),
+    /// Any key: a snapshot restore or an upgrade's migration ops.
+    Any,
+}
+
+impl Applier {
+    /// Applies one record. State ops are LSN-checked against the state
+    /// version: an op must follow it, a coalesced run must start right
+    /// after it, and an upgrade's migration ops must run on from it — all
+    /// of them, checked before the first is applied. A refused record
+    /// changes nothing.
+    pub(crate) fn apply<'r>(&mut self, rec: &'r JournalRecord) -> Result<Touched<'r>> {
+        match rec {
+            JournalRecord::Op(op) => {
+                self.state.apply_op(op)?;
+                Ok(Touched::Key(op.key()))
+            }
+            JournalRecord::OpCoalesced { first_lsn, op } => {
+                self.state.apply_coalesced(*first_lsn, op)?;
+                Ok(Touched::Key(op.key()))
+            }
+            JournalRecord::Upgrade { ops, .. } => {
+                let from = self.state.version();
+                let gap = ops
+                    .iter()
+                    .enumerate()
+                    .find(|(i, op)| op.lsn().checked_sub(from) != Some(*i as u64 + 1));
+                if let Some((_, op)) = gap {
+                    return Err(BrokerError::RecoveryDiverged(format!(
+                        "upgrade op LSN {} does not run on from state version {from}",
+                        op.lsn()
+                    )));
+                }
+                for op in ops {
+                    self.state.apply_op(op)?;
+                }
+                self.adopt_fence(rec);
+                Ok(Touched::Any)
+            }
+            JournalRecord::Snapshot {
+                state,
+                clock_us,
+                calls,
+                events,
+            } => {
+                self.state.restore(state);
+                self.clock_us = *clock_us;
+                self.calls = *calls;
+                self.events = *events;
+                Ok(Touched::Any)
+            }
+            JournalRecord::Command { clock_us, kind, .. } => {
+                self.clock_us = *clock_us;
+                match kind {
+                    CommandKind::Call => self.calls += 1,
+                    CommandKind::Event => self.events += 1,
+                }
+                Ok(Touched::Nothing)
+            }
+            JournalRecord::Clock { clock_us } => {
+                self.clock_us = *clock_us;
+                Ok(Touched::Nothing)
+            }
+            JournalRecord::Epoch { .. } | JournalRecord::Note { .. } => {
+                self.adopt_fence(rec);
+                Ok(Touched::Nothing)
+            }
+        }
+    }
+
+    /// Adopts only what `rec` records outside the state: an epoch fence
+    /// (the highest wins) or the model version an upgrade put live. This
+    /// is all a record before the newest snapshot still contributes.
+    fn adopt_fence(&mut self, rec: &JournalRecord) {
+        match rec {
+            JournalRecord::Epoch { epoch } => self.epoch = self.epoch.max(*epoch),
+            JournalRecord::Upgrade { version, .. } => self.model_version = *version,
+            _ => {}
         }
     }
 }
@@ -830,7 +905,7 @@ pub struct Recovered {
     pub commands_replayed: u64,
     /// Version the newest snapshot carried (0 when no snapshot existed).
     pub snapshot_version: u64,
-    /// The newest epoch fence in the journal (1 when none was recorded).
+    /// The highest epoch fence in the journal (1 when none was recorded).
     pub epoch: u64,
     /// The runtime-model version the newest `Upgrade` record put live
     /// (1 when the journal predates live evolution).
@@ -867,12 +942,8 @@ fn scan_lines(bytes: &[u8]) -> Vec<ScannedLine> {
             } else {
                 match std::str::from_utf8(body) {
                     Err(_) => Err("record is not UTF-8".to_owned()),
-                    Ok(line) => checked_payload(line).and_then(|payload| {
-                        parse_record(payload).map_err(|e| match e {
-                            BrokerError::RecoveryDiverged(why) => why,
-                            other => other.to_string(),
-                        })
-                    }),
+                    Ok(line) => checked_payload(line)
+                        .and_then(|payload| parse_record(payload).map_err(reason)),
                 }
             };
             lines.push(ScannedLine { offset, rec });
@@ -882,19 +953,12 @@ fn scan_lines(bytes: &[u8]) -> Vec<ScannedLine> {
     lines
 }
 
-/// The newest LSN any readable record among `lines` pins down.
-fn last_lsn_in(lines: &[ScannedLine]) -> u64 {
-    lines
-        .iter()
-        .filter_map(|l| match &l.rec {
-            Ok(JournalRecord::Op(op)) => Some(op.lsn()),
-            Ok(JournalRecord::OpCoalesced { op, .. }) => Some(op.lsn()),
-            Ok(JournalRecord::Upgrade { ops, .. }) => ops.last().map(StateOp::lsn),
-            Ok(JournalRecord::Snapshot { state, .. }) => Some(state.version),
-            _ => None,
-        })
-        .next_back()
-        .unwrap_or(0)
+/// The bare reason behind a parse or apply refusal.
+fn reason(e: BrokerError) -> String {
+    match e {
+        BrokerError::RecoveryDiverged(why) => why,
+        other => other.to_string(),
+    }
 }
 
 fn damaged(lsn: u64, offset: usize, why: String) -> BrokerError {
@@ -921,15 +985,20 @@ fn damaged(lsn: u64, offset: usize, why: String) -> BrokerError {
 pub fn replay(bytes: &[u8]) -> Result<Recovered> {
     let mut lines = scan_lines(bytes);
 
-    let mut torn: Option<TornTail> = None;
+    // (offset, dropped lines, why) of a torn tail.
+    let mut cut: Option<(usize, usize, String)> = None;
     if let Some(first_bad) = lines.iter().position(|l| l.rec.is_err()) {
         let why = match &lines[first_bad].rec {
             Err(w) => w.clone(),
             Ok(_) => String::new(),
         };
         let offset = lines[first_bad].offset;
-        let lsn_before = last_lsn_in(&lines[..first_bad]);
         if lines[first_bad + 1..].iter().any(|l| l.rec.is_ok()) {
+            let lsn_before = lines[..first_bad]
+                .iter()
+                .filter_map(|l| l.rec.as_ref().ok()?.lsn())
+                .next_back()
+                .unwrap_or(0);
             return Err(damaged(
                 lsn_before,
                 offset,
@@ -943,12 +1012,7 @@ pub fn replay(bytes: &[u8]) -> Result<Recovered> {
                 format!("journal head unreadable: {why}"),
             ));
         }
-        torn = Some(TornTail {
-            offset: offset as u64,
-            dropped_lines: (lines.len() - first_bad) as u64,
-            last_lsn: lsn_before,
-            why,
-        });
+        cut = Some((offset, lines.len() - first_bad, why));
         lines.truncate(first_bad);
     }
     let records: Vec<(usize, JournalRecord)> = lines
@@ -961,120 +1025,64 @@ pub fn replay(bytes: &[u8]) -> Result<Recovered> {
         .iter()
         .rposition(|(_, r)| matches!(r, JournalRecord::Snapshot { .. }));
 
-    let mut state = StateManager::new();
-    let mut clock_us = 0u64;
-    let mut calls = 0u64;
-    let mut events = 0u64;
-    let mut ops_replayed = 0u64;
-    let mut commands_replayed = 0u64;
-    let mut snapshot_version = 0u64;
-    let mut epoch = 1u64;
-    let mut model_version = 1u64;
-
-    // Epoch fences and upgrade versions live outside snapshots; scan the
-    // prefix the snapshot cut skips so a fence (or cutover) recorded
-    // before the newest snapshot survives. Only the version is read here —
-    // the embedded migration ops are already baked into the snapshot.
+    let mut model = Applier::default();
+    let mut tail = &records[..];
     if let Some(s) = start {
+        // Epoch fences and upgrade versions live outside snapshots; scan the
+        // prefix the snapshot cut skips so a fence (or cutover) recorded
+        // before the newest snapshot survives. Only the version is read
+        // here — the embedded migration ops are already baked into the
+        // snapshot.
         for (_, rec) in &records[..s] {
-            match rec {
-                JournalRecord::Epoch { epoch: e } => epoch = *e,
-                JournalRecord::Upgrade { version, .. } => model_version = *version,
-                _ => {}
-            }
+            model.adopt_fence(rec);
         }
+        model.apply(&records[s].1)?;
+        tail = &records[s + 1..];
     }
-
-    let tail = match start {
-        Some(s) => &records[s..],
-        None => &records[..],
-    };
+    let (snapshot_version, calls_before, events_before) =
+        (model.state.version(), model.calls, model.events);
     for (offset, rec) in tail {
-        match rec {
-            JournalRecord::Snapshot {
-                state: snap,
-                clock_us: c,
-                calls: n,
-                events: m,
-            } => {
-                state.restore(snap);
-                clock_us = *c;
-                calls = *n;
-                events = *m;
-                snapshot_version = snap.version;
-            }
-            JournalRecord::Op(op) => {
-                state
-                    .apply_op(op)
-                    .map_err(|e| apply_damage(&state, *offset, e))?;
-                ops_replayed += 1;
-            }
-            JournalRecord::OpCoalesced { first_lsn, op } => {
-                // `apply_coalesced` validates first_lsn <= op.lsn().
-                state
-                    .apply_coalesced(*first_lsn, op)
-                    .map_err(|e| apply_damage(&state, *offset, e))?;
-                ops_replayed += op.lsn() - first_lsn + 1;
-            }
-            JournalRecord::Command {
-                clock_us: c, kind, ..
-            } => {
-                clock_us = *c;
-                match kind {
-                    CommandKind::Call => calls += 1,
-                    CommandKind::Event => events += 1,
-                }
-                commands_replayed += 1;
-            }
-            JournalRecord::Clock { clock_us: c } => {
-                clock_us = *c;
-            }
-            JournalRecord::Epoch { epoch: e } => {
-                epoch = *e;
-            }
-            JournalRecord::Upgrade { version, ops, .. } => {
-                for op in ops {
-                    state
-                        .apply_op(op)
-                        .map_err(|e| apply_damage(&state, *offset, e))?;
-                    ops_replayed += 1;
-                }
-                model_version = *version;
-            }
-            JournalRecord::Note { .. } => {}
-        }
-    }
-    if let Some(t) = &mut torn {
-        t.last_lsn = state.version();
+        // An LSN gap (or other apply-time divergence) at a readable record
+        // means committed records *before* it are missing — interior
+        // damage, reported with the last good LSN and the record's offset.
+        model
+            .apply(rec)
+            .map_err(|e| damaged(model.state.version(), *offset, reason(e)))?;
     }
     Ok(Recovered {
-        state,
-        clock_us,
-        calls,
-        events,
-        ops_replayed,
-        commands_replayed,
+        // Every op after the snapshot advanced the version by exactly its
+        // LSN span, and every command record counted one call or event.
+        ops_replayed: model.state.version() - snapshot_version,
+        commands_replayed: (model.calls - calls_before) + (model.events - events_before),
+        torn: cut.map(|(offset, dropped, why)| TornTail {
+            offset: offset as u64,
+            dropped_lines: dropped as u64,
+            last_lsn: model.state.version(),
+            why,
+        }),
+        clock_us: model.clock_us,
+        calls: model.calls,
+        events: model.events,
         snapshot_version,
-        epoch,
-        model_version,
-        torn,
+        epoch: model.epoch,
+        model_version: model.model_version,
+        state: model.state,
     })
-}
-
-/// An LSN gap (or other apply-time divergence) at a readable record means
-/// committed records *before* it are missing — interior damage, reported
-/// with the last good LSN and the offending record's byte offset.
-fn apply_damage(state: &StateManager, offset: usize, e: BrokerError) -> BrokerError {
-    let why = match e {
-        BrokerError::RecoveryDiverged(m) => m,
-        other => other.to_string(),
-    };
-    damaged(state.version(), offset, why)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A snapshot of `s` at virtual time `clock_us` after `calls` calls.
+    fn snap(s: &StateManager, clock_us: u64, calls: u64) -> JournalRecord {
+        JournalRecord::Snapshot {
+            state: s.snapshot(),
+            clock_us,
+            calls,
+            events: 0,
+        }
+    }
 
     fn cmd(clock_us: u64) -> JournalRecord {
         JournalRecord::Command {
@@ -1143,7 +1151,7 @@ mod tests {
             },
         ];
         for r in &records {
-            let line = frame(r);
+            let line = frame_record(r);
             assert!(line.ends_with('\n'));
             let back = parse_record(line.trim_end()).unwrap();
             assert_eq!(&back, r);
@@ -1158,12 +1166,7 @@ mod tests {
         assert!(!j.snapshot_due());
         j.record(&cmd(2));
         assert!(j.snapshot_due());
-        j.record(&JournalRecord::Snapshot {
-            state: StateManager::new().snapshot(),
-            clock_us: 2,
-            calls: 2,
-            events: 0,
-        });
+        j.record(&snap(&StateManager::new(), 2, 2));
         assert!(!j.snapshot_due());
         assert_eq!(j.entries(), 2);
         assert_eq!(j.snapshots(), 1);
@@ -1180,12 +1183,7 @@ mod tests {
         for op in live.take_ops() {
             j.record(&JournalRecord::Op(op));
         }
-        j.record(&JournalRecord::Snapshot {
-            state: live.snapshot(),
-            clock_us: 10,
-            calls: 1,
-            events: 0,
-        });
+        j.record(&snap(&live, 10, 1));
         live.bump("opens", 2);
         for op in live.take_ops() {
             j.record(&JournalRecord::Op(op));
@@ -1247,7 +1245,7 @@ mod tests {
             first_lsn: 1,
             op: ops[2].clone(),
         };
-        assert_eq!(parse_record(frame(&rec).trim_end()).unwrap(), rec);
+        assert_eq!(parse_record(frame_record(&rec).trim_end()).unwrap(), rec);
     }
 
     #[test]
@@ -1273,7 +1271,7 @@ mod tests {
     #[test]
     fn epoch_fences_roundtrip_and_survive_snapshots() {
         let rec = JournalRecord::Epoch { epoch: 3 };
-        assert_eq!(parse_record(frame(&rec).trim_end()).unwrap(), rec);
+        assert_eq!(parse_record(frame_record(&rec).trim_end()).unwrap(), rec);
         // No fence recorded: epoch defaults to 1.
         assert_eq!(replay(b"op 1 int x 1\n").unwrap().epoch, 1);
         // A fence after the newest snapshot is replayed from the tail.
@@ -1298,22 +1296,12 @@ mod tests {
         for op in live.take_ops() {
             j.record(&JournalRecord::Op(op));
         }
-        j.record(&JournalRecord::Snapshot {
-            state: live.snapshot(),
-            clock_us: 10,
-            calls: 1,
-            events: 0,
-        });
+        j.record(&snap(&live, 10, 1));
         live.set_int("y", 2);
         for op in live.take_ops() {
             j.record(&JournalRecord::Op(op));
         }
-        j.record(&JournalRecord::Snapshot {
-            state: live.snapshot(),
-            clock_us: 20,
-            calls: 2,
-            events: 0,
-        });
+        j.record(&snap(&live, 20, 2));
         live.bump("y", 5);
         for op in live.take_ops() {
             j.record(&JournalRecord::Op(op));
@@ -1352,7 +1340,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"ep 3\n");
         bytes.extend_from_slice(j.bytes());
-        let mut j = Journal::over(Box::new(MemorySink::with_bytes(bytes)), 0);
+        let mut j = Journal::resume(bytes, 0);
         assert!(j.truncate_to(live.version()) > 0);
         let r = replay(j.bytes()).unwrap();
         assert_eq!(r.epoch, 3, "fence survives compaction");
@@ -1387,6 +1375,25 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_upgrade_is_damage_after_the_version_before_it() {
+        // An upgrade's ops are checked as one run before any applies, so
+        // the last good LSN is the one before the record (1), not an op
+        // of the refused record itself (2).
+        let r = replay(b"op 1 int x 1\nup 2 cand 2 2 int y 7 4 int z 9\n");
+        assert!(
+            matches!(
+                r,
+                Err(BrokerError::JournalDamaged {
+                    lsn: 1,
+                    offset: 13,
+                    ..
+                })
+            ),
+            "{r:?}"
+        );
+    }
+
+    #[test]
     fn torn_upgrade_records_drop_wholesale() {
         // A cutover record missing its trailing newline was never
         // committed: the torn-tail policy drops the whole line, so
@@ -1407,7 +1414,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"ep 3\nup 2 cand 0\n");
         bytes.extend_from_slice(j.bytes());
-        let mut j = Journal::over(Box::new(MemorySink::with_bytes(bytes)), 0);
+        let mut j = Journal::resume(bytes, 0);
         assert!(j.truncate_to(live.version()) > 0);
         let r = replay(j.bytes()).unwrap();
         assert_eq!(r.epoch, 3, "fence survives compaction");
@@ -1643,12 +1650,7 @@ mod tests {
         for op in live.take_ops() {
             j.record(&JournalRecord::Op(op));
         }
-        j.record(&JournalRecord::Snapshot {
-            state: live.snapshot(),
-            clock_us: 10,
-            calls: 1,
-            events: 0,
-        });
+        j.record(&snap(&live, 10, 1));
         live.set_int("y", 2);
         // Monitor memory lives in ordinary `mon_*` variables: a latched
         // trip recorded before the compaction cut must survive it.
@@ -1656,12 +1658,7 @@ mod tests {
         for op in live.take_ops() {
             j.record(&JournalRecord::Op(op));
         }
-        j.record(&JournalRecord::Snapshot {
-            state: live.snapshot(),
-            clock_us: 20,
-            calls: 2,
-            events: 0,
-        });
+        j.record(&snap(&live, 20, 2));
         assert!(is_framed(j.bytes()));
         assert!(j.truncate_to(live.version()) > 0);
         let r = replay(j.bytes()).unwrap();

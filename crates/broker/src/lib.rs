@@ -34,7 +34,8 @@
 //! * [`replication`] — replicated models@runtime: the primary ships its
 //!   journal over the simulated network to the peers of a model-defined
 //!   replica set (a hot standby is the one-peer set with quorum 2), each
-//!   replaying it into its own state manager; promotion fences the old
+//!   applying it into its own runtime model through the journal's one
+//!   applier, the code recovery replays with; promotion fences the old
 //!   primary behind a journaled epoch number, and reconciliation replays
 //!   the divergent journal suffix through the normal recovery path.
 
@@ -65,12 +66,12 @@ pub use engine::{AdmittedOutcome, BrokerCallResult, GenericBroker, RecoveryRepor
 pub use evolution::{
     classify_changes, recover_versioned, DeltaClass, LiveUpgrade, UpgradeOutcome, UpgradePhase,
 };
-pub use journal::{Journal, JournalSink, MemorySink, TornTail};
+pub use journal::{Journal, TornTail};
 pub use model::{broker_metamodel, BrokerModelBuilder, Resilience};
 pub use monitor::{CompiledMonitor, MonitorSet, MonitorTrip};
 pub use replication::{
-    recover_with_quorum, repair_journal, select_repair_source, JournalRepair, QuorumReplicator,
-    QuorumShipReport, ReplicaPeer, ReplicaSetConfig, ShipMode, Standby,
+    recover_with_quorum, repair_journal, repair_needed, select_repair_source, JournalRepair,
+    QuorumReplicator, QuorumShipReport, ReplicaPeer, ReplicaSetConfig, ShipMode, Standby,
 };
 pub use state::StateManager;
 pub use supervisor::{RestartPolicy, Supervisor, SupervisorDecision};

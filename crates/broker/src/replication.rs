@@ -6,8 +6,9 @@
 //! shipping: a [`QuorumReplicator`] on the primary streams journal lines
 //! over the simulated [`Network`] to one [`Standby`] per peer the model's
 //! `ReplicaSet` declares. Each standby applies every record into its own
-//! [`StateManager`] *and* keeps a byte-for-byte mirror of the journal —
-//! promotion is then just the normal crash-recovery path
+//! runtime model through the journal's one applier — the code
+//! [`journal::replay`] recovers with — *and* keeps a byte-for-byte mirror
+//! of the journal, so promotion is just the normal crash-recovery path
 //! ([`GenericBroker::recover`]) run over the mirrored bytes.
 //!
 //! A hot standby is the smallest replica set: one peer with quorum 2. A
@@ -40,10 +41,12 @@
 //! [`BrokerError::StaleEpoch`]. A healed stale primary is reconciled by
 //! diffing the two journals and replaying the authoritative suffix
 //! through recovery ([`reconcile`]). A damaged journal is healed from the
-//! freshest peer's mirror ([`recover_with_quorum`]).
+//! freshest peer's mirror ([`recover_with_quorum`]) when [`repair_needed`],
+//! the one test of whether a journal lost something a mirror holds, says
+//! so.
 
 use crate::engine::{GenericBroker, RecoveryReport};
-use crate::journal::{self, CommandKind, JournalRecord};
+use crate::journal::{self, Applier, Recovered, Touched};
 use crate::monitor::{MonitorSet, MonitorTrip};
 use crate::state::StateManager;
 use crate::{BrokerError, Result};
@@ -522,13 +525,7 @@ impl QuorumReplicator {
             if line.is_empty() {
                 continue;
             }
-            let lsn = match journal::parse_line(line)? {
-                JournalRecord::Op(op) => Some(op.lsn()),
-                JournalRecord::OpCoalesced { op, .. } => Some(op.lsn()),
-                JournalRecord::Upgrade { ops, .. } => ops.last().map(|op| op.lsn()),
-                JournalRecord::Snapshot { state, .. } => Some(state.version),
-                _ => None,
-            };
+            let lsn = journal::parse_line(line)?.lsn();
             if let Some(lsn) = lsn {
                 self.head_lsn = self.head_lsn.max(lsn);
             }
@@ -547,11 +544,11 @@ pub struct Standby {
     node: String,
     bytes: Vec<u8>,
     received: u64,
-    epoch: u64,
-    state: StateManager,
-    clock_us: u64,
-    calls: u64,
-    events: u64,
+    /// The runtime model the applied records rebuilt, with the fencing
+    /// epoch and the model version the primary most recently shipped a
+    /// cutover for — so failover mid-upgrade promotes under one
+    /// consistent version.
+    model: Applier,
     /// Monitors evaluated against every applied record; `None` until
     /// [`Standby::arm_monitors`].
     monitors: Option<MonitorSet>,
@@ -560,10 +557,6 @@ pub struct Standby {
     /// `at-most-one` cells here, never into the mirrored state.
     monitor_memory: BTreeMap<String, String>,
     monitor_trips: Vec<MonitorTrip>,
-    /// Runtime-model version the newest shipped `Upgrade` record put
-    /// live on the primary (1 until one arrives) — so failover
-    /// mid-upgrade promotes under one consistent version.
-    model_version: u64,
 }
 
 impl Standby {
@@ -574,15 +567,10 @@ impl Standby {
             node: node.to_owned(),
             bytes: Vec::new(),
             received: 0,
-            epoch: 1,
-            state: StateManager::new(),
-            clock_us: 0,
-            calls: 0,
-            events: 0,
+            model: Applier::default(),
             monitors: None,
             monitor_memory: BTreeMap::new(),
             monitor_trips: Vec::new(),
-            model_version: 1,
         }
     }
 
@@ -595,10 +583,7 @@ impl Standby {
     pub fn from_mirror(node: &str, bytes: &[u8], epoch: u64) -> Result<Self> {
         let mut sb = Standby::new(node);
         for raw in bytes.split_inclusive(|&b| b == b'\n') {
-            let body = match raw.last() {
-                Some(b'\n') => &raw[..raw.len() - 1],
-                _ => raw,
-            };
+            let body = raw.strip_suffix(b"\n").unwrap_or(raw);
             if body.is_empty() {
                 continue;
             }
@@ -606,7 +591,7 @@ impl Standby {
                 .map_err(|e| BrokerError::RecoveryDiverged(format!("mirror is not UTF-8: {e}")))?;
             // Pass the standby's *current* epoch so embedded Epoch
             // records (which raise it) keep the replay admissible.
-            let (seq, e) = (sb.received, sb.epoch);
+            let (seq, e) = (sb.received, sb.epoch());
             sb.receive(seq, line, e)?;
         }
         sb.fence(epoch);
@@ -616,7 +601,7 @@ impl Standby {
     /// Runtime-model version the primary most recently shipped a cutover
     /// for (1 until any upgrade arrives).
     pub fn model_version(&self) -> u64 {
-        self.model_version
+        self.model.model_version
     }
 
     /// Arms in-stream monitors over the apply path: from here on every
@@ -654,7 +639,7 @@ impl Standby {
 
     /// Fencing epoch this standby currently honors.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.model.epoch
     }
 
     /// The mirrored journal bytes.
@@ -664,19 +649,19 @@ impl Standby {
 
     /// The standby's live runtime model (continuously applied).
     pub fn state(&self) -> &StateManager {
-        &self.state
+        &self.model.state
     }
 
     /// Newest state LSN applied into the standby's runtime model.
     pub fn applied_lsn(&self) -> u64 {
-        self.state.version()
+        self.model.state.version()
     }
 
     /// Raises the standby's fencing epoch without promoting it — used by
     /// a promoted broker that keeps its `Standby` shell around purely to
     /// fence reconnecting stale primaries.
     pub fn fence(&mut self, epoch: u64) {
-        self.epoch = self.epoch.max(epoch);
+        self.model.epoch = self.model.epoch.max(epoch);
     }
 
     /// Receives one shipped journal line. Enforces, in order:
@@ -688,84 +673,39 @@ impl Standby {
     ///    dropped, a gap (`seq` above it) is not applied; both just
     ///    re-ack the cursor so the primary goes back.
     /// 3. **Application** — the record is parsed and applied into the
-    ///    standby's runtime model (LSN-checked like recovery), and the
-    ///    line is appended to the journal mirror.
+    ///    standby's runtime model by the applier [`journal::replay`]
+    ///    uses, and the line is appended to the journal mirror. A record
+    ///    the applier refuses changes nothing and is not acknowledged.
     ///
     /// Returns the cumulative ack: the contiguous line count received.
     pub fn receive(&mut self, seq: u64, line: &str, epoch: u64) -> Result<u64> {
-        if epoch < self.epoch {
+        if epoch < self.model.epoch {
             return Err(BrokerError::StaleEpoch {
                 got: epoch,
-                current: self.epoch,
+                current: self.model.epoch,
             });
         }
-        self.epoch = epoch;
+        self.model.epoch = epoch;
         if seq != self.received {
             return Ok(self.received);
         }
         let record = journal::parse_line(line)?;
-        // The key the record wrote, for the in-stream monitor check below
-        // (`None` = nothing watched changed; a snapshot restore can change
-        // anything, so it re-checks the full watched set).
-        let mut dirty_key: Option<&str> = None;
-        let mut dirty_all = false;
-        match &record {
-            JournalRecord::Op(op) => {
-                self.state.apply_op(op)?;
-                dirty_key = Some(op.key());
-            }
-            JournalRecord::OpCoalesced { first_lsn, op } => {
-                self.state.apply_coalesced(*first_lsn, op)?;
-                dirty_key = Some(op.key());
-            }
-            JournalRecord::Command { clock_us, kind, .. } => {
-                self.clock_us = *clock_us;
-                match kind {
-                    CommandKind::Call => self.calls += 1,
-                    CommandKind::Event => self.events += 1,
-                }
-            }
-            JournalRecord::Clock { clock_us } => self.clock_us = *clock_us,
-            JournalRecord::Epoch { epoch } => self.epoch = self.epoch.max(*epoch),
-            JournalRecord::Snapshot {
-                state,
-                clock_us,
-                calls,
-                events,
-            } => {
-                self.state.restore(state);
-                self.clock_us = *clock_us;
-                self.calls = *calls;
-                self.events = *events;
-                dirty_all = true;
-            }
-            JournalRecord::Upgrade { version, ops, .. } => {
-                // A cutover: apply the embedded migration ops (LSN-checked
-                // like any op) and adopt the shipped model version, so a
-                // promotion after this point serves the new model. The
-                // migrations may touch any watched key, so the monitor
-                // check below re-scans the full watched set.
-                for op in ops {
-                    self.state.apply_op(op)?;
-                }
-                self.model_version = *version;
-                dirty_all = true;
-            }
-            JournalRecord::Note { .. } => {}
-        }
+        let touched = self.model.apply(&record)?;
         if let Some(monitors) = &self.monitors {
-            if dirty_key.is_some() || dirty_all {
-                let watched;
-                let dirty: Vec<&str> = match dirty_key {
-                    Some(k) => vec![k],
-                    None => {
-                        watched = monitors.watched_keys();
-                        watched.iter().map(String::as_str).collect()
-                    }
-                };
-                let trips = monitors.check_observed(&self.state, &dirty, &mut self.monitor_memory);
-                self.monitor_trips.extend(trips);
-            }
+            // A snapshot restore or an upgrade's migrations can change
+            // anything, so they re-check the full watched set.
+            let watched;
+            let dirty: Vec<&str> = match touched {
+                Touched::Nothing => Vec::new(),
+                Touched::Key(k) => vec![k],
+                Touched::Any => {
+                    watched = monitors.watched_keys();
+                    watched.iter().map(String::as_str).collect()
+                }
+            };
+            let trips =
+                monitors.check_observed(&self.model.state, &dirty, &mut self.monitor_memory);
+            self.monitor_trips.extend(trips);
         }
         self.bytes.extend_from_slice(line.as_bytes());
         self.bytes.push(b'\n');
@@ -786,10 +726,19 @@ impl Standby {
         invariants: &[&str],
     ) -> Result<(GenericBroker, RecoveryReport)> {
         let (mut broker, report) = GenericBroker::recover(model, hub, &self.bytes, invariants)?;
-        self.epoch = self.epoch.max(epoch);
-        broker.adopt_epoch(self.epoch);
+        self.fence(epoch);
+        broker.adopt_epoch(self.epoch());
         Ok((broker, report))
     }
+}
+
+/// Both journals split into lines (newline included), and how many
+/// leading lines they share — where two histories diverge.
+fn common_lines<'a>(a: &'a [u8], b: &'a [u8]) -> (Vec<&'a [u8]>, Vec<&'a [u8]>, usize) {
+    let a: Vec<&[u8]> = a.split_inclusive(|&c| c == b'\n').collect();
+    let b: Vec<&[u8]> = b.split_inclusive(|&c| c == b'\n').collect();
+    let common = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+    (a, b, common)
 }
 
 /// What [`reconcile`] did.
@@ -824,13 +773,7 @@ pub fn reconcile(
     hub: ResourceHub,
     invariants: &[&str],
 ) -> Result<(GenericBroker, ReconcileReport)> {
-    let a_lines: Vec<&[u8]> = authoritative.split_inclusive(|&b| b == b'\n').collect();
-    let s_lines: Vec<&[u8]> = stale.split_inclusive(|&b| b == b'\n').collect();
-    let common = a_lines
-        .iter()
-        .zip(&s_lines)
-        .take_while(|(a, s)| a == s)
-        .count();
+    let (a_lines, s_lines, common) = common_lines(authoritative, stale);
     let (broker, _report) = GenericBroker::recover(model, hub, authoritative, invariants)?;
     let independent = journal::replay(authoritative)?;
     if let Some(d) = broker.state().first_divergence(&independent.state) {
@@ -888,13 +831,7 @@ pub fn repair_journal(local: &[u8], standby: &Standby) -> Result<(Vec<u8>, Journ
             "anti-entropy repair needs a standby mirror, but the mirror is empty".to_owned(),
         ));
     }
-    let l_lines: Vec<&[u8]> = local.split_inclusive(|&b| b == b'\n').collect();
-    let m_lines: Vec<&[u8]> = mirror.split_inclusive(|&b| b == b'\n').collect();
-    let common = m_lines
-        .iter()
-        .zip(&l_lines)
-        .take_while(|(m, l)| m == l)
-        .count();
+    let (m_lines, l_lines, common) = common_lines(mirror, local);
     let mut healed = mirror.to_vec();
     let mut kept_tail_lines = 0usize;
     for raw in l_lines.iter().skip(m_lines.len()) {
@@ -948,13 +885,10 @@ pub fn select_repair_source<'a>(candidates: &[&'a Standby]) -> Option<&'a Standb
     best
 }
 
-/// Recovery with the anti-entropy fallback over a replica set: the
-/// freshest reachable peer ([`select_repair_source`]) is the repair
-/// source. Ordinary [`GenericBroker::recover`] runs when the journal is
-/// clean or merely torn *and* the source holds nothing beyond it;
-/// otherwise the journal is first healed from the source's mirror with
-/// [`repair_journal`] and recovery runs over the healed bytes. Repair
-/// triggers on:
+/// Why `journal_bytes` must be healed from `source`'s mirror before
+/// recovery, or `None` when plain recovery loses nothing the mirror holds.
+/// `replayed` is [`journal::replay`] of `journal_bytes`. Repair is needed
+/// on:
 ///
 /// * interior [`BrokerError::JournalDamaged`] — bit-rot the mirror can
 ///   replace;
@@ -964,6 +898,35 @@ pub fn select_repair_source<'a>(candidates: &[&'a Standby]) -> Option<&'a Standb
 ///   *clean* tail loss (unsynced writes dropped by a power cut) leaves no
 ///   torn marker and may drop only command records (which carry no LSN),
 ///   so it is only visible by comparing against the mirror.
+pub fn repair_needed(
+    journal_bytes: &[u8],
+    replayed: &Result<Recovered>,
+    source: &Standby,
+) -> Option<String> {
+    match replayed {
+        Err(BrokerError::JournalDamaged { lsn, offset, why }) => Some(format!(
+            "journal damaged at lsn {lsn}, byte {offset}: {why}"
+        )),
+        Err(e) => Some(e.to_string()),
+        Ok(r) => {
+            let intact = match &r.torn {
+                Some(t) => &journal_bytes[..t.offset as usize],
+                None => journal_bytes,
+            };
+            let mirror = source.journal_bytes();
+            let lost = (mirror.len() > intact.len() && mirror.starts_with(intact))
+                || r.state.version() < source.applied_lsn();
+            lost.then(|| "acknowledged records missing from the journal tail".to_owned())
+        }
+    }
+}
+
+/// Recovery with the anti-entropy fallback over a replica set: the
+/// freshest reachable peer ([`select_repair_source`]) is the repair
+/// source. Ordinary [`GenericBroker::recover`] runs when
+/// [`repair_needed`] finds nothing to heal; otherwise the journal is first
+/// healed from the source's mirror with [`repair_journal`] and recovery
+/// runs over the healed bytes.
 ///
 /// The repair provenance is journaled as a `Note` on the recovered
 /// instance. A hot standby passes its one standby. Errs when `peers` is
@@ -981,20 +944,7 @@ pub fn recover_with_quorum(
             "quorum recovery needs at least one reachable replica mirror".to_owned(),
         )
     })?;
-    let mirror = source.journal_bytes();
-    let needs_repair = match journal::replay(journal_bytes) {
-        Err(BrokerError::JournalDamaged { .. }) => true,
-        Err(e) => return Err(e),
-        Ok(r) => {
-            let intact = match &r.torn {
-                Some(t) => &journal_bytes[..t.offset as usize],
-                None => journal_bytes,
-            };
-            (mirror.len() > intact.len() && mirror.starts_with(intact))
-                || r.state.version() < source.applied_lsn()
-        }
-    };
-    if !needs_repair {
+    if repair_needed(journal_bytes, &journal::replay(journal_bytes), source).is_none() {
         let (broker, report) = GenericBroker::recover(model, hub, journal_bytes, invariants)?;
         return Ok((broker, report, None));
     }
@@ -1013,7 +963,9 @@ pub fn recover_with_quorum(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalRecord;
     use crate::model::BrokerModelBuilder;
+    use crate::state::StateOp;
     use mddsm_sim::net::Link;
     use mddsm_sim::resource::{args, Outcome};
 
@@ -1849,6 +1801,43 @@ mod tests {
             assert_eq!(sb.journal_bytes(), journal, "{} mirror", sb.node());
             assert_eq!(broker.state().first_divergence(sb.state()), None);
         }
+    }
+
+    #[test]
+    fn a_refused_upgrade_line_changes_nothing_on_the_standby() {
+        // An upgrade whose op run has a gap is refused whole: none of its
+        // ops may stay applied behind a line that was never acknowledged.
+        let up = |second_lsn| {
+            let set = |lsn, key: &str| StateOp::SetInt {
+                lsn,
+                key: key.into(),
+                value: 7,
+            };
+            let ops = vec![set(2, "y"), set(second_lsn, "z")];
+            let rec = JournalRecord::Upgrade {
+                version: 2,
+                tag: "cand".into(),
+                ops,
+            };
+            journal::frame_record_checked(&rec).trim_end().to_owned()
+        };
+        let mut sb = Standby::new("b");
+        assert_eq!(sb.receive(0, "op 1 int x 1", 1).unwrap(), 1);
+        match sb.receive(1, &up(4), 1) {
+            Err(BrokerError::RecoveryDiverged(why)) => assert!(why.contains("LSN 4"), "{why}"),
+            other => panic!("expected RecoveryDiverged, got {other:?}"),
+        }
+        let seen = (sb.applied_lsn(), sb.state().int("y"), sb.model_version());
+        assert_eq!(seen, (1, None, 1), "no op of the refused line applied");
+        assert_eq!(
+            (sb.received(), sb.journal_bytes()),
+            (1, &b"op 1 int x 1\n"[..])
+        );
+        // The correct line at the same sequence still applies: the
+        // standby is not wedged.
+        assert_eq!(sb.receive(1, &up(3), 1).unwrap(), 2);
+        let seen = (sb.applied_lsn(), sb.state().int("z"), sb.model_version());
+        assert_eq!(seen, (3, Some(7), 2));
     }
 
     #[test]

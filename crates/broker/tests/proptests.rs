@@ -149,8 +149,16 @@ fn counters_agree_with_log() {
 /// snapshots dropped in at arbitrary points), replays to the exact same
 /// model and version counter. This is the crash-consistency contract the
 /// Broker's recovery path relies on.
+///
+/// The journals hold every record kind, in both wire dialects, so each case
+/// also pins two more contracts: a standby rebuilt from the bytes reaches
+/// the same model as recovery (one applier), and every line re-encodes
+/// byte for byte (`encode(decode(line)) == line`, the frozen wire format).
 #[test]
 fn snapshot_plus_replay_reproduces_any_mutation_sequence() {
+    use mddsm_broker::journal::CommandKind;
+    use mddsm_broker::Standby;
+
     // Values exercise the journal's percent-escaping: spaces, %, newlines,
     // tabs, multi-byte UTF-8, and the empty string.
     const STRINGS: &[&str] = &[
@@ -163,6 +171,16 @@ fn snapshot_plus_replay_reproduces_any_mutation_sequence() {
         "",
     ];
     const KEYS: &[&str] = &["tier", "mode", "served", "failures_svc", "hb_x", "w"];
+    let pick =
+        |gen: &mut SimRng, from: &[&str]| from[gen.range(0, from.len() as u64) as usize].to_owned();
+    let write = |state: &mut StateManager, gen: &mut SimRng, key: &str| match gen.range(0, 4) {
+        0 => state.set_str(key, &pick(gen, STRINGS)),
+        1 => state.set_int(key, gen.range(0, 2_000) as i64 - 1_000),
+        2 => {
+            state.bump(key, gen.range(0, 10) as i64 - 5);
+        }
+        _ => state.unset(key),
+    };
 
     for case in 0..64u64 {
         let mut gen = SimRng::seed_from_u64(0xB4_0000 + case);
@@ -172,38 +190,109 @@ fn snapshot_plus_replay_reproduces_any_mutation_sequence() {
         // drops snapshots in by chance instead, so some journals replay
         // from scratch and some from a mid-sequence snapshot.
         let mut journal = Journal::in_memory(0);
+        journal.set_framed(case % 2 == 0);
+        let (mut clock_us, mut calls, mut events, mut model_version) = (0, 0, 0, 1);
 
         let steps = gen.range(1, 40);
         for _ in 0..steps {
-            let key = KEYS[gen.range(0, KEYS.len() as u64) as usize];
-            match gen.range(0, 4) {
-                0 => state.set_str(key, STRINGS[gen.range(0, STRINGS.len() as u64) as usize]),
-                1 => state.set_int(key, gen.range(0, 2_000) as i64 - 1_000),
-                2 => {
-                    state.bump(key, gen.range(0, 10) as i64 - 5);
+            let key = pick(&mut gen, KEYS);
+            let rec = match gen.range(0, 10) {
+                // Two writes to one key in a frame coalesce.
+                0 => {
+                    write(&mut state, &mut gen, &key);
+                    write(&mut state, &mut gen, &key);
+                    let ops = state.take_ops();
+                    JournalRecord::OpCoalesced {
+                        first_lsn: ops[0].lsn(),
+                        op: ops[1].clone(),
+                    }
                 }
-                _ => state.unset(key),
-            }
-            for op in state.take_ops() {
-                journal.record(&JournalRecord::Op(op));
-            }
+                1 => {
+                    if gen.chance(0.7) {
+                        write(&mut state, &mut gen, &key);
+                    }
+                    model_version += 1;
+                    JournalRecord::Upgrade {
+                        version: model_version,
+                        tag: pick(&mut gen, STRINGS),
+                        ops: state.take_ops(),
+                    }
+                }
+                2 => {
+                    clock_us += gen.range(1, 500);
+                    let kind = if gen.chance(0.5) {
+                        calls += 1;
+                        CommandKind::Call
+                    } else {
+                        events += 1;
+                        CommandKind::Event
+                    };
+                    JournalRecord::Command {
+                        clock_us,
+                        kind,
+                        selector: pick(&mut gen, STRINGS),
+                        action: pick(&mut gen, STRINGS),
+                        ok: gen.chance(0.5),
+                        attempts: gen.range(0, 4) as u32,
+                        cost_us: gen.range(0, 1_000),
+                    }
+                }
+                3 => {
+                    clock_us += gen.range(1, 500);
+                    JournalRecord::Clock { clock_us }
+                }
+                4 => JournalRecord::Epoch {
+                    epoch: gen.range(1, 6),
+                },
+                5 => JournalRecord::Note {
+                    text: pick(&mut gen, STRINGS),
+                },
+                _ => {
+                    write(&mut state, &mut gen, &key);
+                    JournalRecord::Op(state.take_ops().remove(0))
+                }
+            };
+            journal.record(&rec);
             if gen.chance(0.15) {
                 journal.record(&JournalRecord::Snapshot {
                     state: state.snapshot(),
-                    clock_us: 0,
-                    calls: 0,
-                    events: 0,
+                    clock_us,
+                    calls,
+                    events,
                 });
             }
         }
 
-        let recovered = journal::replay(journal.bytes()).expect("journal replays");
+        let bytes = journal.bytes();
+        let recovered = journal::replay(bytes).expect("journal replays");
         assert_eq!(
             recovered.state.snapshot(),
             state.snapshot(),
             "case {case}: replayed model diverged"
         );
         assert_eq!(recovered.state.version(), state.version());
+        let counters = (recovered.clock_us, recovered.calls, recovered.events);
+        assert_eq!(counters, (clock_us, calls, events), "case {case}");
+        assert_eq!(recovered.model_version, model_version, "case {case}");
+
+        let (sb, r) = (Standby::from_mirror("b", bytes, 1).unwrap(), &recovered);
+        assert_eq!(sb.state().snapshot(), r.state.snapshot(), "case {case}");
+        let standby = (sb.applied_lsn(), sb.model_version(), sb.epoch());
+        let replayed = (r.state.version(), r.model_version, r.epoch);
+        assert_eq!(
+            standby, replayed,
+            "case {case}: standby and replay disagree"
+        );
+
+        for line in std::str::from_utf8(bytes).unwrap().split_inclusive('\n') {
+            let rec = journal::parse_line(line.trim_end_matches('\n')).expect("line parses");
+            let again = if line.starts_with("v1 ") {
+                journal::frame_record_checked(&rec)
+            } else {
+                journal::frame_record(&rec)
+            };
+            assert_eq!(again, line, "case {case}: line does not re-encode");
+        }
     }
 }
 
