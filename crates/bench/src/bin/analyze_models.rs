@@ -1,8 +1,10 @@
 //! CI gate: check every shipped broker model — the four domain platforms
 //! plus the models the experiments run — against the Fig. 6 metamodel and
 //! the load-time static analyzer, print every violation, diagnostic and
-//! the footprint/conflict table sizes, and exit nonzero if any model
-//! carries a conformance violation or an error-level diagnostic.
+//! the footprint/conflict table sizes, list the predicates left on the
+//! OCL-lite interpreter fallback, and exit nonzero if any model carries a
+//! conformance violation or an error-level diagnostic, or guards a call
+//! on an interpreted policy.
 //!
 //! ```text
 //! cargo run --release -p bench --bin analyze_models
@@ -14,7 +16,7 @@
 //! before a release ships an unloadable platform.
 
 use bench::{e10, e11, e14, e15, e6, e7, e8, e9};
-use mddsm_broker::{analyze, broker_metamodel};
+use mddsm_broker::{analyze, broker_metamodel, pred};
 use mddsm_meta::analysis::Severity;
 use mddsm_meta::{conformance, Model};
 
@@ -48,6 +50,7 @@ fn main() {
 
     let mut errors = 0usize;
     let mut warnings = 0usize;
+    let mut interpreted_guards = 0usize;
     for (name, model) in &models {
         let violations = conformance_errors(model);
         let report = analyze(model);
@@ -70,6 +73,15 @@ fn main() {
             };
             println!("  {tag} [{}] {}: {}", d.code, d.path, d.message);
         }
+        // Not analysis warnings: no journal gains a `note` for these.
+        let interpreted = pred::interpreted(model);
+        interpreted_guards += interpreted
+            .iter()
+            .filter(|p| p.starts_with("policy:"))
+            .count();
+        if !interpreted.is_empty() {
+            println!("  interpreted: {}", interpreted.join(", "));
+        }
     }
     println!(
         "\nanalyzed {} models: {errors} error(s), {warnings} warning(s)",
@@ -79,6 +91,10 @@ fn main() {
         eprintln!(
             "FAIL: error-level diagnostics present — these models would be refused at load time"
         );
+        std::process::exit(1);
+    }
+    if interpreted_guards > 0 {
+        eprintln!("FAIL: {interpreted_guards} policy guard(s) run on the interpreter fallback");
         std::process::exit(1);
     }
     println!("PASS: every shipped model conforms and is accepted by the static analyzer");

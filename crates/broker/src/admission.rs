@@ -15,15 +15,34 @@
 //! All token math is integer µs-of-work on the virtual clock, so admission
 //! decisions are deterministic and replay bit-for-bit.
 
-use crate::state::StateManager;
+use crate::state::{Key, StateManager};
 use mddsm_meta::model::Model;
 use mddsm_sim::SimDuration;
+
+/// The most recent queueing delay admission observed (µs).
+pub(crate) const QUEUE_DELAY_KEY: &str = "adm_queue_delay_us";
+/// Calls shed since the brownout controller's last tick.
+pub(crate) const SHED_RECENT_KEY: &str = "adm_shed_recent";
 
 /// State-manager key for an admission variable of a class:
 /// `adm_<class>` plus a suffix, with dots flattened so the keys stay
 /// OCL-addressable (`self.adm_interactive_tokens`).
 pub(crate) fn adm_key(class: &str, suffix: &str) -> String {
     format!("adm_{}_{suffix}", class.replace('.', "_"))
+}
+
+/// The `adm_<class>_*` variables of one class, rendered at load.
+#[derive(Debug, Clone)]
+pub(crate) struct ClassKeys {
+    rate: Key,
+    burst: Key,
+    queue_us: Key,
+    deadline_us: Key,
+    tokens: Key,
+    last_us: Key,
+    admitted: Key,
+    deferred: Key,
+    shed: Key,
 }
 
 /// Per-class admission parameters, parsed from an `AdmissionClass` object.
@@ -130,32 +149,51 @@ pub enum AdmissionDecision {
 /// runtime state. The controller itself is stateless — every limit and
 /// every bucket variable lives in the [`StateManager`], so journal replay
 /// reconstructs admission behaviour exactly.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct AdmissionController {
     classes: Vec<AdmissionClassSpec>,
+    /// Per class, in `classes` order.
+    keys: Vec<ClassKeys>,
+    queue_delay: Key,
+    shed_recent: Key,
 }
 
 impl AdmissionController {
+    /// The controller of `classes`; `None` when there are none.
+    pub(crate) fn new(classes: Vec<AdmissionClassSpec>) -> Option<Self> {
+        if classes.is_empty() {
+            return None;
+        }
+        let keys = classes
+            .iter()
+            .map(|c| {
+                let key = |suffix: &str| Key::new(adm_key(&c.name, suffix));
+                ClassKeys {
+                    rate: key("rate"),
+                    burst: key("burst"),
+                    queue_us: key("queue_us"),
+                    deadline_us: key("deadline_us"),
+                    tokens: key("tokens"),
+                    last_us: key("last_us"),
+                    admitted: key("admitted"),
+                    deferred: key("deferred"),
+                    shed: key("shed"),
+                }
+            })
+            .collect();
+        Some(AdmissionController {
+            classes,
+            keys,
+            queue_delay: Key::new(QUEUE_DELAY_KEY),
+            shed_recent: Key::new(SHED_RECENT_KEY),
+        })
+    }
+
     /// Parses the `AdmissionClass` objects of a broker model; `None` when
     /// the model declares no classes (no admission control, zero
     /// overhead).
     pub fn from_model(model: &Model) -> Option<Self> {
-        let mut classes = Vec::new();
-        for c in model.all_of_class("AdmissionClass") {
-            let int_attr = |name: &str| model.attr_int(c, name).unwrap_or(0).max(0) as u64;
-            classes.push(AdmissionClassSpec {
-                name: model.attr_str(c, "name").unwrap_or_default().to_owned(),
-                rate_us_per_ms: int_attr("rateUsPerMs"),
-                burst_us: int_attr("burstUs"),
-                queue_bound_us: int_attr("queueBoundUs"),
-                deadline_us: int_attr("deadlineUs"),
-            });
-        }
-        if classes.is_empty() {
-            None
-        } else {
-            Some(AdmissionController { classes })
-        }
+        Self::new(crate::model::read(model).classes)
     }
 
     /// The declared classes.
@@ -163,9 +201,9 @@ impl AdmissionController {
         &self.classes
     }
 
-    /// Whether `class` is admission-controlled.
-    pub fn has_class(&self, class: &str) -> bool {
-        self.classes.iter().any(|c| c.name == class)
+    /// The position of the admission-controlled class named `class`.
+    fn class(&self, class: &str) -> Option<usize> {
+        self.classes.iter().position(|c| c.name == class)
     }
 
     /// Mirrors every declared limit into the state manager and fills each
@@ -173,42 +211,68 @@ impl AdmissionController {
     /// after that the state values are authoritative (plans may retune
     /// them, and recovery restores them from the journal).
     pub fn seed_state(&self, state: &mut StateManager) {
-        for c in &self.classes {
-            state.set_int(&adm_key(&c.name, "rate"), c.rate_us_per_ms as i64);
-            state.set_int(&adm_key(&c.name, "burst"), c.burst_us as i64);
-            state.set_int(&adm_key(&c.name, "queue_us"), c.queue_bound_us as i64);
-            state.set_int(&adm_key(&c.name, "deadline_us"), c.deadline_us as i64);
-            state.set_int(&adm_key(&c.name, "tokens"), c.burst_us as i64);
-            state.set_int(&adm_key(&c.name, "last_us"), 0);
+        for (c, k) in self.classes.iter().zip(&self.keys) {
+            state.set_int(&k.rate, c.rate_us_per_ms as i64);
+            state.set_int(&k.burst, c.burst_us as i64);
+            state.set_int(&k.queue_us, c.queue_bound_us as i64);
+            state.set_int(&k.deadline_us, c.deadline_us as i64);
+            state.set_int(&k.tokens, c.burst_us as i64);
+            state.set_int(&k.last_us, 0);
         }
     }
 
-    /// Decides admission for one call at virtual time `now_us`.
-    /// `action_cost_us` is the selected action's declared `costUs` (0
-    /// falls back to the call's own `cost_us`). All reads and writes go
-    /// through the state manager, so the decision is journaled alongside
-    /// the command that triggered it.
+    /// Decides admission for one call billed to `class` (whatever
+    /// `meta.class` names) at virtual time `now_us`, and counts the verdict
+    /// in the class's `adm_<class>_{admitted,deferred,shed}` cells (a shed
+    /// also in `adm_shed_recent`). `action_cost_us` is the selected
+    /// action's declared `costUs` (0 falls back to the call's own
+    /// `cost_us`). All reads and writes go through the state manager, so
+    /// the decision is journaled alongside the command that triggered it.
     pub fn decide(
         &self,
+        class: &str,
+        state: &mut StateManager,
+        now_us: u64,
+        meta: &CallMeta,
+        action_cost_us: u64,
+    ) -> AdmissionDecision {
+        let class = self.class(class);
+        let decision = self.verdict(class, state, now_us, meta, action_cost_us);
+        if let Some(k) = class.map(|c| &self.keys[c]) {
+            match decision {
+                AdmissionDecision::Admit { .. } => state.bump(&k.admitted, 1),
+                AdmissionDecision::Defer { .. } => state.bump(&k.deferred, 1),
+                AdmissionDecision::Shed { .. } => {
+                    state.bump(&k.shed, 1);
+                    state.bump(&self.shed_recent, 1)
+                }
+            };
+        }
+        decision
+    }
+
+    /// The verdict for a call billed to the class at `class` (`None`: not
+    /// admission-controlled).
+    fn verdict(
+        &self,
+        class: Option<usize>,
         state: &mut StateManager,
         now_us: u64,
         meta: &CallMeta,
         action_cost_us: u64,
     ) -> AdmissionDecision {
         let queue_delay_us = now_us.saturating_sub(meta.arrival_us);
-        if !self.has_class(&meta.class) {
+        let Some(k) = class.map(|c| &self.keys[c]) else {
             return AdmissionDecision::Admit {
                 queue_delay_us,
                 deadline_us: meta.deadline_us,
             };
-        }
-        let read = |state: &StateManager, suffix: &str| {
-            state.int(&adm_key(&meta.class, suffix)).unwrap_or(0).max(0) as u64
         };
-        let rate = read(state, "rate");
-        let burst = read(state, "burst");
-        let queue_bound = read(state, "queue_us");
-        let default_deadline = read(state, "deadline_us");
+        let read = |state: &StateManager, key: &Key| state.int(key).unwrap_or(0).max(0) as u64;
+        let rate = read(state, &k.rate);
+        let burst = read(state, &k.burst);
+        let queue_bound = read(state, &k.queue_us);
+        let default_deadline = read(state, &k.deadline_us);
 
         let cost = if action_cost_us > 0 {
             action_cost_us
@@ -225,7 +289,7 @@ impl AdmissionController {
 
         // The most recent observed queueing delay is a first-class metric
         // of the runtime model — the brownout controller's main input.
-        state.set_int("adm_queue_delay_us", queue_delay_us as i64);
+        state.set_int(&self.queue_delay, queue_delay_us as i64);
 
         if deadline_us > 0 && now_us >= deadline_us {
             return AdmissionDecision::Shed {
@@ -247,21 +311,21 @@ impl AdmissionController {
         // Token bucket, integer µs-of-work. The cap is at least one call's
         // cost so a burst declared below the cost still admits eventually
         // instead of deferring forever.
-        let last = read(state, "last_us");
+        let last = read(state, &k.last_us);
         let credit = rate.saturating_mul(now_us.saturating_sub(last)) / 1_000;
-        let tokens = read(state, "tokens")
+        let tokens = read(state, &k.tokens)
             .saturating_add(credit)
             .min(burst.max(cost));
-        state.set_int(&adm_key(&meta.class, "last_us"), now_us as i64);
+        state.set_int(&k.last_us, now_us as i64);
 
         if tokens >= cost {
-            state.set_int(&adm_key(&meta.class, "tokens"), (tokens - cost) as i64);
+            state.set_int(&k.tokens, (tokens - cost) as i64);
             return AdmissionDecision::Admit {
                 queue_delay_us,
                 deadline_us,
             };
         }
-        state.set_int(&adm_key(&meta.class, "tokens"), tokens as i64);
+        state.set_int(&k.tokens, tokens as i64);
         let wait_us = (cost - tokens).saturating_mul(1_000).div_ceil(rate);
         if deadline_us > 0 && now_us.saturating_add(wait_us) >= deadline_us {
             AdmissionDecision::Shed {
@@ -280,9 +344,7 @@ mod tests {
     use super::*;
 
     fn controller(spec: AdmissionClassSpec) -> (AdmissionController, StateManager) {
-        let ctrl = AdmissionController {
-            classes: vec![spec],
-        };
+        let ctrl = AdmissionController::new(vec![spec]).unwrap();
         let mut state = StateManager::new();
         ctrl.seed_state(&mut state);
         (ctrl, state)
@@ -303,7 +365,7 @@ mod tests {
         let (ctrl, mut state) = controller(spec());
         let meta = CallMeta::new("ghost", 0);
         assert!(matches!(
-            ctrl.decide(&mut state, 5_000, &meta, 1_000),
+            ctrl.decide(&meta.class, &mut state, 5_000, &meta, 1_000),
             AdmissionDecision::Admit { .. }
         ));
     }
@@ -315,7 +377,7 @@ mod tests {
         for _ in 0..2 {
             let meta = CallMeta::new("interactive", 0);
             assert!(matches!(
-                ctrl.decide(&mut state, 0, &meta, 1_000),
+                ctrl.decide(&meta.class, &mut state, 0, &meta, 1_000),
                 AdmissionDecision::Admit { .. }
             ));
         }
@@ -327,7 +389,7 @@ mod tests {
             deadline_us: 1_000_000,
             cost_us: 0,
         };
-        let d = ctrl.decide(&mut state, 0, &meta, 1_000);
+        let d = ctrl.decide(&meta.class, &mut state, 0, &meta, 1_000);
         let AdmissionDecision::Defer { wait } = d else {
             panic!("expected defer, got {d:?}");
         };
@@ -335,7 +397,7 @@ mod tests {
         // After waiting exactly that long, the call is admitted.
         let now = wait.as_micros();
         assert!(matches!(
-            ctrl.decide(&mut state, now, &meta, 1_000),
+            ctrl.decide(&meta.class, &mut state, now, &meta, 1_000),
             AdmissionDecision::Admit { .. }
         ));
     }
@@ -346,7 +408,7 @@ mod tests {
         // Class default deadline 50ms; arrival at 0, now 60ms -> expired.
         let meta = CallMeta::new("interactive", 0);
         assert_eq!(
-            ctrl.decide(&mut state, 60_000, &meta, 100),
+            ctrl.decide(&meta.class, &mut state, 60_000, &meta, 100),
             AdmissionDecision::Shed {
                 reason: ShedReason::DeadlineExpired
             }
@@ -359,7 +421,7 @@ mod tests {
             cost_us: 100,
         };
         assert_eq!(
-            ctrl.decide(&mut state, 20_000, &meta, 0),
+            ctrl.decide(&meta.class, &mut state, 20_000, &meta, 0),
             AdmissionDecision::Shed {
                 reason: ShedReason::QueueOverflow
             }
@@ -379,7 +441,7 @@ mod tests {
         };
         for _ in 0..2 {
             assert!(matches!(
-                ctrl.decide(&mut state, 0, &drain, 1_000),
+                ctrl.decide(&drain.class, &mut state, 0, &drain, 1_000),
                 AdmissionDecision::Admit { .. }
             ));
         }
@@ -391,7 +453,7 @@ mod tests {
             cost_us: 0,
         };
         assert_eq!(
-            ctrl.decide(&mut state, 0, &meta, 1_000),
+            ctrl.decide(&meta.class, &mut state, 0, &meta, 1_000),
             AdmissionDecision::Shed {
                 reason: ShedReason::RateLimited
             }
@@ -407,7 +469,7 @@ mod tests {
         let meta = CallMeta::new("interactive", 0);
         for _ in 0..10 {
             assert!(matches!(
-                ctrl.decide(&mut state, 0, &meta, 5_000),
+                ctrl.decide(&meta.class, &mut state, 0, &meta, 5_000),
                 AdmissionDecision::Admit { .. }
             ));
         }
@@ -422,7 +484,7 @@ mod tests {
                 let meta = CallMeta::new("interactive", i * 300);
                 outcomes.push(format!(
                     "{:?}",
-                    ctrl.decide(&mut state, i * 400, &meta, 700)
+                    ctrl.decide(&meta.class, &mut state, i * 400, &meta, 700)
                 ));
             }
             (outcomes, state.snapshot())

@@ -12,7 +12,7 @@
 //!
 //! 1. **Hygiene** — duplicate handler/action/policy/symptom/monitor/
 //!    class/binding names, and domain writes into the reserved `mon_*`
-//!    monitor memory, are errors ([`hygiene`] alone backs the builder's
+//!    monitor memory, are errors (`hygiene` alone backs the builder's
 //!    [`crate::model::BrokerModelBuilder::try_build`]).
 //! 2. **Path/type resolution** — every OCL-lite expression (policies,
 //!    symptom conditions, monitor properties) parses; every `self.<key>`
@@ -35,10 +35,14 @@
 //! with the typed [`crate::BrokerError::AnalysisRejected`]; warnings ride
 //! along on the broker and are journaled once journaling is enabled.
 
+use crate::admission::{adm_key, QUEUE_DELAY_KEY, SHED_RECENT_KEY};
 use crate::autonomic::{parse_step, PlanStep};
+use crate::engine::{breaker_key, failures_key};
+use crate::model::{read, ModelSpec};
+use crate::monitor::{trip_key, TRIP_COUNTER_KEY};
 use mddsm_meta::analysis::{check_expr, self_paths, AnalysisReport, Footprint, KeyType};
 use mddsm_meta::constraint::temporal::{parse_property, Property};
-use mddsm_meta::constraint::{self, Expr};
+use mddsm_meta::constraint::Expr;
 use mddsm_meta::model::Model;
 use mddsm_meta::ObjectId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -89,52 +93,8 @@ fn brownout_unit(mode: &str) -> String {
     format!("brownout:{mode}")
 }
 
-/// Everything the analyzer needs about one action, read reflectively.
-struct ActionView {
-    name: String,
-    resource: String,
-    guard: Option<String>,
-    admission_class: Option<String>,
-    fallback: Option<String>,
-    breaker: bool,
-    effects: Vec<String>,
-}
-
-struct HandlerView {
-    name: String,
-    actions: Vec<ActionView>,
-}
-
 fn attr_or_empty(model: &Model, id: ObjectId, name: &str) -> String {
     model.attr_str(id, name).unwrap_or_default().to_owned()
-}
-
-fn read_handlers(model: &Model) -> Vec<HandlerView> {
-    model
-        .all_of_class("Handler")
-        .into_iter()
-        .map(|h| HandlerView {
-            name: attr_or_empty(model, h, "name"),
-            actions: model
-                .refs(h, "actions")
-                .iter()
-                .map(|a| ActionView {
-                    name: attr_or_empty(model, *a, "name"),
-                    resource: attr_or_empty(model, *a, "resource"),
-                    guard: model.attr_str(*a, "guard").map(str::to_owned),
-                    admission_class: model.attr_str(*a, "admissionClass").map(str::to_owned),
-                    fallback: model.attr_str(*a, "fallback").map(str::to_owned),
-                    breaker: model.attr_int(*a, "breakerThreshold").unwrap_or(0) > 0,
-                    effects: model
-                        .attr_all(*a, "stateEffects")
-                        .iter()
-                        .filter_map(|v| v.as_str())
-                        .map(str::to_owned)
-                        .collect(),
-                })
-                .collect(),
-        })
-        .collect()
 }
 
 /// Reports duplicates within one name list.
@@ -158,12 +118,12 @@ fn check_duplicates(names: &[(String, String)], report: &mut AnalysisReport) {
 /// domain state writes into the reserved `mon_*` monitor memory are
 /// errors. This is the subset the model builder enforces at `try_build`
 /// time, before the model ever reaches an engine.
-pub fn hygiene(model: &Model) -> AnalysisReport {
+pub(crate) fn hygiene(model: &Model, spec: &ModelSpec) -> AnalysisReport {
     let mut report = AnalysisReport::new();
-    let handlers = read_handlers(model);
+    let handlers = &spec.handlers;
 
     let mut handler_names = Vec::new();
-    for h in &handlers {
+    for h in handlers {
         handler_names.push((format!("handler:{}", h.name), h.name.clone()));
         let action_names: Vec<(String, String)> = h
             .actions
@@ -203,10 +163,10 @@ pub fn hygiene(model: &Model) -> AnalysisReport {
 
     // Domain writes into the reserved monitor memory would let an action
     // forge or clear trip latches — always an error.
-    for h in &handlers {
+    for h in handlers {
         for a in &h.actions {
             let path = format!("handler:{}/action:{}", h.name, a.name);
-            for e in &a.effects {
+            for e in &a.state_effects {
                 if let Some((k, _)) = effect_key_type(e) {
                     if k.starts_with("mon_") {
                         report.error(
@@ -219,7 +179,7 @@ pub fn hygiene(model: &Model) -> AnalysisReport {
             }
         }
     }
-    for (path, steps) in all_plan_steps(model) {
+    for (path, steps) in all_plan_steps(spec) {
         for s in &steps {
             if let Ok(PlanStep::Set(k, _)) = parse_step(s) {
                 if k.starts_with("mon_") {
@@ -251,29 +211,15 @@ pub fn hygiene(model: &Model) -> AnalysisReport {
 
 /// Every (path, raw step list) in the model: autonomic change plans plus
 /// brownout enter/exit transitions.
-fn all_plan_steps(model: &Model) -> Vec<(String, Vec<String>)> {
-    let mut out = Vec::new();
-    for p in model.all_of_class("ChangePlan") {
-        let name = attr_or_empty(model, p, "name");
-        let steps = model
-            .attr_all(p, "steps")
-            .iter()
-            .filter_map(|v| v.as_str())
-            .map(str::to_owned)
-            .collect();
-        out.push((format!("plan:{name}"), steps));
-    }
-    for m in model.all_of_class("BrownoutMode") {
-        let name = attr_or_empty(model, m, "name");
-        for attr in ["enterSteps", "exitSteps"] {
-            let steps: Vec<String> = model
-                .attr_all(m, attr)
-                .iter()
-                .filter_map(|v| v.as_str())
-                .map(str::to_owned)
-                .collect();
-            out.push((format!("brownout:{name}/{attr}"), steps));
-        }
+fn all_plan_steps(spec: &ModelSpec) -> Vec<(String, Vec<String>)> {
+    let mut out: Vec<(String, Vec<String>)> = spec
+        .plans
+        .iter()
+        .map(|(name, _, steps)| (format!("plan:{name}"), steps.clone()))
+        .collect();
+    for (name, enter, exit) in &spec.brownouts {
+        out.push((format!("brownout:{name}/enterSteps"), enter.clone()));
+        out.push((format!("brownout:{name}/exitSteps"), exit.clone()));
     }
     out
 }
@@ -288,8 +234,8 @@ fn steps_writes(steps: &[PlanStep]) -> BTreeSet<String> {
                 out.insert(k.clone());
             }
             PlanStep::ResetBreaker(r) => {
-                out.insert(crate::engine::breaker_key(r, ""));
-                out.insert(crate::engine::breaker_key(r, "failures"));
+                out.insert(breaker_key(r, ""));
+                out.insert(breaker_key(r, "failures"));
             }
             PlanStep::Heal(_) | PlanStep::Fail(_) | PlanStep::Degrade(_, _) | PlanStep::Emit(_) => {
             }
@@ -302,42 +248,35 @@ fn steps_writes(steps: &[PlanStep]) -> BTreeSet<String> {
 /// diagnostics in the returned report; [`AnalysisReport::is_accepted`]
 /// decides whether an engine may load the model.
 pub fn analyze(model: &Model) -> AnalysisReport {
-    let mut report = hygiene(model);
-    let handlers = read_handlers(model);
+    analyze_read(model, &read(model)).0
+}
+
+/// [`analyze`] over the model's already-read handlers and policies; also
+/// returns the typed key universe: every state variable some unit or the
+/// engine may write.
+pub(crate) fn analyze_read(
+    model: &Model,
+    spec: &ModelSpec,
+) -> (AnalysisReport, BTreeMap<String, KeyType>) {
+    let mut report = hygiene(model, spec);
+    let handlers = &spec.handlers;
 
     // -- Declared names ----------------------------------------------------
-    let policies: BTreeMap<String, Option<Expr>> = model
-        .all_of_class("Policy")
-        .into_iter()
-        .map(|p| {
-            let name = attr_or_empty(model, p, "name");
-            let src = attr_or_empty(model, p, "expression");
-            let expr = match constraint::parse(&src) {
-                Ok(e) => Some(e),
-                Err(e) => {
-                    report.error(
-                        "policy-parse",
-                        &format!("policy:{name}"),
-                        format!("`{src}`: {e}"),
-                    );
-                    None
-                }
-            };
-            (name, expr)
-        })
-        .collect();
-    let admission_classes: BTreeSet<String> = model
-        .all_of_class("AdmissionClass")
-        .into_iter()
-        .map(|c| attr_or_empty(model, c, "name"))
-        .collect();
-    let bindings: BTreeSet<String> = model
-        .all_of_class("ResourceBinding")
-        .into_iter()
-        .map(|b| attr_or_empty(model, b, "name"))
-        .collect();
+    let mut policies: BTreeMap<&str, Option<&Expr>> = BTreeMap::new();
+    for p in &spec.policies {
+        if let Err(e) = &p.expr {
+            report.error(
+                "policy-parse",
+                &format!("policy:{}", p.name),
+                format!("`{}`: {e}", p.source),
+            );
+        }
+        policies.insert(&p.name, p.expr.as_ref().ok());
+    }
+    let admission_classes: BTreeSet<&str> = spec.classes.iter().map(|c| c.name.as_str()).collect();
+    let bindings: BTreeSet<String> = spec.bindings.iter().map(|(n, _)| n.clone()).collect();
     let mut resources: BTreeSet<String> = bindings.clone();
-    for h in &handlers {
+    for h in handlers {
         for a in &h.actions {
             if !a.resource.is_empty() {
                 resources.insert(a.resource.clone());
@@ -345,47 +284,11 @@ pub fn analyze(model: &Model) -> AnalysisReport {
         }
     }
 
-    // -- Autonomic rule join: symptom -> request -> plan -------------------
-    let symptoms: Vec<(String, String)> = model
-        .all_of_class("Symptom")
-        .into_iter()
-        .map(|s| {
-            (
-                attr_or_empty(model, s, "name"),
-                attr_or_empty(model, s, "condition"),
-            )
-        })
-        .collect();
-    let requests: Vec<(String, String)> = model
-        .all_of_class("ChangeRequest")
-        .into_iter()
-        .map(|r| {
-            (
-                attr_or_empty(model, r, "name"),
-                attr_or_empty(model, r, "symptom"),
-            )
-        })
-        .collect();
-    let plans: Vec<(String, String, Vec<String>)> = model
-        .all_of_class("ChangePlan")
-        .into_iter()
-        .map(|p| {
-            (
-                attr_or_empty(model, p, "name"),
-                attr_or_empty(model, p, "request"),
-                model
-                    .attr_all(p, "steps")
-                    .iter()
-                    .filter_map(|v| v.as_str())
-                    .map(str::to_owned)
-                    .collect(),
-            )
-        })
-        .collect();
+    let (symptoms, requests) = (&spec.symptoms, &spec.requests);
     // Dead steps: a request naming no symptom, or a plan naming no
     // request, can never fire.
-    for (rname, symptom) in &requests {
-        if !symptoms.iter().any(|(s, _)| s == symptom) {
+    for (rname, symptom) in requests {
+        if !symptoms.iter().any(|(s, _)| s.name == *symptom) {
             report.warning(
                 "dangling-request",
                 &format!("request:{rname}"),
@@ -393,7 +296,7 @@ pub fn analyze(model: &Model) -> AnalysisReport {
             );
         }
     }
-    for (pname, request, _) in &plans {
+    for (pname, request, _) in &spec.plans {
         if !requests.iter().any(|(r, _)| r == request) {
             report.warning(
                 "dangling-plan",
@@ -416,9 +319,9 @@ pub fn analyze(model: &Model) -> AnalysisReport {
             })
             .or_insert(t);
     };
-    for h in &handlers {
+    for h in handlers {
         for a in &h.actions {
-            for e in &a.effects {
+            for e in &a.state_effects {
                 if let Some((k, t)) = effect_key_type(e) {
                     note_key(&mut keys, k, t);
                 }
@@ -426,7 +329,7 @@ pub fn analyze(model: &Model) -> AnalysisReport {
         }
     }
     let mut parsed_steps: BTreeMap<String, Vec<PlanStep>> = BTreeMap::new();
-    for (path, steps) in all_plan_steps(model) {
+    for (path, steps) in all_plan_steps(spec) {
         let mut ok_steps = Vec::new();
         for s in &steps {
             match parse_step(s) {
@@ -465,18 +368,10 @@ pub fn analyze(model: &Model) -> AnalysisReport {
         parsed_steps.insert(path, ok_steps);
     }
     for r in &resources {
-        note_key(&mut keys, format!("failures_{r}"), KeyType::Int);
-        note_key(&mut keys, crate::engine::breaker_key(r, ""), KeyType::Str);
-        note_key(
-            &mut keys,
-            crate::engine::breaker_key(r, "failures"),
-            KeyType::Int,
-        );
-        note_key(
-            &mut keys,
-            crate::engine::breaker_key(r, "opened_at_us"),
-            KeyType::Int,
-        );
+        note_key(&mut keys, failures_key(r), KeyType::Int);
+        note_key(&mut keys, breaker_key(r, ""), KeyType::Str);
+        note_key(&mut keys, breaker_key(r, "failures"), KeyType::Int);
+        note_key(&mut keys, breaker_key(r, "opened_at_us"), KeyType::Int);
     }
     for c in &admission_classes {
         for suffix in [
@@ -490,14 +385,14 @@ pub fn analyze(model: &Model) -> AnalysisReport {
             "deferred",
             "shed",
         ] {
-            note_key(&mut keys, format!("adm_{c}_{suffix}"), KeyType::Int);
+            note_key(&mut keys, adm_key(c, suffix), KeyType::Int);
         }
     }
     if !admission_classes.is_empty() {
-        note_key(&mut keys, "adm_queue_delay_us".into(), KeyType::Int);
-        note_key(&mut keys, "adm_shed_recent".into(), KeyType::Int);
+        note_key(&mut keys, QUEUE_DELAY_KEY.into(), KeyType::Int);
+        note_key(&mut keys, SHED_RECENT_KEY.into(), KeyType::Int);
     }
-    if !model.all_of_class("BrownoutMode").is_empty() {
+    if !spec.brownouts.is_empty() {
         note_key(&mut keys, "brownout_mode".into(), KeyType::Str);
         note_key(&mut keys, "brownout_level".into(), KeyType::Int);
     }
@@ -529,10 +424,9 @@ pub fn analyze(model: &Model) -> AnalysisReport {
             note_key(&mut keys, key, ty);
         }
     }
-    note_key(&mut keys, "mon_trips".into(), KeyType::Int);
-    for mo in model.all_of_class("Monitor") {
-        let name = attr_or_empty(model, mo, "name");
-        note_key(&mut keys, crate::monitor::trip_key(&name), KeyType::Str);
+    note_key(&mut keys, TRIP_COUNTER_KEY.into(), KeyType::Int);
+    for (name, _) in &spec.monitors {
+        note_key(&mut keys, trip_key(name), KeyType::Str);
     }
 
     // -- Pass 2: path/type resolution --------------------------------------
@@ -542,23 +436,25 @@ pub fn analyze(model: &Model) -> AnalysisReport {
             check_only_self_free(e, &format!("policy:{name}"), &mut report);
         }
     }
-    let mut conditions: BTreeMap<String, Expr> = BTreeMap::new();
-    for (name, cond) in &symptoms {
-        let path = format!("symptom:{name}");
-        match constraint::parse(cond) {
+    for (symptom, _) in symptoms {
+        let path = format!("symptom:{}", symptom.name);
+        match &symptom.expr {
             Ok(e) => {
-                check_expr(&e, &keys, &path, &mut report);
-                check_only_self_free(&e, &path, &mut report);
-                conditions.insert(name.clone(), e);
+                check_expr(e, &keys, &path, &mut report);
+                check_only_self_free(e, &path, &mut report);
             }
-            Err(e) => report.error("condition-parse", &path, format!("`{cond}`: {e}")),
+            Err(e) => report.error(
+                "condition-parse",
+                &path,
+                format!("`{}`: {e}", symptom.source),
+            ),
         }
     }
-    for h in &handlers {
+    for h in handlers {
         for a in &h.actions {
             let path = format!("handler:{}/action:{}", h.name, a.name);
             if let Some(g) = &a.guard {
-                if !policies.contains_key(g) {
+                if !policies.contains_key(g.as_str()) {
                     report.error(
                         "unknown-policy",
                         &path,
@@ -567,7 +463,7 @@ pub fn analyze(model: &Model) -> AnalysisReport {
                 }
             }
             if let Some(c) = &a.admission_class {
-                if !admission_classes.contains(c) {
+                if !admission_classes.contains(c.as_str()) {
                     report.error(
                         "unknown-admission-class",
                         &path,
@@ -575,7 +471,7 @@ pub fn analyze(model: &Model) -> AnalysisReport {
                     );
                 }
             }
-            if let Some(f) = &a.fallback {
+            if let Some(f) = &a.resilience.fallback {
                 if f == &a.name {
                     report.error("self-fallback", &path, "action falls back to itself");
                 } else if !h.actions.iter().any(|s| &s.name == f) {
@@ -602,13 +498,13 @@ pub fn analyze(model: &Model) -> AnalysisReport {
     // -- Unreachable actions ------------------------------------------------
     // Selection takes the first guard-passing action; an action after an
     // unguarded one is only reachable as some sibling's fallback.
-    for h in &handlers {
+    for h in handlers {
         let mut shadowed = false;
         for a in &h.actions {
             let is_fallback_target = h
                 .actions
                 .iter()
-                .any(|s| s.fallback.as_deref() == Some(a.name.as_str()));
+                .any(|s| s.resilience.fallback.as_deref() == Some(a.name.as_str()));
             if shadowed && !is_fallback_target {
                 report.warning(
                     "unreachable-action",
@@ -623,17 +519,7 @@ pub fn analyze(model: &Model) -> AnalysisReport {
     }
 
     // -- Monitors: parse, resolve, staticize --------------------------------
-    let monitors: Vec<(String, String)> = model
-        .all_of_class("Monitor")
-        .into_iter()
-        .map(|mo| {
-            (
-                attr_or_empty(model, mo, "name"),
-                attr_or_empty(model, mo, "property"),
-            )
-        })
-        .collect();
-    for (name, source) in &monitors {
+    for (name, source) in &spec.monitors {
         let path = format!("monitor:{name}");
         let property = match parse_property(source) {
             Ok(p) => p,
@@ -664,71 +550,62 @@ pub fn analyze(model: &Model) -> AnalysisReport {
     }
 
     // -- Pass 3: footprints -------------------------------------------------
-    for h in &handlers {
+    for h in handlers {
         for a in &h.actions {
             let unit = action_unit(&h.name, &a.name);
             let mut fp = Footprint::default();
-            if let Some(Some(Some(e))) = a.guard.as_ref().map(|g| policies.get(g)) {
+            if let Some(Some(e)) = a.guard.as_ref().and_then(|g| policies.get(g.as_str())) {
                 fp.reads.extend(self_paths(e));
             }
-            for e in &a.effects {
+            for e in &a.state_effects {
                 if let Some((k, _)) = effect_key_type(e) {
                     fp.writes.insert(k);
                 }
             }
             if !a.resource.is_empty() {
-                fp.writes.insert(format!("failures_{}", a.resource));
-                if a.breaker {
-                    fp.writes
-                        .insert(crate::engine::breaker_key(&a.resource, ""));
-                    fp.writes
-                        .insert(crate::engine::breaker_key(&a.resource, "failures"));
-                    fp.writes
-                        .insert(crate::engine::breaker_key(&a.resource, "opened_at_us"));
+                fp.writes.insert(failures_key(&a.resource));
+                if a.resilience.breaker_threshold > 0 {
+                    for suffix in ["", "failures", "opened_at_us"] {
+                        fp.writes.insert(breaker_key(&a.resource, suffix));
+                    }
                 }
             }
             if let Some(c) = &a.admission_class {
                 for suffix in ["rate", "burst", "queue_us", "deadline_us"] {
-                    fp.reads.insert(format!("adm_{c}_{suffix}"));
+                    fp.reads.insert(adm_key(c, suffix));
                 }
                 for suffix in ["tokens", "last_us", "admitted", "deferred", "shed"] {
-                    fp.writes.insert(format!("adm_{c}_{suffix}"));
+                    fp.writes.insert(adm_key(c, suffix));
                 }
-                fp.writes.insert("adm_queue_delay_us".into());
-                fp.writes.insert("adm_shed_recent".into());
+                fp.writes.insert(QUEUE_DELAY_KEY.into());
+                fp.writes.insert(SHED_RECENT_KEY.into());
             }
             report.footprints.insert(unit, fp);
         }
     }
     // One plan unit per *armed* symptom (the engine joins the same way).
-    for (sname, _) in &symptoms {
+    for (symptom, steps) in symptoms {
         let mut fp = Footprint::default();
-        if let Some(cond) = conditions.get(sname) {
+        if let Ok(cond) = &symptom.expr {
             fp.reads.extend(self_paths(cond));
         }
-        if let Some((rname, _)) = requests.iter().find(|(_, s)| s == sname) {
-            if let Some((pname, _, _)) = plans.iter().find(|(_, r, _)| r == rname) {
-                if let Some(steps) = parsed_steps.get(&format!("plan:{pname}")) {
-                    fp.writes.extend(steps_writes(steps));
-                }
-            }
-        }
-        report.footprints.insert(plan_unit(sname), fp);
+        let steps: Vec<PlanStep> = steps.iter().filter_map(|s| parse_step(s).ok()).collect();
+        fp.writes.extend(steps_writes(&steps));
+        report.footprints.insert(plan_unit(&symptom.name), fp);
     }
-    for m in model.all_of_class("BrownoutMode") {
-        let name = attr_or_empty(model, m, "name");
+    for (name, ..) in &spec.brownouts {
         let mut fp = Footprint::default();
-        fp.reads.insert("adm_queue_delay_us".into());
-        fp.reads.insert("adm_shed_recent".into());
+        fp.reads.insert(QUEUE_DELAY_KEY.into());
+        fp.reads.insert(SHED_RECENT_KEY.into());
         fp.writes.insert("brownout_mode".into());
         fp.writes.insert("brownout_level".into());
-        fp.writes.insert("adm_shed_recent".into());
+        fp.writes.insert(SHED_RECENT_KEY.into());
         for attr in ["enterSteps", "exitSteps"] {
             if let Some(steps) = parsed_steps.get(&format!("brownout:{name}/{attr}")) {
                 fp.writes.extend(steps_writes(steps));
             }
         }
-        report.footprints.insert(brownout_unit(&name), fp);
+        report.footprints.insert(brownout_unit(name), fp);
     }
 
     // -- Pass 3: conflict graph ---------------------------------------------
@@ -742,12 +619,12 @@ pub fn analyze(model: &Model) -> AnalysisReport {
         }
     }
     let base = handlers.len();
-    for (i, (sname, _)) in symptoms.iter().enumerate() {
-        units.push((base + i, plan_unit(sname)));
+    for (i, (symptom, _)) in symptoms.iter().enumerate() {
+        units.push((base + i, plan_unit(&symptom.name)));
     }
     let base = base + symptoms.len();
-    for (i, m) in model.all_of_class("BrownoutMode").into_iter().enumerate() {
-        units.push((base + i, brownout_unit(&attr_or_empty(model, m, "name"))));
+    for (i, (name, ..)) in spec.brownouts.iter().enumerate() {
+        units.push((base + i, brownout_unit(name)));
     }
     for i in 0..units.len() {
         for j in (i + 1)..units.len() {
@@ -758,7 +635,7 @@ pub fn analyze(model: &Model) -> AnalysisReport {
         }
     }
 
-    report
+    (report, keys)
 }
 
 /// Guards and conditions are evaluated with `self` bound to the state
@@ -782,13 +659,12 @@ fn check_only_self_free(e: &Expr, path: &str, report: &mut AnalysisReport) {
 pub fn op_footprint(model: &Model, report: &AnalysisReport, selector: &str) -> Option<Footprint> {
     let mut fp = Footprint::default();
     let mut found = false;
-    for h in model.all_of_class("Handler") {
-        if model.attr_str(h, "selector") != Some(selector) {
+    for h in read(model).handlers {
+        if h.selector != selector {
             continue;
         }
-        let hname = attr_or_empty(model, h, "name");
-        for a in model.refs(h, "actions") {
-            let unit = action_unit(&hname, &attr_or_empty(model, *a, "name"));
+        for a in &h.actions {
+            let unit = action_unit(&h.name, &a.name);
             if let Some(afp) = report.footprints.get(&unit) {
                 fp.absorb(afp);
                 found = true;
@@ -827,6 +703,44 @@ mod tests {
         let fp = &r.footprints["action:open/doOpen"];
         assert!(fp.writes.contains("streams"));
         assert!(fp.writes.contains("failures_media"));
+    }
+
+    #[test]
+    fn engine_owned_keys_are_rendered_as_the_engine_writes_them() {
+        // The engine flattens the dot of an admission class name.
+        let model = base()
+            .with_admission("open", 100, "tenant.a")
+            .admission_class("tenant.a", 10, 1_000, 0, 0)
+            .policy("hasTokens", "self.adm_tenant_a_tokens > 0")
+            .build();
+        let r = analyze(&model);
+        assert!(
+            !r.warnings().any(|d| d.code == "unresolved-key"),
+            "{:?}",
+            r.diagnostics
+        );
+        let fp = &r.footprints["action:open/doOpen"];
+        assert!(fp.reads.contains("adm_tenant_a_rate"), "{fp:?}");
+        assert!(fp.writes.contains("adm_tenant_a_tokens"), "{fp:?}");
+        let mut broker =
+            crate::GenericBroker::from_model(&model, mddsm_sim::ResourceHub::new(1)).unwrap();
+        let meta = crate::CallMeta::new("tenant.a", 0);
+        broker.call_admitted("open", &Vec::new(), &meta).unwrap();
+        let written: Vec<String> = broker
+            .state()
+            .snapshot()
+            .vars
+            .into_iter()
+            .map(|(k, _)| k)
+            .filter(|k| k.starts_with("adm_tenant"))
+            .collect();
+        assert!(!written.is_empty());
+        for key in &written {
+            assert!(
+                fp.reads.contains(key) || fp.writes.contains(key),
+                "engine wrote `{key}` outside the footprint {fp:?}"
+            );
+        }
     }
 
     #[test]

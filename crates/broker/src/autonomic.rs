@@ -7,9 +7,10 @@
 //! [`StateManager`] (the K of MAPE-K); symptoms are OCL-lite conditions
 //! over it; plans are small step programs over resources and state.
 
+use crate::admission::{QUEUE_DELAY_KEY, SHED_RECENT_KEY};
+use crate::pred::Pred;
 use crate::state::StateManager;
 use crate::{BrokerError, Result};
-use mddsm_meta::constraint::Expr;
 use mddsm_meta::model::Model;
 use mddsm_sim::{ResourceHub, SimDuration};
 use std::collections::BTreeMap;
@@ -111,8 +112,8 @@ pub(crate) fn run_steps(
 pub struct AutonomicRule {
     /// Symptom name (diagnostics).
     pub symptom: String,
-    /// Condition over the state object.
-    pub condition: Expr,
+    /// Condition over the state object, compiled.
+    pub condition: Pred,
     /// Plan steps executed when the condition holds.
     pub steps: Vec<PlanStep>,
 }
@@ -163,12 +164,12 @@ impl AutonomicManager {
         // cycle — classic MAPE batching).
         let mut due = Vec::new();
         for (i, rule) in self.rules.iter().enumerate() {
-            if state.eval(&rule.condition)? {
+            if rule.condition.eval(state)? {
                 due.push(i);
             }
         }
         for i in due {
-            let rule = self.rules[i].clone();
+            let rule = &self.rules[i];
             *self.fired.entry(rule.symptom.clone()).or_insert(0) += 1;
             emitted.extend(run_steps(&rule.steps, state, hub, bindings)?);
         }
@@ -189,8 +190,10 @@ pub fn replication_rules(lag_alert: i64) -> Result<Vec<AutonomicRule>> {
     let rule = |symptom: &str, condition: &str, steps: &[&str]| -> Result<AutonomicRule> {
         Ok(AutonomicRule {
             symptom: symptom.to_owned(),
-            condition: mddsm_meta::constraint::parse(condition)
-                .map_err(|e| BrokerError::InvalidModel(e.to_string()))?,
+            condition: Pred::new(
+                mddsm_meta::constraint::parse(condition)
+                    .map_err(|e| BrokerError::InvalidModel(e.to_string()))?,
+            ),
             steps: steps.iter().map(|s| parse_step(s)).collect::<Result<_>>()?,
         })
     };
@@ -344,8 +347,8 @@ impl BrownoutController {
         if self.modes.is_empty() {
             return Ok((None, Vec::new()));
         }
-        let delay = state.int("adm_queue_delay_us").unwrap_or(0);
-        let shed = state.int("adm_shed_recent").unwrap_or(0);
+        let delay = state.int(QUEUE_DELAY_KEY).unwrap_or(0);
+        let shed = state.int(SHED_RECENT_KEY).unwrap_or(0);
         let current = state.int("brownout_level").unwrap_or(0);
         let target = self.target_level(delay, shed);
 
@@ -397,7 +400,7 @@ impl BrownoutController {
         // The shed window is per control cycle; only touch the key when it
         // carries a non-zero count so idle ticks journal nothing.
         if shed != 0 {
-            state.set_int("adm_shed_recent", 0);
+            state.set_int(SHED_RECENT_KEY, 0);
         }
         Ok((transition, emitted))
     }
@@ -461,7 +464,7 @@ mod tests {
     fn reset_breaker_clears_breaker_state() {
         let rule = AutonomicRule {
             symptom: "s".into(),
-            condition: parse("true").unwrap(),
+            condition: Pred::new(parse("true").unwrap()),
             steps: vec![parse_step("reset_breaker media").unwrap()],
         };
         let mut mgr = AutonomicManager::new(vec![rule]);
@@ -478,7 +481,9 @@ mod tests {
     fn rule_fires_when_condition_holds() {
         let rule = AutonomicRule {
             symptom: "mediaFlaky".into(),
-            condition: parse("self.failures_media <> null and self.failures_media > 2").unwrap(),
+            condition: Pred::new(
+                parse("self.failures_media <> null and self.failures_media > 2").unwrap(),
+            ),
             steps: vec![
                 parse_step("heal media").unwrap(),
                 parse_step("set failures_media 0").unwrap(),
@@ -518,12 +523,12 @@ mod tests {
         // must NOT fire (batched analysis), only on the next.
         let a = AutonomicRule {
             symptom: "a".into(),
-            condition: parse("self.go = 1").unwrap(),
+            condition: Pred::new(parse("self.go = 1").unwrap()),
             steps: vec![parse_step("set trigger 1").unwrap()],
         };
         let b = AutonomicRule {
             symptom: "b".into(),
-            condition: parse("self.trigger = 1").unwrap(),
+            condition: Pred::new(parse("self.trigger = 1").unwrap()),
             steps: vec![parse_step("emit late").unwrap()],
         };
         let mut mgr = AutonomicManager::new(vec![a, b]);
@@ -685,7 +690,7 @@ mod tests {
     fn unbound_resources_fall_back_to_literal_names() {
         let rule = AutonomicRule {
             symptom: "s".into(),
-            condition: parse("true").unwrap(),
+            condition: Pred::new(parse("true").unwrap()),
             steps: vec![parse_step("fail sim.media").unwrap()],
         };
         let mut mgr = AutonomicManager::new(vec![rule]);

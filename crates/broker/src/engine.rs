@@ -1,63 +1,33 @@
-//! The generic broker engine: interprets a broker model.
+//! The generic broker engine: executes a broker model, compiled at load.
 //!
 //! "Calls and events are handled by selecting and dispatching appropriate
 //! actions" (§V-A): the main manager's handlers match the incoming call
 //! operation or event topic; each handler's actions are tried in order and
 //! the first whose policy guard holds is dispatched against the underlying
-//! (simulated) resource.
+//! (simulated) resource. `from_model` compiles the model once into the
+//! tables a call borrows: handlers indexed by selector, guards compiled
+//! by [`crate::pred`], and every key an action writes rendered up front.
 
-use crate::admission::adm_key;
 use crate::admission::{AdmissionController, AdmissionDecision, CallMeta, ShedReason};
 use crate::autonomic::{
     parse_step, AutonomicManager, AutonomicRule, BrownoutController, BrownoutTransition,
 };
 use crate::journal::{self, CommandKind, Journal, JournalRecord};
-use crate::model::{broker_metamodel, Resilience, BROKER_METAMODEL};
+use crate::model::{
+    self, broker_metamodel, ActionSpec, ExprSpec, HandlerKind, HandlerSpec, BROKER_METAMODEL,
+};
 use crate::monitor::{MonitorSet, MonitorTrip, TRIP_COUNTER_KEY};
-use crate::state::StateManager;
+use crate::pred::Pred;
+use crate::state::{Key, StateManager};
 use crate::{BrokerError, Result};
-use mddsm_meta::constraint::{self, Expr};
 use mddsm_meta::model::Model;
 use mddsm_sim::resource::{Args, Outcome};
 use mddsm_sim::{ResourceHub, SimDuration, SimTime};
-use std::collections::BTreeMap;
-
-/// `(name, property)` of every monitor a broker model declares.
-pub(crate) fn monitor_specs(model: &Model) -> Vec<(String, String)> {
-    model
-        .all_of_class("Monitor")
-        .into_iter()
-        .map(|m| {
-            (
-                model.attr_str(m, "name").unwrap_or_default().to_owned(),
-                model.attr_str(m, "property").unwrap_or_default().to_owned(),
-            )
-        })
-        .collect()
-}
-
-/// `name -> parsed expression` for every policy a broker model declares.
-pub(crate) fn policy_exprs(model: &Model) -> Result<BTreeMap<String, Expr>> {
-    let mut out = BTreeMap::new();
-    for p in model.all_of_class("Policy") {
-        let name = model.attr_str(p, "name").unwrap_or_default().to_owned();
-        let src = model.attr_str(p, "expression").unwrap_or_default();
-        let expr = constraint::parse(src).map_err(|e| {
-            BrokerError::InvalidModel(format!("policy `{name}` failed to parse: {e}"))
-        })?;
-        out.insert(name, expr);
-    }
-    Ok(out)
-}
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Maximum fallback chain length (fallback of fallback of …).
 const MAX_FALLBACK_DEPTH: usize = 4;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HandlerKind {
-    Call,
-    Event,
-}
 
 /// State-manager key for a breaker variable of a logical resource:
 /// `breaker_<res>` (state), `breaker_<res>_failures`,
@@ -71,29 +41,135 @@ pub(crate) fn breaker_key(resource: &str, suffix: &str) -> String {
     }
 }
 
-#[derive(Debug, Clone)]
-struct ActionSpec {
-    name: String,
-    resource: String,
-    operation: String,
-    arg_mapping: Vec<(String, String)>,
-    guard: Option<String>,
-    state_effects: Vec<String>,
-    resilience: Resilience,
-    /// Model-declared work cost in virtual µs (`costUs`), consumed from the
-    /// action's admission class's token bucket; 0 = uncontrolled.
-    cost_us: u64,
-    /// Admission class this action bills against (`admissionClass`); when
-    /// absent, the caller's [`CallMeta`] class is used.
-    admission_class: Option<String>,
+/// State-manager key counting a logical resource's failed invocations,
+/// the autonomic loop's monitoring input.
+pub(crate) fn failures_key(resource: &str) -> String {
+    format!("failures_{resource}")
 }
 
-#[derive(Debug, Clone)]
-struct HandlerSpec {
+/// An action compiled for dispatch: its spec plus everything a call
+/// would otherwise re-derive from it.
+#[derive(Debug)]
+struct Action {
+    spec: ActionSpec,
+    /// The hub resource `spec.resource` is bound to.
+    bound: String,
+    /// Position of the guarding policy in [`Tables::policies`].
+    guard: Option<usize>,
+    /// Position of the fallback among the handler's actions.
+    fallback: Option<usize>,
+    breaker: Key,
+    breaker_failures: Key,
+    breaker_opened_at: Key,
+    failures: Key,
+}
+
+#[derive(Debug)]
+struct Handler {
     name: String,
-    kind: HandlerKind,
-    selector: String,
-    actions: Vec<ActionSpec>,
+    actions: Vec<Action>,
+}
+
+/// The call tables compiled from a broker model at load: what `call`,
+/// `call_admitted` and `event` borrow instead of re-deriving.
+#[derive(Debug, Default)]
+struct Tables {
+    handlers: Vec<Handler>,
+    /// Selector -> handler, per kind. A repeated selector keeps the first
+    /// handler declared, as a scan in declaration order would.
+    calls: HashMap<String, usize>,
+    events: HashMap<String, usize>,
+    policies: Vec<Pred>,
+}
+
+impl Tables {
+    /// Compiles handlers whose kinds, fallbacks and guards the load-time
+    /// checks have already accepted.
+    fn build(
+        handlers: Vec<HandlerSpec>,
+        policies: Vec<ExprSpec>,
+        bindings: &BTreeMap<String, String>,
+    ) -> Tables {
+        let mut guards = BTreeMap::new();
+        let mut tables = Tables::default();
+        for p in policies {
+            if let Ok(expr) = p.expr {
+                guards.insert(p.name, tables.policies.len());
+                tables.policies.push(Pred::new(expr));
+            }
+        }
+        for (i, h) in handlers.into_iter().enumerate() {
+            let index = match h.kind {
+                Some(HandlerKind::Call) => &mut tables.calls,
+                _ => &mut tables.events,
+            };
+            index.entry(h.selector).or_insert(i);
+            let fallbacks: Vec<Option<usize>> = h
+                .actions
+                .iter()
+                .map(|a| {
+                    let f = a.resilience.fallback.as_ref()?;
+                    h.actions.iter().position(|s| &s.name == f)
+                })
+                .collect();
+            let actions = h
+                .actions
+                .into_iter()
+                .zip(fallbacks)
+                .map(|(spec, fallback)| Action {
+                    bound: bindings
+                        .get(&spec.resource)
+                        .unwrap_or(&spec.resource)
+                        .clone(),
+                    guard: spec.guard.as_ref().and_then(|g| guards.get(g).copied()),
+                    fallback,
+                    breaker: Key::new(breaker_key(&spec.resource, "")),
+                    breaker_failures: Key::new(breaker_key(&spec.resource, "failures")),
+                    breaker_opened_at: Key::new(breaker_key(&spec.resource, "opened_at_us")),
+                    failures: Key::new(failures_key(&spec.resource)),
+                    spec,
+                })
+                .collect();
+            tables.handlers.push(Handler {
+                name: h.name,
+                actions,
+            });
+        }
+        tables
+    }
+
+    /// Finds the handler for `selector` and the first action whose policy
+    /// guard holds against `state` — the selection half of dispatch,
+    /// shared by [`GenericBroker::call`] and
+    /// [`GenericBroker::call_admitted`] (which must know the chosen
+    /// action's declared cost *before* deciding to execute it).
+    fn select(
+        &self,
+        kind: HandlerKind,
+        selector: &str,
+        state: &StateManager,
+    ) -> Result<(&Handler, &Action)> {
+        let index = match kind {
+            HandlerKind::Call => &self.calls,
+            HandlerKind::Event => &self.events,
+        };
+        let handler = index
+            .get(selector)
+            .map(|&i| &self.handlers[i])
+            .ok_or_else(|| BrokerError::NoHandler(selector.to_owned()))?;
+        for action in &handler.actions {
+            if action
+                .guard
+                .map_or(Ok(true), |g| self.policies[g].eval(state))?
+            {
+                return Ok((handler, action));
+            }
+        }
+        Err(BrokerError::NoAction(format!(
+            "{selector} (handler `{}`)",
+            handler.name
+        )))
+    }
 }
 
 /// Result of a brokered call.
@@ -175,8 +251,9 @@ pub struct RecoveryReport {
 /// A broker engine configured entirely by a broker model.
 pub struct GenericBroker {
     name: String,
-    handlers: Vec<HandlerSpec>,
-    policies: BTreeMap<String, Expr>,
+    /// Shared with each call in flight, which borrows its handler and
+    /// action from them while the engine mutates state.
+    tables: Arc<Tables>,
     bindings: BTreeMap<String, String>,
     state: StateManager,
     autonomic: AutonomicManager,
@@ -233,60 +310,18 @@ impl GenericBroker {
             .unwrap_or("broker")
             .to_owned();
 
-        // Handlers + actions.
-        let mut handlers = Vec::new();
-        for h in model.all_of_class("Handler") {
-            let kind = match model.attr(h, "kind").and_then(|v| v.as_enum_literal()) {
-                Some("Call") => HandlerKind::Call,
-                Some("Event") => HandlerKind::Event,
-                other => {
-                    return Err(BrokerError::InvalidModel(format!(
-                        "handler has bad kind {other:?}"
-                    )))
-                }
-            };
-            let mut actions = Vec::new();
-            for a in model.refs(h, "actions") {
-                let int_attr = |name: &str| model.attr_int(*a, name).unwrap_or(0).max(0) as u64;
-                actions.push(ActionSpec {
-                    name: model.attr_str(*a, "name").unwrap_or_default().to_owned(),
-                    resource: model
-                        .attr_str(*a, "resource")
-                        .unwrap_or_default()
-                        .to_owned(),
-                    operation: model
-                        .attr_str(*a, "operation")
-                        .unwrap_or_default()
-                        .to_owned(),
-                    arg_mapping: model
-                        .attr_all(*a, "argMapping")
-                        .iter()
-                        .filter_map(|v| v.as_str())
-                        .filter_map(|s| {
-                            s.split_once('=').map(|(k, v)| (k.to_owned(), v.to_owned()))
-                        })
-                        .collect(),
-                    guard: model.attr_str(*a, "guard").map(str::to_owned),
-                    cost_us: int_attr("costUs"),
-                    admission_class: model.attr_str(*a, "admissionClass").map(str::to_owned),
-                    state_effects: model
-                        .attr_all(*a, "stateEffects")
-                        .iter()
-                        .filter_map(|v| v.as_str())
-                        .map(str::to_owned)
-                        .collect(),
-                    resilience: Resilience {
-                        max_retries: int_attr("maxRetries") as u32,
-                        backoff_ms: int_attr("backoffMs"),
-                        timeout_ms: int_attr("timeoutMs"),
-                        breaker_threshold: int_attr("breakerThreshold") as u32,
-                        breaker_cooldown_ms: int_attr("breakerCooldownMs"),
-                        fallback: model.attr_str(*a, "fallback").map(str::to_owned),
-                    },
-                });
+        // Handlers, actions and policies, read once through the reader
+        // the analyzer shares.
+        let spec = model::read(model);
+        for h in &spec.handlers {
+            if h.kind.is_none() {
+                return Err(BrokerError::InvalidModel(format!(
+                    "handler `{}` has a bad kind",
+                    h.name
+                )));
             }
             // Fallbacks must name a *different* sibling action.
-            for action in &actions {
+            for action in &h.actions {
                 if let Some(f) = &action.resilience.fallback {
                     if f == &action.name {
                         return Err(BrokerError::InvalidModel(format!(
@@ -294,7 +329,7 @@ impl GenericBroker {
                             action.name
                         )));
                     }
-                    if !actions.iter().any(|s| &s.name == f) {
+                    if !h.actions.iter().any(|s| &s.name == f) {
                         return Err(BrokerError::InvalidModel(format!(
                             "action `{}` falls back to unknown action `{f}`",
                             action.name
@@ -302,82 +337,42 @@ impl GenericBroker {
                     }
                 }
             }
-            handlers.push(HandlerSpec {
-                name: model.attr_str(h, "name").unwrap_or_default().to_owned(),
-                kind,
-                selector: model.attr_str(h, "selector").unwrap_or_default().to_owned(),
-                actions,
-            });
+        }
+        if let Some((p, e)) = spec
+            .policies
+            .iter()
+            .find_map(|p| Some((p, p.expr.as_ref().err()?)))
+        {
+            return Err(BrokerError::InvalidModel(format!(
+                "policy `{}` failed to parse: {e}",
+                p.name
+            )));
         }
 
-        let policies = policy_exprs(model)?;
-
-        // Resource bindings.
-        let bindings = model
-            .all_of_class("ResourceBinding")
-            .into_iter()
-            .filter_map(|b| {
-                Some((
-                    model.attr_str(b, "name")?.to_owned(),
-                    model.attr_str(b, "resource")?.to_owned(),
-                ))
-            })
-            .collect();
-
-        // Autonomic rules: join symptom -> request -> plan by name.
+        let bindings: BTreeMap<String, String> = spec.bindings.iter().cloned().collect();
         let mut rules = Vec::new();
-        for s in model.all_of_class("Symptom") {
-            let sname = model.attr_str(s, "name").unwrap_or_default().to_owned();
-            let cond_src = model.attr_str(s, "condition").unwrap_or_default();
-            let condition = constraint::parse(cond_src).map_err(|e| {
-                BrokerError::InvalidModel(format!("symptom `{sname}` condition: {e}"))
-            })?;
-            // Find the request referencing the symptom, then its plan.
-            let request = model
-                .all_of_class("ChangeRequest")
-                .into_iter()
-                .find(|r| model.attr_str(*r, "symptom") == Some(&sname));
-            let mut steps = Vec::new();
-            if let Some(r) = request {
-                let rname = model.attr_str(r, "name").unwrap_or_default().to_owned();
-                if let Some(plan) = model
-                    .all_of_class("ChangePlan")
-                    .into_iter()
-                    .find(|p| model.attr_str(*p, "request") == Some(&rname))
-                {
-                    for step in model.attr_all(plan, "steps") {
-                        if let Some(s) = step.as_str() {
-                            steps.push(parse_step(s)?);
-                        }
-                    }
-                }
-            }
+        for (symptom, steps) in &spec.symptoms {
+            let condition = Pred::new(symptom.expr.clone().map_err(|e| {
+                BrokerError::InvalidModel(format!("symptom `{}` condition: {e}", symptom.name))
+            })?);
             rules.push(AutonomicRule {
-                symptom: sname,
+                symptom: symptom.name.clone(),
                 condition,
-                steps,
+                steps: steps.iter().map(|s| parse_step(s)).collect::<Result<_>>()?,
             });
         }
 
-        // Overload control: admission classes and brownout modes are part
-        // of the model too. Class limits are seeded into the state manager
-        // so change plans can retune them through the same OCL-addressable
-        // keys recovery replays.
-        let mut state = StateManager::new();
-        let admission = AdmissionController::from_model(model);
-        if let Some(ctrl) = &admission {
-            ctrl.seed_state(&mut state);
-        }
+        // Overload control: brownout modes (and admission classes) are
+        // part of the model too.
         let brownout = BrownoutController::from_model(model)?;
 
         // Runtime monitors: every model-declared `Monitor` is compiled
         // once, up front — a broken property surfaces as a deployment-time
         // `MonitorParse`, not a latent recovery surprise.
-        let specs = monitor_specs(model);
-        let monitors = if specs.is_empty() {
+        let monitors = if spec.monitors.is_empty() {
             None
         } else {
-            Some(MonitorSet::compile(&specs)?)
+            Some(MonitorSet::compile(&spec.monitors)?)
         };
 
         // Load-time static analysis (after the legacy checks above, so
@@ -385,21 +380,25 @@ impl GenericBroker {
         // findings refuse the model with the typed `AnalysisRejected`;
         // warnings ride along on the engine and are journaled once
         // journaling is enabled.
-        let analysis = crate::analysis::analyze(model);
+        let (analysis, keys) = crate::analysis::analyze_read(model, &spec);
         if !analysis.is_accepted() {
             return Err(BrokerError::AnalysisRejected(
                 analysis.errors().cloned().collect(),
             ));
         }
 
+        // The state's slot table starts as the analyzer's key universe.
+        let mut state = StateManager::new();
+        for key in keys.keys() {
+            state.slot(key);
+        }
         let mut broker = GenericBroker {
             name,
-            handlers,
-            policies,
+            tables: Arc::new(Tables::build(spec.handlers, spec.policies, &bindings)),
             bindings,
             state,
             autonomic: AutonomicManager::new(rules),
-            admission,
+            admission: AdmissionController::new(spec.classes),
             brownout,
             hub,
             calls: 0,
@@ -412,6 +411,12 @@ impl GenericBroker {
             monitor_trips: Vec::new(),
             analysis,
         };
+        // Class limits are seeded into the state manager so change plans
+        // can retune them through the same OCL-addressable keys recovery
+        // replays.
+        if let Some(ctrl) = &broker.admission {
+            ctrl.seed_state(&mut broker.state);
+        }
         // In-stream monitoring derives its dirty-key set from the same
         // recorded ops the journal frames, so recording must be on even
         // before (or without) `enable_journal`.
@@ -459,7 +464,8 @@ impl GenericBroker {
             self.journal_command(CommandKind::Call, op, &result);
             return Err(e);
         }
-        let (handler, action) = match self.select_action(HandlerKind::Call, op) {
+        let tables = Arc::clone(&self.tables);
+        let (handler, action) = match tables.select(HandlerKind::Call, op, &self.state) {
             Ok(sel) => sel,
             Err(e) => {
                 let result: Result<BrokerCallResult> = Err(e.clone());
@@ -468,17 +474,16 @@ impl GenericBroker {
             }
         };
         // The action's model-declared class wins over the caller's claim.
-        let class = action
-            .admission_class
-            .clone()
-            .unwrap_or_else(|| meta.class.clone());
-        let controlled = self.admission.as_ref().is_some_and(|c| c.has_class(&class));
-        let eff = CallMeta {
-            class: class.clone(),
-            ..meta.clone()
-        };
+        let class = action.spec.admission_class.as_deref();
+        let class = class.unwrap_or(&meta.class);
         let decision = match &self.admission {
-            Some(ctrl) => ctrl.decide(&mut self.state, self.clock_us, &eff, action.cost_us),
+            Some(ctrl) => ctrl.decide(
+                class,
+                &mut self.state,
+                self.clock_us,
+                meta,
+                action.spec.cost_us,
+            ),
             None => AdmissionDecision::Admit {
                 queue_delay_us: self.clock_us.saturating_sub(meta.arrival_us),
                 deadline_us: meta.deadline_us,
@@ -489,10 +494,7 @@ impl GenericBroker {
                 queue_delay_us,
                 deadline_us,
             } => {
-                if controlled {
-                    self.state.bump(&adm_key(&class, "admitted"), 1);
-                }
-                let result = self.execute_action(&handler, &action, args, 0);
+                let result = self.execute_action(handler, action, args, 0);
                 let result = self.monitor_commit(result);
                 self.journal_command(CommandKind::Call, op, &result);
                 result.map(|r| AdmittedOutcome::Executed {
@@ -502,15 +504,17 @@ impl GenericBroker {
                 })
             }
             AdmissionDecision::Defer { wait } => {
-                self.state.bump(&adm_key(&class, "deferred"), 1);
                 self.journal_admission(op, "<deferred>");
                 Ok(AdmittedOutcome::Deferred { wait })
             }
             AdmissionDecision::Shed { reason } => {
-                self.state.bump(&adm_key(&class, "shed"), 1);
-                self.state.bump("adm_shed_recent", 1);
-                self.journal_admission(op, &format!("<shed:{reason}>"));
-                Ok(AdmittedOutcome::Shed { reason, class })
+                if self.journal.is_some() {
+                    self.journal_admission(op, &format!("<shed:{reason}>"));
+                }
+                Ok(AdmittedOutcome::Shed {
+                    reason,
+                    class: class.to_owned(),
+                })
             }
         }
     }
@@ -519,6 +523,9 @@ impl GenericBroker {
     /// record: not ok, zero attempts, zero cost — replay counts it exactly
     /// like the live run did.
     fn journal_admission(&mut self, selector: &str, action: &str) {
+        if self.journal.is_none() {
+            return;
+        }
         let synthetic: Result<BrokerCallResult> = Ok(BrokerCallResult {
             outcome: Outcome::Failed(action.to_owned()),
             cost: SimDuration::ZERO,
@@ -548,51 +555,9 @@ impl GenericBroker {
         selector: &str,
         args: &Args,
     ) -> Result<BrokerCallResult> {
-        let (handler, action) = self.select_action(kind, selector)?;
-        self.execute_action(&handler, &action, args, 0)
-    }
-
-    /// Finds the handler for `selector` and the first action whose policy
-    /// guard holds against the current state — the selection half of
-    /// dispatch, shared by [`GenericBroker::call`] and
-    /// [`GenericBroker::call_admitted`] (which must know the chosen
-    /// action's declared cost *before* deciding to execute it).
-    fn select_action(
-        &self,
-        kind: HandlerKind,
-        selector: &str,
-    ) -> Result<(HandlerSpec, ActionSpec)> {
-        let handler = self
-            .handlers
-            .iter()
-            .find(|h| h.kind == kind && h.selector == selector)
-            .cloned()
-            .ok_or_else(|| BrokerError::NoHandler(selector.to_owned()))?;
-
-        // Select the first action whose guard holds.
-        let mut chosen = None;
-        for action in &handler.actions {
-            let passes = match &action.guard {
-                None => true,
-                Some(g) => {
-                    let expr = self.policies.get(g).ok_or_else(|| {
-                        BrokerError::PolicyFailed(format!(
-                            "action `{}` guards on unknown policy `{g}`",
-                            action.name
-                        ))
-                    })?;
-                    self.state.eval(expr)?
-                }
-            };
-            if passes {
-                chosen = Some(action.clone());
-                break;
-            }
-        }
-        let action = chosen.ok_or_else(|| {
-            BrokerError::NoAction(format!("{selector} (handler `{}`)", handler.name))
-        })?;
-        Ok((handler, action))
+        let tables = Arc::clone(&self.tables);
+        let (handler, action) = tables.select(kind, selector, &self.state)?;
+        self.execute_action(handler, action, args, 0)
     }
 
     /// Executes one action under its model-defined resilience spec:
@@ -602,29 +567,28 @@ impl GenericBroker {
     /// sleeps — so runs replay bit-for-bit.
     fn execute_action(
         &mut self,
-        handler: &HandlerSpec,
-        action: &ActionSpec,
+        handler: &Handler,
+        action: &Action,
         args: &Args,
         depth: usize,
     ) -> Result<BrokerCallResult> {
-        let spec = action.resilience.clone();
+        let spec = &action.spec.resilience;
 
         // -- Circuit-breaker gate ------------------------------------------
-        if spec.breaker_threshold > 0 && self.breaker_state(&action.resource) == "open" {
-            let opened = self
-                .state
-                .int(&breaker_key(&action.resource, "opened_at_us"))
-                .unwrap_or(0);
+        if spec.breaker_threshold > 0 && self.state.str(&action.breaker) == Some("open") {
+            let opened = self.state.int(&action.breaker_opened_at).unwrap_or(0);
             if self.clock_us >= opened.max(0) as u64 + spec.breaker_cooldown_ms * 1_000 {
                 // Cooldown elapsed: allow one half-open trial.
-                self.state
-                    .set_str(&breaker_key(&action.resource, ""), "half-open");
+                self.state.set_str(&action.breaker, "half-open");
             } else {
                 // Fast-fail without touching the resource.
                 let failed = BrokerCallResult {
-                    outcome: Outcome::Failed(format!("circuit open for `{}`", action.resource)),
+                    outcome: Outcome::Failed(format!(
+                        "circuit open for `{}`",
+                        action.spec.resource
+                    )),
                     cost: SimDuration::ZERO,
-                    action: action.name.clone(),
+                    action: action.spec.name.clone(),
                     attempts: 0,
                 };
                 return self.escalate(handler, action, args, depth, failed);
@@ -634,6 +598,7 @@ impl GenericBroker {
         // -- Attempt loop ---------------------------------------------------
         // Map arguments: `$x` reads call argument x; literals pass through.
         let mapped: Args = action
+            .spec
             .arg_mapping
             .iter()
             .map(|(k, v)| {
@@ -648,23 +613,20 @@ impl GenericBroker {
                 (k.clone(), value)
             })
             .collect();
-        let resource = self
-            .bindings
-            .get(&action.resource)
-            .cloned()
-            .unwrap_or_else(|| action.resource.clone());
 
         let mut attempts = 0u32;
         let mut total = SimDuration::ZERO;
         let last_outcome = loop {
             attempts += 1;
-            let (mut outcome, mut cost) = self.hub.invoke(&resource, &action.operation, &mapped);
+            let (mut outcome, mut cost) =
+                self.hub
+                    .invoke(&action.bound, &action.spec.operation, &mapped);
             if spec.timeout_ms > 0 && cost > SimDuration::from_millis(spec.timeout_ms) {
                 // The caller stops waiting at the budget: a slow success is
                 // a failure, and only the budget is charged.
                 outcome = Outcome::Failed(format!(
                     "`{}` exceeded its {}ms budget",
-                    action.resource, spec.timeout_ms
+                    action.spec.resource, spec.timeout_ms
                 ));
                 cost = SimDuration::from_millis(spec.timeout_ms);
             }
@@ -673,43 +635,33 @@ impl GenericBroker {
 
             if outcome.is_ok() {
                 if spec.breaker_threshold > 0 {
-                    self.state
-                        .set_str(&breaker_key(&action.resource, ""), "closed");
-                    self.state
-                        .set_int(&breaker_key(&action.resource, "failures"), 0);
+                    self.state.set_str(&action.breaker, "closed");
+                    self.state.set_int(&action.breaker_failures, 0);
                 }
-                for effect in &action.state_effects {
+                for effect in &action.spec.state_effects {
                     self.state.apply_effect(effect)?;
                 }
                 return Ok(BrokerCallResult {
                     outcome,
                     cost: total,
-                    action: action.name.clone(),
+                    action: action.spec.name.clone(),
                     attempts,
                 });
             }
 
             // Monitoring for the autonomic loop: every failed attempt is a
             // real failed invocation (it is in the hub log too).
-            self.state.bump(&format!("failures_{}", action.resource), 1);
+            self.state.bump(&action.failures, 1);
 
             let mut opened = false;
             if spec.breaker_threshold > 0 {
-                let was_half_open = self.breaker_state(&action.resource) == "half-open";
-                let fails = self
-                    .state
-                    .int(&breaker_key(&action.resource, "failures"))
-                    .unwrap_or(0)
-                    + 1;
-                self.state
-                    .set_int(&breaker_key(&action.resource, "failures"), fails);
+                let was_half_open = self.state.str(&action.breaker) == Some("half-open");
+                let fails = self.state.int(&action.breaker_failures).unwrap_or(0) + 1;
+                self.state.set_int(&action.breaker_failures, fails);
                 if was_half_open || fails >= i64::from(spec.breaker_threshold) {
+                    self.state.set_str(&action.breaker, "open");
                     self.state
-                        .set_str(&breaker_key(&action.resource, ""), "open");
-                    self.state.set_int(
-                        &breaker_key(&action.resource, "opened_at_us"),
-                        self.clock_us as i64,
-                    );
+                        .set_int(&action.breaker_opened_at, self.clock_us as i64);
                     opened = true;
                 }
             }
@@ -727,7 +679,7 @@ impl GenericBroker {
         let failed = BrokerCallResult {
             outcome: last_outcome,
             cost: total,
-            action: action.name.clone(),
+            action: action.spec.name.clone(),
             attempts,
         };
         self.escalate(handler, action, args, depth, failed)
@@ -737,42 +689,22 @@ impl GenericBroker {
     /// attempts' cost and count carry over into the fallback's result.
     fn escalate(
         &mut self,
-        handler: &HandlerSpec,
-        action: &ActionSpec,
+        handler: &Handler,
+        action: &Action,
         args: &Args,
         depth: usize,
         failed: BrokerCallResult,
     ) -> Result<BrokerCallResult> {
-        let Some(fb) = &action.resilience.fallback else {
+        let Some(fb) = action.fallback else {
             return Ok(failed);
         };
         if depth >= MAX_FALLBACK_DEPTH {
             return Ok(failed);
         }
-        let fb_action = handler
-            .actions
-            .iter()
-            .find(|a| &a.name == fb)
-            .cloned()
-            .ok_or_else(|| {
-                BrokerError::NoAction(format!(
-                    "fallback `{fb}` of action `{}` not found",
-                    action.name
-                ))
-            })?;
-        let mut result = self.execute_action(handler, &fb_action, args, depth + 1)?;
+        let mut result = self.execute_action(handler, &handler.actions[fb], args, depth + 1)?;
         result.cost = failed.cost.saturating_add(result.cost);
         result.attempts += failed.attempts;
         Ok(result)
-    }
-
-    /// Current circuit-breaker state for a logical resource ("closed"
-    /// until the breaker has ever tripped).
-    fn breaker_state(&self, resource: &str) -> String {
-        self.state
-            .str(&breaker_key(resource, ""))
-            .unwrap_or("closed")
-            .to_owned()
     }
 
     /// Runs one autonomic MAPE cycle; returns emitted event topics.
@@ -818,13 +750,12 @@ impl GenericBroker {
     /// violation is repaired or rolled back — a tripped deployment must
     /// not keep executing commands against a divergent model.
     fn monitor_gate(&self) -> Result<()> {
-        if self.monitors.is_none() || self.state.int(TRIP_COUNTER_KEY).unwrap_or(0) == 0 {
+        let Some(monitors) = self.monitors.as_ref().filter(|m| m.latched(&self.state)) else {
             return Ok(());
-        }
-        let (monitor, detail) = self
-            .monitors
+        };
+        let (monitor, detail) = monitors
+            .monitors()
             .iter()
-            .flat_map(MonitorSet::monitors)
             .find(|m| self.state.str(m.trip_key()).is_some())
             .map(|m| {
                 (
@@ -1058,8 +989,7 @@ impl GenericBroker {
         // Compile into a throwaway engine first: all-or-nothing.
         let compiled = Self::from_model(model, ResourceHub::new(0))?;
         self.name = compiled.name;
-        self.handlers = compiled.handlers;
-        self.policies = compiled.policies;
+        self.tables = compiled.tables;
         self.bindings = compiled.bindings;
         self.autonomic = compiled.autonomic;
         // The throwaway's freshly seeded state is discarded: the live
@@ -1259,7 +1189,8 @@ impl GenericBroker {
         // refusing commands until repaired.
         MonitorSet::from_invariants(invariants)?.check_full(&recovered.state)?;
 
-        broker.state = recovered.state;
+        // Restored in place, so the slot table seeded at load stays.
+        broker.state.restore(&recovered.state.snapshot());
         broker.clock_us = recovered.clock_us;
         broker.calls = recovered.calls;
         broker.events = recovered.events;
@@ -1357,8 +1288,8 @@ impl std::fmt::Debug for GenericBroker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenericBroker")
             .field("name", &self.name)
-            .field("handlers", &self.handlers.len())
-            .field("policies", &self.policies.len())
+            .field("handlers", &self.tables.handlers.len())
+            .field("policies", &self.tables.policies.len())
             .finish()
     }
 }
@@ -1366,7 +1297,7 @@ impl std::fmt::Debug for GenericBroker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::BrokerModelBuilder;
+    use crate::model::{BrokerModelBuilder, Resilience};
     use mddsm_sim::resource::args;
     use mddsm_sim::LatencyModel;
 
@@ -1638,6 +1569,64 @@ mod tests {
         let trace = b.hub().command_trace();
         assert_eq!(trace, vec!["sim.media.open(peer=bob, codec=h264)"]);
         assert_eq!(b.stats(), (1, 0));
+    }
+
+    #[test]
+    fn a_repeated_selector_is_served_by_the_first_declared_handler() {
+        let m = BrokerModelBuilder::new("dup")
+            .call_handler("first", "op")
+            .action("first", "viaMedia", "media", "go", &[], None, &[])
+            .call_handler("second", "op")
+            .action("second", "viaRelay", "relay", "go", &[], None, &[])
+            .bind_resource("media", "sim.media")
+            .bind_resource("relay", "sim.relay")
+            .build();
+        let mut b = GenericBroker::from_model(&m, hub()).unwrap();
+        for _ in 0..3 {
+            assert_eq!(b.call("op", &Args::new()).unwrap().action, "viaMedia");
+        }
+        assert!(b
+            .hub()
+            .command_trace()
+            .iter()
+            .all(|c| c.starts_with("sim.media.go")));
+    }
+
+    #[test]
+    fn adopted_models_route_calls_and_render_keys_from_their_own_actions() {
+        let version = |handler: &str, action: &str, resource: &str, class: &str| {
+            BrokerModelBuilder::new("v")
+                .call_handler(handler, "op")
+                .resilient_action(
+                    handler,
+                    action,
+                    resource,
+                    "go",
+                    &[],
+                    None,
+                    &[],
+                    &Resilience::breaker(1, 1_000),
+                )
+                .with_admission(handler, 100, class)
+                .admission_class(class, 0, 0, 0, 0)
+                .bind_resource(resource, &format!("sim.{resource}"))
+                .build()
+        };
+        let mut b =
+            GenericBroker::from_model(&version("h1", "viaMedia", "media", "gold"), hub()).unwrap();
+        let meta = CallMeta::new("caller", 0);
+        let served = |b: &mut GenericBroker| match b.call_admitted("op", &Args::new(), &meta) {
+            Ok(AdmittedOutcome::Executed { result, .. }) => result.action,
+            other => panic!("expected execution, got {other:?}"),
+        };
+        assert_eq!(served(&mut b), "viaMedia");
+        b.adopt_model(&version("h2", "viaRelay", "relay", "silver"))
+            .unwrap();
+        assert_eq!(served(&mut b), "viaRelay");
+        assert_eq!(b.hub().command_trace().last().unwrap(), "sim.relay.go()");
+        assert_eq!(b.state().str("breaker_relay"), Some("closed"));
+        assert_eq!(b.state().int("adm_silver_admitted"), Some(1));
+        assert_eq!(b.state().int("adm_gold_admitted"), Some(1));
     }
 
     #[test]

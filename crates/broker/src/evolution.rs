@@ -39,13 +39,14 @@
 //!    migration-touched keys are restored.
 
 use crate::admission::AdmissionController;
-use crate::engine::{monitor_specs, policy_exprs, GenericBroker, RecoveryReport};
+use crate::engine::{GenericBroker, RecoveryReport};
 use crate::journal;
+use crate::model::read;
 use crate::monitor::{owner_key, period_key, trip_key, MonitorSet, TRIP_COUNTER_KEY};
+use crate::pred::Pred;
 use crate::state::{SnapValue, StateManager};
 use crate::supervisor::Supervisor;
 use crate::{BrokerError, Result};
-use mddsm_meta::constraint::Expr;
 use mddsm_meta::diff::{diff, Change, ChangeList, DiffOptions};
 use mddsm_meta::model::Model;
 use mddsm_sim::ResourceHub;
@@ -122,47 +123,22 @@ pub enum UpgradeOutcome {
     RolledBack,
 }
 
-/// A pre-cutover value captured for rollback.
-#[derive(Debug, Clone, PartialEq)]
-enum PreValue {
-    Str(String),
-    Int(i64),
-    Absent,
-}
+/// One planned migration write, applied inside the cutover record:
+/// the key and its new value (`None` unsets it).
+type MigrationWrite = (String, Option<SnapValue>);
 
-/// One planned migration write, applied inside the cutover record.
-#[derive(Debug, Clone)]
-enum MigrationWrite {
-    SetStr(String, String),
-    SetInt(String, i64),
-    Unset(String),
-}
-
-impl MigrationWrite {
-    fn key(&self) -> &str {
-        match self {
-            MigrationWrite::SetStr(k, _)
-            | MigrationWrite::SetInt(k, _)
-            | MigrationWrite::Unset(k) => k,
-        }
-    }
+/// Every policy of `model` that parses, compiled, by name.
+fn policies(model: &Model) -> BTreeMap<String, Pred> {
+    let policies = read(model).policies.into_iter();
+    policies
+        .filter_map(|p| Some((p.name, Pred::new(p.expr.ok()?))))
+        .collect()
 }
 
 fn refused(stage: &str, reasons: Vec<String>) -> BrokerError {
     BrokerError::UpgradeRefused {
         stage: stage.to_owned(),
         reasons,
-    }
-}
-
-/// The current value of `key` in `state`, captured for rollback.
-fn capture(state: &StateManager, key: &str) -> PreValue {
-    if let Some(i) = state.int(key) {
-        PreValue::Int(i)
-    } else if let Some(s) = state.str(key) {
-        PreValue::Str(s.to_owned())
-    } else {
-        PreValue::Absent
     }
 }
 
@@ -185,13 +161,14 @@ pub struct LiveUpgrade {
     // -- shadow phase --------------------------------------------------
     shadow_monitors: MonitorSet,
     shadow_memory: BTreeMap<String, String>,
-    candidate_policies: BTreeMap<String, Expr>,
-    live_policies: BTreeMap<String, Expr>,
+    candidate_policies: BTreeMap<String, Pred>,
+    live_policies: BTreeMap<String, Pred>,
     shadow_calls: u64,
     monitor_divergences: u64,
     policy_divergences: u64,
     // -- cutover / rollback bookkeeping --------------------------------
-    pre_values: Vec<(String, PreValue)>,
+    /// Pre-cutover values captured for rollback (`None`: absent).
+    pre_values: Vec<(String, Option<SnapValue>)>,
     baseline_brownout: i64,
     probation_target: u64,
     probation_healthy: u64,
@@ -242,10 +219,10 @@ impl LiveUpgrade {
             new_version: broker.model_version() + 1,
             phase: UpgradePhase::Shadow,
             classified,
-            shadow_monitors: MonitorSet::compile(&monitor_specs(candidate))?,
+            shadow_monitors: MonitorSet::compile(&read(candidate).monitors)?,
             shadow_memory: BTreeMap::new(),
-            candidate_policies: policy_exprs(candidate)?,
-            live_policies: policy_exprs(old)?,
+            candidate_policies: policies(candidate),
+            live_policies: policies(old),
             shadow_calls: 0,
             monitor_divergences: 0,
             policy_divergences: 0,
@@ -305,7 +282,7 @@ impl LiveUpgrade {
         }
         for (name, cand) in &self.candidate_policies {
             if let Some(live) = self.live_policies.get(name) {
-                let diverged = match (state.eval(live), state.eval(cand)) {
+                let diverged = match (live.eval(state), cand.eval(state)) {
                     (Ok(a), Ok(b)) => a != b,
                     (Err(_), Err(_)) => false,
                     _ => true,
@@ -330,12 +307,9 @@ impl LiveUpgrade {
         if let Some(ctrl) = AdmissionController::from_model(&self.candidate) {
             let mut scratch = StateManager::new();
             ctrl.seed_state(&mut scratch);
-            for (key, value) in &scratch.snapshot().vars {
-                if live.int(key).is_none() && live.str(key).is_none() {
-                    plan.push(match value {
-                        SnapValue::Int(i) => MigrationWrite::SetInt(key.clone(), *i),
-                        SnapValue::Str(s) => MigrationWrite::SetStr(key.clone(), s.clone()),
-                    });
+            for (key, value) in scratch.snapshot().vars {
+                if live.value(&key).is_none() {
+                    plan.push((key, Some(value)));
                 }
             }
         }
@@ -351,26 +325,27 @@ impl LiveUpgrade {
                 continue;
             }
             let value = self.candidate.attr_str(m, "value").unwrap_or_default();
-            plan.push(if value.is_empty() {
-                MigrationWrite::Unset(key)
+            let value = if value.is_empty() {
+                None
             } else if let Ok(i) = value.parse::<i64>() {
-                MigrationWrite::SetInt(key, i)
+                Some(SnapValue::Int(i))
             } else {
-                MigrationWrite::SetStr(key, value.to_owned())
-            });
+                Some(SnapValue::Str(value.to_owned()))
+            };
+            plan.push((key, value));
         }
         // Monitor memory carryover: a monitor the candidate keeps (same
         // name, same property) keeps its latches and temporal cells; one
         // the candidate removed or re-defined has its memory retired so
         // stale cells can't confuse the new property.
-        let cand: BTreeMap<String, String> = monitor_specs(&self.candidate).into_iter().collect();
-        for (name, property) in monitor_specs(&self.old) {
+        let cand: BTreeMap<String, String> = read(&self.candidate).monitors.into_iter().collect();
+        for (name, property) in read(&self.old).monitors {
             if cand.get(&name) == Some(&property) {
                 continue;
             }
             for key in [trip_key(&name), period_key(&name), owner_key(&name)] {
-                if live.int(&key).is_some() || live.str(&key).is_some() {
-                    plan.push(MigrationWrite::Unset(key));
+                if live.value(&key).is_some() {
+                    plan.push((key, None));
                 }
             }
         }
@@ -422,9 +397,9 @@ impl LiveUpgrade {
         // Capture the pre-value of every key the cutover (or a probation
         // window under the candidate's monitors) can touch, so rollback
         // restores exactly the migration-affected keys and nothing else.
-        let mut keys: BTreeSet<String> = plan.iter().map(|w| w.key().to_owned()).collect();
+        let mut keys: BTreeSet<String> = plan.iter().map(|(k, _)| k.clone()).collect();
         keys.insert(TRIP_COUNTER_KEY.to_owned());
-        for (name, _) in monitor_specs(&self.candidate) {
+        for (name, _) in read(&self.candidate).monitors {
             keys.insert(trip_key(&name));
             keys.insert(period_key(&name));
             keys.insert(owner_key(&name));
@@ -432,7 +407,7 @@ impl LiveUpgrade {
         self.pre_values = keys
             .into_iter()
             .map(|k| {
-                let v = capture(broker.state(), &k);
+                let v = broker.state().value(&k).cloned();
                 (k, v)
             })
             .collect();
@@ -440,12 +415,8 @@ impl LiveUpgrade {
         broker.adopt_model(&self.candidate)?;
         let tag = self.tag.clone();
         let version = broker.commit_upgrade(self.new_version, &tag, &mut |state| {
-            for w in &plan {
-                match w {
-                    MigrationWrite::SetStr(k, v) => state.set_str(k, v),
-                    MigrationWrite::SetInt(k, v) => state.set_int(k, *v),
-                    MigrationWrite::Unset(k) => state.unset(k),
-                }
+            for (key, value) in &plan {
+                state.put_value(key, value.as_ref());
             }
         })?;
         self.baseline_brownout = broker.state().int("brownout_level").unwrap_or(0);
@@ -523,22 +494,8 @@ impl LiveUpgrade {
             // Compare before writing: `unset` on an absent key still
             // records an op, and a no-op `set_*` would churn the LSN.
             for (key, pre) in &pre_values {
-                match pre {
-                    PreValue::Int(i) => {
-                        if state.int(key) != Some(*i) {
-                            state.set_int(key, *i);
-                        }
-                    }
-                    PreValue::Str(s) => {
-                        if state.str(key) != Some(s.as_str()) {
-                            state.set_str(key, s);
-                        }
-                    }
-                    PreValue::Absent => {
-                        if state.int(key).is_some() || state.str(key).is_some() {
-                            state.unset(key);
-                        }
-                    }
+                if state.value(key) != pre.as_ref() {
+                    state.put_value(key, pre.as_ref());
                 }
             }
         })?;

@@ -13,10 +13,13 @@
 //!   layer interface, plus specialized managers for state, policy,
 //!   autonomic, and resource management, with `Handler`s selecting
 //!   `Action`s for calls and events.
-//! * [`state`] — the state manager: the layer's runtime model, stored as a
-//!   (what else) model, so policies can be evaluated against it with the
-//!   OCL-lite engine.
-//! * [`engine`] — the generic broker: dispatches calls/events to handlers,
+//! * [`state`] — the state manager: the layer's runtime model, one state
+//!   object whose variables live in slots resolved at load.
+//! * [`pred`] — the one predicate compiler: policy guards, monitor
+//!   properties and autonomic symptoms compile into slot reads, with the
+//!   OCL-lite interpreter as semantic authority and fallback.
+//! * [`engine`] — the generic broker: compiles its model into call tables
+//!   at load, dispatches calls/events to handlers,
 //!   selects actions by policy guard, executes them against the simulated
 //!   [`ResourceHub`](mddsm_sim::ResourceHub), and tracks failures.
 //! * [`autonomic`] — the autonomic manager: a MAPE-K loop over model-defined
@@ -55,6 +58,7 @@ pub mod evolution;
 pub mod journal;
 pub mod model;
 pub mod monitor;
+pub mod pred;
 pub mod replication;
 pub mod state;
 pub mod supervisor;

@@ -7,6 +7,8 @@
 //! engineer "models a configuration of the Broker layer by instantiating
 //! and appropriately initializing the elements of this metamodel" (§V-A).
 
+use crate::admission::AdmissionClassSpec;
+use mddsm_meta::constraint::{self, Expr};
 use mddsm_meta::metamodel::{DataType, Metamodel, MetamodelBuilder, Multiplicity};
 use mddsm_meta::model::{Model, ObjectId};
 use mddsm_meta::Value;
@@ -276,6 +278,183 @@ impl Resilience {
     pub fn with_fallback(mut self, action: &str) -> Self {
         self.fallback = Some(action.to_owned());
         self
+    }
+}
+
+/// Whether a handler serves upper-layer calls or resource events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HandlerKind {
+    Call,
+    Event,
+}
+
+/// One `Action` as its model declares it.
+#[derive(Debug, Clone)]
+pub(crate) struct ActionSpec {
+    pub(crate) name: String,
+    /// Logical resource, bound to a hub resource by a `ResourceBinding`.
+    pub(crate) resource: String,
+    pub(crate) operation: String,
+    /// `k=v` argument mappings; `$x` reads call argument `x`.
+    pub(crate) arg_mapping: Vec<(String, String)>,
+    /// The policy the action guards on.
+    pub(crate) guard: Option<String>,
+    pub(crate) state_effects: Vec<String>,
+    pub(crate) resilience: Resilience,
+    /// Work cost in virtual µs (`costUs`), billed to the action's
+    /// admission class; 0 = uncontrolled.
+    pub(crate) cost_us: u64,
+    /// The admission class billed; the caller's when absent.
+    pub(crate) admission_class: Option<String>,
+}
+
+/// One `Handler` with its actions in declaration order.
+#[derive(Debug, Clone)]
+pub(crate) struct HandlerSpec {
+    pub(crate) name: String,
+    /// `None` when `kind` is no `HandlerKind` literal.
+    pub(crate) kind: Option<HandlerKind>,
+    pub(crate) selector: String,
+    pub(crate) actions: Vec<ActionSpec>,
+}
+
+/// A named OCL-lite expression (a policy, a symptom condition), parsed.
+#[derive(Debug, Clone)]
+pub(crate) struct ExprSpec {
+    pub(crate) name: String,
+    pub(crate) source: String,
+    /// The expression, or the parse error's text.
+    pub(crate) expr: std::result::Result<Expr, String>,
+}
+
+/// What the engine and the analyzer read of a broker model, once.
+#[derive(Debug, Clone)]
+pub(crate) struct ModelSpec {
+    pub(crate) handlers: Vec<HandlerSpec>,
+    pub(crate) policies: Vec<ExprSpec>,
+    /// `(name, hub resource)` per `ResourceBinding`.
+    pub(crate) bindings: Vec<(String, String)>,
+    /// Each `Symptom` with the steps of the first plan of the first
+    /// change request naming it: the autonomic rule join.
+    pub(crate) symptoms: Vec<(ExprSpec, Vec<String>)>,
+    /// `(name, symptom)` per `ChangeRequest`.
+    pub(crate) requests: Vec<(String, String)>,
+    /// `(name, request, steps)` per `ChangePlan`.
+    pub(crate) plans: Vec<(String, String, Vec<String>)>,
+    /// `(name, property)` per `Monitor`.
+    pub(crate) monitors: Vec<(String, String)>,
+    /// `(name, enter steps, exit steps)` per `BrownoutMode`.
+    pub(crate) brownouts: Vec<(String, Vec<String>, Vec<String>)>,
+    pub(crate) classes: Vec<AdmissionClassSpec>,
+}
+
+/// Reads the parts of `model` the engine and the analyzer share.
+pub(crate) fn read(model: &Model) -> ModelSpec {
+    let text = |id: ObjectId, name: &str| model.attr_str(id, name).unwrap_or_default().to_owned();
+    let texts = |id: ObjectId, name: &str| -> Vec<String> {
+        let values = model.attr_all(id, name).iter();
+        values
+            .filter_map(|v| Some(v.as_str()?.to_owned()))
+            .collect()
+    };
+    let parsed = |id: ObjectId, attr: &str| {
+        let source = text(id, attr);
+        ExprSpec {
+            name: text(id, "name"),
+            expr: constraint::parse(&source).map_err(|e| e.to_string()),
+            source,
+        }
+    };
+    let uint = |id: ObjectId, name: &str| model.attr_int(id, name).unwrap_or(0).max(0) as u64;
+    let action = |a: ObjectId| {
+        let int_attr = |name: &str| uint(a, name);
+        ActionSpec {
+            name: text(a, "name"),
+            resource: text(a, "resource"),
+            operation: text(a, "operation"),
+            arg_mapping: texts(a, "argMapping")
+                .iter()
+                .filter_map(|m| m.split_once('='))
+                .map(|(k, v)| (k.to_owned(), v.to_owned()))
+                .collect(),
+            guard: model.attr_str(a, "guard").map(str::to_owned),
+            state_effects: texts(a, "stateEffects"),
+            resilience: Resilience {
+                max_retries: int_attr("maxRetries") as u32,
+                backoff_ms: int_attr("backoffMs"),
+                timeout_ms: int_attr("timeoutMs"),
+                breaker_threshold: int_attr("breakerThreshold") as u32,
+                breaker_cooldown_ms: int_attr("breakerCooldownMs"),
+                fallback: model.attr_str(a, "fallback").map(str::to_owned),
+            },
+            cost_us: int_attr("costUs"),
+            admission_class: model.attr_str(a, "admissionClass").map(str::to_owned),
+        }
+    };
+    let all = |class: &str| model.all_of_class(class).into_iter();
+    let handlers = all("Handler")
+        .map(|h| HandlerSpec {
+            name: text(h, "name"),
+            kind: match model.attr(h, "kind").and_then(|v| v.as_enum_literal()) {
+                Some("Call") => Some(HandlerKind::Call),
+                Some("Event") => Some(HandlerKind::Event),
+                _ => None,
+            },
+            selector: text(h, "selector"),
+            actions: model
+                .refs(h, "actions")
+                .iter()
+                .map(|&a| action(a))
+                .collect(),
+        })
+        .collect();
+    let requests: Vec<(String, String)> = all("ChangeRequest")
+        .map(|r| (text(r, "name"), text(r, "symptom")))
+        .collect();
+    let plans: Vec<(String, String, Vec<String>)> = all("ChangePlan")
+        .map(|p| (text(p, "name"), text(p, "request"), texts(p, "steps")))
+        .collect();
+    let symptoms = all("Symptom")
+        .map(|s| {
+            let condition = parsed(s, "condition");
+            let steps = requests
+                .iter()
+                .find(|(_, symptom)| *symptom == condition.name)
+                .and_then(|(r, _)| plans.iter().find(|(_, request, _)| request == r))
+                .map(|(_, _, steps)| steps.clone());
+            (condition, steps.unwrap_or_default())
+        })
+        .collect();
+    ModelSpec {
+        handlers,
+        policies: all("Policy").map(|p| parsed(p, "expression")).collect(),
+        bindings: all("ResourceBinding")
+            .map(|b| (text(b, "name"), text(b, "resource")))
+            .collect(),
+        symptoms,
+        requests,
+        plans,
+        monitors: all("Monitor")
+            .map(|m| (text(m, "name"), text(m, "property")))
+            .collect(),
+        classes: all("AdmissionClass")
+            .map(|c| AdmissionClassSpec {
+                name: text(c, "name"),
+                rate_us_per_ms: uint(c, "rateUsPerMs"),
+                burst_us: uint(c, "burstUs"),
+                queue_bound_us: uint(c, "queueBoundUs"),
+                deadline_us: uint(c, "deadlineUs"),
+            })
+            .collect(),
+        brownouts: all("BrownoutMode")
+            .map(|m| {
+                (
+                    text(m, "name"),
+                    texts(m, "enterSteps"),
+                    texts(m, "exitSteps"),
+                )
+            })
+            .collect(),
     }
 }
 
@@ -687,7 +866,7 @@ impl BrokerModelBuilder {
     /// (Historically both were accepted silently and only surfaced as
     /// runtime misbehavior.)
     pub fn try_build(self) -> crate::Result<Model> {
-        let report = crate::analysis::hygiene(&self.model);
+        let report = crate::analysis::hygiene(&self.model, &read(&self.model));
         if let Some(first) = report.errors().next() {
             return Err(crate::BrokerError::InvalidModel(format!(
                 "build hygiene: {first}"

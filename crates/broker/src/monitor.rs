@@ -17,13 +17,10 @@
 //! * **Pre-resolved watched keys.** Each property's `self.<key>`
 //!   navigations are extracted at compile time; a monitor is re-evaluated
 //!   only when a journaled op touches one of its watched keys.
-//! * **Pre-resolved predicates.** Comparisons of `self.<key>` against
-//!   literals (the overwhelmingly common invariant shape) compile to a
-//!   direct-read predicate over the [`StateManager`] — no evaluation
-//!   environment, no expression walk. Anything richer falls back to the
-//!   full OCL-lite evaluator, and so does any fast predicate whose
-//!   operand types do not match the live value, keeping verdicts exactly
-//!   those of [`StateManager::eval`].
+//! * **Pre-resolved predicates.** Every property expression compiles
+//!   through the broker's one predicate compiler, [`crate::pred::Pred`],
+//!   into direct slot reads over the [`StateManager`], with verdicts
+//!   exactly those of [`StateManager::eval`].
 //!
 //! Monitor *memory* (the period/owner cells of `at-most-one`, the tripped
 //! latches) lives in ordinary `mon_*` state variables, so it is journaled,
@@ -36,10 +33,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::state::StateManager;
+use crate::pred::Pred;
+use crate::state::{Key, StateManager};
 use crate::{BrokerError, Result};
 use mddsm_meta::constraint::temporal::{parse_property, Property};
-use mddsm_meta::constraint::{BinOp, Expr, UnOp};
 
 /// State variable counting monitor trips; non-zero latches the broker
 /// into refusing calls until the violation is repaired or rolled back.
@@ -67,185 +64,13 @@ pub struct MonitorTrip {
     pub detail: String,
 }
 
-/// A predicate pre-resolved against the flat state model. The fast forms
-/// read state variables directly; [`Pred::General`] is the full-evaluator
-/// fallback for everything else.
-#[derive(Debug, Clone)]
-enum Pred {
-    /// `self.<key> <cmp> <int literal>`.
-    CmpInt {
-        key: String,
-        op: BinOp,
-        rhs: i64,
-    },
-    /// `self.<key> = "<lit>"` (`eq: false` for `<>`).
-    CmpStr {
-        key: String,
-        eq: bool,
-        rhs: String,
-    },
-    /// `self.<key> = null` (`eq: false` for `<> null`).
-    IsNull {
-        key: String,
-        eq: bool,
-    },
-    Not(Box<Pred>),
-    All(Vec<Pred>),
-    Any(Vec<Pred>),
-    /// Fallback marker: evaluate with the full OCL-lite engine.
-    General,
-}
-
-/// Compiles an expression into a pre-resolved predicate; falls back to
-/// [`Pred::General`] wherever the shape is not a literal comparison.
-fn compile_pred(e: &Expr) -> Pred {
-    match e {
-        Expr::Binary(BinOp::And, a, b) => Pred::All(vec![compile_pred(a), compile_pred(b)]),
-        Expr::Binary(BinOp::Or, a, b) => Pred::Any(vec![compile_pred(a), compile_pred(b)]),
-        Expr::Binary(BinOp::Implies, a, b) => {
-            Pred::Any(vec![Pred::Not(Box::new(compile_pred(a))), compile_pred(b)])
-        }
-        Expr::Unary(UnOp::Not, inner) => Pred::Not(Box::new(compile_pred(inner))),
-        Expr::Binary(op, a, b) => compile_cmp(*op, a, b).unwrap_or(Pred::General),
-        _ => Pred::General,
-    }
-}
-
-/// The `self.<key>` navigated by a one-step navigation expression.
-fn self_key(e: &Expr) -> Option<&str> {
-    match e {
-        Expr::Prop(recv, name) if matches!(recv.as_ref(), Expr::Var(v) if v == "self") => {
-            Some(name)
-        }
-        _ => None,
-    }
-}
-
-/// Mirrors a comparison operator so `lit <op> self.k` becomes
-/// `self.k <mirror(op)> lit`.
-fn mirror(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
-    }
-}
-
-fn compile_cmp(op: BinOp, a: &Expr, b: &Expr) -> Option<Pred> {
-    let (key, op, lit) = match (self_key(a), self_key(b)) {
-        (Some(k), None) => (k.to_owned(), op, b),
-        (None, Some(k)) => (k.to_owned(), mirror(op), a),
-        _ => return None,
-    };
-    match lit {
-        Expr::Null if op == BinOp::Eq => Some(Pred::IsNull { key, eq: true }),
-        Expr::Null if op == BinOp::Neq => Some(Pred::IsNull { key, eq: false }),
-        Expr::Lit(v) => {
-            if let Some(i) = v.as_int() {
-                matches!(
-                    op,
-                    BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-                )
-                .then_some(Pred::CmpInt { key, op, rhs: i })
-            } else if let Some(s) = v.as_str() {
-                match op {
-                    BinOp::Eq => Some(Pred::CmpStr {
-                        key,
-                        eq: true,
-                        rhs: s.to_owned(),
-                    }),
-                    BinOp::Neq => Some(Pred::CmpStr {
-                        key,
-                        eq: false,
-                        rhs: s.to_owned(),
-                    }),
-                    _ => None,
-                }
-            } else {
-                None
-            }
-        }
-        _ => None,
-    }
-}
-
-impl Pred {
-    /// Evaluates the predicate against the live state. `fallback` is the
-    /// whole property expression, used whenever a fast form cannot decide
-    /// exactly (missing variable, type mismatch): the full evaluator is
-    /// the semantic authority, the fast path only a shortcut.
-    fn eval(&self, state: &StateManager, fallback: &Expr) -> Result<bool> {
-        match self.try_eval(state) {
-            Some(v) => Ok(v),
-            None => state.eval(fallback),
-        }
-    }
-
-    /// Fast evaluation; `None` means "defer to the full evaluator".
-    fn try_eval(&self, state: &StateManager) -> Option<bool> {
-        match self {
-            Pred::CmpInt { key, op, rhs } => {
-                let v = state.int(key)?;
-                Some(match op {
-                    BinOp::Eq => v == *rhs,
-                    BinOp::Neq => v != *rhs,
-                    BinOp::Lt => v < *rhs,
-                    BinOp::Le => v <= *rhs,
-                    BinOp::Gt => v > *rhs,
-                    BinOp::Ge => v >= *rhs,
-                    _ => return None,
-                })
-            }
-            Pred::CmpStr { key, eq, rhs } => {
-                let v = state.str(key)?;
-                Some((v == rhs) == *eq)
-            }
-            Pred::IsNull { key, eq } => {
-                let present = state.str(key).is_some() || state.int(key).is_some();
-                Some(present != *eq)
-            }
-            Pred::Not(p) => p.try_eval(state).map(|v| !v),
-            Pred::All(ps) => {
-                let mut all = true;
-                for p in ps {
-                    match p.try_eval(state) {
-                        Some(true) => {}
-                        Some(false) => all = false,
-                        None => return None,
-                    }
-                }
-                Some(all)
-            }
-            Pred::Any(ps) => {
-                let mut any = false;
-                for p in ps {
-                    match p.try_eval(state) {
-                        Some(true) => any = true,
-                        Some(false) => {}
-                        None => return None,
-                    }
-                }
-                Some(any)
-            }
-            Pred::General => None,
-        }
-    }
-}
-
 /// The compiled (pre-resolved) form of one property.
 #[derive(Debug, Clone)]
 enum CompiledProperty {
-    Always {
-        pred: Pred,
-        expr: Expr,
-    },
+    Always(Pred),
     NeverDuring {
         never: Pred,
-        never_expr: Expr,
         during: Pred,
-        during_expr: Expr,
     },
     AtMostOnePer {
         key: String,
@@ -264,7 +89,7 @@ pub struct CompiledMonitor {
     property: CompiledProperty,
     watched: Vec<String>,
     /// Pre-rendered tripped-latch key — the hot path must not `format!`.
-    trip_key: String,
+    trip_key: Key,
 }
 
 impl CompiledMonitor {
@@ -277,15 +102,10 @@ impl CompiledMonitor {
         })?;
         let watched = property.watched_keys();
         let property = match property {
-            Property::Always(expr) => CompiledProperty::Always {
-                pred: compile_pred(&expr),
-                expr,
-            },
+            Property::Always(expr) => CompiledProperty::Always(Pred::new(expr)),
             Property::NeverDuring { never, during } => CompiledProperty::NeverDuring {
-                never: compile_pred(&never),
-                during: compile_pred(&during),
-                never_expr: never,
-                during_expr: during,
+                never: Pred::new(never),
+                during: Pred::new(during),
             },
             Property::AtMostOnePer { key, per } => CompiledProperty::AtMostOnePer {
                 period_key: period_key(name),
@@ -299,7 +119,7 @@ impl CompiledMonitor {
             source: source.to_owned(),
             property,
             watched,
-            trip_key: trip_key(name),
+            trip_key: Key::new(trip_key(name)),
         })
     }
 
@@ -321,7 +141,7 @@ impl CompiledMonitor {
     /// The journaled tripped-latch state variable of this monitor
     /// (pre-rendered at compile time).
     pub fn trip_key(&self) -> &str {
-        &self.trip_key
+        self.trip_key.name()
     }
 
     fn watches_any(&self, dirty: &[&str]) -> bool {
@@ -337,57 +157,17 @@ impl CompiledMonitor {
         state: &StateManager,
         memory: &dyn Fn(&str) -> Option<String>,
     ) -> (Option<String>, Vec<(String, String)>) {
-        match &self.property {
-            CompiledProperty::Always { pred, expr } => match pred.eval(state, expr) {
-                Ok(true) => (None, Vec::new()),
-                Ok(false) => (
-                    Some(format!("invariant `{}` does not hold", self.source)),
-                    Vec::new(),
-                ),
-                Err(e) => (
-                    Some(format!(
-                        "invariant `{}` failed to evaluate: {e}",
-                        self.source
-                    )),
-                    Vec::new(),
-                ),
-            },
-            CompiledProperty::NeverDuring {
-                never,
-                never_expr,
-                during,
-                during_expr,
-            } => {
-                let d = match during.eval(state, during_expr) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        return (
-                            Some(format!(
-                                "property `{}` failed to evaluate: {e}",
-                                self.source
-                            )),
-                            Vec::new(),
-                        )
-                    }
-                };
-                if !d {
-                    return (None, Vec::new());
-                }
-                match never.eval(state, never_expr) {
-                    Ok(false) => (None, Vec::new()),
-                    Ok(true) => (
-                        Some(format!("property `{}` is violated", self.source)),
-                        Vec::new(),
-                    ),
-                    Err(e) => (
-                        Some(format!(
-                            "property `{}` failed to evaluate: {e}",
-                            self.source
-                        )),
-                        Vec::new(),
-                    ),
-                }
+        let (kind, violated, verdict) = match &self.property {
+            CompiledProperty::Always(pred) => {
+                ("invariant", "does not hold", pred.eval(state).map(|v| !v))
             }
+            CompiledProperty::NeverDuring { never, during } => (
+                "property",
+                "is violated",
+                during
+                    .eval(state)
+                    .and_then(|d| if d { never.eval(state) } else { Ok(false) }),
+            ),
             CompiledProperty::AtMostOnePer {
                 key,
                 per,
@@ -416,9 +196,15 @@ impl CompiledMonitor {
                     );
                     return (Some(detail), Vec::new());
                 }
-                (None, Vec::new())
+                return (None, Vec::new());
             }
-        }
+        };
+        let violation = match verdict {
+            Ok(false) => None,
+            Ok(true) => Some(format!("{kind} `{}` {violated}", self.source)),
+            Err(e) => Some(format!("{kind} `{}` failed to evaluate: {e}", self.source)),
+        };
+        (violation, Vec::new())
     }
 }
 
@@ -437,9 +223,20 @@ fn render(state: &StateManager, key: &str) -> String {
 }
 
 /// An ordered set of compiled monitors sharing one stream of states.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MonitorSet {
     monitors: Vec<CompiledMonitor>,
+    /// [`TRIP_COUNTER_KEY`].
+    trips: Key,
+}
+
+impl Default for MonitorSet {
+    fn default() -> Self {
+        MonitorSet {
+            monitors: Vec::new(),
+            trips: Key::new(TRIP_COUNTER_KEY),
+        }
+    }
 }
 
 impl MonitorSet {
@@ -449,17 +246,22 @@ impl MonitorSet {
             .iter()
             .map(|(n, s)| CompiledMonitor::compile(n.as_ref(), s.as_ref()))
             .collect::<Result<Vec<_>>>()?;
-        Ok(MonitorSet { monitors })
+        Ok(MonitorSet {
+            monitors,
+            ..MonitorSet::default()
+        })
     }
 
     /// Compiles bare invariant strings; each monitor is named by its
     /// source, so violation reports read like the invariant.
     pub fn from_invariants(invariants: &[&str]) -> Result<MonitorSet> {
-        let monitors = invariants
-            .iter()
-            .map(|inv| CompiledMonitor::compile(inv, inv))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(MonitorSet { monitors })
+        let specs: Vec<(&str, &str)> = invariants.iter().map(|inv| (*inv, *inv)).collect();
+        MonitorSet::compile(&specs)
+    }
+
+    /// `true` while any monitor's trip is latched in `state`.
+    pub fn latched(&self, state: &StateManager) -> bool {
+        state.int(&self.trips).unwrap_or(0) != 0
     }
 
     /// No monitors compiled.
@@ -486,12 +288,12 @@ impl MonitorSet {
     /// until their latch is cleared (by repair or rollback).
     pub fn check_live(&self, state: &mut StateManager, dirty: &[&str]) -> Vec<MonitorTrip> {
         let mut trips = Vec::new();
-        let any_latched = state.int(TRIP_COUNTER_KEY).unwrap_or(0) != 0;
+        let any_latched = self.latched(state);
         for m in &self.monitors {
             if !m.watches_any(dirty) {
                 continue;
             }
-            if let Some(trip) = live_step(m, state, any_latched) {
+            if let Some(trip) = live_step(m, state, any_latched, &self.trips) {
                 trips.push(trip);
             }
         }
@@ -506,7 +308,7 @@ impl MonitorSet {
     /// over the pre-existing dirty set.
     pub fn check_live_pending(&self, state: &mut StateManager) -> Vec<MonitorTrip> {
         let mut trips = Vec::new();
-        let any_latched = state.int(TRIP_COUNTER_KEY).unwrap_or(0) != 0;
+        let any_latched = self.latched(state);
         for m in &self.monitors {
             let hit = state
                 .pending_ops()
@@ -515,7 +317,7 @@ impl MonitorSet {
             if !hit {
                 continue;
             }
-            if let Some(trip) = live_step(m, state, any_latched) {
+            if let Some(trip) = live_step(m, state, any_latched, &self.trips) {
                 trips.push(trip);
             }
         }
@@ -537,7 +339,7 @@ impl MonitorSet {
             if !m.watches_any(dirty) {
                 continue;
             }
-            if shadow.contains_key(&m.trip_key) {
+            if shadow.contains_key(m.trip_key()) {
                 continue;
             }
             let (violation, writes) = m.evaluate(state, &|k| shadow.get(k).cloned());
@@ -545,7 +347,7 @@ impl MonitorSet {
                 shadow.insert(k, v);
             }
             if let Some(detail) = violation {
-                shadow.insert(m.trip_key.clone(), "1".to_owned());
+                shadow.insert(m.trip_key().to_owned(), "1".to_owned());
                 trips.push(MonitorTrip {
                     monitor: m.name.clone(),
                     detail,
@@ -559,7 +361,7 @@ impl MonitorSet {
     /// or rolled back the violation) so monitoring resumes.
     pub fn clear_observed_trips(&self, shadow: &mut BTreeMap<String, String>) {
         for m in &self.monitors {
-            shadow.remove(&m.trip_key);
+            shadow.remove(m.trip_key());
         }
     }
 
@@ -610,6 +412,7 @@ fn live_step(
     m: &CompiledMonitor,
     state: &mut StateManager,
     any_latched: bool,
+    trips: &Key,
 ) -> Option<MonitorTrip> {
     if any_latched && state.str(&m.trip_key).is_some() {
         return None;
@@ -623,7 +426,7 @@ fn live_step(
     }
     violation.map(|detail| {
         state.set_str(&m.trip_key, "1");
-        state.bump(TRIP_COUNTER_KEY, 1);
+        state.bump(trips, 1);
         MonitorTrip {
             monitor: m.name.clone(),
             detail,
@@ -796,42 +599,6 @@ mod tests {
             other => panic!("expected MonitorParse, got {other:?}"),
         }
         assert!(MonitorSet::compile(&[("bad", "never self.x = 1")]).is_err());
-    }
-
-    #[test]
-    fn fast_predicates_agree_with_the_full_evaluator() {
-        // Shapes the fast path handles, evaluated both ways.
-        let cases = [
-            "self.n >= 0",
-            "self.n < 10",
-            "0 <= self.n",
-            "self.mode = \"direct\"",
-            "self.mode <> \"relay\"",
-            "self.gone = null",
-            "self.n <> null",
-            "self.n >= 0 and self.mode = \"direct\"",
-            "self.n < 0 or self.mode = \"direct\"",
-            "self.n > 100 implies self.mode = \"relay\"",
-            "not (self.n > 100)",
-            // And one the fast path cannot handle (falls back).
-            "self.n + 1 > self.m",
-        ];
-        let mut s = StateManager::new();
-        s.set_int("n", 5);
-        s.set_int("m", 3);
-        s.set_str("mode", "direct");
-        for src in cases {
-            let expr = mddsm_meta::constraint::parse(src).unwrap();
-            let pred = compile_pred(&expr);
-            let slow = s.eval(&expr).unwrap();
-            let fast = pred.eval(&s, &expr).unwrap();
-            assert_eq!(fast, slow, "fast/slow disagree on `{src}`");
-        }
-        // Missing variable: fast path must defer, not guess.
-        let expr = mddsm_meta::constraint::parse("self.absent >= 0").unwrap();
-        let pred = compile_pred(&expr);
-        assert!(pred.try_eval(&s).is_none());
-        assert_eq!(pred.eval(&s, &expr).ok(), s.eval(&expr).ok());
     }
 
     #[test]

@@ -1,16 +1,22 @@
 //! The state manager: the Broker layer's runtime model.
 //!
 //! The Fig. 6 `StateManager` "stores and manipulates the layer's
-//! runtime model". True to MD-DSM, the runtime state *is a model*: a single
-//! `State` object whose attribute slots hold the state variables, so
-//! policies and autonomic symptoms are plain OCL-lite expressions evaluated
-//! with `self` bound to that object.
+//! runtime model". The runtime state is one `State` object whose attribute
+//! slots hold the state variables, so policies and autonomic symptoms are
+//! plain OCL-lite expressions evaluated with `self` bound to that object.
+//! The slots live in a vector behind a name table, seeded at load with
+//! every variable the model may write: access through a [`Key`] reads the
+//! slot without a name lookup, and [`crate::pred`] compiles predicates
+//! into such reads. The OCL-lite interpreter sees the slots through a
+//! one-object model built only when a predicate falls back to it.
 
 use crate::{BrokerError, Result};
 use mddsm_meta::constraint::{eval_bool, EvalEnv, Expr};
 use mddsm_meta::metamodel::Metamodel;
-use mddsm_meta::model::{Model, ObjectId};
+use mddsm_meta::model::Model;
 use mddsm_meta::Value;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One journaled primitive mutation of the runtime model. The `lsn` is the
 /// [`StateManager::version`] value *after* the write — versions bump by one
@@ -84,14 +90,67 @@ pub enum SnapValue {
     Int(i64),
 }
 
+/// A state variable's name plus the slot it was last found at: the first
+/// access through a key looks the name up, later ones go straight to the
+/// slot while it still holds that name.
+#[derive(Debug)]
+pub struct Key {
+    name: String,
+    // Relaxed is enough: the slot is a hint that every access checks
+    // against the name, and it publishes no other data.
+    slot: AtomicUsize,
+}
+
+impl Key {
+    /// A key that has found no slot yet.
+    pub fn new(name: impl Into<String>) -> Key {
+        Key {
+            name: name.into(),
+            slot: AtomicUsize::new(usize::MAX),
+        }
+    }
+
+    /// The variable's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+impl Clone for Key {
+    fn clone(&self) -> Key {
+        Key {
+            name: self.name.clone(),
+            slot: AtomicUsize::new(self.slot.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+/// What names a state variable: any string, or a [`Key`].
+pub trait Var {
+    /// The name, and the key caching its slot when there is one.
+    fn var(&self) -> (&str, Option<&Key>);
+}
+
+impl<T: AsRef<str> + ?Sized> Var for T {
+    fn var(&self) -> (&str, Option<&Key>) {
+        (self.as_ref(), None)
+    }
+}
+
+impl Var for Key {
+    fn var(&self) -> (&str, Option<&Key>) {
+        (&self.name, Some(self))
+    }
+}
+
 /// The Broker layer's mutable runtime state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StateManager {
-    model: Model,
-    state_obj: ObjectId,
-    // Empty metamodel: state attribute slots resolve through the raw-slot
-    // fallback of the constraint evaluator.
-    mm: Metamodel,
+    /// Slot -> (name, value); an unset variable keeps its slot with no
+    /// value, so resolved keys stay valid.
+    slots: Vec<(String, Option<SnapValue>)>,
+    /// Name -> slot, in key order: the order snapshots list variables in.
+    index: BTreeMap<String, usize>,
     version: u64,
     /// When `true`, every primitive write is mirrored into `pending` for a
     /// journal to drain; off by default so unjournaled managers pay nothing.
@@ -99,26 +158,10 @@ pub struct StateManager {
     pending: Vec<StateOp>,
 }
 
-impl Default for StateManager {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl StateManager {
-    /// Creates an empty state. Infallible: the empty metamodel is trivially
-    /// well-formed, so no failure path (and no panic path) exists.
+    /// Creates an empty state.
     pub fn new() -> Self {
-        let mut model = Model::new("mddsm.broker.state");
-        let state_obj = model.create("State");
-        StateManager {
-            model,
-            state_obj,
-            mm: Metamodel::empty("mddsm.broker.state"),
-            version: 0,
-            recording: false,
-            pending: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Turns journaling support on or off: while on, primitive writes are
@@ -142,86 +185,122 @@ impl StateManager {
         &self.pending
     }
 
-    /// Stores `value` in `key`'s slot, overwriting an existing slot in
-    /// place: rewriting a variable allocates neither a key nor a slot.
-    fn put(&mut self, key: &str, value: Value) {
-        let Ok(obj) = self.model.object_mut(self.state_obj) else {
-            return;
-        };
-        match obj.attrs.get_mut(key) {
-            Some(slot) => {
-                slot.clear();
-                slot.push(value);
-            }
-            None => {
-                obj.attrs.insert(key.to_owned(), vec![value]);
-            }
+    /// The slot `var` names, if its name has one.
+    fn find<K: Var + ?Sized>(&self, var: &K) -> Option<usize> {
+        let (name, key) = var.var();
+        let hint = key.map_or(usize::MAX, |k| k.slot.load(Ordering::Relaxed));
+        if self.slots.get(hint).is_some_and(|(n, _)| n == name) {
+            return Some(hint);
         }
+        let i = *self.index.get(name)?;
+        key.inspect(|k| k.slot.store(i, Ordering::Relaxed));
+        Some(i)
     }
 
-    /// Applies `op`'s write to the state object; the version is the
-    /// caller's to advance.
-    fn write(&mut self, op: &StateOp) {
-        match op {
-            StateOp::SetStr { key, value, .. } => self.put(key, Value::from(value.as_str())),
-            StateOp::SetInt { key, value, .. } => self.put(key, Value::from(*value)),
-            StateOp::Unset { key, .. } => self.model.unset_attr(self.state_obj, key),
+    /// The slot `var` names, created unset when its name is new. A new
+    /// slot is not a write: versions, recorded ops and snapshots do not
+    /// see it.
+    pub(crate) fn slot<K: Var + ?Sized>(&mut self, var: &K) -> usize {
+        if let Some(i) = self.find(var) {
+            return i;
         }
+        let (name, key) = var.var();
+        let i = self.slots.len();
+        self.slots.push((name.to_owned(), None));
+        self.index.insert(name.to_owned(), i);
+        key.inspect(|k| k.slot.store(i, Ordering::Relaxed));
+        i
+    }
+
+    /// The value `var` holds, if set.
+    pub(crate) fn value<K: Var + ?Sized>(&self, var: &K) -> Option<&SnapValue> {
+        self.find(var).and_then(|i| self.slots[i].1.as_ref())
+    }
+
+    /// Stores `value` in `var`'s slot; `None` unsets it.
+    fn put<K: Var + ?Sized>(&mut self, var: &K, value: Option<SnapValue>) {
+        let i = self.slot(var);
+        self.slots[i].1 = value;
+    }
+
+    /// Applies `op`'s write to the slots; the version is the caller's to
+    /// advance.
+    fn write(&mut self, op: &StateOp) {
+        let (key, value) = match op {
+            StateOp::SetStr { key, value, .. } => (key, Some(SnapValue::Str(value.clone()))),
+            StateOp::SetInt { key, value, .. } => (key, Some(SnapValue::Int(*value))),
+            StateOp::Unset { key, .. } => (key, None),
+        };
+        self.put(key, value);
     }
 
     /// Sets a string variable.
-    pub fn set_str(&mut self, key: &str, value: &str) {
-        self.put(key, Value::from(value));
+    pub fn set_str<K: Var + ?Sized>(&mut self, key: &K, value: &str) {
+        self.put(key, Some(SnapValue::Str(value.to_owned())));
         self.version += 1;
         if self.recording {
             self.pending.push(StateOp::SetStr {
                 lsn: self.version,
-                key: key.to_owned(),
+                key: key.var().0.to_owned(),
                 value: value.to_owned(),
             });
         }
     }
 
     /// Sets an integer variable.
-    pub fn set_int(&mut self, key: &str, value: i64) {
-        self.put(key, Value::from(value));
+    pub fn set_int<K: Var + ?Sized>(&mut self, key: &K, value: i64) {
+        self.put(key, Some(SnapValue::Int(value)));
         self.version += 1;
         if self.recording {
             self.pending.push(StateOp::SetInt {
                 lsn: self.version,
-                key: key.to_owned(),
+                key: key.var().0.to_owned(),
                 value,
             });
         }
     }
 
     /// Adds `delta` to an integer variable (0 when unset).
-    pub fn bump(&mut self, key: &str, delta: i64) -> i64 {
-        let cur = self.int(key).unwrap_or(0);
-        let next = cur + delta;
+    pub fn bump<K: Var + ?Sized>(&mut self, key: &K, delta: i64) -> i64 {
+        let next = self.int(key).unwrap_or(0) + delta;
         self.set_int(key, next);
         next
     }
 
     /// Reads a string variable.
-    pub fn str(&self, key: &str) -> Option<&str> {
-        self.model.attr_str(self.state_obj, key)
+    pub fn str<K: Var + ?Sized>(&self, key: &K) -> Option<&str> {
+        match self.value(key)? {
+            SnapValue::Str(s) => Some(s),
+            SnapValue::Int(_) => None,
+        }
     }
 
     /// Reads an integer variable.
-    pub fn int(&self, key: &str) -> Option<i64> {
-        self.model.attr_int(self.state_obj, key)
+    pub fn int<K: Var + ?Sized>(&self, key: &K) -> Option<i64> {
+        match self.value(key)? {
+            SnapValue::Int(i) => Some(*i),
+            SnapValue::Str(_) => None,
+        }
     }
 
     /// Removes a variable.
-    pub fn unset(&mut self, key: &str) {
-        self.model.unset_attr(self.state_obj, key);
+    pub fn unset<K: Var + ?Sized>(&mut self, key: &K) {
+        self.put(key, None);
         self.version += 1;
         if self.recording {
             self.pending.push(StateOp::Unset {
                 lsn: self.version,
-                key: key.to_owned(),
+                key: key.var().0.to_owned(),
             });
+        }
+    }
+
+    /// Writes `value` into `key`; `None` unsets it.
+    pub(crate) fn put_value(&mut self, key: &str, value: Option<&SnapValue>) {
+        match value {
+            Some(SnapValue::Str(s)) => self.set_str(key, s),
+            Some(SnapValue::Int(i)) => self.set_int(key, *i),
+            None => self.unset(key),
         }
     }
 
@@ -232,17 +311,14 @@ impl StateManager {
 
     /// Captures every variable plus the version counter.
     pub fn snapshot(&self) -> StateSnapshot {
-        let mut vars = Vec::new();
-        if let Ok(obj) = self.model.object(self.state_obj) {
-            for (key, values) in &obj.attrs {
-                let Some(v) = values.first() else { continue };
-                if let Some(s) = v.as_str() {
-                    vars.push((key.clone(), SnapValue::Str(s.to_owned())));
-                } else if let Some(i) = v.as_int() {
-                    vars.push((key.clone(), SnapValue::Int(i)));
-                }
-            }
-        }
+        let vars = self
+            .index
+            .iter()
+            .filter_map(|(key, &i)| {
+                let value = self.slots[i].1.as_ref()?;
+                Some((key.clone(), value.clone()))
+            })
+            .collect();
         StateSnapshot {
             version: self.version,
             vars,
@@ -251,17 +327,14 @@ impl StateManager {
 
     /// Replaces the entire state with a snapshot's contents (recording and
     /// pending ops are untouched — restore is not itself a mutation).
+    /// Slots survive, so keys keep finding theirs.
     pub fn restore(&mut self, snap: &StateSnapshot) {
-        let mut model = Model::new("mddsm.broker.state");
-        let state_obj = model.create("State");
-        for (key, value) in &snap.vars {
-            match value {
-                SnapValue::Str(s) => model.set_attr(state_obj, key, Value::from(s.as_str())),
-                SnapValue::Int(i) => model.set_attr(state_obj, key, Value::from(*i)),
-            }
+        for (_, value) in &mut self.slots {
+            *value = None;
         }
-        self.model = model;
-        self.state_obj = state_obj;
+        for (key, value) in &snap.vars {
+            self.put(key, Some(value.clone()));
+        }
         self.version = snap.version;
     }
 
@@ -338,10 +411,30 @@ impl StateManager {
     }
 
     /// Evaluates an OCL-lite expression with `self` bound to the state
-    /// object; missing variables read as `null`.
+    /// object; missing variables read as `null`. The expression goes
+    /// through the one predicate compiler, [`crate::pred::Pred`], which
+    /// leaves to `StateManager::interpret` only what it cannot decide.
     pub fn eval(&self, expr: &Expr) -> Result<bool> {
-        let env = EvalEnv::for_object(&self.model, &self.mm, self.state_obj);
-        eval_bool(expr, &env).map_err(|e| BrokerError::PolicyFailed(e.to_string()))
+        crate::pred::eval(self, expr)
+    }
+
+    /// Evaluates `expr` with the OCL-lite interpreter, over a one-object
+    /// model of the current variables built for this evaluation: the
+    /// semantic reference the compiled predicates match, and the source
+    /// of every evaluation error's text.
+    pub(crate) fn interpret(&self, expr: &Expr) -> Result<bool> {
+        let mut model = Model::new("mddsm.broker.state");
+        let obj = model.create("State");
+        for (key, value) in self.snapshot().vars {
+            let value = match value {
+                SnapValue::Str(s) => Value::Str(s),
+                SnapValue::Int(i) => Value::Int(i),
+            };
+            model.set_attr(obj, key, value);
+        }
+        let mm = Metamodel::empty("mddsm.broker.state");
+        eval_bool(expr, &EvalEnv::for_object(&model, &mm, obj))
+            .map_err(|e| BrokerError::PolicyFailed(e.to_string()))
     }
 
     /// Applies a `k=v` or `k=+n` effect string: `=+n` bumps an integer,
