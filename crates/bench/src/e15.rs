@@ -45,7 +45,6 @@ use crate::common::{
     applied_updates, campaign_supervisor, clock_to, divergent_commits, drain, fence_stale, hub,
     mean_max_ms, promote, reconcile_stale, recovery_penalty_us, replay_consistent,
 };
-use mddsm_broker::monitor;
 use mddsm_broker::{
     recover_with_quorum, repair_journal, select_repair_source, BrokerModelBuilder, GenericBroker,
     QuorumReplicator, ReplicaPeer, ReplicaSetConfig, ShipMode, Standby, Supervisor,
@@ -357,12 +356,6 @@ pub fn run_variant(
     // A partitioned-out old primary (with its replicator and node name),
     // parked until the heal lets the fence and reconciliation run.
     let mut parked: Option<(GenericBroker, QuorumReplicator, String)> = None;
-    // The shipped `onePrimaryPerEpoch` temporal property, observed
-    // online against the supervisor's runtime model.
-    let failover_props = monitor::failover_properties();
-    let prop_watched = failover_props.watched_keys();
-    let mut prop_shadow: BTreeMap<String, String> = BTreeMap::new();
-    let mut property_trips = 0u64;
 
     let crashed =
         |sup: &Supervisor, node: &str| sup.state().int(&format!("crashed_{node}")) == Some(1);
@@ -755,13 +748,6 @@ pub fn run_variant(
                 standbys.insert(old, sb);
                 run.rejoins += 1;
             }
-
-            // Online temporal-property check: a trip here would mean two
-            // primaries were promoted under one fencing epoch.
-            let dirty: Vec<&str> = prop_watched.iter().map(String::as_str).collect();
-            property_trips += failover_props
-                .check_observed(supervisor.state(), &dirty, &mut prop_shadow)
-                .len() as u64;
         }
 
         // A crashed-but-undetected primary serves nothing.
@@ -879,7 +865,7 @@ pub fn run_variant(
         run.net_partitioned += s.partitioned;
     }
     (run.mean_failover_ms, run.max_failover_ms) = mean_max_ms(&fo_times_us);
-    run.one_primary_per_epoch = property_trips == 0;
+    run.one_primary_per_epoch = supervisor.property_trips() == 0;
     run
 }
 

@@ -40,14 +40,11 @@
 //! [`Supervisor`]: mddsm_broker::Supervisor
 //! [`BrokerError::StaleEpoch`]: mddsm_broker::BrokerError::StaleEpoch
 
-use std::collections::BTreeMap;
-
 use crate::artifacts::{array, campaign_row, document, row, rows, Fixed, Str};
 use crate::common::{
     applied_updates, campaign_supervisor, deliver, divergent_commits, drain, fence_stale, hub,
     mean_max_ms, promote, reconcile_stale, replay_consistent,
 };
-use mddsm_broker::monitor;
 use mddsm_broker::{
     BrokerModelBuilder, GenericBroker, QuorumReplicator, ReplicaSetConfig, Standby,
     SupervisorDecision,
@@ -256,13 +253,6 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
     let mut committed_actions: Vec<String> = Vec::new();
     let mut retrans_retired = 0u64;
     let mut fo_times_us: Vec<u64> = Vec::new();
-    // The shipped `onePrimaryPerEpoch` temporal property, observed online
-    // against the supervisor's runtime model during the campaign
-    // (promoted from a property test; see `monitor::failover_properties`).
-    let failover_props = monitor::failover_properties();
-    let prop_watched = failover_props.watched_keys();
-    let mut prop_shadow: BTreeMap<String, String> = BTreeMap::new();
-    let mut property_trips = 0u64;
     // Virtual instant the currently-unhandled primary fault fired.
     let mut fault_at: Option<u64> = None;
     // A partitioned-out old primary (with its replicator and the promoted
@@ -446,17 +436,6 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                 ));
                 run.rejoins += 1;
             }
-
-            // Online temporal-property check (the shipped
-            // `onePrimaryPerEpoch` monitor): observe the supervisor's
-            // runtime model after every control-plane cycle. A trip here
-            // would mean two different primaries were promoted under the
-            // same fencing epoch — the split-brain the epoch fence exists
-            // to prevent.
-            let dirty: Vec<&str> = prop_watched.iter().map(String::as_str).collect();
-            property_trips += failover_props
-                .check_observed(supervisor.state(), &dirty, &mut prop_shadow)
-                .len() as u64;
         }
 
         // A crashed-but-undetected primary serves nothing.
@@ -554,7 +533,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         broker.state().int("served_beta").unwrap_or(0),
     );
     run.state_version = broker.state().version();
-    run.one_primary_per_epoch = property_trips == 0;
+    run.one_primary_per_epoch = supervisor.property_trips() == 0;
     run
 }
 

@@ -104,7 +104,6 @@ impl Component for StateManagerComponent {
         if let Some(effect) = msg.get("effect") {
             let mut broker = lock_broker("StateManager", &self.broker)?;
             broker
-                .state_mut()
                 .apply_effect(effect)
                 .map_err(|e| mddsm_runtime::RuntimeError::BadMetadata(e.to_string()))?;
         }

@@ -7,15 +7,16 @@
 //! (simulated) resource. `from_model` compiles the model once into the
 //! tables a call borrows: handlers indexed by selector, guards compiled
 //! by [`crate::pred`], and every key an action writes rendered up front.
+//! Every frame that writes the runtime model — a call or event, a tick,
+//! a raw write — ends in one commit step, `settle`: the monitors check
+//! the frame's writes, then the journal records them.
 
 use crate::admission::{AdmissionController, AdmissionDecision, CallMeta, ShedReason};
 use crate::autonomic::{
     parse_step, AutonomicManager, AutonomicRule, BrownoutController, BrownoutTransition,
 };
 use crate::journal::{self, CommandKind, Journal, JournalRecord};
-use crate::model::{
-    self, broker_metamodel, ActionSpec, ExprSpec, HandlerKind, HandlerSpec, BROKER_METAMODEL,
-};
+use crate::model::{self, broker_metamodel, ActionSpec, ExprSpec, HandlerSpec, BROKER_METAMODEL};
 use crate::monitor::{MonitorSet, MonitorTrip, TRIP_COUNTER_KEY};
 use crate::pred::Pred;
 use crate::state::{Key, StateManager};
@@ -100,7 +101,7 @@ impl Tables {
         }
         for (i, h) in handlers.into_iter().enumerate() {
             let index = match h.kind {
-                Some(HandlerKind::Call) => &mut tables.calls,
+                Some(CommandKind::Call) => &mut tables.calls,
                 _ => &mut tables.events,
             };
             index.entry(h.selector).or_insert(i);
@@ -139,19 +140,18 @@ impl Tables {
     }
 
     /// Finds the handler for `selector` and the first action whose policy
-    /// guard holds against `state` — the selection half of dispatch,
-    /// shared by [`GenericBroker::call`] and
-    /// [`GenericBroker::call_admitted`] (which must know the chosen
-    /// action's declared cost *before* deciding to execute it).
+    /// guard holds against `state` — the selection step of the command
+    /// frame, before admission (which must know the chosen action's
+    /// declared cost *before* deciding to execute it).
     fn select(
         &self,
-        kind: HandlerKind,
+        kind: CommandKind,
         selector: &str,
         state: &StateManager,
     ) -> Result<(&Handler, &Action)> {
         let index = match kind {
-            HandlerKind::Call => &self.calls,
-            HandlerKind::Event => &self.events,
+            CommandKind::Call => &self.calls,
+            CommandKind::Event => &self.events,
         };
         let handler = index
             .get(selector)
@@ -223,6 +223,15 @@ impl AdmittedOutcome {
     /// `true` when the call actually executed.
     pub fn is_executed(&self) -> bool {
         matches!(self, AdmittedOutcome::Executed { .. })
+    }
+
+    /// The executed call's result. Only admission defers or sheds, so a
+    /// command framed without [`CallMeta`] always executes.
+    fn into_result(self) -> BrokerCallResult {
+        match self {
+            AdmittedOutcome::Executed { result, .. } => result,
+            other => unreachable!("a command without admission ended {other:?}"),
+        }
     }
 }
 
@@ -434,16 +443,8 @@ impl GenericBroker {
     /// Handles a call from the upper layer: selects a handler by operation
     /// name, the first guard-passing action, and dispatches it.
     pub fn call(&mut self, op: &str, args: &Args) -> Result<BrokerCallResult> {
-        self.calls += 1;
-        if let Err(e) = self.monitor_gate() {
-            let result: Result<BrokerCallResult> = Err(e);
-            self.journal_command(CommandKind::Call, op, &result);
-            return result;
-        }
-        let result = self.dispatch(HandlerKind::Call, op, args);
-        let result = self.monitor_commit(result);
-        self.journal_command(CommandKind::Call, op, &result);
-        result
+        self.command(CommandKind::Call, op, args, None)
+            .map(AdmittedOutcome::into_result)
     }
 
     /// Handles a call through model-defined admission control: the chosen
@@ -458,106 +459,90 @@ impl GenericBroker {
         args: &Args,
         meta: &CallMeta,
     ) -> Result<AdmittedOutcome> {
-        self.calls += 1;
-        if let Err(e) = self.monitor_gate() {
-            let result: Result<BrokerCallResult> = Err(e.clone());
-            self.journal_command(CommandKind::Call, op, &result);
-            return Err(e);
-        }
-        let tables = Arc::clone(&self.tables);
-        let (handler, action) = match tables.select(HandlerKind::Call, op, &self.state) {
-            Ok(sel) => sel,
-            Err(e) => {
-                let result: Result<BrokerCallResult> = Err(e.clone());
-                self.journal_command(CommandKind::Call, op, &result);
-                return Err(e);
-            }
-        };
-        // The action's model-declared class wins over the caller's claim.
-        let class = action.spec.admission_class.as_deref();
-        let class = class.unwrap_or(&meta.class);
-        let decision = match &self.admission {
-            Some(ctrl) => ctrl.decide(
-                class,
-                &mut self.state,
-                self.clock_us,
-                meta,
-                action.spec.cost_us,
-            ),
-            None => AdmissionDecision::Admit {
-                queue_delay_us: self.clock_us.saturating_sub(meta.arrival_us),
-                deadline_us: meta.deadline_us,
-            },
-        };
-        match decision {
-            AdmissionDecision::Admit {
-                queue_delay_us,
-                deadline_us,
-            } => {
-                let result = self.execute_action(handler, action, args, 0);
-                let result = self.monitor_commit(result);
-                self.journal_command(CommandKind::Call, op, &result);
-                result.map(|r| AdmittedOutcome::Executed {
-                    result: r,
-                    queue_delay_us,
-                    deadline_us,
-                })
-            }
-            AdmissionDecision::Defer { wait } => {
-                self.journal_admission(op, "<deferred>");
-                Ok(AdmittedOutcome::Deferred { wait })
-            }
-            AdmissionDecision::Shed { reason } => {
-                if self.journal.is_some() {
-                    self.journal_admission(op, &format!("<shed:{reason}>"));
-                }
-                Ok(AdmittedOutcome::Shed {
-                    reason,
-                    class: class.to_owned(),
-                })
-            }
-        }
-    }
-
-    /// Journals a shed/deferred admission decision as a synthetic command
-    /// record: not ok, zero attempts, zero cost — replay counts it exactly
-    /// like the live run did.
-    fn journal_admission(&mut self, selector: &str, action: &str) {
-        if self.journal.is_none() {
-            return;
-        }
-        let synthetic: Result<BrokerCallResult> = Ok(BrokerCallResult {
-            outcome: Outcome::Failed(action.to_owned()),
-            cost: SimDuration::ZERO,
-            action: action.to_owned(),
-            attempts: 0,
-        });
-        self.journal_command(CommandKind::Call, selector, &synthetic);
+        self.command(CommandKind::Call, op, args, Some(meta))
     }
 
     /// Handles an event from the underlying resources.
     pub fn event(&mut self, topic: &str, payload: &Args) -> Result<BrokerCallResult> {
-        self.events += 1;
-        if let Err(e) = self.monitor_gate() {
-            let result: Result<BrokerCallResult> = Err(e);
-            self.journal_command(CommandKind::Event, topic, &result);
-            return result;
-        }
-        let result = self.dispatch(HandlerKind::Event, topic, payload);
-        let result = self.monitor_commit(result);
-        self.journal_command(CommandKind::Event, topic, &result);
-        result
+        self.command(CommandKind::Event, topic, payload, None)
+            .map(AdmittedOutcome::into_result)
     }
 
-    fn dispatch(
+    /// The one command frame behind `call`, `call_admitted` and `event`:
+    /// the monitor gate, handler and action selection, admission when
+    /// `meta` is given, and execution, then [`GenericBroker::settle`].
+    /// Whatever step ends the command, its outcome is journaled; a monitor
+    /// trip inside the frame refuses the command, a shed or deferred one
+    /// included.
+    fn command(
         &mut self,
-        kind: HandlerKind,
+        kind: CommandKind,
         selector: &str,
         args: &Args,
-    ) -> Result<BrokerCallResult> {
+        meta: Option<&CallMeta>,
+    ) -> Result<AdmittedOutcome> {
+        match kind {
+            CommandKind::Call => self.calls += 1,
+            CommandKind::Event => self.events += 1,
+        }
+        let mut outcome = self.serve(kind, selector, args, meta);
+        self.settle(Some((kind, selector, &mut outcome)));
+        outcome
+    }
+
+    /// The steps of [`GenericBroker::command`] before it settles.
+    fn serve(
+        &mut self,
+        kind: CommandKind,
+        selector: &str,
+        args: &Args,
+        meta: Option<&CallMeta>,
+    ) -> Result<AdmittedOutcome> {
+        self.monitor_gate()?;
         let tables = Arc::clone(&self.tables);
         let (handler, action) = tables.select(kind, selector, &self.state)?;
-        self.execute_action(handler, action, args, 0)
+        let (queue_delay_us, deadline_us) = match meta {
+            None => (0, 0),
+            Some(meta) => {
+                // The action's model-declared class wins over the caller's
+                // claim.
+                let class = action.spec.admission_class.as_deref();
+                let class = class.unwrap_or(&meta.class);
+                let decision = match &self.admission {
+                    Some(ctrl) => ctrl.decide(
+                        class,
+                        &mut self.state,
+                        self.clock_us,
+                        meta,
+                        action.spec.cost_us,
+                    ),
+                    None => AdmissionDecision::Admit {
+                        queue_delay_us: self.clock_us.saturating_sub(meta.arrival_us),
+                        deadline_us: meta.deadline_us,
+                    },
+                };
+                match decision {
+                    AdmissionDecision::Admit {
+                        queue_delay_us,
+                        deadline_us,
+                    } => (queue_delay_us, deadline_us),
+                    AdmissionDecision::Defer { wait } => {
+                        return Ok(AdmittedOutcome::Deferred { wait })
+                    }
+                    AdmissionDecision::Shed { reason } => {
+                        return Ok(AdmittedOutcome::Shed {
+                            reason,
+                            class: class.to_owned(),
+                        })
+                    }
+                }
+            }
+        };
+        Ok(AdmittedOutcome::Executed {
+            result: self.execute_action(handler, action, args, 0)?,
+            queue_delay_us,
+            deadline_us,
+        })
     }
 
     /// Executes one action under its model-defined resilience spec:
@@ -712,8 +697,7 @@ impl GenericBroker {
         let r = self
             .autonomic
             .tick(&mut self.state, &mut self.hub, &self.bindings);
-        self.journal_state_ops();
-        self.maybe_snapshot();
+        self.settle(None);
         r
     }
 
@@ -726,8 +710,7 @@ impl GenericBroker {
         let r = self
             .brownout
             .tick(&mut self.state, &mut self.hub, &self.bindings);
-        self.journal_state_ops();
-        self.maybe_snapshot();
+        self.settle(None);
         r
     }
 
@@ -767,59 +750,60 @@ impl GenericBroker {
         Err(BrokerError::MonitorTripped { monitor, detail })
     }
 
-    /// Post-dispatch, pre-journal check: evaluates every monitor watching
-    /// a key the command just wrote (the pending journal ops *are* the
-    /// dirty set — no extra tracking), records verdicts into the runtime
-    /// model, and turns a trip into a typed refusal of the violating call
-    /// — before its command record is framed, so nothing externally
-    /// visible ever rests on an unverified state.
-    fn monitor_commit(&mut self, result: Result<BrokerCallResult>) -> Result<BrokerCallResult> {
-        let Some(monitors) = &self.monitors else {
-            return result;
-        };
-        let trips = monitors.check_live_pending(&mut self.state);
-        if self.journal.is_none() {
-            // Without a journal nothing drains the recorded ops; drop them
-            // so monitoring alone cannot grow memory without bound.
-            let _ = self.state.take_ops();
-        }
-        match trips.first() {
-            Some(t) => {
-                let err = BrokerError::MonitorTripped {
+    /// The one commit step every frame that may write the runtime model
+    /// ends in — a command, a tick, a raw write. It checks the monitors
+    /// against the frame's pending ops (the dirty set costs no extra
+    /// tracking), latching and logging any trip, then journals those ops
+    /// coalesced, or drops them when there is no journal, then writes the
+    /// command's record and any due snapshot. A trip refuses the frame's
+    /// command before its record is framed, so nothing externally visible
+    /// ever rests on an unverified state.
+    fn settle(&mut self, mut command: Option<(CommandKind, &str, &mut Result<AdmittedOutcome>)>) {
+        if let Some(monitors) = &self.monitors {
+            let trips = monitors.check_live_pending(&mut self.state);
+            if let (Some(t), Some((_, _, outcome))) = (trips.first(), command.as_mut()) {
+                **outcome = Err(BrokerError::MonitorTripped {
                     monitor: t.monitor.clone(),
                     detail: t.detail.clone(),
-                };
-                self.monitor_trips.extend(trips);
-                Err(err)
+                });
             }
-            None => result,
+            self.monitor_trips.extend(trips);
+        }
+        self.journal_state_ops();
+        if let Some((kind, selector, outcome)) = command {
+            self.journal_command(kind, selector, outcome);
+        }
+        if self.journal.as_ref().is_some_and(Journal::snapshot_due) {
+            self.journal_snapshot();
         }
     }
 
     /// Applies one raw (faulty) write straight into the runtime model —
     /// the injection point of the E10 invariant-violating-mutation
     /// campaign, standing in for a buggy change plan or a corrupted
-    /// mutation. The write goes through the state manager like any other
-    /// mutation (journaled, shipped to replicas) and the monitors see it
-    /// in-stream, immediately: the returned trips are what the online
-    /// verifier caught before any later command could act on the
+    /// mutation. The write settles like any other mutation (monitored,
+    /// journaled, shipped to replicas): the returned trips are what the
+    /// online verifier caught before any later command could act on the
     /// divergent model.
     pub fn corrupt_state(&mut self, key: &str, value: &str) -> Vec<MonitorTrip> {
         match value.parse::<i64>() {
             Ok(i) => self.state.set_int(key, i),
             Err(_) => self.state.set_str(key, value),
         }
-        let trips = match &self.monitors {
-            Some(m) => m.check_live(&mut self.state, &[key]),
-            None => Vec::new(),
-        };
-        self.monitor_trips.extend(trips.iter().cloned());
-        self.journal_state_ops();
-        self.maybe_snapshot();
-        if self.journal.is_none() {
-            let _ = self.state.take_ops();
-        }
-        trips
+        let logged = self.monitor_trips.len();
+        self.settle(None);
+        self.monitor_trips[logged..].to_vec()
+    }
+
+    /// Applies a `k=v` / `k=+n` state effect
+    /// ([`StateManager::apply_effect`]) as a frame of its own: the write
+    /// is monitor-checked and journaled like a command's, and a trip is
+    /// latched and logged. The reflective write path of the
+    /// `StateManager` component.
+    pub fn apply_effect(&mut self, effect: &str) -> Result<()> {
+        let r = self.state.apply_effect(effect);
+        self.settle(None);
+        r
     }
 
     /// Rolls the runtime model back to the newest **verified** journaled
@@ -1058,82 +1042,68 @@ impl GenericBroker {
     }
 
     /// Drains pending state ops into the journal (WAL order: state ops
-    /// precede the command record that caused them). Runs of consecutive
-    /// writes to the same key within the frame are coalesced into one
+    /// precede the command record that caused them), or drops them when
+    /// journaling is off. Runs of consecutive writes to the same key
+    /// within the frame are coalesced into one
     /// [`JournalRecord::OpCoalesced`] carrying only the final value —
     /// exact, because nothing can observe the state between the ops of
     /// one frame — which keeps hot keys (token buckets, shed counters)
     /// from ballooning the journal under load.
     fn journal_state_ops(&mut self) {
-        if self.journal.is_none() {
-            return;
-        }
         let ops = self.state.take_ops();
-        if let Some(j) = self.journal.as_mut() {
-            let mut i = 0;
-            while i < ops.len() {
-                let mut end = i;
-                while end + 1 < ops.len() && ops[end + 1].key() == ops[i].key() {
-                    end += 1;
-                }
-                if end == i {
-                    j.record(&JournalRecord::Op(ops[i].clone()));
-                } else {
-                    j.record(&JournalRecord::OpCoalesced {
-                        first_lsn: ops[i].lsn(),
-                        op: ops[end].clone(),
-                    });
-                }
-                i = end + 1;
+        let Some(j) = self.journal.as_mut() else {
+            return;
+        };
+        let mut ops = ops.into_iter().peekable();
+        while let Some(first) = ops.next() {
+            let mut last = None;
+            while let Some(op) = ops.next_if(|o| o.key() == first.key()) {
+                last = Some(op);
             }
+            j.record(&match last {
+                None => JournalRecord::Op(first),
+                Some(op) => JournalRecord::OpCoalesced {
+                    first_lsn: first.lsn(),
+                    op,
+                },
+            });
         }
     }
 
-    /// Journals one executed command (even a failed dispatch — the
-    /// call/event counters bumped, and recovery must agree with them).
+    /// Journals one command's record — even a refused one: the call/event
+    /// counters bumped, and recovery must agree with them. A shed or
+    /// deferred call is a synthetic record (`<shed:…>` / `<deferred>`:
+    /// not ok, zero attempts, zero cost), so replay counts it exactly like
+    /// the live run did.
     fn journal_command(
         &mut self,
         kind: CommandKind,
         selector: &str,
-        result: &Result<BrokerCallResult>,
+        outcome: &Result<AdmittedOutcome>,
     ) {
-        if self.journal.is_none() {
+        let Some(j) = self.journal.as_mut() else {
             return;
-        }
-        self.journal_state_ops();
-        let clock_us = self.clock_us;
-        let rec = match result {
-            Ok(r) => JournalRecord::Command {
-                clock_us,
-                kind,
-                selector: selector.to_owned(),
-                action: r.action.clone(),
-                ok: r.outcome.is_ok(),
-                attempts: r.attempts,
-                cost_us: r.cost.as_micros(),
-            },
-            Err(e) => JournalRecord::Command {
-                clock_us,
-                kind,
-                selector: selector.to_owned(),
-                action: format!("<{e}>"),
-                ok: false,
-                attempts: 0,
-                cost_us: 0,
-            },
         };
-        if let Some(j) = self.journal.as_mut() {
-            j.record(&rec);
-        }
-        self.maybe_snapshot();
-    }
-
-    /// Takes a periodic snapshot when the journal's policy says one is due,
-    /// bounding how much tail the next recovery has to replay.
-    fn maybe_snapshot(&mut self) {
-        if self.journal.as_ref().is_some_and(Journal::snapshot_due) {
-            self.journal_snapshot();
-        }
+        let (action, ok, attempts, cost_us) = match outcome {
+            Ok(AdmittedOutcome::Executed { result: r, .. }) => (
+                r.action.clone(),
+                r.outcome.is_ok(),
+                r.attempts,
+                r.cost.as_micros(),
+            ),
+            Ok(AdmittedOutcome::Deferred { .. }) => ("<deferred>".to_owned(), false, 0, 0),
+            Ok(AdmittedOutcome::Shed { reason, .. }) => (format!("<shed:{reason}>"), false, 0, 0),
+            Err(e) => (format!("<{e}>"), false, 0, 0),
+        };
+        j.record(&JournalRecord::Command {
+            clock_us: self.clock_us,
+            kind,
+            selector: selector.to_owned(),
+            action,
+            ok,
+            attempts,
+            cost_us,
+        });
     }
 
     /// Journals a full snapshot of the state under the current clock and

@@ -36,7 +36,8 @@
 use crate::state::{SnapValue, StateManager, StateOp, StateSnapshot};
 use crate::{BrokerError, Result};
 
-/// What kind of engine entry point produced a command record.
+/// Whether a command is an upper-layer call or a resource event: the kind
+/// of handler that serves it and of the record it journals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandKind {
     /// An upper-layer call.

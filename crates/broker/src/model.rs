@@ -8,6 +8,7 @@
 //! and appropriately initializing the elements of this metamodel" (§V-A).
 
 use crate::admission::AdmissionClassSpec;
+use crate::journal::CommandKind;
 use mddsm_meta::constraint::{self, Expr};
 use mddsm_meta::metamodel::{DataType, Metamodel, MetamodelBuilder, Multiplicity};
 use mddsm_meta::model::{Model, ObjectId};
@@ -281,13 +282,6 @@ impl Resilience {
     }
 }
 
-/// Whether a handler serves upper-layer calls or resource events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum HandlerKind {
-    Call,
-    Event,
-}
-
 /// One `Action` as its model declares it.
 #[derive(Debug, Clone)]
 pub(crate) struct ActionSpec {
@@ -313,7 +307,7 @@ pub(crate) struct ActionSpec {
 pub(crate) struct HandlerSpec {
     pub(crate) name: String,
     /// `None` when `kind` is no `HandlerKind` literal.
-    pub(crate) kind: Option<HandlerKind>,
+    pub(crate) kind: Option<CommandKind>,
     pub(crate) selector: String,
     pub(crate) actions: Vec<ActionSpec>,
 }
@@ -396,8 +390,8 @@ pub(crate) fn read(model: &Model) -> ModelSpec {
         .map(|h| HandlerSpec {
             name: text(h, "name"),
             kind: match model.attr(h, "kind").and_then(|v| v.as_enum_literal()) {
-                Some("Call") => Some(HandlerKind::Call),
-                Some("Event") => Some(HandlerKind::Event),
+                Some("Call") => Some(CommandKind::Call),
+                Some("Event") => Some(CommandKind::Event),
                 _ => None,
             },
             selector: text(h, "selector"),

@@ -7,7 +7,7 @@
 //! invariants plus the temporal properties of
 //! [`mddsm_meta::constraint::temporal`] are *compiled once* into
 //! [`CompiledMonitor`]s and evaluated incrementally, in-stream, as journal
-//! records are produced (on the primary, inside the journaled commit path)
+//! records are produced (on the primary, in the broker's one commit frame)
 //! or applied (on the standby, inside [`crate::replication::Standby`]'s
 //! apply path).
 //!
@@ -280,45 +280,43 @@ impl MonitorSet {
     }
 
     /// In-stream check on the **primary**: evaluates every monitor whose
-    /// watched keys intersect `dirty` and records verdicts *into the
-    /// runtime model* — `at-most-one` memory cells, tripped latches and
-    /// the [`TRIP_COUNTER_KEY`] counter are ordinary journaled state
-    /// writes, which is what makes monitoring survive recovery and
-    /// failover byte-identically. Already-tripped monitors stay silent
-    /// until their latch is cleared (by repair or rollback).
-    pub fn check_live(&self, state: &mut StateManager, dirty: &[&str]) -> Vec<MonitorTrip> {
-        let mut trips = Vec::new();
-        let any_latched = self.latched(state);
-        for m in &self.monitors {
-            if !m.watches_any(dirty) {
-                continue;
-            }
-            if let Some(trip) = live_step(m, state, any_latched, &self.trips) {
-                trips.push(trip);
-            }
-        }
-        trips
-    }
-
-    /// [`MonitorSet::check_live`] with the dirty-key set derived directly
-    /// from the state manager's own pending journal ops — the zero-copy
-    /// form the broker's per-call commit path uses. A monitor evaluated
-    /// by an earlier monitor's own `mon_*` writes sees unchanged watched
-    /// variables, so verdicts are identical to [`MonitorSet::check_live`]
-    /// over the pre-existing dirty set.
+    /// watched keys the state manager's pending ops touch — the ops of
+    /// the frame being settled, so the dirty set needs no tracking of its
+    /// own — and records verdicts *into the runtime model*: `at-most-one`
+    /// memory cells, tripped latches and the [`TRIP_COUNTER_KEY`] counter
+    /// are ordinary journaled state writes, which is what makes monitoring
+    /// survive recovery and failover byte-identically. Already-tripped
+    /// monitors stay silent until their latch is cleared (by repair or
+    /// rollback). A monitor tripping earlier in the pass only writes its
+    /// own `mon_*` cells, which no property watches, so the remaining
+    /// monitors see the frame's state unchanged.
     pub fn check_live_pending(&self, state: &mut StateManager) -> Vec<MonitorTrip> {
         let mut trips = Vec::new();
+        // One counter read: while it is zero no per-monitor latch is set,
+        // and the latch lookups are skipped.
         let any_latched = self.latched(state);
         for m in &self.monitors {
             let hit = state
                 .pending_ops()
                 .iter()
                 .any(|o| m.watched.iter().any(|w| w == o.key()));
-            if !hit {
+            if !hit || any_latched && state.str(&m.trip_key).is_some() {
                 continue;
             }
-            if let Some(trip) = live_step(m, state, any_latched, &self.trips) {
-                trips.push(trip);
+            let (violation, writes) = {
+                let s: &StateManager = state;
+                m.evaluate(s, &|k| s.str(k).map(str::to_owned))
+            };
+            for (k, v) in writes {
+                state.set_str(&k, &v);
+            }
+            if let Some(detail) = violation {
+                state.set_str(&m.trip_key, "1");
+                state.bump(&self.trips, 1);
+                trips.push(MonitorTrip {
+                    monitor: m.name.clone(),
+                    detail,
+                });
             }
         }
         trips
@@ -401,43 +399,10 @@ impl MonitorSet {
     }
 }
 
-/// One monitor's live evaluation step: skip if latched, evaluate against
-/// the runtime model, persist `at-most-one` memory and (on violation) the
-/// tripped latch plus [`TRIP_COUNTER_KEY`] as ordinary journaled writes.
-/// `any_latched` is the caller's one [`TRIP_COUNTER_KEY`] read: when zero,
-/// no per-monitor latch can be set and its lookup is skipped. A monitor
-/// tripping earlier in the same pass only sets its *own* latch, so the
-/// snapshot stays exact for the remaining monitors.
-fn live_step(
-    m: &CompiledMonitor,
-    state: &mut StateManager,
-    any_latched: bool,
-    trips: &Key,
-) -> Option<MonitorTrip> {
-    if any_latched && state.str(&m.trip_key).is_some() {
-        return None;
-    }
-    let (violation, writes) = {
-        let s: &StateManager = state;
-        m.evaluate(s, &|k| s.str(k).map(str::to_owned))
-    };
-    for (k, v) in writes {
-        state.set_str(&k, &v);
-    }
-    violation.map(|detail| {
-        state.set_str(&m.trip_key, "1");
-        state.bump(trips, 1);
-        MonitorTrip {
-            monitor: m.name.clone(),
-            detail,
-        }
-    })
-}
-
 /// The temporal properties every replicated deployment ships with: the
 /// E9 failover guarantee "at most one primary is promoted per epoch",
-/// previously only a property test, now monitored online against the
-/// supervisor's runtime model during failover campaigns.
+/// which every [`crate::Supervisor`] observes over its own runtime model
+/// at the end of each tick.
 pub fn failover_properties() -> MonitorSet {
     // The sources are compile-time constants; a failure here would be a
     // defect in this module, caught by the test right below.
@@ -449,18 +414,30 @@ pub fn failover_properties() -> MonitorSet {
 mod tests {
     use super::*;
 
-    fn dirty<'a>(keys: &'a [&'a str]) -> &'a [&'a str] {
-        keys
+    /// A state manager recording its writes as pending ops, the way the
+    /// broker's runtime model does while monitors are armed.
+    fn recording() -> StateManager {
+        let mut s = StateManager::new();
+        s.record_ops(true);
+        s
+    }
+
+    /// Settles one frame: the live check over the writes made since the
+    /// last frame, which are then drained.
+    fn live(set: &MonitorSet, s: &mut StateManager) -> Vec<MonitorTrip> {
+        let trips = set.check_live_pending(s);
+        s.take_ops();
+        trips
     }
 
     #[test]
     fn always_monitors_trip_on_violation_and_latch() {
         let set = MonitorSet::compile(&[("nonneg", "always self.opens >= 0")]).unwrap();
-        let mut s = StateManager::new();
+        let mut s = recording();
         s.set_int("opens", 2);
-        assert!(set.check_live(&mut s, dirty(&["opens"])).is_empty());
+        assert!(live(&set, &mut s).is_empty());
         s.set_int("opens", -1);
-        let trips = set.check_live(&mut s, dirty(&["opens"]));
+        let trips = live(&set, &mut s);
         assert_eq!(trips.len(), 1);
         assert_eq!(trips[0].monitor, "nonneg");
         assert!(
@@ -471,7 +448,8 @@ mod tests {
         assert_eq!(s.str("mon_nonneg_tripped"), Some("1"));
         assert_eq!(s.int(TRIP_COUNTER_KEY), Some(1));
         // Latched: no second trip for the same violation.
-        assert!(set.check_live(&mut s, dirty(&["opens"])).is_empty());
+        s.set_int("opens", -1);
+        assert!(live(&set, &mut s).is_empty());
     }
 
     #[test]
@@ -479,9 +457,13 @@ mod tests {
         let set = MonitorSet::compile(&[("nonneg", "self.opens >= 0")]).unwrap();
         let mut s = StateManager::new();
         s.set_int("opens", -5);
+        s.record_ops(true);
         // `other` is not watched: the violation goes unexamined.
-        assert!(set.check_live(&mut s, dirty(&["other"])).is_empty());
-        assert_eq!(set.check_live(&mut s, dirty(&["opens", "other"])).len(), 1);
+        s.set_int("other", 1);
+        assert!(live(&set, &mut s).is_empty());
+        s.set_int("opens", -5);
+        s.set_int("other", 2);
+        assert_eq!(live(&set, &mut s).len(), 1);
     }
 
     #[test]
@@ -491,44 +473,38 @@ mod tests {
             "never self.frozen = 1 during self.tier = \"beta\"",
         )])
         .unwrap();
-        let mut s = StateManager::new();
+        let mut s = recording();
         s.set_str("tier", "beta");
-        assert!(set.check_live(&mut s, dirty(&["tier"])).is_empty());
+        assert!(live(&set, &mut s).is_empty());
         s.set_int("frozen", 1);
-        assert_eq!(set.check_live(&mut s, dirty(&["frozen"])).len(), 1);
-        let mut s2 = StateManager::new();
+        assert_eq!(live(&set, &mut s).len(), 1);
+        let mut s2 = recording();
         s2.set_str("tier", "alpha");
         s2.set_int("frozen", 1);
-        assert!(set
-            .check_live(&mut s2, dirty(&["frozen", "tier"]))
-            .is_empty());
+        assert!(live(&set, &mut s2).is_empty());
     }
 
     #[test]
     fn at_most_one_per_trips_on_a_second_owner() {
         let set = failover_properties();
-        let mut s = StateManager::new();
+        let mut s = recording();
         s.set_int("epoch", 1);
         s.set_str("primary", "a");
-        assert!(set
-            .check_live(&mut s, dirty(&["epoch", "primary"]))
-            .is_empty());
+        assert!(live(&set, &mut s).is_empty());
         // Same epoch, new primary: violation.
         s.set_str("primary", "b");
-        let trips = set.check_live(&mut s, dirty(&["primary"]));
+        let trips = live(&set, &mut s);
         assert_eq!(trips.len(), 1);
         assert!(trips[0].detail.contains("primary"), "{}", trips[0].detail);
 
         // A fresh epoch resets the period: promotion is legal again.
-        let mut s = StateManager::new();
+        let mut s = recording();
         s.set_int("epoch", 1);
         s.set_str("primary", "a");
-        set.check_live(&mut s, dirty(&["epoch", "primary"]));
+        live(&set, &mut s);
         s.set_int("epoch", 2);
         s.set_str("primary", "b");
-        assert!(set
-            .check_live(&mut s, dirty(&["epoch", "primary"]))
-            .is_empty());
+        assert!(live(&set, &mut s).is_empty());
     }
 
     #[test]
@@ -538,7 +514,7 @@ mod tests {
             ("onePer", "at-most-one primary per epoch"),
         ])
         .unwrap();
-        let mut live = StateManager::new();
+        let mut live_state = recording();
         let mut observed = StateManager::new();
         let mut shadow = BTreeMap::new();
         let script: &[(&str, Option<i64>, Option<&str>)] = &[
@@ -551,17 +527,17 @@ mod tests {
         for (key, int, strv) in script {
             match (int, strv) {
                 (Some(i), _) => {
-                    live.set_int(key, *i);
+                    live_state.set_int(key, *i);
                     observed.set_int(key, *i);
                 }
                 (_, Some(v)) => {
-                    live.set_str(key, v);
+                    live_state.set_str(key, v);
                     observed.set_str(key, v);
                 }
                 _ => unreachable!(),
             }
-            let lt = set.check_live(&mut live, dirty(&[key]));
-            let ot = set.check_observed(&observed, dirty(&[key]), &mut shadow);
+            let lt = live(&set, &mut live_state);
+            let ot = set.check_observed(&observed, &[*key], &mut shadow);
             assert_eq!(
                 lt.iter().map(|t| &t.monitor).collect::<Vec<_>>(),
                 ot.iter().map(|t| &t.monitor).collect::<Vec<_>>(),
@@ -569,7 +545,7 @@ mod tests {
             );
         }
         let ver = observed.version();
-        set.check_observed(&observed, dirty(&["opens"]), &mut shadow);
+        set.check_observed(&observed, &["opens"], &mut shadow);
         assert_eq!(observed.version(), ver, "observation must not write");
     }
 

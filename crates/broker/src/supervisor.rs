@@ -17,6 +17,7 @@
 //! only shows up as heartbeat staleness and is detected on the first tick
 //! after `stall_after` of silence.
 
+use crate::monitor::{self, MonitorSet};
 use crate::state::StateManager;
 use crate::{BrokerError, Result};
 use mddsm_meta::constraint;
@@ -166,6 +167,13 @@ pub struct Supervisor {
     epoch: u64,
     /// `(epoch, promoted component)` per promotion, in order.
     promotions: Vec<(u64, String)>,
+    /// The shipped failover properties
+    /// ([`monitor::failover_properties`]), observed over `state` at the
+    /// end of every tick.
+    properties: MonitorSet,
+    /// Their memory, kept beside the runtime model rather than in it.
+    property_memory: BTreeMap<String, String>,
+    property_trips: u64,
 }
 
 fn key(prefix: &str, component: &str) -> String {
@@ -197,6 +205,9 @@ impl Supervisor {
             forced: Vec::new(),
             epoch: 1,
             promotions: Vec::new(),
+            properties: monitor::failover_properties(),
+            property_memory: BTreeMap::new(),
+            property_trips: 0,
         }
     }
 
@@ -383,6 +394,14 @@ impl Supervisor {
         &self.promotions
     }
 
+    /// Trips of the failover properties observed so far. A trip of the
+    /// shipped `onePrimaryPerEpoch` means two different primaries were
+    /// promoted under one fencing epoch — the split-brain the epoch fence
+    /// exists to prevent.
+    pub fn property_trips(&self) -> u64 {
+        self.property_trips
+    }
+
     /// Whether the component was failed over and has not rejoined yet.
     pub fn awaiting_rejoin(&self, component: &str) -> bool {
         self.awaiting_rejoin.iter().any(|c| c == component)
@@ -437,7 +456,9 @@ impl Supervisor {
     /// component's liveness symptom and returns a decision per unhealthy
     /// component. A `Restart` decision resets the component's flags and
     /// heartbeat (the caller performs the actual recovery); an `Escalate`
-    /// removes it from supervision.
+    /// removes it from supervision. The cycle ends by observing the
+    /// failover properties over the model it leaves
+    /// ([`Supervisor::property_trips`]).
     pub fn tick(&mut self, now: SimTime) -> Result<Vec<SupervisorDecision>> {
         let now_us = now.as_micros();
         let deadline_us = now_us.saturating_sub(self.policy.stall_after.as_micros()) as i64;
@@ -587,6 +608,14 @@ impl Supervisor {
                 restarts_in_window,
             });
         }
+        // Only `promote`, above, writes what the properties watch, so one
+        // observation per tick sees every promotion.
+        let watched = self.properties.watched_keys();
+        let dirty: Vec<&str> = watched.iter().map(String::as_str).collect();
+        self.property_trips += self
+            .properties
+            .check_observed(&self.state, &dirty, &mut self.property_memory)
+            .len() as u64;
         Ok(decisions)
     }
 }
@@ -816,6 +845,8 @@ mod tests {
             &d[0],
             SupervisorDecision::Failover { standby, epoch: 3, .. } if standby == "a"
         ));
+        // Each promotion opened a new epoch: one primary per epoch held.
+        assert_eq!(s.property_trips(), 0);
     }
 
     #[test]

@@ -296,8 +296,9 @@ impl std::fmt::Display for KeyType {
 }
 
 /// Collects every `self.<name>` navigation of `e`, sorted and deduplicated
-/// — the state keys the expression depends on (the same notion
-/// [`crate::constraint::temporal::Property::watched_keys`] uses).
+/// — the state keys the expression depends on.
+/// [`crate::constraint::temporal::Property::watched_keys`] walks its
+/// expressions with the same walker.
 pub fn self_paths(e: &Expr) -> Vec<String> {
     let mut out = Vec::new();
     collect_self_paths(e, &mut out);
@@ -306,7 +307,8 @@ pub fn self_paths(e: &Expr) -> Vec<String> {
     out
 }
 
-fn collect_self_paths(e: &Expr, out: &mut Vec<String>) {
+/// Pushes every `self.<name>` navigation of `e` onto `out`, unsorted.
+pub(crate) fn collect_self_paths(e: &Expr, out: &mut Vec<String>) {
     match e {
         Expr::Lit(_) | Expr::Null | Expr::Var(_) | Expr::EnumLit(_, _) => {}
         Expr::Prop(recv, name) => {

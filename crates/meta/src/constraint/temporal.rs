@@ -21,6 +21,7 @@
 //! compiles properties into in-stream journal monitors).
 
 use super::{parse, Expr};
+use crate::analysis::collect_self_paths;
 use crate::{MetaError, Result};
 
 /// A parsed temporal property.
@@ -53,10 +54,10 @@ impl Property {
     pub fn watched_keys(&self) -> Vec<String> {
         let mut out = Vec::new();
         match self {
-            Property::Always(e) => collect_self_props(e, &mut out),
+            Property::Always(e) => collect_self_paths(e, &mut out),
             Property::NeverDuring { never, during } => {
-                collect_self_props(never, &mut out);
-                collect_self_props(during, &mut out);
+                collect_self_paths(never, &mut out);
+                collect_self_paths(during, &mut out);
             }
             Property::AtMostOnePer { key, per } => {
                 out.push(key.clone());
@@ -66,36 +67,6 @@ impl Property {
         out.sort();
         out.dedup();
         out
-    }
-}
-
-/// Collects every `self.<name>` navigation of `e` into `out`.
-fn collect_self_props(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Lit(_) | Expr::Null | Expr::Var(_) | Expr::EnumLit(_, _) => {}
-        Expr::Prop(recv, name) => {
-            if matches!(recv.as_ref(), Expr::Var(v) if v == "self") {
-                out.push(name.clone());
-            }
-            collect_self_props(recv, out);
-        }
-        Expr::Call(recv, _, args) => {
-            collect_self_props(recv, out);
-            for a in args {
-                collect_self_props(a, out);
-            }
-        }
-        Expr::CollOp { recv, body, .. } => {
-            collect_self_props(recv, out);
-            if let Some(b) = body {
-                collect_self_props(b, out);
-            }
-        }
-        Expr::Unary(_, e) => collect_self_props(e, out),
-        Expr::Binary(_, a, b) => {
-            collect_self_props(a, out);
-            collect_self_props(b, out);
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! sampling over a fixed deck of mutation operators — draw *k* distinct
 //! operators per trial, shuffle application order — which is generic
 //! sampling machinery, not experiment logic, so it lives here next to
-//! [`SimRng`](crate::SimRng).
+//! [`SimRng`].
 
 use crate::rng::SimRng;
 
