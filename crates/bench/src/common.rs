@@ -223,7 +223,7 @@ pub(crate) fn reconcile_stale(
 /// the journal's successful commands.
 pub(crate) fn divergent_commits(broker: &GenericBroker, committed_actions: &[String]) -> u64 {
     let bytes = broker.journal_bytes().expect("journaling on");
-    let mut trace: Vec<String> = Vec::new();
+    let mut trace = Vec::new();
     for line in std::str::from_utf8(bytes)
         .expect("journal is UTF-8")
         .lines()

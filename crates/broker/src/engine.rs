@@ -15,15 +15,16 @@ use crate::admission::{AdmissionController, AdmissionDecision, CallMeta, ShedRea
 use crate::autonomic::{
     parse_step, AutonomicManager, AutonomicRule, BrownoutController, BrownoutTransition,
 };
-use crate::journal::{self, CommandKind, Journal, JournalRecord};
+use crate::journal::{self, CommandKind, Journal, JournalRecord, Ops};
 use crate::model::{self, broker_metamodel, ActionSpec, ExprSpec, HandlerSpec, BROKER_METAMODEL};
 use crate::monitor::{MonitorSet, MonitorTrip, TRIP_COUNTER_KEY};
 use crate::pred::Pred;
-use crate::state::{Key, StateManager};
+use crate::state::{Key, StateManager, ValueView};
 use crate::{BrokerError, Result};
 use mddsm_meta::model::Model;
 use mddsm_sim::resource::{Args, Outcome};
 use mddsm_sim::{ResourceHub, SimDuration, SimTime};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -831,23 +832,32 @@ impl GenericBroker {
             .rev()
             .filter(|l| journal::line_payload(l).starts_with("snap "))
         {
-            let JournalRecord::Snapshot { state, .. } = journal::parse_line(line)? else {
+            let JournalRecord::Snapshot { version, vars, .. } = journal::parse_line(line)? else {
                 return Err(BrokerError::RecoveryDiverged(
                     "snapshot record is corrupt".to_owned(),
                 ));
             };
-            let mut probe = StateManager::new();
-            probe.restore(&state);
-            if probe.int(TRIP_COUNTER_KEY).unwrap_or(0) == 0 {
-                clean = Some(state);
+            // The snapshot's trip counter, read the way a restore would
+            // leave it: the last entry for the key wins.
+            let trips = vars
+                .iter()
+                .filter(|(key, _)| key == TRIP_COUNTER_KEY)
+                .last()
+                .map_or(0, |(_, value)| match value {
+                    ValueView::Int(n) => n,
+                    ValueView::Str(_) => 0,
+                });
+            if trips == 0 {
+                clean = Some((version, vars));
                 break;
             }
         }
-        let state = clean.ok_or_else(|| {
+        let (version, vars) = clean.ok_or_else(|| {
             BrokerError::RecoveryDiverged("no verified snapshot to roll back to".to_owned())
         })?;
-        let _ = self.state.take_ops();
-        self.state.restore(&state);
+        // The writes after the snapshot are discarded, pending ones too.
+        self.state.drain_ops();
+        self.state.restore(version, vars.iter());
         self.journal_snapshot();
         Ok(self.state.version())
     }
@@ -905,7 +915,7 @@ impl GenericBroker {
         // first, so a post-mortem always sees what the analyzer flagged.
         for w in self.analysis.warnings() {
             j.record(&JournalRecord::Note {
-                text: format!("analysis {w}"),
+                text: format!("analysis {w}").into(),
             });
         }
         self.journal = Some(j);
@@ -924,9 +934,7 @@ impl GenericBroker {
     /// notes, so this never perturbs recovery.
     pub fn journal_note(&mut self, text: &str) {
         if let Some(j) = self.journal.as_mut() {
-            j.record(&JournalRecord::Note {
-                text: text.to_owned(),
-            });
+            j.record(&JournalRecord::Note { text: text.into() });
         }
     }
 
@@ -1020,15 +1028,14 @@ impl GenericBroker {
         self.journal_snapshot();
         self.state.record_ops(true);
         mutate(&mut self.state);
-        let ops = self.state.take_ops();
-        let up = JournalRecord::Upgrade {
-            version: model_version,
-            tag: tag.to_owned(),
-            ops,
-        };
         if let Some(j) = self.journal.as_mut() {
-            j.record(&up);
+            j.record(&JournalRecord::Upgrade {
+                version: model_version,
+                tag: tag.into(),
+                ops: Ops::Pending(self.state.pending_ops()),
+            });
         }
+        self.state.drain_ops();
         self.model_version = model_version;
         self.journal_snapshot();
         Ok(self.state.version())
@@ -1050,21 +1057,21 @@ impl GenericBroker {
     /// one frame — which keeps hot keys (token buckets, shed counters)
     /// from ballooning the journal under load.
     fn journal_state_ops(&mut self) {
-        let ops = self.state.take_ops();
+        // Drained in place: the queue keeps its buffer for the next frame.
+        let mut ops = self.state.drain_ops().peekable();
         let Some(j) = self.journal.as_mut() else {
             return;
         };
-        let mut ops = ops.into_iter().peekable();
         while let Some(first) = ops.next() {
             let mut last = None;
             while let Some(op) = ops.next_if(|o| o.key() == first.key()) {
                 last = Some(op);
             }
-            j.record(&match last {
-                None => JournalRecord::Op(first),
+            j.record(&match &last {
+                None => JournalRecord::Op(first.view()),
                 Some(op) => JournalRecord::OpCoalesced {
                     first_lsn: first.lsn(),
-                    op,
+                    op: op.view(),
                 },
             });
         }
@@ -1084,21 +1091,23 @@ impl GenericBroker {
         let Some(j) = self.journal.as_mut() else {
             return;
         };
-        let (action, ok, attempts, cost_us) = match outcome {
+        let (action, ok, attempts, cost_us): (Cow<'_, str>, _, _, _) = match outcome {
             Ok(AdmittedOutcome::Executed { result: r, .. }) => (
-                r.action.clone(),
+                Cow::Borrowed(&r.action),
                 r.outcome.is_ok(),
                 r.attempts,
                 r.cost.as_micros(),
             ),
-            Ok(AdmittedOutcome::Deferred { .. }) => ("<deferred>".to_owned(), false, 0, 0),
-            Ok(AdmittedOutcome::Shed { reason, .. }) => (format!("<shed:{reason}>"), false, 0, 0),
-            Err(e) => (format!("<{e}>"), false, 0, 0),
+            Ok(AdmittedOutcome::Deferred { .. }) => ("<deferred>".into(), false, 0, 0),
+            Ok(AdmittedOutcome::Shed { reason, .. }) => {
+                (format!("<shed:{reason}>").into(), false, 0, 0)
+            }
+            Err(e) => (format!("<{e}>").into(), false, 0, 0),
         };
         j.record(&JournalRecord::Command {
             clock_us: self.clock_us,
             kind,
-            selector: selector.to_owned(),
+            selector: selector.into(),
             action,
             ok,
             attempts,
@@ -1108,14 +1117,15 @@ impl GenericBroker {
 
     /// Journals a full snapshot of the state under the current clock and
     /// call/event counters (a no-op when journaling is off).
+    /// The snapshot is encoded straight from the state's slots.
     fn journal_snapshot(&mut self) {
         if let Some(j) = self.journal.as_mut() {
-            j.record(&JournalRecord::Snapshot {
-                state: self.state.snapshot(),
-                clock_us: self.clock_us,
-                calls: self.calls,
-                events: self.events,
-            });
+            j.record(&JournalRecord::snapshot(
+                &self.state,
+                self.clock_us,
+                self.calls,
+                self.events,
+            ));
         }
     }
 
@@ -1160,7 +1170,11 @@ impl GenericBroker {
         MonitorSet::from_invariants(invariants)?.check_full(&recovered.state)?;
 
         // Restored in place, so the slot table seeded at load stays.
-        broker.state.restore(&recovered.state.snapshot());
+        let rebuilt = &recovered.state;
+        broker.state.restore(
+            rebuilt.version(),
+            rebuilt.vars().map(|(k, v)| (k, v.view())),
+        );
         broker.clock_us = recovered.clock_us;
         broker.calls = recovered.calls;
         broker.events = recovered.events;
@@ -1181,7 +1195,8 @@ impl GenericBroker {
                 text: format!(
                     "torn tail: dropped {} unreadable record(s) at offset {} after lsn {}: {}",
                     t.dropped_lines, t.offset, t.last_lsn, t.why
-                ),
+                )
+                .into(),
             });
         }
         broker.journal = Some(j);

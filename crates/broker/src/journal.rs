@@ -5,7 +5,7 @@
 //! `StateManager`. Every primitive mutation of the runtime model (an LSN'd
 //! [`StateOp`]) and every executed broker command is appended to a
 //! [`Journal`], which owns its bytes; every `snapshot_every` appended
-//! entries the journal takes a full [`StateSnapshot`]. Recovery
+//! entries the journal takes a full snapshot. Recovery
 //! ([`replay`]) restores the newest snapshot and replays the tail,
 //! refusing with [`BrokerError::RecoveryDiverged`] on LSN gaps or corrupt
 //! records.
@@ -17,7 +17,12 @@
 //!
 //! The record format is a dependency-free framed text format: one record
 //! per line, fields separated by single spaces, each field percent-escaped
-//! so values may contain spaces and newlines.
+//! so values may contain spaces and newlines. One codec reads and writes
+//! it: [`encode_line`] writes a [`JournalRecord`] straight into the
+//! journal's bytes from borrowed data — a snapshot from the live state's
+//! slots — and [`parse_line`] yields a record view borrowing the line, so
+//! neither end allocates per record. The decoder accepts exactly what the
+//! encoder writes, so every accepted line re-encodes to itself.
 //!
 //! Records are self-verifying: each line carries a versioned frame header
 //! and a CRC32 of its payload (`v1 <crc32-hex> <payload>`), so recovery
@@ -33,8 +38,9 @@
 //! (every record tag is distinguishable from the `v1` header) still
 //! replay byte-identically.
 
-use crate::state::{SnapValue, StateManager, StateOp, StateSnapshot};
+use crate::state::{OpView, StateManager, StateOp, ValueView};
 use crate::{BrokerError, Result};
+use std::borrow::Cow;
 
 /// Whether a command is an upper-layer call or a resource event: the kind
 /// of handler that serves it and of the record it journals.
@@ -46,11 +52,15 @@ pub enum CommandKind {
     Event,
 }
 
-/// One journal record.
+/// One journal record, in both directions of the wire: the engine builds
+/// it from borrowed data (pending ops, the live state, the call's selector
+/// and action) and [`encode_line`] writes it, and [`parse_line`] yields it
+/// as a view borrowing the line, whose text fields own a copy only where
+/// the line held an escape.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JournalRecord {
+pub enum JournalRecord<'a> {
     /// A primitive runtime-model mutation.
-    Op(StateOp),
+    Op(OpView<'a>),
     /// A run of consecutive writes to the *same* key within one command
     /// frame, coalesced to its final value: `op` is the last write of the
     /// run and `first_lsn` the LSN of the first. Only the final value can
@@ -62,7 +72,7 @@ pub enum JournalRecord {
         /// LSN of the first write in the coalesced run.
         first_lsn: u64,
         /// The last write of the run (its LSN closes the run).
-        op: StateOp,
+        op: OpView<'a>,
     },
     /// An executed broker command (call or event) and the virtual clock
     /// after it completed.
@@ -72,9 +82,9 @@ pub enum JournalRecord {
         /// Call or event.
         kind: CommandKind,
         /// Operation name / event topic.
-        selector: String,
+        selector: Cow<'a, str>,
         /// Action that produced the outcome.
-        action: String,
+        action: Cow<'a, str>,
         /// Whether the outcome was a success.
         ok: bool,
         /// Resource invocations performed.
@@ -100,7 +110,7 @@ pub enum JournalRecord {
     /// stream the commands do.
     Note {
         /// The annotation text.
-        text: String,
+        text: Cow<'a, str>,
     },
     /// An atomic model cutover: the broker switched to runtime-model
     /// version `version`, applying the embedded state-migration ops in the
@@ -114,15 +124,17 @@ pub enum JournalRecord {
         /// rollback re-journals the pre-upgrade version).
         version: u64,
         /// Human-readable provenance (candidate model name / reason).
-        tag: String,
+        tag: Cow<'a, str>,
         /// Declared state migrations + engine reseeds, applied as
         /// ordinary LSN'd ops inside the cutover record.
-        ops: Vec<StateOp>,
+        ops: Ops<'a>,
     },
     /// A full state snapshot plus the engine counters at snapshot time.
     Snapshot {
-        /// The state at snapshot time.
-        state: StateSnapshot,
+        /// The state version (LSN) at snapshot time.
+        version: u64,
+        /// Every variable, in key order.
+        vars: SnapVars<'a>,
         /// Virtual clock (µs).
         clock_us: u64,
         /// Calls handled so far.
@@ -132,85 +144,211 @@ pub enum JournalRecord {
     },
 }
 
-impl JournalRecord {
+impl<'a> JournalRecord<'a> {
+    /// A snapshot of `state`, encoded straight from its slots.
+    pub fn snapshot(state: &'a StateManager, clock_us: u64, calls: u64, events: u64) -> Self {
+        JournalRecord::Snapshot {
+            version: state.version(),
+            vars: SnapVars::Live(state),
+            clock_us,
+            calls,
+            events,
+        }
+    }
+
     /// The newest state LSN this record pins down: an op's LSN (the last
     /// of a coalesced run), an upgrade's last migration op, a snapshot's
     /// version. `None` for records that carry no LSN.
     pub fn lsn(&self) -> Option<u64> {
         match self {
-            JournalRecord::Op(op) | JournalRecord::OpCoalesced { op, .. } => Some(op.lsn()),
-            JournalRecord::Upgrade { ops, .. } => ops.last().map(StateOp::lsn),
-            JournalRecord::Snapshot { state, .. } => Some(state.version),
+            JournalRecord::Op(op) | JournalRecord::OpCoalesced { op, .. } => Some(op.lsn),
+            JournalRecord::Upgrade { ops, .. } => ops.iter().last().map(|op| op.lsn),
+            JournalRecord::Snapshot { version, .. } => Some(*version),
             _ => None,
         }
     }
 }
 
-// -- Framing ----------------------------------------------------------------
-
-/// Percent-escapes `%`, space, tab, and newline so a field never breaks
-/// record framing.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ' ' => out.push_str("%20"),
-            '\n' => out.push_str("%0A"),
-            '\t' => out.push_str("%09"),
-            _ => out.push(c),
-        }
-    }
-    out
+/// The migration ops of an upgrade record: pending ops drained from a
+/// state manager, or ops in a decoded line that the decoder has checked.
+#[derive(Debug, Clone)]
+pub enum Ops<'a> {
+    /// Ops recorded by a live state manager.
+    Pending(&'a [StateOp]),
+    /// `n` ops still encoded in a decoded line.
+    Wire {
+        /// How many ops the line holds.
+        n: u64,
+        /// The line's fields from the first op on.
+        fields: Fields<'a>,
+    },
 }
 
-fn unescape(s: &str) -> Result<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
+impl<'a> Ops<'a> {
+    /// How many ops there are: the count an upgrade line declares.
+    fn count(&self) -> u64 {
+        match self {
+            Ops::Pending(ops) => ops.len() as u64,
+            Ops::Wire { n, .. } => *n,
         }
-        let hi = chars.next();
-        let lo = chars.next();
-        match (hi, lo) {
-            (Some('2'), Some('5')) => out.push('%'),
-            (Some('2'), Some('0')) => out.push(' '),
-            (Some('0'), Some('A')) => out.push('\n'),
-            (Some('0'), Some('9')) => out.push('\t'),
-            _ => {
-                return Err(BrokerError::RecoveryDiverged(format!(
-                    "corrupt escape in journal field `{s}`"
-                )))
+    }
+
+    /// The ops, in order.
+    pub fn iter(&self) -> impl Iterator<Item = OpView<'a>> + '_ {
+        let (pending, wire) = match self {
+            Ops::Pending(ops) => (Some(ops.iter().map(StateOp::view)), None),
+            Ops::Wire { n, fields } => {
+                let mut fields = fields.clone();
+                let ops = (0..*n).map_while(move |_| fields.op().ok());
+                (None, Some(ops))
             }
-        }
-    }
-    Ok(out)
-}
-
-/// Frames an op's LSN + mutation (shared by the `op` and `opc` tags).
-fn frame_op_body(op: &StateOp) -> String {
-    match op {
-        StateOp::SetStr { lsn, key, value } => {
-            format!("{lsn} str {} {}", escape(key), escape(value))
-        }
-        StateOp::SetInt { lsn, key, value } => format!("{lsn} int {} {value}", escape(key)),
-        StateOp::Unset { lsn, key } => format!("{lsn} del {}", escape(key)),
+        };
+        pending
+            .into_iter()
+            .flatten()
+            .chain(wire.into_iter().flatten())
     }
 }
 
-/// Appends `rec`'s payload (no frame header, no trailing newline) to
-/// `line` — shared by the unframed and CRC-framed wire forms so the framed
-/// path never re-copies an already-formatted payload.
-fn payload_into(line: &mut String, rec: &JournalRecord) {
-    use std::fmt::Write;
+impl PartialEq for Ops<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+/// The variables of a snapshot record: a live state's slots, or the
+/// checked variables of a decoded line.
+#[derive(Debug, Clone)]
+pub enum SnapVars<'a> {
+    /// A live state manager's set variables.
+    Live(&'a StateManager),
+    /// Variables still encoded in a decoded line.
+    Wire(Fields<'a>),
+}
+
+impl<'a> SnapVars<'a> {
+    /// Every variable and its value, in record order.
+    pub fn iter(&self) -> impl Iterator<Item = (Cow<'a, str>, ValueView<'a>)> + '_ {
+        let (live, wire) = match self {
+            SnapVars::Live(state) => {
+                let vars = state
+                    .vars()
+                    .map(|(key, value)| (Cow::Borrowed(key), value.view()));
+                (Some(vars), None)
+            }
+            SnapVars::Wire(fields) => {
+                let mut fields = fields.clone();
+                (None, Some(std::iter::from_fn(move || fields.var().ok()?)))
+            }
+        };
+        live.into_iter().flatten().chain(wire.into_iter().flatten())
+    }
+}
+
+impl PartialEq for SnapVars<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+// -- Encoding -----------------------------------------------------------------
+
+/// Whether `b` must be percent-escaped inside a field: `%`, space, tab and
+/// newline would break record framing.
+fn needs_escape(b: u8) -> bool {
+    matches!(b, b'%' | b' ' | b'\n' | b'\t')
+}
+
+/// Appends `s` percent-escaped; a field with nothing to escape is copied
+/// whole. The escaped bytes are ASCII, which never occurs inside a
+/// multi-byte UTF-8 sequence, so escaping byte by byte is exact.
+fn push_text(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    if !bytes.iter().copied().any(needs_escape) {
+        out.extend_from_slice(bytes);
+        return;
+    }
+    for &b in bytes {
+        match b {
+            b'%' => out.extend_from_slice(b"%25"),
+            b' ' => out.extend_from_slice(b"%20"),
+            b'\n' => out.extend_from_slice(b"%0A"),
+            b'\t' => out.extend_from_slice(b"%09"),
+            _ => out.push(b),
+        }
+    }
+}
+
+/// Appends `v` in decimal, digit by digit.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+fn push_i64(out: &mut Vec<u8>, v: i64) {
+    if v < 0 {
+        out.push(b'-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// The type tag a value is written under.
+fn type_tag(value: &ValueView<'_>) -> &'static [u8] {
+    match value {
+        ValueView::Str(_) => b"str",
+        ValueView::Int(_) => b"int",
+    }
+}
+
+/// Appends a value: its text escaped, or its integer.
+fn push_value(out: &mut Vec<u8>, value: &ValueView<'_>) {
+    match value {
+        ValueView::Str(s) => push_text(out, s),
+        ValueView::Int(i) => push_i64(out, *i),
+    }
+}
+
+/// Appends an op's LSN and mutation (shared by the `op`, `opc` and `up`
+/// tags): `<lsn> str|int <key> <value>` or `<lsn> del <key>`.
+fn push_op(out: &mut Vec<u8>, op: &OpView<'_>) {
+    push_u64(out, op.lsn);
+    out.push(b' ');
+    out.extend_from_slice(op.value.as_ref().map_or(&b"del"[..], type_tag));
+    out.push(b' ');
+    push_text(out, &op.key);
+    if let Some(value) = &op.value {
+        out.push(b' ');
+        push_value(out, value);
+    }
+}
+
+/// Appends a space-led numeric field.
+fn push_num(out: &mut Vec<u8>, v: u64) {
+    out.push(b' ');
+    push_u64(out, v);
+}
+
+/// Appends `rec`'s payload: the record without frame header or newline.
+fn push_payload(out: &mut Vec<u8>, rec: &JournalRecord<'_>) {
     match rec {
         JournalRecord::Op(op) => {
-            let _ = write!(line, "op {}", frame_op_body(op));
+            out.extend_from_slice(b"op ");
+            push_op(out, op);
         }
         JournalRecord::OpCoalesced { first_lsn, op } => {
-            let _ = write!(line, "opc {first_lsn} {}", frame_op_body(op));
+            out.extend_from_slice(b"opc");
+            push_num(out, *first_lsn);
+            out.push(b' ');
+            push_op(out, op);
         }
         JournalRecord::Command {
             clock_us,
@@ -221,59 +359,90 @@ fn payload_into(line: &mut String, rec: &JournalRecord) {
             attempts,
             cost_us,
         } => {
-            let k = match kind {
-                CommandKind::Call => "call",
-                CommandKind::Event => "event",
-            };
-            let _ = write!(
-                line,
-                "cmd {clock_us} {k} {} {} {} {attempts} {cost_us}",
-                escape(selector),
-                escape(action),
-                u8::from(*ok),
-            );
+            out.extend_from_slice(b"cmd");
+            push_num(out, *clock_us);
+            out.extend_from_slice(match kind {
+                CommandKind::Call => b" call ",
+                CommandKind::Event => b" event ",
+            });
+            push_text(out, selector);
+            out.push(b' ');
+            push_text(out, action);
+            out.extend_from_slice(if *ok { b" 1" } else { b" 0" });
+            push_num(out, u64::from(*attempts));
+            push_num(out, *cost_us);
         }
         JournalRecord::Clock { clock_us } => {
-            let _ = write!(line, "clk {clock_us}");
+            out.extend_from_slice(b"clk");
+            push_num(out, *clock_us);
         }
         JournalRecord::Epoch { epoch } => {
-            let _ = write!(line, "ep {epoch}");
+            out.extend_from_slice(b"ep");
+            push_num(out, *epoch);
         }
         JournalRecord::Note { text } => {
-            let _ = write!(line, "note {}", escape(text));
+            out.extend_from_slice(b"note ");
+            push_text(out, text);
         }
         JournalRecord::Upgrade { version, tag, ops } => {
-            let _ = write!(line, "up {version} {} {}", escape(tag), ops.len());
-            for op in ops {
-                let _ = write!(line, " {}", frame_op_body(op));
+            out.extend_from_slice(b"up");
+            push_num(out, *version);
+            out.push(b' ');
+            push_text(out, tag);
+            push_num(out, ops.count());
+            for op in ops.iter() {
+                out.push(b' ');
+                push_op(out, &op);
             }
         }
         JournalRecord::Snapshot {
-            state,
+            version,
+            vars,
             clock_us,
             calls,
             events,
         } => {
-            let _ = write!(line, "snap {} {clock_us} {calls} {events}", state.version);
-            for (key, value) in &state.vars {
-                match value {
-                    SnapValue::Str(v) => {
-                        let _ = write!(line, " {} str {}", escape(key), escape(v));
-                    }
-                    SnapValue::Int(v) => {
-                        let _ = write!(line, " {} int {v}", escape(key));
-                    }
-                }
+            out.extend_from_slice(b"snap");
+            for v in [*version, *clock_us, *calls, *events] {
+                push_num(out, v);
+            }
+            for (key, value) in vars.iter() {
+                out.push(b' ');
+                push_text(out, &key);
+                out.push(b' ');
+                out.extend_from_slice(type_tag(&value));
+                out.push(b' ');
+                push_value(out, &value);
             }
         }
     }
 }
 
-// -- CRC32 record frames -----------------------------------------------------
+/// Appends `rec` to `out` as one wire line, trailing newline included:
+/// under the versioned CRC32 frame (`v1 <crc32-hex> <payload>`) when
+/// `framed`, bare (the legacy dialect) otherwise. This is the journal's
+/// one encoder; it writes straight into `out` and allocates nothing
+/// beyond `out`'s growth.
+pub fn encode_line(rec: &JournalRecord<'_>, framed: bool, out: &mut Vec<u8>) {
+    if !framed {
+        push_payload(out, rec);
+        out.push(b'\n');
+        return;
+    }
+    // `v1` is the frame version: bumped if the frame layout ever changes,
+    // and parsing keys on it, so dialects can coexist in one journal. The
+    // CRC digits are written once the payload they cover is in place.
+    out.extend_from_slice(b"v1 ........ ");
+    let start = out.len();
+    push_payload(out, rec);
+    let crc = crc32(&out[start..]);
+    for (i, digit) in out[start - 9..start - 1].iter_mut().enumerate() {
+        *digit = HEX_DIGITS[((crc >> (28 - 4 * i)) & 0xF) as usize];
+    }
+    out.push(b'\n');
+}
 
-/// Versioned frame-header tag. Bumped if the frame layout ever changes;
-/// parsing keys on the tag, so dialects can coexist in one journal.
-const FRAME_TAG: &str = "v1";
+// -- CRC32 record frames -----------------------------------------------------
 
 /// Slice-by-8 lookup tables: `t[0]` is the classic byte-at-a-time table,
 /// `t[j][i]` advances a byte that sits `j` positions deeper in the stream,
@@ -337,23 +506,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-/// Appends `v` as exactly eight lowercase hex digits.
-fn push_hex8(out: &mut String, v: u32) {
-    for i in 0..8 {
-        out.push(HEX_DIGITS[((v >> (28 - 4 * i)) & 0xF) as usize] as char);
-    }
-}
-
-/// Appends the `v1 <crc32-hex> <payload>\n` frame for `payload` to `out`.
-fn push_framed(out: &mut String, payload: &str) {
-    out.push_str(FRAME_TAG);
-    out.push(' ');
-    push_hex8(out, crc32(payload.as_bytes()));
-    out.push(' ');
-    out.push_str(payload);
-    out.push('\n');
-}
-
 /// Splits a line into its record payload, verifying the CRC when the line
 /// carries a `v1` frame; legacy (unframed) lines pass through untouched.
 /// The error is a human-readable reason, not a [`BrokerError`], so callers
@@ -362,15 +514,18 @@ fn checked_payload(line: &str) -> std::result::Result<&str, String> {
     let Some(rest) = line.strip_prefix("v1 ") else {
         return Ok(line);
     };
-    let (Some(crc_hex), Some(sep), Some(payload)) =
+    let (Some(crc_hex), Some(b' '), Some(payload)) =
         (rest.get(..8), rest.as_bytes().get(8), rest.get(9..))
     else {
         return Err("malformed v1 frame header".to_owned());
     };
-    if *sep != b' ' {
-        return Err("malformed v1 frame header".to_owned());
-    }
-    let Ok(stored) = u32::from_str_radix(crc_hex, 16) else {
+    // Lowercase hex only: the form the encoder writes.
+    let stored = crc_hex
+        .bytes()
+        .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        .then(|| u32::from_str_radix(crc_hex, 16).ok())
+        .flatten();
+    let Some(stored) = stored else {
         return Err(format!("bad v1 frame crc field `{crc_hex}`"));
     };
     let computed = crc32(payload.as_bytes());
@@ -437,150 +592,199 @@ pub fn prefix_through_lsn(bytes: &[u8], lsn: u64) -> Result<&[u8]> {
     )))
 }
 
+// -- Decoding -----------------------------------------------------------------
+
 fn bad(why: &str) -> BrokerError {
     BrokerError::RecoveryDiverged(format!("corrupt journal record: {why}"))
 }
 
-fn parse_u64(field: Option<&str>, what: &str) -> Result<u64> {
-    field
-        .and_then(|f| f.parse::<u64>().ok())
-        .ok_or_else(|| bad(&format!("bad {what}")))
+/// A decimal in the one form the encoder writes: digits only, no sign, no
+/// leading zero (bar `0` itself), within `u64`.
+fn parse_u64(field: &str) -> Option<u64> {
+    let digits = field.as_bytes();
+    let canonical = match digits {
+        [] => false,
+        [b'0', _, ..] => false,
+        _ => digits.iter().all(u8::is_ascii_digit),
+    };
+    canonical.then(|| field.parse().ok()).flatten()
 }
 
-/// Parses an op's LSN + mutation (the shared tail of `op` and `opc`).
-fn parse_op_body(f: &mut std::str::Split<'_, char>) -> Result<StateOp> {
-    let lsn = parse_u64(f.next(), "lsn")?;
-    let ty = f.next().ok_or_else(|| bad("missing op type"))?;
-    let key = unescape(f.next().ok_or_else(|| bad("missing key"))?)?;
-    match ty {
-        "str" => Ok(StateOp::SetStr {
-            lsn,
-            key,
-            value: unescape(f.next().ok_or_else(|| bad("missing value"))?)?,
-        }),
-        "int" => Ok(StateOp::SetInt {
-            lsn,
-            key,
-            value: f
-                .next()
-                .and_then(|v| v.parse::<i64>().ok())
-                .ok_or_else(|| bad("bad int value"))?,
-        }),
-        "del" => Ok(StateOp::Unset { lsn, key }),
-        other => Err(bad(&format!("unknown op type `{other}`"))),
+/// A field's text: borrowed when it holds no escape, unescaped into an
+/// owned copy when it does. Refuses what the encoder never writes: a raw
+/// tab, or a `%` that does not start one of the four escapes.
+fn unescape(field: &str) -> Result<Cow<'_, str>> {
+    if !field.bytes().any(|b| b == b'%' || b == b'\t') {
+        return Ok(Cow::Borrowed(field));
+    }
+    let mut out = String::with_capacity(field.len());
+    let mut rest = field;
+    while let Some(at) = rest.find(['%', '\t']) {
+        out.push_str(&rest[..at]);
+        out.push(match rest.as_bytes().get(at..at + 3) {
+            Some(b"%25") => '%',
+            Some(b"%20") => ' ',
+            Some(b"%0A") => '\n',
+            Some(b"%09") => '\t',
+            _ => {
+                return Err(BrokerError::RecoveryDiverged(format!(
+                    "corrupt escape in journal field `{field}`"
+                )))
+            }
+        });
+        rest = &rest[at + 3..];
+    }
+    out.push_str(rest);
+    Ok(Cow::Owned(out))
+}
+
+/// The space-separated fields of a record payload, read strictly: every
+/// number in the one form the encoder writes, every text field unescaped
+/// (borrowed unless it holds an escape), and nothing after a record's
+/// last field — so every line the decoder accepts re-encodes to itself.
+#[derive(Debug, Clone)]
+pub struct Fields<'a>(Option<&'a str>);
+
+impl<'a> Fields<'a> {
+    /// The next field; `None` past the last.
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.0?;
+        let (field, tail) = match rest.split_once(' ') {
+            Some((field, tail)) => (field, Some(tail)),
+            None => (rest, None),
+        };
+        self.0 = tail;
+        Some(field)
+    }
+
+    fn field(&mut self, what: &str) -> Result<&'a str> {
+        self.next().ok_or_else(|| bad(&format!("missing {what}")))
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64> {
+        parse_u64(self.field(what)?).ok_or_else(|| bad(&format!("bad {what}")))
+    }
+
+    fn i64(&mut self, what: &str) -> Result<i64> {
+        let field = self.field(what)?;
+        let value = match field.strip_prefix('-') {
+            Some(magnitude) => parse_u64(magnitude)
+                .filter(|&m| m != 0)
+                .and_then(|m| 0i64.checked_sub_unsigned(m)),
+            None => parse_u64(field).and_then(|v| i64::try_from(v).ok()),
+        };
+        value.ok_or_else(|| bad(&format!("bad {what}")))
+    }
+
+    fn text(&mut self, what: &str) -> Result<Cow<'a, str>> {
+        unescape(self.field(what)?)
+    }
+
+    /// An op: `<lsn> str|int <key> <value>` or `<lsn> del <key>`.
+    fn op(&mut self) -> Result<OpView<'a>> {
+        let lsn = self.u64("lsn")?;
+        let ty = self.field("op type")?;
+        let key = self.text("key")?;
+        let value = match ty {
+            "str" => Some(ValueView::Str(self.text("value")?)),
+            "int" => Some(ValueView::Int(self.i64("int value")?)),
+            "del" => None,
+            other => return Err(bad(&format!("unknown op type `{other}`"))),
+        };
+        Ok(OpView { lsn, key, value })
+    }
+
+    /// A snapshot variable, `<key> str|int <value>`; `None` past the last.
+    fn var(&mut self) -> Result<Option<(Cow<'a, str>, ValueView<'a>)>> {
+        let Some(key) = self.next() else {
+            return Ok(None);
+        };
+        let key = unescape(key)?;
+        let value = match self.field("var type")? {
+            "str" => ValueView::Str(self.text("var value")?),
+            "int" => ValueView::Int(self.i64("var int")?),
+            other => return Err(bad(&format!("unknown var type `{other}`"))),
+        };
+        Ok(Some((key, value)))
     }
 }
 
-fn parse_record(line: &str) -> Result<JournalRecord> {
-    let mut f = line.split(' ');
-    let tag = f.next().unwrap_or_default();
-    match tag {
-        "op" => Ok(JournalRecord::Op(parse_op_body(&mut f)?)),
-        "opc" => {
-            let first_lsn = parse_u64(f.next(), "first lsn")?;
-            let op = parse_op_body(&mut f)?;
-            Ok(JournalRecord::OpCoalesced { first_lsn, op })
-        }
-        "cmd" => {
-            let clock_us = parse_u64(f.next(), "clock")?;
-            let kind = match f.next() {
-                Some("call") => CommandKind::Call,
-                Some("event") => CommandKind::Event,
+/// Decodes one record payload (no frame header, no newline).
+fn decode(payload: &str) -> Result<JournalRecord<'_>> {
+    let mut f = Fields(Some(payload));
+    let rec = match f.field("record tag")? {
+        "op" => JournalRecord::Op(f.op()?),
+        "opc" => JournalRecord::OpCoalesced {
+            first_lsn: f.u64("first lsn")?,
+            op: f.op()?,
+        },
+        "cmd" => JournalRecord::Command {
+            clock_us: f.u64("clock")?,
+            kind: match f.field("command kind")? {
+                "call" => CommandKind::Call,
+                "event" => CommandKind::Event,
                 _ => return Err(bad("bad command kind")),
-            };
-            let selector = unescape(f.next().ok_or_else(|| bad("missing selector"))?)?;
-            let action = unescape(f.next().ok_or_else(|| bad("missing action"))?)?;
-            let ok = match f.next() {
-                Some("0") => false,
-                Some("1") => true,
+            },
+            selector: f.text("selector")?,
+            action: f.text("action")?,
+            ok: match f.field("ok flag")? {
+                "0" => false,
+                "1" => true,
                 _ => return Err(bad("bad ok flag")),
-            };
-            let attempts = parse_u64(f.next(), "attempts")? as u32;
-            let cost_us = parse_u64(f.next(), "cost")?;
-            Ok(JournalRecord::Command {
-                clock_us,
-                kind,
-                selector,
-                action,
-                ok,
-                attempts,
-                cost_us,
-            })
-        }
-        "clk" => Ok(JournalRecord::Clock {
-            clock_us: parse_u64(f.next(), "clock")?,
-        }),
-        "ep" => Ok(JournalRecord::Epoch {
-            epoch: parse_u64(f.next(), "epoch")?,
-        }),
-        "note" => Ok(JournalRecord::Note {
-            text: unescape(f.next().unwrap_or_default())?,
-        }),
+            },
+            attempts: u32::try_from(f.u64("attempts")?).map_err(|_| bad("bad attempts"))?,
+            cost_us: f.u64("cost")?,
+        },
+        "clk" => JournalRecord::Clock {
+            clock_us: f.u64("clock")?,
+        },
+        "ep" => JournalRecord::Epoch {
+            epoch: f.u64("epoch")?,
+        },
+        "note" => JournalRecord::Note {
+            text: f.text("note text")?,
+        },
         "up" => {
-            let version = parse_u64(f.next(), "model version")?;
-            let tag = unescape(f.next().ok_or_else(|| bad("missing upgrade tag"))?)?;
-            let n = parse_u64(f.next(), "op count")?;
-            let mut ops = Vec::with_capacity(n as usize);
+            let version = f.u64("model version")?;
+            let tag = f.text("upgrade tag")?;
+            let n = f.u64("op count")?;
+            let ops = Ops::Wire {
+                n,
+                fields: f.clone(),
+            };
+            // The count sizes nothing: each declared op must be there, so
+            // a line declaring more ops than it holds is refused.
             for _ in 0..n {
-                ops.push(parse_op_body(&mut f)?);
+                f.op()?;
             }
-            Ok(JournalRecord::Upgrade { version, tag, ops })
+            JournalRecord::Upgrade { version, tag, ops }
         }
         "snap" => {
-            let version = parse_u64(f.next(), "version")?;
-            let clock_us = parse_u64(f.next(), "clock")?;
-            let calls = parse_u64(f.next(), "calls")?;
-            let events = parse_u64(f.next(), "events")?;
-            let mut vars = Vec::new();
-            while let Some(key) = f.next() {
-                let key = unescape(key)?;
-                let ty = f.next().ok_or_else(|| bad("missing var type"))?;
-                let raw = f.next().ok_or_else(|| bad("missing var value"))?;
-                let value = match ty {
-                    "str" => SnapValue::Str(unescape(raw)?),
-                    "int" => SnapValue::Int(raw.parse::<i64>().map_err(|_| bad("bad var int"))?),
-                    other => return Err(bad(&format!("unknown var type `{other}`"))),
-                };
-                vars.push((key, value));
-            }
-            Ok(JournalRecord::Snapshot {
-                state: StateSnapshot { version, vars },
+            let (version, clock_us) = (f.u64("version")?, f.u64("clock")?);
+            let (calls, events) = (f.u64("calls")?, f.u64("events")?);
+            let vars = SnapVars::Wire(f.clone());
+            while f.var()?.is_some() {}
+            JournalRecord::Snapshot {
+                version,
+                vars,
                 clock_us,
                 calls,
                 events,
-            })
+            }
         }
-        other => Err(bad(&format!("unknown record tag `{other}`"))),
+        other => return Err(bad(&format!("unknown record tag `{other}`"))),
+    };
+    if f.next().is_some() {
+        return Err(bad("trailing field"));
     }
+    Ok(rec)
 }
 
-/// Frames `rec` as its one-line legacy (unframed) wire form, trailing
-/// newline included — the unit the replication layer ships over the
-/// network.
-pub fn frame_record(rec: &JournalRecord) -> String {
-    let mut line = String::with_capacity(48);
-    payload_into(&mut line, rec);
-    line.push('\n');
-    line
-}
-
-/// Frames `rec` under the versioned CRC32 frame (`v1 <crc32-hex>
-/// <payload>`), trailing newline included — what a checksummed journal
-/// appends, and what a checksummed primary ships.
-pub fn frame_record_checked(rec: &JournalRecord) -> String {
-    let mut payload = String::with_capacity(48);
-    payload_into(&mut payload, rec);
-    let mut line = String::with_capacity(payload.len() + 14);
-    push_framed(&mut line, &payload);
-    line
-}
-
-/// Parses one line (without its trailing newline) back into a
-/// [`JournalRecord`], verifying the CRC when the line is `v1`-framed; the
-/// inverse of both [`frame_record`] and [`frame_record_checked`].
-pub fn parse_line(line: &str) -> Result<JournalRecord> {
-    let payload = checked_payload(line).map_err(|why| bad(&why))?;
-    parse_record(payload)
+/// Decodes one line (without its trailing newline) into a record view
+/// borrowing it, verifying the CRC when the line is `v1`-framed: the one
+/// decoder, the inverse of [`encode_line`] in both dialects.
+pub fn parse_line(line: &str) -> Result<JournalRecord<'_>> {
+    decode(checked_payload(line).map_err(|why| bad(&why))?)
 }
 
 // -- The journal ------------------------------------------------------------
@@ -596,10 +800,6 @@ pub struct Journal {
     /// Whether appended records are wrapped in the `v1` CRC frame
     /// (the default) or written in the legacy unframed dialect.
     framed: bool,
-    /// Reused per-append scratch (payload, then the full wire line) so the
-    /// hot path allocates nothing in steady state.
-    payload_buf: String,
-    line_buf: String,
 }
 
 impl std::fmt::Debug for Journal {
@@ -632,8 +832,6 @@ impl Journal {
             since_snapshot: 0,
             entries: 0,
             snapshots: 0,
-            payload_buf: String::new(),
-            line_buf: String::new(),
         }
     }
 
@@ -650,18 +848,9 @@ impl Journal {
         self.framed
     }
 
-    /// Appends one record.
-    pub fn record(&mut self, rec: &JournalRecord) {
-        self.payload_buf.clear();
-        payload_into(&mut self.payload_buf, rec);
-        self.line_buf.clear();
-        if self.framed {
-            push_framed(&mut self.line_buf, &self.payload_buf);
-        } else {
-            self.line_buf.push_str(&self.payload_buf);
-            self.line_buf.push('\n');
-        }
-        self.bytes.extend_from_slice(self.line_buf.as_bytes());
+    /// Appends one record, encoded straight into the journal's bytes.
+    pub fn record(&mut self, rec: &JournalRecord<'_>) {
+        encode_line(rec, self.framed, &mut self.bytes);
         if matches!(rec, JournalRecord::Snapshot { .. }) {
             self.snapshots += 1;
             self.since_snapshot = 0;
@@ -795,46 +984,48 @@ pub(crate) enum Touched<'a> {
 }
 
 impl Applier {
-    /// Applies one record. State ops are LSN-checked against the state
-    /// version: an op must follow it, a coalesced run must start right
-    /// after it, and an upgrade's migration ops must run on from it — all
-    /// of them, checked before the first is applied. A refused record
-    /// changes nothing.
-    pub(crate) fn apply<'r>(&mut self, rec: &'r JournalRecord) -> Result<Touched<'r>> {
+    /// Applies one record, writing its ops and snapshot variables into
+    /// the state's slots in place. State ops are LSN-checked against the
+    /// state version: an op must follow it, a coalesced run must start
+    /// right after it, and an upgrade's migration ops must run on from it
+    /// — all of them, checked before the first is applied. A refused
+    /// record changes nothing.
+    pub(crate) fn apply<'r>(&mut self, rec: &'r JournalRecord<'_>) -> Result<Touched<'r>> {
         match rec {
             JournalRecord::Op(op) => {
                 self.state.apply_op(op)?;
-                Ok(Touched::Key(op.key()))
+                Ok(Touched::Key(&op.key))
             }
             JournalRecord::OpCoalesced { first_lsn, op } => {
                 self.state.apply_coalesced(*first_lsn, op)?;
-                Ok(Touched::Key(op.key()))
+                Ok(Touched::Key(&op.key))
             }
             JournalRecord::Upgrade { ops, .. } => {
                 let from = self.state.version();
                 let gap = ops
                     .iter()
-                    .enumerate()
-                    .find(|(i, op)| op.lsn().checked_sub(from) != Some(*i as u64 + 1));
-                if let Some((_, op)) = gap {
+                    .zip(1..)
+                    .find(|(op, i)| op.lsn.checked_sub(from) != Some(*i));
+                if let Some((op, _)) = gap {
                     return Err(BrokerError::RecoveryDiverged(format!(
                         "upgrade op LSN {} does not run on from state version {from}",
-                        op.lsn()
+                        op.lsn
                     )));
                 }
-                for op in ops {
-                    self.state.apply_op(op)?;
+                for op in ops.iter() {
+                    self.state.apply_op(&op)?;
                 }
                 self.adopt_fence(rec);
                 Ok(Touched::Any)
             }
             JournalRecord::Snapshot {
-                state,
+                version,
+                vars,
                 clock_us,
                 calls,
                 events,
             } => {
-                self.state.restore(state);
+                self.state.restore(*version, vars.iter());
                 self.clock_us = *clock_us;
                 self.calls = *calls;
                 self.events = *events;
@@ -862,7 +1053,7 @@ impl Applier {
     /// Adopts only what `rec` records outside the state: an epoch fence
     /// (the highest wins) or the model version an upgrade put live. This
     /// is all a record before the newest snapshot still contributes.
-    fn adopt_fence(&mut self, rec: &JournalRecord) {
+    fn adopt_fence(&mut self, rec: &JournalRecord<'_>) {
         match rec {
             JournalRecord::Epoch { epoch } => self.epoch = self.epoch.max(*epoch),
             JournalRecord::Upgrade { version, .. } => self.model_version = *version,
@@ -917,14 +1108,15 @@ pub struct Recovered {
     pub torn: Option<TornTail>,
 }
 
-/// One scanned journal line: its byte offset and either the parsed record
-/// or the reason it could not be read (frame damage, bad CRC, bad parse).
-struct ScannedLine {
+/// One scanned journal line: its byte offset and either the decoded
+/// record, borrowing the journal bytes, or the reason it could not be read
+/// (frame damage, bad CRC, bad parse).
+struct ScannedLine<'a> {
     offset: usize,
-    rec: std::result::Result<JournalRecord, String>,
+    rec: std::result::Result<JournalRecord<'a>, String>,
 }
 
-fn scan_lines(bytes: &[u8]) -> Vec<ScannedLine> {
+fn scan_lines(bytes: &[u8]) -> Vec<ScannedLine<'_>> {
     let mut lines = Vec::new();
     let mut offset = 0usize;
     for raw in bytes.split_inclusive(|&b| b == b'\n') {
@@ -943,8 +1135,9 @@ fn scan_lines(bytes: &[u8]) -> Vec<ScannedLine> {
             } else {
                 match std::str::from_utf8(body) {
                     Err(_) => Err("record is not UTF-8".to_owned()),
-                    Ok(line) => checked_payload(line)
-                        .and_then(|payload| parse_record(payload).map_err(reason)),
+                    Ok(line) => {
+                        checked_payload(line).and_then(|payload| decode(payload).map_err(reason))
+                    }
                 }
             };
             lines.push(ScannedLine { offset, rec });
@@ -1016,7 +1209,7 @@ pub fn replay(bytes: &[u8]) -> Result<Recovered> {
         cut = Some((offset, lines.len() - first_bad, why));
         lines.truncate(first_bad);
     }
-    let records: Vec<(usize, JournalRecord)> = lines
+    let records: Vec<(usize, JournalRecord<'_>)> = lines
         .into_iter()
         .filter_map(|l| l.rec.ok().map(|r| (l.offset, r)))
         .collect();
@@ -1076,16 +1269,34 @@ mod tests {
     use super::*;
 
     /// A snapshot of `s` at virtual time `clock_us` after `calls` calls.
-    fn snap(s: &StateManager, clock_us: u64, calls: u64) -> JournalRecord {
-        JournalRecord::Snapshot {
-            state: s.snapshot(),
-            clock_us,
-            calls,
-            events: 0,
+    fn snap(s: &StateManager, clock_us: u64, calls: u64) -> JournalRecord<'_> {
+        JournalRecord::snapshot(s, clock_us, calls, 0)
+    }
+
+    /// Journals every op `live` recorded since the last flush.
+    fn flush(live: &mut StateManager, j: &mut Journal) {
+        for op in live.drain_ops() {
+            j.record(&JournalRecord::Op(op.view()));
         }
     }
 
-    fn cmd(clock_us: u64) -> JournalRecord {
+    /// `rec` as one wire line, newline included.
+    fn line(rec: &JournalRecord<'_>, framed: bool) -> String {
+        let mut out = Vec::new();
+        encode_line(rec, framed, &mut out);
+        String::from_utf8(out).unwrap()
+    }
+
+    /// An op record of `key` at `lsn`.
+    fn op<'a>(lsn: u64, key: &'a str, value: Option<ValueView<'a>>) -> JournalRecord<'a> {
+        JournalRecord::Op(OpView {
+            lsn,
+            key: key.into(),
+            value,
+        })
+    }
+
+    fn cmd(clock_us: u64) -> JournalRecord<'static> {
         JournalRecord::Command {
             clock_us,
             kind: CommandKind::Call,
@@ -1102,60 +1313,52 @@ mod tests {
         let mut s = StateManager::new();
         s.set_str("mode", "two words % and\nnewline\ttab");
         s.set_int("n", -3);
-        let records = vec![
-            JournalRecord::Snapshot {
-                state: s.snapshot(),
-                clock_us: 5,
-                calls: 2,
-                events: 1,
+        let migrations = [
+            StateOp::SetStr {
+                lsn: 6,
+                key: "svc mode".into(),
+                value: "lite%".into(),
             },
-            JournalRecord::Op(StateOp::SetStr {
-                lsn: 3,
-                key: "k e y".into(),
-                value: "v%".into(),
-            }),
-            JournalRecord::Op(StateOp::SetInt {
-                lsn: 4,
-                key: "n".into(),
-                value: 9,
-            }),
-            JournalRecord::Op(StateOp::Unset {
-                lsn: 5,
-                key: "mode".into(),
-            }),
+            StateOp::SetInt {
+                lsn: 7,
+                key: "adm_bulk_tokens".into(),
+                value: 4_000,
+            },
+            StateOp::Unset {
+                lsn: 8,
+                key: "mon_old_tripped".into(),
+            },
+        ];
+        let str_value = |v| Some(ValueView::Str(Cow::Borrowed(v)));
+        let records = vec![
+            JournalRecord::snapshot(&s, 5, 2, 1),
+            op(3, "k e y", str_value("v%")),
+            op(4, "n", Some(ValueView::Int(9))),
+            op(5, "mode", None),
             cmd(77),
             JournalRecord::Clock { clock_us: 99 },
             JournalRecord::Upgrade {
                 version: 2,
                 tag: "candidate v2 (two words)".into(),
-                ops: vec![
-                    StateOp::SetStr {
-                        lsn: 6,
-                        key: "svc mode".into(),
-                        value: "lite%".into(),
-                    },
-                    StateOp::SetInt {
-                        lsn: 7,
-                        key: "adm_bulk_tokens".into(),
-                        value: 4_000,
-                    },
-                    StateOp::Unset {
-                        lsn: 8,
-                        key: "mon_old_tripped".into(),
-                    },
-                ],
+                ops: Ops::Pending(&migrations),
             },
             JournalRecord::Upgrade {
                 version: 3,
                 tag: "no-migrations".into(),
-                ops: Vec::new(),
+                ops: Ops::Pending(&[]),
             },
         ];
         for r in &records {
-            let line = frame_record(r);
-            assert!(line.ends_with('\n'));
-            let back = parse_record(line.trim_end()).unwrap();
-            assert_eq!(&back, r);
+            for framed in [false, true] {
+                let line = line(r, framed);
+                assert!(line.ends_with('\n'));
+                let back = parse_line(line.trim_end()).unwrap();
+                assert_eq!(&back, r);
+                // Fields without escapes borrow the line.
+                if let JournalRecord::Op(OpView { key, .. }) = &back {
+                    assert_eq!(matches!(key, Cow::Borrowed(_)), !key.contains(' '));
+                }
+            }
         }
     }
 
@@ -1167,7 +1370,8 @@ mod tests {
         assert!(!j.snapshot_due());
         j.record(&cmd(2));
         assert!(j.snapshot_due());
-        j.record(&snap(&StateManager::new(), 2, 2));
+        let empty = StateManager::new();
+        j.record(&snap(&empty, 2, 2));
         assert!(!j.snapshot_due());
         assert_eq!(j.entries(), 2);
         assert_eq!(j.snapshots(), 1);
@@ -1181,14 +1385,10 @@ mod tests {
         let mut j = Journal::in_memory(0);
         live.set_str("mode", "direct");
         live.set_int("opens", 1);
-        for op in live.take_ops() {
-            j.record(&JournalRecord::Op(op));
-        }
+        flush(&mut live, &mut j);
         j.record(&snap(&live, 10, 1));
         live.bump("opens", 2);
-        for op in live.take_ops() {
-            j.record(&JournalRecord::Op(op));
-        }
+        flush(&mut live, &mut j);
         j.record(&cmd(25));
 
         let r = replay(j.bytes()).unwrap();
@@ -1208,9 +1408,7 @@ mod tests {
         live.record_ops(true);
         let mut j = Journal::in_memory(0);
         live.set_int("x", 7);
-        for op in live.take_ops() {
-            j.record(&JournalRecord::Op(op));
-        }
+        flush(&mut live, &mut j);
         let r = replay(j.bytes()).unwrap();
         assert_eq!(r.state.int("x"), Some(7));
         assert_eq!(r.snapshot_version, 0);
@@ -1227,13 +1425,13 @@ mod tests {
         live.set_int("tokens", 7);
         live.set_int("tokens", 3);
         live.set_str("mode", "lite");
-        let ops = live.take_ops();
+        let ops: Vec<StateOp> = live.drain_ops().collect();
         // Coalesce the run by hand (the engine does the same).
         j.record(&JournalRecord::OpCoalesced {
             first_lsn: ops[0].lsn(),
-            op: ops[2].clone(),
+            op: ops[2].view(),
         });
-        j.record(&JournalRecord::Op(ops[3].clone()));
+        j.record(&JournalRecord::Op(ops[3].view()));
 
         let r = replay(j.bytes()).unwrap();
         assert_eq!(r.state.int("tokens"), Some(3));
@@ -1244,9 +1442,9 @@ mod tests {
         // Framing roundtrip of the coalesced record itself.
         let rec = JournalRecord::OpCoalesced {
             first_lsn: 1,
-            op: ops[2].clone(),
+            op: ops[2].view(),
         };
-        assert_eq!(parse_record(frame_record(&rec).trim_end()).unwrap(), rec);
+        assert_eq!(parse_line(line(&rec, false).trim_end()).unwrap(), rec);
     }
 
     #[test]
@@ -1272,7 +1470,7 @@ mod tests {
     #[test]
     fn epoch_fences_roundtrip_and_survive_snapshots() {
         let rec = JournalRecord::Epoch { epoch: 3 };
-        assert_eq!(parse_record(frame_record(&rec).trim_end()).unwrap(), rec);
+        assert_eq!(parse_line(line(&rec, false).trim_end()).unwrap(), rec);
         // No fence recorded: epoch defaults to 1.
         assert_eq!(replay(b"op 1 int x 1\n").unwrap().epoch, 1);
         // A fence after the newest snapshot is replayed from the tail.
@@ -1294,19 +1492,13 @@ mod tests {
         live.record_ops(true);
         let mut j = Journal::in_memory(0);
         live.set_int("x", 1);
-        for op in live.take_ops() {
-            j.record(&JournalRecord::Op(op));
-        }
+        flush(&mut live, &mut j);
         j.record(&snap(&live, 10, 1));
         live.set_int("y", 2);
-        for op in live.take_ops() {
-            j.record(&JournalRecord::Op(op));
-        }
+        flush(&mut live, &mut j);
         j.record(&snap(&live, 20, 2));
         live.bump("y", 5);
-        for op in live.take_ops() {
-            j.record(&JournalRecord::Op(op));
-        }
+        flush(&mut live, &mut j);
         (j, live)
     }
 
@@ -1493,13 +1685,17 @@ mod tests {
     #[test]
     fn checked_frames_roundtrip_and_verify() {
         let rec = cmd(42);
-        let line = frame_record_checked(&rec);
-        assert!(line.starts_with("v1 "));
-        assert!(line.ends_with('\n'));
+        let framed = line(&rec, true);
+        assert!(framed.starts_with("v1 "));
+        assert!(framed.ends_with('\n'));
         // parse_line sees through the frame and verifies the CRC.
-        assert_eq!(parse_line(line.trim_end()).unwrap(), rec);
+        assert_eq!(parse_line(framed.trim_end()).unwrap(), rec);
         // line_payload strips the frame without verifying.
-        assert_eq!(line_payload(line.trim_end()), frame_record(&rec).trim_end());
+        assert_eq!(
+            line_payload(framed.trim_end()),
+            line(&rec, false).trim_end()
+        );
+        let line = framed;
         // A flipped payload byte fails verification with a CRC message,
         // never an echo of the payload.
         let corrupted = line.trim_end().replace("call", "cakl");
@@ -1527,9 +1723,7 @@ mod tests {
         for i in 1..=n {
             live.set_int("x", i);
         }
-        for op in live.take_ops() {
-            j.record(&JournalRecord::Op(op));
-        }
+        flush(&mut live, &mut j);
         j
     }
 
@@ -1545,9 +1739,7 @@ mod tests {
         for i in 1..=3 {
             live.set_int("x", i);
         }
-        for op in live.take_ops() {
-            legacy.record(&JournalRecord::Op(op));
-        }
+        flush(&mut live, &mut legacy);
         assert!(!is_framed(legacy.bytes()));
         assert!(!legacy.bytes().starts_with(b"v1 "));
         let a = replay(j.bytes()).unwrap();
@@ -1557,14 +1749,7 @@ mod tests {
         // Mixed dialects in one journal replay fine too: a legacy prefix
         // with a framed tail is what an upgraded broker leaves behind.
         let mut mixed = legacy.bytes().to_vec();
-        mixed.extend_from_slice(
-            frame_record_checked(&JournalRecord::Op(StateOp::SetInt {
-                lsn: 4,
-                key: "x".into(),
-                value: 9,
-            }))
-            .as_bytes(),
-        );
+        encode_line(&op(4, "x", Some(ValueView::Int(9))), true, &mut mixed);
         let m = replay(&mixed).unwrap();
         assert_eq!(m.state.int("x"), Some(9));
         assert_eq!(m.state.version(), 4);
@@ -1577,11 +1762,7 @@ mod tests {
         let clean_len = bytes.len();
         // A crash mid-append leaves a partial final record: cut the last
         // framed line in half (no trailing newline).
-        let next = frame_record_checked(&JournalRecord::Op(StateOp::SetInt {
-            lsn: 4,
-            key: "x".into(),
-            value: 99,
-        }));
+        let next = line(&op(4, "x", Some(ValueView::Int(99))), true);
         bytes.extend_from_slice(&next.as_bytes()[..next.len() / 2]);
         let r = replay(&bytes).unwrap();
         assert_eq!(r.state.int("x"), Some(3), "torn record never applied");
@@ -1601,11 +1782,7 @@ mod tests {
         // splice the next append onto this line.
         let mut j = Journal::in_memory(0);
         j.set_framed(false);
-        j.record(&JournalRecord::Op(StateOp::SetInt {
-            lsn: 1,
-            key: "count".into(),
-            value: 7,
-        }));
+        j.record(&op(1, "count", Some(ValueView::Int(7))));
         let mut bytes = j.bytes().to_vec();
         let clean_len = bytes.len();
         bytes.extend_from_slice(b"op 2 int count 12");
@@ -1648,17 +1825,13 @@ mod tests {
         let mut j = Journal::in_memory(0);
         j.record(&JournalRecord::Epoch { epoch: 3 });
         live.set_int("x", 1);
-        for op in live.take_ops() {
-            j.record(&JournalRecord::Op(op));
-        }
+        flush(&mut live, &mut j);
         j.record(&snap(&live, 10, 1));
         live.set_int("y", 2);
         // Monitor memory lives in ordinary `mon_*` variables: a latched
         // trip recorded before the compaction cut must survive it.
         live.set_str("mon_nonneg_tripped", "1");
-        for op in live.take_ops() {
-            j.record(&JournalRecord::Op(op));
-        }
+        flush(&mut live, &mut j);
         j.record(&snap(&live, 20, 2));
         assert!(is_framed(j.bytes()));
         assert!(j.truncate_to(live.version()) > 0);
@@ -1687,6 +1860,12 @@ mod tests {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
+    fn escaped(s: &str) -> String {
+        let mut out = Vec::new();
+        push_text(&mut out, s);
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn escape_roundtrips_arbitrary_strings() {
         // Property: unescape(escape(s)) == s for strings drawn from a
@@ -1704,7 +1883,7 @@ mod tests {
             for _ in 0..len {
                 s.push_str(palette[(xorshift(&mut seed) as usize) % palette.len()]);
             }
-            let esc = escape(&s);
+            let esc = escaped(&s);
             // Framing safety: no raw separator survives escaping.
             assert!(!esc.contains(' ') && !esc.contains('\n') && !esc.contains('\t'));
             assert_eq!(unescape(&esc).unwrap(), s, "roundtrip failed for {s:?}");
@@ -1716,7 +1895,98 @@ mod tests {
             let s: String = (0..len)
                 .map(|_| char::from_u32((xorshift(&mut seed) % 0xD7FF) as u32).unwrap_or('x'))
                 .collect();
-            assert_eq!(unescape(&escape(&s)).unwrap(), s);
+            assert_eq!(unescape(&escaped(&s)).unwrap(), s);
+        }
+    }
+
+    /// `payload` under a valid `v1` frame: a CRC is no signature, so
+    /// whatever a corrupt payload does, it does framed too.
+    fn framed(payload: &str) -> String {
+        format!("v1 {:08x} {payload}", crc32(payload.as_bytes()))
+    }
+
+    #[test]
+    fn a_declared_op_count_sizes_nothing() {
+        // `up` records declaring far more ops than they hold, up to counts
+        // whose buffer would abort the process: each is refused as corrupt
+        // by every reader of journal and wire lines.
+        for payload in [
+            "up 2 t 1000000000000",
+            "up 2 t 18446744073709551615",
+            "up 2 t 3 1 int x 1",
+        ] {
+            for line in [payload.to_owned(), framed(payload)] {
+                assert!(parse_line(&line).is_err(), "{line}");
+                let bytes = format!("{line}\n");
+                assert!(
+                    matches!(
+                        replay(bytes.as_bytes()),
+                        Err(BrokerError::JournalDamaged { .. })
+                    ),
+                    "{line}"
+                );
+                assert!(prefix_through_lsn(bytes.as_bytes(), 1).is_err(), "{line}");
+                let mut sb = crate::replication::Standby::new("b");
+                assert!(sb.receive(0, &line, 1).is_err(), "{line}");
+                assert_eq!(sb.received(), 0, "{line}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_decoder_accepts_only_what_the_encoder_writes() {
+        let refused = [
+            // A counter past u32::MAX (it used to wrap to 1 attempt).
+            "cmd 5 call s a 1 4294967297 0",
+            // A `+` sign, a leading zero, `-0`.
+            "op 1 int x +7",
+            "op 01 int x 7",
+            "op 1 int x 07",
+            "op 1 int x -0",
+            "clk +5",
+            "snap 1 0 0 0 x int -0",
+            "up 2 t 01 2 int x 1",
+            // Fields after a record's last.
+            "op 1 int x 1 trailing fields",
+            "clk 5 6",
+            "note two words",
+            "cmd 5 call s a 1 1 0 extra",
+            // A missing field, a raw tab, an escape the encoder never writes.
+            "note",
+            "note tab\there",
+            "note %0a",
+        ];
+        for line in refused {
+            assert!(parse_line(line).is_err(), "{line} was accepted");
+            assert!(
+                parse_line(&framed(line)).is_err(),
+                "framed {line} was accepted"
+            );
+        }
+        // A frame whose CRC is written in uppercase hex.
+        for clock in 0..8 {
+            let payload = format!("clk {clock}");
+            let upper = format!("v1 {:08X} {payload}", crc32(payload.as_bytes()));
+            assert_eq!(parse_line(&upper).is_err(), upper != framed(&payload));
+        }
+        // The canonical forms are accepted, and re-encode to themselves.
+        for line in [
+            "cmd 5 call s a 1 4294967295 0",
+            "op 1 int x 7",
+            "op 1 int x -7",
+            "op 1 int x 0",
+            "op 1 int x -9223372036854775808",
+            "clk 18446744073709551615",
+            "note ",
+            "note tab%09here",
+            "up 2 t 0",
+        ] {
+            for line in [line.to_owned(), framed(line)] {
+                let rec = parse_line(&line).unwrap();
+                let mut again = Vec::new();
+                encode_line(&rec, line.starts_with("v1 "), &mut again);
+                assert_eq!(again, format!("{line}\n").as_bytes());
+            }
         }
     }
 

@@ -426,7 +426,7 @@ mod tests {
     /// last frame, which are then drained.
     fn live(set: &MonitorSet, s: &mut StateManager) -> Vec<MonitorTrip> {
         let trips = set.check_live_pending(s);
-        s.take_ops();
+        s.drain_ops();
         trips
     }
 

@@ -48,13 +48,14 @@
 use crate::engine::{GenericBroker, RecoveryReport};
 use crate::journal::{self, Applier, Recovered, Touched};
 use crate::monitor::{MonitorSet, MonitorTrip};
-use crate::state::StateManager;
+use crate::state::{Key, StateManager};
 use crate::{BrokerError, Result};
 use mddsm_meta::model::Model;
 use mddsm_sim::net::{Network, SendOutcome};
 use mddsm_sim::resource::ResourceHub;
 use mddsm_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Journal-shipping discipline of one replica-set lane (the `ShipMode`
 /// enumeration of the Fig. 6 metamodel extension).
@@ -229,15 +230,30 @@ pub struct QuorumReplicator {
     /// Bytes of the primary journal already ingested into the outbox.
     read_offset: usize,
     /// Full shipped history, indexed by sequence number: `outbox[seq] =
-    /// (state LSN, framed line)`. Never trimmed; its length is the next
-    /// sequence number to assign.
-    outbox: Vec<(Option<u64>, String)>,
+    /// (state LSN, the line's bytes in outbox_text)`. Never trimmed; its
+    /// length is the next sequence number to assign.
+    outbox: Vec<(Option<u64>, Range<usize>)>,
+    /// Every ingested line back to back, newlines stripped: one buffer
+    /// for the whole history instead of one string per line.
+    outbox_text: String,
     /// Newest state LSN the primary's own journal holds.
     head_lsn: u64,
     lanes: Vec<PeerLane>,
     /// Monotone quorum commit point.
     commit_lsn: u64,
     metrics: StateManager,
+    /// The metric keys every tick writes, rendered once.
+    keys: TickKeys,
+}
+
+/// The `repl_*` metrics a [`QuorumReplicator::tick`] refreshes.
+#[derive(Debug)]
+struct TickKeys {
+    lag: Key,
+    commit_lsn: Key,
+    epoch: Key,
+    retransmits: Key,
+    fenced: Key,
 }
 
 impl QuorumReplicator {
@@ -257,10 +273,18 @@ impl QuorumReplicator {
             node: node.to_owned(),
             read_offset: 0,
             outbox: Vec::new(),
+            outbox_text: String::new(),
             head_lsn: 0,
             lanes,
             commit_lsn: 0,
             metrics,
+            keys: TickKeys {
+                lag: Key::new("repl_lag"),
+                commit_lsn: Key::new("repl_commit_lsn"),
+                epoch: Key::new("repl_epoch"),
+                retransmits: Key::new("repl_retransmits"),
+                fenced: Key::new("repl_fenced"),
+            },
         }
     }
 
@@ -407,6 +431,7 @@ impl QuorumReplicator {
             node,
             lanes,
             outbox,
+            outbox_text,
             ..
         } = self;
 
@@ -432,7 +457,8 @@ impl QuorumReplicator {
             // rebuilt from a mirror can ack past what this lane shipped.
             let from = lane.shipped_high.max(lane.acked_seq).min(window_end);
 
-            for (seq, (_, line)) in (from..).zip(&outbox[from as usize..window_end as usize]) {
+            for (seq, (_, bytes)) in (from..).zip(&outbox[from as usize..window_end as usize]) {
+                let line = &outbox_text[bytes.clone()];
                 if seq < lane.ever_shipped {
                     report.retransmitted += 1;
                 }
@@ -475,13 +501,13 @@ impl QuorumReplicator {
 
         self.update_commit();
         report.commit_lsn = self.commit_lsn;
-        self.metrics.set_int("repl_lag", self.lag() as i64);
-        self.metrics
-            .set_int("repl_commit_lsn", self.commit_lsn as i64);
-        self.metrics.set_int("repl_epoch", epoch as i64);
-        self.metrics
-            .set_int("repl_retransmits", self.retransmits() as i64);
-        self.metrics.set_int("repl_fenced", self.fenced() as i64);
+        let (lag, retransmits, fenced) = (self.lag(), self.retransmits(), self.fenced());
+        let (k, m) = (&self.keys, &mut self.metrics);
+        m.set_int(&k.lag, lag as i64);
+        m.set_int(&k.commit_lsn, self.commit_lsn as i64);
+        m.set_int(&k.epoch, epoch as i64);
+        m.set_int(&k.retransmits, retransmits as i64);
+        m.set_int(&k.fenced, fenced as i64);
         Ok(report)
     }
 
@@ -498,14 +524,22 @@ impl QuorumReplicator {
 
     /// Recomputes the commit LSN: the quorum-th largest of the per-node
     /// durable LSNs (each lane's acked LSN, plus the primary's own
-    /// journal head), kept monotone.
+    /// journal head), kept monotone. That is the largest LSN at least
+    /// `quorum` nodes reach; a replica set has a handful of nodes, so
+    /// counting for each candidate beats sorting a fresh copy every tick.
     fn update_commit(&mut self) {
-        let mut lsns: Vec<u64> = self.lanes.iter().map(|l| l.acked_lsn).collect();
-        lsns.push(self.head_lsn);
-        lsns.sort_unstable_by(|a, b| b.cmp(a));
+        let held = || {
+            self.lanes
+                .iter()
+                .map(|l| l.acked_lsn)
+                .chain([self.head_lsn])
+        };
         let q = self.cfg.quorum as usize;
-        if q >= 1 && q <= lsns.len() {
-            self.commit_lsn = self.commit_lsn.max(lsns[q - 1]);
+        let at_quorum = held()
+            .filter(|&lsn| held().filter(|&h| h >= lsn).count() >= q)
+            .max();
+        if let Some(lsn) = at_quorum.filter(|_| q >= 1) {
+            self.commit_lsn = self.commit_lsn.max(lsn);
         }
     }
 
@@ -525,11 +559,15 @@ impl QuorumReplicator {
             if line.is_empty() {
                 continue;
             }
+            // Decoding checks the CRC and the record's structure, so a
+            // damaged primary journal is refused before anything ships.
             let lsn = journal::parse_line(line)?.lsn();
             if let Some(lsn) = lsn {
                 self.head_lsn = self.head_lsn.max(lsn);
             }
-            self.outbox.push((lsn, line.to_owned()));
+            let start = self.outbox_text.len();
+            self.outbox_text.push_str(line);
+            self.outbox.push((lsn, start..self.outbox_text.len()));
         }
         Ok(())
     }
@@ -1813,13 +1851,15 @@ mod tests {
                 key: key.into(),
                 value: 7,
             };
-            let ops = vec![set(2, "y"), set(second_lsn, "z")];
+            let ops = [set(2, "y"), set(second_lsn, "z")];
             let rec = JournalRecord::Upgrade {
                 version: 2,
                 tag: "cand".into(),
-                ops,
+                ops: journal::Ops::Pending(&ops),
             };
-            journal::frame_record_checked(&rec).trim_end().to_owned()
+            let mut line = Vec::new();
+            journal::encode_line(&rec, true, &mut line);
+            String::from_utf8(line).unwrap().trim_end().to_owned()
         };
         let mut sb = Standby::new("b");
         assert_eq!(sb.receive(0, "op 1 int x 1", 1).unwrap(), 1);

@@ -15,13 +15,16 @@ use mddsm_meta::constraint::{eval_bool, EvalEnv, Expr};
 use mddsm_meta::metamodel::Metamodel;
 use mddsm_meta::model::Model;
 use mddsm_meta::Value;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{btree_map, BTreeMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One journaled primitive mutation of the runtime model. The `lsn` is the
 /// [`StateManager::version`] value *after* the write — versions bump by one
 /// per primitive write, so LSNs of consecutive ops are contiguous, which
-/// recovery exploits to detect lost entries.
+/// recovery exploits to detect lost entries. The key is the written slot's
+/// own name, shared rather than copied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StateOp {
     /// A string variable was set.
@@ -29,7 +32,7 @@ pub enum StateOp {
         /// Log sequence number (the version after the write).
         lsn: u64,
         /// Variable name.
-        key: String,
+        key: Arc<str>,
         /// New value.
         value: String,
     },
@@ -38,7 +41,7 @@ pub enum StateOp {
         /// Log sequence number (the version after the write).
         lsn: u64,
         /// Variable name.
-        key: String,
+        key: Arc<str>,
         /// New value.
         value: i64,
     },
@@ -47,7 +50,7 @@ pub enum StateOp {
         /// Log sequence number (the version after the write).
         lsn: u64,
         /// Variable name.
-        key: String,
+        key: Arc<str>,
     },
 }
 
@@ -69,6 +72,44 @@ impl StateOp {
             | StateOp::Unset { key, .. } => key,
         }
     }
+
+    /// The op as a journal record carries it, borrowing its key and value.
+    pub fn view(&self) -> OpView<'_> {
+        let (lsn, key, value) = match self {
+            StateOp::SetStr { lsn, key, value } => {
+                (*lsn, key, Some(ValueView::Str(Cow::Borrowed(value))))
+            }
+            StateOp::SetInt { lsn, key, value } => (*lsn, key, Some(ValueView::Int(*value))),
+            StateOp::Unset { lsn, key } => (*lsn, key, None),
+        };
+        OpView {
+            lsn,
+            key: Cow::Borrowed(key),
+            value,
+        }
+    }
+}
+
+/// One primitive write as a journal record carries it: borrowed from a
+/// pending [`StateOp`] when the record is encoded, from the journal line
+/// when it is decoded (owned only where the line held an escape).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpView<'a> {
+    /// Log sequence number (the version after the write).
+    pub lsn: u64,
+    /// Variable name.
+    pub key: Cow<'a, str>,
+    /// New value; `None` removes the variable.
+    pub value: Option<ValueView<'a>>,
+}
+
+/// A variable's value as a journal record carries it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ValueView<'a> {
+    /// String value.
+    Str(Cow<'a, str>),
+    /// Integer value.
+    Int(i64),
 }
 
 /// A point-in-time copy of every state variable plus the version counter —
@@ -88,6 +129,16 @@ pub enum SnapValue {
     Str(String),
     /// Integer variable.
     Int(i64),
+}
+
+impl SnapValue {
+    /// The value as a journal record carries it, borrowed.
+    pub fn view(&self) -> ValueView<'_> {
+        match self {
+            SnapValue::Str(s) => ValueView::Str(Cow::Borrowed(s)),
+            SnapValue::Int(i) => ValueView::Int(*i),
+        }
+    }
 }
 
 /// A state variable's name plus the slot it was last found at: the first
@@ -143,14 +194,64 @@ impl Var for Key {
     }
 }
 
+/// One state variable: its name, shared with every pending op that writes
+/// it, and its value. An unset variable keeps its slot, so resolved keys
+/// stay valid, and its last value's buffer, so a later write reuses it.
+#[derive(Debug, Clone)]
+struct Slot {
+    name: Arc<str>,
+    value: SnapValue,
+    set: bool,
+}
+
+impl Slot {
+    /// Overwrites the value in place: a string lands in the buffer the
+    /// slot already holds when it holds one.
+    fn write(&mut self, value: Option<&ValueView<'_>>) {
+        let Some(value) = value else {
+            self.set = false;
+            return;
+        };
+        match (&mut self.value, value) {
+            (SnapValue::Str(s), ValueView::Str(v)) => {
+                s.clear();
+                s.push_str(v);
+            }
+            (slot, ValueView::Str(v)) => *slot = SnapValue::Str(v.as_ref().to_owned()),
+            (slot, ValueView::Int(i)) => *slot = SnapValue::Int(*i),
+        }
+        self.set = true;
+    }
+}
+
+/// The set variables of a state in key order, as
+/// [`StateManager::vars`] lists them.
+#[derive(Debug, Clone)]
+pub struct Vars<'a> {
+    index: btree_map::Iter<'a, Arc<str>, usize>,
+    slots: &'a [Slot],
+}
+
+impl<'a> Iterator for Vars<'a> {
+    type Item = (&'a str, &'a SnapValue);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let (name, &i) = self.index.next()?;
+            let slot = &self.slots[i];
+            if slot.set {
+                return Some((name, &slot.value));
+            }
+        }
+    }
+}
+
 /// The Broker layer's mutable runtime state.
 #[derive(Debug, Clone, Default)]
 pub struct StateManager {
-    /// Slot -> (name, value); an unset variable keeps its slot with no
-    /// value, so resolved keys stay valid.
-    slots: Vec<(String, Option<SnapValue>)>,
+    slots: Vec<Slot>,
     /// Name -> slot, in key order: the order snapshots list variables in.
-    index: BTreeMap<String, usize>,
+    index: BTreeMap<Arc<str>, usize>,
     version: u64,
     /// When `true`, every primitive write is mirrored into `pending` for a
     /// journal to drain; off by default so unjournaled managers pay nothing.
@@ -165,7 +266,7 @@ impl StateManager {
     }
 
     /// Turns journaling support on or off: while on, primitive writes are
-    /// mirrored as [`StateOp`]s retrievable with [`StateManager::take_ops`].
+    /// mirrored as [`StateOp`]s retrievable with [`StateManager::drain_ops`].
     pub fn record_ops(&mut self, on: bool) {
         self.recording = on;
         if !on {
@@ -173,9 +274,10 @@ impl StateManager {
         }
     }
 
-    /// Drains the ops recorded since the last drain.
-    pub fn take_ops(&mut self) -> Vec<StateOp> {
-        std::mem::take(&mut self.pending)
+    /// Drains the ops recorded since the last drain. The queue keeps its
+    /// buffer, so recording allocates nothing in steady state.
+    pub fn drain_ops(&mut self) -> std::vec::Drain<'_, StateOp> {
+        self.pending.drain(..)
     }
 
     /// The ops recorded since the last drain, without draining them.
@@ -189,7 +291,7 @@ impl StateManager {
     fn find<K: Var + ?Sized>(&self, var: &K) -> Option<usize> {
         let (name, key) = var.var();
         let hint = key.map_or(usize::MAX, |k| k.slot.load(Ordering::Relaxed));
-        if self.slots.get(hint).is_some_and(|(n, _)| n == name) {
+        if self.slots.get(hint).is_some_and(|s| *s.name == *name) {
             return Some(hint);
         }
         let i = *self.index.get(name)?;
@@ -206,58 +308,56 @@ impl StateManager {
         }
         let (name, key) = var.var();
         let i = self.slots.len();
-        self.slots.push((name.to_owned(), None));
-        self.index.insert(name.to_owned(), i);
+        let name: Arc<str> = Arc::from(name);
+        self.index.insert(Arc::clone(&name), i);
+        self.slots.push(Slot {
+            name,
+            value: SnapValue::Int(0),
+            set: false,
+        });
         key.inspect(|k| k.slot.store(i, Ordering::Relaxed));
         i
     }
 
     /// The value `var` holds, if set.
     pub(crate) fn value<K: Var + ?Sized>(&self, var: &K) -> Option<&SnapValue> {
-        self.find(var).and_then(|i| self.slots[i].1.as_ref())
+        let slot = &self.slots[self.find(var)?];
+        slot.set.then_some(&slot.value)
     }
 
-    /// Stores `value` in `var`'s slot; `None` unsets it.
-    fn put<K: Var + ?Sized>(&mut self, var: &K, value: Option<SnapValue>) {
+    /// One primitive write: stores `value` in `var`'s slot (`None` unsets
+    /// it), advances the version, and records the op when recording.
+    fn put<K: Var + ?Sized>(&mut self, var: &K, value: Option<&ValueView<'_>>) {
         let i = self.slot(var);
-        self.slots[i].1 = value;
-    }
-
-    /// Applies `op`'s write to the slots; the version is the caller's to
-    /// advance.
-    fn write(&mut self, op: &StateOp) {
-        let (key, value) = match op {
-            StateOp::SetStr { key, value, .. } => (key, Some(SnapValue::Str(value.clone()))),
-            StateOp::SetInt { key, value, .. } => (key, Some(SnapValue::Int(*value))),
-            StateOp::Unset { key, .. } => (key, None),
-        };
-        self.put(key, value);
+        let slot = &mut self.slots[i];
+        slot.write(value);
+        self.version += 1;
+        if self.recording {
+            let (lsn, key) = (self.version, Arc::clone(&slot.name));
+            self.pending.push(match value {
+                Some(ValueView::Str(v)) => StateOp::SetStr {
+                    lsn,
+                    key,
+                    value: v.as_ref().to_owned(),
+                },
+                Some(ValueView::Int(value)) => StateOp::SetInt {
+                    lsn,
+                    key,
+                    value: *value,
+                },
+                None => StateOp::Unset { lsn, key },
+            });
+        }
     }
 
     /// Sets a string variable.
     pub fn set_str<K: Var + ?Sized>(&mut self, key: &K, value: &str) {
-        self.put(key, Some(SnapValue::Str(value.to_owned())));
-        self.version += 1;
-        if self.recording {
-            self.pending.push(StateOp::SetStr {
-                lsn: self.version,
-                key: key.var().0.to_owned(),
-                value: value.to_owned(),
-            });
-        }
+        self.put(key, Some(&ValueView::Str(Cow::Borrowed(value))));
     }
 
     /// Sets an integer variable.
     pub fn set_int<K: Var + ?Sized>(&mut self, key: &K, value: i64) {
-        self.put(key, Some(SnapValue::Int(value)));
-        self.version += 1;
-        if self.recording {
-            self.pending.push(StateOp::SetInt {
-                lsn: self.version,
-                key: key.var().0.to_owned(),
-                value,
-            });
-        }
+        self.put(key, Some(&ValueView::Int(value)));
     }
 
     /// Adds `delta` to an integer variable (0 when unset).
@@ -286,22 +386,11 @@ impl StateManager {
     /// Removes a variable.
     pub fn unset<K: Var + ?Sized>(&mut self, key: &K) {
         self.put(key, None);
-        self.version += 1;
-        if self.recording {
-            self.pending.push(StateOp::Unset {
-                lsn: self.version,
-                key: key.var().0.to_owned(),
-            });
-        }
     }
 
     /// Writes `value` into `key`; `None` unsets it.
     pub(crate) fn put_value(&mut self, key: &str, value: Option<&SnapValue>) {
-        match value {
-            Some(SnapValue::Str(s)) => self.set_str(key, s),
-            Some(SnapValue::Int(i)) => self.set_int(key, *i),
-            None => self.unset(key),
-        }
+        self.put(key, value.map(SnapValue::view).as_ref());
     }
 
     /// Mutation counter (each write bumps it). Doubles as the journal LSN.
@@ -309,48 +398,56 @@ impl StateManager {
         self.version
     }
 
+    /// Every set variable with its value, in key order.
+    pub fn vars(&self) -> Vars<'_> {
+        Vars {
+            index: self.index.iter(),
+            slots: &self.slots,
+        }
+    }
+
     /// Captures every variable plus the version counter.
     pub fn snapshot(&self) -> StateSnapshot {
-        let vars = self
-            .index
-            .iter()
-            .filter_map(|(key, &i)| {
-                let value = self.slots[i].1.as_ref()?;
-                Some((key.clone(), value.clone()))
-            })
-            .collect();
         StateSnapshot {
             version: self.version,
-            vars,
+            vars: self
+                .vars()
+                .map(|(key, value)| (key.to_owned(), value.clone()))
+                .collect(),
         }
     }
 
-    /// Replaces the entire state with a snapshot's contents (recording and
-    /// pending ops are untouched — restore is not itself a mutation).
-    /// Slots survive, so keys keep finding theirs.
-    pub fn restore(&mut self, snap: &StateSnapshot) {
-        for (_, value) in &mut self.slots {
-            *value = None;
+    /// Replaces the entire state with a snapshot's variables at `version`
+    /// (recording and pending ops are untouched — restore is not itself a
+    /// mutation). Values are overwritten in place: slots survive, so keys
+    /// keep finding theirs, and a string lands in the buffer its slot
+    /// already holds.
+    pub fn restore<'v, K: AsRef<str>>(
+        &mut self,
+        version: u64,
+        vars: impl IntoIterator<Item = (K, ValueView<'v>)>,
+    ) {
+        for slot in &mut self.slots {
+            slot.set = false;
         }
-        for (key, value) in &snap.vars {
-            self.put(key, Some(value.clone()));
+        for (key, value) in vars {
+            let i = self.slot(key.as_ref());
+            self.slots[i].write(Some(&value));
         }
-        self.version = snap.version;
+        self.version = version;
     }
 
-    /// Replays one journaled op. Refuses (with a typed error) when the
-    /// op's LSN is not exactly `version + 1` — a gap or reorder means the
-    /// journal and the model have diverged.
-    pub fn apply_op(&mut self, op: &StateOp) -> Result<()> {
-        if op.lsn() != self.version + 1 {
+    /// Replays one journaled op, writing its slot in place. Refuses (with
+    /// a typed error) when the op's LSN is not exactly `version + 1` — a
+    /// gap or reorder means the journal and the model have diverged.
+    pub fn apply_op(&mut self, op: &OpView<'_>) -> Result<()> {
+        if op.lsn != self.version + 1 {
             return Err(BrokerError::RecoveryDiverged(format!(
                 "journal LSN {} does not follow state version {}",
-                op.lsn(),
-                self.version
+                op.lsn, self.version
             )));
         }
-        self.write(op);
-        self.version = op.lsn();
+        self.replay_write(op);
         Ok(())
     }
 
@@ -360,17 +457,23 @@ impl StateManager {
     /// never journaled. Requires the run to start exactly at
     /// `version + 1` (same gap detection as [`StateManager::apply_op`])
     /// and advances the version over the whole run in one step.
-    pub fn apply_coalesced(&mut self, first_lsn: u64, op: &StateOp) -> Result<()> {
-        if first_lsn != self.version + 1 || op.lsn() < first_lsn {
+    pub fn apply_coalesced(&mut self, first_lsn: u64, op: &OpView<'_>) -> Result<()> {
+        if first_lsn != self.version + 1 || op.lsn < first_lsn {
             return Err(BrokerError::RecoveryDiverged(format!(
                 "coalesced journal run {first_lsn}..={} does not follow state version {}",
-                op.lsn(),
-                self.version
+                op.lsn, self.version
             )));
         }
-        self.write(op);
-        self.version = op.lsn();
+        self.replay_write(op);
         Ok(())
+    }
+
+    /// Applies a checked op's write to its slot and adopts its LSN as the
+    /// version. Replay is not a new mutation: nothing is recorded.
+    fn replay_write(&mut self, op: &OpView<'_>) {
+        let i = self.slot(op.key.as_ref());
+        self.slots[i].write(op.value.as_ref());
+        self.version = op.lsn;
     }
 
     /// Compares two states variable-by-variable and reports the first
@@ -425,10 +528,10 @@ impl StateManager {
     pub(crate) fn interpret(&self, expr: &Expr) -> Result<bool> {
         let mut model = Model::new("mddsm.broker.state");
         let obj = model.create("State");
-        for (key, value) in self.snapshot().vars {
+        for (key, value) in self.vars() {
             let value = match value {
-                SnapValue::Str(s) => Value::Str(s),
-                SnapValue::Int(i) => Value::Int(i),
+                SnapValue::Str(s) => Value::Str(s.clone()),
+                SnapValue::Int(i) => Value::Int(*i),
             };
             model.set_attr(obj, key, value);
         }
@@ -497,7 +600,7 @@ mod tests {
         s.set_str("mode", "direct");
         s.bump("opens", 2);
         s.unset("mode");
-        let ops = s.take_ops();
+        let ops: Vec<StateOp> = s.drain_ops().collect();
         assert_eq!(
             ops,
             vec![
@@ -517,10 +620,15 @@ mod tests {
                 },
             ]
         );
-        assert!(s.take_ops().is_empty());
+        // The op shares its slot's name instead of copying it.
+        let StateOp::SetStr { key, .. } = &ops[0] else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(key, &s.slots[s.find("mode").unwrap()].name));
+        assert_eq!(s.drain_ops().len(), 0);
         s.record_ops(false);
         s.set_int("quiet", 2);
-        assert!(s.take_ops().is_empty());
+        assert_eq!(s.drain_ops().len(), 0);
     }
 
     #[test]
@@ -528,21 +636,21 @@ mod tests {
         let mut s = StateManager::new();
         s.set_str("mode", "direct");
         s.set_int("opens", 3);
-        let snap = s.snapshot();
-        assert_eq!(snap.version, 2);
+        let snap = s.clone();
+        assert_eq!(snap.version(), 2);
 
         s.record_ops(true);
         s.set_int("opens", 4);
         s.unset("mode");
-        let ops = s.take_ops();
+        let ops: Vec<StateOp> = s.drain_ops().collect();
 
         // Restore the snapshot into a fresh manager and replay the tail.
         let mut r = StateManager::new();
-        r.restore(&snap);
+        r.restore(snap.version(), snap.vars().map(|(k, v)| (k, v.view())));
         assert_eq!(r.int("opens"), Some(3));
         assert_eq!(r.str("mode"), Some("direct"));
         for op in &ops {
-            r.apply_op(op).unwrap();
+            r.apply_op(&op.view()).unwrap();
         }
         assert_eq!(r.version(), s.version());
         assert_eq!(r.int("opens"), Some(4));
@@ -558,7 +666,7 @@ mod tests {
             key: "x".into(),
             value: 1,
         };
-        match s.apply_op(&op) {
+        match s.apply_op(&op.view()) {
             Err(BrokerError::RecoveryDiverged(m)) => assert!(m.contains("LSN 5"), "{m}"),
             other => panic!("expected RecoveryDiverged, got {other:?}"),
         }
@@ -580,8 +688,36 @@ mod tests {
         let d = a.first_divergence(&b).unwrap();
         assert!(d.contains('m'), "{d}");
         // Restoring a's snapshot into b makes them agree again.
-        b.restore(&a.snapshot());
+        b.restore(a.version(), a.vars().map(|(k, v)| (k, v.view())));
         assert_eq!(a.first_divergence(&b), None);
+    }
+
+    #[test]
+    fn restore_and_replay_overwrite_string_slots_in_place() {
+        let mut s = StateManager::new();
+        s.set_str("mode", "direct-and-then-some");
+        s.set_int("n", 1);
+        let buffer = |s: &StateManager| match &s.slots[s.find("mode").unwrap()].value {
+            SnapValue::Str(v) => (v.as_ptr(), v.capacity()),
+            SnapValue::Int(_) => unreachable!(),
+        };
+        let before = buffer(&s);
+        s.set_str("mode", "lite");
+        s.restore(9, [("mode", ValueView::Str(Cow::Borrowed("relay")))]);
+        assert_eq!(buffer(&s), before, "one buffer across writes and restores");
+        assert_eq!(
+            (s.str("mode"), s.int("n"), s.version()),
+            (Some("relay"), None, 9)
+        );
+        s.unset("mode");
+        let op = OpView {
+            lsn: 11,
+            key: Cow::Borrowed("mode"),
+            value: Some(ValueView::Str(Cow::Borrowed("full"))),
+        };
+        s.apply_op(&op).unwrap();
+        assert_eq!(buffer(&s), before);
+        assert_eq!(s.str("mode"), Some("full"));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! keeping the suite deterministic without an external property-testing
 //! dependency.
 
-use mddsm_broker::journal::{self, Journal, JournalRecord};
+use mddsm_broker::journal::{self, Journal, JournalRecord, Ops};
+use mddsm_broker::state::StateOp;
 use mddsm_broker::{BrokerModelBuilder, GenericBroker, StateManager};
 use mddsm_sim::resource::{args, Args, Outcome};
 use mddsm_sim::{ResourceHub, SimRng};
@@ -196,15 +197,16 @@ fn snapshot_plus_replay_reproduces_any_mutation_sequence() {
         let steps = gen.range(1, 40);
         for _ in 0..steps {
             let key = pick(&mut gen, KEYS);
+            let ops: Vec<StateOp>;
             let rec = match gen.range(0, 10) {
                 // Two writes to one key in a frame coalesce.
                 0 => {
                     write(&mut state, &mut gen, &key);
                     write(&mut state, &mut gen, &key);
-                    let ops = state.take_ops();
+                    ops = state.drain_ops().collect();
                     JournalRecord::OpCoalesced {
                         first_lsn: ops[0].lsn(),
-                        op: ops[1].clone(),
+                        op: ops[1].view(),
                     }
                 }
                 1 => {
@@ -212,10 +214,11 @@ fn snapshot_plus_replay_reproduces_any_mutation_sequence() {
                         write(&mut state, &mut gen, &key);
                     }
                     model_version += 1;
+                    ops = state.drain_ops().collect();
                     JournalRecord::Upgrade {
                         version: model_version,
-                        tag: pick(&mut gen, STRINGS),
-                        ops: state.take_ops(),
+                        tag: pick(&mut gen, STRINGS).into(),
+                        ops: Ops::Pending(&ops),
                     }
                 }
                 2 => {
@@ -230,8 +233,8 @@ fn snapshot_plus_replay_reproduces_any_mutation_sequence() {
                     JournalRecord::Command {
                         clock_us,
                         kind,
-                        selector: pick(&mut gen, STRINGS),
-                        action: pick(&mut gen, STRINGS),
+                        selector: pick(&mut gen, STRINGS).into(),
+                        action: pick(&mut gen, STRINGS).into(),
                         ok: gen.chance(0.5),
                         attempts: gen.range(0, 4) as u32,
                         cost_us: gen.range(0, 1_000),
@@ -245,21 +248,17 @@ fn snapshot_plus_replay_reproduces_any_mutation_sequence() {
                     epoch: gen.range(1, 6),
                 },
                 5 => JournalRecord::Note {
-                    text: pick(&mut gen, STRINGS),
+                    text: pick(&mut gen, STRINGS).into(),
                 },
                 _ => {
                     write(&mut state, &mut gen, &key);
-                    JournalRecord::Op(state.take_ops().remove(0))
+                    ops = state.drain_ops().collect();
+                    JournalRecord::Op(ops[0].view())
                 }
             };
             journal.record(&rec);
             if gen.chance(0.15) {
-                journal.record(&JournalRecord::Snapshot {
-                    state: state.snapshot(),
-                    clock_us,
-                    calls,
-                    events,
-                });
+                journal.record(&JournalRecord::snapshot(&state, clock_us, calls, events));
             }
         }
 
@@ -286,12 +285,13 @@ fn snapshot_plus_replay_reproduces_any_mutation_sequence() {
 
         for line in std::str::from_utf8(bytes).unwrap().split_inclusive('\n') {
             let rec = journal::parse_line(line.trim_end_matches('\n')).expect("line parses");
-            let again = if line.starts_with("v1 ") {
-                journal::frame_record_checked(&rec)
-            } else {
-                journal::frame_record(&rec)
-            };
-            assert_eq!(again, line, "case {case}: line does not re-encode");
+            let mut again = Vec::new();
+            journal::encode_line(&rec, line.starts_with("v1 "), &mut again);
+            assert_eq!(
+                again,
+                line.as_bytes(),
+                "case {case}: line does not re-encode"
+            );
         }
     }
 }
