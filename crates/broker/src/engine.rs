@@ -1684,6 +1684,40 @@ mod tests {
     }
 
     #[test]
+    fn policy_nesting_is_bounded_at_load_time() {
+        use mddsm_meta::constraint::MAX_NESTING;
+        // Each shape nests `n` levels deep and, for an even `n`, holds.
+        let shapes: [fn(usize) -> String; 6] = [
+            |n| format!("{}true{}", "(".repeat(n), ")".repeat(n)),
+            |n| format!("{}true", "not ".repeat(n)),
+            |n| format!("true{}", " and true".repeat(n)),
+            |n| format!("0{} = {n}", " + 1".repeat(n)),
+            |n| format!("{}1 <> 0", "- ".repeat(n)),
+            |n| format!("{}true", "false implies ".repeat(n)),
+        ];
+        for shape in shapes {
+            let model = |n: usize| {
+                BrokerModelBuilder::new("deep")
+                    .call_handler("h", "op")
+                    .policy("deep", &shape(n))
+                    .action("h", "guarded", "relay", "go", &[], Some("deep"), &[])
+                    .action("h", "fallback", "relay", "stop", &[], None, &[])
+                    .bind_resource("relay", "sim.relay")
+                    .build()
+            };
+            // At the bound the policy loads and its guard is evaluated
+            // (on a default-sized test thread).
+            let mut b = GenericBroker::from_model(&model(MAX_NESTING), hub()).unwrap();
+            assert_eq!(b.call("op", &args(&[])).unwrap().action, "guarded");
+            // One level past it, the model is refused, not the process.
+            let err = GenericBroker::from_model(&model(MAX_NESTING + 1), hub())
+                .map(|_| ())
+                .unwrap_err();
+            assert!(err.to_string().contains("nested deeper than"), "{err}");
+        }
+    }
+
+    #[test]
     fn bad_models_rejected() {
         // Wrong metamodel name.
         let m = Model::new("other");

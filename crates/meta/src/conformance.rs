@@ -5,7 +5,7 @@
 //! slots; reference-target class compatibility; single containment; acyclic
 //! containment — and all OCL-lite class invariants.
 
-use crate::constraint::{eval_bool, EvalEnv};
+use crate::constraint::{eval_bool, EvalEnv, Val};
 use crate::error::MetaError;
 use crate::metamodel::{DataType, Metamodel};
 use crate::model::{Model, ObjectId};
@@ -48,7 +48,7 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
         // Attributes: declared, typed, multiplicity.
         let attrs = mm.all_attributes(&obj.class);
         for (name, vals) in &obj.attrs {
-            match attrs.iter().find(|a| &a.name == name) {
+            match attrs.clone().find(|a| &a.name == name) {
                 None => out.push(format!(
                     "{id} ({}): undeclared attribute `{name}`",
                     obj.class
@@ -81,7 +81,7 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
                 }
             }
         }
-        for a in &attrs {
+        for a in attrs {
             let n = obj.attrs.get(&a.name).map_or(0, Vec::len);
             // An unset slot with a declared default is implicitly populated
             // by that default (EMF semantics).
@@ -100,7 +100,7 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
         // multiplicity, containment bookkeeping.
         let refs = mm.all_references(&obj.class);
         for (name, targets) in &obj.refs {
-            match refs.iter().find(|r| &r.name == name) {
+            match refs.clone().find(|r| &r.name == name) {
                 None => out.push(format!(
                     "{id} ({}): undeclared reference `{name}`",
                     obj.class
@@ -128,7 +128,7 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
                 }
             }
         }
-        for r in &refs {
+        for r in refs {
             let n = obj.refs.get(&r.name).map_or(0, Vec::len);
             if !r.multiplicity.admits(n) {
                 out.push(format!(
@@ -164,13 +164,16 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
         }
     }
 
-    // Class invariants (only for structurally-known classes).
+    // Class invariants (only for structurally-known classes), with `self`
+    // rebound per object in one environment.
+    let mut env = EvalEnv::new(model, mm);
     for (id, obj) in model.iter() {
-        if mm.class(&obj.class).is_none() {
+        let mut invariants = mm.all_constraints(&obj.class).peekable();
+        if invariants.peek().is_none() {
             continue;
         }
-        for c in mm.all_constraints(&obj.class) {
-            let env = EvalEnv::for_object(model, mm, id);
+        env.bind("self", Val::Obj(id));
+        for c in invariants {
             match eval_bool(&c.expr, &env) {
                 Ok(true) => {}
                 Ok(false) => out.push(format!(

@@ -23,6 +23,8 @@
 //!   `EnumType::Literal`, `null`.
 //!
 //! Parse with [`parse`], evaluate with [`eval`] against an [`EvalEnv`].
+//! An expression nests at most [`MAX_NESTING`] levels; deeper text is a
+//! syntax error rather than a stack overflow.
 
 mod ast;
 mod eval;
@@ -32,6 +34,7 @@ pub mod temporal;
 
 pub use ast::{BinOp, Expr, UnOp};
 pub use eval::{eval, eval_bool, EvalEnv, Val};
+pub use parser::MAX_NESTING;
 pub use temporal::{parse_property, Property};
 
 use crate::Result;
@@ -150,6 +153,24 @@ mod tests {
         assert!(parse("self.").is_err());
         assert!(parse("->size()").is_err());
         assert!(parse("(1").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_syntax_error() {
+        // Far past the bound, each shape used to abort the process with a
+        // stack overflow (while parsing, evaluating or dropping the tree).
+        let n = 100_000;
+        for src in [
+            format!("{}true{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}true", "not ".repeat(n)),
+            format!("true{}", " and true".repeat(n)),
+            format!("0{} = 0", " + 0".repeat(n)),
+            format!("self{}", ".x".repeat(n)),
+        ] {
+            let e = parse(&src).unwrap_err();
+            assert!(matches!(e, crate::MetaError::Syntax { .. }), "{e}");
+            assert!(e.to_string().contains("nested deeper than"), "{e}");
+        }
     }
 
     #[test]

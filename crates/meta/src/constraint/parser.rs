@@ -5,10 +5,22 @@ use super::lexer::{TokKind, Token};
 use crate::error::MetaError;
 use crate::{Result, Value};
 
+/// The deepest expression nesting the parser accepts.
+///
+/// Parsing, evaluating, compiling and dropping an expression all recurse
+/// once per level of its tree, so an unbounded depth lets a model text
+/// overflow the stack and abort the process. One level is a parenthesized
+/// or argument expression, an `implies`, a `not`, a unary minus, one
+/// operator of an `or`/`and`/`+`/`*` chain (each wraps the chain so far),
+/// or one `.`/`->` step of a navigation chain. The shipped models nest a
+/// few levels deep; past the bound, parsing fails with a syntax error.
+pub const MAX_NESTING: usize = 64;
+
 pub fn parse_tokens(tokens: &[Token]) -> Result<Expr> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,
+        depth: 0,
     };
     let e = p.implies()?;
     p.expect_eof()?;
@@ -18,6 +30,8 @@ pub fn parse_tokens(tokens: &[Token]) -> Result<Expr> {
 struct Parser<'a> {
     toks: &'a [Token],
     pos: usize,
+    /// Levels of nesting open at the current token (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -65,6 +79,25 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Opens one more level of nesting, refusing to pass [`MAX_NESTING`].
+    fn nest(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!(
+                "expression nested deeper than {MAX_NESTING} levels"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Runs `f` one level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.nest()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     /// Is the current token the given keyword-identifier?
     fn at_kw(&self, kw: &str) -> bool {
         matches!(&self.peek().kind, TokKind::Ident(s) if s == kw)
@@ -83,7 +116,7 @@ impl<'a> Parser<'a> {
         let lhs = self.or()?;
         if self.eat_kw("implies") {
             // Right-associative, as in OCL.
-            let rhs = self.implies()?;
+            let rhs = self.nested(Self::implies)?;
             Ok(Expr::Binary(BinOp::Implies, Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
@@ -91,26 +124,32 @@ impl<'a> Parser<'a> {
     }
 
     fn or(&mut self) -> Result<Expr> {
+        let base = self.depth;
         let mut lhs = self.and()?;
         while self.eat_kw("or") {
+            self.nest()?;
             let rhs = self.and()?;
             lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn and(&mut self) -> Result<Expr> {
+        let base = self.depth;
         let mut lhs = self.not()?;
         while self.eat_kw("and") {
+            self.nest()?;
             let rhs = self.not()?;
             lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn not(&mut self) -> Result<Expr> {
         if self.eat_kw("not") {
-            let e = self.not()?;
+            let e = self.nested(Self::not)?;
             Ok(Expr::Unary(UnOp::Not, Box::new(e)))
         } else {
             self.cmp()
@@ -138,6 +177,7 @@ impl<'a> Parser<'a> {
     }
 
     fn add(&mut self) -> Result<Expr> {
+        let base = self.depth;
         let mut lhs = self.mul()?;
         loop {
             let op = match self.peek().kind {
@@ -146,13 +186,16 @@ impl<'a> Parser<'a> {
                 _ => break,
             };
             self.bump();
+            self.nest()?;
             let rhs = self.mul()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn mul(&mut self) -> Result<Expr> {
+        let base = self.depth;
         let mut lhs = self.unary()?;
         loop {
             let op = match &self.peek().kind {
@@ -162,15 +205,17 @@ impl<'a> Parser<'a> {
                 _ => break,
             };
             self.bump();
+            self.nest()?;
             let rhs = self.unary()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat(&TokKind::Minus) {
-            let e = self.unary()?;
+            let e = self.nested(Self::unary)?;
             Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
         } else {
             self.postfix()
@@ -178,8 +223,12 @@ impl<'a> Parser<'a> {
     }
 
     fn postfix(&mut self) -> Result<Expr> {
+        let base = self.depth;
         let mut e = self.primary()?;
         loop {
+            if matches!(self.peek().kind, TokKind::Dot | TokKind::Arrow) {
+                self.nest()?;
+            }
             if self.eat(&TokKind::Dot) {
                 let name = self.ident("property or method name after `.`")?;
                 if self.eat(&TokKind::LParen) {
@@ -226,7 +275,7 @@ impl<'a> Parser<'a> {
                 } else {
                     None
                 };
-                let body = self.implies()?;
+                let body = self.nested(Self::implies)?;
                 self.expect(&TokKind::RParen, "`)` closing collection operation")?;
                 e = Expr::CollOp {
                     recv: Box::new(e),
@@ -238,6 +287,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
+        self.depth = base;
         Ok(e)
     }
 
@@ -256,7 +306,7 @@ impl<'a> Parser<'a> {
                 return Ok(Expr::Lit(Value::Str(name)));
             }
         }
-        self.implies()
+        self.nested(Self::implies)
     }
 
     fn ident(&mut self, what: &str) -> Result<String> {
@@ -303,7 +353,7 @@ impl<'a> Parser<'a> {
             }
             TokKind::LParen => {
                 self.bump();
-                let e = self.implies()?;
+                let e = self.nested(Self::implies)?;
                 self.expect(&TokKind::RParen, "`)`")?;
                 Ok(e)
             }

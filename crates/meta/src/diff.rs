@@ -9,12 +9,21 @@
 //!
 //! Objects are matched across models by a *key*: the value of the first
 //! present key attribute (by default `id` then `name`); unkeyed objects are
-//! matched positionally within their class.
+//! matched positionally within their class. A [`KeyIndex`] holds one
+//! model's keys both ways.
+//!
+//! There is one comparison, [`compare`]. It walks two indexed models in
+//! key order and compares each matched pair of objects in place: attribute
+//! maps are borrowed, reference targets are compared key by key through
+//! each side's index, and values are cloned only into the changes it
+//! emits. [`diff`] indexes both models and calls it; the synthesis engine
+//! keeps the running model's index, so a submission indexes only the new
+//! model.
 
 use crate::error::MetaError;
-use crate::model::{Model, ObjectId};
+use crate::model::{MObject, Model, ObjectId};
 use crate::{Result, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Options controlling object matching.
 #[derive(Debug, Clone)]
@@ -116,150 +125,185 @@ impl ChangeList {
     }
 }
 
-/// Computes the key of every live object in a model.
-pub fn keys_of(model: &Model, opts: &DiffOptions) -> BTreeMap<ObjectId, ObjectKey> {
-    let mut out = BTreeMap::new();
-    let mut ordinal: BTreeMap<String, u32> = BTreeMap::new();
-    for (id, obj) in model.iter() {
-        let key = opts
-            .key_attrs
-            .iter()
-            .find_map(|a| obj.attrs.get(a).and_then(|v| v.first()))
-            .map(|v| v.to_string());
-        let key = match key {
-            Some(k) => k,
-            None => {
-                let n = ordinal.entry(obj.class.clone()).or_insert(0);
-                let k = format!("~{n}");
-                *n += 1;
-                k
-            }
-        };
-        out.insert(
-            id,
-            ObjectKey {
-                class: obj.class.clone(),
-                key,
-            },
-        );
-    }
-    out
+/// One model's object keys, both ways: the key of every live object, and
+/// the object each key addresses. When live objects share a key, the later
+/// one (by id) owns it; references to either render as that key.
+#[derive(Debug, Clone)]
+pub struct KeyIndex {
+    /// The key of the live object in each id slot; `None` for dead slots.
+    keys: Vec<Option<ObjectKey>>,
+    /// The key owners, in key order.
+    owners: Vec<ObjectId>,
 }
 
-/// A canonical, id-free rendering of a model used for equivalence checks.
-pub type Canonical = BTreeMap<
-    ObjectKey,
-    (
-        BTreeMap<String, Vec<Value>>,
-        BTreeMap<String, Vec<ObjectKey>>,
-    ),
->;
-
-/// Canonicalizes a model: objects keyed by [`ObjectKey`], references
-/// rewritten to keys.
-pub fn canonical(model: &Model, opts: &DiffOptions) -> Canonical {
-    let keys = keys_of(model, opts);
-    let mut out = Canonical::new();
-    for (id, obj) in model.iter() {
-        let attrs = obj.attrs.clone();
-        let refs = obj
-            .refs
-            .iter()
-            .map(|(slot, targets)| {
-                (
-                    slot.clone(),
-                    targets
-                        .iter()
-                        .filter_map(|t| keys.get(t).cloned())
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .filter(|(_, t): &(String, Vec<ObjectKey>)| !t.is_empty())
-            .collect();
-        let attrs = attrs.into_iter().filter(|(_, v)| !v.is_empty()).collect();
-        out.insert(keys[&id].clone(), (attrs, refs));
+impl KeyIndex {
+    /// Indexes the live objects of `model`.
+    pub fn new(model: &Model, opts: &DiffOptions) -> Self {
+        let mut keys = Vec::new();
+        let mut owners = Vec::new();
+        let mut ordinal: BTreeMap<&str, u32> = BTreeMap::new();
+        for (id, obj) in model.iter() {
+            let key = opts
+                .key_attrs
+                .iter()
+                .find_map(|a| obj.attrs.get(a).and_then(|v| v.first()))
+                .map(|v| v.to_string());
+            let key = match key {
+                Some(k) => k,
+                None => {
+                    let n = ordinal.entry(&obj.class).or_insert(0);
+                    let k = format!("~{n}");
+                    *n += 1;
+                    k
+                }
+            };
+            keys.resize(id.index() as usize, None);
+            keys.push(Some(ObjectKey {
+                class: obj.class.clone(),
+                key,
+            }));
+            owners.push(id);
+        }
+        // Equal keys sort later-id first, so dedup keeps the later owner.
+        let key_of = |id: &ObjectId| keys[id.index() as usize].as_ref();
+        owners.sort_by(|a, b| key_of(a).cmp(&key_of(b)).then(b.cmp(a)));
+        owners.dedup_by(|later, kept| key_of(later) == key_of(kept));
+        KeyIndex { keys, owners }
     }
-    out
+
+    /// The key of a live object.
+    pub fn key(&self, id: ObjectId) -> Option<&ObjectKey> {
+        self.keys.get(id.index() as usize)?.as_ref()
+    }
+
+    /// The object that owns `key`.
+    pub fn id(&self, key: &ObjectKey) -> Option<ObjectId> {
+        self.position(key).ok().map(|i| self.owners[i])
+    }
+
+    /// Whether two live objects share a key (keyed matching cannot tell
+    /// them apart).
+    pub fn has_shared_keys(&self) -> bool {
+        self.owners.len() != self.keys.iter().flatten().count()
+    }
+
+    fn position(&self, key: &ObjectKey) -> std::result::Result<usize, usize> {
+        self.owners
+            .binary_search_by(|&id| self.key(id).cmp(&Some(key)))
+    }
+
+    /// The owners of `model` (which this index must be of) with their
+    /// keys, in key order.
+    fn owned<'a>(&'a self, model: &'a Model) -> impl Iterator<Item = (&'a ObjectKey, &'a MObject)> {
+        self.owners
+            .iter()
+            .filter_map(move |&id| Some((self.key(id)?, model.object(id).ok()?)))
+    }
+
+    /// The keys of a reference slot's live targets, in slot order.
+    fn targets<'a>(
+        &'a self,
+        targets: &'a [ObjectId],
+    ) -> impl Iterator<Item = &'a ObjectKey> + Clone + 'a {
+        targets.iter().filter_map(move |&t| self.key(t))
+    }
+
+    /// Records a created object under `key`, which no object owns.
+    fn insert(&mut self, id: ObjectId, key: ObjectKey) {
+        let at = self.position(&key).unwrap_or_else(|at| at);
+        let slot = id.index() as usize;
+        if self.keys.len() <= slot {
+            self.keys.resize(slot + 1, None);
+        }
+        self.keys[slot] = Some(key);
+        self.owners.insert(at, id);
+    }
+
+    /// Forgets the owner of `key`.
+    fn remove(&mut self, key: &ObjectKey) {
+        if let Ok(at) = self.position(key) {
+            let id = self.owners.remove(at);
+            self.keys[id.index() as usize] = None;
+        }
+    }
 }
 
 /// Returns `true` if two models are equivalent up to object identity.
 pub fn equivalent(a: &Model, b: &Model, opts: &DiffOptions) -> bool {
-    canonical(a, opts) == canonical(b, opts)
+    diff(a, b, opts).is_empty()
 }
 
 /// Compares `old` and `new`, producing the change list that transforms
 /// `old` into `new`.
 pub fn diff(old: &Model, new: &Model, opts: &DiffOptions) -> ChangeList {
-    let co = canonical(old, opts);
-    let cn = canonical(new, opts);
+    compare(
+        old,
+        &KeyIndex::new(old, opts),
+        new,
+        &KeyIndex::new(new, opts),
+    )
+}
+
+/// The comparison behind [`diff`], over models already indexed (each
+/// index must be its own model's). Objects are matched by key; the list
+/// holds the creations in key order, then each object's slot updates
+/// (attributes, then references, each in slot-name order, objects in key
+/// order), then the deletions in key order. Empty slots and references to
+/// dead objects count as absent.
+pub fn compare(old: &Model, old_keys: &KeyIndex, new: &Model, new_keys: &KeyIndex) -> ChangeList {
     let mut creates = Vec::new();
     let mut updates = Vec::new();
     let mut deletes = Vec::new();
-
-    for (key, (nattrs, nrefs)) in &cn {
-        match co.get(key) {
-            None => {
-                creates.push(Change::Create { key: key.clone() });
-                for (attr, values) in nattrs {
-                    updates.push(Change::SetAttr {
-                        key: key.clone(),
-                        attr: attr.clone(),
-                        values: values.clone(),
-                    });
-                }
-                for (reference, targets) in nrefs {
-                    updates.push(Change::SetRefs {
-                        key: key.clone(),
-                        reference: reference.clone(),
-                        targets: targets.clone(),
-                    });
-                }
+    let mut olds = old_keys.owned(old).peekable();
+    for (key, now) in new_keys.owned(new) {
+        while let Some((gone, _)) = olds.next_if(|(k, _)| *k < key) {
+            deletes.push(Change::Delete { key: gone.clone() });
+        }
+        let was = olds.next_if(|(k, _)| *k == key).map(|(_, o)| o);
+        if was.is_none() {
+            creates.push(Change::Create { key: key.clone() });
+        }
+        let set_attr = |attr: &String, values: &[Value]| Change::SetAttr {
+            key: key.clone(),
+            attr: attr.clone(),
+            values: values.to_vec(),
+        };
+        let set_refs = |reference: &String, targets: Vec<ObjectKey>| Change::SetRefs {
+            key: key.clone(),
+            reference: reference.clone(),
+            targets,
+        };
+        for (attr, values) in present(&now.attrs) {
+            if was.and_then(|o| attr_of(o, attr)) != Some(values) {
+                updates.push(set_attr(attr, values));
             }
-            Some((oattrs, orefs)) => {
-                for (attr, values) in nattrs {
-                    if oattrs.get(attr) != Some(values) {
-                        updates.push(Change::SetAttr {
-                            key: key.clone(),
-                            attr: attr.clone(),
-                            values: values.clone(),
-                        });
-                    }
-                }
-                for attr in oattrs.keys() {
-                    if !nattrs.contains_key(attr) {
-                        updates.push(Change::SetAttr {
-                            key: key.clone(),
-                            attr: attr.clone(),
-                            values: Vec::new(),
-                        });
-                    }
-                }
-                for (reference, targets) in nrefs {
-                    if orefs.get(reference) != Some(targets) {
-                        updates.push(Change::SetRefs {
-                            key: key.clone(),
-                            reference: reference.clone(),
-                            targets: targets.clone(),
-                        });
-                    }
-                }
-                for reference in orefs.keys() {
-                    if !nrefs.contains_key(reference) {
-                        updates.push(Change::SetRefs {
-                            key: key.clone(),
-                            reference: reference.clone(),
-                            targets: Vec::new(),
-                        });
-                    }
-                }
+        }
+        for (attr, _) in was.into_iter().flat_map(|o| present(&o.attrs)) {
+            if attr_of(now, attr).is_none() {
+                updates.push(set_attr(attr, &[]));
+            }
+        }
+        for (reference, targets) in &now.refs {
+            let mut targets = new_keys.targets(targets).peekable();
+            if targets.peek().is_none() {
+                continue;
+            }
+            let before = was.and_then(|o| o.refs.get(reference));
+            let same = before.is_some_and(|b| targets.clone().eq(old_keys.targets(b)));
+            if !same {
+                updates.push(set_refs(reference, targets.cloned().collect()));
+            }
+        }
+        for (reference, targets) in was.into_iter().flat_map(|o| &o.refs) {
+            let had = old_keys.targets(targets).next().is_some();
+            let has =
+                (now.refs.get(reference)).is_some_and(|t| new_keys.targets(t).next().is_some());
+            if had && !has {
+                updates.push(set_refs(reference, Vec::new()));
             }
         }
     }
-    for key in co.keys() {
-        if !cn.contains_key(key) {
-            deletes.push(Change::Delete { key: key.clone() });
-        }
-    }
+    deletes.extend(olds.map(|(gone, _)| Change::Delete { key: gone.clone() }));
 
     let mut changes = creates;
     changes.extend(updates);
@@ -267,45 +311,42 @@ pub fn diff(old: &Model, new: &Model, opts: &DiffOptions) -> ChangeList {
     ChangeList { changes }
 }
 
+/// An object's attribute slots that hold values.
+fn present(attrs: &BTreeMap<String, Vec<Value>>) -> impl Iterator<Item = (&String, &[Value])> {
+    attrs
+        .iter()
+        .filter(|(_, v)| !v.is_empty())
+        .map(|(a, v)| (a, v.as_slice()))
+}
+
+/// An attribute slot's values, if it holds any.
+fn attr_of<'a>(obj: &'a MObject, attr: &str) -> Option<&'a [Value]> {
+    obj.attrs
+        .get(attr)
+        .filter(|v| !v.is_empty())
+        .map(Vec::as_slice)
+}
+
 /// Applies a change list to a model in place.
 pub fn apply(model: &mut Model, changes: &ChangeList, opts: &DiffOptions) -> Result<()> {
-    // key -> id index, kept up to date as creations/deletions happen.
-    let mut index: BTreeMap<ObjectKey, ObjectId> = keys_of(model, opts)
-        .into_iter()
-        .map(|(id, k)| (k, id))
-        .collect();
-
-    // Positional keys (`~N`) must be assigned on creation too: track next
-    // ordinal per class.
-    let mut next_ordinal: BTreeMap<String, u32> = BTreeMap::new();
-    for key in index.keys() {
-        if let Some(n) = key
-            .key
-            .strip_prefix('~')
-            .and_then(|s| s.parse::<u32>().ok())
-        {
-            let e = next_ordinal.entry(key.class.clone()).or_insert(0);
-            *e = (*e).max(n + 1);
-        }
-    }
-
-    let resolve = |index: &BTreeMap<ObjectKey, ObjectId>, key: &ObjectKey| -> Result<ObjectId> {
+    // Kept up to date as creations and deletions happen.
+    let mut index = KeyIndex::new(model, opts);
+    let resolve = |index: &KeyIndex, key: &ObjectKey| -> Result<ObjectId> {
         index
-            .get(key)
-            .copied()
+            .id(key)
             .ok_or_else(|| MetaError::ApplyFailed(format!("no object with key {key}")))
     };
 
     for change in &changes.changes {
         match change {
             Change::Create { key } => {
-                if index.contains_key(key) {
+                if index.id(key).is_some() {
                     return Err(MetaError::ApplyFailed(format!(
                         "object {key} already exists"
                     )));
                 }
                 let id = model.create(key.class.clone());
-                index.insert(key.clone(), id);
+                index.insert(id, key.clone());
             }
             Change::Delete { key } => {
                 let id = resolve(&index, key)?;
@@ -343,9 +384,7 @@ pub fn apply(model: &mut Model, changes: &ChangeList, opts: &DiffOptions) -> Res
 
     // Keyed objects must remain unique; catch collisions introduced by
     // attribute edits that changed a key attribute.
-    let keys = keys_of(model, opts);
-    let distinct: BTreeSet<_> = keys.values().collect();
-    if distinct.len() != keys.len() {
+    if KeyIndex::new(model, opts).has_shared_keys() {
         return Err(MetaError::ApplyFailed(
             "duplicate object keys after apply".into(),
         ));
@@ -502,7 +541,7 @@ mod tests {
         let o = m.create("X");
         m.set_attr(o, "name", Value::from("n"));
         m.set_attr(o, "id", Value::from("i"));
-        let keys = keys_of(&m, &opts());
-        assert_eq!(keys[&o].key, "\"i\"");
+        let keys = KeyIndex::new(&m, &opts());
+        assert_eq!(keys.key(o).unwrap().key, "\"i\"");
     }
 }

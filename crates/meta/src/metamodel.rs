@@ -153,10 +153,20 @@ pub struct EnumDef {
 /// Construct through [`MetamodelBuilder`]; [`MetamodelBuilder::build`]
 /// rejects ill-formed metamodels (duplicate names, unknown supertypes,
 /// inheritance cycles, dangling reference targets, shadowed slots).
+///
+/// Inheritance is resolved once, at build: each class records its
+/// supertypes linearized, so the feature lookups ([`Metamodel::attribute`],
+/// [`Metamodel::all_attributes`], ...) borrow through that record and
+/// allocate nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metamodel {
     name: String,
-    classes: BTreeMap<String, MetaClass>,
+    /// Classes in name order.
+    classes: Vec<MetaClass>,
+    /// Per class (same order), the indices of its supertypes,
+    /// supertype-first with each class once; empty for a class without
+    /// supertypes.
+    lineage: Vec<Box<[u32]>>,
     enums: BTreeMap<String, EnumDef>,
 }
 
@@ -170,7 +180,8 @@ impl Metamodel {
     pub fn empty(name: impl Into<String>) -> Self {
         Metamodel {
             name: name.into(),
-            classes: BTreeMap::new(),
+            classes: Vec::new(),
+            lineage: Vec::new(),
             enums: BTreeMap::new(),
         }
     }
@@ -182,7 +193,13 @@ impl Metamodel {
 
     /// Looks up a class by name.
     pub fn class(&self, name: &str) -> Option<&MetaClass> {
-        self.classes.get(name)
+        self.index_of(name).map(|i| &self.classes[i])
+    }
+
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.classes
+            .binary_search_by(|c| c.name.as_str().cmp(name))
+            .ok()
     }
 
     /// Looks up a class by name, returning an error when absent.
@@ -193,7 +210,7 @@ impl Metamodel {
 
     /// Iterates over all classes in name order.
     pub fn classes(&self) -> impl Iterator<Item = &MetaClass> {
-        self.classes.values()
+        self.classes.iter()
     }
 
     /// Looks up an enumeration by name.
@@ -208,71 +225,77 @@ impl Metamodel {
 
     /// Returns `true` if `sub` equals `sup` or transitively inherits from it.
     pub fn is_subclass_of(&self, sub: &str, sup: &str) -> bool {
-        if sub == sup {
-            return true;
-        }
-        let Some(c) = self.classes.get(sub) else {
-            return false;
+        sub == sup || self.lineage(sub).any(|c| c.name == sup)
+    }
+
+    /// The class and all its supertypes, supertype-first, each once
+    /// (a diamond's apex appears once); empty for an unknown class.
+    fn lineage(&self, class: &str) -> impl Iterator<Item = &MetaClass> + Clone + '_ {
+        let (supers, own) = match self.index_of(class) {
+            Some(i) => (&*self.lineage[i], Some(&self.classes[i])),
+            None => (&[][..], None),
         };
-        c.supers.iter().any(|s| self.is_subclass_of(s, sup))
+        supers
+            .iter()
+            .map(move |&s| &self.classes[s as usize])
+            .chain(own)
     }
 
     /// All attributes of a class, including inherited ones, supertype-first.
-    pub fn all_attributes(&self, class: &str) -> Vec<&Attribute> {
-        let mut out = Vec::new();
-        self.collect(class, &mut BTreeSet::new(), &mut |c| {
-            out.extend(c.attributes.iter());
-        });
-        out
+    pub fn all_attributes(&self, class: &str) -> impl Iterator<Item = &Attribute> + Clone + '_ {
+        self.lineage(class).flat_map(|c| &c.attributes)
     }
 
     /// All references of a class, including inherited ones, supertype-first.
-    pub fn all_references(&self, class: &str) -> Vec<&Reference> {
-        let mut out = Vec::new();
-        self.collect(class, &mut BTreeSet::new(), &mut |c| {
-            out.extend(c.references.iter());
-        });
-        out
+    pub fn all_references(&self, class: &str) -> impl Iterator<Item = &Reference> + Clone + '_ {
+        self.lineage(class).flat_map(|c| &c.references)
     }
 
     /// All constraints applying to a class, including inherited ones.
-    pub fn all_constraints(&self, class: &str) -> Vec<&Constraint> {
-        let mut out = Vec::new();
-        self.collect(class, &mut BTreeSet::new(), &mut |c| {
-            out.extend(c.constraints.iter());
-        });
-        out
+    pub fn all_constraints(&self, class: &str) -> impl Iterator<Item = &Constraint> + Clone + '_ {
+        self.lineage(class).flat_map(|c| &c.constraints)
     }
 
     /// Finds the attribute `name` on `class`, searching supertypes.
     pub fn attribute(&self, class: &str, name: &str) -> Option<&Attribute> {
-        self.all_attributes(class)
-            .into_iter()
-            .find(|a| a.name == name)
+        self.all_attributes(class).find(|a| a.name == name)
     }
 
     /// Finds the reference `name` on `class`, searching supertypes.
     pub fn reference(&self, class: &str, name: &str) -> Option<&Reference> {
-        self.all_references(class)
-            .into_iter()
-            .find(|r| r.name == name)
+        self.all_references(class).find(|r| r.name == name)
     }
 
-    fn collect<'a>(
-        &'a self,
-        class: &str,
-        seen: &mut BTreeSet<String>,
-        f: &mut impl FnMut(&'a MetaClass),
-    ) {
-        if !seen.insert(class.to_owned()) {
-            return;
-        }
-        if let Some(c) = self.classes.get(class) {
-            for s in &c.supers {
-                self.collect(s, seen, f);
+    /// Records each class's linearized supertypes: the post-order of a
+    /// depth-first walk over the declared supertypes, visiting each class
+    /// once, minus the class itself (visited last). The inheritance graph
+    /// must already be known to be acyclic.
+    fn linearize(&self) -> Vec<Box<[u32]>> {
+        fn visit(mm: &Metamodel, i: usize, seen: &mut [bool], order: &mut Vec<u32>) {
+            if std::mem::replace(&mut seen[i], true) {
+                return;
             }
-            f(c);
+            for s in &mm.classes[i].supers {
+                if let Some(j) = mm.index_of(s) {
+                    visit(mm, j, seen, order);
+                }
+            }
+            order.push(i as u32);
         }
+        let mut seen = vec![false; self.classes.len()];
+        let mut order = Vec::new();
+        (0..self.classes.len())
+            .map(|i| {
+                if self.classes[i].supers.is_empty() {
+                    return Box::default();
+                }
+                seen.fill(false);
+                order.clear();
+                visit(self, i, &mut seen, &mut order);
+                order.pop();
+                order.as_slice().into()
+            })
+            .collect()
     }
 }
 
@@ -464,18 +487,20 @@ impl MetamodelBuilder {
 
     /// Validates and produces the metamodel.
     pub fn build(self) -> Result<Metamodel> {
-        let mut classes = BTreeMap::new();
-        for c in self.classes {
+        let mut names = BTreeSet::new();
+        for c in &self.classes {
             if let Some(msg) = c.name.strip_prefix("!error:") {
                 return Err(MetaError::IllFormedMetamodel(msg.to_owned()));
             }
-            if classes.insert(c.name.clone(), c.clone()).is_some() {
+            if !names.insert(c.name.as_str()) {
                 return Err(MetaError::IllFormedMetamodel(format!(
                     "duplicate class `{}`",
                     c.name
                 )));
             }
         }
+        let mut classes = self.classes;
+        classes.sort_by(|a, b| a.name.cmp(&b.name));
         let mut enums = BTreeMap::new();
         for e in self.enums {
             if e.literals.is_empty() {
@@ -491,29 +516,33 @@ impl MetamodelBuilder {
                     e.name
                 )));
             }
-            if enums.insert(e.name.clone(), e.clone()).is_some() {
+            if enums.contains_key(&e.name) {
                 return Err(MetaError::IllFormedMetamodel(format!(
                     "duplicate enum `{}`",
                     e.name
                 )));
             }
+            enums.insert(e.name.clone(), e);
         }
-        let mm = Metamodel {
+        let mut mm = Metamodel {
             name: self.name,
             classes,
+            lineage: Vec::new(),
             enums,
         };
-        mm.check_well_formed()?;
+        mm.check_inheritance()?;
+        mm.lineage = mm.linearize();
+        mm.check_slots()?;
         Ok(mm)
     }
 }
 
 impl Metamodel {
-    fn check_well_formed(&self) -> Result<()> {
-        // Supertypes exist and the inheritance graph is acyclic.
-        for c in self.classes.values() {
+    /// Supertypes exist and the inheritance graph is acyclic.
+    fn check_inheritance(&self) -> Result<()> {
+        for c in &self.classes {
             for s in &c.supers {
-                if !self.classes.contains_key(s) {
+                if self.index_of(s).is_none() {
                     return Err(MetaError::IllFormedMetamodel(format!(
                         "class `{}` extends unknown class `{s}`",
                         c.name
@@ -521,14 +550,14 @@ impl Metamodel {
                 }
             }
         }
-        for c in self.classes.values() {
-            let mut stack = vec![c.name.clone()];
+        for c in &self.classes {
+            let mut stack = vec![c.name.as_str()];
             let mut seen = BTreeSet::new();
             while let Some(n) = stack.pop() {
-                if !seen.insert(n.clone()) {
+                if !seen.insert(n) {
                     continue;
                 }
-                let cc = &self.classes[&n];
+                let Some(cc) = self.class(n) else { continue };
                 for s in &cc.supers {
                     if *s == c.name {
                         return Err(MetaError::IllFormedMetamodel(format!(
@@ -536,12 +565,17 @@ impl Metamodel {
                             c.name
                         )));
                     }
-                    stack.push(s.clone());
+                    stack.push(s);
                 }
             }
         }
-        // Slot names unique per class (including inherited); targets/enums exist.
-        for c in self.classes.values() {
+        Ok(())
+    }
+
+    /// Slot names unique per class (including inherited); targets and
+    /// enums exist; defaults conform.
+    fn check_slots(&self) -> Result<()> {
+        for c in &self.classes {
             let mut names = BTreeSet::new();
             for a in self.all_attributes(&c.name) {
                 if !names.insert(a.name.clone()) {
@@ -574,7 +608,7 @@ impl Metamodel {
                         c.name, r.name
                     )));
                 }
-                if !self.classes.contains_key(&r.target) {
+                if self.index_of(&r.target).is_none() {
                     return Err(MetaError::IllFormedMetamodel(format!(
                         "reference `{}.{}` targets unknown class `{}`",
                         c.name, r.name, r.target
@@ -611,8 +645,7 @@ mod tests {
     #[test]
     fn inheritance_resolution() {
         let mm = simple();
-        let attrs = mm.all_attributes("Node");
-        let names: Vec<_> = attrs.iter().map(|a| a.name.as_str()).collect();
+        let names: Vec<_> = mm.all_attributes("Node").map(|a| a.name.as_str()).collect();
         assert_eq!(names, vec!["name", "weight", "color"]);
         assert!(mm.is_subclass_of("Node", "Named"));
         assert!(mm.is_subclass_of("Node", "Node"));
@@ -715,6 +748,122 @@ mod tests {
     }
 
     #[test]
+    fn invariant_nesting_is_bounded() {
+        use crate::constraint::MAX_NESTING;
+        // Each shape nests `n` levels deep and, for an even `n`, holds on
+        // an object with no `x` slot.
+        let shapes: [fn(usize) -> String; 7] = [
+            |n| format!("{}true{}", "(".repeat(n), ")".repeat(n)),
+            |n| format!("{}true", "not ".repeat(n)),
+            |n| format!("true{}", " and true".repeat(n)),
+            |n| format!("0{} = {n}", " + 1".repeat(n)),
+            |n| format!("{}1 <> 0", "- ".repeat(n)),
+            |n| format!("{}true", "false implies ".repeat(n)),
+            |n| format!("self{} = null", ".x".repeat(n)),
+        ];
+        let mut m = crate::model::Model::new("m");
+        m.create("A");
+        for shape in shapes {
+            let build = |n: usize| {
+                MetamodelBuilder::new("m")
+                    .class("A", |c| c.invariant("deep", &shape(n)))
+                    .build()
+            };
+            // At the bound the invariant parses and evaluates (on a
+            // default-sized test thread).
+            let mm = build(MAX_NESTING).unwrap();
+            crate::conformance::check(&m, &mm).unwrap();
+            // One level past it, the metamodel is refused.
+            let err = build(MAX_NESTING + 1).unwrap_err();
+            assert!(err.to_string().contains("nested deeper than"), "{err}");
+        }
+    }
+
+    #[test]
+    fn linearized_lookups_match_a_supertype_walk() {
+        // The walk the lookups used before inheritance was resolved at
+        // build: supertypes first, in declaration order, each class once.
+        fn walk<'a>(
+            mm: &'a Metamodel,
+            class: &str,
+            seen: &mut Vec<String>,
+            out: &mut Vec<&'a str>,
+        ) {
+            if seen.iter().any(|s| s == class) {
+                return;
+            }
+            seen.push(class.to_owned());
+            if let Some(c) = mm.class(class) {
+                for s in &c.supers {
+                    walk(mm, s, seen, out);
+                }
+                out.push(&c.name);
+            }
+        }
+        // A lattice with diamonds, repeated supertypes and classes
+        // declared out of name order.
+        let mm = MetamodelBuilder::new("m")
+            .class("Z", |c| c.attr("z", DataType::Int).invariant("zi", "true"))
+            .class("M", |c| c.extends("Z").attr("m", DataType::Int))
+            .class("A", |c| {
+                c.extends("Z").reference("a", "Z", Multiplicity::MANY)
+            })
+            .class("Q", |c| {
+                c.extends("M").extends("A").attr("q", DataType::Int)
+            })
+            .class("B", |c| c.extends("A").extends("M").invariant("bi", "true"))
+            .class("K", |c| {
+                c.extends("B")
+                    .extends("Q")
+                    .extends("Z")
+                    .attr("k", DataType::Int)
+            })
+            .build()
+            .unwrap();
+        for class in ["Z", "M", "A", "Q", "B", "K", "Unknown"] {
+            let mut order = Vec::new();
+            walk(&mm, class, &mut Vec::new(), &mut order);
+            let expected = |f: fn(&MetaClass) -> Vec<&str>| -> Vec<&str> {
+                order.iter().flat_map(|c| f(mm.class(c).unwrap())).collect()
+            };
+            assert_eq!(
+                mm.all_attributes(class)
+                    .map(|a| a.name.as_str())
+                    .collect::<Vec<_>>(),
+                expected(|c| c.attributes.iter().map(|a| a.name.as_str()).collect()),
+                "{class}"
+            );
+            assert_eq!(
+                mm.all_references(class)
+                    .map(|r| r.name.as_str())
+                    .collect::<Vec<_>>(),
+                expected(|c| c.references.iter().map(|r| r.name.as_str()).collect()),
+                "{class}"
+            );
+            assert_eq!(
+                mm.all_constraints(class)
+                    .map(|r| r.name.as_str())
+                    .collect::<Vec<_>>(),
+                expected(|c| c.constraints.iter().map(|r| r.name.as_str()).collect()),
+                "{class}"
+            );
+            for sup in ["Z", "M", "A", "Q", "B", "K"] {
+                assert_eq!(
+                    mm.is_subclass_of(class, sup),
+                    class == sup || order.contains(&sup),
+                    "{class} <: {sup}"
+                );
+            }
+        }
+        assert_eq!(
+            mm.all_attributes("K")
+                .map(|a| a.name.as_str())
+                .collect::<Vec<_>>(),
+            ["z", "m", "q", "k"]
+        );
+    }
+
+    #[test]
     fn diamond_inheritance_collects_once() {
         let mm = MetamodelBuilder::new("m")
             .class("Top", |c| c.attr("t", DataType::Int))
@@ -723,6 +872,6 @@ mod tests {
             .class("Bottom", |c| c.extends("L").extends("R"))
             .build()
             .unwrap();
-        assert_eq!(mm.all_attributes("Bottom").len(), 1);
+        assert_eq!(mm.all_attributes("Bottom").count(), 1);
     }
 }

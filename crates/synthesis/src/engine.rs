@@ -4,7 +4,7 @@
 use crate::interpreter::{ChangeInterpreter, Interpretation};
 use crate::{Result, SynthesisError};
 use mddsm_meta::conformance;
-use mddsm_meta::diff::{diff, DiffOptions};
+use mddsm_meta::diff::{compare, DiffOptions, KeyIndex};
 use mddsm_meta::metamodel::Metamodel;
 use mddsm_meta::model::Model;
 use std::sync::Arc;
@@ -17,13 +17,21 @@ use std::sync::Arc;
 ///
 /// 1. validate the new model against the DSML metamodel (conformance and
 ///    invariants);
-/// 2. compare it with the current runtime model (the *model comparator*);
-/// 3. interpret the change list through the LTS (the *change interpreter*);
-/// 4. install the new model as current (the *dispatcher*).
+/// 2. index the new model's object keys, and compare it with the current
+///    runtime model through the index the engine keeps of that model (the
+///    *model comparator*);
+/// 3. interpret the change list through the LTS from its current state,
+///    binding `$`-variables only for changes a transition may take (the
+///    *change interpreter*);
+/// 4. only if every step succeeded, install the new model, its index and
+///    the LTS state reached as current (the *dispatcher*). A refused
+///    submission changes nothing.
 pub struct SynthesisEngine {
     metamodel: Arc<Metamodel>,
     interpreter: ChangeInterpreter,
     current: Model,
+    /// The key index of `current`, swapped with each accepted model.
+    current_keys: KeyIndex,
     diff_opts: DiffOptions,
     submissions: u64,
 }
@@ -32,11 +40,13 @@ impl SynthesisEngine {
     /// Creates an engine with an empty current model.
     pub fn new(metamodel: Arc<Metamodel>, interpreter: ChangeInterpreter) -> Self {
         let current = Model::new(metamodel.name());
+        let diff_opts = DiffOptions::default();
         SynthesisEngine {
             metamodel,
             interpreter,
+            current_keys: KeyIndex::new(&current, &diff_opts),
             current,
-            diff_opts: DiffOptions::default(),
+            diff_opts,
             submissions: 0,
         }
     }
@@ -73,11 +83,14 @@ impl SynthesisEngine {
         }
         conformance::check(&new_model, &self.metamodel)
             .map_err(|e| SynthesisError::InvalidModel(e.to_string()))?;
-        let changes = diff(&self.current, &new_model, &self.diff_opts);
-        let out = self
-            .interpreter
-            .interpret(&changes, &new_model, &self.metamodel)?;
+        let new_keys = KeyIndex::new(&new_model, &self.diff_opts);
+        let changes = compare(&self.current, &self.current_keys, &new_model, &new_keys);
+        let (out, state) =
+            self.interpreter
+                .interpret_indexed(&changes, &new_model, &new_keys, &self.metamodel)?;
+        self.interpreter.enter(state);
         self.current = new_model;
+        self.current_keys = new_keys;
         self.submissions += 1;
         Ok(out)
     }
@@ -91,6 +104,7 @@ impl SynthesisEngine {
     /// Clears the runtime model and resets the LTS — a full restart.
     pub fn reset(&mut self) {
         self.current = Model::new(self.metamodel.name());
+        self.current_keys = KeyIndex::new(&self.current, &self.diff_opts);
         self.interpreter.reset();
     }
 }
@@ -108,7 +122,7 @@ impl std::fmt::Debug for SynthesisEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interpreter::InterpreterConfig;
+    use crate::interpreter::{InterpreterConfig, UnmatchedPolicy};
     use crate::lts::{ChangePattern, CommandTemplate, LtsBuilder};
     use mddsm_meta::metamodel::{DataType, MetamodelBuilder, Multiplicity};
     use mddsm_meta::Value;
@@ -187,6 +201,37 @@ mod tests {
         assert!(e.current_model().is_empty());
         assert_eq!(e.lts_state(), "idle");
         assert_eq!(e.submissions(), 0);
+    }
+
+    #[test]
+    fn a_refused_submission_changes_nothing() {
+        // `create Session` has a transition; the session's `SetAttr name`
+        // has none, so the submission is refused after the LTS took the
+        // creation. The refusal must not leave the LTS in `open` while the
+        // running model is still the old one.
+        let lts = LtsBuilder::new()
+            .state("idle")
+            .state("open")
+            .initial("idle")
+            .transition("idle", "open", ChangePattern::create("Session"), |t| {
+                t.emit(CommandTemplate::new("openSession", "$key"))
+            })
+            .build()
+            .unwrap();
+        let config = InterpreterConfig {
+            unmatched: UnmatchedPolicy::Error,
+        };
+        let mut e = SynthesisEngine::new(mm(), ChangeInterpreter::new(lts, config));
+        let err = e.submit(model_with_session()).unwrap_err();
+        assert!(matches!(err, SynthesisError::UnmatchedChange(_)), "{err}");
+        assert_eq!(e.lts_state(), "idle");
+        assert!(e.current_model().is_empty());
+        assert_eq!(e.submissions(), 0);
+        // The kept index is still the empty model's: an empty submission
+        // is a no-op in the initial state.
+        let out = e.submit(Model::new("cml")).unwrap();
+        assert!(out.immediate.is_empty() && out.installed.is_empty());
+        assert_eq!(e.lts_state(), "idle");
     }
 
     #[test]

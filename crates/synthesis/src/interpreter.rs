@@ -5,11 +5,11 @@ use crate::lts::{ChangeKind, Label, Lts, StateId};
 use crate::script::{Command, ControlScript, EventTrigger};
 use crate::{Result, SynthesisError};
 use mddsm_meta::constraint::{eval_bool, EvalEnv, Val};
-use mddsm_meta::diff::{keys_of, Change, ChangeList, DiffOptions};
+use mddsm_meta::diff::{Change, ChangeList, DiffOptions, KeyIndex};
 use mddsm_meta::metamodel::Metamodel;
-use mddsm_meta::model::Model;
+use mddsm_meta::model::{Model, ObjectId};
 use mddsm_meta::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What to do with a model change no transition matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,80 +68,65 @@ impl ChangeInterpreter {
 
     /// Interprets a change list against the *new* model, producing control
     /// scripts. First enabled transition (declaration order) wins per
-    /// change.
+    /// change. On an error the LTS state is left as it was.
     pub fn interpret(
         &mut self,
         changes: &ChangeList,
         new_model: &Model,
         mm: &Metamodel,
     ) -> Result<Interpretation> {
+        let keys = KeyIndex::new(new_model, &DiffOptions::default());
+        let (out, state) = self.interpret_indexed(changes, new_model, &keys, mm)?;
+        self.state = state;
+        Ok(out)
+    }
+
+    /// The interpretation pass: runs `changes` from the current state
+    /// against the new model and its key index, returning the scripts and
+    /// the state reached without entering it (see
+    /// [`ChangeInterpreter::enter`]), so a refused pass changes nothing.
+    pub(crate) fn interpret_indexed(
+        &self,
+        changes: &ChangeList,
+        new_model: &Model,
+        keys: &KeyIndex,
+        mm: &Metamodel,
+    ) -> Result<(Interpretation, StateId)> {
         let mut out = Interpretation::default();
-        let key_index: BTreeMap<_, _> = keys_of(new_model, &DiffOptions::default())
-            .into_iter()
-            .map(|(id, k)| (k, id))
-            .collect();
+        let mut state = self.state;
+        let passthrough = self.config.unmatched == UnmatchedPolicy::Passthrough;
         // Objects created by this very change list ("new" objects, whose
         // initial SetAttr/SetRefs changes `existing_only` patterns skip).
-        let created: std::collections::BTreeSet<_> = changes
+        let created: BTreeSet<_> = changes
             .iter()
             .filter_map(|c| match c {
-                mddsm_meta::diff::Change::Create { key } => Some(key.clone()),
+                Change::Create { key } => Some(key.clone()),
                 _ => None,
             })
             .collect();
 
         for change in changes.iter() {
-            let mut vars = change_vars(change);
-            // Expose the changed object's attribute values (from the new
-            // model) as `attr_<name>` so command templates can carry domain
-            // data, e.g. `$attr_action` for an automation rule's action.
-            if let Some(id) = key_index.get(change.subject()) {
-                if let Ok(obj) = new_model.object(*id) {
-                    // Declared defaults first, so explicit values override.
-                    for attr in mm.all_attributes(&obj.class) {
-                        if let Some(d) = attr.default.first() {
-                            vars.insert(format!("attr_{}", attr.name), render_value(d));
-                        }
-                    }
-                    for (name, values) in &obj.attrs {
-                        if let Some(v) = values.first() {
-                            vars.insert(format!("attr_{name}"), render_value(v));
-                        }
-                    }
-                    // And its reference slots as `ref_<slot>`: the targets'
-                    // `name`/`id` attributes (comma-joined), so creation
-                    // commands can carry related element names.
-                    for (slot, targets) in &obj.refs {
-                        let rendered: Vec<String> = targets
-                            .iter()
-                            .filter_map(|t| {
-                                new_model
-                                    .attr_str(*t, "id")
-                                    .or_else(|| new_model.attr_str(*t, "name"))
-                                    .map(str::to_owned)
-                            })
-                            .collect();
-                        vars.insert(format!("ref_{slot}"), rendered.join(","));
-                    }
-                }
-            }
-            let mut taken = false;
-            // Candidate transition indices, collected first because taking
-            // one mutates `self.state`.
-            let candidates: Vec<usize> = self
+            let mut candidates = self
                 .lts
                 .transitions
                 .iter()
-                .enumerate()
-                .filter(|(_, t)| {
-                    t.from == self.state
+                .filter(|t| {
+                    t.from == state
                         && matches!(&t.label, Label::Change(p) if p.matches_in(change, &created))
                 })
-                .map(|(i, _)| i)
-                .collect();
-
-            for idx in candidates {
-                let t = &self.lts.transitions[idx];
+                .peekable();
+            if candidates.peek().is_none() && !passthrough {
+                if self.config.unmatched == UnmatchedPolicy::Error {
+                    return Err(unmatched(change, self.lts.state_name(state)));
+                }
+                continue;
+            }
+            // Only a change some transition may take (or one passed
+            // through) needs its `$`-bindings.
+            let subject = keys.id(change.subject());
+            let vars = bindings(change, subject, new_model, mm);
+            let mut taken = None;
+            for t in candidates {
                 if let Some(guard) = &t.guard {
                     let mut env = EvalEnv::new(new_model, mm);
                     for (k, v) in &vars {
@@ -149,8 +134,8 @@ impl ChangeInterpreter {
                     }
                     // Bind `self` to the changed object when it still
                     // exists in the new model.
-                    if let Some(id) = key_index.get(change.subject()) {
-                        env.bind("self", Val::Obj(*id));
+                    if let Some(id) = subject {
+                        env.bind("self", Val::Obj(id));
                     }
                     match eval_bool(guard, &env) {
                         Ok(true) => {}
@@ -171,39 +156,40 @@ impl ChangeInterpreter {
                         commands,
                     )),
                 }
-                self.state = t.to;
-                taken = true;
+                taken = Some(t.to);
                 break;
             }
 
-            if !taken {
-                match self.config.unmatched {
-                    UnmatchedPolicy::Skip => {}
-                    UnmatchedPolicy::Error => {
-                        return Err(SynthesisError::UnmatchedChange(format!(
-                            "{change:?} in state `{}`",
-                            self.state_name()
-                        )))
-                    }
-                    UnmatchedPolicy::Passthrough => {
-                        let name = match ChangeKind::of(change) {
-                            ChangeKind::Create => "create",
-                            ChangeKind::Delete => "delete",
-                            ChangeKind::SetAttr => "setAttr",
-                            ChangeKind::SetRefs => "setRefs",
-                        };
-                        let mut cmd = Command::new(name, vars["key"].clone());
-                        for (k, v) in &vars {
-                            if k != "key" {
-                                cmd = cmd.with(k.clone(), v.clone());
-                            }
+            match (taken, self.config.unmatched) {
+                (Some(to), _) => state = to,
+                (None, UnmatchedPolicy::Skip) => {}
+                (None, UnmatchedPolicy::Error) => {
+                    return Err(unmatched(change, self.lts.state_name(state)))
+                }
+                (None, UnmatchedPolicy::Passthrough) => {
+                    let name = match ChangeKind::of(change) {
+                        ChangeKind::Create => "create",
+                        ChangeKind::Delete => "delete",
+                        ChangeKind::SetAttr => "setAttr",
+                        ChangeKind::SetRefs => "setRefs",
+                    };
+                    let mut cmd = Command::new(name, vars["key"].clone());
+                    for (k, v) in &vars {
+                        if k != "key" {
+                            cmd = cmd.with(k.clone(), v.clone());
                         }
-                        out.immediate.commands.push(cmd);
                     }
+                    out.immediate.commands.push(cmd);
                 }
             }
         }
-        Ok(out)
+        Ok((out, state))
+    }
+
+    /// Enters a state an [`ChangeInterpreter::interpret_indexed`] pass
+    /// reached.
+    pub(crate) fn enter(&mut self, state: StateId) {
+        self.state = state;
     }
 
     /// Feeds a Controller-layer event to the LTS; event transitions may
@@ -221,6 +207,54 @@ impl ChangeInterpreter {
         }
         Ok(script)
     }
+}
+
+fn unmatched(change: &Change, state: &str) -> SynthesisError {
+    SynthesisError::UnmatchedChange(format!("{change:?} in state `{state}`"))
+}
+
+/// The `$`-bindings of a change: those of [`change_vars`], plus, when the
+/// changed object (`subject`) is in the new model, its attribute values as
+/// `attr_<name>` (so command templates can carry domain data, e.g.
+/// `$attr_action` for an automation rule's action) and its reference
+/// slots as `ref_<slot>`.
+fn bindings(
+    change: &Change,
+    subject: Option<ObjectId>,
+    new_model: &Model,
+    mm: &Metamodel,
+) -> BTreeMap<String, String> {
+    let mut vars = change_vars(change);
+    let Some(obj) = subject.and_then(|id| new_model.object(id).ok()) else {
+        return vars;
+    };
+    // Declared defaults first, so explicit values override.
+    for attr in mm.all_attributes(&obj.class) {
+        if let Some(d) = attr.default.first() {
+            vars.insert(format!("attr_{}", attr.name), render_value(d));
+        }
+    }
+    for (name, values) in &obj.attrs {
+        if let Some(v) = values.first() {
+            vars.insert(format!("attr_{name}"), render_value(v));
+        }
+    }
+    // Reference slots render as the targets' `name`/`id` attributes
+    // (comma-joined), so creation commands can carry related element
+    // names.
+    for (slot, targets) in &obj.refs {
+        let rendered: Vec<String> = targets
+            .iter()
+            .filter_map(|t| {
+                new_model
+                    .attr_str(*t, "id")
+                    .or_else(|| new_model.attr_str(*t, "name"))
+                    .map(str::to_owned)
+            })
+            .collect();
+        vars.insert(format!("ref_{slot}"), rendered.join(","));
+    }
+    vars
 }
 
 /// Substitution variables derived from a change.

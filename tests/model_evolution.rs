@@ -55,9 +55,7 @@ fn diff_round_trips_across_seeded_mutations_of_the_corpus() {
                 // The reverse diff restores the original — provided the
                 // mutant kept object keys unique (keyed matching cannot
                 // tell duplicate-keyed objects apart, by design).
-                let keys = mddsm::meta::diff::keys_of(&new, &opts());
-                let distinct: std::collections::BTreeSet<_> = keys.values().collect();
-                if distinct.len() == keys.len() {
+                if !mddsm::meta::diff::KeyIndex::new(&new, &opts()).has_shared_keys() {
                     let backward = diff(&new, &old, &opts());
                     let mut reverted = new.clone();
                     apply(&mut reverted, &backward, &opts())
