@@ -7,7 +7,7 @@ use bench::micro::BenchGroup;
 use mddsm_broker::journal::{Journal, JournalRecord};
 use mddsm_broker::state::{OpView, ValueView};
 use mddsm_meta::constraint::{self, eval_bool, EvalEnv};
-use mddsm_meta::diff::{diff, DiffOptions};
+use mddsm_meta::diff::diff;
 use mddsm_meta::metamodel::{DataType, Metamodel, MetamodelBuilder, Multiplicity};
 use mddsm_meta::model::Model;
 use mddsm_meta::{conformance, text, Value};
@@ -53,9 +53,7 @@ fn main() {
     group.bench_function("conformance_check_100_objects", || {
         conformance::check(&m100, &metamodel).unwrap()
     });
-    group.bench_function("model_diff_100_objects_10_changed", || {
-        diff(&m100, &m100b, &DiffOptions::default())
-    });
+    group.bench_function("model_diff_100_objects_10_changed", || diff(&m100, &m100b));
     let written = text::write(&m100);
     group.bench_function("text_parse_100_objects", || text::parse(&written).unwrap());
     group.bench_function("text_write_100_objects", || text::write(&m100));

@@ -53,8 +53,3 @@ pub mod port;
 pub fn ms(us: u64) -> String {
     format!("{:.3}", us as f64 / 1000.0)
 }
-
-/// Formats a float microsecond value as milliseconds.
-pub fn ms_f(us: f64) -> String {
-    format!("{:.3}", us / 1000.0)
-}

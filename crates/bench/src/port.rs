@@ -37,11 +37,6 @@ impl<P: BrokerPort> CountingPort<P> {
     pub fn failures(&self) -> u64 {
         self.failures
     }
-
-    /// Unwraps the inner port.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
 }
 
 impl<P: BrokerPort> BrokerPort for CountingPort<P> {

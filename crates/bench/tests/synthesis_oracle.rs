@@ -32,7 +32,7 @@ use cvm::cml::cml_metamodel;
 use cvm::synthesis_dsk::cvm_lts;
 use mddsm_meta::conformance;
 use mddsm_meta::diff::ObjectKey;
-use mddsm_meta::diff::{compare, diff, equivalent, Change, ChangeList, DiffOptions, KeyIndex};
+use mddsm_meta::diff::{compare, diff, equivalent, Change, ChangeList, KeyIndex};
 use mddsm_meta::metamodel::{DataType, Metamodel};
 use mddsm_meta::model::{Model, ObjectId};
 use mddsm_meta::{text, Value};
@@ -48,15 +48,17 @@ use std::sync::Arc;
 
 // -- The reference comparator ----------------------------------------------------
 
+/// Attribute names tried in order to key an object.
+const KEY_ATTRS: [&str; 2] = ["id", "name"];
+
 /// Computes the key of every live object in a model.
-fn keys_of(model: &Model, opts: &DiffOptions) -> BTreeMap<ObjectId, ObjectKey> {
+fn keys_of(model: &Model) -> BTreeMap<ObjectId, ObjectKey> {
     let mut out = BTreeMap::new();
     let mut ordinal: BTreeMap<String, u32> = BTreeMap::new();
     for (id, obj) in model.iter() {
-        let key = opts
-            .key_attrs
+        let key = KEY_ATTRS
             .iter()
-            .find_map(|a| obj.attrs.get(a).and_then(|v| v.first()))
+            .find_map(|a| obj.attrs.get(*a).and_then(|v| v.first()))
             .map(|v| v.to_string());
         let key = match key {
             Some(k) => k,
@@ -89,8 +91,8 @@ type Canonical = BTreeMap<
 
 /// Canonicalizes a model: objects keyed by [`ObjectKey`], references
 /// rewritten to keys.
-fn canonical(model: &Model, opts: &DiffOptions) -> Canonical {
-    let keys = keys_of(model, opts);
+fn canonical(model: &Model) -> Canonical {
+    let keys = keys_of(model);
     let mut out = Canonical::new();
     for (id, obj) in model.iter() {
         let attrs = obj.attrs.clone();
@@ -116,9 +118,9 @@ fn canonical(model: &Model, opts: &DiffOptions) -> Canonical {
 
 /// Compares `old` and `new`, producing the change list that transforms
 /// `old` into `new`.
-fn reference_diff(old: &Model, new: &Model, opts: &DiffOptions) -> ChangeList {
-    let co = canonical(old, opts);
-    let cn = canonical(new, opts);
+fn reference_diff(old: &Model, new: &Model) -> ChangeList {
+    let co = canonical(old);
+    let cn = canonical(new);
     let mut creates = Vec::new();
     let mut updates = Vec::new();
     let mut deletes = Vec::new();
@@ -225,7 +227,7 @@ impl RefEngine {
         }
         conformance::check(&new_model, &self.metamodel)
             .map_err(|e| SynthesisError::InvalidModel(e.to_string()))?;
-        let changes = reference_diff(&self.current, &new_model, &DiffOptions::default());
+        let changes = reference_diff(&self.current, &new_model);
         let before = self.interpreter.clone();
         match self
             .interpreter
@@ -309,10 +311,8 @@ impl Pair {
             format!("{running:?}") == format!("{expected:?}"),
             "{ctx}: running model"
         );
-        let opts = DiffOptions::default();
         assert!(
-            format!("{:?}", canonical(running, &opts))
-                == format!("{:?}", canonical(expected, &opts)),
+            format!("{:?}", canonical(running)) == format!("{:?}", canonical(expected)),
             "{ctx}: running model not equivalent"
         );
     }
@@ -444,14 +444,13 @@ fn assert_same_changes(got: &ChangeList, want: &ChangeList, ctx: &str) {
 }
 
 fn check_pair(old: &Model, new: &Model, ctx: &str) {
-    let opts = DiffOptions::default();
-    let want = reference_diff(old, new, &opts);
-    assert_same_changes(&diff(old, new, &opts), &want, ctx);
-    let (ok, nk) = (KeyIndex::new(old, &opts), KeyIndex::new(new, &opts));
+    let want = reference_diff(old, new);
+    assert_same_changes(&diff(old, new), &want, ctx);
+    let (ok, nk) = (KeyIndex::new(old), KeyIndex::new(new));
     assert_same_changes(&compare(old, &ok, new, &nk), &want, ctx);
     assert_eq!(
-        equivalent(old, new, &opts),
-        canonical(old, &opts) == canonical(new, &opts),
+        equivalent(old, new),
+        canonical(old) == canonical(new),
         "{ctx}: equivalent"
     );
 }
@@ -471,7 +470,7 @@ fn comparator(seeds: u64) {
             check_pair(&old, &new, &ctx);
             check_pair(&new, &old, &ctx);
             check_pair(&new, &new, &ctx);
-            nonempty += usize::from(!diff(&old, &new, &DiffOptions::default()).is_empty());
+            nonempty += usize::from(!diff(&old, &new).is_empty());
             perturb_once(&mut new, &mut rng);
         }
     }

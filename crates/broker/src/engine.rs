@@ -221,11 +221,6 @@ pub enum AdmittedOutcome {
 }
 
 impl AdmittedOutcome {
-    /// `true` when the call actually executed.
-    pub fn is_executed(&self) -> bool {
-        matches!(self, AdmittedOutcome::Executed { .. })
-    }
-
     /// The executed call's result. Only admission defers or sheds, so a
     /// command framed without [`CallMeta`] always executes.
     fn into_result(self) -> BrokerCallResult {
@@ -1255,18 +1250,6 @@ impl GenericBroker {
     pub fn stats(&self) -> (u64, u64) {
         (self.calls, self.events)
     }
-
-    /// How many times an autonomic symptom fired.
-    pub fn symptom_fired(&self, symptom: &str) -> u64 {
-        self.autonomic.fired(symptom)
-    }
-
-    /// The load-time static-analysis report for this engine's model:
-    /// warnings (errors would have refused the model), the per-unit
-    /// read/write footprint table, and the conflict graph.
-    pub fn analysis_report(&self) -> &mddsm_meta::analysis::AnalysisReport {
-        &self.analysis
-    }
 }
 
 impl std::fmt::Debug for GenericBroker {
@@ -1375,7 +1358,7 @@ mod tests {
         let r = b
             .call_admitted("serve", &args(&[]), &CallMeta::new("interactive", 0))
             .unwrap();
-        assert!(r.is_executed());
+        assert!(matches!(r, AdmittedOutcome::Executed { .. }));
         // Bucket empty, refill is slow: the next call is deferred.
         let now = b.now().as_micros();
         let r2 = b
@@ -1447,7 +1430,7 @@ mod tests {
             let r = b
                 .call_admitted("serve", &args(&[]), &CallMeta::new("interactive", now))
                 .unwrap();
-            assert!(r.is_executed());
+            assert!(matches!(r, AdmittedOutcome::Executed { .. }));
         }
         assert_eq!(b.state().str("breaker_media"), Some("open"));
         assert_eq!(b.state().int("failures_media"), Some(2));
@@ -1653,7 +1636,7 @@ mod tests {
         assert_eq!(b.state().int("failures_media"), Some(2));
         let emitted = b.autonomic_tick().unwrap();
         assert_eq!(emitted, vec!["recovered".to_string()]);
-        assert_eq!(b.symptom_fired("mediaFlaky"), 1);
+        assert_eq!(b.autonomic.fired("mediaFlaky"), 1);
         assert!(b.hub().is_healthy("sim.media"));
         assert_eq!(b.state().int("failures_media"), Some(0));
         // The plan also switched mode to relay: next open goes via relay.
@@ -1977,7 +1960,7 @@ mod tests {
         assert!(!b.call("op", &Args::new()).unwrap().outcome.is_ok());
         assert_eq!(b.state().str("breaker_flaky"), Some("open"));
         b.autonomic_tick().unwrap();
-        assert_eq!(b.symptom_fired("breakerStuck"), 1);
+        assert_eq!(b.autonomic.fired("breakerStuck"), 1);
         assert_eq!(b.state().str("breaker_flaky"), Some("closed"));
         // Breaker closed again: the next call goes through to the resource.
         let r = b.call("op", &Args::new()).unwrap();
@@ -2029,7 +2012,7 @@ mod tests {
         // Autonomic tick: symptom fires, heals the resource and closes the
         // breaker *without* waiting for another cooldown.
         b.autonomic_tick().unwrap();
-        assert_eq!(b.symptom_fired("stuckOpen"), 1);
+        assert_eq!(b.autonomic.fired("stuckOpen"), 1);
         assert_eq!(b.state().str("breaker_flaky"), Some("closed"));
 
         // Closed again: next call reaches the (now healed) resource, and

@@ -47,7 +47,7 @@ use crate::pred::Pred;
 use crate::state::{SnapValue, StateManager};
 use crate::supervisor::Supervisor;
 use crate::{BrokerError, Result};
-use mddsm_meta::diff::{diff, Change, ChangeList, DiffOptions};
+use mddsm_meta::diff::{diff, Change, ChangeList};
 use mddsm_meta::model::Model;
 use mddsm_sim::ResourceHub;
 use std::collections::{BTreeMap, BTreeSet};
@@ -201,7 +201,7 @@ impl LiveUpgrade {
                 vec!["live broker has a latched monitor trip; repair before upgrading".into()],
             ));
         }
-        let changes = diff(old, candidate, &DiffOptions::default());
+        let changes = diff(old, candidate);
         let classified = classify_changes(&changes);
         let breaking: Vec<String> = classified
             .iter()
@@ -647,18 +647,16 @@ mod tests {
     #[test]
     fn delta_classification_separates_the_three_classes() {
         let old = v1();
-        let classes: Vec<DeltaClass> =
-            classify_changes(&diff(&old, &v2(), &DiffOptions::default()))
-                .into_iter()
-                .map(|(c, _)| c)
-                .collect();
+        let classes: Vec<DeltaClass> = classify_changes(&diff(&old, &v2()))
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect();
         assert!(classes.contains(&DeltaClass::StateMigrating), "{classes:?}");
         assert!(!classes.contains(&DeltaClass::Breaking), "{classes:?}");
-        let breaking: Vec<DeltaClass> =
-            classify_changes(&diff(&old, &v2_breaking(), &DiffOptions::default()))
-                .into_iter()
-                .map(|(c, _)| c)
-                .collect();
+        let breaking: Vec<DeltaClass> = classify_changes(&diff(&old, &v2_breaking()))
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect();
         assert!(breaking.contains(&DeltaClass::Breaking), "{breaking:?}");
     }
 

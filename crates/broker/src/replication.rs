@@ -367,12 +367,6 @@ impl QuorumReplicator {
         &self.metrics
     }
 
-    /// Mutable metrics access — the autonomic manager ticks its
-    /// replication rules against this state.
-    pub fn metrics_mut(&mut self) -> &mut StateManager {
-        &mut self.metrics
-    }
-
     /// Rewinds a peer's lane to sequence 0 so the full retained history
     /// is re-shipped — the revival path for a replica that lost its
     /// mirror. Returns `false` for an unknown node. The commit LSN is

@@ -24,47 +24,6 @@ pub enum Case {
     Dynamic,
 }
 
-/// Overload priority of a command: which Broker admission class its
-/// brokered calls bill against. Classification is the natural place to
-/// decide this — it already consults domain policies and context per
-/// command — so the priority rides along with the Case 1/Case 2 choice
-/// (see [`CommandClassifier::classify_full`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    /// A user-facing request: latency-sensitive, protected first. The
-    /// default for unmapped commands.
-    #[default]
-    Interactive,
-    /// Throughput work: first to be deferred or shed under overload.
-    Batch,
-    /// Middleware-internal management traffic (autonomic plans, health
-    /// probes): must keep flowing even when user load is shed.
-    ControlPlane,
-}
-
-impl Priority {
-    /// The Broker `AdmissionClass` name this priority bills against.
-    pub fn admission_class(&self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Batch => "batch",
-            Priority::ControlPlane => "control",
-        }
-    }
-}
-
-/// Full classification result: the DSC, the execution case, and the
-/// overload priority the command carries down to the Broker layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Classified {
-    /// The classifying DSC.
-    pub dsc: DscId,
-    /// Case 1 (predefined) or Case 2 (dynamic).
-    pub case: Case,
-    /// The admission priority of the command.
-    pub priority: Priority,
-}
-
 /// The Fig. 8 rationales for preferring one case over the other.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassificationPolicy {
@@ -100,15 +59,6 @@ impl ClassificationPolicy {
         }
     }
 
-    /// A policy that always uses predefined actions.
-    pub fn always_predefined() -> Self {
-        ClassificationPolicy {
-            prefer: Case::Predefined,
-            low_memory_prefers_dynamic: false,
-            overrides: BTreeMap::new(),
-        }
-    }
-
     /// Adds a per-command override.
     pub fn with_override(mut self, command: &str, case: Case) -> Self {
         self.overrides.insert(command.to_owned(), case);
@@ -122,8 +72,6 @@ impl ClassificationPolicy {
 pub struct CommandClassifier {
     command_dscs: BTreeMap<String, DscId>,
     policy: ClassificationPolicy,
-    priorities: BTreeMap<String, Priority>,
-    default_priority: Priority,
 }
 
 impl CommandClassifier {
@@ -132,8 +80,6 @@ impl CommandClassifier {
         CommandClassifier {
             command_dscs: BTreeMap::new(),
             policy,
-            priorities: BTreeMap::new(),
-            default_priority: Priority::default(),
         }
     }
 
@@ -158,33 +104,6 @@ impl CommandClassifier {
     /// Replaces the policy (a reflective, models@runtime-style change).
     pub fn set_policy(&mut self, policy: ClassificationPolicy) {
         self.policy = policy;
-    }
-
-    /// Maps a command to an overload priority (unmapped commands get the
-    /// default priority).
-    pub fn map_priority(&mut self, command: &str, priority: Priority) -> &mut Self {
-        self.priorities.insert(command.to_owned(), priority);
-        self
-    }
-
-    /// Builder-style [`CommandClassifier::map_priority`].
-    pub fn with_priority(mut self, command: &str, priority: Priority) -> Self {
-        self.map_priority(command, priority);
-        self
-    }
-
-    /// Changes the priority assigned to unmapped commands
-    /// ([`Priority::Interactive`] until changed).
-    pub fn set_default_priority(&mut self, priority: Priority) {
-        self.default_priority = priority;
-    }
-
-    /// The overload priority of a command by name.
-    pub fn priority_of(&self, command: &str) -> Priority {
-        self.priorities
-            .get(command)
-            .copied()
-            .unwrap_or(self.default_priority)
     }
 
     /// The DSC a command is classified by.
@@ -216,23 +135,6 @@ impl CommandClassifier {
             case = Case::Dynamic;
         }
         Ok((dsc, case))
-    }
-
-    /// Classifies a command fully: case selection as in
-    /// [`CommandClassifier::classify`], plus the overload priority the
-    /// command's brokered calls should bill against.
-    pub fn classify_full(
-        &self,
-        command: &Command,
-        ctx: &ControllerContext,
-        actions: &ActionRegistry,
-    ) -> Result<Classified> {
-        let (dsc, case) = self.classify(command, ctx, actions)?;
-        Ok(Classified {
-            dsc,
-            case,
-            priority: self.priority_of(&command.name),
-        })
     }
 
     /// Number of mapped commands.
@@ -330,35 +232,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(case, Case::Dynamic);
-    }
-
-    #[test]
-    fn priorities_ride_along_with_classification() {
-        let mut c = classifier()
-            .with_priority("analyze", Priority::Batch)
-            .with_priority("heal", Priority::ControlPlane);
-        // Unmapped commands default to interactive...
-        assert_eq!(c.priority_of("openSession"), Priority::Interactive);
-        assert_eq!(Priority::Interactive.admission_class(), "interactive");
-        // ...mapped ones bill their declared class.
-        assert_eq!(c.priority_of("analyze"), Priority::Batch);
-        assert_eq!(Priority::Batch.admission_class(), "batch");
-        assert_eq!(c.priority_of("heal"), Priority::ControlPlane);
-        assert_eq!(Priority::ControlPlane.admission_class(), "control");
-        // classify_full carries the priority with the case decision.
-        let full = c
-            .classify_full(
-                &Command::new("analyze", ""),
-                &ControllerContext::new(),
-                &actions_with_connect(),
-            )
-            .unwrap();
-        assert_eq!(full.dsc, DscId::new("Analyze"));
-        assert_eq!(full.case, Case::Dynamic);
-        assert_eq!(full.priority, Priority::Batch);
-        // And the default itself is tunable.
-        c.set_default_priority(Priority::Batch);
-        assert_eq!(c.priority_of("openSession"), Priority::Batch);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::actions::ActionRegistry;
 use crate::classify::{Case, CommandClassifier};
 use crate::context::ControllerContext;
 use crate::dsc::{DscId, DscRegistry};
-use crate::intent::{GenerationConfig, ImCache, IntentModel};
+use crate::intent::{GenerationConfig, ImCache};
 use crate::machine::{BrokerPort, StackMachine};
 use crate::repository::ProcedureRepository;
 use crate::{ControllerError, Result};
@@ -146,11 +146,6 @@ impl ControllerEngine {
     /// The procedure repository (e.g. for reflective extension).
     pub fn repository(&self) -> &ProcedureRepository {
         &self.repo
-    }
-
-    /// Mutable repository access; IM caches self-invalidate via revision.
-    pub fn repository_mut(&mut self) -> &mut ProcedureRepository {
-        &mut self.repo
     }
 
     /// The DSC registry.
@@ -325,29 +320,6 @@ impl ControllerEngine {
                 }
                 Err(e) => return Err(e),
             }
-        }
-    }
-
-    /// Runs one *full generation cycle* — IM generation, validation, and
-    /// selection — for a DSC, optionally through the cache. This is the
-    /// unit of measurement of experiment E3 (§VII-B).
-    pub fn generation_cycle(&mut self, dsc: &DscId, use_cache: bool) -> Result<IntentModel> {
-        if use_cache {
-            self.cache.get_or_generate(
-                dsc,
-                &self.repo,
-                &self.dscs,
-                &self.ctx,
-                &self.config.generation,
-            )
-        } else {
-            crate::intent::generate(
-                dsc,
-                &self.repo,
-                &self.dscs,
-                &self.ctx,
-                &self.config.generation,
-            )
         }
     }
 
@@ -635,9 +607,16 @@ mod tests {
     fn generation_cycle_direct_vs_cached() {
         let mut e = engine(true);
         let dsc = DscId::new("Connect");
-        let a = e.generation_cycle(&dsc, false).unwrap();
-        let b = e.generation_cycle(&dsc, true).unwrap();
-        let c = e.generation_cycle(&dsc, true).unwrap();
+        let gen = &e.config.generation;
+        let a = crate::intent::generate(&dsc, &e.repo, &e.dscs, &e.ctx, gen).unwrap();
+        let b = e
+            .cache
+            .get_or_generate(&dsc, &e.repo, &e.dscs, &e.ctx, gen)
+            .unwrap();
+        let c = e
+            .cache
+            .get_or_generate(&dsc, &e.repo, &e.dscs, &e.ctx, gen)
+            .unwrap();
         assert_eq!(a, b);
         assert_eq!(b, c);
         let (hits, misses, _) = e.cache_stats();

@@ -61,7 +61,7 @@ pub mod repository;
 
 pub use actions::{Action, ActionRegistry};
 pub use analysis::{analyze_procedure, analyze_repository, procedure_footprint};
-pub use classify::{Case, ClassificationPolicy, Classified, CommandClassifier, Priority};
+pub use classify::{Case, ClassificationPolicy, CommandClassifier};
 pub use context::ControllerContext;
 pub use dsc::{Category, Dsc, DscId, DscRegistry};
 pub use engine::{ControllerEngine, EngineConfig, ExecutionReport};

@@ -201,11 +201,6 @@ impl StackMachine {
         Self::default()
     }
 
-    /// Creates a machine with custom limits.
-    pub fn with_limits(limits: MachineLimits) -> Self {
-        StackMachine { limits }
-    }
-
     /// Executes an intent model: pushes the root procedure and runs until
     /// the stack empties. `cmd_args` are the arguments of the command that
     /// requested the operation (readable through [`Operand::Arg`]).
@@ -860,11 +855,13 @@ mod tests {
         }
         let (node, proc) = leaf("p", instrs);
         let repo = repo_of(vec![proc]);
-        let machine = StackMachine::with_limits(MachineLimits {
-            max_steps: 5,
-            max_depth: 4,
-            ..MachineLimits::default()
-        });
+        let machine = StackMachine {
+            limits: MachineLimits {
+                max_steps: 5,
+                max_depth: 4,
+                ..MachineLimits::default()
+            },
+        };
         let mut port = ok_port();
         let e = machine
             .execute(&IntentModel { root: node }, &repo, &[], &mut port)
@@ -897,10 +894,12 @@ mod tests {
         );
         let repo = repo_of(vec![proc]);
         let im = IntentModel { root: node };
-        let machine = StackMachine::with_limits(MachineLimits {
-            deadline_us: 1_000,
-            ..MachineLimits::default()
-        });
+        let machine = StackMachine {
+            limits: MachineLimits {
+                deadline_us: 1_000,
+                ..MachineLimits::default()
+            },
+        };
         let mut port = |_: &str, _: &str, _: &[(String, String)]| {
             let mut r = PortResponse::ok();
             r.cost_us = 500;

@@ -219,12 +219,6 @@ impl Procedure {
         self
     }
 
-    /// Builder-style metadata override.
-    pub fn with_meta(mut self, meta: ProcMeta) -> Self {
-        self.meta = meta;
-        self
-    }
-
     /// Builder-style cost override.
     pub fn with_cost(mut self, cost: f64) -> Self {
         self.meta.cost = cost;
@@ -263,26 +257,6 @@ impl Procedure {
             .iter()
             .all(|(k, v)| ctx.get(k) == Some(v))
     }
-
-    /// Total instruction count across EUs (for footprint accounting).
-    pub fn instruction_count(&self) -> usize {
-        fn count(instrs: &[Instr]) -> usize {
-            instrs
-                .iter()
-                .map(|i| match i {
-                    Instr::IfVar {
-                        then, otherwise, ..
-                    } => 1 + count(then) + count(otherwise),
-                    _ => 1,
-                })
-                .sum()
-        }
-        self.eus
-            .iter()
-            .chain(self.on_error.iter())
-            .map(|eu| count(&eu.instructions))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -319,26 +293,5 @@ mod tests {
         assert!(!p.context_compatible(&ctx));
         // No requirements: always compatible.
         assert!(Procedure::simple("y", "C", vec![]).context_compatible(&BTreeMap::new()));
-    }
-
-    #[test]
-    fn instruction_count_recurses_into_ifs() {
-        let p = Procedure::simple(
-            "x",
-            "C",
-            vec![
-                Instr::SetVar {
-                    name: "a".into(),
-                    value: Operand::lit("1"),
-                },
-                Instr::IfVar {
-                    var: "a".into(),
-                    equals: "1".into(),
-                    then: vec![Instr::Complete],
-                    otherwise: vec![Instr::Free("a".into()), Instr::Complete],
-                },
-            ],
-        );
-        assert_eq!(p.instruction_count(), 5);
     }
 }

@@ -125,13 +125,13 @@ mod tests {
 
     #[test]
     fn lts_emits_query_lifecycle() {
-        use mddsm_meta::diff::{diff, DiffOptions};
+        use mddsm_meta::diff::diff;
         use mddsm_synthesis::{ChangeInterpreter, InterpreterConfig};
         let mm = csml_metamodel();
         let mut interp = ChangeInterpreter::new(csml_lts(), InterpreterConfig::default());
         let empty = Model::new(CSML);
         let m = query_model();
-        let changes = diff(&empty, &m, &DiffOptions::default());
+        let changes = diff(&empty, &m);
         let out = interp.interpret(&changes, &m, &mm).unwrap();
         let rendered = out.immediate.render();
         assert!(rendered.contains("startQuery"), "{rendered}");
@@ -142,7 +142,7 @@ mod tests {
         let mut m2 = m.clone();
         let q = m2.all_of_class("SensingQuery")[0];
         m2.set_attr(q, "sampleRateHz", Value::from(10));
-        let changes = diff(&m, &m2, &DiffOptions::default());
+        let changes = diff(&m, &m2);
         let out = interp.interpret(&changes, &m2, &mm).unwrap();
         assert!(
             out.immediate.render().contains("retargetQuery"),
@@ -152,7 +152,7 @@ mod tests {
         assert!(out.immediate.render().contains("rate=10"));
 
         // Deletion stops.
-        let changes = diff(&m2, &empty, &DiffOptions::default());
+        let changes = diff(&m2, &empty);
         let out = interp.interpret(&changes, &empty, &mm).unwrap();
         assert!(out.immediate.render().contains("stopQuery"));
     }

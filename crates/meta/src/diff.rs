@@ -8,8 +8,8 @@
 //! equivalent to `new` (checked by [`equivalent`]).
 //!
 //! Objects are matched across models by a *key*: the value of the first
-//! present key attribute (by default `id` then `name`); unkeyed objects are
-//! matched positionally within their class. A [`KeyIndex`] holds one
+//! present key attribute, `id` then `name`; unkeyed objects are matched
+//! positionally within their class. A [`KeyIndex`] holds one
 //! model's keys both ways.
 //!
 //! There is one comparison, [`compare`]. It walks two indexed models in
@@ -25,20 +25,8 @@ use crate::model::{MObject, Model, ObjectId};
 use crate::{Result, Value};
 use std::collections::BTreeMap;
 
-/// Options controlling object matching.
-#[derive(Debug, Clone)]
-pub struct DiffOptions {
-    /// Attribute names tried in order to key an object.
-    pub key_attrs: Vec<String>,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions {
-            key_attrs: vec!["id".into(), "name".into()],
-        }
-    }
-}
+/// Attribute names tried in order to key an object.
+const KEY_ATTRS: [&str; 2] = ["id", "name"];
 
 /// A stable, model-independent identity for an object: its class plus a key.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -138,15 +126,14 @@ pub struct KeyIndex {
 
 impl KeyIndex {
     /// Indexes the live objects of `model`.
-    pub fn new(model: &Model, opts: &DiffOptions) -> Self {
+    pub fn new(model: &Model) -> Self {
         let mut keys = Vec::new();
         let mut owners = Vec::new();
         let mut ordinal: BTreeMap<&str, u32> = BTreeMap::new();
         for (id, obj) in model.iter() {
-            let key = opts
-                .key_attrs
+            let key = KEY_ATTRS
                 .iter()
-                .find_map(|a| obj.attrs.get(a).and_then(|v| v.first()))
+                .find_map(|a| obj.attrs.get(*a).and_then(|v| v.first()))
                 .map(|v| v.to_string());
             let key = match key {
                 Some(k) => k,
@@ -229,19 +216,14 @@ impl KeyIndex {
 }
 
 /// Returns `true` if two models are equivalent up to object identity.
-pub fn equivalent(a: &Model, b: &Model, opts: &DiffOptions) -> bool {
-    diff(a, b, opts).is_empty()
+pub fn equivalent(a: &Model, b: &Model) -> bool {
+    diff(a, b).is_empty()
 }
 
 /// Compares `old` and `new`, producing the change list that transforms
 /// `old` into `new`.
-pub fn diff(old: &Model, new: &Model, opts: &DiffOptions) -> ChangeList {
-    compare(
-        old,
-        &KeyIndex::new(old, opts),
-        new,
-        &KeyIndex::new(new, opts),
-    )
+pub fn diff(old: &Model, new: &Model) -> ChangeList {
+    compare(old, &KeyIndex::new(old), new, &KeyIndex::new(new))
 }
 
 /// The comparison behind [`diff`], over models already indexed (each
@@ -328,9 +310,9 @@ fn attr_of<'a>(obj: &'a MObject, attr: &str) -> Option<&'a [Value]> {
 }
 
 /// Applies a change list to a model in place.
-pub fn apply(model: &mut Model, changes: &ChangeList, opts: &DiffOptions) -> Result<()> {
+pub fn apply(model: &mut Model, changes: &ChangeList) -> Result<()> {
     // Kept up to date as creations and deletions happen.
-    let mut index = KeyIndex::new(model, opts);
+    let mut index = KeyIndex::new(model);
     let resolve = |index: &KeyIndex, key: &ObjectKey| -> Result<ObjectId> {
         index
             .id(key)
@@ -384,7 +366,7 @@ pub fn apply(model: &mut Model, changes: &ChangeList, opts: &DiffOptions) -> Res
 
     // Keyed objects must remain unique; catch collisions introduced by
     // attribute edits that changed a key attribute.
-    if KeyIndex::new(model, opts).has_shared_keys() {
+    if KeyIndex::new(model).has_shared_keys() {
         return Err(MetaError::ApplyFailed(
             "duplicate object keys after apply".into(),
         ));
@@ -395,10 +377,6 @@ pub fn apply(model: &mut Model, changes: &ChangeList, opts: &DiffOptions) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn opts() -> DiffOptions {
-        DiffOptions::default()
-    }
 
     fn named(m: &mut Model, class: &str, name: &str) -> ObjectId {
         let id = m.create(class);
@@ -411,8 +389,8 @@ mod tests {
         let mut a = Model::new("m");
         named(&mut a, "Node", "x");
         let b = a.clone();
-        assert!(diff(&a, &b, &opts()).is_empty());
-        assert!(equivalent(&a, &b, &opts()));
+        assert!(diff(&a, &b).is_empty());
+        assert!(equivalent(&a, &b));
     }
 
     #[test]
@@ -426,7 +404,7 @@ mod tests {
         new.set_attr(a2, "w", Value::from(5));
         let _ = a;
 
-        let cl = diff(&old, &new, &opts());
+        let cl = diff(&old, &new);
         assert!(cl
             .iter()
             .any(|c| matches!(c, Change::Create { key } if key.key == "\"c\"")));
@@ -455,15 +433,15 @@ mod tests {
         new.add_ref(g2, "nodes", b2);
         new.set_attr(b2, "w", Value::from(9));
 
-        let cl = diff(&old, &new, &opts());
+        let cl = diff(&old, &new);
         let mut patched = old.clone();
-        apply(&mut patched, &cl, &opts()).unwrap();
-        assert!(equivalent(&patched, &new, &opts()));
+        apply(&mut patched, &cl).unwrap();
+        assert!(equivalent(&patched, &new));
         // And the reverse direction also works.
-        let back = diff(&new, &old, &opts());
+        let back = diff(&new, &old);
         let mut reverted = new.clone();
-        apply(&mut reverted, &back, &opts()).unwrap();
-        assert!(equivalent(&reverted, &old, &opts()));
+        apply(&mut reverted, &back).unwrap();
+        assert!(equivalent(&reverted, &old));
     }
 
     #[test]
@@ -484,11 +462,11 @@ mod tests {
             .0;
         new.set_refs(gid, "root", vec![bid]);
 
-        let cl = diff(&old, &new, &opts());
+        let cl = diff(&old, &new);
         assert_eq!(cl.len(), 1);
         let mut patched = old.clone();
-        apply(&mut patched, &cl, &opts()).unwrap();
-        assert!(equivalent(&patched, &new, &opts()));
+        apply(&mut patched, &cl).unwrap();
+        assert!(equivalent(&patched, &new));
     }
 
     #[test]
@@ -498,7 +476,7 @@ mod tests {
         old.create("Anon");
         let mut new = Model::new("m");
         new.create("Anon");
-        let cl = diff(&old, &new, &opts());
+        let cl = diff(&old, &new);
         assert_eq!(cl.len(), 1);
         assert!(matches!(&cl.changes[0], Change::Delete { .. }));
     }
@@ -514,7 +492,7 @@ mod tests {
                 },
             }],
         };
-        assert!(apply(&mut m, &cl, &opts()).is_err());
+        assert!(apply(&mut m, &cl).is_err());
     }
 
     #[test]
@@ -532,7 +510,7 @@ mod tests {
         // The created object has no name attr yet, so its key would be
         // positional; but the ChangeList addresses it by the keyed name —
         // creating a key that already exists must fail.
-        assert!(apply(&mut m, &cl, &opts()).is_err());
+        assert!(apply(&mut m, &cl).is_err());
     }
 
     #[test]
@@ -541,7 +519,7 @@ mod tests {
         let o = m.create("X");
         m.set_attr(o, "name", Value::from("n"));
         m.set_attr(o, "id", Value::from("i"));
-        let keys = KeyIndex::new(&m, &opts());
+        let keys = KeyIndex::new(&m);
         assert_eq!(keys.key(o).unwrap().key, "\"i\"");
     }
 }

@@ -176,14 +176,6 @@ impl Model {
             .collect()
     }
 
-    /// Ids of all live objects whose class is `class` or a subclass of it.
-    pub fn all_of_kind(&self, class: &str, mm: &Metamodel) -> Vec<ObjectId> {
-        self.iter()
-            .filter(|(_, o)| mm.is_subclass_of(&o.class, class))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Sets a single-valued attribute, replacing previous values.
     pub fn set_attr(&mut self, id: ObjectId, name: impl Into<String>, value: Value) {
         if let Ok(o) = self.object_mut(id) {
@@ -278,22 +270,6 @@ impl Model {
     /// The first target of a reference slot, if any.
     pub fn ref_one(&self, id: ObjectId, name: &str) -> Option<ObjectId> {
         self.refs(id, name).first().copied()
-    }
-
-    /// The container of `id` under `mm`'s containment references, if any.
-    pub fn container_of(&self, id: ObjectId, mm: &Metamodel) -> Option<ObjectId> {
-        self.iter().find_map(|(oid, o)| {
-            o.refs
-                .iter()
-                .any(|(slot, targets)| {
-                    targets.contains(&id)
-                        && mm
-                            .reference(&o.class, slot)
-                            .map(|r| r.containment)
-                            .unwrap_or(false)
-                })
-                .then_some(oid)
-        })
     }
 
     /// Objects that are not contained by any other object (model roots).
@@ -415,10 +391,7 @@ mod tests {
         let n = m.create("Node");
         m.add_ref(g, "nodes", n);
         assert_eq!(m.all_of_class("Node"), vec![n]);
-        assert_eq!(m.all_of_kind("Base", &mm).len(), 2);
         assert_eq!(m.roots(&mm), vec![g]);
-        assert_eq!(m.container_of(n, &mm), Some(g));
-        assert_eq!(m.container_of(g, &mm), None);
     }
 
     #[test]

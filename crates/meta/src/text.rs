@@ -38,11 +38,12 @@ pub fn write(model: &Model) -> String {
         ident_or_str(model.metamodel_name())
     );
     for (id, obj) in model.iter() {
-        let _ = writeln!(out, "  {} o{} {{", obj.class, id.index());
+        let _ = writeln!(out, "  {} o{} {{", ident_or_str(&obj.class), id.index());
         for (name, vals) in &obj.attrs {
             if vals.is_empty() {
                 continue;
             }
+            let name = ident_or_str(name);
             if vals.len() == 1 {
                 let _ = writeln!(out, "    {name} = {}", vals[0]);
             } else {
@@ -54,6 +55,7 @@ pub fn write(model: &Model) -> String {
             if targets.is_empty() {
                 continue;
             }
+            let name = ident_or_str(name);
             if targets.len() == 1 {
                 let _ = writeln!(out, "    {name} -> o{}", targets[0].index());
             } else {
@@ -86,7 +88,8 @@ fn ident_or_str(s: &str) -> String {
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Ident(String),
-    Int(i64),
+    /// An integer literal's magnitude; a preceding `-` negates it.
+    Int(u64),
     Float(f64),
     Str(String),
     LBrace,
@@ -191,21 +194,26 @@ fn lex(src: &str) -> Result<Lexed> {
                             break;
                         }
                         Some('\\') => {
-                            match chars.get(i + 1) {
-                                Some('"') => s.push('"'),
-                                Some('\\') => s.push('\\'),
-                                Some('n') => s.push('\n'),
-                                Some('t') => s.push('\t'),
-                                other => {
-                                    return Err(err(
-                                        line,
-                                        col,
-                                        format!("bad escape `\\{}`", other.unwrap_or(&' ')),
-                                    ))
-                                }
-                            }
-                            i += 2;
-                            col += 2;
+                            let escape = match chars.get(i + 1) {
+                                Some('"') => Some(('"', 2)),
+                                Some('\\') => Some(('\\', 2)),
+                                Some('n') => Some(('\n', 2)),
+                                Some('t') => Some(('\t', 2)),
+                                Some('r') => Some(('\r', 2)),
+                                Some('0') => Some(('\0', 2)),
+                                Some('u') => unicode_escape(&chars[i + 2..]),
+                                _ => None,
+                            };
+                            let Some((c, len)) = escape else {
+                                return Err(err(
+                                    line,
+                                    col,
+                                    format!("bad escape `\\{}`", chars.get(i + 1).unwrap_or(&' ')),
+                                ));
+                            };
+                            s.push(c);
+                            i += len;
+                            col += len as u32;
                         }
                         Some(c) => {
                             s.push(*c);
@@ -274,6 +282,20 @@ fn lex(src: &str) -> Result<Lexed> {
     }
     toks.push((Tok::Eof, line, col));
     Ok(Lexed { toks })
+}
+
+/// The scalar of a `\u{…}` escape and the escape's length, `\u` included,
+/// given the text after its `\u`: one to six hex digits in braces that
+/// name a Unicode scalar value (what `Value`'s `Display` writes for a
+/// control character).
+fn unicode_escape(rest: &[char]) -> Option<(char, usize)> {
+    let digits = rest.iter().skip(1).take_while(|c| c.is_ascii_hexdigit());
+    let n = digits.clone().count();
+    if rest.first() != Some(&'{') || !(1..=6).contains(&n) || rest.get(n + 1) != Some(&'}') {
+        return None;
+    }
+    let code = digits.fold(0, |code, c| code * 16 + c.to_digit(16).unwrap_or(0));
+    Some((char::from_u32(code)?, n + 4))
 }
 
 // ---------------------------------------------------------------- parsing
@@ -449,10 +471,7 @@ impl<'a> P<'a> {
     fn value(&mut self) -> Result<Value> {
         let (tok, _, _) = self.peek().clone();
         match tok {
-            Tok::Int(i) => {
-                self.pos += 1;
-                Ok(Value::Int(i))
-            }
+            Tok::Int(n) => self.int(n, false),
             Tok::Float(x) => {
                 self.pos += 1;
                 Ok(Value::Float(x))
@@ -464,13 +483,14 @@ impl<'a> P<'a> {
             Tok::Minus => {
                 self.pos += 1;
                 match self.peek().0.clone() {
-                    Tok::Int(i) => {
-                        self.pos += 1;
-                        Ok(Value::Int(-i))
-                    }
+                    Tok::Int(n) => self.int(n, true),
                     Tok::Float(x) => {
                         self.pos += 1;
                         Ok(Value::Float(-x))
+                    }
+                    Tok::Ident(name) if name == "inf" => {
+                        self.pos += 1;
+                        Ok(Value::Float(f64::NEG_INFINITY))
                     }
                     _ => Err(self.err("expected number after `-`")),
                 }
@@ -480,6 +500,8 @@ impl<'a> P<'a> {
                 match name.as_str() {
                     "true" => Ok(Value::Bool(true)),
                     "false" => Ok(Value::Bool(false)),
+                    "NaN" if self.peek().0 != Tok::ColonColon => Ok(Value::Float(f64::NAN)),
+                    "inf" if self.peek().0 != Tok::ColonColon => Ok(Value::Float(f64::INFINITY)),
                     _ => {
                         self.expect(&Tok::ColonColon, "`::` (enum literal)")?;
                         let lit = self.ident("enum literal")?;
@@ -490,12 +512,27 @@ impl<'a> P<'a> {
             _ => Err(self.err("expected value")),
         }
     }
+
+    /// The integer literal of magnitude `n` under the cursor, negated when
+    /// a `-` preceded it: `-9223372036854775808` is `i64::MIN`, while
+    /// `9223372036854775808` is out of range.
+    fn int(&mut self, n: u64, negative: bool) -> Result<Value> {
+        let value = if negative {
+            0i64.checked_sub_unsigned(n)
+        } else {
+            i64::try_from(n).ok()
+        };
+        let value =
+            value.ok_or_else(|| self.err("bad int: number too large to fit in target type"))?;
+        self.pos += 1;
+        Ok(Value::Int(value))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::{equivalent, DiffOptions};
+    use crate::diff::equivalent;
 
     fn sample_model() -> Model {
         let mut m = Model::new("cml");
@@ -520,7 +557,7 @@ mod tests {
         let text = write(&m);
         let parsed = parse(&text).unwrap();
         assert_eq!(parsed.metamodel_name(), "cml");
-        assert!(equivalent(&m, &parsed, &DiffOptions::default()));
+        assert!(equivalent(&m, &parsed));
         // Arena order is preserved, so the models are structurally identical.
         assert_eq!(m, parsed);
     }
@@ -587,6 +624,23 @@ mod tests {
         assert!(parse("model m conformsTo mm { A a { x = } }").is_err());
         assert!(parse("model m conformsTo mm { A a { x = Color } }").is_err());
         assert!(parse("model m conformsTo mm {} trailing").is_err());
+        // Out of range: only a negated literal reaches `i64::MIN`.
+        assert!(parse("model m conformsTo mm { A a { x = 9223372036854775808 } }").is_err());
+        assert!(parse("model m conformsTo mm { A a { x = -9223372036854775809 } }").is_err());
+        // A `\u` escape names one Unicode scalar value in 1-6 hex digits.
+        for bad in [
+            r#""\u{110000}""#,
+            r#""\u{d800}""#,
+            r#""\u{}""#,
+            r#""\u{1234567}""#,
+            r#""\u{1b""#,
+            r#""\u1b""#,
+            r#""\u"#,
+        ] {
+            let src = format!("model m conformsTo mm {{ A a {{ x = {bad} }} }}");
+            let msg = parse(&src).unwrap_err().to_string();
+            assert!(msg.contains("bad escape `\\u`"), "{src}: {msg}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! [`ObjectKey`]: crate::diff::ObjectKey
 
-use crate::diff::{DiffOptions, KeyIndex, ObjectKey};
+use crate::diff::{KeyIndex, ObjectKey};
 use crate::error::MetaError;
 use crate::model::{Model, ObjectId};
 use crate::Result;
@@ -82,9 +82,8 @@ pub fn weave_or_err(models: &[Model]) -> Result<Model> {
 }
 
 fn weave_into(woven: &mut Model, incoming: &Model, conflicts: &mut Vec<WeaveConflict>) {
-    let opts = DiffOptions::default();
-    let woven_keys = KeyIndex::new(woven, &opts);
-    let incoming_keys = KeyIndex::new(incoming, &opts);
+    let woven_keys = KeyIndex::new(woven);
+    let incoming_keys = KeyIndex::new(incoming);
     let keyed = || {
         incoming
             .iter()

@@ -5,7 +5,7 @@
 //! seeds, so the suite is deterministic and dependency-free (this crate
 //! sits at the bottom of the workspace and cannot use the simulator's RNG).
 
-use mddsm_meta::diff::{apply, diff, equivalent, DiffOptions};
+use mddsm_meta::diff::{apply, diff, equivalent};
 use mddsm_meta::model::Model;
 use mddsm_meta::text;
 use mddsm_meta::Value;
@@ -34,12 +34,51 @@ impl Gen {
             .map(|_| char::from(b'a' + self.range(0, 23) as u8))
             .collect()
     }
+
+    /// A slot name: usually one word, sometimes two, which the textual
+    /// format must quote.
+    fn slot_name(&mut self, max_len: u64) -> String {
+        let word = self.word(1, max_len);
+        if self.range(0, 4) == 0 {
+            format!("{word} {}", self.word(1, 3))
+        } else {
+            word
+        }
+    }
+
+    /// A value at an edge of the textual format: an extreme integer, an
+    /// infinity, or a string of characters `Value`'s `Display` escapes.
+    fn edge_value(&mut self) -> Value {
+        const CHARS: [char; 10] = [
+            '\r',
+            '\0',
+            '\u{1b}',
+            '\u{7f}',
+            '\u{301}',
+            '\u{10ffff}',
+            '\n',
+            '"',
+            '\\',
+            'x',
+        ];
+        match self.range(0, 5) {
+            0 => Value::Int(i64::MIN),
+            1 => Value::Int(i64::MAX),
+            2 => Value::Float(f64::INFINITY),
+            3 => Value::Float(f64::NEG_INFINITY),
+            _ => Value::Str(
+                (0..self.range(1, 6))
+                    .map(|_| CHARS[self.range(0, CHARS.len() as u64) as usize])
+                    .collect(),
+            ),
+        }
+    }
 }
 
 /// A generated model: a set of uniquely-named objects of a few classes with
 /// random attributes and random (valid) references between them.
 fn arb_model(gen: &mut Gen) -> Model {
-    const CLASSES: [&str; 3] = ["Node", "Graph", "Link"];
+    const CLASSES: [&str; 4] = ["Node", "Graph", "Link", "My Class"];
     let n = gen.range(0, 12) as usize;
     let mut m = Model::new("mm");
     let mut ids = Vec::new();
@@ -49,16 +88,17 @@ fn arb_model(gen: &mut Gen) -> Model {
         // Unique name so diffing keys are unambiguous.
         m.set_attr(id, "name", Value::from(format!("obj{i}")));
         for _ in 0..gen.range(0, 4) {
-            let k = gen.word(1, 6);
+            let k = gen.slot_name(6);
             if k == "name" {
                 continue;
             }
-            let v = match gen.range(0, 4) {
+            let v = match gen.range(0, 5) {
                 0 => Value::Int(gen.next() as i64),
                 1 => Value::Str(gen.word(0, 8)),
                 2 => Value::Bool(gen.range(0, 2) == 0),
-                // Finite floats only; NaN breaks value equality by design.
-                _ => Value::Float((gen.range(0, 2000) as f64 - 1000.0) / 8.0),
+                // No NaN here; it breaks value equality by design.
+                3 => Value::Float((gen.range(0, 2000) as f64 - 1000.0) / 8.0),
+                _ => gen.edge_value(),
             };
             m.set_attr(id, k, v);
         }
@@ -67,7 +107,7 @@ fn arb_model(gen: &mut Gen) -> Model {
     if !ids.is_empty() {
         for _ in 0..gen.range(0, 6) {
             let src = ids[gen.range(0, ids.len() as u64) as usize];
-            let slot = gen.word(1, 5);
+            let slot = gen.slot_name(5);
             let targets: Vec<_> = (0..gen.range(0, 3))
                 .map(|_| ids[gen.range(0, ids.len() as u64) as usize])
                 .collect();
@@ -88,6 +128,13 @@ fn textual_roundtrip_is_identity() {
         assert_eq!(&m, &parsed);
         // And writing again is stable (canonical form).
         assert_eq!(written, text::write(&parsed));
+        // NaN != NaN, so a model holding one compares by its written text.
+        let mut with_nan = m;
+        let o = with_nan.create("Node");
+        with_nan.set_attr(o, "nan", Value::Float(f64::NAN));
+        let written = text::write(&with_nan);
+        let parsed = text::parse(&written).expect("written model must parse");
+        assert_eq!(written, text::write(&parsed));
     }
 }
 
@@ -95,9 +142,8 @@ fn textual_roundtrip_is_identity() {
 fn diff_of_model_with_itself_is_empty() {
     for case in 0..128u64 {
         let m = arb_model(&mut Gen(0xA2_0000 + case));
-        let opts = DiffOptions::default();
-        assert!(diff(&m, &m, &opts).is_empty());
-        assert!(equivalent(&m, &m, &opts));
+        assert!(diff(&m, &m).is_empty());
+        assert!(equivalent(&m, &m));
     }
 }
 
@@ -107,16 +153,15 @@ fn diff_apply_reaches_target() {
         let mut gen = Gen(0xA3_0000 + case);
         let a = arb_model(&mut gen);
         let b = arb_model(&mut gen);
-        let opts = DiffOptions::default();
-        let cl = diff(&a, &b, &opts);
+        let cl = diff(&a, &b);
         let mut patched = a.clone();
-        apply(&mut patched, &cl, &opts).expect("apply must succeed");
+        apply(&mut patched, &cl).expect("apply must succeed");
         assert!(
-            equivalent(&patched, &b, &opts),
+            equivalent(&patched, &b),
             "apply(diff(a,b)) must be equivalent to b\nchanges: {cl:?}"
         );
         // Empty diff afterwards.
-        assert!(diff(&patched, &b, &opts).is_empty());
+        assert!(diff(&patched, &b).is_empty());
     }
 }
 
@@ -128,8 +173,7 @@ fn diff_size_bounded_by_total_objects() {
         let b = arb_model(&mut gen);
         // Each object contributes at most 1 create/delete plus one change
         // per touched slot; a gross upper bound is objects * (slots + 1).
-        let opts = DiffOptions::default();
-        let cl = diff(&a, &b, &opts);
+        let cl = diff(&a, &b);
         let slots = |m: &Model| {
             m.iter()
                 .map(|(_, o)| o.attrs.len() + o.refs.len() + 1)
@@ -145,8 +189,7 @@ fn weave_with_empty_is_identity() {
         let m = arb_model(&mut Gen(0xA5_0000 + case));
         let empty = Model::new("mm");
         let w = mddsm_meta::weave::weave(&[m.clone(), empty]).expect("no conflicts");
-        let opts = DiffOptions::default();
-        assert!(equivalent(&w, &m, &opts));
+        assert!(equivalent(&w, &m));
     }
 }
 
@@ -155,8 +198,7 @@ fn weave_is_idempotent() {
     for case in 0..128u64 {
         let m = arb_model(&mut Gen(0xA6_0000 + case));
         let w = mddsm_meta::weave::weave(&[m.clone(), m.clone()]).expect("self-weave agrees");
-        let opts = DiffOptions::default();
-        assert!(equivalent(&w, &m, &opts));
+        assert!(equivalent(&w, &m));
     }
 }
 

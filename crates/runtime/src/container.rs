@@ -4,7 +4,7 @@
 //! Dispatch is depth-first with a bounded depth: a handler's emitted
 //! messages are delivered after it returns. Determinism makes the container
 //! the execution vehicle for tests and for the paper's performance
-//! experiments; the threaded model lives in [`crate::threaded`].
+//! experiments.
 
 use crate::component::{Component, Ctx, Lifecycle, Message};
 use crate::{Result, RuntimeError};
@@ -160,16 +160,6 @@ impl Container {
         Ok(())
     }
 
-    /// Stops every started component in reverse insertion order.
-    pub fn stop_all(&mut self) -> Result<()> {
-        for name in self.order.clone().into_iter().rev() {
-            if matches!(self.state(&name)?, Lifecycle::Started) {
-                self.stop(&name)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Marks a component as failed without going through its handler — how
     /// a supervisor records an externally detected death (crash injection,
     /// missed heartbeats) so the component stops receiving messages until
@@ -200,29 +190,6 @@ impl Container {
             self.stop(name)?;
         }
         self.start(name)
-    }
-
-    /// Restarts every failed component in insertion order; returns the
-    /// names restarted. A component whose `on_start` fails again is left
-    /// failed and reported as the error after the sweep finishes.
-    pub fn restart_failed(&mut self) -> Result<Vec<String>> {
-        let mut restarted = Vec::new();
-        let mut first_err = None;
-        for name in self.order.clone() {
-            if !matches!(self.state(&name)?, Lifecycle::Failed(_)) {
-                continue;
-            }
-            match self.start(&name) {
-                Ok(()) => restarted.push(name),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(restarted),
-        }
     }
 
     /// Dispatches a message to every started subscriber of its topic, then
@@ -472,9 +439,8 @@ mod tests {
         assert_eq!(a.load(Ordering::SeqCst), 0); // dead: got nothing
         assert_eq!(b.load(Ordering::SeqCst), 1);
 
-        // One sweep restarts it; it receives messages again.
-        let restarted = c.restart_failed().unwrap();
-        assert_eq!(restarted, vec!["x".to_string()]);
+        // Restarting it from the failed state revives it.
+        c.restart("x").unwrap();
         assert!(c.failed().is_empty());
         c.dispatch(Message::new("t")).unwrap();
         assert_eq!(a.load(Ordering::SeqCst), 1);

@@ -7,7 +7,10 @@
 //! with metadata from the middleware model. It also provides threads (and
 //! the underlying concurrency model) to run the middleware components."
 //!
-//! This crate is that runtime environment:
+//! This crate is that runtime environment, with one concurrency model in
+//! place of the paper's threads: a deterministic, single-threaded
+//! [`container::Container`] that runs every component of the experiments
+//! and tests, so that a seeded run replays in one order.
 //!
 //! * [`metadata`] — [`metadata::Metadata`] extracted from middleware-model
 //!   objects, the parameters fed to code templates.
@@ -19,8 +22,6 @@
 //! * [`container`] — the [`container::Container`]: holds components, routes
 //!   messages by topic (deterministic dispatch), manages lifecycle, and
 //!   supports failure + restart.
-//! * [`threaded`] — the threaded concurrency model: each component runs on
-//!   its own thread with an mpsc-channel mailbox.
 //! * [`runtime_model`] — models@runtime: the platform's own model held
 //!   behind a versioned read-write lock; reflective changes take immediate
 //!   effect and notify watchers.
@@ -33,7 +34,6 @@ pub mod container;
 pub mod factory;
 pub mod metadata;
 pub mod runtime_model;
-pub mod threaded;
 
 pub use component::{Component, Ctx, Lifecycle, Message};
 pub use container::Container;

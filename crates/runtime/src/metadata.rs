@@ -50,11 +50,6 @@ impl Metadata {
         self.values.get(key).and_then(|v| v.first())
     }
 
-    /// All values under `key`.
-    pub fn get_all(&self, key: &str) -> &[Value] {
-        self.values.get(key).map_or(&[], Vec::as_slice)
-    }
-
     /// String accessor.
     pub fn str(&self, key: &str) -> Option<&str> {
         self.get(key).and_then(Value::as_str)
@@ -79,12 +74,6 @@ impl Metadata {
     /// parameters.
     pub fn require_str(&self, key: &str) -> Result<&str> {
         self.str(key)
-            .ok_or_else(|| RuntimeError::BadMetadata(format!("missing required key `{key}`")))
-    }
-
-    /// Integer accessor that errors when absent.
-    pub fn require_int(&self, key: &str) -> Result<i64> {
-        self.int(key)
             .ok_or_else(|| RuntimeError::BadMetadata(format!("missing required key `{key}`")))
     }
 
@@ -130,7 +119,6 @@ mod tests {
         let md = Metadata::new();
         let e = md.require_str("queueSize").unwrap_err();
         assert!(e.to_string().contains("queueSize"));
-        assert!(md.require_int("n").is_err());
     }
 
     #[test]
@@ -142,7 +130,8 @@ mod tests {
         let md = Metadata::from_object(&m, o).unwrap();
         assert_eq!(md.str("__class"), Some("Manager"));
         assert_eq!(md.str("name"), Some("main"));
-        assert_eq!(md.get_all("topics").len(), 2);
+        assert_eq!(md.keys(), vec!["__class", "name", "topics"]);
+        assert_eq!(md.str("topics"), Some("a"));
     }
 
     #[test]

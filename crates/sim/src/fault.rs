@@ -9,18 +9,13 @@
 //! [`FaultPlan::from_model`], and executed against the simulation substrate
 //! by a [`FaultDriver`] on the virtual clock.
 //!
-//! Two execution styles mirror the crate's two usage styles:
-//!
-//! * **Synchronous-with-cost**: call [`FaultDriver::advance_to`] with the
-//!   current virtual time before each resource invocation. It applies the
-//!   due resource events to the [`ResourceHub`] and the due network events
-//!   to a [`Network`], when one is supplied. It returns the due
-//!   middleware-level [`FaultAction`]s (component crashes, load changes,
-//!   storage damage, ...) in plan order, for the caller to act on.
-//! * **Event-driven**: [`schedule_network_events`] registers the
-//!   network-affecting events of a plan as [`Simulator`] events.
+//! A harness calls [`FaultDriver::advance_to`] with the current virtual
+//! time before each resource invocation. It applies the due resource
+//! events to the [`ResourceHub`] and the due network events to a
+//! [`Network`], when one is supplied. It returns the due middleware-level
+//! [`FaultAction`]s (component crashes, load changes, storage damage, ...)
+//! in plan order, for the caller to act on.
 
-use crate::engine::Simulator;
 use crate::net::Network;
 use crate::resource::ResourceHub;
 use crate::rng::SimRng;
@@ -254,39 +249,6 @@ pub enum FaultAction {
 }
 
 impl FaultAction {
-    /// Whether this action targets the network (vs the resource hub).
-    pub fn is_network(&self) -> bool {
-        matches!(
-            self,
-            FaultAction::LinkDown { .. }
-                | FaultAction::LinkUp { .. }
-                | FaultAction::LossSpike { .. }
-                | FaultAction::Partition { .. }
-                | FaultAction::HealNode { .. }
-        )
-    }
-
-    /// Whether this action targets the middleware itself (vs resources or
-    /// the network).
-    pub fn is_component(&self) -> bool {
-        matches!(
-            self,
-            FaultAction::CrashComponent { .. }
-                | FaultAction::StallComponent { .. }
-                | FaultAction::FailoverTo { .. }
-                | FaultAction::CorruptState { .. }
-                | FaultAction::BeginUpgrade { .. }
-        )
-    }
-
-    /// Whether this action changes workload arrival rates.
-    pub fn is_load(&self) -> bool {
-        matches!(
-            self,
-            FaultAction::LoadSpike { .. } | FaultAction::LoadNormal { .. }
-        )
-    }
-
     /// Whether this action damages a component's durable storage (its
     /// journal or snapshots) rather than its process, its resources, or
     /// the network.
@@ -1482,28 +1444,6 @@ fn apply_action(action: &FaultAction, hub: &mut ResourceHub, net: Option<&Networ
     true
 }
 
-/// Schedules the *network-affecting* events of a plan on a [`Simulator`],
-/// for the event-driven usage style (the hub-affecting events need a
-/// `&mut ResourceHub` at fire time and are driven by [`FaultDriver`]).
-/// Returns the number of events scheduled.
-pub fn schedule_network_events(sim: &mut Simulator, plan: &FaultPlan, net: &Network) -> usize {
-    let mut scheduled = 0;
-    for e in &plan.events {
-        if !e.action.is_network() {
-            continue;
-        }
-        let action = e.action.clone();
-        let net = net.clone();
-        sim.schedule_at(e.at, move |_| {
-            // Network-only actions never touch the hub.
-            let mut unused = ResourceHub::new(0);
-            apply_action(&action, &mut unused, Some(&net));
-        });
-        scheduled += 1;
-    }
-    scheduled
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1621,35 +1561,13 @@ mod tests {
         let mut driver = FaultDriver::from_model(&model).unwrap();
         let mut hub = hub();
         let net = Network::new(Link::default(), 1);
-        let mut sim = Simulator::new();
         driver.advance_to(SimTime::from_millis(10), &mut hub, Some(&net));
-        assert_eq!(
-            net.send(&mut sim, "a", "b", |_| {}),
-            crate::net::SendOutcome::Dropped
-        );
+        assert_eq!(net.transmit("a", "b"), crate::net::SendOutcome::Dropped);
         driver.advance_to(SimTime::from_millis(20), &mut hub, Some(&net));
         assert!(matches!(
-            net.send(&mut sim, "a", "b", |_| {}),
+            net.transmit("a", "b"),
             crate::net::SendOutcome::Scheduled(_)
         ));
-    }
-
-    #[test]
-    fn scheduled_network_events_fire_on_the_simulator() {
-        let model = FaultPlanBuilder::new("p")
-            .link_down(SimTime::from_millis(10), "a", "b")
-            .crash(SimTime::from_millis(10), "svc") // resource event: not scheduled
-            .build();
-        let plan = FaultPlan::from_model(&model).unwrap();
-        let net = Network::new(Link::default(), 1);
-        let mut sim = Simulator::new();
-        assert_eq!(schedule_network_events(&mut sim, &plan, &net), 1);
-        sim.run();
-        let mut sim2 = Simulator::new();
-        assert_eq!(
-            net.send(&mut sim2, "a", "b", |_| {}),
-            crate::net::SendOutcome::Dropped
-        );
     }
 
     #[test]
@@ -1661,9 +1579,6 @@ mod tests {
             .build();
         conformance::check(&model, &fault_metamodel()).unwrap();
         let plan = FaultPlan::from_model(&model).unwrap();
-        assert!(plan.events()[0].action.is_component());
-        assert!(!plan.events()[0].action.is_network());
-        assert!(!plan.events()[2].action.is_component());
 
         let mut driver = FaultDriver::new(&plan);
         assert_eq!(driver.next_at(), Some(SimTime::from_millis(10)));
@@ -1703,7 +1618,10 @@ mod tests {
         conformance::check(&a, &fault_metamodel()).unwrap();
         let plan = FaultPlan::from_model(&a).unwrap();
         assert!(!plan.is_empty(), "default config produces events");
-        assert!(plan.events().iter().all(|e| e.action.is_component()));
+        assert!(plan.events().iter().all(|e| matches!(
+            e.action,
+            FaultAction::CrashComponent { .. } | FaultAction::StallComponent { .. }
+        )));
         for e in plan.events() {
             assert!(e.at.as_micros() < cfg.horizon.as_micros());
         }
@@ -1718,7 +1636,6 @@ mod tests {
             .build();
         conformance::check(&model, &fault_metamodel()).unwrap();
         let plan = FaultPlan::from_model(&model).unwrap();
-        assert!(plan.events()[0].action.is_component());
 
         let mut driver = FaultDriver::new(&plan);
         let mut hub = hub();
@@ -1792,8 +1709,6 @@ mod tests {
             .build();
         conformance::check(&model, &fault_metamodel()).unwrap();
         let plan = FaultPlan::from_model(&model).unwrap();
-        assert!(plan.events()[0].action.is_component());
-        assert!(!plan.events()[0].action.is_network());
 
         let mut driver = FaultDriver::new(&plan);
         let mut hub = hub();
@@ -1875,7 +1790,6 @@ mod tests {
         conformance::check(&model, &fault_metamodel()).unwrap();
         let plan = FaultPlan::from_model(&model).unwrap();
         assert!(plan.events().iter().all(|e| e.action.is_storage()));
-        assert!(plan.events().iter().all(|e| !e.action.is_network()));
 
         let mut driver = FaultDriver::new(&plan);
         let mut hub = hub();

@@ -1,16 +1,14 @@
 //! A point-to-point network abstraction with latency, loss, and partitions.
 //!
-//! Used by the distributed domain simulations (crowdsensing fleets, smart
-//! spaces) to model message delivery between nodes, and by failure-recovery
-//! scenarios to inject link failures.
+//! The replication layer ships journal lines and acks over it, one
+//! [`Network::transmit`] per leg, and fault plans take its links down,
+//! spike their loss and partition its nodes.
 
-use crate::engine::Simulator;
 use crate::latency::LatencyModel;
 use crate::rng::SimRng;
 use crate::time::SimDuration;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
 /// Properties of one directed link.
 #[derive(Debug, Clone)]
@@ -33,10 +31,10 @@ impl Default for Link {
     }
 }
 
-/// Outcome of a [`Network::send`].
+/// Outcome of a [`Network::transmit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendOutcome {
-    /// Message scheduled for delivery after the returned latency.
+    /// Message delivered after the returned latency.
     Scheduled(SimDuration),
     /// Message dropped (loss or down link).
     Dropped,
@@ -54,12 +52,8 @@ pub struct NetStats {
 }
 
 /// A network of named nodes connected by configurable directed links.
-///
-/// Cloning shares the underlying state (`Rc`), so the network can be
-/// captured by many scheduled events.
-#[derive(Clone)]
 pub struct Network {
-    inner: Rc<RefCell<NetworkInner>>,
+    inner: RefCell<NetworkInner>,
 }
 
 /// Directed-pair table keyed `from → to`, so a lookup borrows both names
@@ -112,43 +106,18 @@ struct NetworkInner {
     link_stats: PairMap<NetStats>,
 }
 
-impl NetworkInner {
-    /// Classifies the attempt and samples loss/latency; both [`Network::send`]
-    /// and [`Network::transmit`] go through here so down links, partitions,
-    /// and random loss are accounted identically regardless of entry point.
-    fn attempt(&mut self, from: &str, to: &str) -> SendOutcome {
-        let cut = self.partitioned.contains(from) || self.partitioned.contains(to);
-        let per_link = pair_slot(&mut self.link_stats, from, to, NetStats::default);
-        let link = pair(&self.links, from, to).unwrap_or(&self.default_link);
-        if !link.up || cut {
-            self.stats.partitioned += 1;
-            per_link.partitioned += 1;
-            return SendOutcome::Dropped;
-        }
-        if self.rng.chance(link.loss) {
-            self.stats.lost += 1;
-            per_link.lost += 1;
-            return SendOutcome::Dropped;
-        }
-        let latency = link.latency.sample(&mut self.rng);
-        self.stats.delivered += 1;
-        per_link.delivered += 1;
-        SendOutcome::Scheduled(latency)
-    }
-}
-
 impl Network {
     /// Creates a network where unspecified links use `default_link`.
     pub fn new(default_link: Link, seed: u64) -> Self {
         Network {
-            inner: Rc::new(RefCell::new(NetworkInner {
+            inner: RefCell::new(NetworkInner {
                 default_link,
                 links: BTreeMap::new(),
                 partitioned: BTreeSet::new(),
                 rng: SimRng::seed_from_u64(seed),
                 stats: NetStats::default(),
                 link_stats: BTreeMap::new(),
-            })),
+            }),
         }
     }
 
@@ -176,13 +145,6 @@ impl Network {
         let inner = &mut *self.inner.borrow_mut();
         let default = &inner.default_link;
         pair_slot(&mut inner.links, from, to, || default.clone()).loss = loss.clamp(0.0, 1.0);
-    }
-
-    /// Takes the directed link `from -> to` down. Equivalent to
-    /// [`Network::set_link_up`] with `false`; messages dropped on the link
-    /// count under [`NetStats::partitioned`], exactly as partition drops do.
-    pub fn set_link_down(&self, from: &str, to: &str) {
-        self.set_link_up(from, to, false);
     }
 
     /// Partitions `node` from *every* peer, in both directions — including
@@ -257,62 +219,58 @@ impl Network {
         all
     }
 
-    /// Attempts one message `from -> to` *synchronously*: samples the link
-    /// exactly like [`Network::send`] (same loss/partition accounting, same
-    /// RNG stream) but returns the outcome instead of scheduling a
-    /// delivery closure. This is the building block for request/ack
-    /// protocols driven on a virtual clock outside the event loop — the
-    /// caller charges the returned latency itself and decides whether to
-    /// retransmit on a dropped leg.
+    /// Attempts one message `from -> to`: a down link or a partitioned
+    /// endpoint drops it, then the link's loss is drawn, then its latency
+    /// is sampled, and the outcome is accounted in [`Network::stats`] and
+    /// [`Network::link_stats`]. This is the building block for request/ack
+    /// protocols driven on a virtual clock: the caller charges the
+    /// returned latency itself and decides whether to retransmit on a
+    /// dropped leg.
     pub fn transmit(&self, from: &str, to: &str) -> SendOutcome {
-        self.inner.borrow_mut().attempt(from, to)
-    }
-
-    /// One request/ack round trip: a `from -> to` leg followed, when the
-    /// first leg is delivered, by a `to -> from` leg. Returns the total
-    /// latency when both legs are delivered, `None` when either drops —
-    /// the ack-timeout case the caller retransmits on.
-    pub fn round_trip(&self, from: &str, to: &str) -> Option<SimDuration> {
-        let mut inner = self.inner.borrow_mut();
-        let SendOutcome::Scheduled(out) = inner.attempt(from, to) else {
-            return None;
-        };
-        let SendOutcome::Scheduled(back) = inner.attempt(to, from) else {
-            return None;
-        };
-        Some(out + back)
-    }
-
-    /// Sends a message from `from` to `to`; on success `deliver` is
-    /// scheduled on the simulator after the sampled link latency.
-    pub fn send(
-        &self,
-        sim: &mut Simulator,
-        from: &str,
-        to: &str,
-        deliver: impl FnOnce(&mut Simulator) + 'static,
-    ) -> SendOutcome {
-        let outcome = self.inner.borrow_mut().attempt(from, to);
-        if let SendOutcome::Scheduled(latency) = outcome {
-            sim.schedule(latency, deliver);
+        let inner = &mut *self.inner.borrow_mut();
+        let cut = inner.partitioned.contains(from) || inner.partitioned.contains(to);
+        let per_link = pair_slot(&mut inner.link_stats, from, to, NetStats::default);
+        let link = pair(&inner.links, from, to).unwrap_or(&inner.default_link);
+        if !link.up || cut {
+            inner.stats.partitioned += 1;
+            per_link.partitioned += 1;
+            return SendOutcome::Dropped;
         }
-        outcome
+        if inner.rng.chance(link.loss) {
+            inner.stats.lost += 1;
+            per_link.lost += 1;
+            return SendOutcome::Dropped;
+        }
+        let latency = link.latency.sample(&mut inner.rng);
+        inner.stats.delivered += 1;
+        per_link.delivered += 1;
+        SendOutcome::Scheduled(latency)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
-    fn setup() -> (Simulator, Network) {
-        (Simulator::new(), Network::new(Link::default(), 42))
+    fn setup() -> Network {
+        Network::new(Link::default(), 42)
+    }
+
+    /// The down link `from -> to`, configured from the default.
+    fn down(net: &Network, from: &str, to: &str) {
+        net.set_link(
+            from,
+            to,
+            Link {
+                up: false,
+                ..Link::default()
+            },
+        );
     }
 
     #[test]
     fn delivery_takes_link_latency() {
-        let (mut sim, net) = setup();
+        let net = setup();
         net.set_link(
             "a",
             "b",
@@ -321,40 +279,31 @@ mod tests {
                 ..Link::default()
             },
         );
-        let got = Rc::new(RefCell::new(None));
-        let g = got.clone();
-        let out = net.send(&mut sim, "a", "b", move |s| {
-            *g.borrow_mut() = Some(s.now().as_micros());
-        });
+        let out = net.transmit("a", "b");
         assert_eq!(out, SendOutcome::Scheduled(SimDuration::from_millis(7)));
-        sim.run();
-        assert_eq!(*got.borrow(), Some(7_000));
         assert_eq!(net.stats().delivered, 1);
     }
 
     #[test]
     fn default_link_used_for_unknown_pairs() {
-        let (mut sim, net) = setup();
-        let out = net.send(&mut sim, "x", "y", |_| {});
+        let net = setup();
+        let out = net.transmit("x", "y");
         assert_eq!(out, SendOutcome::Scheduled(SimDuration::from_millis(1)));
     }
 
     #[test]
     fn down_link_drops() {
-        let (mut sim, net) = setup();
+        let net = setup();
         net.set_link_up("a", "b", false);
-        let delivered = Rc::new(RefCell::new(false));
-        let d = delivered.clone();
-        let out = net.send(&mut sim, "a", "b", move |_| *d.borrow_mut() = true);
+        let out = net.transmit("a", "b");
         assert_eq!(out, SendOutcome::Dropped);
-        sim.run();
-        assert!(!*delivered.borrow());
+        assert_eq!(net.stats().delivered, 0);
         assert_eq!(net.stats().partitioned, 1);
     }
 
     #[test]
     fn lossy_link_drops_roughly_at_rate() {
-        let (mut sim, net) = setup();
+        let net = setup();
         net.set_link(
             "a",
             "b",
@@ -365,7 +314,7 @@ mod tests {
         );
         let mut dropped = 0;
         for _ in 0..1000 {
-            if net.send(&mut sim, "a", "b", |_| {}) == SendOutcome::Dropped {
+            if net.transmit("a", "b") == SendOutcome::Dropped {
                 dropped += 1;
             }
         }
@@ -375,17 +324,14 @@ mod tests {
 
     #[test]
     fn partition_and_heal() {
-        let (mut sim, net) = setup();
+        let net = setup();
         net.set_link("a", "b", Link::default());
         net.set_link("b", "a", Link::default());
         net.set_link("a", "c", Link::default());
         assert_eq!(net.partition_node("a"), 3);
-        assert_eq!(net.send(&mut sim, "a", "b", |_| {}), SendOutcome::Dropped);
+        assert_eq!(net.transmit("a", "b"), SendOutcome::Dropped);
         assert_eq!(net.heal_node("a"), 3);
-        assert!(matches!(
-            net.send(&mut sim, "a", "b", |_| {}),
-            SendOutcome::Scheduled(_)
-        ));
+        assert!(matches!(net.transmit("a", "b"), SendOutcome::Scheduled(_)));
         // Partitioning is idempotent.
         assert_eq!(net.heal_node("a"), 0);
     }
@@ -396,29 +342,26 @@ mod tests {
         // links, so a partitioned node could still talk to a peer it had
         // never exchanged a configured link with (the pair fell back to
         // the default link, which was up). Partitions are node-level now.
-        let (mut sim, net) = setup();
+        let net = setup();
         net.partition_node("a");
-        assert_eq!(net.send(&mut sim, "a", "z", |_| {}), SendOutcome::Dropped);
-        assert_eq!(net.send(&mut sim, "z", "a", |_| {}), SendOutcome::Dropped);
+        assert_eq!(net.transmit("a", "z"), SendOutcome::Dropped);
+        assert_eq!(net.transmit("z", "a"), SendOutcome::Dropped);
         assert!(!net.is_up("a", "z"));
         assert_eq!(net.stats().partitioned, 2);
         net.heal_node("a");
         assert!(net.is_up("a", "z"));
-        assert!(matches!(
-            net.send(&mut sim, "a", "z", |_| {}),
-            SendOutcome::Scheduled(_)
-        ));
+        assert!(matches!(net.transmit("a", "z"), SendOutcome::Scheduled(_)));
     }
 
     #[test]
     fn set_link_down_and_partition_account_identically() {
-        let (mut sim, net) = setup();
-        // One drop via the link helper, one via the partition helper: both
+        let net = setup();
+        // One drop on a down link, one via the partition helper: both
         // must land in the same `partitioned` counter.
-        net.set_link_down("a", "b");
-        assert_eq!(net.send(&mut sim, "a", "b", |_| {}), SendOutcome::Dropped);
+        down(&net, "a", "b");
+        assert_eq!(net.transmit("a", "b"), SendOutcome::Dropped);
         net.partition_node("c");
-        assert_eq!(net.send(&mut sim, "c", "d", |_| {}), SendOutcome::Dropped);
+        assert_eq!(net.transmit("c", "d"), SendOutcome::Dropped);
         let s = net.stats();
         assert_eq!(s.partitioned, 2);
         assert_eq!(s.lost, 0);
@@ -426,31 +369,15 @@ mod tests {
     }
 
     #[test]
-    fn transmit_matches_send_accounting() {
-        let (_sim, net) = setup();
-        assert!(matches!(
-            net.transmit("a", "b"),
-            SendOutcome::Scheduled(d) if d == SimDuration::from_millis(1)
-        ));
-        net.set_link_down("a", "b");
-        assert_eq!(net.transmit("a", "b"), SendOutcome::Dropped);
-        let s = net.stats();
-        assert_eq!((s.delivered, s.partitioned, s.lost), (1, 1, 0));
-    }
-
-    #[test]
     fn per_link_stats_attribute_every_attempt_exactly() {
-        let (mut sim, net) = setup();
+        let net = setup();
         // Three delivered a->b, one partitioned a->b, two delivered b->a,
         // one lost c->d (loss 1.0 is deterministic), nothing on d->c.
         for _ in 0..3 {
-            assert!(matches!(
-                net.send(&mut sim, "a", "b", |_| {}),
-                SendOutcome::Scheduled(_)
-            ));
+            assert!(matches!(net.transmit("a", "b"), SendOutcome::Scheduled(_)));
         }
-        net.set_link_down("a", "b");
-        assert_eq!(net.send(&mut sim, "a", "b", |_| {}), SendOutcome::Dropped);
+        down(&net, "a", "b");
+        assert_eq!(net.transmit("a", "b"), SendOutcome::Dropped);
         for _ in 0..2 {
             assert!(matches!(net.transmit("b", "a"), SendOutcome::Scheduled(_)));
         }
@@ -482,7 +409,7 @@ mod tests {
         // Node names that prefix each other (`a`, `ab`, `b`): pairs list
         // in (from, to) tuple order, and partitioning `a` leaves `ab`'s
         // own links alone.
-        let (_sim, net) = setup();
+        let net = setup();
         for (from, to) in [
             ("b", "a"),
             ("ab", "b"),
@@ -493,7 +420,7 @@ mod tests {
             net.set_link(from, to, Link::default());
             assert!(matches!(net.transmit(from, to), SendOutcome::Scheduled(_)));
         }
-        net.set_link_down("b", "ab");
+        down(&net, "b", "ab");
         let order: Vec<(String, String)> =
             net.link_stats_all().into_iter().map(|(k, _)| k).collect();
         let pairs = [
@@ -515,17 +442,5 @@ mod tests {
         // Healing `ab` also lifts the link taken down by hand.
         assert_eq!(net.heal_node("ab"), 4);
         assert!(net.is_up("b", "ab"));
-    }
-
-    #[test]
-    fn round_trip_needs_both_legs() {
-        let (_sim, net) = setup();
-        assert_eq!(net.round_trip("a", "b"), Some(SimDuration::from_millis(2)));
-        // Ack leg down: the round trip fails even though the data leg
-        // delivers (that delivery is still counted).
-        net.set_link_down("b", "a");
-        assert_eq!(net.round_trip("a", "b"), None);
-        let s = net.stats();
-        assert_eq!((s.delivered, s.partitioned), (3, 1));
     }
 }

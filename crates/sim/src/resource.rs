@@ -237,19 +237,9 @@ impl ResourceHub {
         &self.log
     }
 
-    /// Clears the invocation log (sequence numbers keep counting).
-    pub fn clear_log(&mut self) {
-        self.log.clear();
-    }
-
     /// The rendered command trace — one line per invocation, in order.
     pub fn command_trace(&self) -> Vec<String> {
         self.log.iter().map(Invocation::render).collect()
-    }
-
-    /// Mutable access to the deterministic RNG (for tests and workloads).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
     }
 }
 
@@ -356,16 +346,5 @@ mod tests {
         assert!(!hub.log()[1].ok);
         assert!(!hub.set_healthy("missing", true));
         assert!(!hub.degrade("missing", SimDuration::ZERO));
-    }
-
-    #[test]
-    fn clear_log_keeps_sequence() {
-        let mut hub = ResourceHub::new(1);
-        hub.register_fn("svc", |_, _| Outcome::ok());
-        hub.invoke("svc", "a", &Args::new());
-        hub.clear_log();
-        hub.invoke("svc", "b", &Args::new());
-        assert_eq!(hub.log().len(), 1);
-        assert_eq!(hub.log()[0].seq, 1);
     }
 }

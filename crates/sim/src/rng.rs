@@ -51,19 +51,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32-bit output (upper half of the 64-bit output).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills a byte slice with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         // 53 top bits -> [0, 1) with full double precision.
@@ -174,19 +161,6 @@ mod tests {
             let u = r.unit();
             assert!((0.0..1.0).contains(&u), "{u}");
         }
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = SimRng::seed_from_u64(5);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        // Deterministic: same seed fills identically.
-        let mut r2 = SimRng::seed_from_u64(5);
-        let mut buf2 = [0u8; 13];
-        r2.fill_bytes(&mut buf2);
-        assert_eq!(buf, buf2);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use mddsm_sim::fault::{FaultDriver, FaultPlan, FaultPlanBuilder};
 use mddsm_sim::net::{Link, Network, SendOutcome};
-use mddsm_sim::{LatencyModel, ResourceHub, SimTime, Simulator};
+use mddsm_sim::{LatencyModel, ResourceHub, SimTime};
 
 fn ms(v: u64) -> SimTime {
     SimTime::from_millis(v)
@@ -35,34 +35,24 @@ fn link_down_counts_exactly_as_partitioned() {
         .link_up(ms(20), "a", "b")
         .build();
     let mut drv = driver(&plan);
-    let mut sim = Simulator::new();
     let mut hub = ResourceHub::new(0);
     let net = clean_net(7);
 
     // Before the fault: 3 sends, all delivered.
     for _ in 0..3 {
-        assert!(matches!(
-            net.send(&mut sim, "a", "b", |_| {}),
-            SendOutcome::Scheduled(_)
-        ));
+        assert!(matches!(net.transmit("a", "b"), SendOutcome::Scheduled(_)));
     }
     // t=10ms..20ms: the a->b link is down; 4 sends dropped as partitioned.
     drv.advance_to(ms(10), &mut hub, Some(&net));
     for _ in 0..4 {
-        assert_eq!(net.send(&mut sim, "a", "b", |_| {}), SendOutcome::Dropped);
+        assert_eq!(net.transmit("a", "b"), SendOutcome::Dropped);
     }
     // The reverse direction is unaffected by a directed link-down.
-    assert!(matches!(
-        net.send(&mut sim, "b", "a", |_| {}),
-        SendOutcome::Scheduled(_)
-    ));
+    assert!(matches!(net.transmit("b", "a"), SendOutcome::Scheduled(_)));
     // After the heal: 2 more deliveries.
     drv.advance_to(ms(20), &mut hub, Some(&net));
     for _ in 0..2 {
-        assert!(matches!(
-            net.send(&mut sim, "a", "b", |_| {}),
-            SendOutcome::Scheduled(_)
-        ));
+        assert!(matches!(net.transmit("a", "b"), SendOutcome::Scheduled(_)));
     }
 
     let s = net.stats();
@@ -79,27 +69,20 @@ fn total_loss_spike_counts_every_message_as_lost() {
         .loss_spike(ms(15), "a", "b", 0.0)
         .build();
     let mut drv = driver(&plan);
-    let mut sim = Simulator::new();
     let mut hub = ResourceHub::new(0);
     let net = clean_net(11);
 
     for _ in 0..2 {
-        assert!(matches!(
-            net.send(&mut sim, "a", "b", |_| {}),
-            SendOutcome::Scheduled(_)
-        ));
+        assert!(matches!(net.transmit("a", "b"), SendOutcome::Scheduled(_)));
     }
     drv.advance_to(ms(5), &mut hub, Some(&net));
     // loss = 1.0: every message is lost — exactly, not probabilistically.
     for _ in 0..5 {
-        assert_eq!(net.send(&mut sim, "a", "b", |_| {}), SendOutcome::Dropped);
+        assert_eq!(net.transmit("a", "b"), SendOutcome::Dropped);
     }
     drv.advance_to(ms(15), &mut hub, Some(&net));
     for _ in 0..3 {
-        assert!(matches!(
-            net.send(&mut sim, "a", "b", |_| {}),
-            SendOutcome::Scheduled(_)
-        ));
+        assert!(matches!(net.transmit("a", "b"), SendOutcome::Scheduled(_)));
     }
 
     let s = net.stats();
@@ -115,7 +98,6 @@ fn partition_event_isolates_the_node_in_both_directions() {
         .heal_node(ms(30), "hub")
         .build();
     let mut drv = driver(&plan);
-    let mut sim = Simulator::new();
     let mut rhub = ResourceHub::new(0);
     let net = clean_net(3);
     // Configure a star so the stats below have known link setups (node-
@@ -126,27 +108,18 @@ fn partition_event_isolates_the_node_in_both_directions() {
     }
 
     drv.advance_to(ms(10), &mut rhub, Some(&net));
-    assert_eq!(
-        net.send(&mut sim, "hub", "n1", |_| {}),
-        SendOutcome::Dropped
-    );
-    assert_eq!(
-        net.send(&mut sim, "n1", "hub", |_| {}),
-        SendOutcome::Dropped
-    );
-    assert_eq!(
-        net.send(&mut sim, "n2", "hub", |_| {}),
-        SendOutcome::Dropped
-    );
+    assert_eq!(net.transmit("hub", "n1"), SendOutcome::Dropped);
+    assert_eq!(net.transmit("n1", "hub"), SendOutcome::Dropped);
+    assert_eq!(net.transmit("n2", "hub"), SendOutcome::Dropped);
     // A link not touching the partitioned node still works.
     assert!(matches!(
-        net.send(&mut sim, "n1", "n2", |_| {}),
+        net.transmit("n1", "n2"),
         SendOutcome::Scheduled(_)
     ));
 
     drv.advance_to(ms(30), &mut rhub, Some(&net));
     assert!(matches!(
-        net.send(&mut sim, "hub", "n1", |_| {}),
+        net.transmit("hub", "n1"),
         SendOutcome::Scheduled(_)
     ));
 
@@ -158,7 +131,6 @@ fn partition_event_isolates_the_node_in_both_directions() {
 
 /// Sends `n` messages over a half-lossy link and returns the stats.
 fn lossy_run(seed: u64, n: u32) -> mddsm_sim::net::NetStats {
-    let mut sim = Simulator::new();
     let net = clean_net(seed);
     net.set_link(
         "a",
@@ -169,7 +141,7 @@ fn lossy_run(seed: u64, n: u32) -> mddsm_sim::net::NetStats {
         },
     );
     for _ in 0..n {
-        net.send(&mut sim, "a", "b", |_| {});
+        net.transmit("a", "b");
     }
     net.stats()
 }
@@ -203,15 +175,14 @@ fn fault_plans_replay_identically_from_their_model() {
 
     let run = || {
         let mut drv = driver(&plan);
-        let mut sim = Simulator::new();
         let mut hub = ResourceHub::new(0);
         let net = clean_net(9);
         net.set_link("c", "a", Link::default());
         for step in 0u64..20 {
             drv.advance_to(ms(step), &mut hub, Some(&net));
-            net.send(&mut sim, "a", "b", |_| {});
-            net.send(&mut sim, "b", "a", |_| {});
-            net.send(&mut sim, "c", "a", |_| {});
+            net.transmit("a", "b");
+            net.transmit("b", "a");
+            net.transmit("c", "a");
         }
         net.stats()
     };

@@ -4,93 +4,9 @@
 //! seeds, so the suite is deterministic and needs no external
 //! property-testing dependency while still exercising randomized inputs.
 
-use mddsm_sim::{LatencyModel, SimDuration, SimRng, SimTime, Simulator};
-use std::cell::RefCell;
-use std::rc::Rc;
+use mddsm_sim::{LatencyModel, SimDuration, SimRng};
 
 const CASES: u64 = 128;
-
-/// The virtual clock never goes backwards, regardless of scheduling order,
-/// and events run in nondecreasing time order.
-#[test]
-fn clock_is_monotone() {
-    for case in 0..CASES {
-        let mut gen = SimRng::seed_from_u64(0x51_0000 + case);
-        let n = gen.range(1, 40) as usize;
-        let delays: Vec<u64> = (0..n).map(|_| gen.range(0, 10_000)).collect();
-
-        let mut sim = Simulator::new();
-        let times: Rc<RefCell<Vec<u64>>> = Rc::default();
-        for d in delays {
-            let t = times.clone();
-            sim.schedule(SimDuration::from_micros(d), move |s| {
-                t.borrow_mut().push(s.now().as_micros());
-            });
-        }
-        sim.run();
-        let times = times.borrow();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
-    }
-}
-
-/// Same-instant events preserve scheduling (FIFO) order.
-#[test]
-fn same_instant_fifo() {
-    for n in 1usize..30 {
-        let mut sim = Simulator::new();
-        let order: Rc<RefCell<Vec<usize>>> = Rc::default();
-        for i in 0..n {
-            let o = order.clone();
-            sim.schedule(SimDuration::from_micros(100), move |_| {
-                o.borrow_mut().push(i)
-            });
-        }
-        sim.run();
-        let order = order.borrow();
-        assert!(order.windows(2).all(|w| w[0] < w[1]));
-    }
-}
-
-/// run_until splits a run without changing the executed set.
-#[test]
-fn run_until_is_a_prefix() {
-    let run_all = |delays: &[u64]| {
-        let mut sim = Simulator::new();
-        let hits: Rc<RefCell<Vec<u64>>> = Rc::default();
-        for d in delays {
-            let h = hits.clone();
-            let d = *d;
-            sim.schedule(SimDuration::from_micros(d), move |s| {
-                h.borrow_mut().push(s.now().as_micros());
-            });
-        }
-        sim.run();
-        let out = hits.borrow().clone();
-        out
-    };
-    let split_run = |delays: &[u64], cut: u64| {
-        let mut sim = Simulator::new();
-        let hits: Rc<RefCell<Vec<u64>>> = Rc::default();
-        for d in delays {
-            let h = hits.clone();
-            let d = *d;
-            sim.schedule(SimDuration::from_micros(d), move |s| {
-                h.borrow_mut().push(s.now().as_micros());
-            });
-        }
-        sim.run_until(SimTime::from_micros(cut));
-        sim.run();
-        let out = hits.borrow().clone();
-        out
-    };
-    for case in 0..CASES {
-        let mut gen = SimRng::seed_from_u64(0x52_0000 + case);
-        let n = gen.range(1, 30) as usize;
-        let delays: Vec<u64> = (0..n).map(|_| gen.range(1, 10_000)).collect();
-        let cut = gen.range(1, 10_000);
-        assert_eq!(run_all(&delays), split_run(&delays, cut));
-    }
-}
 
 /// Latency samples stay within the declared bounds.
 #[test]

@@ -11,9 +11,7 @@
 use crate::objects::{build_object_node, shared_devices, SharedDevices};
 use crate::twosml::{twosml_lts, twosml_metamodel, TWOSML};
 use mddsm_controller::ExecutionReport;
-use mddsm_core::{
-    CoreError, DomainKnowledge, MdDsmPlatform, PlatformBuilder, PlatformModelBuilder,
-};
+use mddsm_core::{DomainKnowledge, MdDsmPlatform, PlatformBuilder, PlatformModelBuilder};
 use mddsm_meta::model::Model;
 use mddsm_sim::{SimDuration, SimRng};
 use mddsm_synthesis::{Command, ControlScript};
@@ -176,12 +174,6 @@ impl SmartSpaceDeployment {
     /// Node count.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Returns an error when the named node does not exist — convenience
-    /// for examples.
-    pub fn require_node(&self, name: &str) -> mddsm_core::Result<&MdDsmPlatform> {
-        self.node(name).ok_or(CoreError::LayerSuppressed("node"))
     }
 }
 

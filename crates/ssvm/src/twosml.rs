@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn lts_installs_rule_scripts() {
-        use mddsm_meta::diff::{diff, DiffOptions};
+        use mddsm_meta::diff::diff;
         use mddsm_synthesis::{ChangeInterpreter, InterpreterConfig};
         let mm = twosml_metamodel();
         let mut interp = ChangeInterpreter::new(twosml_lts(), InterpreterConfig::default());
@@ -142,7 +142,7 @@ mod tests {
         );
         new.set_attr(rule, "object", Value::from("lamp1"));
         new.set_attr(rule, "action", Value::from("off"));
-        let changes = diff(&old, &new, &DiffOptions::default());
+        let changes = diff(&old, &new);
         let out = interp.interpret(&changes, &new, &mm).unwrap();
         assert!(out.immediate.is_empty());
         assert_eq!(out.installed.len(), 1);

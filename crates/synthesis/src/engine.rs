@@ -4,7 +4,7 @@
 use crate::interpreter::{ChangeInterpreter, Interpretation};
 use crate::{Result, SynthesisError};
 use mddsm_meta::conformance;
-use mddsm_meta::diff::{compare, DiffOptions, KeyIndex};
+use mddsm_meta::diff::{compare, KeyIndex};
 use mddsm_meta::metamodel::Metamodel;
 use mddsm_meta::model::Model;
 use std::sync::Arc;
@@ -32,7 +32,6 @@ pub struct SynthesisEngine {
     current: Model,
     /// The key index of `current`, swapped with each accepted model.
     current_keys: KeyIndex,
-    diff_opts: DiffOptions,
     submissions: u64,
 }
 
@@ -40,13 +39,11 @@ impl SynthesisEngine {
     /// Creates an engine with an empty current model.
     pub fn new(metamodel: Arc<Metamodel>, interpreter: ChangeInterpreter) -> Self {
         let current = Model::new(metamodel.name());
-        let diff_opts = DiffOptions::default();
         SynthesisEngine {
             metamodel,
             interpreter,
-            current_keys: KeyIndex::new(&current, &diff_opts),
+            current_keys: KeyIndex::new(&current),
             current,
-            diff_opts,
             submissions: 0,
         }
     }
@@ -83,7 +80,7 @@ impl SynthesisEngine {
         }
         conformance::check(&new_model, &self.metamodel)
             .map_err(|e| SynthesisError::InvalidModel(e.to_string()))?;
-        let new_keys = KeyIndex::new(&new_model, &self.diff_opts);
+        let new_keys = KeyIndex::new(&new_model);
         let changes = compare(&self.current, &self.current_keys, &new_model, &new_keys);
         let (out, state) =
             self.interpreter
@@ -104,7 +101,7 @@ impl SynthesisEngine {
     /// Clears the runtime model and resets the LTS — a full restart.
     pub fn reset(&mut self) {
         self.current = Model::new(self.metamodel.name());
-        self.current_keys = KeyIndex::new(&self.current, &self.diff_opts);
+        self.current_keys = KeyIndex::new(&self.current);
         self.interpreter.reset();
     }
 }

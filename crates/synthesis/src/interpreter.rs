@@ -5,7 +5,7 @@ use crate::lts::{ChangeKind, Label, Lts, StateId};
 use crate::script::{Command, ControlScript, EventTrigger};
 use crate::{Result, SynthesisError};
 use mddsm_meta::constraint::{eval_bool, EvalEnv, Val};
-use mddsm_meta::diff::{Change, ChangeList, DiffOptions, KeyIndex};
+use mddsm_meta::diff::{Change, ChangeList, KeyIndex};
 use mddsm_meta::metamodel::Metamodel;
 use mddsm_meta::model::{Model, ObjectId};
 use mddsm_meta::Value;
@@ -75,7 +75,7 @@ impl ChangeInterpreter {
         new_model: &Model,
         mm: &Metamodel,
     ) -> Result<Interpretation> {
-        let keys = KeyIndex::new(new_model, &DiffOptions::default());
+        let keys = KeyIndex::new(new_model);
         let (out, state) = self.interpret_indexed(changes, new_model, &keys, mm)?;
         self.state = state;
         Ok(out)
@@ -370,7 +370,7 @@ mod tests {
         assert_eq!(interp.state_name(), "idle");
         let old = Model::new("cml");
         let new = session_model(false, 0);
-        let changes = diff(&old, &new, &DiffOptions::default());
+        let changes = diff(&old, &new);
         let out = interp.interpret(&changes, &new, &mm).unwrap();
         assert_eq!(out.immediate.render(), "openSession@Session[\"s1\"]()");
         assert_eq!(interp.state_name(), "open");
@@ -384,11 +384,11 @@ mod tests {
             let mut interp = ChangeInterpreter::new(lts(), InterpreterConfig::default());
             let empty = Model::new("cml");
             let base = session_model(false, 0);
-            let changes = diff(&empty, &base, &DiffOptions::default());
+            let changes = diff(&empty, &base);
             let first = interp.interpret(&changes, &base, &mm).unwrap();
             assert_eq!(first.immediate.render(), "openSession@Session[\"s1\"]()");
             let withparty = session_model(true, bw);
-            let changes = diff(&base, &withparty, &DiffOptions::default());
+            let changes = diff(&base, &withparty);
             interp.interpret(&changes, &withparty, &mm).unwrap()
         };
         // Party with bw=0 fails the guard -> addParty not emitted.
@@ -412,7 +412,7 @@ mod tests {
         let mut new = old.clone();
         let s = new.all_of_class("Session")[0];
         new.set_attr(s, "kind", Value::from("video"));
-        let changes = diff(&old, &new, &DiffOptions::default());
+        let changes = diff(&old, &new);
         assert_eq!(changes.len(), 1);
 
         // Skip (default): nothing emitted.
@@ -452,7 +452,7 @@ mod tests {
         let mut interp = ChangeInterpreter::new(lts(), InterpreterConfig::default());
         let old = Model::new("cml");
         let new = session_model(false, 0);
-        let changes = diff(&old, &new, &DiffOptions::default());
+        let changes = diff(&old, &new);
         interp.interpret(&changes, &new, &mm).unwrap();
         assert_eq!(interp.state_name(), "open");
         let script = interp.interpret_event("sessionFailed").unwrap();
@@ -469,9 +469,9 @@ mod tests {
         let mut interp = ChangeInterpreter::new(lts(), InterpreterConfig::default());
         let old = Model::new("cml");
         let new = session_model(false, 0);
-        let changes = diff(&old, &new, &DiffOptions::default());
+        let changes = diff(&old, &new);
         interp.interpret(&changes, &new, &mm).unwrap();
-        let back = diff(&new, &old, &DiffOptions::default());
+        let back = diff(&new, &old);
         let out = interp.interpret(&back, &old, &mm).unwrap();
         assert_eq!(out.immediate.render(), "closeSession@Session[\"s1\"]()");
         assert_eq!(interp.state_name(), "idle");
@@ -499,7 +499,7 @@ mod tests {
         let mut new = Model::new("mm");
         let r = new.create("Rule");
         new.set_attr(r, "name", Value::from("r1"));
-        let changes = diff(&old, &new, &DiffOptions::default());
+        let changes = diff(&old, &new);
         let out = interp.interpret(&changes, &new, &mm).unwrap();
         assert!(out.immediate.is_empty());
         assert_eq!(out.installed.len(), 1);

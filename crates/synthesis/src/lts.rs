@@ -277,12 +277,6 @@ impl Lts {
     pub fn state_count(&self) -> usize {
         self.states.len()
     }
-
-    /// Transitions leaving `from`, in declaration order (first match wins
-    /// during interpretation).
-    pub fn outgoing(&self, from: StateId) -> impl Iterator<Item = &Transition> {
-        self.transitions.iter().filter(move |t| t.from == from)
-    }
 }
 
 /// Fluent builder for [`Lts`].
@@ -546,7 +540,7 @@ mod tests {
         assert_eq!(lts.state_name(lts.initial()), "idle");
         assert_eq!(lts.state("open"), Some(StateId(1)));
         assert_eq!(lts.state("zzz"), None);
-        assert_eq!(lts.outgoing(lts.initial()).count(), 1);
-        assert_eq!(lts.outgoing(StateId(1)).count(), 1);
+        let sources: Vec<StateId> = lts.transitions.iter().map(|t| t.from).collect();
+        assert_eq!(sources, vec![lts.initial(), StateId(1)]);
     }
 }

@@ -39,13 +39,6 @@ impl DsmlEnvironment {
     pub fn open(&self, dsml: &str) -> Result<EditingSession> {
         Ok(EditingSession::new(self.metamodel(dsml)?))
     }
-
-    /// Opens an editing session initialized from textual model source.
-    pub fn open_text(&self, source: &str) -> Result<EditingSession> {
-        let model = mddsm_meta::text::parse(source)?;
-        let mm = self.metamodel(model.metamodel_name())?;
-        Ok(EditingSession::from_model(mm, model))
-    }
 }
 
 #[cfg(test)]
@@ -67,19 +60,5 @@ mod tests {
         assert_eq!(env.dsmls(), vec!["toy"]);
         assert!(env.open("toy").is_ok());
         assert!(matches!(env.open("zzz"), Err(UiError::UnknownDsml(_))));
-    }
-
-    #[test]
-    fn open_from_text() {
-        let mut env = DsmlEnvironment::new();
-        env.register(mm());
-        let s = env
-            .open_text("model m conformsTo toy { Thing t { name = \"x\" } }")
-            .unwrap();
-        assert_eq!(s.model().len(), 1);
-        // Unknown DSML in the text.
-        assert!(env.open_text("model m conformsTo other { }").is_err());
-        // Unparsable text.
-        assert!(env.open_text("nonsense").is_err());
     }
 }

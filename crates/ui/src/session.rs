@@ -49,15 +49,6 @@ impl EditingSession {
         }
     }
 
-    /// Starts from an existing model.
-    pub fn from_model(metamodel: Arc<Metamodel>, model: Model) -> Self {
-        EditingSession {
-            metamodel,
-            model,
-            undo: Vec::new(),
-        }
-    }
-
     /// The current model.
     pub fn model(&self) -> &Model {
         &self.model
@@ -157,13 +148,6 @@ impl EditingSession {
         Ok(())
     }
 
-    /// Removes a reference target.
-    pub fn unlink(&mut self, from: ObjectId, slot: &str, to: ObjectId) -> Result<()> {
-        self.checkpoint();
-        self.model.remove_ref(from, slot, to);
-        Ok(())
-    }
-
     /// Finds elements by class and (optionally) `name` attribute.
     pub fn find(&self, class: &str, name: Option<&str>) -> Vec<ObjectId> {
         self.model
@@ -202,11 +186,6 @@ impl EditingSession {
         } else {
             Err(UiError::InvalidModel(errors))
         }
-    }
-
-    /// Serializes the current model to the textual format.
-    pub fn to_text(&self) -> String {
-        mddsm_meta::text::write(&self.model)
     }
 }
 
@@ -301,8 +280,7 @@ mod tests {
         s.link(b, "things", t).unwrap();
         assert!(matches!(s.link(b, "things", b), Err(UiError::BadEdit(_))));
         assert!(matches!(s.link(t, "things", b), Err(UiError::BadEdit(_))));
-        s.unlink(b, "things", t).unwrap();
-        assert!(s.model().refs(b, "things").is_empty());
+        assert_eq!(s.model().refs(b, "things"), [t]);
     }
 
     #[test]
@@ -340,16 +318,13 @@ mod tests {
     }
 
     #[test]
-    fn find_and_text_roundtrip() {
+    fn find_filters_by_class_and_name() {
         let mut s = session();
         let t = s.create("Thing").unwrap();
         s.set(t, "name", "widget").unwrap();
         assert_eq!(s.find("Thing", Some("widget")), vec![t]);
         assert_eq!(s.find("Thing", Some("other")), vec![]);
         assert_eq!(s.find("Thing", None).len(), 1);
-        let text = s.to_text();
-        assert!(text.contains("Thing"));
-        assert!(text.contains("widget"));
     }
 
     #[test]

@@ -21,14 +21,10 @@ use bench::e14::{e14_model_v1, e14_model_v2, INVARIANTS};
 use mddsm::broker::{
     journal, recover_versioned, GenericBroker, LiveUpgrade, RestartPolicy, Supervisor,
 };
-use mddsm::meta::diff::{apply, diff, equivalent, Change, DiffOptions, ObjectKey};
+use mddsm::meta::diff::{apply, diff, equivalent, Change, ObjectKey};
 use mddsm::meta::{Model, Value};
 use mddsm::sim::resource::{args, Args, Outcome};
 use mddsm::sim::{LatencyModel, ResourceHub, SimRng};
-
-fn opts() -> DiffOptions {
-    DiffOptions::default()
-}
 
 #[test]
 fn diff_round_trips_across_seeded_mutations_of_the_corpus() {
@@ -44,24 +40,24 @@ fn diff_round_trips_across_seeded_mutations_of_the_corpus() {
                     continue;
                 }
                 trials += 1;
-                let forward = diff(&old, &new, &opts());
+                let forward = diff(&old, &new);
                 let mut patched = old.clone();
-                apply(&mut patched, &forward, &opts())
+                apply(&mut patched, &forward)
                     .unwrap_or_else(|e| panic!("{name}/{op_name} seed {seed}: apply: {e}"));
                 assert!(
-                    equivalent(&patched, &new, &opts()),
+                    equivalent(&patched, &new),
                     "{name}/{op_name} seed {seed}: apply(old, diff(old, new)) != new"
                 );
                 // The reverse diff restores the original — provided the
                 // mutant kept object keys unique (keyed matching cannot
                 // tell duplicate-keyed objects apart, by design).
-                if !mddsm::meta::diff::KeyIndex::new(&new, &opts()).has_shared_keys() {
-                    let backward = diff(&new, &old, &opts());
+                if !mddsm::meta::diff::KeyIndex::new(&new).has_shared_keys() {
+                    let backward = diff(&new, &old);
                     let mut reverted = new.clone();
-                    apply(&mut reverted, &backward, &opts())
+                    apply(&mut reverted, &backward)
                         .unwrap_or_else(|e| panic!("{name}/{op_name} seed {seed}: revert: {e}"));
                     assert!(
-                        equivalent(&reverted, &old, &opts()),
+                        equivalent(&reverted, &old),
                         "{name}/{op_name} seed {seed}: reverse diff did not restore old"
                     );
                 }
@@ -96,8 +92,8 @@ fn positional_matching_reads_reorder_as_cross_rename() {
         renamed.set_attr(id, "label", Value::from(flipped));
     }
 
-    let as_reorder = diff(&old, &reordered, &opts());
-    let as_rename = diff(&old, &renamed, &opts());
+    let as_reorder = diff(&old, &reordered);
+    let as_rename = diff(&old, &renamed);
     assert_eq!(
         as_reorder, as_rename,
         "reorder and cross-rename must produce the same positional change list"
@@ -125,9 +121,9 @@ fn positional_matching_reads_reorder_as_cross_rename() {
     }
 
     let mut patched = old.clone();
-    apply(&mut patched, &as_reorder, &opts()).unwrap();
-    assert!(equivalent(&patched, &reordered, &opts()));
-    assert!(equivalent(&patched, &renamed, &opts()));
+    apply(&mut patched, &as_reorder).unwrap();
+    assert!(equivalent(&patched, &reordered));
+    assert!(equivalent(&patched, &renamed));
 }
 
 fn hub() -> ResourceHub {

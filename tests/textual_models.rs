@@ -2,7 +2,7 @@
 //! models for all four domain DSMLs parse, validate, round-trip, and
 //! execute.
 
-use mddsm::meta::diff::{equivalent, DiffOptions};
+use mddsm::meta::diff::equivalent;
 use mddsm::meta::text;
 
 const CML_MODEL: &str = r#"
@@ -49,7 +49,7 @@ fn roundtrip(src: &str, mm: &mddsm::meta::Metamodel) {
     mddsm::meta::conformance::check(&model, mm).expect("fixture conforms");
     let written = text::write(&model);
     let reparsed = text::parse(&written).expect("written form parses");
-    assert!(equivalent(&model, &reparsed, &DiffOptions::default()));
+    assert!(equivalent(&model, &reparsed));
 }
 
 #[test]
