@@ -110,8 +110,6 @@ pub(crate) fn run_steps(
 /// A compiled autonomic rule: symptom condition plus plan steps.
 #[derive(Debug, Clone)]
 pub struct AutonomicRule {
-    /// Symptom name (diagnostics).
-    pub symptom: String,
     /// Condition over the state object, compiled.
     pub condition: Pred,
     /// Plan steps executed when the condition holds.
@@ -122,16 +120,12 @@ pub struct AutonomicRule {
 #[derive(Debug, Clone, Default)]
 pub struct AutonomicManager {
     rules: Vec<AutonomicRule>,
-    fired: BTreeMap<String, u64>,
 }
 
 impl AutonomicManager {
     /// Creates a manager with no rules.
     pub fn new(rules: Vec<AutonomicRule>) -> Self {
-        AutonomicManager {
-            rules,
-            fired: BTreeMap::new(),
-        }
+        AutonomicManager { rules }
     }
 
     /// Number of rules.
@@ -142,11 +136,6 @@ impl AutonomicManager {
     /// Returns `true` when the manager has no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// How many times a symptom's plan has fired.
-    pub fn fired(&self, symptom: &str) -> u64 {
-        self.fired.get(symptom).copied().unwrap_or(0)
     }
 
     /// One MAPE cycle: evaluate all symptoms against the state, execute
@@ -169,56 +158,10 @@ impl AutonomicManager {
             }
         }
         for i in due {
-            let rule = &self.rules[i];
-            *self.fired.entry(rule.symptom.clone()).or_insert(0) += 1;
-            emitted.extend(run_steps(&rule.steps, state, hub, bindings)?);
+            emitted.extend(run_steps(&self.rules[i].steps, state, hub, bindings)?);
         }
         Ok(emitted)
     }
-}
-
-/// The standard autonomic rules for a replicated broker, expressed over
-/// the [`crate::QuorumReplicator`]'s OCL-addressable metrics (`repl_lag`,
-/// `repl_fenced`). The rules raise `repl_lag_alert` and emit
-/// `replicationLagging` once the unacked journal lines, summed over every
-/// lane, reach `lag_alert` records; for a hot standby (the one-peer set)
-/// that is its single lane's lag. They clear the alert (emitting
-/// `replicationCaughtUp`) when every peer has caught back up, and surface
-/// a fenced stale primary as a `staleEpochFenced` event. Run them against
-/// the replicator's metrics state, not the journaled runtime model.
-pub fn replication_rules(lag_alert: i64) -> Result<Vec<AutonomicRule>> {
-    let rule = |symptom: &str, condition: &str, steps: &[&str]| -> Result<AutonomicRule> {
-        Ok(AutonomicRule {
-            symptom: symptom.to_owned(),
-            condition: Pred::new(
-                mddsm_meta::constraint::parse(condition)
-                    .map_err(|e| BrokerError::InvalidModel(e.to_string()))?,
-            ),
-            steps: steps.iter().map(|s| parse_step(s)).collect::<Result<_>>()?,
-        })
-    };
-    let mut rules = Vec::new();
-    if lag_alert > 0 {
-        rules.push(rule(
-            "replLagging",
-            &format!(
-                "self.repl_lag <> null and self.repl_lag >= {lag_alert} \
-                 and self.repl_lag_alert <> 1"
-            ),
-            &["set repl_lag_alert 1", "emit replicationLagging"],
-        )?);
-        rules.push(rule(
-            "replCaughtUp",
-            "self.repl_lag_alert = 1 and (self.repl_lag = null or self.repl_lag = 0)",
-            &["set repl_lag_alert 0", "emit replicationCaughtUp"],
-        )?);
-    }
-    rules.push(rule(
-        "replFenced",
-        "self.repl_fenced <> null and self.repl_fenced > 0 and self.repl_fenced_alert <> 1",
-        &["set repl_fenced_alert 1", "emit staleEpochFenced"],
-    )?);
-    Ok(rules)
 }
 
 /// A declared brownout (degraded-service) mode, compiled from a
@@ -463,7 +406,6 @@ mod tests {
     #[test]
     fn reset_breaker_clears_breaker_state() {
         let rule = AutonomicRule {
-            symptom: "s".into(),
             condition: Pred::new(parse("true").unwrap()),
             steps: vec![parse_step("reset_breaker media").unwrap()],
         };
@@ -480,7 +422,6 @@ mod tests {
     #[test]
     fn rule_fires_when_condition_holds() {
         let rule = AutonomicRule {
-            symptom: "mediaFlaky".into(),
             condition: Pred::new(
                 parse("self.failures_media <> null and self.failures_media > 2").unwrap(),
             ),
@@ -501,7 +442,6 @@ mod tests {
         let emitted = mgr.tick(&mut state, &mut hub, &bindings).unwrap();
         assert!(emitted.is_empty());
         assert!(!hub.is_healthy("sim.media"));
-        assert_eq!(mgr.fired("mediaFlaky"), 0);
 
         // Above threshold: heal + reset + emit.
         state.set_int("failures_media", 3);
@@ -509,12 +449,10 @@ mod tests {
         assert_eq!(emitted, vec!["mediaRecovered".to_string()]);
         assert!(hub.is_healthy("sim.media"));
         assert_eq!(state.int("failures_media"), Some(0));
-        assert_eq!(mgr.fired("mediaFlaky"), 1);
 
         // Condition cleared: does not fire again.
         let emitted = mgr.tick(&mut state, &mut hub, &bindings).unwrap();
         assert!(emitted.is_empty());
-        assert_eq!(mgr.fired("mediaFlaky"), 1);
     }
 
     #[test]
@@ -522,12 +460,10 @@ mod tests {
         // Rule A sets trigger=1; rule B fires on trigger=1. In one cycle B
         // must NOT fire (batched analysis), only on the next.
         let a = AutonomicRule {
-            symptom: "a".into(),
             condition: Pred::new(parse("self.go = 1").unwrap()),
             steps: vec![parse_step("set trigger 1").unwrap()],
         };
         let b = AutonomicRule {
-            symptom: "b".into(),
             condition: Pred::new(parse("self.trigger = 1").unwrap()),
             steps: vec![parse_step("emit late").unwrap()],
         };
@@ -541,45 +477,6 @@ mod tests {
         assert!(emitted.is_empty());
         let emitted = mgr.tick(&mut state, &mut hub, &bindings).unwrap();
         assert_eq!(emitted, vec!["late".to_string()]);
-    }
-
-    #[test]
-    fn replication_rules_alert_and_clear_on_lag() {
-        let mut mgr = AutonomicManager::new(replication_rules(8).unwrap());
-        let mut metrics = StateManager::new();
-        let mut hub = hub();
-        let bindings = BTreeMap::new();
-
-        // No metrics yet: nothing fires (null-safe conditions).
-        assert!(mgr
-            .tick(&mut metrics, &mut hub, &bindings)
-            .unwrap()
-            .is_empty());
-
-        metrics.set_int("repl_lag", 9);
-        let emitted = mgr.tick(&mut metrics, &mut hub, &bindings).unwrap();
-        assert_eq!(emitted, vec!["replicationLagging".to_string()]);
-        // Alert latched: no re-emission while still lagging.
-        assert!(mgr
-            .tick(&mut metrics, &mut hub, &bindings)
-            .unwrap()
-            .is_empty());
-
-        metrics.set_int("repl_lag", 0);
-        let emitted = mgr.tick(&mut metrics, &mut hub, &bindings).unwrap();
-        assert_eq!(emitted, vec!["replicationCaughtUp".to_string()]);
-
-        // A fenced stale primary surfaces exactly once.
-        metrics.set_int("repl_fenced", 2);
-        let emitted = mgr.tick(&mut metrics, &mut hub, &bindings).unwrap();
-        assert_eq!(emitted, vec!["staleEpochFenced".to_string()]);
-        assert!(mgr
-            .tick(&mut metrics, &mut hub, &bindings)
-            .unwrap()
-            .is_empty());
-
-        // lag_alert = 0 disables the lag rules but keeps the fence rule.
-        assert_eq!(replication_rules(0).unwrap().len(), 1);
     }
 
     fn lite_mode() -> BrownoutMode {
@@ -689,7 +586,6 @@ mod tests {
     #[test]
     fn unbound_resources_fall_back_to_literal_names() {
         let rule = AutonomicRule {
-            symptom: "s".into(),
             condition: Pred::new(parse("true").unwrap()),
             steps: vec![parse_step("fail sim.media").unwrap()],
         };

@@ -361,7 +361,6 @@ impl GenericBroker {
                 BrokerError::InvalidModel(format!("symptom `{}` condition: {e}", symptom.name))
             })?);
             rules.push(AutonomicRule {
-                symptom: symptom.name.clone(),
                 condition,
                 steps: steps.iter().map(|s| parse_step(s)).collect::<Result<_>>()?,
             });
@@ -1636,7 +1635,6 @@ mod tests {
         assert_eq!(b.state().int("failures_media"), Some(2));
         let emitted = b.autonomic_tick().unwrap();
         assert_eq!(emitted, vec!["recovered".to_string()]);
-        assert_eq!(b.autonomic.fired("mediaFlaky"), 1);
         assert!(b.hub().is_healthy("sim.media"));
         assert_eq!(b.state().int("failures_media"), Some(0));
         // The plan also switched mode to relay: next open goes via relay.
@@ -1960,7 +1958,6 @@ mod tests {
         assert!(!b.call("op", &Args::new()).unwrap().outcome.is_ok());
         assert_eq!(b.state().str("breaker_flaky"), Some("open"));
         b.autonomic_tick().unwrap();
-        assert_eq!(b.autonomic.fired("breakerStuck"), 1);
         assert_eq!(b.state().str("breaker_flaky"), Some("closed"));
         // Breaker closed again: the next call goes through to the resource.
         let r = b.call("op", &Args::new()).unwrap();
@@ -2012,7 +2009,6 @@ mod tests {
         // Autonomic tick: symptom fires, heals the resource and closes the
         // breaker *without* waiting for another cooldown.
         b.autonomic_tick().unwrap();
-        assert_eq!(b.autonomic.fired("stuckOpen"), 1);
         assert_eq!(b.state().str("breaker_flaky"), Some("closed"));
 
         // Closed again: next call reaches the (now healed) resource, and

@@ -211,8 +211,8 @@ pub struct QuorumShipReport {
 /// a [`QuorumReplicator::tick`] costs O(lines ingested + lines shipped)
 /// whatever the length of the retained history.
 ///
-/// Health is OCL-addressable through the metrics [`StateManager`];
-/// [`crate::autonomic::replication_rules`] are written over these keys:
+/// Health is OCL-addressable through the metrics [`StateManager`], under
+/// these keys:
 ///
 /// | key | meaning |
 /// |---|---|

@@ -90,12 +90,6 @@ impl CommandClassifier {
         self
     }
 
-    /// Builder-style [`CommandClassifier::map_command`].
-    pub fn with_command(mut self, command: &str, dsc: &str) -> Self {
-        self.map_command(command, dsc);
-        self
-    }
-
     /// The active policy.
     pub fn policy(&self) -> &ClassificationPolicy {
         &self.policy
@@ -160,9 +154,10 @@ mod tests {
     }
 
     fn classifier() -> CommandClassifier {
-        CommandClassifier::new(ClassificationPolicy::default())
-            .with_command("openSession", "Connect")
-            .with_command("analyze", "Analyze")
+        let mut c = CommandClassifier::new(ClassificationPolicy::default());
+        c.map_command("openSession", "Connect")
+            .map_command("analyze", "Analyze");
+        c
     }
 
     #[test]
@@ -223,7 +218,8 @@ mod tests {
     #[test]
     fn overrides_win() {
         let policy = ClassificationPolicy::default().with_override("openSession", Case::Dynamic);
-        let c = CommandClassifier::new(policy).with_command("openSession", "Connect");
+        let mut c = CommandClassifier::new(policy);
+        c.map_command("openSession", "Connect");
         let (_, case) = c
             .classify(
                 &Command::new("openSession", ""),

@@ -1,11 +1,11 @@
 //! The Controller engine: the layer façade of Fig. 8.
 //!
-//! Signals (calls from the Synthesis layer, events from the Broker layer or
-//! the Controller itself) are queued, parsed into commands, classified
-//! (Case 1 vs Case 2), and executed — through predefined actions or through
-//! generated intent models run on the stack machine. Failures feed the
-//! adaptation loop: the offending procedure is excluded from the context
-//! and the IM regenerated.
+//! Calls (control scripts from the Synthesis layer) and events (from the
+//! Broker layer or the Controller itself) become commands, which are
+//! classified (Case 1 vs Case 2) and executed — through predefined actions
+//! or through generated intent models run on the stack machine. Failures
+//! feed the adaptation loop: the offending procedure is excluded from the
+//! context and the IM regenerated.
 
 use crate::actions::ActionRegistry;
 use crate::classify::{Case, CommandClassifier};
@@ -16,7 +16,7 @@ use crate::machine::{BrokerPort, StackMachine};
 use crate::repository::ProcedureRepository;
 use crate::{ControllerError, Result};
 use mddsm_synthesis::{Command, ControlScript};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Engine behaviour knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,22 +44,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// A signal received by the Controller's façade: a call (control script)
-/// from Synthesis, or an event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Signal {
-    /// Commands from the Synthesis layer.
-    Call(ControlScript),
-    /// An event from the Broker layer or the Controller itself.
-    Event {
-        /// Topic.
-        topic: String,
-        /// Payload.
-        payload: Vec<(String, String)>,
-    },
-}
-
-/// Aggregate result of executing signals/scripts.
+/// Aggregate result of executing scripts and events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionReport {
     /// Commands fully executed.
@@ -104,7 +89,6 @@ pub struct ControllerEngine {
     cache: ImCache,
     machine: StackMachine,
     config: EngineConfig,
-    signals: VecDeque<Signal>,
     event_commands: BTreeMap<String, Command>,
 }
 
@@ -128,7 +112,6 @@ impl ControllerEngine {
             cache: ImCache::new(),
             machine: StackMachine::new(),
             config,
-            signals: VecDeque::new(),
             event_commands: BTreeMap::new(),
         })
     }
@@ -169,33 +152,21 @@ impl ControllerEngine {
         self.event_commands.insert(topic.to_owned(), command);
     }
 
-    /// Enqueues a signal on the façade queue.
-    pub fn enqueue(&mut self, signal: Signal) {
-        self.signals.push_back(signal);
-    }
-
-    /// Pending signals.
-    pub fn queued(&self) -> usize {
-        self.signals.len()
-    }
-
-    /// Drains the signal queue, executing calls and events in order.
-    pub fn process_signals(&mut self, port: &mut dyn BrokerPort) -> Result<ExecutionReport> {
-        let mut report = ExecutionReport::default();
-        while let Some(signal) = self.signals.pop_front() {
-            match signal {
-                Signal::Call(script) => {
-                    let r = self.execute_script(&script, port)?;
-                    report.merge(&r);
-                }
-                Signal::Event { topic, .. } => {
-                    report.events.push(topic.clone());
-                    if let Some(cmd) = self.event_commands.get(&topic).cloned() {
-                        let r = self.execute_command(&cmd, port)?;
-                        report.merge(&r);
-                    }
-                }
-            }
+    /// Handles an event from the Broker layer or the Controller itself:
+    /// records its topic, then runs the command mapped to it by
+    /// [`ControllerEngine::map_event`], if there is one.
+    pub fn notify_event(
+        &mut self,
+        topic: &str,
+        port: &mut dyn BrokerPort,
+    ) -> Result<ExecutionReport> {
+        let mut report = ExecutionReport {
+            events: vec![topic.to_owned()],
+            ..ExecutionReport::default()
+        };
+        if let Some(cmd) = self.event_commands.get(topic).cloned() {
+            let r = self.execute_command(&cmd, port)?;
+            report.merge(&r);
         }
         Ok(report)
     }
@@ -236,14 +207,12 @@ impl ControllerEngine {
                         report.virtual_cost_us += out.virtual_cost_us;
                         report.events.extend(out.events);
                     }
-                    Err(e @ ControllerError::BrokerFailure { .. }) if self.config.adaptive => {
+                    Err(ControllerError::BrokerFailure { .. }) if self.config.adaptive => {
                         // Case-1 failure under adaptivity: fall back to
                         // dynamic generation for this command.
                         report.adaptations += 1;
-                        if let ControllerError::BrokerFailure { .. } = &e {
-                            let r = self.execute_dynamic(cmd, &dsc, port)?;
-                            report.merge(&r);
-                        }
+                        let r = self.execute_dynamic(cmd, &dsc, port)?;
+                        report.merge(&r);
                     }
                     Err(e) => return Err(e),
                 }
@@ -425,7 +394,9 @@ mod tests {
     }
 
     fn classifier() -> CommandClassifier {
-        CommandClassifier::new(ClassificationPolicy::default()).with_command("open", "Connect")
+        let mut c = CommandClassifier::new(ClassificationPolicy::default());
+        c.map_command("open", "Connect");
+        c
     }
 
     fn engine(adaptive: bool) -> ControllerEngine {
@@ -550,23 +521,15 @@ mod tests {
     }
 
     #[test]
-    fn signal_queue_processes_calls_and_events() {
+    fn scripts_and_events_run_their_commands() {
         let mut e = engine(true);
         e.map_event("linkDown", Command::new("open", ""));
         let script = ControlScript::immediate(vec![Command::new("open", "")]);
-        e.enqueue(Signal::Call(script));
-        e.enqueue(Signal::Event {
-            topic: "linkDown".into(),
-            payload: vec![],
-        });
-        e.enqueue(Signal::Event {
-            topic: "ignored".into(),
-            payload: vec![],
-        });
-        assert_eq!(e.queued(), 3);
         let (mut p, _down, _calls) = port();
-        let r = e.process_signals(&mut p).unwrap();
-        assert_eq!(e.queued(), 0);
+        let mut r = e.execute_script(&script, &mut p).unwrap();
+        for topic in ["linkDown", "ignored"] {
+            r.merge(&e.notify_event(topic, &mut p).unwrap());
+        }
         // Two command executions: one from the script, one from linkDown.
         assert_eq!(r.commands, 2);
         assert_eq!(

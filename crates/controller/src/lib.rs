@@ -30,10 +30,10 @@
 //!   handlers; [`classify`] implements the command-classification step of
 //!   Fig. 8 that chooses, per command, between predefined actions (Case 1)
 //!   and dynamic IM generation (Case 2) using policies and context.
-//! * **Façade** — [`engine::ControllerEngine`]: signal queue, command
-//!   parsing, execution, failure-driven adaptation (failed procedures are
-//!   excluded from the context and the IM regenerated), and the
-//!   non-adaptive baseline used by experiment E4.
+//! * **Façade** — [`engine::ControllerEngine`]: script and event intake,
+//!   command parsing, execution, failure-driven adaptation (failed
+//!   procedures are excluded from the context and the IM regenerated), and
+//!   the non-adaptive baseline used by experiment E4.
 //!
 //! The crate contains **no domain vocabulary**: DSCs, procedures, actions,
 //! and command maps are all data supplied by the domain crates — this is
@@ -48,7 +48,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod actions;
-pub mod analysis;
 pub mod classify;
 pub mod context;
 pub mod dsc;
@@ -60,16 +59,12 @@ pub mod procedure;
 pub mod repository;
 
 pub use actions::{Action, ActionRegistry};
-pub use analysis::{analyze_procedure, analyze_repository, procedure_footprint};
 pub use classify::{Case, ClassificationPolicy, CommandClassifier};
 pub use context::ControllerContext;
 pub use dsc::{Category, Dsc, DscId, DscRegistry};
 pub use engine::{ControllerEngine, EngineConfig, ExecutionReport};
 pub use intent::{GenerationConfig, ImCache, IntentModel};
-pub use machine::{
-    BrokerPort, Execution, FrameCheckpoint, MachineCheckpoint, MachineLimits, PortResponse,
-    StackMachine,
-};
+pub use machine::{BrokerPort, PortResponse, StackMachine};
 pub use policy::PolicyObjective;
 pub use procedure::{ExecutionUnit, Instr, Operand, ProcId, Procedure};
 pub use repository::ProcedureRepository;

@@ -103,88 +103,23 @@ pub struct ExecOutcome {
     pub recovered_failures: u64,
 }
 
-/// Execution limits.
-#[derive(Debug, Clone, Copy)]
-pub struct MachineLimits {
-    /// Maximum instructions per execution.
-    pub max_steps: u64,
-    /// Maximum stack depth.
-    pub max_depth: usize,
-    /// Relative virtual-time deadline (µs of accumulated broker-call
-    /// cost); 0 = none. Once `virtual_cost_us` reaches it the machine
-    /// stops *before* the next instruction and returns
-    /// [`Execution::DeadlineExpired`] — a typed result, not an error:
-    /// under overload, abandoning work whose deadline passed is expected
-    /// behavior, and the checkpoint lets a caller still inspect (or
-    /// compensate) what ran.
-    pub deadline_us: u64,
-}
+/// Instructions one execution may run; the bound is checked before each
+/// instruction and before the implicit completion at a program's end.
+const MAX_STEPS: u64 = 100_000;
 
-impl Default for MachineLimits {
-    fn default() -> Self {
-        MachineLimits {
-            max_steps: 100_000,
-            max_depth: 64,
-            deadline_us: 0,
-        }
-    }
-}
+/// Deepest procedure stack one execution may build. It guards model input:
+/// a platform model's `maxDepth` can generate intent models deeper than
+/// this.
+const MAX_DEPTH: usize = 64;
 
-/// A checkpointed stack frame: everything needed to rebuild the frame
-/// against the same intent model and repository. The procedure is
-/// identified by its *path* (child indexes from the IM root), so resume
-/// re-resolves nodes and `on_error` handlers instead of trusting pointers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameCheckpoint {
-    /// Child indexes from the intent-model root to this frame's node.
-    pub path: Vec<usize>,
-    /// The frame's (possibly branch-spliced) program.
-    pub program: Vec<Instr>,
-    /// Next instruction.
-    pub pc: usize,
-    /// Local variables.
-    pub locals: BTreeMap<String, String>,
-    /// Whether the frame is running its `on_error` program.
-    pub in_error: bool,
-}
-
-/// A paused execution: the full frame stack plus the outcome accumulated
-/// so far. Feed it back to [`StackMachine::resume`] to continue exactly
-/// where the execution stopped.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MachineCheckpoint {
-    /// The frame stack, bottom first.
-    pub frames: Vec<FrameCheckpoint>,
-    /// Side effects and statistics accumulated before the pause.
-    pub outcome: ExecOutcome,
-}
-
-/// Result of a budgeted execution: done, or paused at a checkpoint.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Execution {
-    /// The stack emptied; the operation completed.
-    Complete(ExecOutcome),
-    /// The step budget ran out mid-procedure.
-    Paused(Box<MachineCheckpoint>),
-    /// The [`MachineLimits::deadline_us`] virtual-time deadline passed
-    /// mid-procedure: the work was abandoned (shed) at the captured
-    /// checkpoint. Distinct from [`Execution::Paused`] because resuming
-    /// is pointless — the result is already too late.
-    DeadlineExpired(Box<MachineCheckpoint>),
-}
-
-/// The stack machine; stateless between executions apart from limits.
+/// The stack machine; it keeps no state between executions.
 #[derive(Debug, Clone, Default)]
-pub struct StackMachine {
-    limits: MachineLimits,
-}
+pub struct StackMachine;
 
 struct Frame<'a> {
     node: &'a ImNode,
-    /// Child indexes from the IM root to `node` (checkpoint identity).
-    path: Vec<usize>,
     /// Flattened program of the procedure's EUs, owned so `IfVar` splicing
-    /// and checkpointing need no lifetime games.
+    /// needs no lifetime games.
     program: Vec<Instr>,
     pc: usize,
     locals: BTreeMap<String, String>,
@@ -196,9 +131,9 @@ struct Frame<'a> {
 }
 
 impl StackMachine {
-    /// Creates a machine with default limits.
+    /// Creates a machine.
     pub fn new() -> Self {
-        Self::default()
+        StackMachine
     }
 
     /// Executes an intent model: pushes the root procedure and runs until
@@ -211,144 +146,13 @@ impl StackMachine {
         cmd_args: &[(String, String)],
         port: &mut dyn BrokerPort,
     ) -> Result<ExecOutcome> {
-        let stack = vec![self.frame(&im.root, Vec::new(), repo)?];
-        match self.run(
-            im,
-            repo,
-            cmd_args,
-            port,
-            stack,
-            ExecOutcome::default(),
-            None,
-        )? {
-            Execution::Complete(outcome) => Ok(outcome),
-            // Paused is unreachable with no budget; an expired deadline
-            // surfaces the partial outcome (callers needing the typed
-            // distinction use `execute_budgeted`).
-            Execution::Paused(cp) | Execution::DeadlineExpired(cp) => Ok(cp.outcome),
-        }
-    }
-
-    /// Like [`StackMachine::execute`], but pauses after at most `budget`
-    /// instructions, returning a [`MachineCheckpoint`] that captures the
-    /// in-flight procedure stack. This is what crash-consistent execution
-    /// builds on: checkpoint between budget slices, and after a crash,
-    /// [`StackMachine::resume`] from the last checkpoint.
-    pub fn execute_budgeted(
-        &self,
-        im: &IntentModel,
-        repo: &ProcedureRepository,
-        cmd_args: &[(String, String)],
-        port: &mut dyn BrokerPort,
-        budget: u64,
-    ) -> Result<Execution> {
-        let stack = vec![self.frame(&im.root, Vec::new(), repo)?];
-        self.run(
-            im,
-            repo,
-            cmd_args,
-            port,
-            stack,
-            ExecOutcome::default(),
-            Some(budget),
-        )
-    }
-
-    /// Continues a paused execution from its checkpoint, running at most
-    /// `budget` further instructions (`None` = to completion). Frames are
-    /// revalidated against the intent model and repository: a checkpoint
-    /// that no longer matches them is refused, not misexecuted.
-    pub fn resume(
-        &self,
-        im: &IntentModel,
-        repo: &ProcedureRepository,
-        cmd_args: &[(String, String)],
-        port: &mut dyn BrokerPort,
-        checkpoint: MachineCheckpoint,
-        budget: Option<u64>,
-    ) -> Result<Execution> {
-        let mut stack = Vec::with_capacity(checkpoint.frames.len());
-        for fc in checkpoint.frames {
-            let node = Self::node_at(im, &fc.path)?;
-            let proc = repo.get_or_err(&node.proc)?;
-            if fc.pc > fc.program.len() {
-                return Err(ControllerError::InvalidIntentModel(format!(
-                    "checkpoint pc {} is outside `{}`'s program",
-                    fc.pc, node.proc
-                )));
-            }
-            stack.push(Frame {
-                node,
-                path: fc.path,
-                program: fc.program,
-                pc: fc.pc,
-                locals: fc.locals,
-                on_error: proc.on_error.as_ref(),
-                in_error: fc.in_error,
-            });
-        }
-        self.run(im, repo, cmd_args, port, stack, checkpoint.outcome, budget)
-    }
-
-    /// Resolves an intent-model node by its child-index path.
-    fn node_at<'a>(im: &'a IntentModel, path: &[usize]) -> Result<&'a ImNode> {
-        let mut node = &im.root;
-        for idx in path {
-            node = node.children.get(*idx).ok_or_else(|| {
-                ControllerError::InvalidIntentModel(format!(
-                    "checkpoint path {path:?} does not resolve in the intent model"
-                ))
-            })?;
-        }
-        Ok(node)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run<'a>(
-        &self,
-        _im: &'a IntentModel,
-        repo: &'a ProcedureRepository,
-        cmd_args: &[(String, String)],
-        port: &mut dyn BrokerPort,
-        mut stack: Vec<Frame<'a>>,
-        mut outcome: ExecOutcome,
-        budget: Option<u64>,
-    ) -> Result<Execution> {
-        let checkpoint = |stack: &[Frame<'_>], outcome: ExecOutcome| {
-            Box::new(MachineCheckpoint {
-                frames: stack
-                    .iter()
-                    .map(|f| FrameCheckpoint {
-                        path: f.path.clone(),
-                        program: f.program.clone(),
-                        pc: f.pc,
-                        locals: f.locals.clone(),
-                        in_error: f.in_error,
-                    })
-                    .collect(),
-                outcome,
-            })
-        };
-        let mut executed_this_run = 0u64;
+        let mut stack = vec![Self::frame(&im.root, repo)?];
+        let mut outcome = ExecOutcome::default();
         while let Some(top) = stack.last_mut() {
-            if outcome.steps >= self.limits.max_steps {
+            if outcome.steps >= MAX_STEPS {
                 return Err(ControllerError::ExecutionLimit(format!(
-                    "{} steps",
-                    self.limits.max_steps
+                    "{MAX_STEPS} steps"
                 )));
-            }
-            // Deadline propagation: once the accumulated virtual cost has
-            // passed the declared deadline, any further work is worthless
-            // — abandon *before* the next instruction runs.
-            if self.limits.deadline_us > 0 && outcome.virtual_cost_us >= self.limits.deadline_us {
-                let cp = checkpoint(&stack, outcome);
-                return Ok(Execution::DeadlineExpired(cp));
-            }
-            if let Some(b) = budget {
-                if executed_this_run >= b {
-                    let cp = checkpoint(&stack, outcome);
-                    return Ok(Execution::Paused(cp));
-                }
             }
             let Some(instr) = top.program.get(top.pc).cloned() else {
                 // Falling off the end of the program implies completion.
@@ -357,7 +161,6 @@ impl StackMachine {
             };
             top.pc += 1;
             outcome.steps += 1;
-            executed_this_run += 1;
             let instr = &instr;
 
             // Resolve an operand against the frame and command args.
@@ -462,15 +265,12 @@ impl StackMachine {
                             top.node.proc
                         ))
                     })?;
-                    let mut path = top.path.clone();
-                    path.push(*idx);
-                    if stack.len() >= self.limits.max_depth {
+                    if stack.len() >= MAX_DEPTH {
                         return Err(ControllerError::ExecutionLimit(format!(
-                            "stack depth {}",
-                            self.limits.max_depth
+                            "stack depth {MAX_DEPTH}"
                         )));
                     }
-                    let frame = self.frame(child, path, repo)?;
+                    let frame = Self::frame(child, repo)?;
                     stack.push(frame);
                 }
                 Instr::IfVar {
@@ -492,15 +292,10 @@ impl StackMachine {
                 }
             }
         }
-        Ok(Execution::Complete(outcome))
+        Ok(outcome)
     }
 
-    fn frame<'a>(
-        &self,
-        node: &'a ImNode,
-        path: Vec<usize>,
-        repo: &'a ProcedureRepository,
-    ) -> Result<Frame<'a>> {
+    fn frame<'a>(node: &'a ImNode, repo: &'a ProcedureRepository) -> Result<Frame<'a>> {
         let proc = repo.get_or_err(&node.proc)?;
         let program: Vec<Instr> = proc
             .eus
@@ -509,7 +304,6 @@ impl StackMachine {
             .collect();
         Ok(Frame {
             node,
-            path,
             program,
             pc: 0,
             locals: BTreeMap::new(),
@@ -839,279 +633,40 @@ mod tests {
 
     #[test]
     fn step_limit_enforced() {
-        // Self-splicing conditional loop: IfVar keeps reinserting itself.
-        let looping = Instr::IfVar {
-            var: "x".into(),
-            equals: "".into(),
-            then: vec![],
-            otherwise: vec![],
-        };
-        // Construct a program that always branches into `then` containing
-        // the same conditional again (bounded by instruction cloning depth
-        // is impossible; instead use messages to spin).
-        let mut instrs = Vec::new();
-        for _ in 0..10 {
-            instrs.push(looping.clone());
-        }
-        let (node, proc) = leaf("p", instrs);
-        let repo = repo_of(vec![proc]);
-        let machine = StackMachine {
-            limits: MachineLimits {
-                max_steps: 5,
-                max_depth: 4,
-                ..MachineLimits::default()
-            },
-        };
-        let mut port = ok_port();
-        let e = machine
-            .execute(&IntentModel { root: node }, &repo, &[], &mut port)
-            .unwrap_err();
-        assert!(matches!(e, ControllerError::ExecutionLimit(_)));
-    }
-
-    #[test]
-    fn deadline_expiry_is_a_typed_result_not_an_error() {
-        let (node, proc) = leaf(
-            "p",
-            vec![
-                Instr::BrokerCall {
-                    api: "svc".into(),
-                    op: "a".into(),
-                    args: vec![],
-                },
-                Instr::BrokerCall {
-                    api: "svc".into(),
-                    op: "b".into(),
-                    args: vec![],
-                },
-                Instr::BrokerCall {
-                    api: "svc".into(),
-                    op: "c".into(),
-                    args: vec![],
-                },
-                Instr::Complete,
-            ],
-        );
-        let repo = repo_of(vec![proc]);
-        let im = IntentModel { root: node };
-        let machine = StackMachine {
-            limits: MachineLimits {
-                deadline_us: 1_000,
-                ..MachineLimits::default()
-            },
-        };
-        let mut port = |_: &str, _: &str, _: &[(String, String)]| {
-            let mut r = PortResponse::ok();
-            r.cost_us = 500;
-            r
-        };
-        let exec = machine
-            .execute_budgeted(&im, &repo, &[], &mut port, 1_000)
-            .unwrap();
-        let Execution::DeadlineExpired(cp) = exec else {
-            panic!("expected deadline expiry, got {exec:?}");
-        };
-        // Two calls fit under the 1000µs deadline; the third was
-        // abandoned before touching the broker.
-        assert_eq!(cp.outcome.broker_calls, 2);
-        assert_eq!(cp.outcome.virtual_cost_us, 1_000);
-        // The same program completes with no deadline declared.
-        let mut port = |_: &str, _: &str, _: &[(String, String)]| {
-            let mut r = PortResponse::ok();
-            r.cost_us = 500;
-            r
-        };
-        let out = StackMachine::new()
-            .execute(&im, &repo, &[], &mut port)
-            .unwrap();
-        assert_eq!(out.broker_calls, 3);
-        assert_eq!(out.virtual_cost_us, 1_500);
-    }
-
-    #[test]
-    fn budgeted_execution_pauses_and_resumes_identically() {
-        // parent calls child mid-way, so pausing at various budgets lands
-        // inside nested frames.
-        let parent = Procedure::simple(
-            "parent",
-            "C",
-            vec![
-                Instr::SetVar {
-                    name: "x".into(),
-                    value: Operand::lit("1"),
-                },
-                Instr::CallDep(0),
-                Instr::EmitEvent {
-                    topic: "done".into(),
-                    payload: vec![("x".into(), Operand::var("x"))],
-                },
-                Instr::Complete,
-            ],
-        )
-        .with_dependency("D");
-        let child = Procedure::simple(
-            "child",
-            "D",
-            vec![
-                Instr::BrokerCall {
-                    api: "svc".into(),
-                    op: "a".into(),
-                    args: vec![],
-                },
-                Instr::BrokerCall {
-                    api: "svc".into(),
-                    op: "b".into(),
-                    args: vec![],
-                },
-                Instr::Complete,
-            ],
-        );
-        let repo = repo_of(vec![parent, child]);
-        let im = IntentModel {
-            root: ImNode {
-                proc: "parent".into(),
-                children: vec![ImNode {
-                    proc: "child".into(),
-                    children: vec![],
-                }],
-            },
-        };
-        let machine = StackMachine::new();
-        let mut port = ok_port();
-        let uninterrupted = machine.execute(&im, &repo, &[], &mut port).unwrap();
-
-        // Every possible pause point yields the same final outcome.
-        for budget in 1..8 {
+        // The bound is checked before each instruction and before the
+        // implicit completion: 99 999 instructions complete, 100 000 fail.
+        let run = |n: usize| {
+            let (node, proc) = leaf("p", vec![Instr::Free("x".into()); n]);
+            let repo = repo_of(vec![proc]);
             let mut port = ok_port();
-            let mut exec = machine
-                .execute_budgeted(&im, &repo, &[], &mut port, budget)
-                .unwrap();
-            let mut pauses = 0;
-            let outcome = loop {
-                match exec {
-                    Execution::Complete(o) => break o,
-                    Execution::DeadlineExpired(cp) => panic!("no deadline set: {cp:?}"),
-                    Execution::Paused(cp) => {
-                        pauses += 1;
-                        assert!(!cp.frames.is_empty());
-                        // The checkpoint is plain data: a clone restores
-                        // the same execution (crash/restore simulation).
-                        let restored = cp.clone();
-                        let mut port = ok_port();
-                        exec = machine
-                            .resume(&im, &repo, &[], &mut port, *restored, Some(budget))
-                            .unwrap();
-                    }
-                }
+            StackMachine::new().execute(&IntentModel { root: node }, &repo, &[], &mut port)
+        };
+        assert_eq!(run(99_999).unwrap().steps, 99_999);
+        let e = run(100_000).unwrap_err();
+        assert_eq!(e.to_string(), "execution limit exceeded: 100000 steps");
+    }
+
+    #[test]
+    fn depth_limit_enforced() {
+        // One procedure calling its dependency over a 65-node chain: the
+        // 64th frame's call would push a 65th.
+        let p = Procedure::simple("p", "C", vec![Instr::CallDep(0)]).with_dependency("C");
+        let repo = repo_of(vec![p]);
+        let mut root = ImNode {
+            proc: "p".into(),
+            children: vec![],
+        };
+        for _ in 1..65 {
+            root = ImNode {
+                proc: "p".into(),
+                children: vec![root],
             };
-            assert_eq!(outcome, uninterrupted, "budget {budget}");
-            assert!(pauses > 0 || budget >= uninterrupted.steps);
         }
-    }
-
-    #[test]
-    fn checkpoint_captures_nested_frames_and_locals() {
-        let parent = Procedure::simple(
-            "parent",
-            "C",
-            vec![
-                Instr::SetVar {
-                    name: "pv".into(),
-                    value: Operand::lit("keep"),
-                },
-                Instr::CallDep(0),
-                Instr::Complete,
-            ],
-        )
-        .with_dependency("D");
-        let child = Procedure::simple(
-            "child",
-            "D",
-            vec![
-                Instr::SetVar {
-                    name: "cv".into(),
-                    value: Operand::lit("inner"),
-                },
-                Instr::BrokerCall {
-                    api: "svc".into(),
-                    op: "x".into(),
-                    args: vec![],
-                },
-                Instr::Complete,
-            ],
-        );
-        let repo = repo_of(vec![parent, child]);
-        let im = IntentModel {
-            root: ImNode {
-                proc: "parent".into(),
-                children: vec![ImNode {
-                    proc: "child".into(),
-                    children: vec![],
-                }],
-            },
-        };
         let mut port = ok_port();
-        // 3 steps: SetVar pv, CallDep, SetVar cv -> paused inside child.
-        let Execution::Paused(cp) = StackMachine::new()
-            .execute_budgeted(&im, &repo, &[], &mut port, 3)
-            .unwrap()
-        else {
-            panic!("expected a pause");
-        };
-        assert_eq!(cp.frames.len(), 2);
-        assert_eq!(cp.frames[0].path, Vec::<usize>::new());
-        assert_eq!(cp.frames[1].path, vec![0]);
-        assert_eq!(
-            cp.frames[0].locals.get("pv").map(String::as_str),
-            Some("keep")
-        );
-        assert_eq!(
-            cp.frames[1].locals.get("cv").map(String::as_str),
-            Some("inner")
-        );
-        assert_eq!(cp.outcome.steps, 3);
-    }
-
-    #[test]
-    fn stale_checkpoints_are_refused() {
-        let (node, proc) = leaf(
-            "p",
-            vec![
-                Instr::SetVar {
-                    name: "x".into(),
-                    value: Operand::lit("1"),
-                },
-                Instr::Complete,
-            ],
-        );
-        let repo = repo_of(vec![proc]);
-        let im = IntentModel { root: node };
-        let machine = StackMachine::new();
-        let mut port = ok_port();
-        let Execution::Paused(cp) = machine
-            .execute_budgeted(&im, &repo, &[], &mut port, 1)
-            .unwrap()
-        else {
-            panic!("expected a pause");
-        };
-
-        // Path that no longer resolves in the intent model.
-        let mut bad = (*cp).clone();
-        bad.frames[0].path = vec![3];
-        let mut port = ok_port();
-        let e = machine
-            .resume(&im, &repo, &[], &mut port, bad, None)
+        let e = StackMachine::new()
+            .execute(&IntentModel { root }, &repo, &[], &mut port)
             .unwrap_err();
-        assert!(matches!(e, ControllerError::InvalidIntentModel(_)));
-
-        // pc outside the program.
-        let mut bad = (*cp).clone();
-        bad.frames[0].pc = 99;
-        let mut port = ok_port();
-        let e = machine
-            .resume(&im, &repo, &[], &mut port, bad, None)
-            .unwrap_err();
-        assert!(matches!(e, ControllerError::InvalidIntentModel(_)));
+        assert_eq!(e.to_string(), "execution limit exceeded: stack depth 64");
     }
 
     #[test]

@@ -319,12 +319,8 @@ impl MdDsmPlatform {
             report.merge(&r);
         }
         if let (Some(controller), Some(broker)) = (&mut self.controller, &mut self.broker) {
-            controller.enqueue(mddsm_controller::engine::Signal::Event {
-                topic: topic.to_owned(),
-                payload: payload.to_vec(),
-            });
             let mut port = BrokerAdapter::new(broker);
-            let r = controller.process_signals(&mut port)?;
+            let r = controller.notify_event(topic, &mut port)?;
             report.merge(&r);
         }
         Ok(report)
@@ -345,11 +341,6 @@ impl MdDsmPlatform {
             report.events.push(topic);
         }
         Ok(report)
-    }
-
-    /// Number of installed (event-triggered) scripts.
-    pub fn installed_scripts(&self) -> usize {
-        self.installed.len()
     }
 
     /// The Broker layer, when present.

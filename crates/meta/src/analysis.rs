@@ -2,10 +2,9 @@
 //!
 //! E10 verifies models *while they run*; this module is the other half —
 //! the vocabulary for verifying them *before* they run. It is deliberately
-//! domain-agnostic: it knows OCL-lite expressions, metamodels, and state
-//! keys, but nothing about brokers or controllers. The Broker and
-//! Controller layers build their own analysis passes on top of it and
-//! merge everything into one [`AnalysisReport`]:
+//! domain-agnostic: it knows OCL-lite expressions and state keys, but
+//! nothing about brokers. The Broker layer builds its analysis pass on top
+//! of it and records everything in one [`AnalysisReport`]:
 //!
 //! * [`Diagnostic`] — one finding, with a severity, a stable machine
 //!   `code`, and model-path provenance (`policy:directMode`,
@@ -17,13 +16,8 @@
 //! * [`KeyType`] + [`check_expr`] — a soft type system over state keys:
 //!   every `self.<key>` navigation is resolved against an inferred key
 //!   universe and comparisons must be type-compatible.
-//! * [`analyze_metamodel`] — checks every class invariant of a metamodel
-//!   against its own declared attributes (the registry-level pass).
 
-use crate::constraint::temporal::parse_property;
 use crate::constraint::{BinOp, Expr, UnOp};
-use crate::metamodel::DataType;
-use crate::Metamodel;
 use crate::Value;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -183,16 +177,6 @@ impl AnalysisReport {
         self.diagnostics.is_empty()
     }
 
-    /// Absorbs another report (diagnostics appended, footprints merged by
-    /// name, conflicts appended).
-    pub fn merge(&mut self, other: AnalysisReport) {
-        self.diagnostics.extend(other.diagnostics);
-        for (name, fp) in other.footprints {
-            self.footprints.entry(name).or_default().absorb(&fp);
-        }
-        self.conflicts.extend(other.conflicts);
-    }
-
     /// Computes the conflict edges between two named units and appends
     /// them. Keys in `ignore` (engine-serialized bookkeeping) never
     /// conflict. Call once per *concurrently dispatchable* pair — the
@@ -267,18 +251,6 @@ impl KeyType {
     /// `true` for `Int`/`Float`.
     pub fn is_numeric(self) -> bool {
         matches!(self, KeyType::Int | KeyType::Float | KeyType::Any)
-    }
-}
-
-impl From<&DataType> for KeyType {
-    fn from(ty: &DataType) -> Self {
-        match ty {
-            DataType::Str => KeyType::Str,
-            DataType::Int => KeyType::Int,
-            DataType::Float => KeyType::Float,
-            DataType::Bool => KeyType::Bool,
-            DataType::Enum(_) => KeyType::Any,
-        }
     }
 }
 
@@ -471,63 +443,10 @@ fn check_comparisons(
     }
 }
 
-/// The registry-level pass: every class invariant of a metamodel must
-/// parse as a temporal property, and every `self.<name>` navigation of it
-/// must resolve to a declared attribute or reference of the class (these
-/// are *declared*, so an unresolved path is an error, not a warning),
-/// with type-compatible comparisons.
-pub fn analyze_metamodel(mm: &Metamodel) -> AnalysisReport {
-    let mut report = AnalysisReport::new();
-    for class in mm.classes() {
-        let mut keys: BTreeMap<String, KeyType> = BTreeMap::new();
-        for attr in mm.all_attributes(&class.name) {
-            keys.insert(attr.name.clone(), KeyType::from(&attr.ty));
-        }
-        for r in mm.all_references(&class.name) {
-            keys.insert(r.name.clone(), KeyType::Any);
-        }
-        for inv in mm.all_constraints(&class.name) {
-            let path = format!("class:{}/invariant:{}", class.name, inv.name);
-            let property = match parse_property(&inv.source) {
-                Ok(p) => p,
-                Err(e) => {
-                    report.error("invariant-parse", &path, e.to_string());
-                    continue;
-                }
-            };
-            for key in property.watched_keys() {
-                // `at-most-one` keys may be dotted paths; check the head.
-                let head = key.split('.').next().unwrap_or(&key);
-                if !keys.contains_key(head) {
-                    report.error(
-                        "unresolved-attr",
-                        &path,
-                        format!(
-                            "`self.{key}` names no attribute or reference of `{}`",
-                            class.name
-                        ),
-                    );
-                }
-            }
-            use crate::constraint::temporal::Property;
-            match &property {
-                Property::Always(e) => check_comparisons(e, &keys, &path, &mut report),
-                Property::NeverDuring { never, during } => {
-                    check_comparisons(never, &keys, &path, &mut report);
-                    check_comparisons(during, &keys, &path, &mut report);
-                }
-                Property::AtMostOnePer { .. } => {}
-            }
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraint::parse;
-    use crate::metamodel::MetamodelBuilder;
 
     fn keys(pairs: &[(&str, KeyType)]) -> BTreeMap<String, KeyType> {
         pairs.iter().map(|(k, t)| (k.to_string(), *t)).collect()
@@ -609,37 +528,5 @@ mod tests {
         r.footprints.insert("B".into(), a);
         r.conflict_edges("A", "B", &|k| k.starts_with("failures_"));
         assert!(r.conflicts.is_empty());
-    }
-
-    #[test]
-    fn metamodel_invariants_resolve_against_declared_attrs() {
-        let mm = MetamodelBuilder::new("t")
-            .class("Session", |c| {
-                c.attr("name", DataType::Str)
-                    .attr("streams", DataType::Int)
-                    .invariant("has-name", "self.name <> \"\"")
-                    .invariant("dangling", "self.ghost > 0")
-                    .invariant("clash", "self.streams = \"many\"")
-            })
-            .build()
-            .unwrap();
-        let r = analyze_metamodel(&mm);
-        assert_eq!(r.errors().count(), 2, "{:?}", r.diagnostics);
-        let codes: Vec<&str> = r.errors().map(|d| d.code.as_str()).collect();
-        assert!(codes.contains(&"unresolved-attr"));
-        assert!(codes.contains(&"type-mismatch"));
-    }
-
-    #[test]
-    fn merge_combines_reports() {
-        let mut a = AnalysisReport::new();
-        a.warning("w", "p", "warn");
-        let mut b = AnalysisReport::new();
-        b.error("e", "q", "err");
-        b.footprints.insert("U".into(), Footprint::default());
-        a.merge(b);
-        assert_eq!(a.diagnostics.len(), 2);
-        assert!(a.footprints.contains_key("U"));
-        assert!(!a.is_accepted());
     }
 }

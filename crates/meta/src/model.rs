@@ -271,26 +271,6 @@ impl Model {
     pub fn ref_one(&self, id: ObjectId, name: &str) -> Option<ObjectId> {
         self.refs(id, name).first().copied()
     }
-
-    /// Objects that are not contained by any other object (model roots).
-    pub fn roots(&self, mm: &Metamodel) -> Vec<ObjectId> {
-        let mut contained: Vec<ObjectId> = Vec::new();
-        for (_, o) in self.iter() {
-            for (slot, targets) in &o.refs {
-                if mm
-                    .reference(&o.class, slot)
-                    .map(|r| r.containment)
-                    .unwrap_or(false)
-                {
-                    contained.extend(targets.iter().copied());
-                }
-            }
-        }
-        self.iter()
-            .map(|(i, _)| i)
-            .filter(|i| !contained.contains(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -376,22 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn kinds_and_roots() {
-        let mm = MetamodelBuilder::new("m")
-            .class("Base", |c| c.abstract_class())
-            .class("Node", |c| c.extends("Base"))
-            .class("Graph", |c| {
-                c.extends("Base")
-                    .contains("nodes", "Node", Multiplicity::MANY)
-            })
-            .build()
-            .unwrap();
+    fn all_of_class_lists_instances() {
         let mut m = Model::new("m");
         let g = m.create("Graph");
         let n = m.create("Node");
         m.add_ref(g, "nodes", n);
         assert_eq!(m.all_of_class("Node"), vec![n]);
-        assert_eq!(m.roots(&mm), vec![g]);
     }
 
     #[test]

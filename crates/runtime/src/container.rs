@@ -160,38 +160,6 @@ impl Container {
         Ok(())
     }
 
-    /// Marks a component as failed without going through its handler — how
-    /// a supervisor records an externally detected death (crash injection,
-    /// missed heartbeats) so the component stops receiving messages until
-    /// restarted.
-    pub fn fail(&mut self, name: &str, reason: impl Into<String>) -> Result<()> {
-        let slot = self
-            .slots
-            .get_mut(name)
-            .ok_or_else(|| RuntimeError::UnknownComponent(name.to_owned()))?;
-        slot.state = Lifecycle::Failed(reason.into());
-        Ok(())
-    }
-
-    /// Names of components currently in the failed state, in insertion
-    /// order — what a supervisor scans on each tick.
-    pub fn failed(&self) -> Vec<&str> {
-        self.order
-            .iter()
-            .filter(|n| matches!(self.slots[*n].state, Lifecycle::Failed(_)))
-            .map(String::as_str)
-            .collect()
-    }
-
-    /// One-for-one restart: stops the component when started, then starts
-    /// it again (valid from Started, Stopped, and Failed).
-    pub fn restart(&mut self, name: &str) -> Result<()> {
-        if matches!(self.state(name)?, Lifecycle::Started) {
-            self.stop(name)?;
-        }
-        self.start(name)
-    }
-
     /// Dispatches a message to every started subscriber of its topic, then
     /// (breadth-first) every message those handlers emitted. A component
     /// that returns an error is marked [`Lifecycle::Failed`] and stops
@@ -423,35 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn externally_failed_components_can_be_swept_and_restarted() {
-        let mut c = Container::new();
-        let a = Arc::new(AtomicU32::new(0));
-        let b = Arc::new(AtomicU32::new(0));
-        c.add("x", Probe::new(&["t"], a.clone())).unwrap();
-        c.add("y", Probe::new(&["t"], b.clone())).unwrap();
-        c.start_all().unwrap();
-
-        // Supervisor detects a crash out-of-band and records it.
-        c.fail("x", "crash injected").unwrap();
-        assert_eq!(c.failed(), vec!["x"]);
-        assert!(matches!(c.state("x").unwrap(), Lifecycle::Failed(_)));
-        c.dispatch(Message::new("t")).unwrap();
-        assert_eq!(a.load(Ordering::SeqCst), 0); // dead: got nothing
-        assert_eq!(b.load(Ordering::SeqCst), 1);
-
-        // Restarting it from the failed state revives it.
-        c.restart("x").unwrap();
-        assert!(c.failed().is_empty());
-        c.dispatch(Message::new("t")).unwrap();
-        assert_eq!(a.load(Ordering::SeqCst), 1);
-
-        // restart() also works on a live component (stop + start).
-        c.restart("y").unwrap();
-        assert_eq!(*c.state("y").unwrap(), Lifecycle::Started);
-        assert!(c.fail("ghost", "x").is_err());
-    }
-
-    #[test]
     fn start_all_skips_failed() {
         let mut c = Container::new();
         let seen = Arc::new(AtomicU32::new(0));
@@ -461,7 +400,7 @@ mod tests {
         c.start_all().unwrap();
         let _ = c.dispatch(Message::new("t"));
         assert!(matches!(c.state("bad").unwrap(), Lifecycle::Failed(_)));
-        // start_all leaves failed components alone (explicit restart needed).
+        // start_all leaves failed components alone (an explicit start revives them).
         c.start_all().unwrap();
         assert!(matches!(c.state("bad").unwrap(), Lifecycle::Failed(_)));
     }

@@ -2,10 +2,8 @@
 //! from the middleware model (paper §V-A).
 
 use crate::component::Component;
-use crate::container::Container;
 use crate::metadata::Metadata;
 use crate::{Result, RuntimeError};
-use mddsm_meta::model::Model;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -49,29 +47,6 @@ impl ComponentFactory {
             .get(template)
             .ok_or_else(|| RuntimeError::UnknownTemplate(template.to_owned()))?;
         t(metadata)
-    }
-
-    /// Populates a container from a middleware model: every object with a
-    /// `template` attribute is instantiated (its `name` attribute — or
-    /// `o<id>` when absent — becomes the component name) and added to the
-    /// container. Returns the names of the components created, in model
-    /// order.
-    pub fn populate(&self, model: &Model, container: &mut Container) -> Result<Vec<String>> {
-        let mut created = Vec::new();
-        for (id, _) in model.iter() {
-            let Some(template) = model.attr_str(id, "template") else {
-                continue;
-            };
-            let metadata = Metadata::from_object(model, id)?;
-            let name = model
-                .attr_str(id, "name")
-                .map(str::to_owned)
-                .unwrap_or_else(|| format!("o{}", id.index()));
-            let component = self.instantiate(template, &metadata)?;
-            container.add(&name, component)?;
-            created.push(name);
-        }
-        Ok(created)
     }
 }
 
@@ -137,42 +112,5 @@ mod tests {
             .map(drop)
             .unwrap_err();
         assert!(matches!(e, RuntimeError::BadMetadata(_)));
-    }
-
-    #[test]
-    fn populate_from_model() {
-        let f = factory();
-        let mut m = Model::new("mw");
-        let a = m.create("Manager");
-        m.set_attr(a, "template", Value::from("echo"));
-        m.set_attr(a, "name", Value::from("mainMgr"));
-        m.set_attr(a, "topic", Value::from("calls"));
-        let b = m.create("Manager");
-        m.set_attr(b, "template", Value::from("echo"));
-        m.set_attr(b, "topic", Value::from("events"));
-        // An object without `template` is plain data, not a component.
-        m.create("PolicyDoc");
-
-        let mut c = Container::new();
-        let names = f.populate(&m, &mut c).unwrap();
-        assert_eq!(
-            names,
-            vec!["mainMgr".to_string(), format!("o{}", b.index())]
-        );
-        assert_eq!(c.names().len(), 2);
-    }
-
-    #[test]
-    fn populate_propagates_template_errors() {
-        let f = factory();
-        let mut m = Model::new("mw");
-        let a = m.create("Manager");
-        m.set_attr(a, "template", Value::from("echo"));
-        // Missing `topic` -> BadMetadata.
-        let mut c = Container::new();
-        assert!(matches!(
-            f.populate(&m, &mut c),
-            Err(RuntimeError::BadMetadata(_))
-        ));
     }
 }

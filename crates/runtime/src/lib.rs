@@ -17,11 +17,10 @@
 //! * [`component`] — the [`component::Component`] trait, messages, and
 //!   lifecycle states.
 //! * [`factory`] — the [`factory::ComponentFactory`]: named code templates
-//!   instantiated with metadata; can populate a whole container from a
-//!   middleware model.
+//!   instantiated with metadata.
 //! * [`container`] — the [`container::Container`]: holds components, routes
-//!   messages by topic (deterministic dispatch), manages lifecycle, and
-//!   supports failure + restart.
+//!   messages by topic (deterministic dispatch), and manages lifecycle; a
+//!   component that fails stops receiving messages until started again.
 //! * [`runtime_model`] — models@runtime: the platform's own model held
 //!   behind a versioned read-write lock; reflective changes take immediate
 //!   effect and notify watchers.

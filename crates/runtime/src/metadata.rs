@@ -60,16 +60,6 @@ impl Metadata {
         self.get(key).and_then(Value::as_int)
     }
 
-    /// Boolean accessor.
-    pub fn bool(&self, key: &str) -> Option<bool> {
-        self.get(key).and_then(Value::as_bool)
-    }
-
-    /// Float accessor (integers widen).
-    pub fn float(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(Value::as_float)
-    }
-
     /// String accessor that errors when absent — for mandatory template
     /// parameters.
     pub fn require_str(&self, key: &str) -> Result<&str> {
@@ -106,9 +96,6 @@ mod tests {
             .with("rate", Value::from(1.5));
         assert_eq!(md.str("name"), Some("broker"));
         assert_eq!(md.int("threads"), Some(4));
-        assert_eq!(md.bool("verbose"), Some(true));
-        assert_eq!(md.float("rate"), Some(1.5));
-        assert_eq!(md.float("threads"), Some(4.0));
         assert_eq!(md.str("missing"), None);
         assert_eq!(md.len(), 4);
         assert!(!md.is_empty());

@@ -9,17 +9,11 @@
 //!
 //! Load spikes are fault-plan events: [`FaultPlanBuilder::load_spike`]
 //! multiplies a class's arrival rate from an instant on, and
-//! [`FaultPlanBuilder::load_normal`] restores the baseline. The generator
-//! consumes those events in two ways, mirroring the two [`FaultDriver`]
-//! styles:
-//!
-//! * **Offline**: [`ArrivalGenerator::schedule_under`] compiles a plan's
-//!   load events into a complete, time-sorted arrival schedule up to a
-//!   horizon — what the E8 harness replays against each middleware variant
-//!   so all variants face the byte-identical workload.
-//! * **Online**: a [`FaultDriver`] returns the due load events as virtual
-//!   time advances, and the caller steers the live multipliers with
-//!   [`ArrivalGenerator::set_multiplier`].
+//! [`FaultPlanBuilder::load_normal`] restores the baseline.
+//! [`ArrivalGenerator::schedule_under`] compiles a plan's load events into a
+//! complete, time-sorted arrival schedule up to a horizon — what the E8
+//! harness replays against each middleware variant so all variants face the
+//! byte-identical workload.
 //!
 //! Determinism: each class draws from its own [`SimRng`] seeded
 //! `seed ^ (index + 1)`, so adding a class never perturbs the streams of
@@ -28,7 +22,6 @@
 //!
 //! [`FaultPlanBuilder::load_spike`]: crate::fault::FaultPlanBuilder::load_spike
 //! [`FaultPlanBuilder::load_normal`]: crate::fault::FaultPlanBuilder::load_normal
-//! [`FaultDriver`]: crate::fault::FaultDriver
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::rng::SimRng;
@@ -54,14 +47,11 @@ pub struct Arrival {
 }
 
 /// Deterministic open-loop arrival generator over a set of
-/// [`ArrivalClass`]es (see the module docs for the two usage styles).
+/// [`ArrivalClass`]es.
 #[derive(Debug, Clone)]
 pub struct ArrivalGenerator {
     classes: Vec<ArrivalClass>,
     seed: u64,
-    /// Live per-class rate multipliers, steered via
-    /// [`ArrivalGenerator::set_multiplier`].
-    live: Vec<f64>,
 }
 
 impl ArrivalGenerator {
@@ -70,7 +60,6 @@ impl ArrivalGenerator {
         ArrivalGenerator {
             classes: Vec::new(),
             seed,
-            live: Vec::new(),
         }
     }
 
@@ -80,77 +69,40 @@ impl ArrivalGenerator {
             name: name.to_owned(),
             mean_interarrival,
         });
-        self.live.push(1.0);
         self
-    }
-
-    /// The configured classes.
-    pub fn classes(&self) -> &[ArrivalClass] {
-        &self.classes
-    }
-
-    /// Sets the live rate multiplier of `class` (no-op for unknown names).
-    pub fn set_multiplier(&mut self, class: &str, factor: f64) {
-        if let Some(i) = self.classes.iter().position(|c| c.name == class) {
-            self.live[i] = factor.max(0.0);
-        }
-    }
-
-    /// The live rate multiplier of `class` (1.0 for unknown names).
-    pub fn multiplier(&self, class: &str) -> f64 {
-        self.classes
-            .iter()
-            .position(|c| c.name == class)
-            .map_or(1.0, |i| self.live[i])
-    }
-
-    /// Generates the complete arrival schedule up to `horizon` at the live
-    /// multipliers, with no mid-run load changes.
-    pub fn schedule(&self, horizon: SimDuration) -> Vec<Arrival> {
-        self.schedule_events(horizon, |_| Vec::new())
     }
 
     /// Generates the complete arrival schedule up to `horizon`, applying
     /// the load-spike/load-normal events of `plan` as timed rate changes
-    /// (factors multiply the class's live baseline multiplier; `LoadNormal`
-    /// restores it). Arrivals are merged across classes, sorted by time
-    /// with ties broken by class declaration order.
+    /// (a spike sets the class's multiplier to its factor; `LoadNormal`
+    /// restores the baseline 1.0). The multiplier in effect when an arrival
+    /// is drawn governs its interarrival gap. Arrivals are merged across
+    /// classes, sorted by time with ties broken by class declaration order.
     pub fn schedule_under(&self, horizon: SimDuration, plan: &FaultPlan) -> Vec<Arrival> {
-        self.schedule_events(horizon, |class| {
-            plan.events()
+        let mut out = Vec::new();
+        for (idx, class) in self.classes.iter().enumerate() {
+            // The class's time-sorted `(at_us, factor)` rate-change points.
+            let changes: Vec<(u64, f64)> = plan
+                .events()
                 .iter()
                 .filter_map(|e| match &e.action {
-                    FaultAction::LoadSpike { class: c, factor } if c == class => {
+                    FaultAction::LoadSpike { class: c, factor } if *c == class.name => {
                         Some((e.at.as_micros(), *factor))
                     }
-                    FaultAction::LoadNormal { class: c } if c == class => {
+                    FaultAction::LoadNormal { class: c } if *c == class.name => {
                         Some((e.at.as_micros(), 1.0))
                     }
                     _ => None,
                 })
-                .collect()
-        })
-    }
-
-    /// Shared schedule core: `changes_of` yields a class's time-sorted
-    /// `(at_us, factor)` rate-change points. The multiplier in effect when
-    /// an arrival is drawn governs its interarrival gap.
-    fn schedule_events<F>(&self, horizon: SimDuration, changes_of: F) -> Vec<Arrival>
-    where
-        F: Fn(&str) -> Vec<(u64, f64)>,
-    {
-        let mut out = Vec::new();
-        for (idx, class) in self.classes.iter().enumerate() {
-            let changes = changes_of(&class.name);
+                .collect();
             let mut rng = SimRng::seed_from_u64(self.seed ^ (idx as u64 + 1));
-            let base = self.live[idx];
-            let mut mult = base;
+            let mut mult = 1.0;
             let mut next_change = 0usize;
             let mean = class.mean_interarrival.as_micros() as f64;
             let mut t = 0u64;
             loop {
                 while next_change < changes.len() && changes[next_change].0 <= t {
-                    mult = (base * changes[next_change].1).max(0.0);
+                    mult = changes[next_change].1.max(0.0);
                     next_change += 1;
                 }
                 if mult <= 0.0 {
@@ -191,11 +143,15 @@ mod tests {
             .with_class("batch", SimDuration::from_micros(5_000))
     }
 
+    fn steady() -> FaultPlan {
+        FaultPlan::from_model(&FaultPlanBuilder::new("steady").build()).unwrap()
+    }
+
     #[test]
     fn schedules_are_deterministic_and_sorted() {
         let horizon = SimDuration::from_millis(200);
-        let a = generator().schedule(horizon);
-        let b = generator().schedule(horizon);
+        let a = generator().schedule_under(horizon, &steady());
+        let b = generator().schedule_under(horizon, &steady());
         assert_eq!(a, b);
         assert!(!a.is_empty());
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
@@ -209,11 +165,11 @@ mod tests {
         let horizon = SimDuration::from_millis(100);
         let one = ArrivalGenerator::new(7)
             .with_class("interactive", SimDuration::from_micros(2_000))
-            .schedule(horizon);
+            .schedule_under(horizon, &steady());
         let two: Vec<Arrival> = ArrivalGenerator::new(7)
             .with_class("interactive", SimDuration::from_micros(2_000))
             .with_class("batch", SimDuration::from_micros(9_000))
-            .schedule(horizon)
+            .schedule_under(horizon, &steady())
             .into_iter()
             .filter(|a| a.class == "interactive")
             .collect();
@@ -246,7 +202,7 @@ mod tests {
              (before={before}, during={during}, after={after})"
         );
         // Batch was not targeted, so its stream is the un-spiked one.
-        let plain = generator().schedule(horizon);
+        let plain = generator().schedule_under(horizon, &steady());
         let batch = |v: &[Arrival]| {
             v.iter()
                 .filter(|a| a.class == "batch")
@@ -254,35 +210,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(batch(&arrivals), batch(&plain));
-    }
-
-    #[test]
-    fn fault_driver_steers_live_multipliers_online() {
-        use crate::fault::FaultDriver;
-        use crate::resource::ResourceHub;
-
-        let plan_model = FaultPlanBuilder::new("spike")
-            .load_spike(SimTime::from_millis(10), "batch", 3.0)
-            .load_normal(SimTime::from_millis(20), "batch")
-            .build();
-        let mut driver = FaultDriver::from_model(&plan_model).unwrap();
-        let mut hub = ResourceHub::new(0);
-        let mut gen = generator();
-        let mut steer = |gen: &mut ArrivalGenerator, now: SimTime| {
-            for action in driver.advance_to(now, &mut hub, None) {
-                match action {
-                    FaultAction::LoadSpike { class, factor } => gen.set_multiplier(&class, factor),
-                    FaultAction::LoadNormal { class } => gen.set_multiplier(&class, 1.0),
-                    other => panic!("unexpected action {other:?}"),
-                }
-            }
-        };
-        assert_eq!(gen.multiplier("batch"), 1.0);
-        steer(&mut gen, SimTime::from_millis(10));
-        assert_eq!(gen.multiplier("batch"), 3.0);
-        assert_eq!(gen.multiplier("interactive"), 1.0);
-        steer(&mut gen, SimTime::from_millis(20));
-        assert_eq!(gen.multiplier("batch"), 1.0);
     }
 
     #[test]
