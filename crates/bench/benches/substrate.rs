@@ -54,8 +54,14 @@ fn main() {
         conformance::check(&m100, &metamodel).unwrap()
     });
     group.bench_function("model_diff_100_objects_10_changed", || diff(&m100, &m100b));
-    let written = text::write(&m100);
-    group.bench_function("text_parse_100_objects", || text::parse(&written).unwrap());
+    for (name, n) in [
+        ("text_parse_10_objects", 10),
+        ("text_parse_100_objects", 100),
+        ("text_parse_1000_objects", 1_000),
+    ] {
+        let written = text::write(&model(n));
+        group.bench_function(name, || text::parse(&written).unwrap());
+    }
     group.bench_function("text_write_100_objects", || text::write(&m100));
     let expr =
         constraint::parse("self.nodes->forAll(n | n.weight > 0) and self.nodes->size() >= 100")

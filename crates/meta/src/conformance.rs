@@ -10,7 +10,6 @@ use crate::error::MetaError;
 use crate::metamodel::{DataType, Metamodel};
 use crate::model::{Model, ObjectId};
 use crate::Result;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Checks `model` against `mm`, returning all violations at once.
 pub fn check(model: &Model, mm: &Metamodel) -> Result<()> {
@@ -33,8 +32,13 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
         ));
     }
 
-    // containment bookkeeping: object -> containers
-    let mut containers: BTreeMap<ObjectId, Vec<ObjectId>> = BTreeMap::new();
+    // Containment bookkeeping by object id: the object's first container
+    // and how many containment references target it.
+    let slots = model
+        .iter()
+        .last()
+        .map_or(0, |(id, _)| id.index() as usize + 1);
+    let mut containers: Vec<(Option<ObjectId>, usize)> = vec![(None, 0); slots];
 
     for (id, obj) in model.iter() {
         let Some(class) = mm.class(&obj.class) else {
@@ -120,7 +124,9 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
                                     ));
                                 }
                                 if r.containment {
-                                    containers.entry(*t).or_default().push(id);
+                                    let (first, n) = &mut containers[t.index() as usize];
+                                    first.get_or_insert(id);
+                                    *n += 1;
                                 }
                             }
                         }
@@ -139,28 +145,30 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
         }
     }
 
-    // Single containment.
-    for (obj, cs) in &containers {
-        if cs.len() > 1 {
+    // Single containment (every contained object is live).
+    for (id, _) in model.iter() {
+        let n = containers[id.index() as usize].1;
+        if n > 1 {
             out.push(format!(
-                "{obj}: contained by {} objects (must be at most 1)",
-                cs.len()
+                "{id}: contained by {n} objects (must be at most 1)"
             ));
         }
     }
 
-    // Acyclic containment.
+    // Acyclic containment. Without a cycle, a walk up first containers
+    // visits each id at most once, so one that takes more steps than
+    // there are ids has entered a cycle.
     for (id, _) in model.iter() {
         let mut cur = id;
-        let mut seen = BTreeSet::new();
-        seen.insert(cur);
-        while let Some(parents) = containers.get(&cur) {
-            let Some(&p) = parents.first() else { break };
-            if !seen.insert(p) {
-                out.push(format!("{id}: containment cycle detected"));
-                break;
+        let cyclic = (0..=slots).all(|_| match containers[cur.index() as usize].0 {
+            Some(parent) => {
+                cur = parent;
+                true
             }
-            cur = p;
+            None => false,
+        });
+        if cyclic {
+            out.push(format!("{id}: containment cycle detected"));
         }
     }
 
@@ -223,6 +231,31 @@ mod tests {
         m.set_attr(n, "name", Value::from("n1"));
         m.add_ref(g, "nodes", n);
         m
+    }
+
+    #[test]
+    fn containment_violations_are_listed_in_order() {
+        let mm = MetamodelBuilder::new("m")
+            .class("Box", |c| c.contains("kids", "Box", Multiplicity::MANY))
+            .build()
+            .unwrap();
+        let mut m = Model::new("m");
+        let [a, b, c, d, e, f] = [(); 6].map(|_| m.create("Box"));
+        // A 2-cycle, an object contained by one of its members, and an
+        // object with two containers.
+        m.set_refs(a, "kids", vec![b, c]);
+        m.set_refs(b, "kids", vec![a]);
+        m.set_refs(d, "kids", vec![f]);
+        m.set_refs(e, "kids", vec![f]);
+        assert_eq!(
+            violations(&m, &mm),
+            [
+                "#5: contained by 2 objects (must be at most 1)",
+                "#0: containment cycle detected",
+                "#1: containment cycle detected",
+                "#2: containment cycle detected",
+            ]
+        );
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl KeyIndex {
             let key = KEY_ATTRS
                 .iter()
                 .find_map(|a| obj.attrs.get(*a).and_then(|v| v.first()))
-                .map(|v| v.to_string());
+                .map(key_text);
             let key = match key {
                 Some(k) => k,
                 None => {
@@ -212,6 +212,25 @@ impl KeyIndex {
             let id = self.owners.remove(at);
             self.keys[id.index() as usize] = None;
         }
+    }
+}
+
+/// A key value as `Value::to_string` renders it. A string of printable
+/// ASCII other than `"` and `\` is one that `Debug` leaves unescaped, so
+/// it is copied between quotes directly.
+fn key_text(value: &Value) -> String {
+    match value {
+        Value::Str(s)
+            if s.bytes()
+                .all(|b| matches!(b, b' '..=b'~') && b != b'"' && b != b'\\') =>
+        {
+            let mut key = String::with_capacity(s.len() + 2);
+            key.push('"');
+            key.push_str(s);
+            key.push('"');
+            key
+        }
+        value => value.to_string(),
     }
 }
 
@@ -377,6 +396,31 @@ pub fn apply(model: &mut Model, changes: &ChangeList) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn keys_render_as_values_display() {
+        let strings = [
+            "name-1 (x)'~",
+            "a\"b",
+            "a\\b",
+            "a\nb",
+            "\u{7f}",
+            "e\u{301}",
+            "é",
+            "🦀",
+            "",
+        ];
+        let others = [
+            Value::Int(-7),
+            Value::Float(2.5),
+            Value::Float(f64::NAN),
+            Value::Bool(true),
+            Value::enumeration("Kind", "Video"),
+        ];
+        for v in strings.map(Value::from).into_iter().chain(others) {
+            assert_eq!(key_text(&v), v.to_string(), "{v:?}");
+        }
+    }
 
     fn named(m: &mut Model, class: &str, name: &str) -> ObjectId {
         let id = m.create(class);

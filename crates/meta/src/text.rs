@@ -19,10 +19,18 @@
 //!
 //! [`write()`] and [`parse()`] round-trip: `parse(&write(m))` is equivalent to
 //! `m` (object ids are renumbered in arena order).
+//!
+//! [`parse()`] reads the source in one pass over its bytes. Tokens borrow
+//! the source (a string literal is copied only when it holds an escape),
+//! and carry only their byte offset: an error's line and column are
+//! computed when the error is built. Text is copied only into the
+//! [`Model`] it builds. The whole input is lexed before it is parsed, so a
+//! lexical error anywhere wins over a grammar error before it.
 
 use crate::error::MetaError;
 use crate::model::{Model, ObjectId};
 use crate::{Result, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -45,9 +53,9 @@ pub fn write(model: &Model) -> String {
             }
             let name = ident_or_str(name);
             if vals.len() == 1 {
-                let _ = writeln!(out, "    {name} = {}", vals[0]);
+                let _ = writeln!(out, "    {name} = {}", Written(&vals[0]));
             } else {
-                let items: Vec<String> = vals.iter().map(ToString::to_string).collect();
+                let items: Vec<String> = vals.iter().map(|v| Written(v).to_string()).collect();
                 let _ = writeln!(out, "    {name} = [{}]", items.join(", "));
             }
         }
@@ -70,6 +78,19 @@ pub fn write(model: &Model) -> String {
     out
 }
 
+/// A value as the format writes it: its `Display` form, except that an
+/// enum's type and literal names are quoted unless they are identifiers.
+struct Written<'a>(&'a Value);
+
+impl std::fmt::Display for Written<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            Value::Enum(ty, lit) => write!(f, "{}::{}", ident_or_str(ty), ident_or_str(lit)),
+            value => std::fmt::Display::fmt(value, f),
+        }
+    }
+}
+
 fn ident_or_str(s: &str) -> String {
     let is_ident = !s.is_empty()
         && s.chars()
@@ -85,13 +106,13 @@ fn ident_or_str(s: &str) -> String {
 
 // ---------------------------------------------------------------- lexing
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+#[derive(Debug, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     /// An integer literal's magnitude; a preceding `-` negates it.
     Int(u64),
     Float(f64),
-    Str(String),
+    Str(Cow<'a, str>),
     LBrace,
     RBrace,
     LBracket,
@@ -104,197 +125,164 @@ enum Tok {
     Eof,
 }
 
-struct Lexed {
-    toks: Vec<(Tok, u32, u32)>,
+/// A token and the byte offset it starts at.
+type Token<'a> = (Tok<'a>, usize);
+
+/// The syntax error `message` at byte `offset` of `src`. The line counts
+/// newlines before the offset; the column counts chars since the last one.
+fn syntax(src: &str, offset: usize, message: impl Into<String>) -> MetaError {
+    let before = &src[..offset];
+    let line_start = before.rfind('\n').map_or(0, |n| n + 1);
+    let ordinal = |n: usize| u32::try_from(n + 1).unwrap_or(u32::MAX);
+    MetaError::Syntax {
+        line: ordinal(before.bytes().filter(|&b| b == b'\n').count()),
+        col: ordinal(before[line_start..].chars().count()),
+        message: message.into(),
+    }
 }
 
-fn lex(src: &str) -> Result<Lexed> {
-    let chars: Vec<char> = src.chars().collect();
-    let mut toks = Vec::new();
-    let (mut i, mut line, mut col) = (0usize, 1u32, 1u32);
-    let err = |line: u32, col: u32, message: String| MetaError::Syntax { line, col, message };
-    while i < chars.len() {
-        let c = chars[i];
-        let (tl, tc) = (line, col);
-        match c {
-            '\n' => {
-                line += 1;
-                col = 1;
-                i += 1;
-            }
-            c if c.is_whitespace() => {
-                i += 1;
-                col += 1;
-            }
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
+/// The char at byte `i` of `src`, decoded only when it is not ASCII.
+fn char_at(src: &str, i: usize) -> Option<char> {
+    match *src.as_bytes().get(i)? {
+        b if b.is_ascii() => Some(char::from(b)),
+        _ => src[i..].chars().next(),
+    }
+}
+
+/// The end of the run of ASCII digits at byte `i`.
+fn digits_end(bytes: &[u8], i: usize) -> usize {
+    i + bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count()
+}
+
+fn lex(src: &str) -> Result<Vec<Token<'_>>> {
+    let bytes = src.as_bytes();
+    // About one token per four bytes of model text.
+    let mut toks = Vec::with_capacity(src.len() / 4 + 1);
+    let (mut i, mut eof) = (0, src.len());
+    while let Some(c) = char_at(src, i) {
+        let start = i;
+        i += c.len_utf8();
+        let tok = match c {
+            '/' if bytes.get(i) == Some(&b'/') => {
+                match bytes[i..].iter().position(|&b| b == b'\n') {
+                    Some(n) => i += n,
+                    // A comment does not advance the column, so an end of
+                    // input right after one is reported where it starts.
+                    None => (i, eof) = (src.len(), start),
                 }
+                continue;
             }
-            '{' => {
-                toks.push((Tok::LBrace, tl, tc));
+            c if c.is_whitespace() => continue,
+            '{' => Tok::LBrace,
+            '}' => Tok::RBrace,
+            '[' => Tok::LBracket,
+            ']' => Tok::RBracket,
+            '=' => Tok::Eq,
+            ',' => Tok::Comma,
+            '-' if bytes.get(i) == Some(&b'>') => {
                 i += 1;
-                col += 1;
+                Tok::Arrow
             }
-            '}' => {
-                toks.push((Tok::RBrace, tl, tc));
+            '-' => Tok::Minus,
+            ':' if bytes.get(i) == Some(&b':') => {
                 i += 1;
-                col += 1;
+                Tok::ColonColon
             }
-            '[' => {
-                toks.push((Tok::LBracket, tl, tc));
-                i += 1;
-                col += 1;
-            }
-            ']' => {
-                toks.push((Tok::RBracket, tl, tc));
-                i += 1;
-                col += 1;
-            }
-            '=' => {
-                toks.push((Tok::Eq, tl, tc));
-                i += 1;
-                col += 1;
-            }
-            ',' => {
-                toks.push((Tok::Comma, tl, tc));
-                i += 1;
-                col += 1;
-            }
-            '-' => {
-                if chars.get(i + 1) == Some(&'>') {
-                    toks.push((Tok::Arrow, tl, tc));
-                    i += 2;
-                    col += 2;
-                } else {
-                    toks.push((Tok::Minus, tl, tc));
-                    i += 1;
-                    col += 1;
-                }
-            }
-            ':' => {
-                if chars.get(i + 1) == Some(&':') {
-                    toks.push((Tok::ColonColon, tl, tc));
-                    i += 2;
-                    col += 2;
-                } else {
-                    return Err(err(tl, tc, "expected `::`".into()));
-                }
-            }
+            ':' => return Err(syntax(src, start, "expected `::`")),
             '"' => {
-                let mut s = String::new();
-                i += 1;
-                col += 1;
-                loop {
-                    match chars.get(i) {
-                        None => return Err(err(tl, tc, "unterminated string".into())),
-                        Some('"') => {
-                            i += 1;
-                            col += 1;
-                            break;
-                        }
-                        Some('\\') => {
-                            let escape = match chars.get(i + 1) {
-                                Some('"') => Some(('"', 2)),
-                                Some('\\') => Some(('\\', 2)),
-                                Some('n') => Some(('\n', 2)),
-                                Some('t') => Some(('\t', 2)),
-                                Some('r') => Some(('\r', 2)),
-                                Some('0') => Some(('\0', 2)),
-                                Some('u') => unicode_escape(&chars[i + 2..]),
-                                _ => None,
-                            };
-                            let Some((c, len)) = escape else {
-                                return Err(err(
-                                    line,
-                                    col,
-                                    format!("bad escape `\\{}`", chars.get(i + 1).unwrap_or(&' ')),
-                                ));
-                            };
-                            s.push(c);
-                            i += len;
-                            col += len as u32;
-                        }
-                        Some(c) => {
-                            s.push(*c);
-                            if *c == '\n' {
-                                line += 1;
-                                col = 1;
-                            } else {
-                                col += 1;
-                            }
-                            i += 1;
-                        }
-                    }
-                }
-                toks.push((Tok::Str(s), tl, tc));
+                let (s, end) = string(src, i)?;
+                i = end;
+                Tok::Str(s)
             }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    i += 1;
-                    col += 1;
-                }
-                let mut is_float = false;
-                if i < chars.len()
-                    && chars[i] == '.'
-                    && chars.get(i + 1).is_some_and(|c| c.is_ascii_digit())
-                {
-                    is_float = true;
-                    i += 1;
-                    col += 1;
-                    while i < chars.len() && chars[i].is_ascii_digit() {
-                        i += 1;
-                        col += 1;
-                    }
-                }
-                let text: String = chars[start..i].iter().collect();
+            '0'..='9' => {
+                i = digits_end(bytes, start);
+                let is_float =
+                    bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit);
                 if is_float {
-                    toks.push((
-                        Tok::Float(
-                            text.parse()
-                                .map_err(|e| err(tl, tc, format!("bad float: {e}")))?,
-                        ),
-                        tl,
-                        tc,
-                    ));
+                    i = digits_end(bytes, i + 1);
+                    let x = src[start..i].parse();
+                    Tok::Float(x.map_err(|e| syntax(src, start, format!("bad float: {e}")))?)
                 } else {
-                    toks.push((
-                        Tok::Int(
-                            text.parse()
-                                .map_err(|e| err(tl, tc, format!("bad int: {e}")))?,
-                        ),
-                        tl,
-                        tc,
-                    ));
+                    let n = src[start..i].parse();
+                    Tok::Int(n.map_err(|e| syntax(src, start, format!("bad int: {e}")))?)
                 }
             }
             c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                    col += 1;
+                while let Some(c) = char_at(src, i).filter(|c| c.is_alphanumeric() || *c == '_') {
+                    i += c.len_utf8();
                 }
-                toks.push((Tok::Ident(chars[start..i].iter().collect()), tl, tc));
+                Tok::Ident(&src[start..i])
             }
-            other => return Err(err(tl, tc, format!("unexpected character `{other}`"))),
-        }
+            c => return Err(syntax(src, start, format!("unexpected character `{c}`"))),
+        };
+        toks.push((tok, start));
     }
-    toks.push((Tok::Eof, line, col));
-    Ok(Lexed { toks })
+    toks.push((Tok::Eof, eof));
+    Ok(toks)
+}
+
+/// The string literal whose body starts at byte `body`, and the offset
+/// after its closing quote. It borrows the source unless it holds an
+/// escape.
+fn string(src: &str, body: usize) -> Result<(Cow<'_, str>, usize)> {
+    let bytes = src.as_bytes();
+    let (mut owned, mut run, mut i) = (None::<String>, body, body);
+    loop {
+        i += bytes[i..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| syntax(src, body - 1, "unterminated string"))?;
+        if bytes[i] == b'"' {
+            let s = match owned {
+                None => Cow::Borrowed(&src[body..i]),
+                Some(mut s) => {
+                    s.push_str(&src[run..i]);
+                    Cow::Owned(s)
+                }
+            };
+            return Ok((s, i + 1));
+        }
+        let Some((c, len)) = escape(&bytes[i + 1..]) else {
+            let next = src[i + 1..].chars().next().unwrap_or(' ');
+            return Err(syntax(src, i, format!("bad escape `\\{next}`")));
+        };
+        let s = owned.get_or_insert_with(String::new);
+        s.push_str(&src[run..i]);
+        s.push(c);
+        i += len;
+        run = i;
+    }
+}
+
+/// The char an escape stands for and the escape's length, backslash
+/// included, given the bytes after its backslash.
+fn escape(rest: &[u8]) -> Option<(char, usize)> {
+    let c = match rest.first()? {
+        b'"' => '"',
+        b'\\' => '\\',
+        b'n' => '\n',
+        b't' => '\t',
+        b'r' => '\r',
+        b'0' => '\0',
+        b'u' => return unicode_escape(&rest[1..]),
+        _ => return None,
+    };
+    Some((c, 2))
 }
 
 /// The scalar of a `\u{…}` escape and the escape's length, `\u` included,
 /// given the text after its `\u`: one to six hex digits in braces that
 /// name a Unicode scalar value (what `Value`'s `Display` writes for a
 /// control character).
-fn unicode_escape(rest: &[char]) -> Option<(char, usize)> {
-    let digits = rest.iter().skip(1).take_while(|c| c.is_ascii_hexdigit());
+fn unicode_escape(rest: &[u8]) -> Option<(char, usize)> {
+    let digits = rest.iter().skip(1).take_while(|b| b.is_ascii_hexdigit());
     let n = digits.clone().count();
-    if rest.first() != Some(&'{') || !(1..=6).contains(&n) || rest.get(n + 1) != Some(&'}') {
+    if rest.first() != Some(&b'{') || !(1..=6).contains(&n) || rest.get(n + 1) != Some(&b'}') {
         return None;
     }
-    let code = digits.fold(0, |code, c| code * 16 + c.to_digit(16).unwrap_or(0));
+    let code = digits.fold(0, |code, &b| {
+        code * 16 + char::from(b).to_digit(16).unwrap_or(0)
+    });
     Some((char::from_u32(code)?, n + 4))
 }
 
@@ -302,43 +290,38 @@ fn unicode_escape(rest: &[char]) -> Option<(char, usize)> {
 
 /// Parses a model from its textual form.
 pub fn parse(src: &str) -> Result<Model> {
-    let lexed = lex(src)?;
-    let mut p = P {
-        toks: &lexed.toks,
+    let toks = lex(src)?;
+    P {
+        src,
+        toks: &toks,
         pos: 0,
-    };
-    p.model()
+    }
+    .model()
 }
 
 struct P<'a> {
-    toks: &'a [(Tok, u32, u32)],
+    src: &'a str,
+    toks: &'a [Token<'a>],
     pos: usize,
 }
 
 impl<'a> P<'a> {
-    fn peek(&self) -> &(Tok, u32, u32) {
-        &self.toks[self.pos.min(self.toks.len() - 1)]
+    fn peek(&self) -> &'a Token<'a> {
+        let toks = self.toks;
+        &toks[self.pos.min(toks.len() - 1)]
     }
 
     fn err(&self, message: impl Into<String>) -> MetaError {
-        let (_, line, col) = self.peek();
-        MetaError::Syntax {
-            line: *line,
-            col: *col,
-            message: message.into(),
-        }
+        syntax(self.src, self.peek().1, message)
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
-        if &self.peek().0 == t {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    fn eat(&mut self, t: &Tok<'_>) -> bool {
+        let hit = self.peek().0 == *t;
+        self.pos += usize::from(hit);
+        hit
     }
 
-    fn expect(&mut self, t: &Tok, what: &str) -> Result<()> {
+    fn expect(&mut self, t: &Tok<'_>, what: &str) -> Result<()> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -346,29 +329,23 @@ impl<'a> P<'a> {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String> {
-        match &self.peek().0 {
-            Tok::Ident(s) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            Tok::Str(s) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(self.err(format!("expected {what}"))),
-        }
+    /// An identifier or a quoted string, borrowed from the source or its
+    /// token.
+    fn ident(&mut self, what: &str) -> Result<&'a str> {
+        let s = match &self.peek().0 {
+            Tok::Ident(s) => s,
+            Tok::Str(s) => s.as_ref(),
+            _ => return Err(self.err(format!("expected {what}"))),
+        };
+        self.pos += 1;
+        Ok(s)
     }
 
     fn kw(&mut self, kw: &str) -> Result<()> {
-        match &self.peek().0 {
-            Tok::Ident(s) if s == kw => {
-                self.pos += 1;
-                Ok(())
-            }
-            _ => Err(self.err(format!("expected keyword `{kw}`"))),
+        if self.eat(&Tok::Ident(kw)) {
+            Ok(())
+        } else {
+            Err(self.err(format!("expected keyword `{kw}`")))
         }
     }
 
@@ -376,16 +353,15 @@ impl<'a> P<'a> {
         self.kw("model")?;
         let _name = self.ident("model name")?;
         self.kw("conformsTo")?;
-        let mm = self.ident("metamodel name")?;
+        let mut model = Model::new(self.ident("metamodel name")?);
         self.expect(&Tok::LBrace, "`{`")?;
 
-        // A local reference: target local id plus the source line/column
-        // for error reporting.
-        type LocalRef = (String, u32, u32);
-        let mut model = Model::new(mm);
-        let mut local: BTreeMap<String, ObjectId> = BTreeMap::new();
-        // (object, slot, local ids) resolved after all objects are created.
-        let mut pending_refs: Vec<(ObjectId, String, Vec<LocalRef>)> = Vec::new();
+        let mut local: BTreeMap<&str, ObjectId> = BTreeMap::new();
+        // Reference slots, resolved after all objects are created: (object,
+        // slot, target count), with every slot's targets (offset and local
+        // id) in order in `targets`.
+        let mut slots: Vec<(ObjectId, &str, usize)> = Vec::new();
+        let mut targets: Vec<(usize, &str)> = Vec::new();
 
         while !self.eat(&Tok::RBrace) {
             if self.peek().0 == Tok::Eof {
@@ -393,11 +369,10 @@ impl<'a> P<'a> {
             }
             let class = self.ident("class name")?;
             let lid = self.ident("object local id")?;
-            if local.contains_key(&lid) {
+            let id = model.create(class);
+            if local.insert(lid, id).is_some() {
                 return Err(self.err(format!("duplicate object id `{lid}`")));
             }
-            let id = model.create(class);
-            local.insert(lid, id);
             self.expect(&Tok::LBrace, "`{` opening object body")?;
             while !self.eat(&Tok::RBrace) {
                 if self.peek().0 == Tok::Eof {
@@ -405,24 +380,13 @@ impl<'a> P<'a> {
                 }
                 let slot = self.ident("slot name")?;
                 if self.eat(&Tok::Eq) {
-                    let values = self.values()?;
+                    let mut values = Vec::new();
+                    self.items(&mut values, Self::value)?;
                     model.set_attr_many(id, slot, values);
                 } else if self.eat(&Tok::Arrow) {
-                    let mut targets = Vec::new();
-                    if self.eat(&Tok::LBracket) {
-                        if !self.eat(&Tok::RBracket) {
-                            loop {
-                                targets.push(self.local_ref()?);
-                                if self.eat(&Tok::RBracket) {
-                                    break;
-                                }
-                                self.expect(&Tok::Comma, "`,` or `]`")?;
-                            }
-                        }
-                    } else {
-                        targets.push(self.local_ref()?);
-                    }
-                    pending_refs.push((id, slot, targets));
+                    let before = targets.len();
+                    self.items(&mut targets, |p| Ok((p.peek().1, p.ident("object id")?)))?;
+                    slots.push((id, slot, targets.len() - before));
                 } else {
                     return Err(self.err("expected `=` (attribute) or `->` (reference)"));
                 }
@@ -430,14 +394,14 @@ impl<'a> P<'a> {
         }
         self.expect(&Tok::Eof, "end of input")?;
 
-        for (id, slot, targets) in pending_refs {
-            let mut ids = Vec::with_capacity(targets.len());
-            for (lid, line, col) in targets {
-                let t = local.get(&lid).copied().ok_or(MetaError::Syntax {
-                    line,
-                    col,
-                    message: format!("reference to undefined object `{lid}`"),
-                })?;
+        let mut targets = targets.into_iter();
+        for (id, slot, n) in slots {
+            let mut ids = Vec::with_capacity(n);
+            for (at, lid) in targets.by_ref().take(n) {
+                let Some(&t) = local.get(lid) else {
+                    let message = format!("reference to undefined object `{lid}`");
+                    return Err(syntax(self.src, at, message));
+                };
                 ids.push(t);
             }
             model.set_refs(id, slot, ids);
@@ -445,87 +409,67 @@ impl<'a> P<'a> {
         Ok(model)
     }
 
-    fn local_ref(&mut self) -> Result<(String, u32, u32)> {
-        let (_, line, col) = *self.peek();
-        let lid = self.ident("object id")?;
-        Ok((lid, line, col))
-    }
-
-    fn values(&mut self) -> Result<Vec<Value>> {
-        if self.eat(&Tok::LBracket) {
-            let mut out = Vec::new();
-            if self.eat(&Tok::RBracket) {
-                return Ok(out);
-            }
-            loop {
-                out.push(self.value()?);
-                if self.eat(&Tok::RBracket) {
-                    return Ok(out);
-                }
-                self.expect(&Tok::Comma, "`,` or `]`")?;
-            }
+    /// Appends one item, or a bracketed, comma-separated list of them.
+    fn items<T>(&mut self, out: &mut Vec<T>, item: impl Fn(&mut Self) -> Result<T>) -> Result<()> {
+        if !self.eat(&Tok::LBracket) {
+            out.push(item(self)?);
+            return Ok(());
         }
-        Ok(vec![self.value()?])
+        if self.eat(&Tok::RBracket) {
+            return Ok(());
+        }
+        loop {
+            out.push(item(self)?);
+            if self.eat(&Tok::RBracket) {
+                return Ok(());
+            }
+            self.expect(&Tok::Comma, "`,` or `]`")?;
+        }
     }
 
     fn value(&mut self) -> Result<Value> {
-        let (tok, _, _) = self.peek().clone();
-        match tok {
-            Tok::Int(n) => self.int(n, false),
-            Tok::Float(x) => {
-                self.pos += 1;
-                Ok(Value::Float(x))
+        let negative = self.eat(&Tok::Minus);
+        let value = match (&self.peek().0, negative) {
+            // `-9223372036854775808` is `i64::MIN`, while
+            // `9223372036854775808` is out of range.
+            (Tok::Int(n), _) => {
+                let n = if negative {
+                    0i64.checked_sub_unsigned(*n)
+                } else {
+                    i64::try_from(*n).ok()
+                };
+                Value::Int(
+                    n.ok_or_else(|| self.err("bad int: number too large to fit in target type"))?,
+                )
             }
-            Tok::Str(s) => {
-                self.pos += 1;
-                Ok(Value::Str(s))
-            }
-            Tok::Minus => {
-                self.pos += 1;
-                match self.peek().0.clone() {
-                    Tok::Int(n) => self.int(n, true),
-                    Tok::Float(x) => {
-                        self.pos += 1;
-                        Ok(Value::Float(-x))
-                    }
-                    Tok::Ident(name) if name == "inf" => {
-                        self.pos += 1;
-                        Ok(Value::Float(f64::NEG_INFINITY))
-                    }
-                    _ => Err(self.err("expected number after `-`")),
-                }
-            }
-            Tok::Ident(name) => {
-                self.pos += 1;
-                match name.as_str() {
-                    "true" => Ok(Value::Bool(true)),
-                    "false" => Ok(Value::Bool(false)),
-                    "NaN" if self.peek().0 != Tok::ColonColon => Ok(Value::Float(f64::NAN)),
-                    "inf" if self.peek().0 != Tok::ColonColon => Ok(Value::Float(f64::INFINITY)),
-                    _ => {
-                        self.expect(&Tok::ColonColon, "`::` (enum literal)")?;
-                        let lit = self.ident("enum literal")?;
-                        Ok(Value::Enum(name, lit))
-                    }
-                }
-            }
-            _ => Err(self.err("expected value")),
-        }
+            (Tok::Float(x), _) => Value::Float(if negative { -x } else { *x }),
+            (Tok::Ident("inf"), true) => Value::Float(f64::NEG_INFINITY),
+            (_, true) => return Err(self.err("expected number after `-`")),
+            (Tok::Ident(name), _) => return self.word(name, false),
+            (Tok::Str(s), _) => return self.word(s, true),
+            _ => return Err(self.err("expected value")),
+        };
+        self.pos += 1;
+        Ok(value)
     }
 
-    /// The integer literal of magnitude `n` under the cursor, negated when
-    /// a `-` preceded it: `-9223372036854775808` is `i64::MIN`, while
-    /// `9223372036854775808` is out of range.
-    fn int(&mut self, n: u64, negative: bool) -> Result<Value> {
-        let value = if negative {
-            0i64.checked_sub_unsigned(n)
-        } else {
-            i64::try_from(n).ok()
-        };
-        let value =
-            value.ok_or_else(|| self.err("bad int: number too large to fit in target type"))?;
+    /// The value an identifier or (`quoted`) string under the cursor
+    /// starts: an enum's type when `::` follows it, else a keyword or the
+    /// string itself.
+    fn word(&mut self, name: &str, quoted: bool) -> Result<Value> {
         self.pos += 1;
-        Ok(Value::Int(value))
+        if self.eat(&Tok::ColonColon) {
+            let lit = self.ident("enum literal")?;
+            return Ok(Value::Enum(name.to_owned(), lit.to_owned()));
+        }
+        Ok(match (name, quoted) {
+            (s, true) => Value::Str(s.to_owned()),
+            ("true", _) => Value::Bool(true),
+            ("false", _) => Value::Bool(false),
+            ("NaN", _) => Value::Float(f64::NAN),
+            ("inf", _) => Value::Float(f64::INFINITY),
+            _ => return Err(self.err("expected `::` (enum literal)")),
+        })
     }
 }
 

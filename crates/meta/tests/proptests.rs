@@ -47,8 +47,17 @@ impl Gen {
     }
 
     /// A value at an edge of the textual format: an extreme integer, an
-    /// infinity, or a string of characters `Value`'s `Display` escapes.
+    /// infinity, an enum whose type or literal name is a keyword or needs
+    /// quotes, or a string of characters `Value`'s `Display` escapes.
     fn edge_value(&mut self) -> Value {
+        const ENUMS: [(&str, &str); 6] = [
+            ("true", "X"),
+            ("false", "Y"),
+            ("My Enum", "Lit"),
+            ("Color", "Dark Red"),
+            ("NaN", "inf"),
+            ("", ""),
+        ];
         const CHARS: [char; 10] = [
             '\r',
             '\0',
@@ -61,11 +70,15 @@ impl Gen {
             '\\',
             'x',
         ];
-        match self.range(0, 5) {
+        match self.range(0, 6) {
             0 => Value::Int(i64::MIN),
             1 => Value::Int(i64::MAX),
             2 => Value::Float(f64::INFINITY),
             3 => Value::Float(f64::NEG_INFINITY),
+            4 => {
+                let (ty, lit) = ENUMS[self.range(0, ENUMS.len() as u64) as usize];
+                Value::enumeration(ty, lit)
+            }
             _ => Value::Str(
                 (0..self.range(1, 6))
                     .map(|_| CHARS[self.range(0, CHARS.len() as u64) as usize])
