@@ -75,7 +75,7 @@ fn add_chain(model: &mut Model, tag: &str, condition: &str, steps: &[&str]) {
     let p = model.create("ChangePlan");
     model.set_attr(p, "name", Value::from(format!("mutPlan_{tag}").as_str()));
     model.set_attr(p, "request", Value::from(format!("mutReq_{tag}").as_str()));
-    model.set_attr_many(p, "steps", steps.iter().map(|s| Value::from(*s)).collect());
+    model.set_attr_many(p, "steps", steps.iter().map(|s| Value::from(*s)));
 }
 
 fn guard_ghost(model: &mut Model, rng: &mut SimRng) -> bool {

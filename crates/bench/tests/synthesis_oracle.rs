@@ -61,12 +61,12 @@ fn keys_of(model: &Model) -> BTreeMap<ObjectId, ObjectKey> {
     for (id, obj) in model.iter() {
         let key = KEY_ATTRS
             .iter()
-            .find_map(|a| obj.attrs.get(*a).and_then(|v| v.first()))
+            .find_map(|a| obj.attr_slot(a).and_then(<[_]>::first))
             .map(|v| v.to_string());
         let key = match key {
             Some(k) => k,
             None => {
-                let n = ordinal.entry(obj.class.clone()).or_insert(0);
+                let n = ordinal.entry(obj.class().to_string()).or_insert(0);
                 let k = format!("~{n}");
                 *n += 1;
                 k
@@ -75,7 +75,7 @@ fn keys_of(model: &Model) -> BTreeMap<ObjectId, ObjectKey> {
         out.insert(
             id,
             ObjectKey {
-                class: obj.class.clone(),
+                class: obj.class().to_string(),
                 key,
             },
         );
@@ -98,13 +98,15 @@ fn canonical(model: &Model) -> Canonical {
     let keys = keys_of(model);
     let mut out = Canonical::new();
     for (id, obj) in model.iter() {
-        let attrs = obj.attrs.clone();
+        let attrs: BTreeMap<String, Vec<Value>> = obj
+            .attrs()
+            .map(|(attr, values)| (attr.to_string(), values.to_vec()))
+            .collect();
         let refs = obj
-            .refs
-            .iter()
+            .refs()
             .map(|(slot, targets)| {
                 (
-                    slot.clone(),
+                    slot.to_string(),
                     targets
                         .iter()
                         .filter_map(|t| keys.get(t).cloned())
@@ -347,9 +349,9 @@ fn random_values(rng: &mut SimRng) -> Vec<Value> {
 /// Gives an object a key (or not): `name`, `id`, both, or neither, from
 /// small pools so keys collide.
 fn rekey(m: &mut Model, id: ObjectId, rng: &mut SimRng) {
-    let o = m.object_mut(id).expect("live object");
-    o.attrs.remove("name");
-    o.attrs.remove("id");
+    assert!(m.contains(id), "live object");
+    m.unset_attr(id, "name");
+    m.unset_attr(id, "id");
     match rng.index(6) {
         0 | 1 => {
             m.set_attr(id, "name", Value::from(["a", "b", "c", "d"][rng.index(4)]));
@@ -707,7 +709,7 @@ fn add_object(m: &mut Model, mm: &Metamodel, rng: &mut SimRng) {
     let holders: Vec<(ObjectId, String)> = m
         .iter()
         .flat_map(|(oid, o)| {
-            mm.all_references(&o.class)
+            mm.all_references(o.class())
                 .filter(|r| mm.is_subclass_of(class, &r.target))
                 .map(move |r| (oid, r.name.clone()))
                 .collect::<Vec<_>>()
@@ -729,7 +731,7 @@ fn edit_domain(m: &mut Model, mm: &Metamodel, rng: &mut SimRng) {
         return;
     }
     let id = ids[rng.index(ids.len())];
-    let class = m.object(id).expect("live").class.clone();
+    let class = m.object(id).expect("live").class().to_string();
     match rng.index(8) {
         0 => {
             let _ = m.destroy(id, Some(mm));

@@ -689,11 +689,11 @@ fn generated(rng: &mut SimRng) -> Model {
         .collect();
     for &id in &ids {
         for _ in 0..rng.index(4) {
-            let values = (0..rng.index(4)).map(|_| random_value(rng)).collect();
+            let values: Vec<Value> = (0..rng.index(4)).map(|_| random_value(rng)).collect();
             m.set_attr_many(id, pick(rng, &SLOTS), values);
         }
         if rng.chance(0.5) {
-            let targets = (0..rng.index(4)).map(|_| pick(rng, &ids)).collect();
+            let targets: Vec<_> = (0..rng.index(4)).map(|_| pick(rng, &ids)).collect();
             m.set_refs(id, pick(rng, &SLOTS), targets);
         }
     }

@@ -182,7 +182,7 @@ pub fn managers_container(model: &Model, broker: SharedBroker) -> Result<Contain
     let factory = broker_component_factory(broker);
     let mut container = Container::new();
     for (id, obj) in model.iter() {
-        let template = match obj.class.as_str() {
+        let template = match &**obj.class() {
             "MainManager" => "mainManager",
             "StateManager" => "stateManager",
             "AutonomicManager" => "autonomicManager",

@@ -560,18 +560,15 @@ impl BrokerModelBuilder {
         self.model.set_attr(a, "name", Value::from(name));
         self.model.set_attr(a, "resource", Value::from(resource));
         self.model.set_attr(a, "operation", Value::from(operation));
-        self.model.set_attr_many(
-            a,
-            "argMapping",
-            arg_mapping.iter().map(|s| Value::from(*s)).collect(),
-        );
+        self.model
+            .set_attr_many(a, "argMapping", arg_mapping.iter().map(|s| Value::from(*s)));
         if let Some(g) = guard {
             self.model.set_attr(a, "guard", Value::from(g));
         }
         self.model.set_attr_many(
             a,
             "stateEffects",
-            state_effects.iter().map(|s| Value::from(*s)).collect(),
+            state_effects.iter().map(|s| Value::from(*s)),
         );
         let h = self.find_handler(handler);
         self.model.add_ref(h, "actions", a);
@@ -658,7 +655,7 @@ impl BrokerModelBuilder {
         self.model
             .set_attr(p, "request", Value::from(format!("{name}-request")));
         self.model
-            .set_attr_many(p, "steps", steps.iter().map(|s| Value::from(*s)).collect());
+            .set_attr_many(p, "steps", steps.iter().map(|s| Value::from(*s)));
         self.model.add_ref(self.autonomic_mgr, "plans", p);
         self
     }
@@ -732,16 +729,10 @@ impl BrokerModelBuilder {
             .set_attr(m, "enterShed", Value::from(enter_shed as i64));
         self.model
             .set_attr(m, "exitShed", Value::from(exit_shed as i64));
-        self.model.set_attr_many(
-            m,
-            "enterSteps",
-            enter_steps.iter().map(|s| Value::from(*s)).collect(),
-        );
-        self.model.set_attr_many(
-            m,
-            "exitSteps",
-            exit_steps.iter().map(|s| Value::from(*s)).collect(),
-        );
+        self.model
+            .set_attr_many(m, "enterSteps", enter_steps.iter().map(|s| Value::from(*s)));
+        self.model
+            .set_attr_many(m, "exitSteps", exit_steps.iter().map(|s| Value::from(*s)));
         self.model.add_ref(mgr, "modes", m);
         self
     }

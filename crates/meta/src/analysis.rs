@@ -186,34 +186,25 @@ impl AnalysisReport {
             return;
         };
         let mut edges = Vec::new();
-        for k in fa.writes.intersection(&fb.writes) {
-            if !ignore(k) {
-                edges.push(Conflict {
-                    a: a.to_owned(),
-                    b: b.to_owned(),
-                    key: k.clone(),
-                    kind: ConflictKind::WriteWrite,
-                });
-            }
+        let mut edge = |a: &str, b: &str, key: &String, kind| {
+            edges.push(Conflict {
+                a: a.to_owned(),
+                b: b.to_owned(),
+                key: key.clone(),
+                kind,
+            })
+        };
+        for k in fa.writes.intersection(&fb.writes).filter(|k| !ignore(k)) {
+            edge(a, b, k, ConflictKind::WriteWrite);
         }
         for k in fa.reads.intersection(&fb.writes) {
             if !ignore(k) && !fa.writes.contains(k) {
-                edges.push(Conflict {
-                    a: a.to_owned(),
-                    b: b.to_owned(),
-                    key: k.clone(),
-                    kind: ConflictKind::ReadWrite,
-                });
+                edge(a, b, k, ConflictKind::ReadWrite);
             }
         }
         for k in fb.reads.intersection(&fa.writes) {
             if !ignore(k) && !fb.writes.contains(k) {
-                edges.push(Conflict {
-                    a: b.to_owned(),
-                    b: a.to_owned(),
-                    key: k.clone(),
-                    kind: ConflictKind::ReadWrite,
-                });
+                edge(b, a, k, ConflictKind::ReadWrite);
             }
         }
         self.conflicts.extend(edges);

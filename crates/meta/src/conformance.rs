@@ -34,51 +34,43 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
 
     // Containment bookkeeping by object id: the object's first container
     // and how many containment references target it.
-    let slots = model
-        .iter()
-        .last()
-        .map_or(0, |(id, _)| id.index() as usize + 1);
+    let slots = model.id_bound();
     let mut containers: Vec<(Option<ObjectId>, usize)> = vec![(None, 0); slots];
 
     for (id, obj) in model.iter() {
-        let Some(class) = mm.class(&obj.class) else {
-            out.push(format!("{id}: unknown class `{}`", obj.class));
+        let class_name = obj.class();
+        let Some(class) = mm.class(class_name) else {
+            out.push(format!("{id}: unknown class `{class_name}`"));
             continue;
         };
         if class.is_abstract {
-            out.push(format!("{id}: instantiates abstract class `{}`", obj.class));
+            out.push(format!("{id}: instantiates abstract class `{class_name}`"));
         }
 
-        // Attributes: declared, typed, multiplicity.
-        let attrs = mm.all_attributes(&obj.class);
-        for (name, vals) in &obj.attrs {
-            match attrs.clone().find(|a| &a.name == name) {
+        // Attributes, each slot against the class's features in slot-name
+        // order: declared, typed, multiplicity.
+        let attrs = mm.all_attributes(class_name);
+        for (name, vals) in obj.attrs() {
+            match attrs.clone().find(|a| *a.name == **name) {
                 None => out.push(format!(
-                    "{id} ({}): undeclared attribute `{name}`",
-                    obj.class
+                    "{id} ({class_name}): undeclared attribute `{name}`"
                 )),
                 Some(a) => {
                     for v in vals {
                         if !v.conforms_to(&a.ty) {
                             out.push(format!(
-                                "{id} ({}): attribute `{name}` expects {}, got {}",
-                                obj.class,
+                                "{id} ({class_name}): attribute `{name}` expects {}, got {}",
                                 a.ty,
                                 v.type_name()
                             ));
                         }
                         if let (crate::Value::Enum(ty, lit), DataType::Enum(ety)) = (v, &a.ty) {
-                            if ty == ety {
-                                let known = mm
-                                    .enum_def(ety)
-                                    .map(|e| e.literals.iter().any(|l| l == lit))
-                                    .unwrap_or(false);
-                                if !known {
-                                    out.push(format!(
-                                        "{id} ({}): `{lit}` is not a literal of enum `{ety}`",
-                                        obj.class
-                                    ));
-                                }
+                            if ty == ety
+                                && !mm.enum_def(ety).is_some_and(|e| e.literals.contains(lit))
+                            {
+                                out.push(format!(
+                                    "{id} ({class_name}): `{lit}` is not a literal of enum `{ety}`"
+                                ));
                             }
                         }
                     }
@@ -86,7 +78,7 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
             }
         }
         for a in attrs {
-            let n = obj.attrs.get(&a.name).map_or(0, Vec::len);
+            let n = obj.attr_slot(&a.name).map_or(0, <[_]>::len);
             // An unset slot with a declared default is implicitly populated
             // by that default (EMF semantics).
             if n == 0 && !a.default.is_empty() {
@@ -94,33 +86,32 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
             }
             if !a.multiplicity.admits(n) {
                 out.push(format!(
-                    "{id} ({}): attribute `{}` has {n} value(s), multiplicity {}",
-                    obj.class, a.name, a.multiplicity
+                    "{id} ({class_name}): attribute `{}` has {n} value(s), multiplicity {}",
+                    a.name, a.multiplicity
                 ));
             }
         }
 
         // References: declared, live and class-compatible targets,
         // multiplicity, containment bookkeeping.
-        let refs = mm.all_references(&obj.class);
-        for (name, targets) in &obj.refs {
-            match refs.clone().find(|r| &r.name == name) {
+        let refs = mm.all_references(class_name);
+        for (name, targets) in obj.refs() {
+            match refs.clone().find(|r| *r.name == **name) {
                 None => out.push(format!(
-                    "{id} ({}): undeclared reference `{name}`",
-                    obj.class
+                    "{id} ({class_name}): undeclared reference `{name}`"
                 )),
                 Some(r) => {
                     for t in targets {
                         match model.object(*t) {
                             Err(_) => out.push(format!(
-                                "{id} ({}): reference `{name}` targets dead object {t}",
-                                obj.class
+                                "{id} ({class_name}): reference `{name}` targets dead object {t}"
                             )),
                             Ok(to) => {
-                                if !mm.is_subclass_of(&to.class, &r.target) {
+                                if !mm.is_subclass_of(to.class(), &r.target) {
                                     out.push(format!(
-                                        "{id} ({}): reference `{name}` expects `{}`, got `{}` ({t})",
-                                        obj.class, r.target, to.class
+                                        "{id} ({class_name}): reference `{name}` expects `{}`, got `{}` ({t})",
+                                        r.target,
+                                        to.class()
                                     ));
                                 }
                                 if r.containment {
@@ -135,11 +126,11 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
             }
         }
         for r in refs {
-            let n = obj.refs.get(&r.name).map_or(0, Vec::len);
+            let n = obj.ref_slot(&r.name).map_or(0, <[_]>::len);
             if !r.multiplicity.admits(n) {
                 out.push(format!(
-                    "{id} ({}): reference `{}` has {n} target(s), multiplicity {}",
-                    obj.class, r.name, r.multiplicity
+                    "{id} ({class_name}): reference `{}` has {n} target(s), multiplicity {}",
+                    r.name, r.multiplicity
                 ));
             }
         }
@@ -176,7 +167,7 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
     // rebound per object in one environment.
     let mut env = EvalEnv::new(model, mm);
     for (id, obj) in model.iter() {
-        let mut invariants = mm.all_constraints(&obj.class).peekable();
+        let mut invariants = mm.all_constraints(obj.class()).peekable();
         if invariants.peek().is_none() {
             continue;
         }
@@ -186,11 +177,14 @@ pub fn violations(model: &Model, mm: &Metamodel) -> Vec<String> {
                 Ok(true) => {}
                 Ok(false) => out.push(format!(
                     "{id} ({}): invariant `{}` violated: {}",
-                    obj.class, c.name, c.source
+                    obj.class(),
+                    c.name,
+                    c.source
                 )),
                 Err(e) => out.push(format!(
                     "{id} ({}): invariant `{}` failed to evaluate: {e}",
-                    obj.class, c.name
+                    obj.class(),
+                    c.name
                 )),
             }
         }

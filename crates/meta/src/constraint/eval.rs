@@ -57,9 +57,14 @@ impl<'a> EvalEnv<'a> {
         env
     }
 
-    /// Binds (or rebinds) a variable.
-    pub fn bind(&mut self, name: impl Into<String>, val: Val) {
-        self.vars.insert(name.into(), val);
+    /// Binds (or rebinds) a variable; a rebinding reuses the name.
+    pub fn bind(&mut self, name: &str, val: Val) {
+        match self.vars.get_mut(name) {
+            Some(slot) => *slot = val,
+            None => {
+                self.vars.insert(name.to_owned(), val);
+            }
+        }
     }
 
     fn lookup(&self, name: &str) -> Result<Val> {
@@ -124,35 +129,27 @@ fn navigate(recv: &Val, name: &str, env: &EvalEnv<'_>) -> Result<Val> {
     match recv {
         Val::Obj(id) => {
             let obj = env.model.object(*id)?;
-            if let Some(attr) = env.metamodel.attribute(&obj.class, name) {
-                let vals = env.model.attr_all(*id, name);
+            if let Some(attr) = env.metamodel.attribute(obj.class(), name) {
                 // An unset slot with a declared default reads as that
                 // default (EMF getter semantics).
-                let vals: Vec<Value> = if vals.is_empty() {
-                    attr.default.clone()
-                } else {
-                    vals.to_vec()
+                let vals = match obj.attr_slot(name) {
+                    Some(vals) if !vals.is_empty() => vals,
+                    _ => &attr.default,
                 };
-                return Ok(slot_val(
-                    vals.iter().map(|v| Val::Scalar(v.clone())).collect(),
-                    attr.multiplicity.upper == Some(1),
-                ));
+                return Ok(slot_val(scalars(vals), attr.multiplicity.upper == Some(1)));
             }
-            if let Some(r) = env.metamodel.reference(&obj.class, name) {
-                let targets = env.model.refs(*id, name);
+            if let Some(r) = env.metamodel.reference(obj.class(), name) {
+                let targets = obj.ref_slot(name).unwrap_or_default();
                 return Ok(slot_val(
-                    targets.iter().map(|t| Val::Obj(*t)).collect(),
+                    targets.iter().map(|t| Val::Obj(*t)),
                     r.multiplicity.upper == Some(1),
                 ));
             }
             // Fall back to raw slots for metamodel-free models.
-            if let Some(vals) = obj.attrs.get(name) {
-                return Ok(slot_val(
-                    vals.iter().map(|v| Val::Scalar(v.clone())).collect(),
-                    vals.len() <= 1,
-                ));
+            if let Some(vals) = obj.attr_slot(name) {
+                return Ok(slot_val(scalars(vals), vals.len() <= 1));
             }
-            if let Some(targets) = obj.refs.get(name) {
+            if let Some(targets) = obj.ref_slot(name) {
                 return Ok(Val::Coll(targets.iter().map(|t| Val::Obj(*t)).collect()));
             }
             Ok(Val::Null)
@@ -164,14 +161,17 @@ fn navigate(recv: &Val, name: &str, env: &EvalEnv<'_>) -> Result<Val> {
     }
 }
 
-fn slot_val(mut vals: Vec<Val>, single: bool) -> Val {
+fn scalars(vals: &[Value]) -> impl Iterator<Item = Val> + '_ {
+    vals.iter().map(|v| Val::Scalar(v.clone()))
+}
+
+/// A slot's value: its first item (or null) when single-valued, else the
+/// collection of its items.
+fn slot_val(mut vals: impl Iterator<Item = Val>, single: bool) -> Val {
     if single {
-        match vals.len() {
-            0 => Val::Null,
-            _ => vals.remove(0),
-        }
+        vals.next().unwrap_or(Val::Null)
     } else {
-        Val::Coll(vals)
+        Val::Coll(vals.collect())
     }
 }
 
@@ -194,7 +194,7 @@ fn call(recv: &Val, name: &str, args: &[Expr], env: &EvalEnv<'_>) -> Result<Val>
                 Val::Obj(id) => {
                     let obj = env.model.object(*id)?;
                     Ok(Val::Scalar(Value::Bool(
-                        env.metamodel.is_subclass_of(&obj.class, &class),
+                        env.metamodel.is_subclass_of(obj.class(), &class),
                     )))
                 }
                 Val::Null => Ok(Val::Scalar(Value::Bool(false))),
@@ -212,11 +212,11 @@ fn coll_op(
     body: Option<&Expr>,
     env: &EvalEnv<'_>,
 ) -> Result<Val> {
-    let items: Vec<Val> = match recv {
-        Val::Coll(v) => v.clone(),
-        Val::Null => Vec::new(),
+    let items: &[Val] = match recv {
+        Val::Coll(v) => v,
+        Val::Null => &[],
         // Singleton coercion mirrors OCL's implicit collect semantics.
-        other => vec![other.clone()],
+        other => std::slice::from_ref(other),
     };
     let iterate = |var: Option<&str>, body: &Expr, item: &Val| -> Result<Val> {
         let mut child = env.child();
@@ -232,7 +232,7 @@ fn coll_op(
             let mut int_sum = 0i64;
             let mut float_sum = 0f64;
             let mut is_float = false;
-            for it in &items {
+            for it in items {
                 match it {
                     Val::Scalar(Value::Int(i)) => {
                         int_sum += i;
@@ -255,11 +255,7 @@ fn coll_op(
             let body = body.ok_or_else(|| MetaError::Eval(format!("{op} requires an argument")))?;
             let needle = eval(body, env)?;
             let found = items.iter().any(|i| vals_eq(i, &needle));
-            Ok(Val::Scalar(Value::Bool(if op == "includes" {
-                found
-            } else {
-                !found
-            })))
+            Ok(Val::Scalar(Value::Bool(found == (op == "includes"))))
         }
         "count" => {
             let body = body.ok_or_else(|| MetaError::Eval("count requires an argument".into()))?;
@@ -269,7 +265,7 @@ fn coll_op(
         }
         "forAll" | "exists" => {
             let body = body.ok_or_else(|| MetaError::Eval(format!("{op} requires a body")))?;
-            for it in &items {
+            for it in items {
                 let b = iterate(var, body, it)?.as_bool()?;
                 if op == "forAll" && !b {
                     return Ok(Val::Scalar(Value::Bool(false)));
@@ -283,7 +279,7 @@ fn coll_op(
         "select" | "reject" => {
             let body = body.ok_or_else(|| MetaError::Eval(format!("{op} requires a body")))?;
             let mut out = Vec::new();
-            for it in &items {
+            for it in items {
                 let b = iterate(var, body, it)?.as_bool()?;
                 if b == (op == "select") {
                     out.push(it.clone());
@@ -294,7 +290,7 @@ fn coll_op(
         "collect" => {
             let body = body.ok_or_else(|| MetaError::Eval("collect requires a body".into()))?;
             let mut out = Vec::new();
-            for it in &items {
+            for it in items {
                 out.push(iterate(var, body, it)?);
             }
             Ok(Val::Coll(out))
@@ -340,6 +336,11 @@ fn binary(op: BinOp, a: &Expr, b: &Expr, env: &EvalEnv<'_>) -> Result<Val> {
         _ => {}
     }
     let va = eval(a, env)?;
+    // An enum literal operand is compared in place rather than built.
+    if let (BinOp::Eq | BinOp::Neq, Expr::EnumLit(ty, lit)) = (op, b) {
+        let eq = matches!(&va, Val::Scalar(Value::Enum(t, l)) if t == ty && l == lit);
+        return Ok(Val::Scalar(Value::Bool(eq == (op == BinOp::Eq))));
+    }
     let vb = eval(b, env)?;
     match op {
         BinOp::Eq => Ok(Val::Scalar(Value::Bool(vals_eq(&va, &vb)))),
@@ -360,7 +361,6 @@ fn binary(op: BinOp, a: &Expr, b: &Expr, env: &EvalEnv<'_>) -> Result<Val> {
 }
 
 fn compare(a: &Val, b: &Val) -> Result<std::cmp::Ordering> {
-    use std::cmp::Ordering;
     match (a, b) {
         (Val::Scalar(Value::Int(x)), Val::Scalar(Value::Int(y))) => Ok(x.cmp(y)),
         (Val::Scalar(Value::Str(x)), Val::Scalar(Value::Str(y))) => Ok(x.cmp(y)),
@@ -368,13 +368,6 @@ fn compare(a: &Val, b: &Val) -> Result<std::cmp::Ordering> {
             let (x, y) = (num(a)?, num(b)?);
             x.partial_cmp(&y)
                 .ok_or_else(|| MetaError::Eval("incomparable floats (NaN)".into()))
-                .map(|o| {
-                    if o == Ordering::Equal {
-                        Ordering::Equal
-                    } else {
-                        o
-                    }
-                })
         }
     }
 }

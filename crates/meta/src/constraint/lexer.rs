@@ -69,6 +69,33 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
     while i < chars.len() {
         let c = chars[i];
         let (tl, tc) = (line, col);
+        // Punctuation: the token and its length in chars.
+        let punct = match (c, chars.get(i + 1)) {
+            ('-', Some('>')) => Some((TokKind::Arrow, 2)),
+            (':', Some(':')) => Some((TokKind::ColonColon, 2)),
+            ('<', Some('=')) => Some((TokKind::Le, 2)),
+            ('<', Some('>')) => Some((TokKind::Neq, 2)),
+            ('>', Some('=')) => Some((TokKind::Ge, 2)),
+            ('(', _) => Some((TokKind::LParen, 1)),
+            (')', _) => Some((TokKind::RParen, 1)),
+            ('.', _) => Some((TokKind::Dot, 1)),
+            ('|', _) => Some((TokKind::Pipe, 1)),
+            (',', _) => Some((TokKind::Comma, 1)),
+            ('+', _) => Some((TokKind::Plus, 1)),
+            ('-', _) => Some((TokKind::Minus, 1)),
+            ('*', _) => Some((TokKind::Star, 1)),
+            ('/', _) => Some((TokKind::Slash, 1)),
+            ('=', _) => Some((TokKind::Eq, 1)),
+            ('<', _) => Some((TokKind::Lt, 1)),
+            ('>', _) => Some((TokKind::Gt, 1)),
+            _ => None,
+        };
+        if let Some((kind, n)) = punct {
+            push!(kind, tl, tc);
+            i += n;
+            col += n as u32;
+            continue;
+        }
         match c {
             '\n' => {
                 line += 1;
@@ -79,99 +106,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                 col += 1;
                 i += 1;
             }
-            '(' => {
-                push!(TokKind::LParen, tl, tc);
-                i += 1;
-                col += 1;
-            }
-            ')' => {
-                push!(TokKind::RParen, tl, tc);
-                i += 1;
-                col += 1;
-            }
-            '.' => {
-                push!(TokKind::Dot, tl, tc);
-                i += 1;
-                col += 1;
-            }
-            '|' => {
-                push!(TokKind::Pipe, tl, tc);
-                i += 1;
-                col += 1;
-            }
-            ',' => {
-                push!(TokKind::Comma, tl, tc);
-                i += 1;
-                col += 1;
-            }
-            '+' => {
-                push!(TokKind::Plus, tl, tc);
-                i += 1;
-                col += 1;
-            }
-            '*' => {
-                push!(TokKind::Star, tl, tc);
-                i += 1;
-                col += 1;
-            }
-            '/' => {
-                push!(TokKind::Slash, tl, tc);
-                i += 1;
-                col += 1;
-            }
-            '=' => {
-                push!(TokKind::Eq, tl, tc);
-                i += 1;
-                col += 1;
-            }
-            '-' => {
-                if chars.get(i + 1) == Some(&'>') {
-                    push!(TokKind::Arrow, tl, tc);
-                    i += 2;
-                    col += 2;
-                } else {
-                    push!(TokKind::Minus, tl, tc);
-                    i += 1;
-                    col += 1;
-                }
-            }
-            ':' => {
-                if chars.get(i + 1) == Some(&':') {
-                    push!(TokKind::ColonColon, tl, tc);
-                    i += 2;
-                    col += 2;
-                } else {
-                    return Err(err(tl, tc, "expected `::`".into()));
-                }
-            }
-            '<' => match chars.get(i + 1) {
-                Some('=') => {
-                    push!(TokKind::Le, tl, tc);
-                    i += 2;
-                    col += 2;
-                }
-                Some('>') => {
-                    push!(TokKind::Neq, tl, tc);
-                    i += 2;
-                    col += 2;
-                }
-                _ => {
-                    push!(TokKind::Lt, tl, tc);
-                    i += 1;
-                    col += 1;
-                }
-            },
-            '>' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    push!(TokKind::Ge, tl, tc);
-                    i += 2;
-                    col += 2;
-                } else {
-                    push!(TokKind::Gt, tl, tc);
-                    i += 1;
-                    col += 1;
-                }
-            }
+            ':' => return Err(err(tl, tc, "expected `::`".into())),
             '"' => {
                 let mut s = String::new();
                 i += 1;

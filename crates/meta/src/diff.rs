@@ -14,14 +14,15 @@
 //!
 //! There is one comparison, [`compare`]. It walks two indexed models in
 //! key order and compares each matched pair of objects in place: attribute
-//! maps are borrowed, reference targets are compared key by key through
+//! slots are borrowed, reference targets are compared key by key through
 //! each side's index, and values are cloned only into the changes it
-//! emits. [`diff`] indexes both models and calls it; the synthesis engine
+//! emits. An index shares each object's class name with its model, so
+//! indexing copies only the key texts. [`diff`] indexes both models and calls it; the synthesis engine
 //! keeps the running model's index, so a submission indexes only the new
 //! model.
 
 use crate::error::MetaError;
-use crate::model::{MObject, Model, ObjectId};
+use crate::model::{MObject, Model, Name, ObjectId};
 use crate::{Result, Value};
 use std::collections::BTreeMap;
 
@@ -119,36 +120,43 @@ impl ChangeList {
 #[derive(Debug, Clone)]
 pub struct KeyIndex {
     /// The key of the live object in each id slot; `None` for dead slots.
-    keys: Vec<Option<ObjectKey>>,
+    keys: Vec<Option<Key>>,
     /// The key owners, in key order.
     owners: Vec<ObjectId>,
+}
+
+/// An [`ObjectKey`] as an index holds it, (class, key text), the class
+/// name shared with the model's object. Keys order as their `ObjectKey`s
+/// do.
+pub(crate) type Key = (Name, String);
+
+/// The [`ObjectKey`] a held key stands for.
+impl From<&Key> for ObjectKey {
+    fn from((class, key): &Key) -> Self {
+        ObjectKey {
+            class: class.to_string(),
+            key: key.clone(),
+        }
+    }
 }
 
 impl KeyIndex {
     /// Indexes the live objects of `model`.
     pub fn new(model: &Model) -> Self {
-        let mut keys = Vec::new();
-        let mut owners = Vec::new();
+        let mut keys = Vec::with_capacity(model.id_bound());
+        let mut owners = Vec::with_capacity(model.len());
         let mut ordinal: BTreeMap<&str, u32> = BTreeMap::new();
         for (id, obj) in model.iter() {
-            let key = KEY_ATTRS
-                .iter()
-                .find_map(|a| obj.attrs.get(*a).and_then(|v| v.first()))
-                .map(key_text);
-            let key = match key {
-                Some(k) => k,
+            let key = match KEY_ATTRS.iter().find_map(|a| obj.attr_slot(a)?.first()) {
+                Some(value) => key_text(value),
                 None => {
-                    let n = ordinal.entry(&obj.class).or_insert(0);
-                    let k = format!("~{n}");
+                    let n = ordinal.entry(obj.class()).or_insert(0);
                     *n += 1;
-                    k
+                    format!("~{}", *n - 1)
                 }
             };
             keys.resize(id.index() as usize, None);
-            keys.push(Some(ObjectKey {
-                class: obj.class.clone(),
-                key,
-            }));
+            keys.push(Some((obj.class().clone(), key)));
             owners.push(id);
         }
         // Equal keys sort later-id first, so dedup keeps the later owner.
@@ -159,13 +167,18 @@ impl KeyIndex {
     }
 
     /// The key of a live object.
-    pub fn key(&self, id: ObjectId) -> Option<&ObjectKey> {
+    pub(crate) fn key(&self, id: ObjectId) -> Option<&Key> {
         self.keys.get(id.index() as usize)?.as_ref()
     }
 
     /// The object that owns `key`.
     pub fn id(&self, key: &ObjectKey) -> Option<ObjectId> {
-        self.position(key).ok().map(|i| self.owners[i])
+        self.owner(&key.class, &key.key)
+    }
+
+    /// The object that owns the key (`class`, `key`).
+    pub(crate) fn owner(&self, class: &str, key: &str) -> Option<ObjectId> {
+        self.position(class, key).ok().map(|i| self.owners[i])
     }
 
     /// Whether two live objects share a key (keyed matching cannot tell
@@ -174,14 +187,15 @@ impl KeyIndex {
         self.owners.len() != self.keys.iter().flatten().count()
     }
 
-    fn position(&self, key: &ObjectKey) -> std::result::Result<usize, usize> {
+    fn position(&self, class: &str, key: &str) -> std::result::Result<usize, usize> {
+        let held = |id: ObjectId| self.key(id).map(|(c, k)| (&**c, k.as_str()));
         self.owners
-            .binary_search_by(|&id| self.key(id).cmp(&Some(key)))
+            .binary_search_by(|&id| held(id).cmp(&Some((class, key))))
     }
 
     /// The owners of `model` (which this index must be of) with their
     /// keys, in key order.
-    fn owned<'a>(&'a self, model: &'a Model) -> impl Iterator<Item = (&'a ObjectKey, &'a MObject)> {
+    fn owned<'a>(&'a self, model: &'a Model) -> impl Iterator<Item = (&'a Key, &'a MObject)> {
         self.owners
             .iter()
             .filter_map(move |&id| Some((self.key(id)?, model.object(id).ok()?)))
@@ -191,24 +205,24 @@ impl KeyIndex {
     fn targets<'a>(
         &'a self,
         targets: &'a [ObjectId],
-    ) -> impl Iterator<Item = &'a ObjectKey> + Clone + 'a {
+    ) -> impl Iterator<Item = &'a Key> + Clone + 'a {
         targets.iter().filter_map(move |&t| self.key(t))
     }
 
     /// Records a created object under `key`, which no object owns.
-    fn insert(&mut self, id: ObjectId, key: ObjectKey) {
-        let at = self.position(&key).unwrap_or_else(|at| at);
+    fn insert(&mut self, id: ObjectId, key: &ObjectKey) {
+        let at = self.position(&key.class, &key.key).unwrap_or_else(|at| at);
         let slot = id.index() as usize;
         if self.keys.len() <= slot {
             self.keys.resize(slot + 1, None);
         }
-        self.keys[slot] = Some(key);
+        self.keys[slot] = Some((key.class.as_str().into(), key.key.clone()));
         self.owners.insert(at, id);
     }
 
     /// Forgets the owner of `key`.
     fn remove(&mut self, key: &ObjectKey) {
-        if let Ok(at) = self.position(key) {
+        if let Ok(at) = self.position(&key.class, &key.key) {
             let id = self.owners.remove(at);
             self.keys[id.index() as usize] = None;
         }
@@ -258,53 +272,53 @@ pub fn compare(old: &Model, old_keys: &KeyIndex, new: &Model, new_keys: &KeyInde
     let mut olds = old_keys.owned(old).peekable();
     for (key, now) in new_keys.owned(new) {
         while let Some((gone, _)) = olds.next_if(|(k, _)| *k < key) {
-            deletes.push(Change::Delete { key: gone.clone() });
+            deletes.push(Change::Delete { key: gone.into() });
         }
         let was = olds.next_if(|(k, _)| *k == key).map(|(_, o)| o);
         if was.is_none() {
-            creates.push(Change::Create { key: key.clone() });
+            creates.push(Change::Create { key: key.into() });
         }
-        let set_attr = |attr: &String, values: &[Value]| Change::SetAttr {
-            key: key.clone(),
-            attr: attr.clone(),
+        let set_attr = |attr: &str, values: &[Value]| Change::SetAttr {
+            key: key.into(),
+            attr: attr.to_owned(),
             values: values.to_vec(),
         };
-        let set_refs = |reference: &String, targets: Vec<ObjectKey>| Change::SetRefs {
-            key: key.clone(),
-            reference: reference.clone(),
+        let set_refs = |reference: &str, targets: Vec<ObjectKey>| Change::SetRefs {
+            key: key.into(),
+            reference: reference.to_owned(),
             targets,
         };
-        for (attr, values) in present(&now.attrs) {
+        for (attr, values) in present(now) {
             if was.and_then(|o| attr_of(o, attr)) != Some(values) {
                 updates.push(set_attr(attr, values));
             }
         }
-        for (attr, _) in was.into_iter().flat_map(|o| present(&o.attrs)) {
+        for (attr, _) in was.into_iter().flat_map(present) {
             if attr_of(now, attr).is_none() {
                 updates.push(set_attr(attr, &[]));
             }
         }
-        for (reference, targets) in &now.refs {
+        for (reference, targets) in now.refs() {
             let mut targets = new_keys.targets(targets).peekable();
             if targets.peek().is_none() {
                 continue;
             }
-            let before = was.and_then(|o| o.refs.get(reference));
+            let before = was.and_then(|o| o.ref_slot(reference));
             let same = before.is_some_and(|b| targets.clone().eq(old_keys.targets(b)));
             if !same {
-                updates.push(set_refs(reference, targets.cloned().collect()));
+                updates.push(set_refs(reference, targets.map(ObjectKey::from).collect()));
             }
         }
-        for (reference, targets) in was.into_iter().flat_map(|o| &o.refs) {
+        for (reference, targets) in was.into_iter().flat_map(MObject::refs) {
             let had = old_keys.targets(targets).next().is_some();
             let has =
-                (now.refs.get(reference)).is_some_and(|t| new_keys.targets(t).next().is_some());
+                (now.ref_slot(reference)).is_some_and(|t| new_keys.targets(t).next().is_some());
             if had && !has {
                 updates.push(set_refs(reference, Vec::new()));
             }
         }
     }
-    deletes.extend(olds.map(|(gone, _)| Change::Delete { key: gone.clone() }));
+    deletes.extend(olds.map(|(gone, _)| Change::Delete { key: gone.into() }));
 
     let mut changes = creates;
     changes.extend(updates);
@@ -313,19 +327,13 @@ pub fn compare(old: &Model, old_keys: &KeyIndex, new: &Model, new_keys: &KeyInde
 }
 
 /// An object's attribute slots that hold values.
-fn present(attrs: &BTreeMap<String, Vec<Value>>) -> impl Iterator<Item = (&String, &[Value])> {
-    attrs
-        .iter()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(a, v)| (a, v.as_slice()))
+fn present(obj: &MObject) -> impl Iterator<Item = (&Name, &[Value])> {
+    obj.attrs().filter(|(_, v)| !v.is_empty())
 }
 
 /// An attribute slot's values, if it holds any.
 fn attr_of<'a>(obj: &'a MObject, attr: &str) -> Option<&'a [Value]> {
-    obj.attrs
-        .get(attr)
-        .filter(|v| !v.is_empty())
-        .map(Vec::as_slice)
+    obj.attr_slot(attr).filter(|v| !v.is_empty())
 }
 
 /// Applies a change list to a model in place.
@@ -346,8 +354,8 @@ pub fn apply(model: &mut Model, changes: &ChangeList) -> Result<()> {
                         "object {key} already exists"
                     )));
                 }
-                let id = model.create(key.class.clone());
-                index.insert(id, key.clone());
+                let id = model.create(key.class.as_str());
+                index.insert(id, key);
             }
             Change::Delete { key } => {
                 let id = resolve(&index, key)?;
@@ -359,7 +367,7 @@ pub fn apply(model: &mut Model, changes: &ChangeList) -> Result<()> {
                 if values.is_empty() {
                     model.unset_attr(id, attr);
                 } else {
-                    model.set_attr_many(id, attr.clone(), values.clone());
+                    model.set_attr_many(id, attr.as_str(), values.iter().cloned());
                 }
             }
             Change::SetRefs {
@@ -368,16 +376,14 @@ pub fn apply(model: &mut Model, changes: &ChangeList) -> Result<()> {
                 targets,
             } => {
                 let id = resolve(&index, key)?;
-                let mut ids = Vec::with_capacity(targets.len());
-                for t in targets {
-                    ids.push(resolve(&index, t)?);
-                }
+                let ids: Vec<_> = targets
+                    .iter()
+                    .map(|t| resolve(&index, t))
+                    .collect::<Result<_>>()?;
                 if ids.is_empty() {
-                    if let Ok(o) = model.object_mut(id) {
-                        o.refs.remove(reference);
-                    }
+                    model.unset_refs(id, reference);
                 } else {
-                    model.set_refs(id, reference.clone(), ids);
+                    model.set_refs(id, reference.as_str(), ids);
                 }
             }
         }
@@ -501,7 +507,7 @@ mod tests {
         let gid = new.all_of_class("Graph")[0];
         let bid = new
             .iter()
-            .find(|(_, o)| o.attrs.get("name").and_then(|v| v.first()) == Some(&Value::from("b")))
+            .find(|(id, _)| new.attr_str(*id, "name") == Some("b"))
             .unwrap()
             .0;
         new.set_refs(gid, "root", vec![bid]);
@@ -564,6 +570,6 @@ mod tests {
         m.set_attr(o, "name", Value::from("n"));
         m.set_attr(o, "id", Value::from("i"));
         let keys = KeyIndex::new(&m);
-        assert_eq!(keys.key(o).unwrap().key, "\"i\"");
+        assert_eq!(keys.key(o).unwrap().1, "\"i\"");
     }
 }

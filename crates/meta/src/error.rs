@@ -19,13 +19,6 @@ pub enum MetaError {
     },
     /// An object id does not refer to a live object in the model.
     DanglingObject(String),
-    /// A value's type does not match the declared attribute type.
-    TypeMismatch {
-        /// Human-readable description of the expected type.
-        expected: String,
-        /// Human-readable description of the actual value.
-        actual: String,
-    },
     /// A model does not conform to its metamodel; carries all violations.
     NonConformant(Vec<String>),
     /// Syntax error while parsing the textual model format or a constraint.
@@ -50,9 +43,6 @@ impl fmt::Display for MetaError {
             MetaError::IllFormedMetamodel(m) => write!(f, "ill-formed metamodel: {m}"),
             MetaError::Unknown { kind, name } => write!(f, "unknown {kind}: `{name}`"),
             MetaError::DanglingObject(id) => write!(f, "dangling object id: {id}"),
-            MetaError::TypeMismatch { expected, actual } => {
-                write!(f, "type mismatch: expected {expected}, got {actual}")
-            }
             MetaError::NonConformant(v) => {
                 write!(
                     f,

@@ -4,12 +4,29 @@
 //! manipulated reflectively through string-named slots. Models are the
 //! universal currency of MD-DSM: middleware configurations, application
 //! models, runtime models, and control scripts are all [`Model`]s.
+//!
+//! Objects are laid out for runtime use, as KMF argues models@runtime
+//! need (arXiv:1405.6817), and the layout is private to this crate:
+//!
+//! * an object names its class and its slots through shared [`Name`]s, so
+//!   cloning or dropping a model copies or frees no name text. A name is
+//!   reference-counted and held only by the objects that use it (there is
+//!   no process-wide table); [`crate::text::parse`] shares one per
+//!   distinct name in its text;
+//! * its attribute slots and its reference slots each live in one vector
+//!   sorted by name, where a slot of a single value or target holds it
+//!   inline. Slots list, compare and write in name order, as a map's
+//!   would, and an empty slot stays distinct from an absent one.
 
 use crate::error::MetaError;
 use crate::metamodel::Metamodel;
 use crate::{Result, Value};
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
+
+/// A class or slot name, shared by the objects (and model clones) that
+/// use it.
+pub type Name = Arc<str>;
 
 /// Opaque handle to an object within one [`Model`].
 ///
@@ -34,12 +51,114 @@ impl fmt::Display for ObjectId {
 /// One object of a model: its class plus attribute and reference slots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MObject {
+    class: Name,
+    attrs: Slots<Value>,
+    refs: Slots<ObjectId>,
+}
+
+impl MObject {
     /// Name of the instantiated metaclass.
-    pub class: String,
-    /// Attribute slots; multi-valued slots hold several values in order.
-    pub attrs: BTreeMap<String, Vec<Value>>,
-    /// Reference slots; targets are ids within the same model.
-    pub refs: BTreeMap<String, Vec<ObjectId>>,
+    pub fn class(&self) -> &Name {
+        &self.class
+    }
+
+    /// Attribute slots in name order; a multi-valued slot holds several
+    /// values in order, an empty one none.
+    pub fn attrs(&self) -> impl Iterator<Item = (&Name, &[Value])> {
+        self.attrs.iter()
+    }
+
+    /// Reference slots in name order; targets are ids within the same
+    /// model.
+    pub fn refs(&self) -> impl Iterator<Item = (&Name, &[ObjectId])> {
+        self.refs.iter()
+    }
+
+    /// The values of attribute slot `name`, if the object has that slot.
+    pub fn attr_slot(&self, name: &str) -> Option<&[Value]> {
+        self.attrs.get(name)
+    }
+
+    /// The targets of reference slot `name`, if the object has that slot.
+    pub fn ref_slot(&self, name: &str) -> Option<&[ObjectId]> {
+        self.refs.get(name)
+    }
+}
+
+/// Named slots, sorted by name, each name once.
+#[derive(Clone, PartialEq)]
+struct Slots<T>(Vec<(Name, Slot<T>)>);
+
+/// Slots print as the name-ordered map they stand for.
+impl<T: fmt::Debug> fmt::Debug for Slots<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<T> Slots<T> {
+    fn find(&self, name: &str) -> std::result::Result<usize, usize> {
+        self.0.binary_search_by(|(n, _)| (**n).cmp(name))
+    }
+
+    fn get(&self, name: &str) -> Option<&[T]> {
+        Some(self.0[self.find(name).ok()?].1.as_slice())
+    }
+
+    /// Slot `name`, inserted empty in name order when absent (keeping the
+    /// name already held when present).
+    fn entry(&mut self, name: Name) -> &mut Slot<T> {
+        let i = (self.find(&name)).unwrap_or_else(|i| {
+            self.0.insert(i, (name, Slot::Many(Vec::new())));
+            i
+        });
+        &mut self.0[i].1
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&Name, &[T])> {
+        self.0.iter().map(|(n, s)| (n, s.as_slice()))
+    }
+}
+
+/// A slot's values: a single one inline, any other number in a vector.
+#[derive(Clone)]
+enum Slot<T> {
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> Slot<T> {
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Slot::One(v) => std::slice::from_ref(v),
+            Slot::Many(v) => v,
+        }
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        match self {
+            Slot::One(v) if !keep(v) => *self = Slot::Many(Vec::new()),
+            Slot::One(_) => {}
+            Slot::Many(values) => values.retain(keep),
+        }
+    }
+}
+
+impl<T> FromIterator<T> for Slot<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(values: I) -> Self {
+        let mut values = values.into_iter();
+        match (values.next(), values.next()) {
+            (Some(one), None) => Slot::One(one),
+            (first, second) => Slot::Many(first.into_iter().chain(second).chain(values).collect()),
+        }
+    }
+}
+
+/// Slots compare by their values, however they are held.
+impl<T: PartialEq> PartialEq for Slot<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
 }
 
 /// A model: an arena of objects claimed to conform to a named metamodel.
@@ -49,16 +168,22 @@ pub struct MObject {
 /// demand, mirroring EMF's separation of construction and validation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Model {
-    metamodel: String,
+    metamodel: Name,
     objects: Vec<Option<MObject>>,
 }
 
 impl Model {
     /// Creates an empty model claiming conformance to `metamodel`.
-    pub fn new(metamodel: impl Into<String>) -> Self {
+    pub fn new(metamodel: impl Into<Name>) -> Self {
+        Self::with_capacity(metamodel.into(), 0)
+    }
+
+    /// An empty model with room for `objects` objects, so a reader that
+    /// knows its object count sizes the arena once.
+    pub(crate) fn with_capacity(metamodel: Name, objects: usize) -> Self {
         Model {
-            metamodel: metamodel.into(),
-            objects: Vec::new(),
+            metamodel,
+            objects: Vec::with_capacity(objects),
         }
     }
 
@@ -77,13 +202,19 @@ impl Model {
         self.len() == 0
     }
 
+    /// One past the largest id the model has issued: every id, live or
+    /// dead, indexes below it.
+    pub(crate) fn id_bound(&self) -> usize {
+        self.objects.len()
+    }
+
     /// Creates an object of the given class and returns its id.
-    pub fn create(&mut self, class: impl Into<String>) -> ObjectId {
+    pub fn create(&mut self, class: impl Into<Name>) -> ObjectId {
         let id = ObjectId(self.objects.len() as u32);
         self.objects.push(Some(MObject {
             class: class.into(),
-            attrs: BTreeMap::new(),
-            refs: BTreeMap::new(),
+            attrs: Slots(Vec::new()),
+            refs: Slots(Vec::new()),
         }));
         id
     }
@@ -99,9 +230,7 @@ impl Model {
         let id = self.create(class);
         for a in mm.all_attributes(class) {
             if !a.default.is_empty() {
-                self.object_mut(id)?
-                    .attrs
-                    .insert(a.name.clone(), a.default.clone());
+                self.set_attr_many(id, a.name.as_str(), a.default.iter().cloned());
             }
         }
         Ok(id)
@@ -118,12 +247,11 @@ impl Model {
             .and_then(Option::take)
             .ok_or_else(|| MetaError::DanglingObject(id.to_string()))?;
         if let Some(mm) = mm {
-            for (slot, targets) in &obj.refs {
-                let is_containment = mm
+            for (slot, targets) in obj.refs() {
+                if mm
                     .reference(&obj.class, slot)
-                    .map(|r| r.containment)
-                    .unwrap_or(false);
-                if is_containment {
+                    .is_some_and(|r| r.containment)
+                {
                     for t in targets {
                         // Contained objects die with their container.
                         let _ = self.destroy(*t, Some(mm));
@@ -132,7 +260,7 @@ impl Model {
             }
         }
         for o in self.objects.iter_mut().flatten() {
-            for targets in o.refs.values_mut() {
+            for (_, targets) in &mut o.refs.0 {
                 targets.retain(|t| *t != id);
             }
         }
@@ -153,11 +281,8 @@ impl Model {
     }
 
     /// Mutably borrows an object.
-    pub fn object_mut(&mut self, id: ObjectId) -> Result<&mut MObject> {
-        self.objects
-            .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
-            .ok_or_else(|| MetaError::DanglingObject(id.to_string()))
+    fn object_mut(&mut self, id: ObjectId) -> Option<&mut MObject> {
+        self.objects.get_mut(id.0 as usize).and_then(Option::as_mut)
     }
 
     /// Iterates over `(id, object)` pairs in id order.
@@ -171,46 +296,44 @@ impl Model {
     /// Ids of all live objects of the given class (exact match).
     pub fn all_of_class(&self, class: &str) -> Vec<ObjectId> {
         self.iter()
-            .filter(|(_, o)| o.class == class)
+            .filter(|(_, o)| *o.class == *class)
             .map(|(i, _)| i)
             .collect()
     }
 
     /// Sets a single-valued attribute, replacing previous values.
-    pub fn set_attr(&mut self, id: ObjectId, name: impl Into<String>, value: Value) {
-        if let Ok(o) = self.object_mut(id) {
-            o.attrs.insert(name.into(), vec![value]);
-        }
+    pub fn set_attr(&mut self, id: ObjectId, name: impl Into<Name>, value: Value) {
+        self.set_attr_many(id, name, [value]);
     }
 
     /// Sets a multi-valued attribute, replacing previous values.
-    pub fn set_attr_many(&mut self, id: ObjectId, name: impl Into<String>, values: Vec<Value>) {
-        if let Ok(o) = self.object_mut(id) {
-            o.attrs.insert(name.into(), values);
+    pub fn set_attr_many(
+        &mut self,
+        id: ObjectId,
+        name: impl Into<Name>,
+        values: impl IntoIterator<Item = Value>,
+    ) {
+        if let Some(o) = self.object_mut(id) {
+            *o.attrs.entry(name.into()) = values.into_iter().collect();
         }
     }
 
     /// Removes an attribute slot entirely.
     pub fn unset_attr(&mut self, id: ObjectId, name: &str) {
-        if let Ok(o) = self.object_mut(id) {
-            o.attrs.remove(name);
+        if let Some(o) = self.object_mut(id) {
+            o.attrs.0.retain(|(n, _)| **n != *name);
         }
     }
 
     /// The first value of an attribute slot, if present.
     pub fn attr(&self, id: ObjectId, name: &str) -> Option<&Value> {
-        self.object(id)
-            .ok()
-            .and_then(|o| o.attrs.get(name))
-            .and_then(|v| v.first())
+        self.attr_all(id, name).first()
     }
 
     /// All values of an attribute slot (empty if unset).
     pub fn attr_all(&self, id: ObjectId, name: &str) -> &[Value] {
         self.object(id)
-            .ok()
-            .and_then(|o| o.attrs.get(name))
-            .map_or(&[], Vec::as_slice)
+            .map_or(&[], |o| o.attrs.get(name).unwrap_or_default())
     }
 
     /// String shorthand: the attribute's first value, as `&str`.
@@ -235,36 +358,51 @@ impl Model {
 
     /// Appends a target to a reference slot (duplicates are kept; model
     /// semantics treat reference slots as ordered lists, like EMF `EList`s).
-    pub fn add_ref(&mut self, id: ObjectId, name: impl Into<String>, target: ObjectId) {
-        if let Ok(o) = self.object_mut(id) {
-            o.refs.entry(name.into()).or_default().push(target);
+    pub fn add_ref(&mut self, id: ObjectId, name: impl Into<Name>, target: ObjectId) {
+        if let Some(o) = self.object_mut(id) {
+            match o.refs.entry(name.into()) {
+                Slot::Many(targets) if !targets.is_empty() => targets.push(target),
+                slot => *slot = slot.as_slice().iter().copied().chain([target]).collect(),
+            }
         }
     }
 
     /// Removes the first occurrence of a target from a reference slot.
     pub fn remove_ref(&mut self, id: ObjectId, name: &str, target: ObjectId) {
-        if let Ok(o) = self.object_mut(id) {
-            if let Some(v) = o.refs.get_mut(name) {
-                if let Some(pos) = v.iter().position(|t| *t == target) {
-                    v.remove(pos);
-                }
-            }
+        let Some(o) = self.object_mut(id) else { return };
+        if let Ok(i) = o.refs.find(name) {
+            let mut found = false;
+            o.refs.0[i].1.retain(|t| {
+                let first = !found && *t == target;
+                found |= first;
+                !first
+            });
         }
     }
 
     /// Replaces the entire contents of a reference slot.
-    pub fn set_refs(&mut self, id: ObjectId, name: impl Into<String>, targets: Vec<ObjectId>) {
-        if let Ok(o) = self.object_mut(id) {
-            o.refs.insert(name.into(), targets);
+    pub fn set_refs(
+        &mut self,
+        id: ObjectId,
+        name: impl Into<Name>,
+        targets: impl IntoIterator<Item = ObjectId>,
+    ) {
+        if let Some(o) = self.object_mut(id) {
+            *o.refs.entry(name.into()) = targets.into_iter().collect();
+        }
+    }
+
+    /// Removes a reference slot entirely.
+    pub(crate) fn unset_refs(&mut self, id: ObjectId, name: &str) {
+        if let Some(o) = self.object_mut(id) {
+            o.refs.0.retain(|(n, _)| **n != *name);
         }
     }
 
     /// All targets of a reference slot (empty if unset).
     pub fn refs(&self, id: ObjectId, name: &str) -> &[ObjectId] {
         self.object(id)
-            .ok()
-            .and_then(|o| o.refs.get(name))
-            .map_or(&[], Vec::as_slice)
+            .map_or(&[], |o| o.refs.get(name).unwrap_or_default())
     }
 
     /// The first target of a reference slot, if any.

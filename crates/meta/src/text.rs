@@ -24,11 +24,13 @@
 //! the source (a string literal is copied only when it holds an escape),
 //! and carry only their byte offset: an error's line and column are
 //! computed when the error is built. Text is copied only into the
-//! [`Model`] it builds. The whole input is lexed before it is parsed, so a
-//! lexical error anywhere wins over a grammar error before it.
+//! [`Model`] it builds, each distinct class or slot name once, and the
+//! model's arena is sized once from the object count. The whole input is
+//! lexed before it is parsed, so a lexical error anywhere wins over a
+//! grammar error before it.
 
 use crate::error::MetaError;
-use crate::model::{Model, ObjectId};
+use crate::model::{Model, Name, ObjectId};
 use crate::{Result, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -46,36 +48,45 @@ pub fn write(model: &Model) -> String {
         ident_or_str(model.metamodel_name())
     );
     for (id, obj) in model.iter() {
-        let _ = writeln!(out, "  {} o{} {{", ident_or_str(&obj.class), id.index());
-        for (name, vals) in &obj.attrs {
-            if vals.is_empty() {
-                continue;
-            }
-            let name = ident_or_str(name);
-            if vals.len() == 1 {
-                let _ = writeln!(out, "    {name} = {}", Written(&vals[0]));
-            } else {
-                let items: Vec<String> = vals.iter().map(|v| Written(v).to_string()).collect();
-                let _ = writeln!(out, "    {name} = [{}]", items.join(", "));
-            }
+        let _ = writeln!(out, "  {} o{} {{", ident_or_str(obj.class()), id.index());
+        for (name, vals) in obj.attrs().filter(|(_, vals)| !vals.is_empty()) {
+            write_slot(&mut out, name, " = ", "", vals.iter().map(Written));
         }
-        for (name, targets) in &obj.refs {
-            if targets.is_empty() {
-                continue;
-            }
-            let name = ident_or_str(name);
-            if targets.len() == 1 {
-                let _ = writeln!(out, "    {name} -> o{}", targets[0].index());
-            } else {
-                let items: Vec<String> =
-                    targets.iter().map(|t| format!("o{}", t.index())).collect();
-                let _ = writeln!(out, "    {name} -> [{}]", items.join(", "));
-            }
+        for (name, targets) in obj.refs().filter(|(_, targets)| !targets.is_empty()) {
+            write_slot(
+                &mut out,
+                name,
+                " -> ",
+                "o",
+                targets.iter().map(|t| t.index()),
+            );
         }
         let _ = writeln!(out, "  }}");
     }
     out.push_str("}\n");
     out
+}
+
+/// Writes a slot of one item as `name op item`, of several as
+/// `name op [item, item]`, each item after `prefix` (`op` carries its
+/// spaces).
+fn write_slot<T: std::fmt::Display>(
+    out: &mut String,
+    name: &str,
+    op: &str,
+    prefix: &str,
+    items: impl ExactSizeIterator<Item = T>,
+) {
+    let many = items.len() != 1;
+    out.push_str("    ");
+    out.push_str(&ident_or_str(name));
+    out.push_str(op);
+    out.push_str(if many { "[" } else { "" });
+    for (i, item) in items.enumerate() {
+        out.push_str(if i > 0 { ", " } else { "" });
+        let _ = write!(out, "{prefix}{item}");
+    }
+    out.push_str(if many { "]\n" } else { "\n" });
 }
 
 /// A value as the format writes it: its `Display` form, except that an
@@ -91,16 +102,16 @@ impl std::fmt::Display for Written<'_> {
     }
 }
 
-fn ident_or_str(s: &str) -> String {
+fn ident_or_str(s: &str) -> Cow<'_, str> {
     let is_ident = !s.is_empty()
         && s.chars()
             .next()
             .is_some_and(|c| c.is_alphabetic() || c == '_')
         && s.chars().all(|c| c.is_alphanumeric() || c == '_');
     if is_ident {
-        s.to_owned()
+        Cow::Borrowed(s)
     } else {
-        format!("{:?}", s)
+        Cow::Owned(format!("{:?}", s))
     }
 }
 
@@ -353,15 +364,35 @@ impl<'a> P<'a> {
         self.kw("model")?;
         let _name = self.ident("model name")?;
         self.kw("conformsTo")?;
-        let mut model = Model::new(self.ident("metamodel name")?);
+        // Each object's body is one brace pair inside the model's.
+        let braces = self.toks.iter().filter(|(t, _)| *t == Tok::LBrace).count();
+        let metamodel = self.ident("metamodel name")?;
+        let mut model = Model::with_capacity(metamodel.into(), braces.saturating_sub(1));
         self.expect(&Tok::LBrace, "`{`")?;
 
+        // One shared name per distinct class or slot name of the text. The
+        // first few are found by a scan, cheaper than a map lookup for the
+        // handful a model has; further ones go to a map, so a text of many
+        // names is not scanned quadratically.
+        const SCANNED: usize = 32;
+        let (mut first, mut more) = (Vec::with_capacity(SCANNED), BTreeMap::<_, Name>::new());
+        let mut name = |s: &'a str| -> Name {
+            match first.iter().find(|n: &&Name| ***n == *s) {
+                Some(n) => n.clone(),
+                None if first.len() == SCANNED => more.entry(s).or_insert_with(|| s.into()).clone(),
+                None => {
+                    first.push(s.into());
+                    first[first.len() - 1].clone()
+                }
+            }
+        };
         let mut local: BTreeMap<&str, ObjectId> = BTreeMap::new();
         // Reference slots, resolved after all objects are created: (object,
         // slot, target count), with every slot's targets (offset and local
         // id) in order in `targets`.
-        let mut slots: Vec<(ObjectId, &str, usize)> = Vec::new();
+        let mut slots: Vec<(ObjectId, Name, usize)> = Vec::new();
         let mut targets: Vec<(usize, &str)> = Vec::new();
+        let mut values = Vec::new();
 
         while !self.eat(&Tok::RBrace) {
             if self.peek().0 == Tok::Eof {
@@ -369,7 +400,7 @@ impl<'a> P<'a> {
             }
             let class = self.ident("class name")?;
             let lid = self.ident("object local id")?;
-            let id = model.create(class);
+            let id = model.create(name(class));
             if local.insert(lid, id).is_some() {
                 return Err(self.err(format!("duplicate object id `{lid}`")));
             }
@@ -380,13 +411,12 @@ impl<'a> P<'a> {
                 }
                 let slot = self.ident("slot name")?;
                 if self.eat(&Tok::Eq) {
-                    let mut values = Vec::new();
                     self.items(&mut values, Self::value)?;
-                    model.set_attr_many(id, slot, values);
+                    model.set_attr_many(id, name(slot), values.drain(..));
                 } else if self.eat(&Tok::Arrow) {
                     let before = targets.len();
                     self.items(&mut targets, |p| Ok((p.peek().1, p.ident("object id")?)))?;
-                    slots.push((id, slot, targets.len() - before));
+                    slots.push((id, name(slot), targets.len() - before));
                 } else {
                     return Err(self.err("expected `=` (attribute) or `->` (reference)"));
                 }
@@ -394,17 +424,17 @@ impl<'a> P<'a> {
         }
         self.expect(&Tok::Eof, "end of input")?;
 
-        let mut targets = targets.into_iter();
+        let mut ids = Vec::with_capacity(targets.len());
+        for (at, lid) in targets {
+            let Some(&t) = local.get(lid) else {
+                let message = format!("reference to undefined object `{lid}`");
+                return Err(syntax(self.src, at, message));
+            };
+            ids.push(t);
+        }
+        let mut ids = ids.into_iter();
         for (id, slot, n) in slots {
-            let mut ids = Vec::with_capacity(n);
-            for (at, lid) in targets.by_ref().take(n) {
-                let Some(&t) = local.get(lid) else {
-                    let message = format!("reference to undefined object `{lid}`");
-                    return Err(syntax(self.src, at, message));
-                };
-                ids.push(t);
-            }
-            model.set_refs(id, slot, ids);
+            model.set_refs(id, slot, ids.by_ref().take(n));
         }
         Ok(model)
     }

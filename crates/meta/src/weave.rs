@@ -19,7 +19,7 @@
 use crate::diff::{KeyIndex, ObjectKey};
 use crate::error::MetaError;
 use crate::model::{Model, ObjectId};
-use crate::Result;
+use crate::{Result, Value};
 use std::collections::BTreeMap;
 
 /// A contradiction between two concern models.
@@ -93,14 +93,14 @@ fn weave_into(woven: &mut Model, incoming: &Model, conflicts: &mut Vec<WeaveConf
     // First pass: create missing objects, remember the id mapping.
     let mut id_map: BTreeMap<ObjectId, ObjectId> = BTreeMap::new();
     for (in_id, obj, key) in keyed() {
-        match woven_keys.id(key) {
+        match woven_keys.owner(&key.0, &key.1) {
             Some(existing) => {
                 id_map.insert(in_id, existing);
             }
             None => {
-                let new_id = woven.create(obj.class.clone());
-                for (attr, values) in &obj.attrs {
-                    woven.set_attr_many(new_id, attr.clone(), values.clone());
+                let new_id = woven.create(obj.class().clone());
+                for (attr, values) in obj.attrs() {
+                    woven.set_attr_many(new_id, attr.clone(), values.iter().cloned());
                 }
                 id_map.insert(in_id, new_id);
             }
@@ -110,30 +110,22 @@ fn weave_into(woven: &mut Model, incoming: &Model, conflicts: &mut Vec<WeaveConf
     // Second pass: merge attributes of matched objects and union refs.
     for (in_id, obj, key) in keyed() {
         let target = id_map[&in_id];
-        if woven_keys.id(key).is_some() {
-            for (attr, values) in &obj.attrs {
+        if woven_keys.owner(&key.0, &key.1).is_some() {
+            for (attr, values) in obj.attrs() {
                 let existing = woven.attr_all(target, attr);
                 if existing.is_empty() {
-                    woven.set_attr_many(target, attr.clone(), values.clone());
-                } else if existing != values.as_slice() {
+                    woven.set_attr_many(target, attr.clone(), values.iter().cloned());
+                } else if existing != values {
                     conflicts.push(WeaveConflict {
-                        key: key.clone(),
-                        attr: attr.clone(),
-                        existing: existing
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join(","),
-                        incoming: values
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join(","),
+                        key: key.into(),
+                        attr: attr.to_string(),
+                        existing: rendered(existing),
+                        incoming: rendered(values),
                     });
                 }
             }
         }
-        for (slot, targets) in &obj.refs {
+        for (slot, targets) in obj.refs() {
             for t in targets {
                 let Some(mapped) = id_map.get(t) else {
                     continue;
@@ -146,10 +138,15 @@ fn weave_into(woven: &mut Model, incoming: &Model, conflicts: &mut Vec<WeaveConf
     }
 }
 
+/// A slot's values, comma-joined.
+fn rendered(values: &[Value]) -> String {
+    let values: Vec<String> = values.iter().map(ToString::to_string).collect();
+    values.join(",")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
 
     fn named(m: &mut Model, class: &str, name: &str) -> ObjectId {
         let id = m.create(class);

@@ -6,9 +6,10 @@
 //! sits at the bottom of the workspace and cannot use the simulator's RNG).
 
 use mddsm_meta::diff::{apply, diff, equivalent};
-use mddsm_meta::model::Model;
+use mddsm_meta::model::{Model, ObjectId};
 use mddsm_meta::text;
 use mddsm_meta::Value;
+use std::collections::BTreeMap;
 
 /// Minimal deterministic generator (SplitMix64) for test-case shapes.
 struct Gen(u64);
@@ -189,7 +190,7 @@ fn diff_size_bounded_by_total_objects() {
         let cl = diff(&a, &b);
         let slots = |m: &Model| {
             m.iter()
-                .map(|(_, o)| o.attrs.len() + o.refs.len() + 1)
+                .map(|(_, o)| o.attrs().count() + o.refs().count() + 1)
                 .sum::<usize>()
         };
         assert!(cl.len() <= slots(&a) + slots(&b));
@@ -212,6 +213,133 @@ fn weave_is_idempotent() {
         let m = arb_model(&mut Gen(0xA6_0000 + case));
         let w = mddsm_meta::weave::weave(&[m.clone(), m.clone()]).expect("self-weave agrees");
         assert!(equivalent(&w, &m));
+    }
+}
+
+/// The final slots of one generated object, as maps would hold them:
+/// attribute values and reference targets (indices of helper objects),
+/// each slot possibly empty.
+struct Spec {
+    attrs: BTreeMap<String, Vec<Value>>,
+    refs: BTreeMap<String, Vec<usize>>,
+}
+
+const HELPERS: usize = 4;
+
+fn arb_spec(gen: &mut Gen) -> Spec {
+    let mut attrs = BTreeMap::new();
+    for _ in 0..gen.range(0, 6) {
+        let values = (0..gen.range(0, 4))
+            .map(|_| match gen.range(0, 3) {
+                0 => Value::Int(gen.range(0, 5) as i64),
+                1 => Value::Str(gen.word(0, 3)),
+                _ => gen.edge_value(),
+            })
+            .collect();
+        attrs.insert(gen.slot_name(3), values);
+    }
+    let mut refs = BTreeMap::new();
+    for _ in 0..gen.range(0, 5) {
+        let targets = (0..gen.range(0, 4))
+            .map(|_| gen.range(0, HELPERS as u64) as usize)
+            .collect();
+        refs.insert(gen.slot_name(3), targets);
+    }
+    Spec { attrs, refs }
+}
+
+/// Builds the spec's object (plus its reference targets) in an order and
+/// through a mix of setters that `gen` picks: decoy slots set and unset,
+/// values overwritten, targets set at once or added one by one around a
+/// removed decoy. `skip` leaves one slot out.
+fn build(spec: &Spec, gen: &mut Gen, skip: Option<&str>) -> (Model, ObjectId) {
+    let mut m = Model::new("mm");
+    let helpers: Vec<ObjectId> = (0..HELPERS)
+        .map(|i| {
+            let h = m.create("Helper");
+            m.set_attr(h, "name", Value::from(format!("h{i}")));
+            h
+        })
+        .collect();
+    let o = m.create("Node");
+    // Each step sets one slot; steps run in a shuffled order.
+    let mut steps: Vec<(bool, &String)> = (spec.attrs.keys().map(|k| (true, k)))
+        .chain(spec.refs.keys().map(|k| (false, k)))
+        .filter(|(_, k)| Some(k.as_str()) != skip)
+        .collect();
+    for i in (1..steps.len()).rev() {
+        steps.swap(i, gen.range(0, i as u64 + 1) as usize);
+    }
+    for (is_attr, name) in steps {
+        let decoy = format!("{name}~");
+        if gen.range(0, 3) == 0 {
+            m.set_attr(o, decoy.as_str(), Value::Int(0));
+            m.unset_attr(o, &decoy);
+        }
+        if is_attr {
+            let values = &spec.attrs[name];
+            if gen.range(0, 2) == 0 {
+                m.set_attr_many(o, name.as_str(), vec![Value::Bool(true); 3]);
+            }
+            match (values.as_slice(), gen.range(0, 3)) {
+                ([one], 0) => m.set_attr(o, name.as_str(), one.clone()),
+                (_, 1) => {
+                    m.unset_attr(o, name);
+                    m.set_attr_many(o, name.as_str(), values.clone());
+                }
+                _ => m.set_attr_many(o, name.as_str(), values.iter().cloned()),
+            }
+        } else {
+            let targets: Vec<ObjectId> = spec.refs[name].iter().map(|&i| helpers[i]).collect();
+            if gen.range(0, 2) == 0 {
+                m.set_refs(o, name.as_str(), targets);
+            } else {
+                // A decoy first, the targets after it, then the decoy's
+                // removal (its first occurrence): the targets remain.
+                m.add_ref(o, name.as_str(), helpers[0]);
+                for t in targets {
+                    m.add_ref(o, name.as_str(), t);
+                }
+                m.remove_ref(o, name, helpers[0]);
+            }
+        }
+    }
+    (m, o)
+}
+
+#[test]
+fn slots_keep_map_semantics_whatever_the_order_of_setting() {
+    for case in 0..128u64 {
+        let mut gen = Gen(0xA9_0000 + case);
+        let spec = arb_spec(&mut gen);
+        let (first, o) = build(&spec, &mut gen, None);
+        let obj = first.object(o).expect("built object");
+        // Slots list in name order with the spec's values, empty ones too.
+        let attrs: Vec<(String, Vec<Value>)> = (obj.attrs())
+            .map(|(n, v)| (n.to_string(), v.to_vec()))
+            .collect();
+        assert_eq!(attrs, spec.attrs.clone().into_iter().collect::<Vec<_>>());
+        let refs: Vec<(String, Vec<u32>)> = (obj.refs())
+            .map(|(n, t)| (n.to_string(), t.iter().map(|t| t.index()).collect()))
+            .collect();
+        let want: Vec<(String, Vec<u32>)> = (spec.refs.iter())
+            .map(|(n, t)| (n.clone(), t.iter().map(|&i| i as u32).collect()))
+            .collect();
+        assert_eq!(refs, want);
+        let written = text::write(&first);
+        for _ in 0..4 {
+            let (other, _) = build(&spec, &mut gen, None);
+            assert_eq!(other, first, "case {case}");
+            assert_eq!(text::write(&other), written, "case {case}");
+            assert!(diff(&first, &other).is_empty(), "case {case}");
+        }
+        // An empty slot differs from an absent one.
+        let empty = (spec.attrs.iter().map(|(n, v)| (n, v.is_empty())))
+            .chain(spec.refs.iter().map(|(n, t)| (n, t.is_empty())));
+        for (name, _) in empty.filter(|(_, empty)| *empty) {
+            let (absent, _) = build(&spec, &mut gen, Some(name));
+            assert_ne!(absent, first, "case {case}: slot `{name}`");
+        }
     }
 }
 

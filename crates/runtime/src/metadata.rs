@@ -28,8 +28,11 @@ impl Metadata {
     /// `__class`.
     pub fn from_object(model: &Model, id: ObjectId) -> Result<Self> {
         let obj = model.object(id)?;
-        let mut values = obj.attrs.clone();
-        values.insert("__class".into(), vec![Value::Str(obj.class.clone())]);
+        let mut values: BTreeMap<String, Vec<Value>> = obj
+            .attrs()
+            .map(|(name, vals)| (name.to_string(), vals.to_vec()))
+            .collect();
+        values.insert("__class".into(), vec![Value::Str(obj.class().to_string())]);
         Ok(Metadata { values })
     }
 

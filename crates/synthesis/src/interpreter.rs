@@ -1,7 +1,7 @@
 //! The change interpreter: walks a change list, drives the domain LTS, and
 //! emits control scripts.
 
-use crate::lts::{ChangeKind, Label, Lts, StateId};
+use crate::lts::{ChangeKind, CommandTemplate, Label, Lts, StateId};
 use crate::script::{Command, ControlScript, EventTrigger};
 use crate::{Result, SynthesisError};
 use mddsm_meta::constraint::{eval_bool, EvalEnv, Val};
@@ -122,15 +122,29 @@ impl ChangeInterpreter {
                 continue;
             }
             // Only a change some transition may take (or one passed
-            // through) needs its `$`-bindings.
+            // through) needs its `$`-bindings. A guard reads all of them,
+            // and so does a passthrough command; a first candidate without
+            // a guard is taken, and only its templates' placeholders are
+            // read.
             let subject = keys.id(change.subject());
-            let vars = bindings(change, subject, new_model, mm);
+            let wanted: Option<Vec<&str>> =
+                (candidates.peek()).filter(|t| t.guard.is_none()).map(|t| {
+                    t.emit
+                        .iter()
+                        .flat_map(CommandTemplate::placeholders)
+                        .collect()
+                });
+            let want = |prefix: &str, name: &str| {
+                (wanted.as_ref())
+                    .is_none_or(|w| w.iter().any(|v| v.strip_prefix(prefix) == Some(name)))
+            };
+            let vars = bindings(change, subject, new_model, mm, &want);
             let mut taken = None;
             for t in candidates {
                 if let Some(guard) = &t.guard {
                     let mut env = EvalEnv::new(new_model, mm);
                     for (k, v) in &vars {
-                        env.bind(k.clone(), Val::Scalar(Value::Str(v.clone())));
+                        env.bind(k, Val::Scalar(Value::Str(v.clone())));
                     }
                     // Bind `self` to the changed object when it still
                     // exists in the new model.
@@ -213,84 +227,87 @@ fn unmatched(change: &Change, state: &str) -> SynthesisError {
     SynthesisError::UnmatchedChange(format!("{change:?} in state `{state}`"))
 }
 
-/// The `$`-bindings of a change: those of [`change_vars`], plus, when the
-/// changed object (`subject`) is in the new model, its attribute values as
-/// `attr_<name>` (so command templates can carry domain data, e.g.
-/// `$attr_action` for an automation rule's action) and its reference
-/// slots as `ref_<slot>`.
+/// Which `$`-bindings to build, by prefix (empty, `attr_` or `ref_`) and
+/// name.
+type Want<'a> = dyn Fn(&str, &str) -> bool + 'a;
+
+/// The `$`-bindings of a change that `want` asks for: those of
+/// [`change_vars`], plus, when the changed object (`subject`) is in the
+/// new model, its attribute values as `attr_<name>` (so command templates
+/// can carry domain data, e.g. `$attr_action` for an automation rule's
+/// action) and its reference slots as `ref_<slot>`.
 fn bindings(
     change: &Change,
     subject: Option<ObjectId>,
     new_model: &Model,
     mm: &Metamodel,
+    want: &Want<'_>,
 ) -> BTreeMap<String, String> {
-    let mut vars = change_vars(change);
+    let mut vars = change_vars(change, want);
     let Some(obj) = subject.and_then(|id| new_model.object(id).ok()) else {
         return vars;
     };
     // Declared defaults first, so explicit values override.
-    for attr in mm.all_attributes(&obj.class) {
-        if let Some(d) = attr.default.first() {
+    for attr in mm.all_attributes(obj.class()) {
+        if let Some(d) = attr.default.first().filter(|_| want("attr_", &attr.name)) {
             vars.insert(format!("attr_{}", attr.name), render_value(d));
         }
     }
-    for (name, values) in &obj.attrs {
-        if let Some(v) = values.first() {
+    for (name, values) in obj.attrs() {
+        if let Some(v) = values.first().filter(|_| want("attr_", name)) {
             vars.insert(format!("attr_{name}"), render_value(v));
         }
     }
     // Reference slots render as the targets' `name`/`id` attributes
     // (comma-joined), so creation commands can carry related element
     // names.
-    for (slot, targets) in &obj.refs {
-        let rendered: Vec<String> = targets
-            .iter()
-            .filter_map(|t| {
-                new_model
-                    .attr_str(*t, "id")
-                    .or_else(|| new_model.attr_str(*t, "name"))
-                    .map(str::to_owned)
-            })
-            .collect();
-        vars.insert(format!("ref_{slot}"), rendered.join(","));
+    for (slot, targets) in obj.refs().filter(|(slot, _)| want("ref_", slot)) {
+        let names = targets.iter().filter_map(|t| {
+            (new_model.attr_str(*t, "id")).or_else(|| new_model.attr_str(*t, "name"))
+        });
+        let mut rendered = String::new();
+        for (i, name) in names.enumerate() {
+            if i > 0 {
+                rendered.push(',');
+            }
+            rendered.push_str(name);
+        }
+        vars.insert(format!("ref_{slot}"), rendered);
     }
     vars
 }
 
-/// Substitution variables derived from a change.
-fn change_vars(change: &Change) -> BTreeMap<String, String> {
+/// Substitution variables derived from a change, those `want` asks for.
+fn change_vars(change: &Change, want: &Want<'_>) -> BTreeMap<String, String> {
     let mut vars = BTreeMap::new();
+    let mut put = |name: &str, value: &dyn Fn() -> String| {
+        if want("", name) {
+            vars.insert(name.to_owned(), value());
+        }
+    };
     let key = change.subject();
-    vars.insert("key".into(), key.to_string());
-    vars.insert("class".into(), key.class.clone());
-    vars.insert("id".into(), key.key.trim_matches('"').to_owned());
+    put("key", &|| key.to_string());
+    put("class", &|| key.class.clone());
+    put("id", &|| key.key.trim_matches('"').to_owned());
     match change {
         Change::SetAttr { attr, values, .. } => {
-            vars.insert("slot".into(), attr.clone());
+            put("slot", &|| attr.clone());
             if let Some(v) = values.first() {
-                vars.insert("value".into(), render_value(v));
+                put("value", &|| render_value(v));
             }
-            vars.insert(
-                "values".into(),
-                values
-                    .iter()
-                    .map(render_value)
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
+            put("values", &|| {
+                let values: Vec<String> = values.iter().map(render_value).collect();
+                values.join(",")
+            });
         }
         Change::SetRefs {
             reference, targets, ..
         } => {
-            vars.insert("slot".into(), reference.clone());
-            vars.insert(
-                "targets".into(),
-                targets
-                    .iter()
-                    .map(|t| t.key.trim_matches('"').to_owned())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
+            put("slot", &|| reference.clone());
+            put("targets", &|| {
+                let targets: Vec<&str> = targets.iter().map(|t| t.key.trim_matches('"')).collect();
+                targets.join(",")
+            });
         }
         _ => {}
     }
@@ -361,6 +378,65 @@ mod tests {
             m.add_ref(s, "parties", p);
         }
         m
+    }
+
+    /// Every `$`-variable a change can bind, plus an unbound one.
+    fn all_vars() -> CommandTemplate {
+        let vars = "$key|$class|$id|$slot|$value|$values|$targets|$attr_name|$attr_kind";
+        CommandTemplate::new("run", "$key")
+            .with("all", vars)
+            .with("refs", "$ref_parties;$ref_none;$$x$")
+    }
+
+    /// The same transitions, guarded by `true` or not.
+    fn every_kind(guarded: bool) -> Lts {
+        let patterns = [
+            ChangePattern::create("Session"),
+            ChangePattern::set_attr("Session", "kind"),
+            ChangePattern::set_refs("Session", "parties"),
+            ChangePattern::create("Party"),
+            ChangePattern::delete("Party"),
+        ];
+        let mut b = LtsBuilder::new().state("s").initial("s");
+        for p in patterns {
+            b = b.transition("s", "s", p, |t| {
+                let t = t.emit(all_vars());
+                if guarded {
+                    t.guard("true")
+                } else {
+                    t
+                }
+            });
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn unguarded_transitions_bind_what_their_templates_read() {
+        // Unguarded, a transition binds only its placeholders; guarded, it
+        // binds everything. The commands must not tell them apart.
+        let mm = mm();
+        let mut with_kind = session_model(true, 5);
+        let s = with_kind.all_of_class("Session")[0];
+        with_kind.set_attr(s, "kind", Value::from("video"));
+        let models = [
+            Model::new("cml"),
+            session_model(false, 0),
+            session_model(true, 5),
+            with_kind,
+            session_model(false, 0),
+        ];
+        let mut lazy = ChangeInterpreter::new(every_kind(false), InterpreterConfig::default());
+        let mut full = ChangeInterpreter::new(every_kind(true), InterpreterConfig::default());
+        let mut emitted = 0;
+        for pair in models.windows(2) {
+            let changes = diff(&pair[0], &pair[1]);
+            let got = lazy.interpret(&changes, &pair[1], &mm).unwrap();
+            let want = full.interpret(&changes, &pair[1], &mm).unwrap();
+            assert_eq!(got.immediate.render(), want.immediate.render());
+            emitted += got.immediate.len();
+        }
+        assert_eq!(emitted, 7);
     }
 
     #[test]

@@ -201,33 +201,45 @@ impl CommandTemplate {
                 .collect(),
         }
     }
+
+    /// The `$`-placeholders of the name, the target and the argument
+    /// values, as [`CommandTemplate::instantiate`] reads them.
+    pub(crate) fn placeholders(&self) -> impl Iterator<Item = &str> {
+        let texts = [&self.name, &self.target].into_iter();
+        texts
+            .chain(self.args.iter().map(|(_, v)| v))
+            .flat_map(|text| {
+                text.split('$')
+                    .skip(1)
+                    .map(|after| &after[..placeholder_end(after)])
+            })
+    }
+}
+
+/// The length of the placeholder name at the start of `after` (the text
+/// after a `$`).
+fn placeholder_end(after: &str) -> usize {
+    (after.find(|c: char| !(c.is_alphanumeric() || c == '_'))).unwrap_or(after.len())
 }
 
 fn subst(template: &str, vars: &BTreeMap<String, String>) -> String {
     let mut out = String::with_capacity(template.len());
-    let mut chars = template.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == '$' {
-            let mut name = String::new();
-            while let Some(&n) = chars.peek() {
-                if n.is_alphanumeric() || n == '_' {
-                    name.push(n);
-                    chars.next();
-                } else {
-                    break;
-                }
+    let mut rest = template;
+    while let Some(at) = rest.find('$') {
+        out.push_str(&rest[..at]);
+        let tail = &rest[at + 1..];
+        let end = placeholder_end(tail);
+        let name = &tail[..end];
+        match vars.get(name) {
+            Some(v) => out.push_str(v),
+            None => {
+                out.push('$');
+                out.push_str(name);
             }
-            match vars.get(&name) {
-                Some(v) => out.push_str(v),
-                None => {
-                    out.push('$');
-                    out.push_str(&name);
-                }
-            }
-        } else {
-            out.push(c);
         }
+        rest = &tail[end..];
     }
+    out.push_str(rest);
     out
 }
 

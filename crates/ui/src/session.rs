@@ -107,8 +107,8 @@ impl EditingSession {
             .model
             .object(id)
             .map_err(|e| UiError::BadEdit(e.to_string()))?;
-        let attr = self.metamodel.attribute(&obj.class, slot).ok_or_else(|| {
-            UiError::BadEdit(format!("class `{}` has no attribute `{slot}`", obj.class))
+        let attr = self.metamodel.attribute(obj.class(), slot).ok_or_else(|| {
+            UiError::BadEdit(format!("class `{}` has no attribute `{slot}`", obj.class()))
         })?;
         let value = convert(text, &attr.ty, slot)?;
         self.checkpoint();
@@ -130,17 +130,18 @@ impl EditingSession {
             .model
             .object(from)
             .map_err(|e| UiError::BadEdit(e.to_string()))?;
-        let r = self.metamodel.reference(&obj.class, slot).ok_or_else(|| {
-            UiError::BadEdit(format!("class `{}` has no reference `{slot}`", obj.class))
+        let r = self.metamodel.reference(obj.class(), slot).ok_or_else(|| {
+            UiError::BadEdit(format!("class `{}` has no reference `{slot}`", obj.class()))
         })?;
         let target = self
             .model
             .object(to)
             .map_err(|e| UiError::BadEdit(e.to_string()))?;
-        if !self.metamodel.is_subclass_of(&target.class, &r.target) {
+        if !self.metamodel.is_subclass_of(target.class(), &r.target) {
             return Err(UiError::BadEdit(format!(
                 "reference `{slot}` expects `{}`, got `{}`",
-                r.target, target.class
+                r.target,
+                target.class()
             )));
         }
         self.checkpoint();

@@ -87,7 +87,7 @@ fn positional_matching_reads_reorder_as_cross_rename() {
     let reordered = unkeyed_pair("y", "x");
     let mut renamed = old.clone();
     for (id, obj) in old.iter() {
-        let label = obj.attrs.get("label").and_then(|v| v.first()).unwrap();
+        let label = obj.attr_slot("label").and_then(<[_]>::first).unwrap();
         let flipped = if label == &Value::from("x") { "y" } else { "x" };
         renamed.set_attr(id, "label", Value::from(flipped));
     }
