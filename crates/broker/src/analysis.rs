@@ -48,17 +48,9 @@ use mddsm_meta::ObjectId;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Key prefixes the engine itself writes (breaker state, failure
-/// counters, admission accounting, monitor memory, replication metrics,
-/// brownout mode). Conflict edges over these are suppressed — the engine
+/// counters, admission accounting, monitor memory, brownout mode). Conflict edges over these are suppressed — the engine
 /// serializes them by construction.
-pub const ENGINE_KEY_PREFIXES: &[&str] = &[
-    "breaker_",
-    "failures_",
-    "adm_",
-    "mon_",
-    "repl_",
-    "brownout_",
-];
+pub const ENGINE_KEY_PREFIXES: &[&str] = &["breaker_", "failures_", "adm_", "mon_", "brownout_"];
 
 /// `true` for keys in the engine-reserved namespaces.
 pub fn is_engine_key(key: &str) -> bool {
@@ -395,19 +387,6 @@ pub(crate) fn analyze_read(
     if !spec.brownouts.is_empty() {
         note_key(&mut keys, "brownout_mode".into(), KeyType::Str);
         note_key(&mut keys, "brownout_level".into(), KeyType::Int);
-    }
-    if !model.all_of_class("ReplicaSet").is_empty() {
-        for k in [
-            "repl_commit_lsn",
-            "repl_quorum",
-            "repl_peers",
-            "repl_lag",
-            "repl_epoch",
-            "repl_retransmits",
-            "repl_fenced",
-        ] {
-            note_key(&mut keys, k.into(), KeyType::Int);
-        }
     }
     // Declared state migrations introduce their target keys at cutover,
     // so candidate policies/monitors may reference them; the value's
@@ -778,6 +757,23 @@ mod tests {
         let r = analyze(&model);
         assert!(r.is_accepted());
         assert!(r.warnings().any(|d| d.code == "unresolved-key"));
+    }
+
+    #[test]
+    fn a_replica_set_adds_no_key_to_the_state() {
+        // The replicator keeps its health in its own fields: a policy
+        // reading `repl_lag` reads a key no broker state ever holds.
+        let model = base()
+            .replica_set(2, &[("b", "AckWindowed", 16, 5_000)])
+            .policy("lagging", "self.repl_lag > 10")
+            .build();
+        let r = analyze(&model);
+        assert!(
+            r.warnings()
+                .any(|d| d.code == "unresolved-key" && d.message.contains("self.repl_lag")),
+            "{:?}",
+            r.diagnostics
+        );
     }
 
     #[test]

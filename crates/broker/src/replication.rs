@@ -48,7 +48,7 @@
 use crate::engine::{GenericBroker, RecoveryReport};
 use crate::journal::{self, Applier, Recovered, Touched};
 use crate::monitor::{MonitorSet, MonitorTrip};
-use crate::state::{Key, StateManager};
+use crate::state::StateManager;
 use crate::{BrokerError, Result};
 use mddsm_meta::model::Model;
 use mddsm_sim::net::{Network, SendOutcome};
@@ -210,19 +210,6 @@ pub struct QuorumShipReport {
 /// Each lane ships the outbox slice from its cursor to its window end, so
 /// a [`QuorumReplicator::tick`] costs O(lines ingested + lines shipped)
 /// whatever the length of the retained history.
-///
-/// Health is OCL-addressable through the metrics [`StateManager`], under
-/// these keys:
-///
-/// | key | meaning |
-/// |---|---|
-/// | `repl_commit_lsn` | quorum commit LSN |
-/// | `repl_quorum` | declared quorum (nodes, counting the primary) |
-/// | `repl_peers` | peer count |
-/// | `repl_lag` | journal lines enqueued but unacked, summed over lanes |
-/// | `repl_epoch` | epoch the replicator currently ships under |
-/// | `repl_retransmits` | ack-timeout go-backs, summed over lanes |
-/// | `repl_fenced` | times any receiver refused us as stale |
 #[derive(Debug)]
 pub struct QuorumReplicator {
     cfg: ReplicaSetConfig,
@@ -241,32 +228,11 @@ pub struct QuorumReplicator {
     lanes: Vec<PeerLane>,
     /// Monotone quorum commit point.
     commit_lsn: u64,
-    metrics: StateManager,
-    /// The metric keys every tick writes, rendered once.
-    keys: TickKeys,
-}
-
-/// The `repl_*` metrics a [`QuorumReplicator::tick`] refreshes.
-#[derive(Debug)]
-struct TickKeys {
-    lag: Key,
-    commit_lsn: Key,
-    epoch: Key,
-    retransmits: Key,
-    fenced: Key,
 }
 
 impl QuorumReplicator {
     /// Creates a quorum replicator for a primary on network node `node`.
     pub fn new(cfg: ReplicaSetConfig, node: &str) -> Self {
-        let mut metrics = StateManager::new();
-        metrics.set_int("repl_commit_lsn", 0);
-        metrics.set_int("repl_quorum", cfg.quorum as i64);
-        metrics.set_int("repl_peers", cfg.peers.len() as i64);
-        metrics.set_int("repl_lag", 0);
-        metrics.set_int("repl_epoch", 1);
-        metrics.set_int("repl_retransmits", 0);
-        metrics.set_int("repl_fenced", 0);
         let lanes = cfg.peers.iter().cloned().map(PeerLane::new).collect();
         QuorumReplicator {
             cfg,
@@ -277,14 +243,6 @@ impl QuorumReplicator {
             head_lsn: 0,
             lanes,
             commit_lsn: 0,
-            metrics,
-            keys: TickKeys {
-                lag: Key::new("repl_lag"),
-                commit_lsn: Key::new("repl_commit_lsn"),
-                epoch: Key::new("repl_epoch"),
-                retransmits: Key::new("repl_retransmits"),
-                fenced: Key::new("repl_fenced"),
-            },
         }
     }
 
@@ -362,11 +320,6 @@ impl QuorumReplicator {
         self.lanes.iter().map(|l| l.cfg.node.as_str()).collect()
     }
 
-    /// The OCL-addressable metrics model (see the type docs for keys).
-    pub fn metrics(&self) -> &StateManager {
-        &self.metrics
-    }
-
     /// Rewinds a peer's lane to sequence 0 so the full retained history
     /// is re-shipped — the revival path for a replica that lost its
     /// mirror. Returns `false` for an unknown node. The commit LSN is
@@ -393,8 +346,6 @@ impl QuorumReplicator {
         self.cfg.peers.retain(|p| p.node != cfg.node);
         self.cfg.peers.push(cfg.clone());
         self.lanes.push(PeerLane::new(cfg));
-        self.metrics
-            .set_int("repl_peers", self.cfg.peers.len() as i64);
     }
 
     /// One shipping cycle at virtual instant `now` under fencing epoch
@@ -495,13 +446,6 @@ impl QuorumReplicator {
 
         self.update_commit();
         report.commit_lsn = self.commit_lsn;
-        let (lag, retransmits, fenced) = (self.lag(), self.retransmits(), self.fenced());
-        let (k, m) = (&self.keys, &mut self.metrics);
-        m.set_int(&k.lag, lag as i64);
-        m.set_int(&k.commit_lsn, self.commit_lsn as i64);
-        m.set_int(&k.epoch, epoch as i64);
-        m.set_int(&k.retransmits, retransmits as i64);
-        m.set_int(&k.fenced, fenced as i64);
         Ok(report)
     }
 
@@ -1079,7 +1023,6 @@ mod tests {
         assert!(rep.synced() && rep.quorum_synced());
         assert_eq!(rep.quorum(), 2);
         assert_eq!(rep.lag(), 0);
-        assert_eq!(rep.metrics().int("repl_lag"), Some(0));
         // The standby's live model matches the primary's, and the mirror
         // is byte-identical — promotion would recover exactly this state.
         assert_eq!(
@@ -1109,10 +1052,6 @@ mod tests {
         drain(&mut rep, &net, &broker, &mut [&mut standby], 400);
         assert!(rep.synced(), "never converged under loss");
         assert!(rep.retransmits() > 0, "0.5 loss must force retransmission");
-        assert_eq!(
-            rep.metrics().int("repl_retransmits"),
-            Some(rep.retransmits() as i64)
-        );
         assert_eq!(broker.state().first_divergence(standby.state()), None);
         assert_eq!(standby.journal_bytes(), broker.journal_bytes().unwrap());
     }
@@ -1180,7 +1119,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.fenced, 1, "the stale primary must be fenced");
         assert_eq!(rep.fenced(), 1);
-        assert_eq!(rep.metrics().int("repl_fenced"), Some(1));
         // Direct receive refuses with the typed error too, and applies
         // nothing.
         let applied_before = standby.applied_lsn();
@@ -1607,11 +1545,7 @@ mod tests {
         assert_eq!(rep.commit_lsn(), broker.state().version());
         assert_eq!(rep.acked_lsn("b"), broker.state().version());
         assert_eq!(rep.acked_lsn("c"), 0);
-        assert_eq!(rep.metrics().int("repl_quorum"), Some(2));
-        assert_eq!(
-            rep.metrics().int("repl_commit_lsn"),
-            Some(rep.commit_lsn() as i64)
-        );
+        assert_eq!(rep.quorum(), 2);
         // Every committed LSN is on b byte-for-byte (the safety claim).
         let committed =
             journal::prefix_through_lsn(broker.journal_bytes().unwrap(), rep.commit_lsn()).unwrap();
@@ -1751,7 +1685,8 @@ mod tests {
             (rep.lag(), rep.commit_lsn(), net.stats(), b.received()),
             before
         );
-        assert_eq!(rep.metrics().int("repl_epoch"), Some(1));
+        // Nothing reached a peer under the refused tick's epoch.
+        assert_eq!((b.epoch(), c.epoch()), (1, 1));
         // The full journal still ships on from the untouched cursor.
         broker.call("inc", &args(&[])).unwrap();
         drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 8);

@@ -297,21 +297,12 @@ impl MdDsmPlatform {
     /// Delivers an environmental event: runs any installed (triggered)
     /// scripts matching it and routes the event through the Controller's
     /// event handler.
-    pub fn notify_event(
-        &mut self,
-        topic: &str,
-        payload: &[(String, String)],
-    ) -> Result<ExecutionReport> {
+    pub fn notify_event(&mut self, topic: &str) -> Result<ExecutionReport> {
         let mut report = ExecutionReport::default();
         let matching: Vec<ControlScript> = self
             .installed
             .iter()
-            .filter(|s| {
-                s.trigger
-                    .as_ref()
-                    .map(|t| t.matches(topic, payload))
-                    .unwrap_or(false)
-            })
+            .filter(|s| s.trigger.as_ref().is_some_and(|t| t.topic == topic))
             .cloned()
             .collect();
         for script in matching {
@@ -336,7 +327,7 @@ impl MdDsmPlatform {
         let emitted = broker.autonomic_tick()?;
         let mut report = ExecutionReport::default();
         for topic in emitted {
-            let r = self.notify_event(&topic, &[])?;
+            let r = self.notify_event(&topic)?;
             report.merge(&r);
             report.events.push(topic);
         }

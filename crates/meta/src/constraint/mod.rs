@@ -19,8 +19,16 @@
 //! * Object test: `e.isKindOf(ClassName)`.
 //! * Operators (loosest to tightest): `implies`; `or`; `and`; `not`;
 //!   comparisons `= <> < <= > >=`; `+ -`; `* / mod`; unary `-`.
-//! * Literals: integers, floats, strings, `true`/`false`,
-//!   `EnumType::Literal`, `null`.
+//! * Literals: integers (up to `i64::MAX`; a unary `-` negates), floats,
+//!   strings, `true`/`false`, `EnumType::Literal`, `null`.
+//!
+//! The lexical rules are the model format's: the text is read by the
+//! scanner of [`crate::text`], with OCL-lite's punctuation. A string takes
+//! the escapes `\"`, `\\`, `\n`, `\t`, `\r`, `\0` and `\u{…}` (one to six
+//! hex digits naming a Unicode scalar value), and `//` starts a comment
+//! that runs to the end of the line. Errors carry the line and column
+//! (in chars) of the offending token; the whole text is lexed before it is
+//! parsed, so a lexical error anywhere wins over a grammar error.
 //!
 //! Parse with [`parse`], evaluate with [`eval`] against an [`EvalEnv`].
 //! An expression nests at most [`MAX_NESTING`] levels; deeper text is a
@@ -28,7 +36,6 @@
 
 mod ast;
 mod eval;
-mod lexer;
 mod parser;
 pub mod temporal;
 
@@ -41,8 +48,7 @@ use crate::Result;
 
 /// Parses an OCL-lite expression.
 pub fn parse(source: &str) -> Result<Expr> {
-    let tokens = lexer::lex(source)?;
-    parser::parse_tokens(&tokens)
+    parser::parse_tokens(source, &crate::text::lex(source, parser::punct)?)
 }
 
 #[cfg(test)]
@@ -153,6 +159,45 @@ mod tests {
         assert!(parse("self.").is_err());
         assert!(parse("->size()").is_err());
         assert!(parse("(1").is_err());
+    }
+
+    #[test]
+    fn lexical_rules_are_the_model_formats() {
+        let lit = |v: Value| Box::new(Expr::Lit(v));
+        let sub = Expr::Binary(BinOp::Sub, lit(Value::Int(1)), lit(Value::Int(2)));
+        assert_eq!(parse("1-2").unwrap(), sub);
+        // A `.` not followed by a digit ends a number.
+        assert_eq!(
+            parse("1.x").unwrap(),
+            Expr::Prop(lit(Value::Int(1)), "x".into())
+        );
+        let s = parse(r#""\"\\\n\t\r\0\u{1F600}é""#).unwrap();
+        assert_eq!(s, Expr::Lit(Value::Str("\"\\\n\t\r\0\u{1F600}é".into())));
+        assert_eq!(
+            parse("1 // one\n  + 2 // two").unwrap(),
+            parse("1 + 2").unwrap()
+        );
+        for (src, error) in [
+            ("a # b", "1:3: unexpected character `#`"),
+            ("a : b", "1:3: expected `::`"),
+            ("\"open", "1:1: unterminated string"),
+            ("\"\\q\"", "1:2: bad escape `\\q`"),
+            (
+                "\"a\nb\" = é\n  .",
+                "3:4: expected property or method name after `.`",
+            ),
+            ("1 + // no operand", "1:5: expected expression"),
+            (
+                "9223372036854775808",
+                "1:1: bad int: number too large to fit in target type",
+            ),
+            // An integer too large for `i64` fails where the parser
+            // reaches it, so a grammar error before it wins.
+            ("(1 + ) = 9223372036854775808", "1:6: expected expression"),
+        ] {
+            let got = parse(src).unwrap_err().to_string();
+            assert_eq!(got, format!("syntax error at {error}"), "{src:?}");
+        }
     }
 
     #[test]

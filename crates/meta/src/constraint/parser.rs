@@ -1,9 +1,9 @@
-//! Recursive-descent parser for the OCL-lite constraint language.
+//! Recursive-descent parser for the OCL-lite constraint language, over
+//! the tokens of the scanner it shares with the model format.
 
 use super::ast::{BinOp, Expr, UnOp};
-use super::lexer::{TokKind, Token};
-use crate::error::MetaError;
-use crate::{Result, Value};
+use crate::text::{syntax, Tok, Token, BAD_INT};
+use crate::{MetaError, Result, Value};
 
 /// The deepest expression nesting the parser accepts.
 ///
@@ -16,9 +16,59 @@ use crate::{Result, Value};
 /// few levels deep; past the bound, parsing fails with a syntax error.
 pub const MAX_NESTING: usize = 64;
 
-pub fn parse_tokens(tokens: &[Token]) -> Result<Expr> {
+/// OCL-lite's punctuation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum Op {
+    LParen,
+    RParen,
+    Dot,
+    Arrow,
+    ColonColon,
+    Pipe,
+    Comma,
+    Plus,
+    Minus,
+    Star,
+    Slash,
+    Eq,
+    Neq,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+/// The mark of OCL-lite's punctuation that `rest` starts with, and its
+/// length in bytes.
+pub(super) fn punct(rest: &[u8]) -> Option<(Op, usize)> {
+    Some(match rest {
+        [b'-', b'>', ..] => (Op::Arrow, 2),
+        [b':', b':', ..] => (Op::ColonColon, 2),
+        [b'<', b'=', ..] => (Op::Le, 2),
+        [b'<', b'>', ..] => (Op::Neq, 2),
+        [b'>', b'=', ..] => (Op::Ge, 2),
+        [b'(', ..] => (Op::LParen, 1),
+        [b')', ..] => (Op::RParen, 1),
+        [b'.', ..] => (Op::Dot, 1),
+        [b'|', ..] => (Op::Pipe, 1),
+        [b',', ..] => (Op::Comma, 1),
+        [b'+', ..] => (Op::Plus, 1),
+        [b'-', ..] => (Op::Minus, 1),
+        [b'*', ..] => (Op::Star, 1),
+        [b'/', ..] => (Op::Slash, 1),
+        [b'=', ..] => (Op::Eq, 1),
+        [b'<', ..] => (Op::Lt, 1),
+        [b'>', ..] => (Op::Gt, 1),
+        _ => return None,
+    })
+}
+
+/// Parses one expression from `toks`, tokens of `src` that end with
+/// [`Tok::Eof`].
+pub(super) fn parse_tokens(src: &str, toks: &[Token<'_, Op>]) -> Result<Expr> {
     let mut p = Parser {
-        toks: tokens,
+        src,
+        toks,
         pos: 0,
         depth: 0,
     };
@@ -28,43 +78,31 @@ pub fn parse_tokens(tokens: &[Token]) -> Result<Expr> {
 }
 
 struct Parser<'a> {
-    toks: &'a [Token],
+    src: &'a str,
+    toks: &'a [Token<'a, Op>],
     pos: usize,
     /// Levels of nesting open at the current token (see [`MAX_NESTING`]).
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> &Token {
-        &self.toks[self.pos.min(self.toks.len() - 1)]
-    }
-
-    fn bump(&mut self) -> &Token {
-        let t = &self.toks[self.pos.min(self.toks.len() - 1)];
-        self.pos += 1;
-        t
+    fn peek(&self) -> &'a Token<'a, Op> {
+        let toks = self.toks;
+        &toks[self.pos.min(toks.len() - 1)]
     }
 
     fn err(&self, message: impl Into<String>) -> MetaError {
-        let t = self.peek();
-        MetaError::Syntax {
-            line: t.line,
-            col: t.col,
-            message: message.into(),
-        }
+        syntax(self.src, self.peek().1, message)
     }
 
-    fn eat(&mut self, kind: &TokKind) -> bool {
-        if &self.peek().kind == kind {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    fn eat(&mut self, op: Op) -> bool {
+        let hit = self.peek().0 == Tok::Punct(op);
+        self.pos += usize::from(hit);
+        hit
     }
 
-    fn expect(&mut self, kind: &TokKind, what: &str) -> Result<()> {
-        if self.eat(kind) {
+    fn expect(&mut self, op: Op, what: &str) -> Result<()> {
+        if self.eat(op) {
             Ok(())
         } else {
             Err(self.err(format!("expected {what}")))
@@ -72,7 +110,7 @@ impl<'a> Parser<'a> {
     }
 
     fn expect_eof(&mut self) -> Result<()> {
-        if self.peek().kind == TokKind::Eof {
+        if self.peek().0 == Tok::Eof {
             Ok(())
         } else {
             Err(self.err("expected end of expression"))
@@ -98,18 +136,10 @@ impl<'a> Parser<'a> {
         out
     }
 
-    /// Is the current token the given keyword-identifier?
-    fn at_kw(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokKind::Ident(s) if s == kw)
-    }
-
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.at_kw(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        let hit = self.peek().0 == Tok::Ident(kw);
+        self.pos += usize::from(hit);
+        hit
     }
 
     fn implies(&mut self) -> Result<Expr> {
@@ -158,17 +188,17 @@ impl<'a> Parser<'a> {
 
     fn cmp(&mut self) -> Result<Expr> {
         let lhs = self.add()?;
-        let op = match self.peek().kind {
-            TokKind::Eq => Some(BinOp::Eq),
-            TokKind::Neq => Some(BinOp::Neq),
-            TokKind::Lt => Some(BinOp::Lt),
-            TokKind::Le => Some(BinOp::Le),
-            TokKind::Gt => Some(BinOp::Gt),
-            TokKind::Ge => Some(BinOp::Ge),
+        let op = match &self.peek().0 {
+            Tok::Punct(Op::Eq) => Some(BinOp::Eq),
+            Tok::Punct(Op::Neq) => Some(BinOp::Neq),
+            Tok::Punct(Op::Lt) => Some(BinOp::Lt),
+            Tok::Punct(Op::Le) => Some(BinOp::Le),
+            Tok::Punct(Op::Gt) => Some(BinOp::Gt),
+            Tok::Punct(Op::Ge) => Some(BinOp::Ge),
             _ => None,
         };
         if let Some(op) = op {
-            self.bump();
+            self.pos += 1;
             let rhs = self.add()?;
             Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)))
         } else {
@@ -180,12 +210,12 @@ impl<'a> Parser<'a> {
         let base = self.depth;
         let mut lhs = self.mul()?;
         loop {
-            let op = match self.peek().kind {
-                TokKind::Plus => BinOp::Add,
-                TokKind::Minus => BinOp::Sub,
+            let op = match &self.peek().0 {
+                Tok::Punct(Op::Plus) => BinOp::Add,
+                Tok::Punct(Op::Minus) => BinOp::Sub,
                 _ => break,
             };
-            self.bump();
+            self.pos += 1;
             self.nest()?;
             let rhs = self.mul()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
@@ -198,13 +228,13 @@ impl<'a> Parser<'a> {
         let base = self.depth;
         let mut lhs = self.unary()?;
         loop {
-            let op = match &self.peek().kind {
-                TokKind::Star => BinOp::Mul,
-                TokKind::Slash => BinOp::Div,
-                TokKind::Ident(s) if s == "mod" => BinOp::Mod,
+            let op = match &self.peek().0 {
+                Tok::Punct(Op::Star) => BinOp::Mul,
+                Tok::Punct(Op::Slash) => BinOp::Div,
+                Tok::Ident("mod") => BinOp::Mod,
                 _ => break,
             };
-            self.bump();
+            self.pos += 1;
             self.nest()?;
             let rhs = self.unary()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
@@ -214,7 +244,7 @@ impl<'a> Parser<'a> {
     }
 
     fn unary(&mut self) -> Result<Expr> {
-        if self.eat(&TokKind::Minus) {
+        if self.eat(Op::Minus) {
             let e = self.nested(Self::unary)?;
             Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
         } else {
@@ -226,33 +256,33 @@ impl<'a> Parser<'a> {
         let base = self.depth;
         let mut e = self.primary()?;
         loop {
-            if matches!(self.peek().kind, TokKind::Dot | TokKind::Arrow) {
+            if matches!(self.peek().0, Tok::Punct(Op::Dot | Op::Arrow)) {
                 self.nest()?;
             }
-            if self.eat(&TokKind::Dot) {
+            if self.eat(Op::Dot) {
                 let name = self.ident("property or method name after `.`")?;
-                if self.eat(&TokKind::LParen) {
+                if self.eat(Op::LParen) {
                     let mut args = Vec::new();
-                    if !self.eat(&TokKind::RParen) {
+                    if !self.eat(Op::RParen) {
                         loop {
                             // Bare identifiers as method arguments denote
                             // class names (for isKindOf) and parse as string
                             // literals when not followed by postfix syntax.
                             args.push(self.call_arg()?);
-                            if self.eat(&TokKind::RParen) {
+                            if self.eat(Op::RParen) {
                                 break;
                             }
-                            self.expect(&TokKind::Comma, "`,` or `)` in argument list")?;
+                            self.expect(Op::Comma, "`,` or `)` in argument list")?;
                         }
                     }
                     e = Expr::Call(Box::new(e), name, args);
                 } else {
                     e = Expr::Prop(Box::new(e), name);
                 }
-            } else if self.eat(&TokKind::Arrow) {
+            } else if self.eat(Op::Arrow) {
                 let op = self.ident("collection operation after `->`")?;
-                self.expect(&TokKind::LParen, "`(` after collection operation")?;
-                if self.eat(&TokKind::RParen) {
+                self.expect(Op::LParen, "`(` after collection operation")?;
+                if self.eat(Op::RParen) {
                     e = Expr::CollOp {
                         recv: Box::new(e),
                         op,
@@ -263,11 +293,10 @@ impl<'a> Parser<'a> {
                 }
                 // Either `var | body` or a single argument expression.
                 let checkpoint = self.pos;
-                let var = if let TokKind::Ident(v) = &self.peek().kind {
-                    let v = v.clone();
+                let var = if let Tok::Ident(v) = &self.peek().0 {
                     self.pos += 1;
-                    if self.eat(&TokKind::Pipe) {
-                        Some(v)
+                    if self.eat(Op::Pipe) {
+                        Some((*v).to_owned())
                     } else {
                         self.pos = checkpoint;
                         None
@@ -276,7 +305,7 @@ impl<'a> Parser<'a> {
                     None
                 };
                 let body = self.nested(Self::implies)?;
-                self.expect(&TokKind::RParen, "`)` closing collection operation")?;
+                self.expect(Op::RParen, "`)` closing collection operation")?;
                 e = Expr::CollOp {
                     recv: Box::new(e),
                     op,
@@ -294,71 +323,58 @@ impl<'a> Parser<'a> {
     /// A method-call argument: a bare identifier (class name) or a full
     /// expression.
     fn call_arg(&mut self) -> Result<Expr> {
-        if let TokKind::Ident(name) = &self.peek().kind {
-            let name = name.clone();
+        if let Tok::Ident(name) = &self.peek().0 {
             // A bare identifier followed by `,` or `)` is a class-name
             // argument, represented as a string literal.
-            let next = &self.toks.get(self.pos + 1).map(|t| &t.kind);
-            if matches!(next, Some(TokKind::Comma) | Some(TokKind::RParen))
-                && !matches!(name.as_str(), "true" | "false" | "null" | "self")
+            let next = self.toks.get(self.pos + 1).map(|t| &t.0);
+            if matches!(next, Some(Tok::Punct(Op::Comma | Op::RParen)))
+                && !matches!(*name, "true" | "false" | "null" | "self")
             {
                 self.pos += 1;
-                return Ok(Expr::Lit(Value::Str(name)));
+                return Ok(Expr::Lit(Value::Str((*name).to_owned())));
             }
         }
         self.nested(Self::implies)
     }
 
     fn ident(&mut self, what: &str) -> Result<String> {
-        match &self.peek().kind {
-            TokKind::Ident(s) => {
-                let s = s.clone();
+        match &self.peek().0 {
+            Tok::Ident(s) => {
                 self.pos += 1;
-                Ok(s)
+                Ok((*s).to_owned())
             }
             _ => Err(self.err(format!("expected {what}"))),
         }
     }
 
     fn primary(&mut self) -> Result<Expr> {
-        let t = self.peek().clone();
-        match t.kind {
-            TokKind::Int(i) => {
-                self.bump();
-                Ok(Expr::Lit(Value::Int(i)))
-            }
-            TokKind::Float(x) => {
-                self.bump();
-                Ok(Expr::Lit(Value::Float(x)))
-            }
-            TokKind::Str(s) => {
-                self.bump();
-                Ok(Expr::Lit(Value::Str(s)))
-            }
-            TokKind::Ident(name) => {
-                self.bump();
-                match name.as_str() {
-                    "true" => Ok(Expr::Lit(Value::Bool(true))),
-                    "false" => Ok(Expr::Lit(Value::Bool(false))),
-                    "null" => Ok(Expr::Null),
-                    _ => {
-                        if self.eat(&TokKind::ColonColon) {
-                            let lit = self.ident("enum literal after `::`")?;
-                            Ok(Expr::EnumLit(name, lit))
-                        } else {
-                            Ok(Expr::Var(name))
-                        }
+        let lit = match &self.peek().0 {
+            Tok::Int(n) => Value::Int(i64::try_from(*n).map_err(|_| self.err(BAD_INT))?),
+            Tok::Float(x) => Value::Float(*x),
+            Tok::Str(s) => Value::Str(s.as_ref().to_owned()),
+            Tok::Ident(name) => {
+                self.pos += 1;
+                return Ok(match *name {
+                    "true" => Expr::Lit(Value::Bool(true)),
+                    "false" => Expr::Lit(Value::Bool(false)),
+                    "null" => Expr::Null,
+                    _ if self.eat(Op::ColonColon) => {
+                        let lit = self.ident("enum literal after `::`")?;
+                        Expr::EnumLit((*name).to_owned(), lit)
                     }
-                }
+                    _ => Expr::Var((*name).to_owned()),
+                });
             }
-            TokKind::LParen => {
-                self.bump();
+            Tok::Punct(Op::LParen) => {
+                self.pos += 1;
                 let e = self.nested(Self::implies)?;
-                self.expect(&TokKind::RParen, "`)`")?;
-                Ok(e)
+                self.expect(Op::RParen, "`)`")?;
+                return Ok(e);
             }
-            _ => Err(self.err("expected expression")),
-        }
+            _ => return Err(self.err("expected expression")),
+        };
+        self.pos += 1;
+        Ok(Expr::Lit(lit))
     }
 }
 

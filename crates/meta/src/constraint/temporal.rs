@@ -20,9 +20,11 @@
 //! into an incremental monitor is the runtime's job (the Broker layer
 //! compiles properties into in-stream journal monitors).
 
-use super::{parse, Expr};
+use super::parser::{parse_tokens, punct, Op};
+use super::Expr;
 use crate::analysis::collect_self_paths;
-use crate::{MetaError, Result};
+use crate::text::{lex, syntax, Tok, Token};
+use crate::Result;
 
 /// A parsed temporal property.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,66 +72,99 @@ impl Property {
     }
 }
 
-fn syntax(message: String) -> MetaError {
-    MetaError::Syntax {
-        line: 1,
-        col: 1,
-        message,
-    }
+/// Whether token `i` (not the first) is the keyword `kw`: that
+/// identifier, but not as a property or operation name (right after `.`
+/// or `->`).
+fn is_keyword(toks: &[Token<'_, Op>], i: usize, kw: &str) -> bool {
+    toks[i].0 == Tok::Ident(kw) && !matches!(toks[i - 1].0, Tok::Punct(Op::Dot | Op::Arrow))
 }
 
-/// Checks that an `at-most-one` operand is a plain state-variable name.
-fn identifier(s: &str, role: &str) -> Result<String> {
-    let s = s.trim();
-    let ok = !s.is_empty()
-        && s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.');
-    if ok {
-        Ok(s.to_owned())
+/// The index of the last `during` keyword of a `never` property's tokens
+/// that is outside parentheses: `during` binds loosest.
+fn last_during(toks: &[Token<'_, Op>]) -> Option<usize> {
+    let (mut depth, mut found) = (0usize, None);
+    for i in 1..toks.len() {
+        match toks[i].0 {
+            Tok::Punct(Op::LParen) => depth += 1,
+            Tok::Punct(Op::RParen) => depth = depth.saturating_sub(1),
+            _ if depth == 0 && is_keyword(toks, i, "during") => found = Some(i),
+            _ => {}
+        }
+    }
+    found
+}
+
+/// The state-variable name an `at-most-one` operand spells: the source
+/// text of `toks` but the last (which ends the operand), refused unless
+/// it is a plain name.
+fn identifier(src: &str, toks: &[Token<'_, Op>], role: &str) -> Result<String> {
+    let is_name = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '.';
+    let (from, end) = (toks[0].1, toks[toks.len() - 1].1);
+    // The name ends with the name chars its last token starts with, so a
+    // comment may follow it.
+    let last = toks[toks.len().saturating_sub(2)].1;
+    let to = last + src[last..end].find(|c| !is_name(c)).unwrap_or(end - last);
+    let name = &src[from..to];
+    if to > last && name.chars().all(is_name) {
+        Ok(name.to_owned())
     } else {
-        Err(syntax(format!(
-            "`at-most-one` {role} `{s}` is not a state-variable name"
-        )))
+        let s = src[from..end].trim_end();
+        let message = format!("`at-most-one` {role} `{s}` is not a state-variable name");
+        Err(syntax(src, from, message))
     }
 }
 
 /// Parses a temporal property. A source with no temporal keyword parses
-/// as a plain invariant (`always <expr>`).
+/// as a plain invariant (`always <expr>`). The source is scanned once, and
+/// every error carries its line and column in the whole source.
 pub fn parse_property(source: &str) -> Result<Property> {
+    let mut toks = lex(source, punct)?;
     let s = source.trim();
-    if let Some(rest) = s.strip_prefix("always ") {
-        return Ok(Property::Always(parse(rest)?));
+    let eof = toks[toks.len() - 1].1;
+    match toks.as_slice() {
+        [(Tok::Ident("always"), _), ..] => Ok(Property::Always(parse_tokens(source, &toks[1..])?)),
+        [(Tok::Ident("never"), _), ..] => {
+            let Some(d) = last_during(&toks) else {
+                let message = format!("`never` property `{s}` is missing a `during` clause");
+                return Err(syntax(source, eof, message));
+            };
+            // The forbidden condition ends where `during` starts.
+            toks[d].0 = Tok::Eof;
+            Ok(Property::NeverDuring {
+                never: parse_tokens(source, &toks[1..=d])?,
+                during: parse_tokens(source, &toks[d + 1..])?,
+            })
+        }
+        [(Tok::Ident("at"), at), _, _, _, (Tok::Ident("one"), _), ..]
+            if source[*at..].starts_with("at-most-one") =>
+        {
+            let Some(per) = (5..toks.len()).find(|&i| is_keyword(&toks, i, "per")) else {
+                let message = format!("`at-most-one` property `{s}` is missing a `per` clause");
+                return Err(syntax(source, eof, message));
+            };
+            Ok(Property::AtMostOnePer {
+                key: identifier(source, &toks[5..=per], "subject")?,
+                per: identifier(source, &toks[per + 1..], "period")?,
+            })
+        }
+        _ => Ok(Property::Always(parse_tokens(source, &toks)?)),
     }
-    if let Some(rest) = s.strip_prefix("never ") {
-        // `during` binds loosest: split at the last occurrence so the
-        // forbidden condition may itself mention the word in a string.
-        let idx = rest.rfind(" during ").ok_or_else(|| {
-            syntax(format!(
-                "`never` property `{s}` is missing a `during` clause"
-            ))
-        })?;
-        return Ok(Property::NeverDuring {
-            never: parse(&rest[..idx])?,
-            during: parse(&rest[idx + " during ".len()..])?,
-        });
-    }
-    if let Some(rest) = s.strip_prefix("at-most-one ") {
-        let (key, per) = rest.split_once(" per ").ok_or_else(|| {
-            syntax(format!(
-                "`at-most-one` property `{s}` is missing a `per` clause"
-            ))
-        })?;
-        return Ok(Property::AtMostOnePer {
-            key: identifier(key, "subject")?,
-            per: identifier(per, "period")?,
-        });
-    }
-    Ok(Property::Always(parse(s)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::parse;
+    use crate::MetaError;
+
+    /// The line and column, and the message, of the syntax error `src`
+    /// fails with.
+    fn error_at(src: &str) -> ((u32, u32), String) {
+        match parse_property(src) {
+            Err(MetaError::Syntax { line, col, message }) => ((line, col), message),
+            other => panic!("expected a syntax error on {src:?}, got {other:?}"),
+        }
+    }
 
     #[test]
     fn bare_expressions_parse_as_always() {
@@ -155,6 +190,68 @@ mod tests {
         assert_eq!(
             p.watched_keys(),
             vec!["breaker".to_string(), "shed".to_string()]
+        );
+    }
+
+    #[test]
+    fn during_splits_only_as_a_keyword() {
+        let p = parse_property(r#"never self.a = 1 during self.b = " during ""#).unwrap();
+        let want = Property::NeverDuring {
+            never: parse("self.a = 1").unwrap(),
+            during: parse(r#"self.b = " during ""#).unwrap(),
+        };
+        assert_eq!(p, want);
+        // Nor inside parentheses, nor as a property or operation name.
+        let src = "never self.during = 1 during (self.x->during() and self.y)";
+        let want = Property::NeverDuring {
+            never: parse("self.during = 1").unwrap(),
+            during: parse("(self.x->during() and self.y)").unwrap(),
+        };
+        assert_eq!(parse_property(src).unwrap(), want);
+    }
+
+    #[test]
+    fn expression_errors_point_into_the_whole_property() {
+        // The forbidden condition is missing its right operand where
+        // `during` starts.
+        let (at, message) = error_at("never self.a = during self.b = 1");
+        assert_eq!((at, message.as_str()), ((1, 16), "expected expression"));
+        assert_eq!(error_at("always self.a =").0, (1, 16));
+        assert_eq!(error_at("never self.a = 1\n  during self.b =").0, (2, 18));
+    }
+
+    #[test]
+    fn property_errors_carry_their_position() {
+        for (src, at, what) in [
+            ("never self.x = 1", (1, 17), "missing a `during` clause"),
+            ("at-most-one primary", (1, 20), "missing a `per` clause"),
+            ("at-most-one a b per c d", (1, 13), "subject `a b` is not"),
+            ("at-most-one a per c d", (1, 19), "period `c d` is not"),
+        ] {
+            let (got, message) = error_at(src);
+            assert_eq!(got, at, "{src}: {message}");
+            assert!(message.contains(what), "{src}: {message}");
+        }
+    }
+
+    #[test]
+    fn comments_end_at_the_line() {
+        let p = Property::AtMostOnePer {
+            key: "primary".into(),
+            per: "epoch".into(),
+        };
+        for src in [
+            "at-most-one primary // one leader\n per epoch // per term\n",
+            "// one leader per term\nat-most-one primary per epoch // per term",
+        ] {
+            assert_eq!(parse_property(src).unwrap(), p, "{src:?}");
+        }
+        let (at, message) = error_at("at-most-one a // b\n c per d");
+        assert_eq!(at, (1, 13));
+        assert!(message.contains("subject `a // b\n c` is not"), "{message}");
+        assert_eq!(
+            parse_property("never self.a = 1 // during x\n during self.b = 1").unwrap(),
+            parse_property("never self.a = 1 during self.b = 1").unwrap()
         );
     }
 

@@ -28,6 +28,12 @@
 //! model's arena is sized once from the object count. The whole input is
 //! lexed before it is parsed, so a lexical error anywhere wins over a
 //! grammar error before it.
+//!
+//! The scanner is the crate's only lexer: [`crate::constraint`] reads
+//! OCL-lite with it too, so both languages share one set of rules for
+//! identifiers, numbers, strings and their escapes, `//` comments and
+//! error positions. Each language passes its punctuation to it as a
+//! function, for which the scanner is compiled separately.
 
 use crate::error::MetaError;
 use crate::model::{Model, Name, ObjectId};
@@ -117,13 +123,29 @@ fn ident_or_str(s: &str) -> Cow<'_, str> {
 
 // ---------------------------------------------------------------- lexing
 
+/// A token of model text or of OCL-lite, over the language's punctuation
+/// `P`.
 #[derive(Debug, PartialEq)]
-enum Tok<'a> {
+pub(crate) enum Tok<'a, P> {
     Ident(&'a str),
-    /// An integer literal's magnitude; a preceding `-` negates it.
+    /// An integer literal's magnitude; the parser negates it after a `-`
+    /// and checks its range.
     Int(u64),
     Float(f64),
     Str(Cow<'a, str>),
+    Punct(P),
+    Eof,
+}
+
+/// A token and the byte offset it starts at.
+pub(crate) type Token<'a, P> = (Tok<'a, P>, usize);
+
+/// What an integer literal out of `i64`'s range is refused with.
+pub(crate) const BAD_INT: &str = "bad int: number too large to fit in target type";
+
+/// The model format's punctuation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Punct {
     LBrace,
     RBrace,
     LBracket,
@@ -133,15 +155,28 @@ enum Tok<'a> {
     ColonColon,
     Comma,
     Minus,
-    Eof,
 }
 
-/// A token and the byte offset it starts at.
-type Token<'a> = (Tok<'a>, usize);
+/// The mark of the model format's punctuation that `rest` starts with,
+/// and its length in bytes.
+fn punct(rest: &[u8]) -> Option<(Punct, usize)> {
+    Some(match rest {
+        [b'-', b'>', ..] => (Punct::Arrow, 2),
+        [b':', b':', ..] => (Punct::ColonColon, 2),
+        [b'{', ..] => (Punct::LBrace, 1),
+        [b'}', ..] => (Punct::RBrace, 1),
+        [b'[', ..] => (Punct::LBracket, 1),
+        [b']', ..] => (Punct::RBracket, 1),
+        [b'=', ..] => (Punct::Eq, 1),
+        [b',', ..] => (Punct::Comma, 1),
+        [b'-', ..] => (Punct::Minus, 1),
+        _ => return None,
+    })
+}
 
 /// The syntax error `message` at byte `offset` of `src`. The line counts
 /// newlines before the offset; the column counts chars since the last one.
-fn syntax(src: &str, offset: usize, message: impl Into<String>) -> MetaError {
+pub(crate) fn syntax(src: &str, offset: usize, message: impl Into<String>) -> MetaError {
     let before = &src[..offset];
     let line_start = before.rfind('\n').map_or(0, |n| n + 1);
     let ordinal = |n: usize| u32::try_from(n + 1).unwrap_or(u32::MAX);
@@ -165,7 +200,15 @@ fn digits_end(bytes: &[u8], i: usize) -> usize {
     i + bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count()
 }
 
-fn lex(src: &str) -> Result<Vec<Token<'_>>> {
+/// The scanner of both languages: splits `src` into tokens, ending with
+/// [`Tok::Eof`]. `punct` gives the language's punctuation mark a text
+/// starts with and its length in bytes; the rest is shared: whitespace,
+/// `//` line comments, identifiers, numbers, strings and their escapes,
+/// and a `:` that does not start `::` is an error.
+pub(crate) fn lex<P>(
+    src: &str,
+    punct: impl Fn(&[u8]) -> Option<(P, usize)>,
+) -> Result<Vec<Token<'_, P>>> {
     let bytes = src.as_bytes();
     // About one token per four bytes of model text.
     let mut toks = Vec::with_capacity(src.len() / 4 + 1);
@@ -184,22 +227,7 @@ fn lex(src: &str) -> Result<Vec<Token<'_>>> {
                 continue;
             }
             c if c.is_whitespace() => continue,
-            '{' => Tok::LBrace,
-            '}' => Tok::RBrace,
-            '[' => Tok::LBracket,
-            ']' => Tok::RBracket,
-            '=' => Tok::Eq,
-            ',' => Tok::Comma,
-            '-' if bytes.get(i) == Some(&b'>') => {
-                i += 1;
-                Tok::Arrow
-            }
-            '-' => Tok::Minus,
-            ':' if bytes.get(i) == Some(&b':') => {
-                i += 1;
-                Tok::ColonColon
-            }
-            ':' => return Err(syntax(src, start, "expected `::`")),
+            ':' if bytes.get(i) != Some(&b':') => return Err(syntax(src, start, "expected `::`")),
             '"' => {
                 let (s, end) = string(src, i)?;
                 i = end;
@@ -224,7 +252,13 @@ fn lex(src: &str) -> Result<Vec<Token<'_>>> {
                 }
                 Tok::Ident(&src[start..i])
             }
-            c => return Err(syntax(src, start, format!("unexpected character `{c}`"))),
+            c => match punct(&bytes[start..]) {
+                Some((p, len)) => {
+                    i = start + len;
+                    Tok::Punct(p)
+                }
+                None => return Err(syntax(src, start, format!("unexpected character `{c}`"))),
+            },
         };
         toks.push((tok, start));
     }
@@ -301,7 +335,7 @@ fn unicode_escape(rest: &[u8]) -> Option<(char, usize)> {
 
 /// Parses a model from its textual form.
 pub fn parse(src: &str) -> Result<Model> {
-    let toks = lex(src)?;
+    let toks = lex(src, punct)?;
     P {
         src,
         toks: &toks,
@@ -312,12 +346,12 @@ pub fn parse(src: &str) -> Result<Model> {
 
 struct P<'a> {
     src: &'a str,
-    toks: &'a [Token<'a>],
+    toks: &'a [Token<'a, Punct>],
     pos: usize,
 }
 
 impl<'a> P<'a> {
-    fn peek(&self) -> &'a Token<'a> {
+    fn peek(&self) -> &'a Token<'a, Punct> {
         let toks = self.toks;
         &toks[self.pos.min(toks.len() - 1)]
     }
@@ -326,14 +360,18 @@ impl<'a> P<'a> {
         syntax(self.src, self.peek().1, message)
     }
 
-    fn eat(&mut self, t: &Tok<'_>) -> bool {
-        let hit = self.peek().0 == *t;
+    fn at_eof(&self) -> bool {
+        self.peek().0 == Tok::Eof
+    }
+
+    fn eat(&mut self, p: Punct) -> bool {
+        let hit = self.peek().0 == Tok::Punct(p);
         self.pos += usize::from(hit);
         hit
     }
 
-    fn expect(&mut self, t: &Tok<'_>, what: &str) -> Result<()> {
-        if self.eat(t) {
+    fn expect(&mut self, p: Punct, what: &str) -> Result<()> {
+        if self.eat(p) {
             Ok(())
         } else {
             Err(self.err(format!("expected {what}")))
@@ -353,7 +391,8 @@ impl<'a> P<'a> {
     }
 
     fn kw(&mut self, kw: &str) -> Result<()> {
-        if self.eat(&Tok::Ident(kw)) {
+        if self.peek().0 == Tok::Ident(kw) {
+            self.pos += 1;
             Ok(())
         } else {
             Err(self.err(format!("expected keyword `{kw}`")))
@@ -365,10 +404,11 @@ impl<'a> P<'a> {
         let _name = self.ident("model name")?;
         self.kw("conformsTo")?;
         // Each object's body is one brace pair inside the model's.
-        let braces = self.toks.iter().filter(|(t, _)| *t == Tok::LBrace).count();
+        let lbrace = Tok::Punct(Punct::LBrace);
+        let braces = self.toks.iter().filter(|(t, _)| *t == lbrace).count();
         let metamodel = self.ident("metamodel name")?;
         let mut model = Model::with_capacity(metamodel.into(), braces.saturating_sub(1));
-        self.expect(&Tok::LBrace, "`{`")?;
+        self.expect(Punct::LBrace, "`{`")?;
 
         // One shared name per distinct class or slot name of the text. The
         // first few are found by a scan, cheaper than a map lookup for the
@@ -394,8 +434,8 @@ impl<'a> P<'a> {
         let mut targets: Vec<(usize, &str)> = Vec::new();
         let mut values = Vec::new();
 
-        while !self.eat(&Tok::RBrace) {
-            if self.peek().0 == Tok::Eof {
+        while !self.eat(Punct::RBrace) {
+            if self.at_eof() {
                 return Err(self.err("unexpected end of input (unclosed model block)"));
             }
             let class = self.ident("class name")?;
@@ -404,16 +444,16 @@ impl<'a> P<'a> {
             if local.insert(lid, id).is_some() {
                 return Err(self.err(format!("duplicate object id `{lid}`")));
             }
-            self.expect(&Tok::LBrace, "`{` opening object body")?;
-            while !self.eat(&Tok::RBrace) {
-                if self.peek().0 == Tok::Eof {
+            self.expect(Punct::LBrace, "`{` opening object body")?;
+            while !self.eat(Punct::RBrace) {
+                if self.at_eof() {
                     return Err(self.err("unexpected end of input (unclosed object body)"));
                 }
                 let slot = self.ident("slot name")?;
-                if self.eat(&Tok::Eq) {
+                if self.eat(Punct::Eq) {
                     self.items(&mut values, Self::value)?;
                     model.set_attr_many(id, name(slot), values.drain(..));
-                } else if self.eat(&Tok::Arrow) {
+                } else if self.eat(Punct::Arrow) {
                     let before = targets.len();
                     self.items(&mut targets, |p| Ok((p.peek().1, p.ident("object id")?)))?;
                     slots.push((id, name(slot), targets.len() - before));
@@ -422,7 +462,9 @@ impl<'a> P<'a> {
                 }
             }
         }
-        self.expect(&Tok::Eof, "end of input")?;
+        if !self.at_eof() {
+            return Err(self.err("expected end of input"));
+        }
 
         let mut ids = Vec::with_capacity(targets.len());
         for (at, lid) in targets {
@@ -441,24 +483,24 @@ impl<'a> P<'a> {
 
     /// Appends one item, or a bracketed, comma-separated list of them.
     fn items<T>(&mut self, out: &mut Vec<T>, item: impl Fn(&mut Self) -> Result<T>) -> Result<()> {
-        if !self.eat(&Tok::LBracket) {
+        if !self.eat(Punct::LBracket) {
             out.push(item(self)?);
             return Ok(());
         }
-        if self.eat(&Tok::RBracket) {
+        if self.eat(Punct::RBracket) {
             return Ok(());
         }
         loop {
             out.push(item(self)?);
-            if self.eat(&Tok::RBracket) {
+            if self.eat(Punct::RBracket) {
                 return Ok(());
             }
-            self.expect(&Tok::Comma, "`,` or `]`")?;
+            self.expect(Punct::Comma, "`,` or `]`")?;
         }
     }
 
     fn value(&mut self) -> Result<Value> {
-        let negative = self.eat(&Tok::Minus);
+        let negative = self.eat(Punct::Minus);
         let value = match (&self.peek().0, negative) {
             // `-9223372036854775808` is `i64::MIN`, while
             // `9223372036854775808` is out of range.
@@ -468,9 +510,7 @@ impl<'a> P<'a> {
                 } else {
                     i64::try_from(*n).ok()
                 };
-                Value::Int(
-                    n.ok_or_else(|| self.err("bad int: number too large to fit in target type"))?,
-                )
+                Value::Int(n.ok_or_else(|| self.err(BAD_INT))?)
             }
             (Tok::Float(x), _) => Value::Float(if negative { -x } else { *x }),
             (Tok::Ident("inf"), true) => Value::Float(f64::NEG_INFINITY),
@@ -488,7 +528,7 @@ impl<'a> P<'a> {
     /// string itself.
     fn word(&mut self, name: &str, quoted: bool) -> Result<Value> {
         self.pos += 1;
-        if self.eat(&Tok::ColonColon) {
+        if self.eat(Punct::ColonColon) {
             let lit = self.ident("enum literal")?;
             return Ok(Value::Enum(name.to_owned(), lit.to_owned()));
         }

@@ -153,14 +153,10 @@ impl SmartSpaceDeployment {
 
     /// Reports an environmental event to every object node (triggered
     /// scripts fire where installed).
-    pub fn notify_event(
-        &mut self,
-        topic: &str,
-        payload: &[(String, String)],
-    ) -> mddsm_core::Result<ExecutionReport> {
+    pub fn notify_event(&mut self, topic: &str) -> mddsm_core::Result<ExecutionReport> {
         let mut report = ExecutionReport::default();
         for node in self.nodes.values_mut() {
-            let r = node.notify_event(topic, payload)?;
+            let r = node.notify_event(topic)?;
             report.merge(&r);
         }
         Ok(report)
@@ -240,12 +236,12 @@ mod tests {
         assert_eq!(d.devices().lock().unwrap()["node1:lamp"].state, "");
         assert_eq!(report.commands, 1); // only configureObject
                                         // ...until the event arrives.
-        let report = d.notify_event("objectEntered", &[]).unwrap();
+        let report = d.notify_event("objectEntered").unwrap();
         assert_eq!(report.commands, 1);
         assert_eq!(d.devices().lock().unwrap()["node1:lamp"].state, "on");
         assert_eq!(d.devices().lock().unwrap()["node1:lamp"].actuations, 1);
         // Events keep firing the installed script.
-        d.notify_event("objectEntered", &[]).unwrap();
+        d.notify_event("objectEntered").unwrap();
         assert_eq!(d.devices().lock().unwrap()["node1:lamp"].actuations, 2);
     }
 

@@ -274,11 +274,11 @@ mod tests {
                 .with("object", "lamp1")
                 .with("action", "on")],
         ));
-        let report = node.notify_event("objectEntered", &[]).unwrap();
+        let report = node.notify_event("objectEntered").unwrap();
         assert_eq!(report.commands, 1);
         assert_eq!(devices.lock().unwrap()["lamp1"].state, "on");
         // Non-matching events do nothing.
-        let report = node.notify_event("objectLeft", &[]).unwrap();
+        let report = node.notify_event("objectLeft").unwrap();
         assert_eq!(report.commands, 0);
     }
 }

@@ -59,33 +59,14 @@ impl fmt::Display for Command {
 pub struct EventTrigger {
     /// Event topic to wait for, e.g. `objectEntered`.
     pub topic: String,
-    /// Required payload fields (all must match).
-    pub conditions: Vec<(String, String)>,
 }
 
 impl EventTrigger {
-    /// Creates a trigger on a topic with no payload conditions.
+    /// Creates a trigger on a topic.
     pub fn on(topic: impl Into<String>) -> Self {
         EventTrigger {
             topic: topic.into(),
-            conditions: Vec::new(),
         }
-    }
-
-    /// Builder-style payload condition.
-    pub fn when(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.conditions.push((key.into(), value.into()));
-        self
-    }
-
-    /// Returns `true` if an event with this topic/payload satisfies the
-    /// trigger.
-    pub fn matches(&self, topic: &str, payload: &[(String, String)]) -> bool {
-        topic == self.topic
-            && self
-                .conditions
-                .iter()
-                .all(|(k, v)| payload.iter().any(|(pk, pv)| pk == k && pv == v))
     }
 }
 
@@ -148,20 +129,6 @@ mod tests {
         assert_eq!(c.to_string(), "openSession@Session[\"s\"](kind=video)");
         let c2 = Command::new("shutdown", "");
         assert_eq!(c2.to_string(), "shutdown()");
-    }
-
-    #[test]
-    fn trigger_matching() {
-        let t = EventTrigger::on("objectEntered").when("kind", "lamp");
-        let payload = vec![
-            ("kind".to_string(), "lamp".to_string()),
-            ("id".into(), "7".into()),
-        ];
-        assert!(t.matches("objectEntered", &payload));
-        assert!(!t.matches("objectLeft", &payload));
-        let wrong = vec![("kind".to_string(), "door".to_string())];
-        assert!(!t.matches("objectEntered", &wrong));
-        assert!(EventTrigger::on("x").matches("x", &[]));
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn main() {
     );
 
     println!("\n3) the event arrives — the installed script fires on the object node:");
-    space.notify_event("objectEntered", &[]).unwrap();
+    space.notify_event("objectEntered").unwrap();
     println!(
         "   hall lamp state: {:?}",
         space.devices().lock().unwrap()["hall:lamp"].state

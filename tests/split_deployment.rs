@@ -40,15 +40,15 @@ fn rules_fire_repeatedly_and_only_on_their_event() {
     s.set(on_leave, "action", "off").unwrap();
     space.submit_model(s.submit().unwrap()).unwrap();
 
-    space.notify_event("objectEntered", &[]).unwrap();
+    space.notify_event("objectEntered").unwrap();
     assert_eq!(space.devices().lock().unwrap()["hall:lamp"].state, "on");
-    space.notify_event("objectLeft", &[]).unwrap();
+    space.notify_event("objectLeft").unwrap();
     assert_eq!(space.devices().lock().unwrap()["hall:lamp"].state, "off");
-    space.notify_event("objectEntered", &[]).unwrap();
+    space.notify_event("objectEntered").unwrap();
     assert_eq!(space.devices().lock().unwrap()["hall:lamp"].state, "on");
     assert_eq!(space.devices().lock().unwrap()["hall:lamp"].actuations, 3);
     // Unrelated events do nothing.
-    space.notify_event("motionDetected", &[]).unwrap();
+    space.notify_event("motionDetected").unwrap();
     assert_eq!(space.devices().lock().unwrap()["hall:lamp"].actuations, 3);
 }
 
