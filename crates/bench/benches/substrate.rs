@@ -4,7 +4,7 @@
 //! broker dispatch). These are the per-call prices behind E2/E3.
 
 use bench::micro::BenchGroup;
-use mddsm_broker::journal::{Journal, JournalRecord};
+use mddsm_broker::journal::{parse_line, Journal, JournalRecord};
 use mddsm_broker::state::{OpView, ValueView};
 use mddsm_meta::constraint::{self, eval_bool, EvalEnv};
 use mddsm_meta::diff::diff;
@@ -77,13 +77,29 @@ fn main() {
     // What E13's CRC32 framing costs: the two rows differ by the frame
     // (CRC32 plus the `v1` header) on each of 1 000 short op records.
     group.bench_function("journal_append_1k_records_unframed", || {
-        journal_append(false)
+        journal_append(false).bytes().len()
     });
-    group.bench_function("journal_append_1k_records_framed", || journal_append(true));
+    group.bench_function("journal_append_1k_records_framed", || {
+        journal_append(true).bytes().len()
+    });
+    // What reading them back costs: the framed row's lines through the
+    // one decoder, CRC check included.
+    let framed = journal_append(true);
+    let lines: Vec<&str> = std::str::from_utf8(framed.bytes())
+        .unwrap()
+        .lines()
+        .collect();
+    group.bench_function("journal_parse_1k_records_framed", || {
+        lines
+            .iter()
+            .map(|line| parse_line(line).unwrap().lsn().unwrap_or(0))
+            .sum::<u64>()
+    });
     group.finish();
 }
 
-fn journal_append(framed: bool) -> usize {
+/// A fresh journal holding 1 000 short op records.
+fn journal_append(framed: bool) -> Journal {
     let mut j = Journal::in_memory(0);
     j.set_framed(framed);
     for i in 0..1_000u64 {
@@ -93,5 +109,5 @@ fn journal_append(framed: bool) -> usize {
             value: Some(ValueView::Int(i as i64)),
         }));
     }
-    j.bytes().len()
+    j
 }

@@ -506,6 +506,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
+/// A byte's value as a digit of [`HEX_DIGITS`], or [`NOT_HEX`]: a bit no
+/// digit's value has, so the OR of a field's entries flags a bad digit
+/// without a branch per digit.
+static HEX_VALUES: [u8; 256] = {
+    let mut t = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < HEX_DIGITS.len() {
+        t[HEX_DIGITS[i] as usize] = i as u8;
+        i += 1;
+    }
+    t
+};
+
+/// [`HEX_VALUES`]' entry for a byte that is not a lowercase hex digit.
+const NOT_HEX: u8 = 0x10;
+
 /// Splits a line into its record payload, verifying the CRC when the line
 /// carries a `v1` frame; legacy (unframed) lines pass through untouched.
 /// The error is a human-readable reason, not a [`BrokerError`], so callers
@@ -520,14 +536,15 @@ fn checked_payload(line: &str) -> std::result::Result<&str, String> {
         return Err("malformed v1 frame header".to_owned());
     };
     // Lowercase hex only: the form the encoder writes.
-    let stored = crc_hex
-        .bytes()
-        .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
-        .then(|| u32::from_str_radix(crc_hex, 16).ok())
-        .flatten();
-    let Some(stored) = stored else {
+    let (mut stored, mut digits) = (0u32, 0u8);
+    for &b in crc_hex.as_bytes() {
+        let v = HEX_VALUES[usize::from(b)];
+        stored = stored << 4 | u32::from(v & 0xF);
+        digits |= v;
+    }
+    if digits & NOT_HEX != 0 {
         return Err(format!("bad v1 frame crc field `{crc_hex}`"));
-    };
+    }
     let computed = crc32(payload.as_bytes());
     if stored != computed {
         return Err(format!(
@@ -598,25 +615,10 @@ fn bad(why: &str) -> BrokerError {
     BrokerError::RecoveryDiverged(format!("corrupt journal record: {why}"))
 }
 
-/// A decimal in the one form the encoder writes: digits only, no sign, no
-/// leading zero (bar `0` itself), within `u64`.
-fn parse_u64(field: &str) -> Option<u64> {
-    let digits = field.as_bytes();
-    let canonical = match digits {
-        [] => false,
-        [b'0', _, ..] => false,
-        _ => digits.iter().all(u8::is_ascii_digit),
-    };
-    canonical.then(|| field.parse().ok()).flatten()
-}
-
-/// A field's text: borrowed when it holds no escape, unescaped into an
-/// owned copy when it does. Refuses what the encoder never writes: a raw
-/// tab, or a `%` that does not start one of the four escapes.
-fn unescape(field: &str) -> Result<Cow<'_, str>> {
-    if !field.bytes().any(|b| b == b'%' || b == b'\t') {
-        return Ok(Cow::Borrowed(field));
-    }
+/// A field's text with its escapes decoded, into an owned copy. Refuses
+/// what the encoder never writes: a raw tab, or a `%` that does not start
+/// one of the four escapes.
+fn unescape(field: &str) -> Result<String> {
     let mut out = String::with_capacity(field.len());
     let mut rest = field;
     while let Some(at) = rest.find(['%', '\t']) {
@@ -635,7 +637,7 @@ fn unescape(field: &str) -> Result<Cow<'_, str>> {
         rest = &rest[at + 3..];
     }
     out.push_str(rest);
-    Ok(Cow::Owned(out))
+    Ok(out)
 }
 
 /// The space-separated fields of a record payload, read strictly: every
@@ -646,38 +648,92 @@ fn unescape(field: &str) -> Result<Cow<'_, str>> {
 pub struct Fields<'a>(Option<&'a str>);
 
 impl<'a> Fields<'a> {
+    /// The next field, and whether it holds a `%` or a tab, the bytes
+    /// [`unescape`] reads; `None` past the last. Fields are short, so one
+    /// byte loop finds the separating space and notes those bytes on the
+    /// way: no `memchr` call, and no second pass over a text field.
+    fn split(&mut self) -> Option<(&'a str, bool)> {
+        let rest = self.0?;
+        let mut escaped = false;
+        for (at, &b) in rest.as_bytes().iter().enumerate() {
+            if b == b' ' {
+                // A space is one byte, so both cuts fall on character
+                // boundaries.
+                let (field, tail) = rest.split_at_checked(at)?;
+                self.0 = tail.get(1..);
+                return Some((field, escaped));
+            }
+            escaped |= (b == b'%') | (b == b'\t');
+        }
+        self.0 = None;
+        Some((rest, escaped))
+    }
+
     /// The next field; `None` past the last.
     fn next(&mut self) -> Option<&'a str> {
-        let rest = self.0?;
-        let (field, tail) = match rest.split_once(' ') {
-            Some((field, tail)) => (field, Some(tail)),
-            None => (rest, None),
-        };
-        self.0 = tail;
-        Some(field)
+        self.split().map(|(field, _)| field)
     }
 
     fn field(&mut self, what: &str) -> Result<&'a str> {
         self.next().ok_or_else(|| bad(&format!("missing {what}")))
     }
 
+    /// The next field as a decimal in the one form the encoder writes:
+    /// digits only, no sign, no leading zero (bar `0` itself), within
+    /// `u64`. It is checked and read in the one pass that finds its
+    /// closing space.
     fn u64(&mut self, what: &str) -> Result<u64> {
-        parse_u64(self.field(what)?).ok_or_else(|| bad(&format!("bad {what}")))
+        let rest = self.0.ok_or_else(|| bad(&format!("missing {what}")))?;
+        let not_canonical = || bad(&format!("bad {what}"));
+        let (mut value, mut len) = (0u64, 0);
+        for &b in rest.as_bytes() {
+            if b == b' ' {
+                break;
+            }
+            let digit = b.wrapping_sub(b'0');
+            // `len == 1 && value == 0`: a digit after a leading `0`.
+            if digit > 9 || (len == 1 && value == 0) {
+                return Err(not_canonical());
+            }
+            value = value
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(digit)))
+                .ok_or_else(not_canonical)?;
+            len += 1;
+        }
+        if len == 0 {
+            return Err(not_canonical());
+        }
+        // Past the one-byte closing space; `None` after the last field.
+        self.0 = rest.get(len + 1..);
+        Ok(value)
     }
 
+    /// The next field as an `i64`: a canonical magnitude (see
+    /// [`Fields::u64`]), led by `-` when negative, never `-0`.
     fn i64(&mut self, what: &str) -> Result<i64> {
-        let field = self.field(what)?;
-        let value = match field.strip_prefix('-') {
-            Some(magnitude) => parse_u64(magnitude)
+        let negative = self.0.is_some_and(|rest| rest.starts_with('-'));
+        if negative {
+            self.0 = self.0.and_then(|rest| rest.get(1..));
+        }
+        let magnitude = self.u64(what)?;
+        let value = if negative {
+            Some(magnitude)
                 .filter(|&m| m != 0)
-                .and_then(|m| 0i64.checked_sub_unsigned(m)),
-            None => parse_u64(field).and_then(|v| i64::try_from(v).ok()),
+                .and_then(|m| 0i64.checked_sub_unsigned(m))
+        } else {
+            i64::try_from(magnitude).ok()
         };
         value.ok_or_else(|| bad(&format!("bad {what}")))
     }
 
+    /// The next field's text: borrowed unless it holds an escape.
     fn text(&mut self, what: &str) -> Result<Cow<'a, str>> {
-        unescape(self.field(what)?)
+        match self.split() {
+            Some((field, false)) => Ok(Cow::Borrowed(field)),
+            Some((field, true)) => unescape(field).map(Cow::Owned),
+            None => Err(bad(&format!("missing {what}"))),
+        }
     }
 
     /// An op: `<lsn> str|int <key> <value>` or `<lsn> del <key>`.
@@ -696,10 +752,10 @@ impl<'a> Fields<'a> {
 
     /// A snapshot variable, `<key> str|int <value>`; `None` past the last.
     fn var(&mut self) -> Result<Option<(Cow<'a, str>, ValueView<'a>)>> {
-        let Some(key) = self.next() else {
+        if self.0.is_none() {
             return Ok(None);
-        };
-        let key = unescape(key)?;
+        }
+        let key = self.text("var key")?;
         let value = match self.field("var type")? {
             "str" => ValueView::Str(self.text("var value")?),
             "int" => ValueView::Int(self.i64("var int")?),
@@ -1933,42 +1989,86 @@ mod tests {
         }
     }
 
+    /// Why `parse_line` refuses `line`.
+    fn refusal(line: &str) -> String {
+        match parse_line(line) {
+            Err(BrokerError::RecoveryDiverged(why)) => why,
+            other => panic!("{line:?} was not refused: {other:?}"),
+        }
+    }
+
     #[test]
     fn the_decoder_accepts_only_what_the_encoder_writes() {
-        let refused = [
+        // Each refused payload, bare and framed, with its reason.
+        let corrupt = |why: &str| format!("corrupt journal record: {why}");
+        let mut refused = vec![
             // A counter past u32::MAX (it used to wrap to 1 attempt).
-            "cmd 5 call s a 1 4294967297 0",
-            // A `+` sign, a leading zero, `-0`.
-            "op 1 int x +7",
-            "op 01 int x 7",
-            "op 1 int x 07",
-            "op 1 int x -0",
-            "clk +5",
-            "snap 1 0 0 0 x int -0",
-            "up 2 t 01 2 int x 1",
-            // Fields after a record's last.
-            "op 1 int x 1 trailing fields",
-            "clk 5 6",
-            "note two words",
-            "cmd 5 call s a 1 1 0 extra",
+            (
+                "cmd 5 call s a 1 4294967297 0".to_owned(),
+                corrupt("bad attempts"),
+            ),
+            ("up 2 t 01 2 int x 1".to_owned(), corrupt("bad op count")),
             // A missing field, a raw tab, an escape the encoder never writes.
-            "note",
-            "note tab\there",
-            "note %0a",
+            ("note".to_owned(), corrupt("missing note text")),
+            (
+                "note tab\there".to_owned(),
+                "corrupt escape in journal field `tab\there`".to_owned(),
+            ),
+            (
+                "note %0a".to_owned(),
+                "corrupt escape in journal field `%0a`".to_owned(),
+            ),
         ];
-        for line in refused {
-            assert!(parse_line(line).is_err(), "{line} was accepted");
-            assert!(
-                parse_line(&framed(line)).is_err(),
-                "framed {line} was accepted"
+        // Numbers: digits only, no sign, no leading zero bar `0` itself,
+        // within the field's type.
+        let not_u64 = ["00", "01", "+1", "", "18446744073709551616", "-1", "1a"];
+        let not_i64 = ["-0", "9223372036854775808", "-9223372036854775809", "-"];
+        for n in not_u64 {
+            refused.push((format!("clk {n}"), corrupt("bad clock")));
+            refused.push((format!("op {n} int x 1"), corrupt("bad lsn")));
+        }
+        for n in not_u64.iter().filter(|&&n| n != "-1").chain(&not_i64) {
+            refused.push((format!("op 1 int x {n}"), corrupt("bad int value")));
+            refused.push((format!("snap 1 0 0 0 x int {n}"), corrupt("bad var int")));
+        }
+        // A field after a record's last.
+        for line in [
+            "clk 5 6",
+            "ep 2 x",
+            "op 1 int x 1 2",
+            "op 1 del x y",
+            "opc 1 2 str x y z",
+            "cmd 5 call s a 1 1 0 extra",
+            "note two words",
+            "up 2 t 0 extra",
+            "up 2 t 1 1 int x 1 extra",
+        ] {
+            refused.push((line.to_owned(), corrupt("trailing field")));
+        }
+        for (line, why) in &refused {
+            assert_eq!(&refusal(line), why, "{line}");
+            assert_eq!(&refusal(&framed(line)), why, "framed {line}");
+        }
+        // The CRC field: eight lowercase hex digits and nothing else.
+        let payload = "clk 5";
+        let crc = format!("{:08x}", crc32(payload.as_bytes()));
+        for field in [
+            format!("{}A", &crc[..7]),
+            format!("{}F", &crc[..7]),
+            format!("g{}", &crc[1..]),
+            format!("é{}", &crc[2..]),
+            format!("{}∅", &crc[3..]),
+        ] {
+            assert_eq!(
+                refusal(&format!("v1 {field} {payload}")),
+                corrupt(&format!("bad v1 frame crc field `{field}`"))
             );
         }
-        // A frame whose CRC is written in uppercase hex.
-        for clock in 0..8 {
-            let payload = format!("clk {clock}");
-            let upper = format!("v1 {:08X} {payload}", crc32(payload.as_bytes()));
-            assert_eq!(parse_line(&upper).is_err(), upper != framed(&payload));
-        }
+        // A character cut by the separator's place leaves no header.
+        assert_eq!(
+            refusal(&format!("v1 {}é {payload}", &crc[..7])),
+            corrupt("malformed v1 frame header")
+        );
         // The canonical forms are accepted, and re-encode to themselves.
         for line in [
             "cmd 5 call s a 1 4294967295 0",
@@ -1976,7 +2076,12 @@ mod tests {
             "op 1 int x -7",
             "op 1 int x 0",
             "op 1 int x -9223372036854775808",
+            "op 1 int x 9223372036854775807",
+            "op 0 int x 0",
+            "op 18446744073709551615 int x 1",
+            "clk 0",
             "clk 18446744073709551615",
+            "snap 0 0 0 0 x int -9223372036854775808",
             "note ",
             "note tab%09here",
             "up 2 t 0",

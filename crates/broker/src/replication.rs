@@ -481,7 +481,10 @@ impl QuorumReplicator {
         }
     }
 
-    /// Ingests complete journal lines appended since the last tick.
+    /// Ingests complete journal lines appended since the last tick. The
+    /// cursor moves past a line only once it decoded, so a refused line
+    /// is read again, and refused again, by every later tick until the
+    /// caller repairs the journal.
     fn ingest(&mut self, journal_bytes: &[u8]) -> Result<()> {
         let Some(mut pending) = journal_bytes.get(self.read_offset..) else {
             return Err(BrokerError::JournalBehindCursor {
@@ -492,20 +495,19 @@ impl QuorumReplicator {
         while let Some(nl) = pending.iter().position(|&b| b == b'\n') {
             let line = std::str::from_utf8(&pending[..nl])
                 .map_err(|e| BrokerError::RecoveryDiverged(format!("journal is not UTF-8: {e}")))?;
+            if !line.is_empty() {
+                // Decoding checks the CRC and the record's structure, so a
+                // damaged primary journal is refused before anything ships.
+                let lsn = journal::parse_line(line)?.lsn();
+                if let Some(lsn) = lsn {
+                    self.head_lsn = self.head_lsn.max(lsn);
+                }
+                let start = self.outbox_text.len();
+                self.outbox_text.push_str(line);
+                self.outbox.push((lsn, start..self.outbox_text.len()));
+            }
             self.read_offset += nl + 1;
             pending = &pending[nl + 1..];
-            if line.is_empty() {
-                continue;
-            }
-            // Decoding checks the CRC and the record's structure, so a
-            // damaged primary journal is refused before anything ships.
-            let lsn = journal::parse_line(line)?.lsn();
-            if let Some(lsn) = lsn {
-                self.head_lsn = self.head_lsn.max(lsn);
-            }
-            let start = self.outbox_text.len();
-            self.outbox_text.push_str(line);
-            self.outbox.push((lsn, start..self.outbox_text.len()));
         }
         Ok(())
     }
@@ -1692,6 +1694,53 @@ mod tests {
         drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 8);
         assert!(rep.synced());
         assert_eq!(b.journal_bytes(), broker.journal_bytes().unwrap());
+    }
+
+    #[test]
+    fn a_refused_journal_line_stays_refused_until_repaired() {
+        // Regression: ingest moved its cursor past a line before decoding
+        // it, so the tick after a refusal skipped the damaged line and
+        // shipped the lines behind it.
+        let m = model();
+        let mut broker = primary(&m);
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
+        let mut standby = Standby::new("b");
+        let net = net();
+        for _ in 0..3 {
+            broker.call("inc", &args(&[])).unwrap();
+        }
+        let bytes = broker.journal_bytes().unwrap().to_vec();
+        // One byte of the second command line's payload, CRC left as is.
+        let at = std::str::from_utf8(&bytes)
+            .unwrap()
+            .match_indices(" cmd ")
+            .nth(1)
+            .unwrap()
+            .0
+            + " cmd ".len();
+        let mut damaged = bytes.clone();
+        damaged[at] ^= 1;
+        let step = SimDuration::from_micros(5_000);
+        let mut now = SimTime::ZERO;
+        for _ in 0..3 {
+            let refused = rep.tick(now, 1, &net, &damaged, &mut [&mut standby]);
+            assert!(
+                matches!(&refused, Err(BrokerError::RecoveryDiverged(why)) if why.contains("crc mismatch")),
+                "{refused:?}"
+            );
+            assert!(!rep.synced());
+            assert!(damaged.starts_with(standby.journal_bytes()));
+            assert!(standby.journal_bytes().len() < at);
+            now = now + step;
+        }
+        // The repaired journal ships on from the refused line.
+        for _ in 0..8 {
+            rep.tick(now, 1, &net, &bytes, &mut [&mut standby]).unwrap();
+            now = now + step;
+        }
+        assert!(rep.synced());
+        assert_eq!(standby.journal_bytes(), &bytes[..]);
+        assert_eq!(rep.commit_lsn(), broker.state().version());
     }
 
     #[test]

@@ -10,34 +10,20 @@
 //! counters) and interleaved autonomic ticks, and diffs a state snapshot
 //! around every step: every changed key must lie inside the static write
 //! set of the dispatched operation (for calls) or inside the union of the
-//! autonomic/brownout unit write sets plus engine bookkeeping (for ticks).
+//! autonomic/brownout unit write sets plus the keys the analyzer reserves
+//! to the engine ([`mddsm::broker::analysis::is_engine_key`]) (for ticks).
 //!
 //! Reads are not observable behaviourally (the state manager records
 //! writes, not lookups), but the read sets are extracted from the same
 //! guard/condition expressions the engine evaluates, so the write-side
 //! check is the half that can actually drift.
 
+use mddsm::broker::analysis::is_engine_key;
 use mddsm::broker::{analyze, op_footprint, GenericBroker};
 use mddsm::meta::{Model, Value};
 use mddsm::sim::resource::{args, Args};
 use mddsm::sim::{ResourceHub, SimRng};
 use std::collections::BTreeSet;
-
-/// Engine bookkeeping prefixes: keys the broker itself maintains across
-/// any dispatch (failure counters, breakers, admission meters, monitor
-/// memory, replication gauges, brownout state).
-const ENGINE_KEY_PREFIXES: &[&str] = &[
-    "failures_",
-    "breaker_",
-    "adm_",
-    "mon_",
-    "repl_",
-    "brownout_",
-];
-
-fn is_engine_key(k: &str) -> bool {
-    ENGINE_KEY_PREFIXES.iter().any(|p| k.starts_with(p))
-}
 
 /// Call selectors of a broker model (handlers with `kind = Call`).
 fn call_selectors(model: &Model) -> Vec<String> {
